@@ -6,7 +6,9 @@ Times the three hot kernels (truncated product, series inversion, series
 composition) at several precisions over a prime field and an extension
 field, then an end-to-end round-trip workload.  Both backends produce
 identical outputs (asserted here and in tests/test_kernels.py); only the
-wall clock differs.
+wall clock differs.  A last table compares one application of the cached
+substitution operator ext.psi(g) with the Horner vec_compose it replaces
+(outputs asserted equal), and gives the one-off cost of building its table.
 """
 
 import sys
@@ -34,6 +36,40 @@ def bench_kernel(ctx, fn_name, n, repeats):
     for _ in range(repeats):
         fn(*args)
     return time.perf_counter() - t0, out
+
+
+def bench_psi(repeats):
+    """psi(g) application vs Horner vec_compose on the same series, per call."""
+    from orbipar.local_galois import make_artin_schreier, make_kummer
+    from orbipar.series import Series
+
+    cases = [("Kummer s->zeta*s", make_kummer(make_field(7), 3, 16), 1),
+             ("AS s/(1+s)", make_artin_schreier(make_field(3, 2), 24), 1),
+             ("AS s/(1+s)", make_artin_schreier(make_field(5), 64), 1)]
+    print(f"{'psi(g) apply':<18}{'field':<8}{'N':>4}{'horner':>12}{'psi':>12}"
+          f"{'speedup':>9}{'table build':>14}")
+    for label, ext, g in cases:
+        field, n = ext.field, ext.prec
+        rng = SplitMix64(n)
+        f = Series(field, n, tuple(rng.randrange(field.order) for _ in range(n)))
+        act = list(ext.act(g).coeffs)
+        reps = max(repeats // (n * 4), 10)
+        t0 = time.perf_counter()
+        ext.psi(g)(f)
+        build = time.perf_counter() - t0
+        op = ext.psi(g)
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            horner = kernels.vec_compose(field.ctx, list(f.coeffs), act, n)
+        t_horner = (time.perf_counter() - t0) / reps
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            fast = op(f)
+        t_psi = (time.perf_counter() - t0) / reps
+        assert list(fast.coeffs) == horner, "psi(g) disagrees with Horner composition"
+        fname = f"GF({field.order})"
+        print(f"{label:<18}{fname:<8}{n:>4}{t_horner * 1e6:>10.1f}us{t_psi * 1e6:>10.1f}us"
+              f"{t_horner / t_psi:>8.1f}x{build * 1e6:>12.1f}us")
 
 
 def bench_roundtrips(repeats):
@@ -79,6 +115,8 @@ def main():
                 if len(backends) > 1:
                     row += f"{times['pure'] / times['compiled']:>9.1f}x"
                 print(row)
+    print()
+    bench_psi(repeats)
     print()
     n_rt = 10
     for b in backends:

@@ -4,8 +4,11 @@ Reference implementation of the hot loops: truncated convolution, series
 inversion and composition over a FieldCtx.  Coefficient vectors are plain
 lists of element encodings.  orbipar._speedups implements the same three
 functions in C; orbipar.kernels picks one at import time and the test suite
-checks they agree.
+checks they agree.  vec_scale and vec_tri, the two ways a cached substitution
+operator applies itself, exist only here.
 """
+
+from operator import mul as _mul
 
 
 def vec_mul(ctx, a, b, n):
@@ -87,3 +90,33 @@ def vec_compose(ctx, f, g, n):
         res = vec_mul(ctx, res, g, n)
         res[0] = ctx.add(res[0], f[idx])
     return res
+
+
+def vec_scale(ctx, a, w):
+    """Coefficientwise product a[i] * w[i], as long as the shorter input."""
+    if ctx.k == 1:
+        p = ctx.p
+        return [x * y % p for x, y in zip(a, w)]
+    exp, log = ctx.exp, ctx.log
+    return [exp[log[x] + log[y]] if x and y else 0 for x, y in zip(a, w)]
+
+
+def vec_tri(ctx, cols, a, n):
+    """Lower-triangular product: out[k] = sum over m <= k of a[m] * cols[k][m], k < n.
+
+    With cols[k][m] the coefficient of s^k in g^m this is the first n
+    coefficients of a(g), in O(n^2) instead of Horner's O(n^3).
+    """
+    if ctx.k == 1:
+        p = ctx.p
+        return [sum(map(_mul, a, cols[k])) % p for k in range(n)]
+    exp, log, add = ctx.exp, ctx.log, ctx.add
+    la = [log[x] for x in a]
+    out = [0] * n
+    for k in range(n):
+        acc = 0
+        for lx, y in zip(la, cols[k]):
+            if lx >= 0 and y:
+                acc = add(acc, exp[lx + log[y]])
+        out[k] = acc
+    return out

@@ -149,10 +149,11 @@ def _cmd_run(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: cannot read scenario: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.precision is not None:
-        doc["precision"] = args.precision
+    if isinstance(doc, dict):
+        if args.seed is not None:
+            doc["seed"] = args.seed
+        if args.precision is not None:
+            doc["precision"] = args.precision
     try:
         sc = load_scenario(doc)
     except OrbiparError as exc:

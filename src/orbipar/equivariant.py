@@ -44,8 +44,8 @@ class Cocycle:
 
     def apply(self, g, vec):
         """Phi(g) on a coordinate vector (tuple of Series)."""
-        act = self.ext.act(g)
-        moved = [v.compose(act) for v in vec]
+        psi = self.ext.psi(g)
+        moved = [psi(v) for v in vec]
         out = []
         for i in range(self.rank):
             acc = None
@@ -80,10 +80,10 @@ def verify_cocycle(c: Cocycle) -> CocycleReport:
                              failing_pair=(0,), entry=mism[:2], coefficient_index=mism[2])
     order = ext.group.order
     for h in range(order):
-        act_h = ext.act(h)
+        psi_h = ext.psi(h)
         for g in range(order):
             lhs = c.mats[ext.group.mul(h, g)]
-            rhs = c.mats[h] * c.mats[g].substitute(act_h)
+            rhs = c.mats[h] * psi_h(c.mats[g])
             mism = lhs.first_mismatch(rhs)
             if mism is not None:
                 return CocycleReport(
@@ -100,7 +100,7 @@ def coboundary(ext, b: Matrix, character=None) -> Cocycle:
     b_inv = b.inverse()
     mats = []
     for g in range(ext.group.order):
-        m = b * b_inv.substitute(ext.act(g))
+        m = b * ext.psi(g)(b_inv)
         if character is not None and character[g] != 1:
             m = m.scale(character[g])
         mats.append(m)
@@ -110,7 +110,7 @@ def coboundary(ext, b: Matrix, character=None) -> Cocycle:
 def twist(c: Cocycle, b: Matrix) -> Cocycle:
     """Basis change: A_g -> B^{-1} * A_g * psi(g)(B)."""
     b_inv = b.inverse()
-    mats = tuple(b_inv * c.mats[g] * b.substitute(c.ext.act(g))
+    mats = tuple(b_inv * c.mats[g] * c.ext.psi(g)(b)
                  for g in range(c.ext.group.order))
     return Cocycle(c.ext, c.rank, mats)
 
@@ -158,7 +158,7 @@ class ProductGModuleSpec:
 
 def compose_blocks(ext, m1, w1, m2, w2):
     """(m1, w1) o (m2, w2) as semilinear blocks."""
-    return m1 * m2.substitute(ext.act(w1)), ext.group.mul(w1, w2)
+    return m1 * ext.psi(w1)(m2), ext.group.mul(w1, w2)
 
 
 def verify_spec(spec: ProductGModuleSpec):
@@ -317,7 +317,7 @@ def verify_action(m: ProductGModule) -> ActionReport:
         key = (w, mat)
         out = cache.get(key)
         if out is None:
-            out = mat.substitute(spec.ext.act(w))
+            out = spec.ext.psi(w)(mat)
             cache[key] = out
         return out
 
@@ -408,7 +408,7 @@ def assemble_morphism(source: ProductGModule, target: ProductGModule,
             if w_ij != w2_ij:
                 raise AssemblyError("source and target thetas have different ring parts",
                                     condition="theta", indices=(i, j))
-            lhs = m2_ij * mats[i].substitute(ext.act(w2_ij))
+            lhs = m2_ij * ext.psi(w2_ij)(mats[i])
             rhs = mats[j] * m_ij
             if not lhs.agrees_with(rhs):
                 raise AssemblyError(
@@ -418,7 +418,7 @@ def assemble_morphism(source: ProductGModule, target: ProductGModule,
         for u in range(ext.group.order):
             a = s_spec.components[i].iso[u]
             lhs = mats[i] * s_spec.components[i].cocycle.mats[u]
-            rhs = t_spec.components[i].cocycle.mats[u] * mats[i].substitute(ext.act(u))
+            rhs = t_spec.components[i].cocycle.mats[u] * ext.psi(u)(mats[i])
             if not lhs.agrees_with(rhs):
                 raise AssemblyError(
                     f"component {i} map is not equivariant at isotropy element {u}",
@@ -432,7 +432,7 @@ def assemble_morphism(source: ProductGModule, target: ProductGModule,
                 raise AssemblyError("source/target blocks disagree structurally",
                                     condition="blocks", indices=(i, g))
             lhs = mats[j] * m
-            rhs = m2 * mats[i].substitute(ext.act(w))
+            rhs = m2 * ext.psi(w)(mats[i])
             if not lhs.agrees_with(rhs):
                 raise AssemblyError(f"glued map not equivariant at element {g}, "
                                     f"component {i}", condition="glued", indices=(i, g))
@@ -464,7 +464,7 @@ def independence_intertwiner(mod1: ProductGModule, mod2: ProductGModule) -> Equi
         m1, w1 = s1.thetas[0][j]
         # theta^1_{0j} inverse as a semilinear block
         w1_inv = ext.group.inv(w1)
-        m1_inv = m1.inverse().substitute(ext.act(w1_inv))
+        m1_inv = ext.psi(w1_inv)(m1.inverse())
         m, w = compose_blocks(ext, psi.cocycle.mats[u], u, m1_inv, w1_inv)
         m, w = compose_blocks(ext, m2, w2, m, w)
         if w != 0:
@@ -480,7 +480,7 @@ def independence_intertwiner(mod1: ProductGModule, mod2: ProductGModule) -> Equi
             if j1 != j2 or wa != wb:
                 raise AssemblyError("modules have incompatible index actions",
                                     condition="tau", indices=(g, i))
-            lhs = mb * blocks[i].substitute(ext.act(wb))
+            lhs = mb * ext.psi(wb)(blocks[i])
             rhs = blocks[j1] * ma
             if not lhs.agrees_with(rhs):
                 raise AssemblyError(
@@ -566,15 +566,13 @@ def invariants(c: Cocycle) -> InvariantsResult:
     rows = []
     for g in gens:
         # psi(g)(s^m e_comp) = act(g)^m e_comp, so the image of a basis vector
-        # is column comp of A_g scaled by a precomputed power of act(g)
-        act_pows = [Series.one(field, prec)]
-        for _ in range(prec - 1):
-            act_pows.append(act_pows[-1] * c.ext.act(g))
+        # is column comp of A_g scaled by the cached power act(g)^m
+        psi = ext.psi(g)
         a_g = c.mats[g]
         cols = []
         for idx in range(dim):
             m, comp = divmod(idx, rank)
-            image = tuple(a_g.entries[row][comp] * act_pows[m] for row in range(rank))
+            image = tuple(a_g.entries[row][comp] * psi.power(m) for row in range(rank))
             col = _vec_to_coords(image, rank, prec)
             col[idx] = ctx.sub(col[idx], 1)
             cols.append(col)
@@ -689,7 +687,7 @@ class TrivializeResult:
 def _verify_coboundary(c: Cocycle, b: Matrix) -> bool:
     b_inv = b.inverse()
     for g in range(c.ext.group.order):
-        rhs = b * b_inv.substitute(c.ext.act(g))
+        rhs = b * c.ext.psi(g)(b_inv)
         if not rhs.agrees_with(c.mats[g]):
             return False
     return True
@@ -726,7 +724,7 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
     for cand in candidates:
         acc = None
         for g in range(ext.group.order):
-            term = c.mats[g] * cand.substitute(ext.act(g))
+            term = c.mats[g] * ext.psi(g)(cand)
             acc = term if acc is None else acc + term
         if acc.is_residue_invertible():
             if _verify_coboundary(c, acc):
@@ -758,16 +756,14 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
     gens = ext.group.generators()
     for g in gens:
         a_g = c.mats[g]
-        act_pows = [Series.one(field, prec)]
-        for _ in range(prec - 1):
-            act_pows.append(act_pows[-1] * ext.act(g))
+        psi = ext.psi(g)
         cols = []
         for i in range(rank):
             for j in range(rank):
                 for m in range(prec):
                     # A_g psi(g)(E_{ij} s^m): column j is column i of A_g
                     # scaled by act(g)^m, all other columns vanish
-                    scaled = [a_g.entries[r_][i] * act_pows[m] for r_ in range(rank)]
+                    scaled = [a_g.entries[r_][i] * psi.power(m) for r_ in range(rank)]
                     col = [0] * dim
                     for r_ in range(rank):
                         base = (r_ * rank + j) * prec

@@ -4,6 +4,7 @@ Imports the compiled kernels (orbipar._speedups) when the extension was
 built, otherwise the pure-Python reference (orbipar._kernel_py).  Setting
 ORBIPAR_PURE=1 in the environment forces the pure backend; set_backend()
 switches at runtime (used by the benchmark and the parity tests).
+vec_scale and vec_tri have no compiled counterpart and always run in Python.
 """
 
 import os
@@ -59,3 +60,7 @@ def vec_compose(ctx, f, g, n):
     if _active == "compiled":
         return _compiled.vec_compose(_compiled_ctx(ctx), f, g, n)
     return _kernel_py.vec_compose(ctx, f, g, n)
+
+
+vec_scale = _kernel_py.vec_scale
+vec_tri = _kernel_py.vec_tri

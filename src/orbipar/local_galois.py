@@ -14,13 +14,125 @@ which is what verify_extension checks, along with invariance of the base
 uniformizer t(s) and valuation(t) = ramification index.  All extensions here
 are totally ramified (e = group order); the coefficient field is fixed
 pointwise.
+
+ext.psi(g) is that automorphism as an operator on Series, Laurent values and
+matrices.  It is built on first use and cached on the extension, one per
+group element.  A monomial image c*s (Kummer, and the identity) acts
+diagonally, f_i -> c^i f_i, in O(N).  Any other image (Artin-Schreier
+s/(1+cs), explicit actions) acts through the lower-triangular table of its
+powers act(g)^m, m < N, as a matrix-vector product in O(N^2); the table costs
+about one Horner composition to build.  A Laurent value with val_floor v != 0
+takes its factor act(g)^v from the cache: table row v for v > 0, cached
+powers of s/act(g) for v < 0.  Results equal Series.compose and
+Laurent.substitute coefficient for coefficient, windows included.
+Series.compose stays the general composition (verify_extension, norm,
+reversion, embeddings) and the reference the operator is tested against.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
-from .errors import ConfigurationError, NotInvariantError, StructuralError
+from . import kernels
+from .errors import ConfigurationError, DomainError, NotInvariantError, StructuralError
 from .groups import FiniteGroup, cyclic
+from .linalg import Matrix
 from .series import Laurent, Series
+
+
+class Substitution:
+    """psi(g): f -> f(image), for one valuation-1 image of s."""
+
+    def __init__(self, image: Series):
+        if image.coeffs[0] != 0:
+            raise DomainError("composition requires zero constant term")
+        self.image = image
+        self.field = image.field
+        self.prec = image.prec
+        self.ctx = image.field.ctx
+        c = image.coeffs[1] if image.prec > 1 else 0
+        # scalars[i] = c^i when the image is the monomial c*s, else None
+        self.scalars = ([self.field.pow(c, i) for i in range(image.prec)]
+                        if not any(image.coeffs[2:]) else None)
+        self.identity = self.scalars is not None and c == 1
+        self._powers = self._cols = None    # built on first use by _table
+        self._inverse_powers = None   # [None, u, u^2, ...], u = s/image at length prec-1
+
+    def __call__(self, x):
+        if isinstance(x, Series):
+            return self.series(x)
+        if isinstance(x, Laurent):
+            return self.laurent(x)
+        if isinstance(x, Matrix):
+            return x.map(self.series if x.kind is Series else self.laurent)
+        raise StructuralError("psi applies to a Series, a Laurent value or a Matrix")
+
+    def _map(self, coeffs, n):
+        """First n coefficients of f(image), f given by its first n coefficients."""
+        if self.identity:
+            return list(coeffs)
+        if self.scalars is not None:
+            return kernels.vec_scale(self.ctx, coeffs, self.scalars)
+        return kernels.vec_tri(self.ctx, self._table()[1], coeffs, n)
+
+    def _table(self):
+        """image^m for m < prec, built once by repeated multiplication, and its
+        columns: cols[k][m] = coefficient of s^k in image^m, m <= k."""
+        if self._powers is None:
+            n = self.prec
+            img = list(self.image.coeffs)
+            rows = [[1] + [0] * (n - 1)]
+            for _ in range(n - 1):
+                rows.append(kernels.vec_mul(self.ctx, rows[-1], img, n))
+            self._powers = [Series(self.field, n, tuple(r)) for r in rows]
+            self._cols = [tuple(rows[m][k] for m in range(k + 1)) for k in range(n)]
+        return self._powers, self._cols
+
+    def power(self, m):
+        """image^m (zero once m reaches the precision)."""
+        if m >= self.prec:
+            return Series.zero(self.field, self.prec)
+        if self.scalars is not None:
+            return Series.monomial(self.field, self.scalars[m], m, self.prec)
+        return self._table()[0][m]
+
+    def series(self, x: Series) -> Series:
+        if x.field != self.field:
+            raise StructuralError("field mismatch")
+        if x.prec != self.prec:
+            raise StructuralError("precision mismatch")
+        return Series(self.field, self.prec, tuple(self._map(x.coeffs, self.prec)))
+
+    def laurent(self, x: Laurent) -> Laurent:
+        """As Laurent.substitute: the window [v, v+n) maps to [0, n) for v >= 0
+        and to [v, v + min(n, prec-1)) for v < 0."""
+        if self.prec < 2 or self.image.coeffs[1] == 0:
+            raise DomainError("substitution image must have valuation exactly 1")
+        if x.field != self.field:
+            raise StructuralError("field mismatch")
+        n = len(x.coeffs)
+        if n > self.prec:
+            raise StructuralError("precision mismatch")
+        mapped = self._map(x.coeffs, n)
+        v = x.val_floor
+        if v == 0:
+            return Laurent(self.field, 0, tuple(mapped))
+        if v > 0:
+            factor = self.power(v).coeffs
+        else:
+            factor = self._inverse_power(-v)
+            n = min(n, self.prec - 1)
+        return Laurent(self.field, 0 if v > 0 else v,
+                       tuple(kernels.vec_mul(self.ctx, factor, mapped, n)))
+
+    def _inverse_power(self, k):
+        """(s/image)^k at length prec-1, as Laurent.pow computes the factor."""
+        pows = self._inverse_powers
+        if pows is None:
+            m = self.prec - 1
+            pows = self._inverse_powers = [
+                None, kernels.vec_inverse(self.ctx, list(self.image.coeffs[1:]), m)]
+        while len(pows) <= k:
+            pows.append(kernels.vec_mul(self.ctx, pows[-1], pows[1], self.prec - 1))
+        return pows[k]
 
 
 @dataclass(frozen=True)
@@ -31,21 +143,18 @@ class LocalExtension:
     action: tuple                 # element index -> Series image of s
     base_uniformizer: Series      # t(s), invariant, valuation = ram_index
     ram_index: int
+    _psi: dict = dc_field(default_factory=dict, init=False, compare=False,
+                          hash=False, repr=False)
 
     def act(self, g: int) -> Series:
         return self.action[g]
 
-    def apply(self, g: int, x):
-        """psi(g) applied to a Series or Laurent value."""
-        if isinstance(x, Series):
-            return x.compose(self.action[g])
-        if isinstance(x, Laurent):
-            return x.substitute(self.action[g])
-        raise StructuralError("apply expects a Series or Laurent value")
-
-    @property
-    def is_trivial(self):
-        return self.group.order == 1
+    def psi(self, g: int) -> Substitution:
+        """The cached substitution operator of element g."""
+        op = self._psi.get(g)
+        if op is None:
+            op = self._psi[g] = Substitution(self.action[g])
+        return op
 
     def describe(self):
         return f"extension of degree {self.group.order} over {self.field.describe()}"

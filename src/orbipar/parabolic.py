@@ -89,7 +89,7 @@ def check_mu_equivariance(ext, psi: Cocycle, mu: Matrix):
     Returns None, or (g, (i, j, exponent)) for the first violation.
     """
     for g in range(ext.group.order):
-        lhs = psi.mats[g].to_laurent() * mu.substitute(ext.act(g))
+        lhs = psi.mats[g].to_laurent() * ext.psi(g)(mu)
         mism = lhs.first_mismatch(mu)
         if mism is not None:
             return (g, mism)
@@ -269,7 +269,7 @@ def verify_glued(b: GluedBundle) -> ValidationReport:
                     return ValidationReport(
                         False, f"ring parts of the formal and generic actions disagree "
                         f"at {pt.label}, element {g}, component {i}", point=pt.label)
-                lhs = m.to_laurent() * pt.taus[i].substitute(ext.act(w))
+                lhs = m.to_laurent() * ext.psi(w)(pt.taus[i])
                 rhs = pt.taus[j]
                 mism = lhs.first_mismatch(rhs)
                 if mism is not None:
@@ -323,7 +323,7 @@ def build_spec_from_scene(scene_point: ScenePoint, group, psi: Cocycle,
             u_inner = scene_point.q0(group, inner)
             m, w = compose_blocks(ext, m_0i, w_0i, psi.mats[u_inner], u_inner)
             m, w = compose_blocks(ext, m, w,
-                                  m_0i.inverse().substitute(ext.act(w_0i_inv)), w_0i_inv)
+                                  ext.psi(w_0i_inv)(m_0i.inverse()), w_0i_inv)
             if w != u:
                 raise ConfigurationError(
                     "conjugated component action has unexpected ring part "
@@ -352,7 +352,7 @@ def functor_T(d: ParabolicDatum, scene: CoverScene, connectors=None) -> GluedBun
         taus = []
         for i in range(sp.size()):
             w_0i = spec.thetas[0][i][1]
-            taus.append(dpt.mu.substitute(dpt.ext.act(w_0i)))
+            taus.append(dpt.ext.psi(w_0i)(dpt.mu))
         pts.append(GluedPoint(label=dpt.label, scene_point=sp, module=module,
                               taus=tuple(taus)))
     b = GluedBundle(rank=d.rank, scene=scene, points=tuple(pts))
@@ -393,7 +393,7 @@ def functor_S(b: GluedBundle) -> SResult:
             induced[gpt.label] = False
         iota_inv = iota.inverse()
         a0 = spec.components[0].cocycle
-        mats = tuple(iota_inv * a0.mats[g] * iota.substitute(ext.act(g))
+        mats = tuple(iota_inv * a0.mats[g] * ext.psi(g)(iota)
                      for g in range(ext.group.order))
         psi = Cocycle(ext, b.rank, mats)
         mu = iota_inv.to_laurent() * gpt.taus[0]
@@ -431,7 +431,7 @@ def validate_parabolic_morphism(src: ParabolicDatum, dst: ParabolicDatum,
         ext = spt.ext
         for a in range(ext.group.order):
             lhs = sigma * spt.psi.mats[a]
-            rhs = dpt.psi.mats[a] * sigma.substitute(ext.act(a))
+            rhs = dpt.psi.mats[a] * ext.psi(a)(sigma)
             if not lhs.agrees_with(rhs):
                 return ValidationReport(False,
                                         f"sigma at {spt.label} is not equivariant at "
@@ -449,7 +449,7 @@ def validate_parabolic_morphism(src: ParabolicDatum, dst: ParabolicDatum,
 
 def _block_inverse(ext, m, w):
     w_inv = ext.group.inv(w)
-    return m.inverse().substitute(ext.act(w_inv)), w_inv
+    return ext.psi(w_inv)(m.inverse()), w_inv
 
 
 @dataclass
@@ -524,7 +524,7 @@ def roundtrip_check(d: ParabolicDatum, scene: CoverScene,
                     return RoundtripReport(False, "incompatible index bookkeeping",
                                            per_point)
                 lhs = blocks[j] * m1
-                rhs = m2 * blocks[i].substitute(ext.act(w1))
+                rhs = m2 * ext.psi(w1)(blocks[i])
                 if not lhs.agrees_with(rhs):
                     return RoundtripReport(
                         False, f"rho equivariance fails at {label}, element {g}, "

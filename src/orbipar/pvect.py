@@ -194,7 +194,7 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
             sig = sigma_basis_mat(ext, idx)
             col = []
             for g in range(1, ext.group.order):
-                diff = sig * a1.mats[g] - a2.mats[g] * sig.substitute(ext.act(g))
+                diff = sig * a1.mats[g] - a2.mats[g] * ext.psi(g)(sig)
                 col.extend(flat(diff, per))
             prod = sig * s1
             if delta < 0:
@@ -314,7 +314,7 @@ def dual(d: ParabolicDatum) -> ParabolicDatum:
     pts = []
     for dpt in d.points:
         ext = dpt.ext
-        mats = tuple(dpt.psi.mats[ext.group.inv(g)].transpose().substitute(ext.act(g))
+        mats = tuple(ext.psi(g)(dpt.psi.mats[ext.group.inv(g)].transpose())
                      for g in range(ext.group.order))
         psi = Cocycle(ext, d.rank, mats)
         mu = laurent_inverse(dpt.mu.transpose())
@@ -537,20 +537,12 @@ def pushforward_local(b: GluedBundle, label=None) -> PushedBundle:
     d_out = l * r * e
     group = b.scene.group
 
-    act_pows = {}
-
-    def act_power(w, m):
-        key = (w, m)
-        if key not in act_pows:
-            act_pows[key] = ext.act(w).pow(m)
-        return act_pows[key]
-
     def push_block(mat, w):
         """(r*e) x (r*e) base matrix of (mat, psi_w) under restriction of scalars."""
         out = [[None] * (r * e) for _ in range(r * e)]
         for a in range(r):
             for m in range(e):
-                col_series = [mat.entries[bb][a] * act_power(w, m) for bb in range(r)]
+                col_series = [mat.entries[bb][a] * ext.psi(w).power(m) for bb in range(r)]
                 for bb in range(r):
                     pieces = decompose_series(ext, col_series[bb])
                     for j in range(e):

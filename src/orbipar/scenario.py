@@ -89,7 +89,26 @@ class Scenario:
     quotients: dict = dc_field(default_factory=dict)
 
 
+def _resolve(table, cfg, key):
+    """table[cfg[key]]; a missing or unknown name is a ScenarioError."""
+    name = cfg.get(key)
+    try:
+        return table[name]
+    except (KeyError, TypeError):
+        raise ScenarioError(f"{key} {name!r} does not resolve") from None
+
+
 def load_scenario(doc: dict) -> Scenario:
+    """Build a Scenario; any malformed input ends in ScenarioError."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"a scenario is a JSON object, not {type(doc).__name__}")
+    try:
+        return _load(doc)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise ScenarioError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
+
+
+def _load(doc):
     if doc.get("schema") != SCENARIO_SCHEMA:
         raise ScenarioError(f"unsupported schema {doc.get('schema')!r}; "
                             f"expected {SCENARIO_SCHEMA!r}")
@@ -126,11 +145,11 @@ def load_scenario(doc: dict) -> Scenario:
         if kind == "kummer_tower":
             embs[name] = kummer_tower(field, int(cfg["n"]), int(cfg["m"]), prec)
         elif kind == "identity":
-            embs[name] = identity_embedding(exts[cfg["ext"]])
+            embs[name] = identity_embedding(_resolve(exts, cfg, "ext"))
         elif kind == "explicit":
             from .local_galois import make_embedding
             embs[name] = make_embedding(
-                exts[cfg["small"]], exts[cfg["big"]],
+                _resolve(exts, cfg, "small"), _resolve(exts, cfg, "big"),
                 Series.from_coeffs(field, cfg["s_image"], prec),
                 tuple(cfg["quotient"]))
         else:
@@ -141,7 +160,7 @@ def load_scenario(doc: dict) -> Scenario:
         group = group_from_config(cfg["group"])
         pts = []
         for p in cfg["points"]:
-            ext = exts[p["ext"]]
+            ext = _resolve(exts, p, "ext")
             if p.get("totally_ramified"):
                 iso = tuple(range(ext.group.order))
                 transversal = (0,)
@@ -159,7 +178,7 @@ def load_scenario(doc: dict) -> Scenario:
         kind = cfg.get("kind")
         if kind == "trivial":
             data[name] = trivial_datum(int(cfg["rank"]),
-                                       [(p["label"], exts[p["ext"]])
+                                       [(p["label"], _resolve(exts, p, "ext"))
                                         for p in cfg["points"]])
         elif kind == "sign_twist":
             data[name] = sign_twist_datum(field, prec, label=cfg.get("label", "p"))
@@ -167,7 +186,7 @@ def load_scenario(doc: dict) -> Scenario:
             rng = SplitMix64(int(cfg.get("seed", master.next_u64())))
             pts = []
             for p in cfg["points"]:
-                dd = random_datum(exts[p["ext"]], int(cfg["rank"]), rng,
+                dd = random_datum(_resolve(exts, p, "ext"), int(cfg["rank"]), rng,
                                   label=p["label"],
                                   character_exponent=int(p.get("character_exponent", 0)))
                 pts.append(dd.points[0])
@@ -176,7 +195,7 @@ def load_scenario(doc: dict) -> Scenario:
             rank = int(cfg["rank"])
             pts = []
             for p in cfg["points"]:
-                ext = exts[p["ext"]]
+                ext = _resolve(exts, p, "ext")
                 mats = tuple(matrix_from_json(field, prec, m) for m in p["cocycle"])
                 psi = Cocycle(ext, rank, mats)
                 mu = matrix_from_json(field, prec, p["mu"], laurent=True)
@@ -187,17 +206,49 @@ def load_scenario(doc: dict) -> Scenario:
 
     quotients = {name: tuple(q) for name, q in doc.get("group_quotients", {}).items()}
 
-    return Scenario(raw=doc, field=field, precision=prec, seed=seed, budgets=budgets,
-                    extensions=exts, embeddings=embs, scenes=scenes, data=data,
-                    commands=list(doc.get("commands", [])), quotients=quotients)
+    sc = Scenario(raw=doc, field=field, precision=prec, seed=seed, budgets=budgets,
+                  extensions=exts, embeddings=embs, scenes=scenes, data=data,
+                  commands=list(doc.get("commands", [])), quotients=quotients)
+    _check_references(sc)
+    return sc
+
+
+# command keys naming scenario objects, by the Scenario table they name
+_REFERENCE_KEYS = {"ext": "extensions", "datum": "data", "datum1": "data",
+                   "datum2": "data", "scene": "scenes", "embedding": "embeddings"}
+_REFINEMENT_KEYS = ("refinement", "refinement1", "refinement2")
+_STORING_OPS = ("pullback_refine", "tensor", "dual")
+
+
+def _check_references(sc: Scenario):
+    """Every name a command refers to resolves, counting the data that earlier
+    commands store; runs before any command does."""
+    names = {table: set(getattr(sc, table)) for table in set(_REFERENCE_KEYS.values())}
+    for i, cmd in enumerate(sc.commands):
+        if not isinstance(cmd, dict):
+            raise ScenarioError(f"command {i} is not a JSON object")
+        refs = [(key, cmd[key], names[table])
+                for key, table in _REFERENCE_KEYS.items() if key in cmd]
+        for key in _REFINEMENT_KEYS:
+            if key in cmd:
+                refs += [(key, name, names["embeddings"]) for name in cmd[key].values()]
+        for key, name, known in refs:
+            if name not in known:
+                raise ScenarioError(f"command {i} ({cmd.get('op')}): {key} {name!r} "
+                                    "does not resolve")
+        if cmd.get("op") in _STORING_OPS and "store_as" in cmd:
+            names["data"].add(cmd["store_as"])
 
 
 # ---------------------------------------------------------------------------
 # command execution
 
 
-def _refinement_from(sc, cfg):
-    embeddings = {label: sc.embeddings[name] for label, name in cfg.items()}
+def _refinement_from(sc, cmd, key):
+    cfg = cmd.get(key)
+    if not isinstance(cfg, dict):
+        raise ScenarioError(f"{key} must map point labels to embeddings, got {cfg!r}")
+    embeddings = {label: _resolve(sc.embeddings, cfg, label) for label in cfg}
     return RefinementMap(embeddings=embeddings)
 
 
@@ -222,11 +273,11 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         return ("pass" if default_pass else "fail", result, certificates)
 
     if op == "verify_extension":
-        rep = verify_extension(sc.extensions[cmd["ext"]])
+        rep = verify_extension(_resolve(sc.extensions, cmd, "ext"))
         return finish({"ok": rep.ok, "message": rep.message}, default_pass=rep.ok)
 
     if op == "verify_cocycle":
-        d = sc.data[cmd["datum"]]
+        d = _resolve(sc.data, cmd, "datum")
         results = {}
         ok = True
         for pt in d.points:
@@ -237,12 +288,12 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         return finish({"ok": ok, "points": results}, default_pass=ok)
 
     if op == "validate_parabolic":
-        rep = validate_parabolic(sc.data[cmd["datum"]])
+        rep = validate_parabolic(_resolve(sc.data, cmd, "datum"))
         return finish({"ok": rep.ok, "message": rep.message}, default_pass=rep.ok)
 
     if op == "invariants":
         from .equivariant import invariants as inv_op
-        d = sc.data[cmd["datum"]]
+        d = _resolve(sc.data, cmd, "datum")
         pt = d.point(cmd.get("point", d.points[0].label))
         res = inv_op(pt.psi)
         certs = {"generators": [[series_to_json(s) for s in g] for g in res.generators],
@@ -251,13 +302,13 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
                        "fixed_dim": res.fixed_dim}, certificates=certs)
 
     if op == "is_induced":
-        d = sc.data[cmd["datum"]]
+        d = _resolve(sc.data, cmd, "datum")
         pt = d.point(cmd.get("point", d.points[0].label))
         rep = is_induced(pt.psi)
         return finish({"induced": rep.induced, "profile": rep.profile})
 
     if op == "trivialize":
-        d = sc.data[cmd["datum"]]
+        d = _resolve(sc.data, cmd, "datum")
         pt = d.point(cmd.get("point", d.points[0].label))
         res = trivialize(pt.psi, budget=sc.budgets["residue_cap"], rng=rng.fork())
         certs = {"b": matrix_to_json(res.b)} if res.b is not None else {}
@@ -271,16 +322,16 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         return (status, result, certs)
 
     if op == "assemble":
-        d = sc.data[cmd["datum"]]
-        scene = sc.scenes[cmd["scene"]]
+        d = _resolve(sc.data, cmd, "datum")
+        scene = _resolve(sc.scenes, cmd, "scene")
         b = functor_T(d, scene)
         sizes = {pt.label: pt.module.spec.size for pt in b.points}
         return finish({"ok": True, "components": sizes})
 
     if op == "connector_independence":
         from .equivariant import assemble_product, independence_intertwiner
-        d = sc.data[cmd["datum"]]
-        scene = sc.scenes[cmd["scene"]]
+        d = _resolve(sc.data, cmd, "datum")
+        scene = _resolve(sc.scenes, cmd, "scene")
         label = cmd.get("point", d.points[0].label)
         sp = scene.point(label)
         perms = sp.perms(scene.group)
@@ -298,8 +349,8 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         return finish({"ok": True, "components": len(tau.blocks)}, certificates=certs)
 
     if op == "roundtrip":
-        d = sc.data[cmd["datum"]]
-        scene = sc.scenes[cmd["scene"]]
+        d = _resolve(sc.data, cmd, "datum")
+        scene = _resolve(sc.scenes, cmd, "scene")
         rep = roundtrip_check(d, scene)
         certs = {}
         if rep.sigmas:
@@ -309,13 +360,13 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
                       certificates=certs)
 
     if op == "multipoint_roundtrip":
-        d = sc.data[cmd["datum"]]
-        scene = sc.scenes[cmd["scene"]]
+        d = _resolve(sc.data, cmd, "datum")
+        scene = _resolve(sc.scenes, cmd, "scene")
         rep = multipoint_map(d, scene)
         return finish({"ok": rep.ok, "per_point": rep.per_point}, default_pass=rep.ok)
 
     if op == "random_roundtrips":
-        scene = sc.scenes[cmd["scene"]]
+        scene = _resolve(sc.scenes, cmd, "scene")
         count = int(cmd.get("count", 20))
         max_rank = int(cmd.get("rank", 2))
         exps = cmd.get("character_exponents", [0])
@@ -334,8 +385,8 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
                       default_pass=not failures)
 
     if op == "pullback_refine":
-        d = sc.data[cmd["datum"]]
-        ref = _refinement_from(sc, cmd["refinement"])
+        d = _resolve(sc.data, cmd, "datum")
+        ref = _refinement_from(sc, cmd, "refinement")
         out = pullback_refine(d, ref)
         if "store_as" in cmd:
             sc.data[cmd["store_as"]] = out
@@ -343,9 +394,9 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
                        "group_orders": {p.label: p.ext.group.order for p in out.points}})
 
     if op == "equiv":
-        d1, d2 = sc.data[cmd["datum1"]], sc.data[cmd["datum2"]]
-        ref1 = _refinement_from(sc, cmd["refinement1"])
-        ref2 = _refinement_from(sc, cmd["refinement2"])
+        d1, d2 = _resolve(sc.data, cmd, "datum1"), _resolve(sc.data, cmd, "datum2")
+        ref1 = _refinement_from(sc, cmd, "refinement1")
+        ref2 = _refinement_from(sc, cmd, "refinement2")
         res = equiv_check(d1, d2, ref1, ref2, rng=rng.fork(),
                           residue_cap=sc.budgets["residue_cap"],
                           random_tries=sc.budgets["random_tries"])
@@ -363,19 +414,19 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         return (status, result, certs)
 
     if op == "tensor":
-        out = tensor(sc.data[cmd["datum1"]], sc.data[cmd["datum2"]])
+        out = tensor(_resolve(sc.data, cmd, "datum1"), _resolve(sc.data, cmd, "datum2"))
         if "store_as" in cmd:
             sc.data[cmd["store_as"]] = out
         return finish({"ok": True, "rank": out.rank})
 
     if op == "dual":
-        out = dual(sc.data[cmd["datum"]])
+        out = dual(_resolve(sc.data, cmd, "datum"))
         if "store_as" in cmd:
             sc.data[cmd["store_as"]] = out
         return finish({"ok": True, "rank": out.rank})
 
     if op == "dual_involution":
-        d = sc.data[cmd["datum"]]
+        d = _resolve(sc.data, cmd, "datum")
         dd = dual(dual(d))
         same = all(
             all(dd.point(p.label).psi.mats[g].agrees_with(p.psi.mats[g])
@@ -385,14 +436,14 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         return finish({"ok": same}, default_pass=same)
 
     if op == "dual_pairing":
-        d = sc.data[cmd["datum"]]
+        d = _resolve(sc.data, cmd, "datum")
         rep = dual_pairing_check(d, rng=rng.fork())
         return finish({"ok": rep.ok, "message": rep.message,
                        "iso_status": rep.iso.status}, default_pass=rep.ok)
 
     if op == "pushforward":
-        d = sc.data[cmd["datum"]]
-        scene = sc.scenes[cmd["scene"]]
+        d = _resolve(sc.data, cmd, "datum")
+        scene = _resolve(sc.scenes, cmd, "scene")
         b = functor_T(d, scene)
         pushed = pushforward_local(b, label=cmd.get("point"))
         inv = pushed.invariants()
@@ -402,7 +453,7 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
                       certificates=certs)
 
     if op == "adjunction":
-        d = sc.data[cmd["datum"]]
+        d = _resolve(sc.data, cmd, "datum")
         pt = d.point(cmd.get("point", d.points[0].label))
         rep = adjunction_check(int(cmd.get("source_rank", 1)), pt)
         return finish({"ok": rep.ok, "lhs_rank": rep.lhs_rank,
@@ -411,7 +462,7 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
                       default_pass=rep.ok)
 
     if op == "weights":
-        d = sc.data[cmd["datum"]]
+        d = _resolve(sc.data, cmd, "datum")
         try:
             res = extract_weights(d, label=cmd.get("point"))
         except OrbiparError as exc:
@@ -426,8 +477,8 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         return finish(result)
 
     if op == "tower_compat":
-        d = sc.data[cmd["datum"]]
-        emb = sc.embeddings[cmd["embedding"]]
+        d = _resolve(sc.data, cmd, "datum")
+        emb = _resolve(sc.embeddings, cmd, "embedding")
         label = d.points[0].label
         scene_small = totally_ramified_scene(emb.small, label=label)
         scene_big = totally_ramified_scene(emb.big, label=label)

@@ -342,11 +342,6 @@ class Laurent:
             raise StructuralError(f"window ends at {end}, cannot deliver precision {prec}")
         return Series(self.field, prec, tuple(self.coeff(k) for k in range(prec)))
 
-    def restrict(self, lo, hi):
-        if lo < self.val_floor or hi > self.val_floor + len(self.coeffs) or hi <= lo:
-            raise StructuralError("restriction outside validity window")
-        return Laurent(self.field, lo, tuple(self.coeff(k) for k in range(lo, hi)))
-
     def __repr__(self):
         terms = [f"{c}*s^{self.val_floor + i}" for i, c in enumerate(self.coeffs) if c]
         body = " + ".join(terms) if terms else "0"

@@ -139,3 +139,55 @@ def test_certificates_reverify(tmp_path):
     for g in range(2):
         rhs = b * b_inv.substitute(ext.act(g))
         assert rhs.agrees_with(d.points[0].psi.mats[g])
+
+
+BASE = {"schema": "orbipar-scenario/1", "field": {"p": 5}, "precision": 8, "seed": 1,
+        "extensions": {"K2": {"kind": "kummer", "n": 2}},
+        "scenes": {"cover": {"group": {"kind": "cyclic", "n": 2},
+                             "points": [{"label": "p", "ext": "K2",
+                                         "totally_ramified": True}]}},
+        "data": {"d": {"kind": "random", "rank": 1,
+                       "points": [{"label": "p", "ext": "K2"}]}},
+        "commands": [{"op": "verify_cocycle", "datum": "d"},
+                     {"op": "roundtrip", "datum": "d", "scene": "cover"}]}
+
+
+def _broken(edit):
+    doc = json.loads(json.dumps(BASE))
+    return edit(doc) or doc
+
+
+BAD_INPUTS = {
+    "missing-ext": lambda d: d["data"]["d"]["points"][0].update(ext="K9"),
+    "unknown-datum": lambda d: d["commands"][0].update(datum="nope"),
+    "unknown-scene": lambda d: d["commands"][1].update(scene="nowhere"),
+    "precision-abc": lambda d: d.update(precision="abc"),
+    "top-level-list": lambda d: [d],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+@pytest.mark.parametrize("sub", ["run", "verify"])
+def test_bad_input_is_scenario_error(tmp_path, capsys, case, sub):
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(_broken(BAD_INPUTS[case])))
+    assert main([sub, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.strip()
+
+
+def test_base_of_bad_inputs_is_good(tmp_path):
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(BASE))
+    assert main(["verify", str(f)]) == 0
+
+
+def test_verify_counts_stored_data(tmp_path):
+    """A command may name data an earlier command stores (tower-2-4's sign4)."""
+    f = tmp_path / "s.json"
+    doc = demo_scenario("tower-2-4")
+    f.write_text(json.dumps(doc))
+    assert main(["verify", str(f)]) == 0
+    doc["commands"] = doc["commands"][1:]
+    f.write_text(json.dumps(doc))
+    assert main(["verify", str(f)]) == 2

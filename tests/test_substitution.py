@@ -1,0 +1,127 @@
+"""The cached substitution operator ext.psi(g) against Horner composition.
+
+The oracle is Series.compose for series and the Laurent substitution rule
+written out below (the windowed rule Laurent.substitute implements): a value
+s^v * U(s) maps to act^v * U(act), with act^v computed by Laurent.pow.  The
+operator must reproduce it exactly: the same val_floor, the same window
+length and the same coefficients.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from orbipar.errors import StructuralError
+from orbipar.fields import make_field
+from orbipar.groups import cyclic
+from orbipar.linalg import Matrix
+from orbipar.local_galois import (kummer_tower, make_artin_schreier, make_explicit,
+                                  make_kummer)
+from orbipar.series import Laurent, Series
+
+
+def horner_substitute(x: Laurent, act: Series) -> Laurent:
+    n = len(x.coeffs)
+    unit = Series(x.field, n, x.coeffs)
+    mapped = unit.compose(act.truncate(n) if n < act.prec else act)
+    mapped_l = Laurent(x.field, 0, mapped.coeffs)
+    if x.val_floor == 0:
+        return mapped_l
+    return Laurent.from_series(act).pow(x.val_floor) * mapped_l
+
+
+def conjugated_kummer(field, n, prec):
+    """Kummer(n) conjugated by s -> s + s^2: every image is a dense series."""
+    base = make_kummer(field, n, prec)
+    phi = Series.from_coeffs(field, [0, 1, 1], prec)
+    phi_inv = phi.reversion()
+    action = [phi.compose(a).compose(phi_inv) for a in base.action]
+    t = base.base_uniformizer.compose(phi_inv)
+    return make_explicit(field, prec, cyclic(n), action, t)
+
+
+EXTENSIONS = {
+    "kummer-gf7": lambda: make_kummer(make_field(7), 3, 16),
+    "kummer-gf13": lambda: make_kummer(make_field(13), 4, 12),
+    "as-p2": lambda: make_artin_schreier(make_field(2), 16),
+    "as-p3": lambda: make_artin_schreier(make_field(3), 12),
+    "as-gf9": lambda: make_artin_schreier(make_field(3, 2), 12),
+    "explicit": lambda: conjugated_kummer(make_field(7), 3, 10),
+    "tower-small": lambda: kummer_tower(make_field(5), 2, 4, 12).small,
+    "tower-big": lambda: kummer_tower(make_field(5), 2, 4, 12).big,
+}
+
+
+@lru_cache(maxsize=None)
+def extension(name):
+    return EXTENSIONS[name]()
+
+
+@st.composite
+def element_and_coeffs(draw, name, window=False):
+    """A group element and a coefficient vector: full length, or any window
+    length up to the precision."""
+    ext = extension(name)
+    g = draw(st.integers(0, ext.group.order - 1))
+    n = draw(st.integers(1, ext.prec)) if window else ext.prec
+    coeffs = draw(st.lists(st.integers(0, ext.field.order - 1), min_size=n, max_size=n))
+    return ext, g, coeffs
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+def test_fixtures_cover_diagonal_and_table_paths(name):
+    ext = extension(name)
+    monomial = all(not any(a.coeffs[2:]) for a in ext.action)
+    assert monomial == (name.startswith("kummer") or name.startswith("tower"))
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_psi_series_matches_compose(name, data):
+    ext, g, coeffs = data.draw(element_and_coeffs(name))
+    f = Series(ext.field, ext.prec, tuple(coeffs))
+    assert ext.psi(g)(f).coeffs == f.compose(ext.act(g)).coeffs
+
+
+@pytest.mark.parametrize("name", sorted(EXTENSIONS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), v=st.integers(-3, 3))
+def test_psi_laurent_matches_horner_window(name, data, v):
+    ext, g, coeffs = data.draw(element_and_coeffs(name, window=True))
+    x = Laurent(ext.field, v, tuple(coeffs))
+    got = ext.psi(g)(x)
+    want = horner_substitute(x, ext.act(g))
+    assert (got.val_floor, got.coeffs) == (want.val_floor, want.coeffs)
+
+
+@pytest.mark.parametrize("name", ["as-gf9", "kummer-gf7", "explicit"])
+def test_psi_matrix_and_powers(name):
+    ext = extension(name)
+    field, prec = ext.field, ext.prec
+    m = Matrix([[Series.from_coeffs(field, [(i + 2 * j + k) % field.order for k in range(prec)], prec)
+                 for j in range(2)] for i in range(2)])
+    ml = m.to_laurent().map(lambda e: e.shift(-1))
+    for g in range(ext.group.order):
+        assert ext.psi(g)(m) == m.substitute(ext.act(g))
+        assert ext.psi(g)(ml) == ml.substitute(ext.act(g))
+        for k in range(prec + 2):
+            assert ext.psi(g).power(k) == ext.act(g).pow(k)
+
+
+def test_psi_is_cached_and_invisible():
+    ext = make_artin_schreier(make_field(3), 8)
+    twin = make_artin_schreier(make_field(3), 8)
+    op = ext.psi(1)
+    assert ext.psi(1) is op
+    assert ext == twin and hash(ext) == hash(twin)
+    assert "_psi" not in repr(ext)
+
+
+def test_psi_rejects_mismatched_precision():
+    ext = make_kummer(make_field(7), 3, 8)
+    with pytest.raises(StructuralError):
+        ext.psi(1)(Series.one(ext.field, 6))
+    with pytest.raises(StructuralError):
+        ext.psi(1)(Laurent.zero(ext.field, 9))
