@@ -1,14 +1,13 @@
-"""Benchmark the compiled kernel against the pure-Python fallback.
+"""Time the series kernels, the substitution operator and a round-trip workload.
 
-Usage: python benchmarks/bench_kernels.py [repeats]
+Usage: python benchmarks/bench_kernels.py [repeats] [roundtrips]
 
 Times the three hot kernels (truncated product, series inversion, series
 composition) at several precisions over a prime field and an extension
-field, then an end-to-end round-trip workload.  Both backends produce
-identical outputs (asserted here and in tests/test_kernels.py); only the
-wall clock differs.  A last table compares one application of the cached
-substitution operator ext.psi(g) with the Horner vec_compose it replaces
-(outputs asserted equal), and gives the one-off cost of building its table.
+field.  A second table compares one application of the cached substitution
+operator ext.psi(g) with the Horner vec_compose it replaces (outputs asserted
+equal), and gives the one-off cost of building its table.  Last comes an
+end-to-end workload of Z/6 round trips.
 """
 
 import sys
@@ -31,11 +30,10 @@ def bench_kernel(ctx, fn_name, n, repeats):
     fn = getattr(kernels, fn_name)
     args = {"vec_mul": (ctx, a, g, n), "vec_inverse": (ctx, a, n),
             "vec_compose": (ctx, a, g, n)}[fn_name]
-    out = fn(*args)
     t0 = time.perf_counter()
     for _ in range(repeats):
         fn(*args)
-    return time.perf_counter() - t0, out
+    return time.perf_counter() - t0
 
 
 def bench_psi(repeats):
@@ -53,7 +51,7 @@ def bench_psi(repeats):
         rng = SplitMix64(n)
         f = Series(field, n, tuple(rng.randrange(field.order) for _ in range(n)))
         act = list(ext.act(g).coeffs)
-        reps = max(repeats // (n * 4), 10)
+        reps = max(repeats // (n * 4), 1)
         t0 = time.perf_counter()
         ext.psi(g)(f)
         build = time.perf_counter() - t0
@@ -89,42 +87,22 @@ def bench_roundtrips(repeats):
     return time.perf_counter() - t0
 
 
-def main():
-    repeats = int(sys.argv[1]) if len(sys.argv) > 1 else 3000
-    backends = kernels.available_backends()
-    if "compiled" not in backends:
-        print("compiled kernel not built (run: python setup.py build_ext --inplace);"
-              " benchmarking the pure backend only")
+def main(repeats=3000, roundtrips=10):
     fields = [("GF(5)", make_field(5)), ("GF(49)", make_field(7, 2))]
-    print(f"{'kernel':<14}{'field':<8}{'N':>4}" +
-          "".join(f"{b:>12}" for b in backends) + ("   speedup" if len(backends) > 1 else ""))
+    print(f"{'kernel':<14}{'field':<8}{'N':>4}{'per call':>12}")
     for fn_name in ("vec_mul", "vec_inverse", "vec_compose"):
         for fname, field in fields:
             for n in (8, 16, 32, 64):
-                reps = max(repeats // (n if fn_name != "vec_compose" else n * 4), 10)
-                times = {}
-                outs = {}
-                for b in backends:
-                    kernels.set_backend(b)
-                    times[b], outs[b] = bench_kernel(field.ctx, fn_name, n, reps)
-                if len(backends) > 1:
-                    assert outs["pure"] == outs["compiled"], "backend disagreement!"
-                row = f"{fn_name:<14}{fname:<8}{n:>4}"
-                for b in backends:
-                    row += f"{times[b] / reps * 1e6:>10.1f}us"
-                if len(backends) > 1:
-                    row += f"{times['pure'] / times['compiled']:>9.1f}x"
-                print(row)
+                reps = max(repeats // (n if fn_name != "vec_compose" else n * 4), 1)
+                t = bench_kernel(field.ctx, fn_name, n, reps)
+                print(f"{fn_name:<14}{fname:<8}{n:>4}{t / reps * 1e6:>10.1f}us")
     print()
     bench_psi(repeats)
     print()
-    n_rt = 10
-    for b in backends:
-        kernels.set_backend(b)
-        t = bench_roundtrips(n_rt)
-        print(f"end-to-end: {n_rt} Z/6 round trips (rank 2, N=16), "
-              f"{b}: {t:.2f}s ({t / n_rt * 1000:.0f} ms each)")
+    t = bench_roundtrips(roundtrips)
+    print(f"end-to-end: {roundtrips} Z/6 round trips (rank 2, N=16): "
+          f"{t:.2f}s ({t / roundtrips * 1000:.0f} ms each)")
 
 
 if __name__ == "__main__":
-    main()
+    main(*(int(arg) for arg in sys.argv[1:3]))

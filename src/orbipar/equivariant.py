@@ -350,7 +350,7 @@ def make_connectors(group, perms, seeds):
     """
     l = len(seeds) + 1
     for i, s in enumerate(seeds):
-        if perms[s][i] != i + 1:
+        if not (0 <= s < group.order and i < len(perms[s]) and perms[s][i] == i + 1):
             raise AssemblyError(f"seed {i} does not map component {i} to {i+1}",
                                 condition="seed", indices=(i,))
     reach = {perms[g][0] for g in range(group.order)}

@@ -1,66 +1,130 @@
-"""Kernel backend selection.
+"""Series kernels: the one implementation of the hot loops.
 
-Imports the compiled kernels (orbipar._speedups) when the extension was
-built, otherwise the pure-Python reference (orbipar._kernel_py).  Setting
-ORBIPAR_PURE=1 in the environment forces the pure backend; set_backend()
-switches at runtime (used by the benchmark and the parity tests).
-vec_scale and vec_tri have no compiled counterpart and always run in Python.
+Truncated convolution, series inversion and composition over a FieldCtx,
+plus vec_scale and vec_tri, the two ways a cached substitution operator
+applies itself.  Coefficient vectors are lists or tuples of element
+encodings; results are lists.  Prime fields take a direct `% p` path,
+extension fields the ctx's exp/log tables.
 """
 
-import os
+from operator import mul as _mul
 
-from . import _kernel_py
-from .fields import FieldCtx
 
-try:
-    from . import _speedups as _compiled
-except ImportError:
-    _compiled = None
-
-_FORCED_PURE = os.environ.get("ORBIPAR_PURE", "") not in ("", "0")
-_active = "pure" if (_compiled is None or _FORCED_PURE) else "compiled"
+# Benchmarks record which kernel implementation produced their timings.
+def backend_name() -> str:
+    return "pure"
 
 
 def available_backends():
-    return ("pure", "compiled") if _compiled is not None else ("pure",)
-
-
-def backend_name() -> str:
-    return _active
-
-
-def set_backend(name: str):
-    global _active
-    if name not in available_backends():
-        raise ValueError(f"backend {name!r} not available (have {available_backends()})")
-    _active = name
-
-
-def _compiled_ctx(ctx: FieldCtx):
-    cc = getattr(ctx, "_compiled_ctx", None)
-    if cc is None:
-        cc = _compiled.CompiledCtx(ctx.p, ctx.k, ctx.q, ctx.exp, ctx.log)
-        ctx._compiled_ctx = cc
-    return cc
+    return ("pure",)
 
 
 def vec_mul(ctx, a, b, n):
-    if _active == "compiled":
-        return _compiled.vec_mul(_compiled_ctx(ctx), a, b, n)
-    return _kernel_py.vec_mul(ctx, a, b, n)
+    """Truncated product: first n coefficients of a*b."""
+    if ctx.k == 1:
+        p = ctx.p
+        la, lb = len(a), len(b)
+        out = [0] * n
+        for k in range(n):
+            acc = 0
+            lo = k - lb + 1
+            if lo < 0:
+                lo = 0
+            hi = k + 1
+            if hi > la:
+                hi = la
+            for i in range(lo, hi):
+                acc += a[i] * b[k - i]
+            out[k] = acc % p
+        return out
+    exp, log, add = ctx.exp, ctx.log, ctx.add
+    la, lb = len(a), len(b)
+    out = [0] * n
+    for k in range(n):
+        acc = 0
+        lo = max(0, k - lb + 1)
+        hi = min(k + 1, la)
+        for i in range(lo, hi):
+            ai = a[i]
+            bj = b[k - i]
+            if ai and bj:
+                acc = add(acc, exp[log[ai] + log[bj]])
+        out[k] = acc
+    return out
 
 
 def vec_inverse(ctx, a, n):
-    if _active == "compiled":
-        return _compiled.vec_inverse(_compiled_ctx(ctx), a, n)
-    return _kernel_py.vec_inverse(ctx, a, n)
+    """First n coefficients of 1/a; a[0] must be a unit (caller-checked)."""
+    c0inv = ctx.inv(a[0])
+    if ctx.k == 1:
+        p = ctx.p
+        la = len(a)
+        out = [0] * n
+        out[0] = c0inv
+        for k in range(1, n):
+            acc = 0
+            hi = min(k + 1, la)
+            for i in range(1, hi):
+                acc += a[i] * out[k - i]
+            out[k] = (-acc * c0inv) % p
+        return out
+    exp, log, add, neg = ctx.exp, ctx.log, ctx.add, ctx.neg
+    la = len(a)
+    out = [0] * n
+    out[0] = c0inv
+    lci = log[c0inv]
+    for k in range(1, n):
+        acc = 0
+        hi = min(k + 1, la)
+        for i in range(1, hi):
+            ai = a[i]
+            bj = out[k - i]
+            if ai and bj:
+                acc = add(acc, exp[log[ai] + log[bj]])
+        out[k] = exp[log[neg(acc)] + lci] if acc else 0
+    return out
 
 
 def vec_compose(ctx, f, g, n):
-    if _active == "compiled":
-        return _compiled.vec_compose(_compiled_ctx(ctx), f, g, n)
-    return _kernel_py.vec_compose(ctx, f, g, n)
+    """First n coefficients of f(g); g[0] must be 0 (caller-checked).
+
+    Horner from the top coefficient: each step is one truncated product.
+    """
+    if not f:
+        return [0] * n
+    res = [0] * n
+    res[0] = f[-1]
+    for idx in range(len(f) - 2, -1, -1):
+        res = vec_mul(ctx, res, g, n)
+        res[0] = ctx.add(res[0], f[idx])
+    return res
 
 
-vec_scale = _kernel_py.vec_scale
-vec_tri = _kernel_py.vec_tri
+def vec_scale(ctx, a, w):
+    """Coefficientwise product a[i] * w[i], as long as the shorter input."""
+    if ctx.k == 1:
+        p = ctx.p
+        return [x * y % p for x, y in zip(a, w)]
+    exp, log = ctx.exp, ctx.log
+    return [exp[log[x] + log[y]] if x and y else 0 for x, y in zip(a, w)]
+
+
+def vec_tri(ctx, cols, a, n):
+    """Lower-triangular product: out[k] = sum over m <= k of a[m] * cols[k][m], k < n.
+
+    With cols[k][m] the coefficient of s^k in g^m this is the first n
+    coefficients of a(g), in O(n^2) instead of Horner's O(n^3).
+    """
+    if ctx.k == 1:
+        p = ctx.p
+        return [sum(map(_mul, a, cols[k])) % p for k in range(n)]
+    exp, log, add = ctx.exp, ctx.log, ctx.add
+    la = [log[x] for x in a]
+    out = [0] * n
+    for k in range(n):
+        acc = 0
+        for lx, y in zip(la, cols[k]):
+            if lx >= 0 and y:
+                acc = add(acc, exp[lx + log[y]])
+        out[k] = acc
+    return out

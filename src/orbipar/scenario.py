@@ -218,26 +218,58 @@ _REFERENCE_KEYS = {"ext": "extensions", "datum": "data", "datum1": "data",
                    "datum2": "data", "scene": "scenes", "embedding": "embeddings"}
 _REFINEMENT_KEYS = ("refinement", "refinement1", "refinement2")
 _STORING_OPS = ("pullback_refine", "tensor", "dual")
+# command keys that name no scenario object, by type
+_INT_KEYS = ("count", "rank", "seed", "source_rank")
+_INT_LIST_KEYS = ("seeds1", "seeds2", "character_exponents")
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _check_references(sc: Scenario):
     """Every name a command refers to resolves, counting the data that earlier
-    commands store; runs before any command does."""
-    names = {table: set(getattr(sc, table)) for table in set(_REFERENCE_KEYS.values())}
+    commands store, and every other key it reads has the right type; runs before
+    any command does."""
+    # names per table; data and scenes map to their point labels, and stored
+    # data keep the labels of the datum they derive from
+    known = {"extensions": dict.fromkeys(sc.extensions),
+             "embeddings": dict.fromkeys(sc.embeddings),
+             "data": {name: [p.label for p in d.points] for name, d in sc.data.items()},
+             "scenes": {name: [p.label for p in s.points] for name, s in sc.scenes.items()}}
     for i, cmd in enumerate(sc.commands):
         if not isinstance(cmd, dict):
             raise ScenarioError(f"command {i} is not a JSON object")
-        refs = [(key, cmd[key], names[table])
+        op = cmd.get("op")
+        where = f"command {i} ({op})"
+        refs = [(key, cmd[key], known[table])
                 for key, table in _REFERENCE_KEYS.items() if key in cmd]
         for key in _REFINEMENT_KEYS:
             if key in cmd:
-                refs += [(key, name, names["embeddings"]) for name in cmd[key].values()]
-        for key, name, known in refs:
-            if name not in known:
-                raise ScenarioError(f"command {i} ({cmd.get('op')}): {key} {name!r} "
-                                    "does not resolve")
-        if cmd.get("op") in _STORING_OPS and "store_as" in cmd:
-            names["data"].add(cmd["store_as"])
+                refs += [(key, name, known["embeddings"]) for name in cmd[key].values()]
+        for key, name, names in refs:
+            if name not in names:
+                raise ScenarioError(f"{where}: {key} {name!r} does not resolve")
+        if op == "connector_independence" and "seeds2" not in cmd:
+            raise ScenarioError(f"{where}: missing 'seeds2'")
+        for key in _INT_KEYS:
+            if key in cmd and not _is_int(cmd[key]):
+                raise ScenarioError(f"{where}: {key} must be an integer, got {cmd[key]!r}")
+        for key in _INT_LIST_KEYS:
+            if key in cmd and not (isinstance(cmd[key], list) and all(map(_is_int, cmd[key]))):
+                raise ScenarioError(f"{where}: {key} must be a list of integers, "
+                                    f"got {cmd[key]!r}")
+        if cmd.get("character_exponents") == []:
+            raise ScenarioError(f"{where}: character_exponents is empty")
+        if cmd.get("rank", 1) < 1:
+            raise ScenarioError(f"{where}: rank must be at least 1, got {cmd['rank']}")
+        for key, table in (("datum", "data"), ("scene", "scenes")):
+            if "point" in cmd and key in cmd and cmd["point"] not in known[table][cmd[key]]:
+                raise ScenarioError(f"{where}: {key} {cmd[key]!r} has no point "
+                                    f"{cmd['point']!r}")
+        if op in _STORING_OPS and "store_as" in cmd:
+            source = cmd.get("datum", cmd.get("datum1"))
+            known["data"][cmd["store_as"]] = known["data"].get(source, [])
 
 
 # ---------------------------------------------------------------------------
@@ -260,21 +292,26 @@ def _expect_match(expect, result):
     return True, ""
 
 
+def _pass_fail(ok):
+    return "pass" if ok else "fail"
+
+
 def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
     """Returns (status, detail, certificates)."""
     op = cmd.get("op")
     expect = cmd.get("expect", {})
 
-    def finish(result, default_pass=True, certificates=None):
+    def finish(result, status="pass", certificates=None):
+        """An `expect` clause decides pass/fail; without one, `status` stands."""
         if expect:
             ok, msg = _expect_match(expect, result)
             return ("pass" if ok else "fail",
                     result if ok else {**result, "mismatch": msg}, certificates)
-        return ("pass" if default_pass else "fail", result, certificates)
+        return (status, result, certificates)
 
     if op == "verify_extension":
         rep = verify_extension(_resolve(sc.extensions, cmd, "ext"))
-        return finish({"ok": rep.ok, "message": rep.message}, default_pass=rep.ok)
+        return finish({"ok": rep.ok, "message": rep.message}, status=_pass_fail(rep.ok))
 
     if op == "verify_cocycle":
         d = _resolve(sc.data, cmd, "datum")
@@ -285,11 +322,11 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
             results[pt.label] = {"ok": rep.ok, "message": rep.message,
                                  "failing_pair": rep.failing_pair}
             ok = ok and rep.ok
-        return finish({"ok": ok, "points": results}, default_pass=ok)
+        return finish({"ok": ok, "points": results}, status=_pass_fail(ok))
 
     if op == "validate_parabolic":
         rep = validate_parabolic(_resolve(sc.data, cmd, "datum"))
-        return finish({"ok": rep.ok, "message": rep.message}, default_pass=rep.ok)
+        return finish({"ok": rep.ok, "message": rep.message}, status=_pass_fail(rep.ok))
 
     if op == "invariants":
         from .equivariant import invariants as inv_op
@@ -315,11 +352,7 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         result = {"found": res.found, "stage": res.stage, "proven": res.proven,
                   "detail": res.detail}
         status = "pass" if res.found else ("fail" if res.found is False else "inconclusive")
-        if expect:
-            ok, msg = _expect_match(expect, result)
-            return ("pass" if ok else "fail",
-                    result if ok else {**result, "mismatch": msg}, certs)
-        return (status, result, certs)
+        return finish(result, status, certs)
 
     if op == "assemble":
         d = _resolve(sc.data, cmd, "datum")
@@ -356,14 +389,14 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         if rep.sigmas:
             certs["sigmas"] = {lb: matrix_to_json(m) for lb, m in rep.sigmas.items()}
         return finish({"ok": rep.ok, "message": rep.message,
-                       "per_point": rep.per_point}, default_pass=rep.ok,
+                       "per_point": rep.per_point}, status=_pass_fail(rep.ok),
                       certificates=certs)
 
     if op == "multipoint_roundtrip":
         d = _resolve(sc.data, cmd, "datum")
         scene = _resolve(sc.scenes, cmd, "scene")
         rep = multipoint_map(d, scene)
-        return finish({"ok": rep.ok, "per_point": rep.per_point}, default_pass=rep.ok)
+        return finish({"ok": rep.ok, "per_point": rep.per_point}, status=_pass_fail(rep.ok))
 
     if op == "random_roundtrips":
         scene = _resolve(sc.scenes, cmd, "scene")
@@ -382,7 +415,7 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
             if not rep.ok:
                 failures.append({"index": i, "rank": rank, "message": rep.message})
         return finish({"ok": not failures, "count": count, "failures": failures},
-                      default_pass=not failures)
+                      status=_pass_fail(not failures))
 
     if op == "pullback_refine":
         d = _resolve(sc.data, cmd, "datum")
@@ -405,13 +438,9 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         if res.g is not None:
             certs = {"g": matrix_to_json(res.g),
                      "sigmas": {lb: matrix_to_json(m) for lb, m in res.sigmas.items()}}
-        if expect:
-            ok, msg = _expect_match(expect, result)
-            return ("pass" if ok else "fail",
-                    result if ok else {**result, "mismatch": msg}, certs)
         status = {"isomorphic": "pass", "distinct": "fail",
                   "inconclusive": "inconclusive"}[res.status]
-        return (status, result, certs)
+        return finish(result, status, certs)
 
     if op == "tensor":
         out = tensor(_resolve(sc.data, cmd, "datum1"), _resolve(sc.data, cmd, "datum2"))
@@ -433,13 +462,13 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
                 for g in range(p.ext.group.order))
             and dd.point(p.label).mu.first_mismatch(p.mu) is None
             for p in d.points)
-        return finish({"ok": same}, default_pass=same)
+        return finish({"ok": same}, status=_pass_fail(same))
 
     if op == "dual_pairing":
         d = _resolve(sc.data, cmd, "datum")
         rep = dual_pairing_check(d, rng=rng.fork())
         return finish({"ok": rep.ok, "message": rep.message,
-                       "iso_status": rep.iso.status}, default_pass=rep.ok)
+                       "iso_status": rep.iso.status}, status=_pass_fail(rep.ok))
 
     if op == "pushforward":
         d = _resolve(sc.data, cmd, "datum")
@@ -459,19 +488,14 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         return finish({"ok": rep.ok, "lhs_rank": rep.lhs_rank,
                        "rhs_rank": rep.rhs_rank,
                        "projection_ok": rep.projection_ok},
-                      default_pass=rep.ok)
+                      status=_pass_fail(rep.ok))
 
     if op == "weights":
         d = _resolve(sc.data, cmd, "datum")
         try:
             res = extract_weights(d, label=cmd.get("point"))
         except OrbiparError as exc:
-            result = {"error": str(exc)}
-            if expect:
-                ok, msg = _expect_match(expect, result)
-                return ("pass" if ok else "fail",
-                        result if ok else {**result, "mismatch": msg}, None)
-            return ("error", result, None)
+            return finish({"error": str(exc)}, "error")
         result = {"weights": [[a, n, mult] for a, n, mult in res.pairs],
                   "generator": res.generator}
         return finish(result)
@@ -486,7 +510,7 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
                             scene_big=scene_big, group_quotient=emb.quotient)
         ref = RefinementMap(embeddings={label: emb})
         rep = pullback_T_compat(d, spb, ref)
-        return finish({"ok": rep.ok, "message": rep.message}, default_pass=rep.ok)
+        return finish({"ok": rep.ok, "message": rep.message}, status=_pass_fail(rep.ok))
 
     import difflib
 

@@ -163,6 +163,16 @@ BAD_INPUTS = {
     "unknown-scene": lambda d: d["commands"][1].update(scene="nowhere"),
     "precision-abc": lambda d: d.update(precision="abc"),
     "top-level-list": lambda d: [d],
+    "missing-seeds2": lambda d: d["commands"].append(
+        {"op": "connector_independence", "datum": "d", "scene": "cover"}),
+    "count-abc": lambda d: d["commands"].append(
+        {"op": "random_roundtrips", "scene": "cover", "count": "abc"}),
+    "unknown-point": lambda d: d["commands"].append(
+        {"op": "invariants", "datum": "d", "point": "q"}),
+    "empty-character-exponents": lambda d: d["commands"].append(
+        {"op": "random_roundtrips", "scene": "cover", "character_exponents": []}),
+    "rank-zero": lambda d: d["commands"].append(
+        {"op": "random_roundtrips", "scene": "cover", "rank": 0}),
 }
 
 
@@ -174,6 +184,14 @@ def test_bad_input_is_scenario_error(tmp_path, capsys, case, sub):
     assert main([sub, str(f)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.strip()
+
+
+def test_out_of_range_seed_is_an_error_entry(tmp_path):
+    """A seed outside the group is caught by make_connectors, not by an IndexError."""
+    code, report, _ = run_cli(tmp_path, _broken(lambda d: d["commands"].append(
+        {"op": "connector_independence", "datum": "d", "scene": "cover", "seeds2": [7]})))
+    assert code == 2
+    assert "does not map component 0 to 1" in report["results"][2]["detail"]["error"]
 
 
 def test_base_of_bad_inputs_is_good(tmp_path):

@@ -1,4 +1,4 @@
-"""Backend parity: every kernel must agree between pure and compiled."""
+"""The series kernels against schoolbook references written with field ops."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,27 +7,28 @@ from orbipar import kernels
 from orbipar.fields import make_field
 from orbipar.prng import SplitMix64
 
-needs_compiled = pytest.mark.skipif("compiled" not in kernels.available_backends(),
-                                    reason="compiled kernel not built")
-
 FIELDS = [(2, 1), (5, 1), (13, 1), (5, 2), (7, 2), (3, 3)]
 
 
-def _both(fn, *args):
-    old = kernels.backend_name()
-    try:
-        kernels.set_backend("pure")
-        a = fn(*args)
-        kernels.set_backend("compiled")
-        b = fn(*args)
-    finally:
-        kernels.set_backend(old)
-    return a, b
+def _schoolbook_mul(F, a, b, n):
+    out = [0] * n
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j < n:
+                out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+    return out
 
 
-@needs_compiled
+def _horner_compose(F, f, g, n):
+    res = [0] * n
+    for c in reversed(f):
+        res = _schoolbook_mul(F, res, g, n)
+        res[0] = F.add(res[0], c)
+    return res
+
+
 @pytest.mark.parametrize("p,k", FIELDS)
-def test_parity_randomized(p, k):
+def test_kernels_match_references(p, k):
     F = make_field(p, k)
     ctx = F.ctx
     q = F.order
@@ -35,16 +36,19 @@ def test_parity_randomized(p, k):
     for _ in range(25):
         n = 1 + rng.randrange(48)
         a = [rng.randrange(q) for _ in range(n)]
-        b = [rng.randrange(q) for _ in range(n)]
-        m1, m2 = _both(kernels.vec_mul, ctx, a, b, n)
-        assert m1 == m2
+        b = [rng.randrange(q) for _ in range(1 + rng.randrange(n))]
+        expect = _schoolbook_mul(F, a, b, n)
+        assert kernels.vec_mul(ctx, a, b, n) == expect
+        assert kernels.vec_mul(ctx, tuple(a), tuple(b), n) == expect
         a[0] = 1 + rng.randrange(q - 1)
-        i1, i2 = _both(kernels.vec_inverse, ctx, a, n)
-        assert i1 == i2
-        assert kernels.vec_mul(ctx, a, i1, n) == [1] + [0] * (n - 1)
+        inv = kernels.vec_inverse(ctx, a, n)
+        assert kernels.vec_mul(ctx, a, inv, n) == [1] + [0] * (n - 1)
+        assert kernels.vec_inverse(ctx, tuple(a), n) == inv
+        f = a[:1 + rng.randrange(12)]
         g = [0] + [rng.randrange(q) for _ in range(n - 1)]
-        c1, c2 = _both(kernels.vec_compose, ctx, a, g, n)
-        assert c1 == c2
+        expect = _horner_compose(F, f, g, n)
+        assert kernels.vec_compose(ctx, f, g, n) == expect
+        assert kernels.vec_compose(ctx, tuple(f), tuple(g), n) == expect
 
 
 @settings(max_examples=40, deadline=None)
