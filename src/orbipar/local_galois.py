@@ -129,7 +129,7 @@ class Substitution:
         if pows is None:
             m = self.prec - 1
             pows = self._inverse_powers = [
-                None, kernels.vec_inverse(self.ctx, list(self.image.coeffs[1:]), m)]
+                None, kernels.vec_inverse(self.ctx, self.image.coeffs[1:], m)]
         while len(pows) <= k:
             pows.append(kernels.vec_mul(self.ctx, pows[-1], pows[1], self.prec - 1))
         return pows[k]

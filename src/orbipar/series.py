@@ -102,7 +102,7 @@ class Series:
 
     def __mul__(self, other):
         self._check_compat(other)
-        out = kernels.vec_mul(self.field.ctx, list(self.coeffs), list(other.coeffs), self.prec)
+        out = kernels.vec_mul(self.field.ctx, self.coeffs, other.coeffs, self.prec)
         return Series(self.field, self.prec, tuple(out))
 
     def scale(self, c):
@@ -113,7 +113,7 @@ class Series:
         if self.coeffs[0] == 0:
             raise NotInvertibleError(
                 "series is not invertible (nonzero valuation)", valuation=self.valuation())
-        out = kernels.vec_inverse(self.field.ctx, list(self.coeffs), self.prec)
+        out = kernels.vec_inverse(self.field.ctx, self.coeffs, self.prec)
         return Series(self.field, self.prec, tuple(out))
 
     def compose(self, g):
@@ -121,7 +121,7 @@ class Series:
         self._check_compat(g)
         if g.coeffs[0] != 0:
             raise DomainError("composition requires zero constant term")
-        out = kernels.vec_compose(self.field.ctx, list(self.coeffs), list(g.coeffs), self.prec)
+        out = kernels.vec_compose(self.field.ctx, self.coeffs, g.coeffs, self.prec)
         return Series(self.field, self.prec, tuple(out))
 
     def derivative(self):
@@ -268,7 +268,7 @@ class Laurent:
         n = min(len(self.coeffs), len(other.coeffs))
         if n == 0:
             raise StructuralError("empty validity window in Laurent product")
-        out = kernels.vec_mul(self.field.ctx, list(self.coeffs), list(other.coeffs), n)
+        out = kernels.vec_mul(self.field.ctx, self.coeffs, other.coeffs, n)
         return Laurent(self.field, self.val_floor + other.val_floor, tuple(out))
 
     def scale(self, c):
@@ -284,7 +284,7 @@ class Laurent:
         if v is None:
             raise NotInvertibleError("Laurent value is zero to stored precision", valuation=None)
         drop = v - self.val_floor
-        unit = list(self.coeffs[drop:])
+        unit = self.coeffs[drop:]
         out = kernels.vec_inverse(self.field.ctx, unit, len(unit))
         return Laurent(self.field, -v, tuple(out))
 

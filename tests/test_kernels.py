@@ -57,10 +57,4 @@ def test_kernels_match_references(p, k):
 def test_pure_mul_matches_schoolbook(a, b):
     F = make_field(5)
     n = max(len(a), len(b))
-    out = kernels.vec_mul(F.ctx, a, b, n)
-    expect = [0] * n
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            if i + j < n:
-                expect[i + j] = (expect[i + j] + ai * bj) % 5
-    assert out == expect
+    assert kernels.vec_mul(F.ctx, a, b, n) == _schoolbook_mul(F, a, b, n)
