@@ -16,9 +16,11 @@ Conventions (fixed throughout):
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import AssemblyError, DomainError, RankDeficiencyError, StructuralError
-from .linalg import Matrix, smith, solve_linear, residue_det
+from .linalg import (Matrix, combination, echelonize, extend_echelon, is_invertible_combination,
+                     null_space, reduce_against, residue_search, smith, solve_linear)
 from .series import Series
 
 
@@ -501,7 +503,9 @@ class InvariantsResult:
     fixed_dim: int        # k-dimension of the truncated fixed space
 
 
-def _vec_to_coords(vec, rank, prec):
+def vec_to_coords(vec, rank, prec):
+    """k-coordinates of a vector of Series: coefficient m of entry comp sits
+    at m*rank + comp."""
     out = [0] * (rank * prec)
     for comp, s in enumerate(vec):
         for m, c in enumerate(s.coeffs):
@@ -509,118 +513,80 @@ def _vec_to_coords(vec, rank, prec):
     return out
 
 
-def _coords_to_vec(field, coords, rank, prec):
+def coords_to_vec(field, coords, rank, prec):
+    """Inverse of vec_to_coords."""
     return tuple(Series(field, prec,
                         tuple(coords[m * rank + comp] for m in range(prec)))
                  for comp in range(rank))
 
 
-def _echelonize(field, vectors):
-    """Reduced echelon basis ordered by leading coordinate (degree-major)."""
+def fixed_space(field, rank, prec, actions):
+    """Reduced echelon basis of the k-space of x in R^rank, R = k[[s]]/(s^prec),
+    fixed by every action x -> A * psi(x), in coordinates m*rank + comp.
+
+    `actions` lists (A, power) pairs, power(m) being psi(s^m): psi(s^m e_comp)
+    is column comp of A scaled by power(m).
+    """
     ctx = field.ctx
-    ech = {}
-    for v in vectors:
-        v = list(v)
-        while True:
-            lead = next((i for i, c in enumerate(v) if c), None)
-            if lead is None or lead not in ech:
-                break
-            f = v[lead]
-            v = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(v, ech[lead])]
-        if lead is not None:
-            inv = ctx.inv(v[lead])
-            ech[lead] = [ctx.mul(inv, c) for c in v]
-    for lead in sorted(ech, reverse=True):
-        for other, w in ech.items():
-            if other != lead and w[lead]:
-                f = w[lead]
-                ech[other] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(w, ech[lead])]
-    return [ech[lead] for lead in sorted(ech)]
+    dim = rank * prec
+    rows = []
+    for a, power in actions:
+        cols = []
+        for idx in range(dim):
+            m, comp = divmod(idx, rank)
+            col = vec_to_coords(tuple(a.entries[row][comp] * power(m)
+                                       for row in range(rank)), rank, prec)
+            col[idx] = ctx.sub(col[idx], 1)
+            cols.append(col)
+        rows.extend(zip(*cols))
+    return null_space(field, rows, dim)
 
 
-def _reduce_against(ctx, ech, v):
-    v = list(v)
-    while True:
-        lead = next((i for i, c in enumerate(v) if c), None)
-        if lead is None or lead not in ech:
-            return v, lead
-        f = v[lead]
-        v = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(v, ech[lead])]
+def module_generators(field, candidates, rank, prec, times_t):
+    """Valuation-greedy module generators among fixed-space candidates.
+
+    Yields, in order, each candidate whose leading term the span of the
+    earlier generators and their t-multiples does not reach, reduced and
+    normalized; `times_t` multiplies coordinates by the base uniformizer.
+    Ties break by lowest degree, then lowest component.
+    """
+    ctx = field.ctx
+    span = {}
+    # candidates within half a window of the truncation boundary carry too
+    # few checked coefficients to certify a module generator
+    cutoff = prec - prec // 2
+    for cand in candidates:
+        red, lead = reduce_against(field, span, cand)
+        if lead is None or lead // rank >= cutoff:
+            continue
+        inv = ctx.inv(red[lead])
+        red = [ctx.mul(inv, x) for x in red]
+        yield red
+        vec = red
+        while any(vec) and extend_echelon(field, span, vec) is not None:
+            vec = times_t(vec)
 
 
 def invariants(c: Cocycle) -> InvariantsResult:
     """Fixed module of the semilinear action, as a base-ring module.
 
     Solves Phi(g) x = x over k for the group generators, then extracts a
-    rank-r generating set by valuation-greedy leading-term reduction with
-    deterministic tie-breaking (lowest degree, then lowest component).
+    rank-r generating set with module_generators.
     """
     ext = c.ext
     field = ext.field
-    ctx = field.ctx
     rank, prec = c.rank, ext.prec
-    dim = rank * prec
-    gens = ext.group.generators()
-    if not gens:
-        gens = []
-    rows = []
-    for g in gens:
-        # psi(g)(s^m e_comp) = act(g)^m e_comp, so the image of a basis vector
-        # is column comp of A_g scaled by the cached power act(g)^m
-        psi = ext.psi(g)
-        a_g = c.mats[g]
-        cols = []
-        for idx in range(dim):
-            m, comp = divmod(idx, rank)
-            image = tuple(a_g.entries[row][comp] * psi.power(m) for row in range(rank))
-            col = _vec_to_coords(image, rank, prec)
-            col[idx] = ctx.sub(col[idx], 1)
-            cols.append(col)
-        for r_ in range(dim):
-            rows.append([cols[idx][r_] for idx in range(dim)])
-    if rows:
-        sol = solve_linear(field, rows)
-        kernel = sol.kernel
-    else:
-        kernel = [[1 if t == idx else 0 for t in range(dim)] for idx in range(dim)]
-    candidates = _echelonize(field, kernel)
-    fixed_dim = len(candidates)
-
+    candidates = fixed_space(field, rank, prec, [(c.mats[g], ext.psi(g).power)
+                                                 for g in ext.group.generators()])
     t = ext.base_uniformizer
-    span = {}
-    selected = []
-    # candidates within half a window of the truncation boundary carry too
-    # few checked coefficients to certify a module generator
-    cutoff = prec - prec // 2
 
-    def add_span(coords):
-        v, lead = _reduce_against(ctx, span, coords)
-        if lead is not None:
-            inv = ctx.inv(v[lead])
-            span[lead] = [ctx.mul(inv, x) for x in v]
-        return lead
+    def times_t(coords):
+        vec = coords_to_vec(field, coords, rank, prec)
+        return vec_to_coords(tuple(x * t for x in vec), rank, prec)
 
-    for cand in candidates:
-        if len(selected) == rank:
-            break
-        red, lead = _reduce_against(ctx, span, cand)
-        if lead is None:
-            continue
-        if lead // rank >= cutoff:
-            continue
-        inv = ctx.inv(red[lead])
-        red = [ctx.mul(inv, x) for x in red]
-        vec = _coords_to_vec(field, red, rank, prec)
-        selected.append(vec)
-        mult = vec
-        while True:
-            coords = _vec_to_coords(mult, rank, prec)
-            if all(x == 0 for x in coords):
-                break
-            if add_span(coords) is None:
-                break
-            mult = tuple(s * t for s in mult)
-
+    selected = [coords_to_vec(field, v, rank, prec)
+                for v in islice(module_generators(field, candidates, rank, prec, times_t),
+                                rank)]
     if len(selected) < rank:
         raise RankDeficiencyError(
             f"invariants: found {len(selected)} generators, expected {rank}",
@@ -638,7 +604,7 @@ def invariants(c: Cocycle) -> InvariantsResult:
     natural = Matrix([[selected[j][i] for j in range(rank)] for i in range(rank)])
     return InvariantsResult(generators=selected, natural=natural,
                             base_prec=max(prec // ext.ram_index, 1),
-                            fixed_dim=fixed_dim)
+                            fixed_dim=len(candidates))
 
 
 def component_cocycle(m: ProductGModule) -> Cocycle:
@@ -742,8 +708,9 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
                 "B * B^{-1} is the identity (exhaustive over GL_r(k))",
                 proven=True, obstruction=g)
 
-    # stage 3: linear fixed space and residue image
-    ctx = field.ctx
+    # stage 3: linear fixed space and residue image.  B is fixed iff each of
+    # its columns is, so the vector fixed space is placed in every column and
+    # re-echelonized in B's coordinates (i*rank + j)*prec + m for E_{ij} s^m
     dim = rank * rank * prec
 
     def unflatten(coords):
@@ -752,77 +719,35 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
                                      for m in range(prec)))
                         for j in range(rank)] for i in range(rank)])
 
-    rows = []
-    gens = ext.group.generators()
-    for g in gens:
-        a_g = c.mats[g]
-        psi = ext.psi(g)
-        cols = []
-        for i in range(rank):
-            for j in range(rank):
-                for m in range(prec):
-                    # A_g psi(g)(E_{ij} s^m): column j is column i of A_g
-                    # scaled by act(g)^m, all other columns vanish
-                    scaled = [a_g.entries[r_][i] * psi.power(m) for r_ in range(rank)]
-                    col = [0] * dim
-                    for r_ in range(rank):
-                        base = (r_ * rank + j) * prec
-                        for mm, cval in enumerate(scaled[r_].coeffs):
-                            col[base + mm] = cval
-                    idx = (i * rank + j) * prec + m
-                    col[idx] = ctx.sub(col[idx], 1)
-                    cols.append(col)
-        for r_ in range(dim):
-            rows.append([cols[idx][r_] for idx in range(dim)])
-    sol = solve_linear(field, rows) if rows else None
-    kernel = sol.kernel if sol else [[1 if t == i else 0 for t in range(dim)]
-                                     for i in range(dim)]
+    def in_column(v, j):
+        out = [0] * dim
+        for idx, x in enumerate(v):
+            m, i = divmod(idx, rank)
+            out[(i * rank + j) * prec + m] = x
+        return out
+
+    columns = fixed_space(field, rank, prec, [(c.mats[g], ext.psi(g).power)
+                                              for g in ext.group.generators()])
+    kernel = echelonize(field, [in_column(v, j) for j in range(rank) for v in columns])
     if not kernel:
         return TrivializeResult(False, None, "fixed-space",
                                 "the twisted fixed space is zero", proven=True)
     # residue image basis
-    res_vecs = []
-    for v in kernel:
-        res = [v[(i * rank + j) * prec] for i in range(rank) for j in range(rank)]
-        res_vecs.append(res)
-    res_basis = _echelonize(field, res_vecs)
+    res_basis = echelonize(field, [[v[t * prec] for t in range(rank * rank)]
+                                   for v in kernel])
     d = len(res_basis)
     q = field.order
-
-    def residue_invertible(coeffs):
-        mat = [[0] * rank for _ in range(rank)]
-        for cf, vec in zip(coeffs, res_basis):
-            if cf:
-                for t, x in enumerate(vec):
-                    if x:
-                        r_, c_ = divmod(t, rank)
-                        mat[r_][c_] = ctx.add(mat[r_][c_], ctx.mul(cf, x))
-        return residue_det(field, mat) != 0
-
-    found_combo = None
-    if d and q ** d <= cap:
-        combo = [0] * d
-        total = q ** d
-        for code in range(1, total):
-            x = code
-            for t in range(d):
-                combo[t] = x % q
-                x //= q
-            if residue_invertible(combo):
-                found_combo = list(combo)
-                break
-        if found_combo is None:
-            return TrivializeResult(
-                False, None, "residue-image",
-                f"exhaustive search over the {q}^{d} residue combinations found no "
-                "invertible residue; no trivialization exists at this precision",
-                proven=True)
-        exhaustive = True
-    else:
-        exhaustive = False
+    found_combo, exhaustive = residue_search(field, res_basis, rank, cap)
+    if exhaustive and found_combo is None:
+        return TrivializeResult(
+            False, None, "residue-image",
+            f"exhaustive search over the {q}^{d} residue combinations found no "
+            "invertible residue; no trivialization exists at this precision",
+            proven=True)
+    if not exhaustive:
         for trial in range(200):
             combo = [rng.randrange(q) for _ in range(d)]
-            if residue_invertible(combo):
+            if is_invertible_combination(field, combo, res_basis, rank):
                 found_combo = combo
                 break
         if found_combo is None:
@@ -831,29 +756,15 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
                 f"residue image dimension {d} exceeds the exhaustive budget and "
                 "randomized search found no invertible residue", proven=False)
 
-    # lift the residue choice to a full fixed-space element
-    echelon_kernel = _echelonize(field, kernel)
-    target = None
-    for cf, vec in zip(found_combo, res_basis):
-        if cf:
-            scaled = [ctx.mul(cf, x) for x in vec]
-            target = scaled if target is None else [ctx.add(a, b)
-                                                    for a, b in zip(target, scaled)]
-    # choose any fixed vector whose residue equals target: solve in the kernel span
-    kdim = len(echelon_kernel)
-    rows2 = []
-    for t in range(rank * rank):
-        rows2.append([echelon_kernel[kv][t * prec] for kv in range(kdim)])
-    sol2 = solve_linear(field, rows2, list(target))
+    # lift the residue choice to a full fixed-space element: solve for a
+    # kernel combination whose residue equals the target
+    target = combination(field, found_combo, res_basis, rank * rank)
+    rows2 = [[v[t * prec] for v in kernel] for t in range(rank * rank)]
+    sol2 = solve_linear(field, rows2, target)
     if not sol2.consistent:
         return TrivializeResult(None, None, "lift",
                                 "residue target not reachable (internal)", proven=False)
-    coords = [0] * dim
-    for kv, cf in enumerate(sol2.particular):
-        if cf:
-            for t, x in enumerate(echelon_kernel[kv]):
-                if x:
-                    coords[t] = ctx.add(coords[t], ctx.mul(cf, x))
+    coords = combination(field, sol2.particular, kernel, dim)
     b = unflatten(coords)
     if not _verify_coboundary(c, b):
         return TrivializeResult(None, None, "verify",

@@ -4,7 +4,11 @@ Three layers:
 
 * solve_linear -- Gauss-Jordan over the coefficient field k with the fixed
   deterministic pivot order (leftmost column, then lowest row index);
-  returns a particular solution and a kernel basis.
+  returns a particular solution and a kernel basis.  On top of it:
+  echelonize (the reduced echelon basis of a span, ordered by leading
+  coordinate), null_space (that basis for the solutions of rows * x = 0),
+  combination (sum of scaled vectors) and residue_search (the first
+  combination of flattened r x r matrices over k that is invertible).
 * Matrix -- rectangular matrices with uniform Series or Laurent entries;
   inversion over k[[s]] requires a unit determinant (residue-invertible)
   and is exact at precision.
@@ -79,6 +83,87 @@ def solve_linear(field, rows, rhs=None):
             vec[col] = ctx.neg(aug[row_i][f])
         kernel.append(vec)
     return LinearSolution(True, particular, kernel, r, pivot_cols)
+
+
+def reduce_against(field, ech, v):
+    """Clear v's leading coordinates against ech (lead -> normalized row);
+    returns (reduced v, its leading coordinate or None if it vanished)."""
+    ctx = field.ctx
+    v = list(v)
+    while True:
+        lead = next((i for i, c in enumerate(v) if c), None)
+        if lead is None or lead not in ech:
+            return v, lead
+        f = v[lead]
+        v = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(v, ech[lead])]
+
+
+def extend_echelon(field, ech, v):
+    """Reduce v against ech and add it, normalized, under its leading
+    coordinate; returns that coordinate, or None if v was in the span."""
+    ctx = field.ctx
+    v, lead = reduce_against(field, ech, v)
+    if lead is not None:
+        inv = ctx.inv(v[lead])
+        ech[lead] = [ctx.mul(inv, c) for c in v]
+    return lead
+
+
+def echelonize(field, vectors):
+    """Reduced echelon basis of the span, ordered by leading coordinate."""
+    ctx = field.ctx
+    ech = {}
+    for v in vectors:
+        extend_echelon(field, ech, v)
+    for lead in sorted(ech, reverse=True):
+        for other, w in ech.items():
+            if other != lead and w[lead]:
+                f = w[lead]
+                ech[other] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(w, ech[lead])]
+    return [ech[lead] for lead in sorted(ech)]
+
+
+def null_space(field, rows, n):
+    """Reduced echelon basis of {x in k^n : rows * x = 0}; no rows gives the
+    identity basis."""
+    if not rows:
+        return [[1 if t == i else 0 for t in range(n)] for i in range(n)]
+    return echelonize(field, solve_linear(field, rows).kernel)
+
+
+def combination(field, coeffs, vectors, n):
+    """sum_i coeffs[i] * vectors[i] in k^n."""
+    ctx = field.ctx
+    out = [0] * n
+    for cf, vec in zip(coeffs, vectors):
+        if cf:
+            for t, x in enumerate(vec):
+                if x:
+                    out[t] = ctx.add(out[t], ctx.mul(cf, x))
+    return out
+
+
+def is_invertible_combination(field, coeffs, vectors, r):
+    """Whether the combination, read as a row-major r x r matrix, is invertible."""
+    flat = combination(field, coeffs, vectors, r * r)
+    return residue_det(field, [flat[i * r:(i + 1) * r] for i in range(r)]) != 0
+
+
+def residue_search(field, vectors, r, cap):
+    """First invertible combination of the flattened r x r matrices `vectors`.
+
+    Tries coefficient vectors in base-q counting order (code 1 .. q^d - 1,
+    little-endian digits).  Returns (coeffs or None, exhaustive); a space
+    with q^d > cap is not searched and reports exhaustive=False.
+    """
+    q, d = field.order, len(vectors)
+    if d and q ** d > cap:
+        return None, False
+    for code in range(1, q ** d):
+        coeffs = [(code // q ** t) % q for t in range(d)]
+        if is_invertible_combination(field, coeffs, vectors, r):
+            return coeffs, True
+    return None, True
 
 
 def residue_det(field, rows):

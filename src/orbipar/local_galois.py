@@ -30,6 +30,7 @@ reversion, embeddings) and the reference the operator is tested against.
 """
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 from . import kernels
 from .errors import ConfigurationError, DomainError, NotInvariantError, StructuralError
@@ -166,6 +167,8 @@ def trivial_extension(field, prec) -> LocalExtension:
                           action=(s,), base_uniformizer=s, ram_index=1)
 
 
+# equal extensions are one object, so they share their cached psi tables
+@lru_cache(maxsize=None)
 def make_kummer(field, n: int, prec: int) -> LocalExtension:
     """Cyclic order-n extension, generator acting by s -> zeta*s.
 
@@ -188,6 +191,7 @@ def make_kummer(field, n: int, prec: int) -> LocalExtension:
                           action=action, base_uniformizer=t, ram_index=n)
 
 
+@lru_cache(maxsize=None)
 def make_artin_schreier(field, prec: int) -> LocalExtension:
     """Cyclic order-p extension, sigma^c acting by s -> s/(1+cs).
 

@@ -11,10 +11,11 @@ V (x) V* trivial on induced data.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equivariant import (Cocycle, _echelonize, _reduce_against, assemble_product,
-                          invariants, trivialize)
+from .equivariant import (Cocycle, assemble_product, coords_to_vec, fixed_space, invariants,
+                          module_generators, trivialize)
 from .errors import ConfigurationError, DomainError, StructuralError
-from .linalg import Matrix, kron, laurent_inverse, residue_det, solve_linear
+from .linalg import (Matrix, combination, kron, laurent_inverse, null_space, residue_det,
+                     residue_search, solve_linear)
 from .parabolic import (CoverScene, GluedBundle, GluedPoint, ParabolicDatum,
                         ParabolicPoint, build_spec_from_scene, functor_T,
                         trivial_datum, validate_parabolic, validate_parabolic_morphism,
@@ -123,28 +124,13 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
                         row[i * r + t] = ctx.add(row[i * r + t], r1[t][j])
                         row[t * r + j] = ctx.sub(row[t * r + j], r2[i][t])
                     rows.append(row)
-        sol = solve_linear(field, rows) if rows else None
-        basis = sol.kernel if sol else [[1 if t == i else 0 for t in range(r * r)]
-                                        for i in range(r * r)]
-        dim = len(basis)
-        q = field.order
-
-        def combo_invertible(coeffs, basis=basis):
-            mat = [[0] * r for _ in range(r)]
-            for cf, vec in zip(coeffs, basis):
-                if cf:
-                    for t, x in enumerate(vec):
-                        if x:
-                            mat[t // r][t % r] = ctx.add(mat[t // r][t % r],
-                                                         ctx.mul(cf, x))
-            return residue_det(field, mat) != 0
-
-        if dim == 0 or (q ** dim <= residue_cap and not any(
-                combo_invertible([(code // q ** t) % q for t in range(dim)])
-                for code in range(1, q ** dim))):
+        basis = null_space(field, rows, r * r)
+        combo, exhaustive = residue_search(field, basis, r, residue_cap)
+        if exhaustive and combo is None:
             return IsoResult("distinct", proven=True,
                              detail=f"no invertible residue intertwiner at point "
-                             f"{dpt.label!r} (exhaustive over {q}^{dim} residues)")
+                             f"{dpt.label!r} (exhaustive over {field.order}^{len(basis)} "
+                             "residues)")
 
     # joint linear system for (g over the base, sigma_x over each extension)
     base_prec = min(max(p.ext.prec // p.ext.ram_index, 1) for p in d1.points)
@@ -252,13 +238,8 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
         if tried < len(candidates):
             coords = candidates[tried]
         else:
-            coords = [0] * total
-            for vec in basis:
-                cf = rng.randrange(field.order)
-                if cf:
-                    for t, x in enumerate(vec):
-                        if x:
-                            coords[t] = ctx.add(coords[t], ctx.mul(cf, x))
+            coords = combination(field, [rng.randrange(field.order) for _ in basis],
+                                 basis, total)
         tried += 1
         gm, sigmas = coords_to_candidate(coords)
         if not jointly_invertible(gm, sigmas):
@@ -452,71 +433,17 @@ class PushedBundle:
 
     def invariants(self):
         """Fixed module of the formal representation over the base ring."""
-        field = self.field
-        ctx = field.ctx
-        rank, prec = self.rank_out, self.base_prec
-        dim = rank * prec
-        gens = self.group.generators()
-        rows = []
-        for g in gens:
-            mat = self.formal_rep[g]
-            cols = []
-            for idx in range(dim):
-                m, comp = divmod(idx, rank)
-                col_entries = []
-                for b in range(rank):
-                    entry = mat.entries[b][comp].shift(m)
-                    col_entries.append(entry)
-                col = [0] * dim
-                for b in range(rank):
-                    for mm, c in enumerate(col_entries[b].coeffs):
-                        col[mm * rank + b] = c
-                col[idx] = ctx.sub(col[idx], 1)
-                cols.append(col)
-            for r_ in range(dim):
-                rows.append([cols[idx][r_] for idx in range(dim)])
-        sol = solve_linear(field, rows) if rows else None
-        kernel = sol.kernel if sol else [[1 if t == i else 0 for t in range(dim)]
-                                         for i in range(dim)]
-        candidates = _echelonize(field, kernel)
-        # candidates within half a window of the truncation boundary are
-        # artifacts (too few checked levels), not module generators
-        cutoff = prec - prec // 2
-        span = {}
-        selected = []
-        for cand in candidates:
-            red, lead = _reduce_against(ctx, span, cand)
-            if lead is None:
-                continue
-            if lead // rank >= cutoff:
-                continue
-            inv_l = ctx.inv(red[lead])
-            red = [ctx.mul(inv_l, c) for c in red]
-            selected.append(red)
-            vec = red
-            while True:
-                v2, l2 = _reduce_against(ctx, span, vec)
-                if l2 is None:
-                    break
-                inv2 = ctx.inv(v2[l2])
-                span[l2] = [ctx.mul(inv2, c) for c in v2]
-                # multiply by t (shift base degree by one)
-                nxt = [0] * dim
-                for idx, c in enumerate(vec):
-                    if c:
-                        m, comp = divmod(idx, rank)
-                        if m + 1 < prec:
-                            nxt[(m + 1) * rank + comp] = c
-                vec = nxt
-                if all(c == 0 for c in vec):
-                    break
-        gens_series = []
-        for red in selected:
-            gens_series.append(tuple(Series(field, prec,
-                                            tuple(red[m * rank + comp]
-                                                  for m in range(prec)))
-                                     for comp in range(rank)))
-        return gens_series
+        field, rank, prec = self.field, self.rank_out, self.base_prec
+        actions = [(self.formal_rep[g], lambda m: Series.monomial(field, 1, m, prec))
+                   for g in self.group.generators()]
+        candidates = fixed_space(field, rank, prec, actions)
+
+        def times_t(coords):
+            # the base ring's uniformizer shifts base degree by one
+            return [0] * rank + coords[:-rank]
+
+        return [coords_to_vec(field, v, rank, prec)
+                for v in module_generators(field, candidates, rank, prec, times_t)]
 
 
 def pushforward_local(b: GluedBundle, label=None) -> PushedBundle:

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field as dc_field
 
 from .equivariant import Cocycle, is_induced, make_connectors, trivialize, verify_cocycle
-from .errors import OrbiparError, ScenarioError
+from .errors import AssemblyError, OrbiparError, ScenarioError
 from .fields import make_field
 from .groups import group_from_config
 from .linalg import Matrix
@@ -267,9 +267,29 @@ def _check_references(sc: Scenario):
             if "point" in cmd and key in cmd and cmd["point"] not in known[table][cmd[key]]:
                 raise ScenarioError(f"{where}: {key} {cmd[key]!r} has no point "
                                     f"{cmd['point']!r}")
+        if op == "connector_independence":
+            _check_connectors(sc, cmd, known, where)
         if op in _STORING_OPS and "store_as" in cmd:
             source = cmd.get("datum", cmd.get("datum1"))
             known["data"][cmd["store_as"]] = known["data"].get(source, [])
+
+
+def _check_connectors(sc, cmd, known, where):
+    """Build the connectors of seeds1/seeds2 on the command's scene point, as
+    running it will."""
+    labels = known["data"].get(cmd.get("datum"))
+    label = cmd.get("point", labels[0] if labels else None)
+    if cmd.get("scene") not in sc.scenes or label not in known["scenes"][cmd["scene"]]:
+        return      # running the command reports the missing reference
+    scene = sc.scenes[cmd["scene"]]
+    perms = scene.point(label).perms(scene.group)
+    for key in ("seeds1", "seeds2"):
+        if key == "seeds1" and not cmd.get(key):
+            continue    # the default seeds
+        try:
+            make_connectors(scene.group, perms, cmd[key])
+        except AssemblyError as exc:
+            raise ScenarioError(f"{where}: {key} {cmd[key]}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

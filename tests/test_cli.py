@@ -173,6 +173,8 @@ BAD_INPUTS = {
         {"op": "random_roundtrips", "scene": "cover", "character_exponents": []}),
     "rank-zero": lambda d: d["commands"].append(
         {"op": "random_roundtrips", "scene": "cover", "rank": 0}),
+    "seed-out-of-range": lambda d: d["commands"].append(
+        {"op": "connector_independence", "datum": "d", "scene": "cover", "seeds2": [7]}),
 }
 
 
@@ -186,18 +188,33 @@ def test_bad_input_is_scenario_error(tmp_path, capsys, case, sub):
     assert "Traceback" not in err and err.strip()
 
 
-def test_out_of_range_seed_is_an_error_entry(tmp_path):
-    """A seed outside the group is caught by make_connectors, not by an IndexError."""
-    code, report, _ = run_cli(tmp_path, _broken(lambda d: d["commands"].append(
-        {"op": "connector_independence", "datum": "d", "scene": "cover", "seeds2": [7]})))
-    assert code == 2
-    assert "does not map component 0 to 1" in report["results"][2]["detail"]["error"]
-
-
 def test_base_of_bad_inputs_is_good(tmp_path):
     f = tmp_path / "s.json"
     f.write_text(json.dumps(BASE))
     assert main(["verify", str(f)]) == 0
+
+
+def test_empty_seeds2_on_one_component_is_good(tmp_path):
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(_broken(lambda d: d["commands"].append(
+        {"op": "connector_independence", "datum": "d", "scene": "cover", "seeds2": []}))))
+    assert main(["verify", str(f)]) == 0
+    assert main(["run", str(f)]) == 0
+
+
+@pytest.mark.parametrize("seeds2", [[7], [2], [3, 5]],
+                         ids=["out-of-range", "maps-0-to-0", "too-long"])
+@pytest.mark.parametrize("sub", ["run", "verify"])
+def test_bad_connector_seeds_are_scenario_errors(tmp_path, capsys, sub, seeds2):
+    """Out of range, mapping component 0 to 0, too long: rejected before any
+    command runs, so `verify` agrees with `run`."""
+    doc = demo_scenario("z6-two-points")
+    doc["commands"][1]["seeds2"] = seeds2
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    assert main([sub, str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "seeds2" in err and "does not map component" in err
 
 
 def test_verify_counts_stored_data(tmp_path):

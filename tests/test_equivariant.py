@@ -310,6 +310,19 @@ def test_trivialize_recovers_coboundaries():
                 assert rhs.agrees_with(c.mats[g])
 
 
+def test_trivialize_zero_residue_image_is_proven_impossible():
+    """A_c = 1 + c*s is the coboundary of the non-unit s: its fixed space has
+    no residue, so no trivialization exists, and that is a proof, not a
+    budget overrun."""
+    F3 = make_field(3)
+    ext = make_artin_schreier(F3, N)
+    c = Cocycle(ext, 1, tuple(Matrix([[Series.from_coeffs(F3, [1, g], N)]])
+                              for g in range(3)))
+    assert verify_cocycle(c).ok
+    res = trivialize(c)
+    assert (res.found, res.stage, res.proven) == (False, "residue-image", True)
+
+
 def test_twist_changes_basis_not_class():
     ext = make_kummer(F5, 2, N)
     rng = SplitMix64(31)

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbipar.errors import NotInvertibleError
 from orbipar.fields import make_field
-from orbipar.linalg import Matrix, kron, laurent_inverse, residue_det, smith, solve_linear
+from orbipar.linalg import (Matrix, kron, laurent_inverse, null_space, residue_det,
+                            residue_search, smith, solve_linear)
 from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
 
@@ -138,3 +140,50 @@ def test_mixed_kind_multiplication_promotes():
     s_mat = Matrix.identity(F5, 2, 4)
     l_mat = Matrix.identity(F5, 2, 4).to_laurent()
     assert (s_mat * l_mat).kind is Laurent
+
+
+def test_null_space_without_rows_is_the_identity_basis():
+    assert null_space(F5, [], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(3, 1), (2, 2)]), st.integers(1, 5), st.integers(1, 6),
+       st.data())
+def test_null_space_is_reduced_echelon_kernel(pk, m, n, data):
+    F = make_field(*pk)
+    rows = [data.draw(st.lists(st.integers(0, F.order - 1), min_size=n, max_size=n))
+            for _ in range(m)]
+    basis = null_space(F, rows, n)
+    assert len(basis) == n - solve_linear(F, rows).rank
+    leads = [next(i for i, c in enumerate(v) if c) for v in basis]
+    assert leads == sorted(set(leads))
+    for v, lead in zip(basis, leads):
+        assert v[lead] == 1
+        assert all(w[lead] == 0 for w in basis if w is not v)
+    for v in basis:
+        for row in rows:
+            acc = 0
+            for a, x in zip(row, v):
+                acc = F.add(acc, F.mul(a, x))
+            assert acc == 0
+
+
+# flattened 2 x 2 matrices over GF(5)
+E11, E12, E21, E22 = [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]
+
+
+def test_residue_search_returns_first_invertible_in_counting_order():
+    # code = c1 + 5*c2 + 25*c3: codes 1..5 are c1*v1 and v2, all singular
+    # here; code 6, v1 + v2, is the first invertible one
+    assert residue_search(F5, [E11, E22], 2, 10 ** 6) == ([1, 1], True)
+    assert residue_search(F5, [E12, E21, E11], 2, 10 ** 6) == ([1, 1, 0], True)
+    # E11 + E22 is already invertible at code 1
+    assert residue_search(F5, [[1, 0, 0, 1], E12], 2, 10 ** 6) == ([1, 0], True)
+
+
+def test_residue_search_exhaustive_and_cap():
+    assert residue_search(F5, [], 2, 10 ** 6) == (None, True)
+    # first-row matrices are never invertible
+    assert residue_search(F5, [E11, E12], 2, 10 ** 6) == (None, True)
+    assert residue_search(F5, [E11, E22], 2, 24) == (None, False)
+    assert residue_search(F5, [E11, E22], 2, 25) == ([1, 1], True)
