@@ -6,8 +6,9 @@ Times the three hot kernels (truncated product, series inversion, series
 composition) at several precisions over a prime field and an extension
 field.  A second table compares one application of the cached substitution
 operator ext.psi(g) with the Horner vec_compose it replaces (outputs asserted
-equal), and gives the one-off cost of building its table.  Last comes an
-end-to-end workload of Z/6 round trips.
+equal), and gives the one-off cost of building its table.  A functor-layer
+line times dual_pairing_check, which runs find_parabolic_isomorphism on
+V (x) V*; last comes an end-to-end workload of Z/6 round trips.
 """
 
 import sys
@@ -87,7 +88,22 @@ def bench_roundtrips(repeats):
     return time.perf_counter() - t0
 
 
-def main(repeats=3000, roundtrips=10):
+def bench_dual_pairing(repeats):
+    """dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, per call."""
+    from orbipar.local_galois import make_kummer
+    from orbipar.parabolic import random_datum
+    from orbipar.pvect import dual_pairing_check
+
+    ext = make_kummer(make_field(13), 4, 8)
+    rng = SplitMix64(2718)
+    data = [random_datum(ext, 2, rng, character_exponent=1) for _ in range(repeats)]
+    t0 = time.perf_counter()
+    for d in data:
+        assert dual_pairing_check(d, rng=rng.fork()).ok
+    return (time.perf_counter() - t0) / repeats
+
+
+def main(repeats=3000, roundtrips=10, pairings=5):
     fields = [("GF(5)", make_field(5)), ("GF(49)", make_field(7, 2))]
     print(f"{'kernel':<14}{'field':<8}{'N':>4}{'per call':>12}")
     for fn_name in ("vec_mul", "vec_inverse", "vec_compose"):
@@ -99,6 +115,9 @@ def main(repeats=3000, roundtrips=10):
     print()
     bench_psi(repeats)
     print()
+    t = bench_dual_pairing(pairings)
+    print(f"functor layer: dual_pairing_check (rank 2, GF(13), N=8, Kummer Z/4): "
+          f"{t * 1000:.0f} ms each over {pairings}")
     t = bench_roundtrips(roundtrips)
     print(f"end-to-end: {roundtrips} Z/6 round trips (rank 2, N=16): "
           f"{t:.2f}s ({t / roundtrips * 1000:.0f} ms each)")

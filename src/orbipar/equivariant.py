@@ -520,12 +520,13 @@ def coords_to_vec(field, coords, rank, prec):
                  for comp in range(rank))
 
 
-def fixed_space(field, rank, prec, actions):
-    """Reduced echelon basis of the k-space of x in R^rank, R = k[[s]]/(s^prec),
-    fixed by every action x -> A * psi(x), in coordinates m*rank + comp.
+def fixed_rows(field, rank, prec, actions):
+    """The k-linear equations A * psi(x) - x = 0 on x in R^rank, R = k[[s]]/(s^prec),
+    for every action; their null space is the fixed space.
 
-    `actions` lists (A, power) pairs, power(m) being psi(s^m): psi(s^m e_comp)
-    is column comp of A scaled by power(m).
+    Both x and the equations use coordinates m*rank + comp, one block of
+    rank*prec rows per action.  `actions` lists (A, power) pairs, power(m)
+    being psi(s^m): psi(s^m e_comp) is column comp of A scaled by power(m).
     """
     ctx = field.ctx
     dim = rank * prec
@@ -539,7 +540,7 @@ def fixed_space(field, rank, prec, actions):
             col[idx] = ctx.sub(col[idx], 1)
             cols.append(col)
         rows.extend(zip(*cols))
-    return null_space(field, rows, dim)
+    return rows
 
 
 def module_generators(field, candidates, rank, prec, times_t):
@@ -576,8 +577,8 @@ def invariants(c: Cocycle) -> InvariantsResult:
     ext = c.ext
     field = ext.field
     rank, prec = c.rank, ext.prec
-    candidates = fixed_space(field, rank, prec, [(c.mats[g], ext.psi(g).power)
-                                                 for g in ext.group.generators()])
+    actions = [(c.mats[g], ext.psi(g).power) for g in ext.group.generators()]
+    candidates = null_space(field, fixed_rows(field, rank, prec, actions), rank * prec)
     t = ext.base_uniformizer
 
     def times_t(coords):
@@ -726,8 +727,8 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
             out[(i * rank + j) * prec + m] = x
         return out
 
-    columns = fixed_space(field, rank, prec, [(c.mats[g], ext.psi(g).power)
-                                              for g in ext.group.generators()])
+    actions = [(c.mats[g], ext.psi(g).power) for g in ext.group.generators()]
+    columns = null_space(field, fixed_rows(field, rank, prec, actions), rank * prec)
     kernel = echelonize(field, [in_column(v, j) for j in range(rank) for v in columns])
     if not kernel:
         return TrivializeResult(False, None, "fixed-space",

@@ -478,17 +478,23 @@ def smith(m: Matrix) -> SmithForm:
     return SmithForm(U=Matrix(u), D=d, W=Matrix(w), divisors=divisors, trust=max(trust, 0))
 
 
+def series_part(m: Matrix):
+    """(series matrix, shift, prec) of a Laurent matrix: m = s^shift * (series
+    matrix), whose entries carry the prec coefficients of the common window."""
+    shift = min(e.val_floor for row in m.entries for e in row)
+    p = min(e.val_floor + len(e.coeffs) for row in m.entries for e in row) - shift
+    if p <= 0:
+        raise StructuralError("no common validity window")
+    return Matrix([[e.shift(-shift).to_series(p) for e in row] for row in m.entries]), shift, p
+
+
 def laurent_inverse(m: Matrix) -> Matrix:
     """Inverse of an invertible Laurent matrix via Smith on its series part."""
     if m.kind is Series:
         m = m.to_laurent()
     if m.rows != m.cols:
         raise StructuralError("inverse of a non-square matrix")
-    shift = min(e.val_floor for row in m.entries for e in row)
-    p = min(e.val_floor + len(e.coeffs) for row in m.entries for e in row) - shift
-    if p <= 0:
-        raise StructuralError("no common validity window for inversion")
-    ser = Matrix([[e.shift(-shift).to_series(p) for e in row] for row in m.entries])
+    ser, shift, p = series_part(m)
     sf = smith(ser)
     if any(dv is None for dv in sf.divisors):
         raise NotInvertibleError("Laurent matrix is singular to stored precision",

@@ -5,17 +5,20 @@ Conventions carried over: cocycle law A_{hg} = A_h psi(h)(A_g); the dual
 cocycle is A*_g = psi(g)(A_{g^{-1}})^tr (equal to (A_g^tr)^{-1} by the law)
 and the dual gluing is mu* = (mu^tr)^{-1}, which is what makes the dual a
 valid datum, the double dual literally the identity, and the pairing
-V (x) V* trivial on induced data.
+V (x) V* trivial on induced data.  The local parts sigma_x of an isomorphism
+V1 -> V2 are invariant sections of Hom = V2 (x) V1*, whose cocycle is
+kron(A2_g, A1*_g); the isomorphism search takes validated data and solves
+for them with the fixed-space equations of `equivariant.fixed_rows`.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .equivariant import (Cocycle, assemble_product, coords_to_vec, fixed_space, invariants,
+from .equivariant import (Cocycle, assemble_product, coords_to_vec, fixed_rows, invariants,
                           module_generators, trivialize)
 from .errors import ConfigurationError, DomainError, StructuralError
 from .linalg import (Matrix, combination, kron, laurent_inverse, null_space, residue_det,
-                     residue_search, solve_linear)
+                     residue_search, series_part, solve_linear)
 from .parabolic import (CoverScene, GluedBundle, GluedPoint, ParabolicDatum,
                         ParabolicPoint, build_spec_from_scene, functor_T,
                         trivial_datum, validate_parabolic, validate_parabolic_morphism,
@@ -79,21 +82,24 @@ class IsoResult:
     detail: str = ""
 
 
-def _mu_series_form(mu: Matrix):
-    """(series matrix, shift, prec): mu = s^shift * (series part)."""
-    shift = min(e.val_floor for row in mu.entries for e in row)
-    prec = min(e.val_floor + len(e.coeffs) for row in mu.entries for e in row) - shift
-    ser = Matrix([[e.shift(-shift).to_series(prec) for e in row] for row in mu.entries])
-    return ser, shift, prec
+def dual_matrix(c: Cocycle, g):
+    """A*_g = psi(g)(A_{g^{-1}})^tr, the dual cocycle at g."""
+    ext = c.ext
+    return ext.psi(g)(c.mats[ext.group.inv(g)].transpose())
 
 
 def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
                                rng=None, residue_cap=10 ** 6,
                                random_tries=300) -> IsoResult:
-    """Search (g, {sigma_x}) making d1 ~= d2; both conditions are k-linear in
-    the unknowns, so the candidate space is solved exactly and then searched
-    for a jointly invertible element.  A residue-level exhaustive search that
-    finds no invertible intertwiner certifies non-isomorphism.
+    """Search (g, {sigma_x}) making the validated data d1 ~= d2.
+
+    Each sigma_x is an invariant section of Hom = V2 (x) V1*, a fixed point
+    of the Hom cocycle kron(A2_g, A1*_g); with the mu square, which is also
+    k-linear in (g, sigma), its equations form one system whose candidate
+    space is solved exactly and then searched for a jointly invertible
+    element.  The degree-0 Hom equations give the residue intertwiners, and
+    an exhaustive search among them that finds no invertible one certifies
+    non-isomorphism.
     """
     rng = rng or SplitMix64(0x150)
     labels = [p.label for p in d1.points]
@@ -101,30 +107,25 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
         return IsoResult("distinct", proven=True,
                          detail="different supports or ranks")
     r = d1.rank
+    rr = r * r
     field = d1.points[0].ext.field
     ctx = field.ctx
     for p in list(d1.points) + list(d2.points):
         if p.ext.field != field:
             raise StructuralError("isomorphism search needs one coefficient field")
 
-    # residue certification first: each point needs an invertible residue
-    # intertwiner sigma_bar with sigma_bar A1_bar = A2_bar sigma_bar
+    # Hom equations in coordinates m*rr + i*r + j for E_ij s^m, one block of
+    # rr*prec rows per generator; psi fixes constants, so the first rr rows
+    # of a block, read on the first rr coordinates, are the residue equations
+    hom_rows = {}
     for dpt in d1.points:
         ext = dpt.ext
-        a1 = dpt.psi
         a2 = d2.point(dpt.label).psi
-        rows = []
-        for g in range(1, ext.group.order):
-            r1 = a1.mats[g].residue()
-            r2 = a2.mats[g].residue()
-            for i in range(r):
-                for j in range(r):
-                    row = [0] * (r * r)
-                    for t in range(r):
-                        row[i * r + t] = ctx.add(row[i * r + t], r1[t][j])
-                        row[t * r + j] = ctx.sub(row[t * r + j], r2[i][t])
-                    rows.append(row)
-        basis = null_space(field, rows, r * r)
+        actions = [(kron(a2.mats[g], dual_matrix(dpt.psi, g)), ext.psi(g).power)
+                   for g in ext.group.generators()]
+        rows = hom_rows[dpt.label] = fixed_rows(field, rr, ext.prec, actions)
+        basis = null_space(field, [row[:rr] for k, row in enumerate(rows)
+                                   if k % (rr * ext.prec) < rr], rr)
         combo, exhaustive = residue_search(field, basis, r, residue_cap)
         if exhaustive and combo is None:
             return IsoResult("distinct", proven=True,
@@ -132,80 +133,55 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
                              f"{dpt.label!r} (exhaustive over {field.order}^{len(basis)} "
                              "residues)")
 
-    # joint linear system for (g over the base, sigma_x over each extension)
+    # joint linear system: g over the base at (i*r + j)*base_prec + m, then
+    # sigma_x over each extension at offset + (i*r + j)*prec + m
     base_prec = min(max(p.ext.prec // p.ext.ram_index, 1) for p in d1.points)
-    g_dim = r * r * base_prec
-    sigma_dims = {p.label: r * r * p.ext.prec for p in d1.points}
     offsets = {}
-    total = g_dim
-    for lb in labels:
-        offsets[lb] = total
-        total += sigma_dims[lb]
-
-    def sigma_basis_mat(ext, idx):
-        per = ext.prec
-        i, rem = divmod(idx, r * per)
-        j, m = divmod(rem, per)
-        return Matrix([[Series.monomial(ext.field, 1 if (a, bcol) == (i, j) else 0,
-                                        m if (a, bcol) == (i, j) else 0, per)
-                        for bcol in range(r)] for a in range(r)])
-
-    columns = [[] for _ in range(total)]
-    eq_count = 0
+    total = rr * base_prec
+    for p in d1.points:
+        offsets[p.label] = total
+        total += rr * p.ext.prec
+    rows = []
     for dpt in d1.points:
         ext = dpt.ext
         per = ext.prec
-        a1, a2 = dpt.psi, d2.point(dpt.label).psi
-        mu1, mu2 = dpt.mu, d2.point(dpt.label).mu
-        s1, sh1, p1 = _mu_series_form(mu1)
-        s2, sh2, p2 = _mu_series_form(mu2)
+        off = offsets[dpt.label]
+        place = [off + c * per + m for m in range(per) for c in range(rr)]
+        for hom in hom_rows[dpt.label]:
+            row = [0] * total
+            for col, x in zip(place, hom):
+                row[col] = x
+            rows.append(row)
+        # mu square with mu_i = s^sh_i * s_i: s2 g s^delta = sigma s1 (delta =
+        # sh2 - sh1, moved to the side where it is positive); entry (a, b),
+        # coefficient k is row (a*r + b)*qprec + k
+        s1, sh1, p1 = series_part(dpt.mu)
+        s2, sh2, p2 = series_part(d2.point(dpt.label).mu)
         delta = sh2 - sh1
         qprec = min(p1, p2)
-        tpow = [Series.one(field, per)]
+        square = [[0] * total for _ in range(rr * qprec)]
+        t = ext.base_uniformizer.truncate(qprec)
+        tpow = [Series.one(field, qprec)]
         for _ in range(base_prec - 1):
-            tpow.append(tpow[-1] * ext.base_uniformizer)
+            tpow.append(tpow[-1] * t)
+        for a in range(r):
+            for i in range(r):
+                for m in range(base_prec):
+                    prod = (s2.entries[a][i].truncate(qprec) * tpow[m]).shift(max(delta, 0))
+                    for j in range(r):
+                        for k, x in enumerate(prod.coeffs):
+                            square[(a * r + j) * qprec + k][(i * r + j) * base_prec + m] = x
+        lag = max(-delta, 0)
+        for i in range(r):
+            for j in range(r):
+                for b in range(r):
+                    c = s1.entries[j][b].coeffs
+                    for m in range(per):
+                        for k in range(m + lag, qprec):
+                            square[(i * r + b) * qprec + k][off + (i * r + j) * per + m] = \
+                                ctx.neg(c[k - m - lag])
+        rows.extend(square)
 
-        n_eq1 = (ext.group.order - 1) * r * r * per
-        n_eq2 = r * r * qprec
-
-        def flat(mat, length):
-            out = []
-            for row in mat.entries:
-                for e in row:
-                    out.extend(e.coeffs[:length])
-            return out
-
-        # contributions of sigma unknowns
-        for idx in range(sigma_dims[dpt.label]):
-            sig = sigma_basis_mat(ext, idx)
-            col = []
-            for g in range(1, ext.group.order):
-                diff = sig * a1.mats[g] - a2.mats[g] * ext.psi(g)(sig)
-                col.extend(flat(diff, per))
-            prod = sig * s1
-            if delta < 0:
-                prod = prod.map(lambda e: e.shift(-delta))
-            col.extend([ctx.neg(c) for c in flat(prod, qprec)])
-            columns[offsets[dpt.label] + idx].extend(col)
-        # contributions of g unknowns
-        for idx in range(g_dim):
-            i, rem = divmod(idx, r * base_prec)
-            j, m = divmod(rem, base_prec)
-            ghat = Matrix([[tpow[m] if (a, bcol) == (i, j) else Series.zero(field, per)
-                            for bcol in range(r)] for a in range(r)])
-            prod = s2 * ghat
-            if delta > 0:
-                prod = prod.map(lambda e: e.shift(delta))
-            col = [0] * n_eq1 + flat(prod, qprec)
-            columns[idx].extend(col)
-        # unknowns of other points contribute zero here
-        for lb in labels:
-            if lb != dpt.label:
-                for idx in range(sigma_dims[lb]):
-                    columns[offsets[lb] + idx].extend([0] * (n_eq1 + n_eq2))
-        eq_count += n_eq1 + n_eq2
-
-    rows = [[columns[c][e] for c in range(total)] for e in range(eq_count)]
     sol = solve_linear(field, rows)
     basis = sol.kernel
     if not basis:
@@ -295,9 +271,8 @@ def dual(d: ParabolicDatum) -> ParabolicDatum:
     pts = []
     for dpt in d.points:
         ext = dpt.ext
-        mats = tuple(ext.psi(g)(dpt.psi.mats[ext.group.inv(g)].transpose())
-                     for g in range(ext.group.order))
-        psi = Cocycle(ext, d.rank, mats)
+        psi = Cocycle(ext, d.rank, tuple(dual_matrix(dpt.psi, g)
+                                         for g in range(ext.group.order)))
         mu = laurent_inverse(dpt.mu.transpose())
         pts.append(ParabolicPoint(label=dpt.label, ext=ext, psi=psi, mu=mu))
     out = ParabolicDatum(rank=d.rank, points=tuple(pts))
@@ -436,7 +411,7 @@ class PushedBundle:
         field, rank, prec = self.field, self.rank_out, self.base_prec
         actions = [(self.formal_rep[g], lambda m: Series.monomial(field, 1, m, prec))
                    for g in self.group.generators()]
-        candidates = fixed_space(field, rank, prec, actions)
+        candidates = null_space(field, fixed_rows(field, rank, prec, actions), rank * prec)
 
         def times_t(coords):
             # the base ring's uniformizer shifts base degree by one

@@ -120,7 +120,10 @@ def _load(doc):
     prec = int(doc.get("precision", 16))
     seed = int(doc["seed"])
     budgets = {"residue_cap": 10 ** 6, "random_tries": 300}
-    budgets.update(doc.get("budgets", {}))
+    budgets.update(_object(doc.get("budgets", {}), "budgets"))
+    for key, value in budgets.items():
+        if not _is_int(value):
+            raise ScenarioError(f"budget {key} must be an integer, got {value!r}")
 
     exts = {}
     for name, cfg in doc.get("extensions", {}).items():
@@ -213,10 +216,25 @@ def _load(doc):
     return sc
 
 
+# the keys each command op needs, in the order unknown-op messages list the ops
+_REQUIRED_KEYS = {
+    "verify_extension": ("ext",), "verify_cocycle": ("datum",),
+    "validate_parabolic": ("datum",), "invariants": ("datum",), "is_induced": ("datum",),
+    "trivialize": ("datum",), "assemble": ("datum", "scene"),
+    "connector_independence": ("datum", "scene", "seeds2"),
+    "roundtrip": ("datum", "scene"), "multipoint_roundtrip": ("datum", "scene"),
+    "random_roundtrips": ("scene",), "pullback_refine": ("datum", "refinement"),
+    "equiv": ("datum1", "datum2", "refinement1", "refinement2"),
+    "tensor": ("datum1", "datum2"), "dual": ("datum",), "dual_involution": ("datum",),
+    "dual_pairing": ("datum",), "pushforward": ("datum", "scene"), "adjunction": ("datum",),
+    "weights": ("datum",), "tower_compat": ("datum", "embedding"),
+}
 # command keys naming scenario objects, by the Scenario table they name
 _REFERENCE_KEYS = {"ext": "extensions", "datum": "data", "datum1": "data",
                    "datum2": "data", "scene": "scenes", "embedding": "embeddings"}
-_REFINEMENT_KEYS = ("refinement", "refinement1", "refinement2")
+# refinement keys, by the datum key whose points they embed
+_REFINEMENT_KEYS = {"refinement": "datum", "refinement1": "datum1",
+                    "refinement2": "datum2"}
 _STORING_OPS = ("pullback_refine", "tensor", "dual")
 # command keys that name no scenario object, by type
 _INT_KEYS = ("count", "rank", "seed", "source_rank")
@@ -225,6 +243,12 @@ _INT_LIST_KEYS = ("seeds1", "seeds2", "character_exponents")
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _object(x, what):
+    if not isinstance(x, dict):
+        raise ScenarioError(f"{what} must be a JSON object, got {x!r}")
+    return x
 
 
 def _check_references(sc: Scenario):
@@ -242,16 +266,25 @@ def _check_references(sc: Scenario):
             raise ScenarioError(f"command {i} is not a JSON object")
         op = cmd.get("op")
         where = f"command {i} ({op})"
+        for key in _REQUIRED_KEYS.get(op, ()):
+            if key not in cmd:
+                raise ScenarioError(f"{where}: missing {key!r}")
+        _object(cmd.get("expect", {}), f"{where}: expect")
         refs = [(key, cmd[key], known[table])
                 for key, table in _REFERENCE_KEYS.items() if key in cmd]
         for key in _REFINEMENT_KEYS:
             if key in cmd:
-                refs += [(key, name, known["embeddings"]) for name in cmd[key].values()]
+                refs += [(key, name, known["embeddings"])
+                         for name in _object(cmd[key], f"{where}: {key}").values()]
         for key, name, names in refs:
             if name not in names:
                 raise ScenarioError(f"{where}: {key} {name!r} does not resolve")
-        if op == "connector_independence" and "seeds2" not in cmd:
-            raise ScenarioError(f"{where}: missing 'seeds2'")
+        for key, datum in _REFINEMENT_KEYS.items():
+            if key in cmd and datum in cmd:
+                missing = [lb for lb in known["data"][cmd[datum]] if lb not in cmd[key]]
+                if missing:
+                    raise ScenarioError(f"{where}: {key} has no embedding for point "
+                                        f"{missing[0]!r} of {datum} {cmd[datum]!r}")
         for key in _INT_KEYS:
             if key in cmd and not _is_int(cmd[key]):
                 raise ScenarioError(f"{where}: {key} must be an integer, got {cmd[key]!r}")
@@ -534,11 +567,7 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
 
     import difflib
 
-    known = ["verify_extension", "verify_cocycle", "validate_parabolic", "invariants",
-             "is_induced", "trivialize", "assemble", "connector_independence",
-             "roundtrip", "multipoint_roundtrip", "random_roundtrips",
-             "pullback_refine", "equiv", "tensor", "dual", "dual_involution",
-             "dual_pairing", "pushforward", "adjunction", "weights", "tower_compat"]
+    known = list(_REQUIRED_KEYS)
     close = difflib.get_close_matches(str(op), known, n=3)
     hint = f"; did you mean {', '.join(close)}?" if close else ""
     raise ScenarioError(f"unknown command op {op!r}{hint} (known: {', '.join(known)})")

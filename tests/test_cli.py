@@ -157,6 +157,14 @@ def _broken(edit):
     return edit(doc) or doc
 
 
+def _with_identity_embedding(cmd):
+    """An edit adding the embedding "id" of K2 and then the command."""
+    def edit(d):
+        d["embeddings"] = {"id": {"kind": "identity", "ext": "K2"}}
+        d["commands"].append(cmd)
+    return edit
+
+
 BAD_INPUTS = {
     "missing-ext": lambda d: d["data"]["d"]["points"][0].update(ext="K9"),
     "unknown-datum": lambda d: d["commands"][0].update(datum="nope"),
@@ -175,6 +183,21 @@ BAD_INPUTS = {
         {"op": "random_roundtrips", "scene": "cover", "rank": 0}),
     "seed-out-of-range": lambda d: d["commands"].append(
         {"op": "connector_independence", "datum": "d", "scene": "cover", "seeds2": [7]}),
+    "residue-cap-abc": lambda d: d.update(budgets={"residue_cap": "abc"}),
+    "random-tries-x": lambda d: d.update(budgets={"random_tries": "x"}),
+    "random-tries-bool": lambda d: d.update(budgets={"random_tries": True}),
+    "budgets-list": lambda d: d.update(budgets=[1]),
+    "expect-list": lambda d: d["commands"][0].update(expect=[1]),
+    "roundtrip-without-scene": lambda d: d["commands"].append({"op": "roundtrip", "datum": "d"}),
+    "invariants-without-datum": lambda d: d["commands"].append({"op": "invariants"}),
+    "equiv-without-refinement1": _with_identity_embedding(
+        {"op": "equiv", "datum1": "d", "datum2": "d", "refinement2": {"p": "id"}}),
+    "pullback-without-refinement": lambda d: d["commands"].append(
+        {"op": "pullback_refine", "datum": "d"}),
+    "tower-compat-without-embedding": lambda d: d["commands"].append(
+        {"op": "tower_compat", "datum": "d"}),
+    "refinement-misses-point": _with_identity_embedding(
+        {"op": "pullback_refine", "datum": "d", "refinement": {"q": "id"}}),
 }
 
 
@@ -192,6 +215,18 @@ def test_base_of_bad_inputs_is_good(tmp_path):
     f = tmp_path / "s.json"
     f.write_text(json.dumps(BASE))
     assert main(["verify", str(f)]) == 0
+
+
+def test_good_refinement_and_budgets_pass(tmp_path):
+    """The well-formed versions of the refinement and budget cases run clean."""
+    doc = _broken(_with_identity_embedding(
+        {"op": "equiv", "datum1": "d", "datum2": "d", "refinement1": {"p": "id"},
+         "refinement2": {"p": "id"}, "expect": {"status": "isomorphic"}}))
+    doc["budgets"] = {"residue_cap": 100, "random_tries": 5}
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    assert main(["verify", str(f)]) == 0
+    assert main(["run", str(f)]) == 0
 
 
 def test_empty_seeds2_on_one_component_is_good(tmp_path):

@@ -31,3 +31,26 @@ DIGESTS = {
 def test_demo_report_digest(name):
     report = canonical_report(run_scenario(load_scenario(demo_scenario(name))))
     assert hashlib.sha256(report.encode()).hexdigest() == DIGESTS[name]
+
+
+# rank 2, GF(13), N=8: a Kummer Z/2 datum against its pullback along the tower
+# Z/2 -> Z/4, so the report carries g and sigma certificates of rank 2
+RANK2_EQUIV = {
+    "schema": "orbipar-scenario/1", "field": {"p": 13}, "precision": 8, "seed": 5,
+    "extensions": {"K2": {"kind": "kummer", "n": 2}, "K4": {"kind": "kummer", "n": 4}},
+    "embeddings": {"tower": {"kind": "kummer_tower", "n": 2, "m": 4},
+                   "idK4": {"kind": "identity", "ext": "K4"}},
+    "data": {"w": {"kind": "random", "rank": 2, "seed": 2024,
+                   "points": [{"label": "p", "ext": "K2", "character_exponent": 1}]}},
+    "commands": [{"op": "pullback_refine", "datum": "w", "refinement": {"p": "tower"},
+                  "store_as": "w4"},
+                 {"op": "equiv", "datum1": "w", "datum2": "w4",
+                  "refinement1": {"p": "tower"}, "refinement2": {"p": "idK4"}}],
+}
+RANK2_EQUIV_DIGEST = "9a34f13f552f9723a692900796c10ccd438528decb246dfb57499209004ecc79"
+
+
+def test_rank2_equiv_report_digest():
+    report = canonical_report(run_scenario(load_scenario(RANK2_EQUIV)))
+    assert '"g":' in report and '"sigmas":' in report
+    assert hashlib.sha256(report.encode()).hexdigest() == RANK2_EQUIV_DIGEST

@@ -1,6 +1,8 @@
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from orbipar.equivariant import Cocycle, twist, verify_cocycle
 from orbipar.errors import ConfigurationError, DomainError
 from orbipar.fields import make_field
@@ -10,7 +12,8 @@ from orbipar.local_galois import (identity_embedding, kummer_tower, make_artin_s
                                   make_kummer)
 from orbipar.parabolic import (CoverScene, ParabolicDatum, ParabolicPoint, ScenePoint,
                                functor_T, random_datum, sign_twist_datum,
-                               totally_ramified_scene, trivial_datum, validate_parabolic)
+                               totally_ramified_scene, trivial_datum, validate_parabolic,
+                               validate_parabolic_morphism)
 from orbipar.prng import SplitMix64
 from orbipar.pvect import (RefinementMap, ScenePullback, adjunction_check,
                            decompose_laurent, decompose_series, dual,
@@ -118,6 +121,47 @@ def test_iso_search_separates_distinct_characters():
     d2 = random_datum(ext, 1, rng, character_exponent=2)
     res = find_parabolic_isomorphism(d1, d2, rng=SplitMix64(5))
     assert res.status == "distinct" and res.proven
+
+
+# (field p, Kummer order n or None for Artin-Schreier, precision)
+ISO_EXTENSIONS = [(5, 2, 6), (5, 4, 6), (7, 3, 6), (2, None, 6), (3, None, 6)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(spec=st.sampled_from(ISO_EXTENSIONS), rank=st.integers(1, 2),
+       character=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_iso_search_properties(spec, rank, character, seed):
+    """A datum is isomorphic to itself with certificates that re-validate; for
+    Kummer, data with different characters are distinct, with proof."""
+    p, n, prec = spec
+    field = make_field(p)
+    ext = make_artin_schreier(field, prec) if n is None else make_kummer(field, n, prec)
+    rng = SplitMix64(seed)
+    exponent = 0 if n is None else character % n
+    d = random_datum(ext, rank, rng, character_exponent=exponent)
+    res = find_parabolic_isomorphism(d, d, rng=rng.fork())
+    assert res.status == "isomorphic" and res.proven
+    assert validate_parabolic_morphism(d, d, res.g, res.sigmas).ok
+    if n is not None:
+        other = random_datum(ext, rank, rng, character_exponent=(exponent + 1) % n)
+        res = find_parabolic_isomorphism(d, other, rng=rng.fork())
+        assert res.status == "distinct" and res.proven
+
+
+def test_iso_search_on_short_gluing_windows():
+    """The dual of a gluing diag(s, 1) has windows one shorter than the
+    precision; the search still finds and re-verifies the identity class."""
+    ext = make_kummer(F5, 2, 8)
+    one, zero = Series.one(F5, 8), Series.zero(F5, 8)
+    psi = Cocycle(ext, 2, (Matrix.identity(F5, 2, 8),
+                           Matrix([[one.scale(4), zero], [zero, one]])))
+    mu = Matrix([[Laurent.exact(F5, 1, [1], 8), Laurent.zero(F5, 8)],
+                 [Laurent.zero(F5, 8), Laurent.exact(F5, 0, [1], 8)]])
+    dd = dual(ParabolicDatum(rank=2, points=(ParabolicPoint("p", ext, psi, mu),)))
+    assert min(len(e.coeffs) for row in dd.points[0].mu.entries for e in row) < 8
+    res = find_parabolic_isomorphism(dd, dd, rng=SplitMix64(6))
+    assert res.status == "isomorphic" and res.proven
+    assert validate_parabolic_morphism(dd, dd, res.g, res.sigmas).ok
 
 
 # -- tensor --
