@@ -1,16 +1,36 @@
-"""Time the series kernels, the substitution operator and a round-trip workload.
+"""Layer timings: series kernels, matrix products, elimination, functors, round trips.
 
-Usage: python benchmarks/bench_kernels.py [repeats]
+Usage: python benchmarks/bench_kernels.py [repeats [out.json]]
 
-Times the three hot kernels (truncated product, series inversion, series
-composition) at several precisions over a prime field and an extension
-field.  A second table compares one application of the cached substitution
-operator ext.psi(g) with the Horner vec_compose it replaces (outputs asserted
-equal), and gives the one-off cost of building its table.  A functor-layer
-line times dual_pairing_check, which runs find_parabolic_isomorphism on
-V (x) V*; last comes an end-to-end workload of Z/6 round trips.
+Each case is timed in `runs` runs of a fixed number of calls; a case reports
+the median and the minimum over the runs of the time per call.  With
+out.json the results are also written there as JSON, together with the
+machine and the Python version.
+
+Cases, layer by layer:
+
+* kernels: truncated product, series inversion and series composition at
+  several precisions over a prime field and an extension field;
+* vec_mul crossover: the direct loop against the packed product at short
+  lengths over GF(7), on both sides of kernels.PACK_MIN;
+* matrix products: Matrix.__mul__ (kernels.mat_mul) against the entrywise
+  sum of Series products it replaced, outputs asserted equal;
+* psi(g) apply: one application of the cached substitution operator against
+  the Horner vec_compose it replaces (outputs asserted equal), plus the
+  one-off cost of building its table;
+* solve_linear on two systems the program really builds: the joint system
+  of find_parabolic_isomorphism inside dual_pairing_check (the `calculus`
+  size, 256 x 160 over GF(13)) and the fixed-space system of invariants on
+  a rank-2 Artin-Schreier datum (the `wild-extfield` rank*N size, 48 x 48
+  over GF(9));
+* functor layer: dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data;
+* end to end: Z/6 round trips.
 """
 
+import json
+import os
+import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -22,22 +42,105 @@ from orbipar.fields import make_field
 from orbipar.prng import SplitMix64
 
 
-def bench_kernel(ctx, fn_name, n, repeats):
-    rng = SplitMix64(n * 31 + len(fn_name))
-    q = ctx.q
-    a = [rng.randrange(q) for _ in range(n)]
-    a[0] = 1 + rng.randrange(q - 1)
-    g = [0] + [rng.randrange(q) for _ in range(n - 1)]
-    fn = getattr(kernels, fn_name)
-    args = {"vec_mul": (ctx, a, g, n), "vec_inverse": (ctx, a, n),
-            "vec_compose": (ctx, a, g, n)}[fn_name]
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        fn(*args)
-    return time.perf_counter() - t0
+def timed(results, name, fn, calls, runs):
+    """Time `runs` runs of `calls` calls of fn; record and return the median
+    and minimum seconds per call."""
+    per_call = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        for _ in range(calls):
+            fn()
+        per_call.append((time.perf_counter() - t0) / calls)
+    med, low = statistics.median(per_call), min(per_call)
+    results[name] = {"median_us": round(med * 1e6, 2), "min_us": round(low * 1e6, 2),
+                     "calls": calls, "runs": runs}
+    return med, low
 
 
-def bench_psi(repeats):
+def bench_kernels(results, repeats, runs):
+    fields = [("GF(5)", make_field(5)), ("GF(49)", make_field(7, 2))]
+    print(f"{'kernel':<14}{'field':<8}{'N':>4}{'median':>12}{'min':>12}")
+    for fn_name in ("vec_mul", "vec_inverse", "vec_compose"):
+        fn = getattr(kernels, fn_name)
+        for fname, field in fields:
+            ctx, q = field.ctx, field.order
+            for n in (8, 16, 32, 64):
+                rng = SplitMix64(n * 31 + len(fn_name))
+                a = [rng.randrange(q) for _ in range(n)]
+                a[0] = 1 + rng.randrange(q - 1)
+                g = [0] + [rng.randrange(q) for _ in range(n - 1)]
+                args = {"vec_mul": (ctx, a, g, n), "vec_inverse": (ctx, a, n),
+                        "vec_compose": (ctx, a, g, n)}[fn_name]
+                calls = max(repeats // (n if fn_name != "vec_compose" else n * 4), 1)
+                med, low = timed(results, f"{fn_name} {fname} N={n}",
+                                 lambda: fn(*args), calls, runs)
+                print(f"{fn_name:<14}{fname:<8}{n:>4}{med * 1e6:>10.1f}us{low * 1e6:>10.1f}us")
+
+
+def bench_crossover(results, repeats, runs):
+    """vec_mul's direct loop against its packed product at equal lengths n."""
+    field = make_field(7)
+    ctx = field.ctx
+    print(f"{'vec_mul GF(7)':<14}{'n':>4}{'direct':>12}{'packed':>12}{'packed gain':>13}"
+          f"   (PACK_MIN = {kernels.PACK_MIN})")
+    saved = kernels.PACK_MIN
+    try:
+        for n in (1, 2, 4, 8, 16):
+            rng = SplitMix64(700 + n)
+            a = [rng.randrange(7) for _ in range(n)]
+            b = [rng.randrange(7) for _ in range(n)]
+            calls = max(repeats // n, 1)
+            times = {}
+            for path, pack_min in (("direct", n + 1), ("packed", 1)):
+                kernels.PACK_MIN = pack_min
+                times[path] = timed(results, f"vec_mul {path} GF(7) n={n}",
+                                    lambda: kernels.vec_mul(ctx, a, b, n), calls, runs)[0]
+            print(f"{'':<14}{n:>4}{times['direct'] * 1e6:>10.2f}us"
+                  f"{times['packed'] * 1e6:>10.2f}us{times['direct'] / times['packed']:>12.2f}x")
+    finally:
+        kernels.PACK_MIN = saved
+
+
+def _entrywise_product(a, b):
+    """The product as a sum of Series products, entry by entry."""
+    from orbipar.linalg import Matrix
+
+    rows = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = a.entries[i][0] * b.entries[0][j]
+            for t in range(1, a.cols):
+                acc = acc + a.entries[i][t] * b.entries[t][j]
+            row.append(acc)
+        rows.append(row)
+    return Matrix(rows)
+
+
+def bench_mat_mul(results, repeats, runs):
+    from orbipar.linalg import Matrix
+    from orbipar.series import Series
+
+    print(f"{'matrix product':<16}{'r':>3}{'N':>4}{'entrywise':>12}{'mat_mul':>12}{'gain':>8}")
+    for p, r, n in ((7, 2, 16), (7, 3, 16), (13, 4, 8)):
+        field = make_field(p)
+        rng = SplitMix64(p * 100 + r)
+
+        def random_matrix():
+            return Matrix([[Series(field, n, tuple(rng.randrange(p) for _ in range(n)))
+                            for _ in range(r)] for _ in range(r)])
+
+        a, b = random_matrix(), random_matrix()
+        assert a * b == _entrywise_product(a, b), "mat_mul disagrees with the entrywise product"
+        calls = max(repeats // (n * r * r), 1)
+        old = timed(results, f"entrywise product GF({p}) r={r} N={n}",
+                    lambda: _entrywise_product(a, b), calls, runs)[0]
+        new = timed(results, f"Matrix.__mul__ GF({p}) r={r} N={n}", lambda: a * b, calls, runs)[0]
+        print(f"{'GF(' + str(p) + ')':<16}{r:>3}{n:>4}{old * 1e6:>10.1f}us{new * 1e6:>10.1f}us"
+              f"{old / new:>7.1f}x")
+
+
+def bench_psi(results, repeats, runs):
     """psi(g) application vs Horner vec_compose on the same series, per call."""
     from orbipar.local_galois import make_artin_schreier, make_kummer
     from orbipar.series import Series
@@ -49,29 +152,87 @@ def bench_psi(repeats):
           f"{'speedup':>9}{'table build':>14}")
     for label, ext, g in cases:
         field, n = ext.field, ext.prec
+        fname = f"GF({field.order})"
         rng = SplitMix64(n)
         f = Series(field, n, tuple(rng.randrange(field.order) for _ in range(n)))
         act = ext.act(g).coeffs
-        reps = max(repeats // (n * 4), 1)
+        calls = max(repeats // (n * 4), 1)
         t0 = time.perf_counter()
         ext.psi(g)(f)
         build = time.perf_counter() - t0
         op = ext.psi(g)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            horner = kernels.vec_compose(field.ctx, f.coeffs, act, n)
-        t_horner = (time.perf_counter() - t0) / reps
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            fast = op(f)
-        t_psi = (time.perf_counter() - t0) / reps
-        assert list(fast.coeffs) == horner, "psi(g) disagrees with Horner composition"
-        fname = f"GF({field.order})"
+        horner = kernels.vec_compose(field.ctx, f.coeffs, act, n)
+        assert list(op(f).coeffs) == horner, "psi(g) disagrees with Horner composition"
+        t_horner = timed(results, f"Horner compose {label} {fname} N={n}",
+                         lambda: kernels.vec_compose(field.ctx, f.coeffs, act, n),
+                         calls, runs)[0]
+        t_psi = timed(results, f"psi apply {label} {fname} N={n}", lambda: op(f),
+                      calls, runs)[0]
         print(f"{label:<18}{fname:<8}{n:>4}{t_horner * 1e6:>10.1f}us{t_psi * 1e6:>10.1f}us"
               f"{t_horner / t_psi:>8.1f}x{build * 1e6:>12.1f}us")
 
 
-def bench_roundtrips(repeats):
+def _largest_system(call):
+    """(field, rows) of the largest solve_linear system that call() builds."""
+    from orbipar import linalg, pvect
+
+    seen = []
+    original = linalg.solve_linear
+
+    def record(field, rows, rhs=None):
+        seen.append((field, rows))
+        return original(field, rows, rhs)
+
+    linalg.solve_linear = pvect.solve_linear = record
+    try:
+        call()
+    finally:
+        linalg.solve_linear = pvect.solve_linear = original
+    return max(seen, key=lambda fr: len(fr[1]) * len(fr[1][0]))
+
+
+def bench_solve(results, runs):
+    from orbipar.equivariant import invariants
+    from orbipar.linalg import solve_linear
+    from orbipar.local_galois import make_artin_schreier, make_kummer
+    from orbipar.parabolic import random_datum
+    from orbipar.pvect import dual_pairing_check
+
+    calc = random_datum(make_kummer(make_field(13), 4, 8), 2, SplitMix64(2718),
+                        character_exponent=1)
+    wild = random_datum(make_artin_schreier(make_field(3, 2), 24), 2, SplitMix64(5))
+    systems = [("calculus joint system", _largest_system(
+                    lambda: dual_pairing_check(calc, rng=SplitMix64(1)))),
+               ("wild invariants system", _largest_system(
+                    lambda: invariants(wild.points[0].psi)))]
+    for label, (field, rows) in systems:
+        size = f"{len(rows)}x{len(rows[0])} {field.describe()}"
+        med, low = timed(results, f"solve_linear {label} {size}",
+                         lambda: solve_linear(field, rows), 1, runs)
+        print(f"solve_linear, {label} ({size}): {med * 1000:.1f} ms median, "
+              f"{low * 1000:.1f} ms min")
+
+
+def bench_dual_pairing(results, pairings, runs):
+    """dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, per call."""
+    from orbipar.local_galois import make_kummer
+    from orbipar.parabolic import random_datum
+    from orbipar.pvect import dual_pairing_check
+
+    ext = make_kummer(make_field(13), 4, 8)
+    rng = SplitMix64(2718)
+    data = [random_datum(ext, 2, rng, character_exponent=1) for _ in range(pairings)]
+
+    def check_all():
+        for d in data:
+            assert dual_pairing_check(d, rng=rng.fork()).ok
+
+    med, _ = timed(results, "dual_pairing_check rank 2 GF(13) N=8 Kummer Z/4 (per datum)",
+                   check_all, 1, runs)
+    return med / pairings
+
+
+def bench_roundtrips(results, count, runs):
     from orbipar.groups import cyclic
     from orbipar.local_galois import make_kummer
     from orbipar.parabolic import CoverScene, ScenePoint, random_datum, roundtrip_check
@@ -81,47 +242,41 @@ def bench_roundtrips(repeats):
     scene = CoverScene(group=cyclic(6),
                        points=(ScenePoint("p", ext, (0, 2, 4), (0, 1)),))
     rng = SplitMix64(12345)
-    data = [random_datum(ext, 2, rng, character_exponent=1) for _ in range(repeats)]
-    t0 = time.perf_counter()
-    for d in data:
-        assert roundtrip_check(d, scene).ok
-    return time.perf_counter() - t0
+    data = [random_datum(ext, 2, rng, character_exponent=1) for _ in range(count)]
+
+    def check_all():
+        for d in data:
+            assert roundtrip_check(d, scene).ok
+
+    med, _ = timed(results, "Z/6 round trip rank 2 GF(7) N=16 (per datum)", check_all, 1, runs)
+    return med / count
 
 
-def bench_dual_pairing(repeats):
-    """dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, per call."""
-    from orbipar.local_galois import make_kummer
-    from orbipar.parabolic import random_datum
-    from orbipar.pvect import dual_pairing_check
-
-    ext = make_kummer(make_field(13), 4, 8)
-    rng = SplitMix64(2718)
-    data = [random_datum(ext, 2, rng, character_exponent=1) for _ in range(repeats)]
-    t0 = time.perf_counter()
-    for d in data:
-        assert dual_pairing_check(d, rng=rng.fork()).ok
-    return (time.perf_counter() - t0) / repeats
-
-
-def main(repeats=3000, roundtrips=10, pairings=5):
-    fields = [("GF(5)", make_field(5)), ("GF(49)", make_field(7, 2))]
-    print(f"{'kernel':<14}{'field':<8}{'N':>4}{'per call':>12}")
-    for fn_name in ("vec_mul", "vec_inverse", "vec_compose"):
-        for fname, field in fields:
-            for n in (8, 16, 32, 64):
-                reps = max(repeats // (n if fn_name != "vec_compose" else n * 4), 1)
-                t = bench_kernel(field.ctx, fn_name, n, reps)
-                print(f"{fn_name:<14}{fname:<8}{n:>4}{t / reps * 1e6:>10.1f}us")
+def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
+    results = {}
+    bench_kernels(results, repeats, runs)
     print()
-    bench_psi(repeats)
+    bench_crossover(results, repeats, runs)
     print()
-    t = bench_dual_pairing(pairings)
+    bench_mat_mul(results, repeats, runs)
+    print()
+    bench_psi(results, repeats, runs)
+    print()
+    bench_solve(results, runs)
+    t = bench_dual_pairing(results, pairings, runs)
     print(f"functor layer: dual_pairing_check (rank 2, GF(13), N=8, Kummer Z/4): "
           f"{t * 1000:.0f} ms each over {pairings}")
-    t = bench_roundtrips(roundtrips)
+    t = bench_roundtrips(results, roundtrips, runs)
     print(f"end-to-end: {roundtrips} Z/6 round trips (rank 2, N=16): "
-          f"{t:.2f}s ({t / roundtrips * 1000:.0f} ms each)")
+          f"{t * 1000:.0f} ms each")
+    if out is not None:
+        doc = {"machine": {"platform": platform.platform(), "arch": platform.machine(),
+                           "cpus": os.cpu_count()},
+               "python": platform.python_version(), "runs": runs,
+               "unit": "microseconds per call", "cases": results}
+        Path(out).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    return results
 
 
 if __name__ == "__main__":
-    main(*(int(arg) for arg in sys.argv[1:2]))
+    main(*(int(arg) for arg in sys.argv[1:2]), out=sys.argv[2] if len(sys.argv) > 2 else None)

@@ -9,9 +9,13 @@ Three layers:
   coordinate), null_space (that basis for the solutions of rows * x = 0),
   combination (sum of scaled vectors) and residue_search (the first
   combination of flattened r x r matrices over k that is invertible).
+  Every row update of the elimination goes through the kernels' row_axpy
+  and row_scale.
 * Matrix -- rectangular matrices with uniform Series or Laurent entries;
   inversion over k[[s]] requires a unit determinant (residue-invertible)
-  and is exact at precision.
+  and is exact at precision.  Series-matrix products run in the kernels'
+  mat_mul; Laurent products stay entrywise, since each entry's validity
+  window defines the result's.
 * smith -- Smith normal form over the truncated DVR k[[s]]: M = U*D*W with
   U, W unimodular, D diagonal with entries of increasing valuation.  The
   divisor valuations feed the is_induced diagnostic; the U factor is the
@@ -21,6 +25,7 @@ Three layers:
 from dataclasses import dataclass
 
 from .errors import DomainError, NotInvertibleError, StructuralError
+from .kernels import mat_mul, row_axpy, row_scale
 from .series import Laurent, Series
 
 
@@ -58,12 +63,10 @@ def solve_linear(field, rows, rhs=None):
         if sel is None:
             continue
         aug[r], aug[sel] = aug[sel], aug[r]
-        inv_p = ctx.inv(aug[r][col])
-        aug[r] = [ctx.mul(inv_p, v) for v in aug[r]]
+        aug[r] = row_scale(ctx, ctx.inv(aug[r][col]), aug[r])
         for i in range(m):
             if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(aug[i], aug[r])]
+                aug[i] = row_axpy(ctx, aug[i], aug[i][col], aug[r])
         pivot_cols.append(col)
         r += 1
         if r == m:
@@ -94,8 +97,7 @@ def reduce_against(field, ech, v):
         lead = next((i for i, c in enumerate(v) if c), None)
         if lead is None or lead not in ech:
             return v, lead
-        f = v[lead]
-        v = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(v, ech[lead])]
+        v = row_axpy(ctx, v, v[lead], ech[lead])
 
 
 def extend_echelon(field, ech, v):
@@ -104,8 +106,7 @@ def extend_echelon(field, ech, v):
     ctx = field.ctx
     v, lead = reduce_against(field, ech, v)
     if lead is not None:
-        inv = ctx.inv(v[lead])
-        ech[lead] = [ctx.mul(inv, c) for c in v]
+        ech[lead] = row_scale(ctx, ctx.inv(v[lead]), v)
     return lead
 
 
@@ -118,8 +119,7 @@ def echelonize(field, vectors):
     for lead in sorted(ech, reverse=True):
         for other, w in ech.items():
             if other != lead and w[lead]:
-                f = w[lead]
-                ech[other] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(w, ech[lead])]
+                ech[other] = row_axpy(ctx, w, w[lead], ech[lead])
     return [ech[lead] for lead in sorted(ech)]
 
 
@@ -187,8 +187,7 @@ def residue_det(field, rows):
         inv_p = ctx.inv(a[col][col])
         for i in range(col + 1, n):
             if a[i][col]:
-                f = ctx.mul(a[i][col], inv_p)
-                a[i] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(a[i], a[col])]
+                a[i] = row_axpy(ctx, a[i], ctx.mul(a[i][col], inv_p), a[col])
     return det
 
 
@@ -266,6 +265,8 @@ class Matrix:
             if self.cols != other.rows:
                 raise StructuralError("inner dimension mismatch")
             a, b = self, other
+            if a.kind is Series and b.kind is Series:
+                return _series_product(a, b)
             if a.kind is Laurent and b.kind is Series:
                 b = b.to_laurent()
             elif a.kind is Series and b.kind is Laurent:
@@ -388,6 +389,20 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field.describe()})"
+
+
+def _series_product(a, b):
+    """a * b for Series matrices, through the kernels' matrix product; the
+    operands must share their field and one precision, as Series products do."""
+    if a.field != b.field:
+        raise StructuralError("field mismatch")
+    precs = {e.prec for m in (a, b) for row in m.entries for e in row}
+    if len(precs) != 1:
+        raise StructuralError("precision mismatch")
+    field, prec = a.field, precs.pop()
+    rows = mat_mul(field.ctx, [[e.coeffs for e in row] for row in a.entries],
+                   [[e.coeffs for e in row] for row in b.entries], prec)
+    return Matrix([[Series(field, prec, tuple(c)) for c in row] for row in rows])
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -32,6 +32,17 @@ from .series import Laurent, Series
 SCENARIO_SCHEMA = "orbipar-scenario/1"
 REPORT_SCHEMA = "orbipar-report/1"
 
+# Resource caps, checked before any work starts.  With field order at most
+# 2^16, a packed kernel product fits its 64-bit slots when short * inner <=
+# 2^32 (its slots hold (p-1)^2 * short * inner, short <= the precision).  The
+# caps give short * inner <= 2^10 * 2^12 for products of data and of their
+# Hom spaces (ranks up to MAX_RANK^2; tensor results are data), and 2^10 *
+# 2^6 * l for a pushforward with l components (its rank is l*r*e at
+# precision N/e), so up to 2^16 components.  Past the bound the kernels
+# raise StructuralError.
+MAX_PRECISION = 1024
+MAX_RANK = 64
+
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -118,6 +129,8 @@ def _load(doc):
     field = make_field(int(fcfg.get("p", 5)), int(fcfg.get("k_deg", 1)),
                        tuple(fcfg["modulus"]) if "modulus" in fcfg else None)
     prec = int(doc.get("precision", 16))
+    if not 1 <= prec <= MAX_PRECISION:
+        raise ScenarioError(f"precision must be in 1..{MAX_PRECISION}, got {prec}")
     seed = int(doc["seed"])
     budgets = {"residue_cap": 10 ** 6, "random_tries": 300}
     budgets.update(_object(doc.get("budgets", {}), "budgets"))
@@ -179,8 +192,11 @@ def _load(doc):
     for name in sorted(doc.get("data", {})):
         cfg = doc["data"][name]
         kind = cfg.get("kind")
+        if kind in ("trivial", "random", "explicit"):
+            rank = int(cfg["rank"])
+            _check_rank(rank, f"datum {name!r}")
         if kind == "trivial":
-            data[name] = trivial_datum(int(cfg["rank"]),
+            data[name] = trivial_datum(rank,
                                        [(p["label"], _resolve(exts, p, "ext"))
                                         for p in cfg["points"]])
         elif kind == "sign_twist":
@@ -189,13 +205,12 @@ def _load(doc):
             rng = SplitMix64(int(cfg.get("seed", master.next_u64())))
             pts = []
             for p in cfg["points"]:
-                dd = random_datum(_resolve(exts, p, "ext"), int(cfg["rank"]), rng,
+                dd = random_datum(_resolve(exts, p, "ext"), rank, rng,
                                   label=p["label"],
                                   character_exponent=int(p.get("character_exponent", 0)))
                 pts.append(dd.points[0])
-            data[name] = ParabolicDatum(rank=int(cfg["rank"]), points=tuple(pts))
+            data[name] = ParabolicDatum(rank=rank, points=tuple(pts))
         elif kind == "explicit":
-            rank = int(cfg["rank"])
             pts = []
             for p in cfg["points"]:
                 ext = _resolve(exts, p, "ext")
@@ -241,6 +256,11 @@ _INT_KEYS = ("count", "rank", "seed", "source_rank")
 _INT_LIST_KEYS = ("seeds1", "seeds2", "character_exponents")
 
 
+def _check_rank(rank, where):
+    if not 1 <= rank <= MAX_RANK:
+        raise ScenarioError(f"{where}: rank must be in 1..{MAX_RANK}, got {rank}")
+
+
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
@@ -261,6 +281,7 @@ def _check_references(sc: Scenario):
              "embeddings": dict.fromkeys(sc.embeddings),
              "data": {name: [p.label for p in d.points] for name, d in sc.data.items()},
              "scenes": {name: [p.label for p in s.points] for name, s in sc.scenes.items()}}
+    ranks = {name: d.rank for name, d in sc.data.items()}
     for i, cmd in enumerate(sc.commands):
         if not isinstance(cmd, dict):
             raise ScenarioError(f"command {i} is not a JSON object")
@@ -294,8 +315,7 @@ def _check_references(sc: Scenario):
                                     f"got {cmd[key]!r}")
         if cmd.get("character_exponents") == []:
             raise ScenarioError(f"{where}: character_exponents is empty")
-        if cmd.get("rank", 1) < 1:
-            raise ScenarioError(f"{where}: rank must be at least 1, got {cmd['rank']}")
+        _check_rank(cmd.get("rank", 1), where)
         for key, table in (("datum", "data"), ("scene", "scenes")):
             if "point" in cmd and key in cmd and cmd["point"] not in known[table][cmd[key]]:
                 raise ScenarioError(f"{where}: {key} {cmd[key]!r} has no point "
@@ -305,6 +325,9 @@ def _check_references(sc: Scenario):
         if op in _STORING_OPS and "store_as" in cmd:
             source = cmd.get("datum", cmd.get("datum1"))
             known["data"][cmd["store_as"]] = known["data"].get(source, [])
+            rank = ranks.get(source, 1) * (ranks.get(cmd["datum2"], 1) if op == "tensor" else 1)
+            _check_rank(rank, where)
+            ranks[cmd["store_as"]] = rank
 
 
 def _check_connectors(sc, cmd, known, where):

@@ -1,19 +1,27 @@
 """Smoke test: benchmarks/bench_kernels.py runs end to end at minimal sizes."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
 
 
-def test_bench_kernels_runs(capsys):
+def test_bench_kernels_runs(capsys, tmp_path):
     spec = importlib.util.spec_from_file_location("bench_kernels", BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    bench.main(repeats=1, roundtrips=1, pairings=1)
+    out_file = tmp_path / "bench.json"
+    bench.main(repeats=1, roundtrips=1, pairings=1, runs=1, out=out_file)
     out = capsys.readouterr().out
     for fn_name in ("vec_mul", "vec_inverse", "vec_compose"):
         assert fn_name in out
     assert "psi(g) apply" in out
+    assert "vec_mul GF(7)" in out and "matrix product" in out
+    assert "solve_linear, calculus joint system (256x160 GF(13))" in out
+    assert "solve_linear, wild invariants system (48x48 GF(3^2))" in out
     assert "functor layer: dual_pairing_check (rank 2, GF(13), N=8, Kummer Z/4)" in out
     assert "end-to-end: 1 Z/6 round trips" in out
+    doc = json.loads(out_file.read_text())
+    assert doc["python"] and doc["machine"]["cpus"]
+    assert all({"median_us", "min_us"} <= set(case) for case in doc["cases"].values())

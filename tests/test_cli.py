@@ -3,7 +3,7 @@ import json
 import pytest
 
 from orbipar.cli import demo_scenario, main
-from orbipar.scenario import load_scenario, matrix_from_json
+from orbipar.scenario import MAX_PRECISION, MAX_RANK, load_scenario, matrix_from_json
 
 
 def run_cli(tmp_path, doc, *args):
@@ -165,6 +165,16 @@ def _with_identity_embedding(cmd):
     return edit
 
 
+def _tensor_square(rank):
+    """An edit adding a trivial datum of the given rank and its stored tensor square."""
+    def edit(d):
+        d["data"]["big"] = {"kind": "trivial", "rank": rank,
+                            "points": [{"label": "p", "ext": "K2"}]}
+        d["commands"].append({"op": "tensor", "datum1": "big", "datum2": "big",
+                              "store_as": "big2"})
+    return edit
+
+
 BAD_INPUTS = {
     "missing-ext": lambda d: d["data"]["d"]["points"][0].update(ext="K9"),
     "unknown-datum": lambda d: d["commands"][0].update(datum="nope"),
@@ -198,6 +208,12 @@ BAD_INPUTS = {
         {"op": "tower_compat", "datum": "d"}),
     "refinement-misses-point": _with_identity_embedding(
         {"op": "pullback_refine", "datum": "d", "refinement": {"q": "id"}}),
+    "precision-above-cap": lambda d: d.update(precision=MAX_PRECISION + 1),
+    "precision-zero": lambda d: d.update(precision=0),
+    "datum-rank-above-cap": lambda d: d["data"]["d"].update(rank=MAX_RANK + 1),
+    "command-rank-above-cap": lambda d: d["commands"].append(
+        {"op": "random_roundtrips", "scene": "cover", "rank": MAX_RANK + 1}),
+    "tensor-rank-above-cap": _tensor_square(9),
 }
 
 
@@ -215,6 +231,15 @@ def test_base_of_bad_inputs_is_good(tmp_path):
     f = tmp_path / "s.json"
     f.write_text(json.dumps(BASE))
     assert main(["verify", str(f)]) == 0
+    f.write_text(json.dumps(_broken(_tensor_square(8))))
+    assert main(["verify", str(f)]) == 0
+
+
+def test_precision_flag_above_cap_is_scenario_error(tmp_path, capsys):
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(BASE))
+    assert main(["run", str(f), "--precision", str(MAX_PRECISION + 1)]) == 2
+    assert f"precision must be in 1..{MAX_PRECISION}" in capsys.readouterr().err
 
 
 def test_good_refinement_and_budgets_pass(tmp_path):

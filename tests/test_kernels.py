@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbipar import kernels
+from orbipar.errors import StructuralError
 from orbipar.fields import make_field
+from orbipar.linalg import Matrix
 from orbipar.prng import SplitMix64
+from orbipar.series import Series
 
 FIELDS = [(2, 1), (5, 1), (13, 1), (5, 2), (7, 2), (3, 3)]
 
@@ -16,6 +19,19 @@ def _schoolbook_mul(F, a, b, n):
         for j, bj in enumerate(b):
             if i + j < n:
                 out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+    return out
+
+
+def _schoolbook_mat_mul(F, a, b, n):
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = [0] * n
+            for t, x in enumerate(row):
+                acc = [F.add(u, v) for u, v in zip(acc, _schoolbook_mul(F, x, b[t][j], n))]
+            out_row.append(acc)
+        out.append(out_row)
     return out
 
 
@@ -58,3 +74,53 @@ def test_pure_mul_matches_schoolbook(a, b):
     F = make_field(5)
     n = max(len(a), len(b))
     assert kernels.vec_mul(F.ctx, a, b, n) == _schoolbook_mul(F, a, b, n)
+
+
+@pytest.mark.parametrize("p,k", FIELDS + [(65521, 1)])
+def test_packed_products_match_schoolbook(p, k):
+    """vec_mul and mat_mul on both sides of PACK_MIN, with ragged and empty
+    vectors and n above la + lb; GF(65521) needs 64-bit slots from length 2."""
+    F = make_field(p, k)
+    ctx = F.ctx
+    rng = SplitMix64(p * 7 + k)
+
+    def vec(top):
+        return [rng.randrange(F.order) for _ in range(rng.randrange(top + 1))]
+
+    for _ in range(30):
+        n = rng.randrange(2 * kernels.PACK_MIN + 8)
+        a, b = vec(n + 2), vec(n + 2)
+        if rng.randrange(4) == 0:
+            n = len(a) + len(b) + 1 + rng.randrange(3)
+        expect = _schoolbook_mul(F, a, b, n)
+        assert kernels.vec_mul(ctx, a, b, n) == expect
+        assert kernels.vec_mul(ctx, tuple(a), tuple(b), n) == expect
+    for _ in range(12):
+        n = rng.randrange(2 * kernels.PACK_MIN + 4)
+        r, m, c = 1 + rng.randrange(3), 1 + rng.randrange(4), 1 + rng.randrange(3)
+        a = [[vec(n + 2) for _ in range(m)] for _ in range(r)]
+        b = [[vec(n + 2) for _ in range(c)] for _ in range(m)]
+        expect = _schoolbook_mat_mul(F, a, b, n)
+        assert kernels.mat_mul(ctx, a, b, n) == expect
+        as_tuples = [[tuple(x) for x in row] for row in a]
+        assert kernels.mat_mul(ctx, as_tuples, [[tuple(x) for x in row] for row in b], n) == expect
+
+
+def test_slot_width_follows_the_bound():
+    assert kernels._slot(7, 16, 4) == (2, "H")
+    assert kernels._slot(257, 8, 1)[0] == 4
+    assert kernels._slot(65521, 2, 1)[0] == 8
+    with pytest.raises(StructuralError):
+        kernels._slot(65521, 1 << 20, 1 << 20)
+
+
+def test_series_matrix_product_keeps_its_errors():
+    F5, F7 = make_field(5), make_field(7)
+    a = Matrix.identity(F5, 2, 4)
+    with pytest.raises(StructuralError, match="field mismatch"):
+        a * Matrix.identity(F7, 2, 4)
+    with pytest.raises(StructuralError, match="precision mismatch"):
+        a * Matrix.identity(F5, 2, 6)
+    mixed = Matrix([[Series.one(F5, 4), Series.zero(F5, 6)]])
+    with pytest.raises(StructuralError, match="precision mismatch"):
+        mixed * Matrix.identity(F5, 2, 4)

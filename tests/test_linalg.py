@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbipar.errors import NotInvertibleError
-from orbipar.fields import make_field
-from orbipar.linalg import (Matrix, kron, laurent_inverse, null_space, residue_det,
-                            residue_search, smith, solve_linear)
+from orbipar.fields import ADD_TABLE_MAX_ORDER, make_field
+from orbipar.linalg import (Matrix, echelonize, kron, laurent_inverse, null_space,
+                            residue_det, residue_search, smith, solve_linear)
 from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
 
@@ -187,3 +187,86 @@ def test_residue_search_exhaustive_and_cap():
     assert residue_search(F5, [E11, E12], 2, 10 ** 6) == (None, True)
     assert residue_search(F5, [E11, E22], 2, 24) == (None, False)
     assert residue_search(F5, [E11, E22], 2, 25) == ([1, 1], True)
+
+
+# -- the row kernels against the elimination they replaced --
+
+def _ref_solve_linear(field, rows, rhs):
+    """Gauss-Jordan through ctx.sub/ctx.mul: (particular or None, kernel, pivots)."""
+    ctx = field.ctx
+    m, n = len(rows), len(rows[0])
+    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        sel = next((i for i in range(r, m) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        inv_p = ctx.inv(aug[r][col])
+        aug[r] = [ctx.mul(inv_p, v) for v in aug[r]]
+        for i in range(m):
+            if i != r and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [ctx.sub(v, ctx.mul(f, w)) for v, w in zip(aug[i], aug[r])]
+        pivot_cols.append(col)
+        r += 1
+        if r == m:
+            break
+    if any(aug[i][n] for i in range(r, m)):
+        return None, [], pivot_cols
+    particular = [0] * n
+    for row_i, col in enumerate(pivot_cols):
+        particular[col] = aug[row_i][n]
+    kernel = []
+    for f in (c for c in range(n) if c not in pivot_cols):
+        vec = [0] * n
+        vec[f] = 1
+        for row_i, col in enumerate(pivot_cols):
+            vec[col] = ctx.neg(aug[row_i][f])
+        kernel.append(vec)
+    return particular, kernel, pivot_cols
+
+
+def _ref_echelonize(field, vectors):
+    ctx = field.ctx
+    ech = {}
+    for v in vectors:
+        v = list(v)
+        while True:
+            lead = next((i for i, c in enumerate(v) if c), None)
+            if lead is None or lead not in ech:
+                break
+            f = v[lead]
+            v = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(v, ech[lead])]
+        if lead is not None:
+            inv = ctx.inv(v[lead])
+            ech[lead] = [ctx.mul(inv, c) for c in v]
+    for lead in sorted(ech, reverse=True):
+        for other, w in ech.items():
+            if other != lead and w[lead]:
+                f = w[lead]
+                ech[other] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(w, ech[lead])]
+    return [ech[lead] for lead in sorted(ech)]
+
+
+# GF(11^3) is above ADD_TABLE_MAX_ORDER, so its ctx.add adds digit by digit
+ROW_KERNEL_FIELDS = [(2, 1), (13, 1), (3, 2), (2, 4), (11, 3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ROW_KERNEL_FIELDS), st.integers(1, 6), st.integers(1, 6), st.data())
+def test_row_kernels_match_reference_elimination(pk, m, n, data):
+    assert 11 ** 3 > ADD_TABLE_MAX_ORDER
+    F = make_field(*pk)
+    # entries from a few values, so that dependent rows are common
+    values = data.draw(st.lists(st.integers(0, F.order - 1), min_size=1, max_size=3))
+    entry = st.sampled_from([0] + values)
+    rows = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
+    rhs = data.draw(st.lists(entry, min_size=m, max_size=m))
+    particular, kernel, pivots = _ref_solve_linear(F, rows, rhs)
+    sol = solve_linear(F, rows, rhs)
+    assert sol.consistent == (particular is not None)
+    assert (sol.particular, sol.kernel, sol.pivot_cols) == (particular, kernel, pivots)
+    assert echelonize(F, rows) == _ref_echelonize(F, rows)
+    assert null_space(F, rows, n) == _ref_echelonize(F, _ref_solve_linear(F, rows, [0] * m)[1])
