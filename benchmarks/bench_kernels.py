@@ -11,13 +11,15 @@ Cases, layer by layer:
 
 * kernels: truncated product, series inversion and series composition at
   several precisions over a prime field and an extension field;
-* vec_mul crossover: the direct loop against the packed product at short
-  lengths over GF(7), on both sides of kernels.PACK_MIN;
+* vec_mul crossover: the direct loop (over GF(9) the log-table loop) against
+  the packed product at short lengths over GF(7) and GF(9), on both sides of
+  kernels.PACK_MIN;
 * matrix products: Matrix.__mul__ (kernels.mat_mul) against the entrywise
-  sum of Series products it replaced, outputs asserted equal;
+  sum of Series products, outputs asserted equal, over GF(7), GF(13) and
+  GF(9);
 * psi(g) apply: one application of the cached substitution operator against
   the Horner vec_compose it replaces (outputs asserted equal), plus the
-  one-off cost of building its table;
+  one-off cost of building its table of powers where it has one;
 * solve_linear on two systems the program really builds: the joint system
   of find_parabolic_isomorphism inside dual_pairing_check (the `calculus`
   size, 256 x 160 over GF(13)) and the fixed-space system of invariants on
@@ -79,24 +81,25 @@ def bench_kernels(results, repeats, runs):
 
 def bench_crossover(results, repeats, runs):
     """vec_mul's direct loop against its packed product at equal lengths n."""
-    field = make_field(7)
-    ctx = field.ctx
-    print(f"{'vec_mul GF(7)':<14}{'n':>4}{'direct':>12}{'packed':>12}{'packed gain':>13}"
-          f"   (PACK_MIN = {kernels.PACK_MIN})")
     saved = kernels.PACK_MIN
     try:
-        for n in (1, 2, 4, 8, 16):
-            rng = SplitMix64(700 + n)
-            a = [rng.randrange(7) for _ in range(n)]
-            b = [rng.randrange(7) for _ in range(n)]
-            calls = max(repeats // n, 1)
-            times = {}
-            for path, pack_min in (("direct", n + 1), ("packed", 1)):
-                kernels.PACK_MIN = pack_min
-                times[path] = timed(results, f"vec_mul {path} GF(7) n={n}",
-                                    lambda: kernels.vec_mul(ctx, a, b, n), calls, runs)[0]
-            print(f"{'':<14}{n:>4}{times['direct'] * 1e6:>10.2f}us"
-                  f"{times['packed'] * 1e6:>10.2f}us{times['direct'] / times['packed']:>12.2f}x")
+        for field in (make_field(7), make_field(3, 2)):
+            ctx, q, fname = field.ctx, field.order, field.describe()
+            print(f"{'vec_mul ' + fname:<16}{'n':>4}{'direct':>12}{'packed':>12}"
+                  f"{'packed gain':>13}   (PACK_MIN = {saved})")
+            for n in (1, 2, 4, 8, 16):
+                rng = SplitMix64(700 + n)
+                a = [rng.randrange(q) for _ in range(n)]
+                b = [rng.randrange(q) for _ in range(n)]
+                calls = max(repeats // n, 1)
+                times = {}
+                for path, pack_min in (("direct", n + 1), ("packed", 1)):
+                    kernels.PACK_MIN = pack_min
+                    times[path] = timed(results, f"vec_mul {path} {fname} n={n}",
+                                        lambda: kernels.vec_mul(ctx, a, b, n), calls, runs)[0]
+                print(f"{'':<16}{n:>4}{times['direct'] * 1e6:>10.2f}us"
+                      f"{times['packed'] * 1e6:>10.2f}us"
+                      f"{times['direct'] / times['packed']:>12.2f}x")
     finally:
         kernels.PACK_MIN = saved
 
@@ -122,27 +125,28 @@ def bench_mat_mul(results, repeats, runs):
     from orbipar.series import Series
 
     print(f"{'matrix product':<16}{'r':>3}{'N':>4}{'entrywise':>12}{'mat_mul':>12}{'gain':>8}")
-    for p, r, n in ((7, 2, 16), (7, 3, 16), (13, 4, 8)):
-        field = make_field(p)
-        rng = SplitMix64(p * 100 + r)
+    for (p, k), r, n in (((7, 1), 2, 16), ((7, 1), 3, 16), ((13, 1), 4, 8), ((3, 2), 2, 24)):
+        field = make_field(p, k)
+        q, fname = field.order, field.describe()
+        rng = SplitMix64(q * 100 + r)
 
         def random_matrix():
-            return Matrix([[Series(field, n, tuple(rng.randrange(p) for _ in range(n)))
+            return Matrix([[Series(field, n, tuple(rng.randrange(q) for _ in range(n)))
                             for _ in range(r)] for _ in range(r)])
 
         a, b = random_matrix(), random_matrix()
         assert a * b == _entrywise_product(a, b), "mat_mul disagrees with the entrywise product"
         calls = max(repeats // (n * r * r), 1)
-        old = timed(results, f"entrywise product GF({p}) r={r} N={n}",
+        old = timed(results, f"entrywise product {fname} r={r} N={n}",
                     lambda: _entrywise_product(a, b), calls, runs)[0]
-        new = timed(results, f"Matrix.__mul__ GF({p}) r={r} N={n}", lambda: a * b, calls, runs)[0]
-        print(f"{'GF(' + str(p) + ')':<16}{r:>3}{n:>4}{old * 1e6:>10.1f}us{new * 1e6:>10.1f}us"
+        new = timed(results, f"Matrix.__mul__ {fname} r={r} N={n}", lambda: a * b, calls, runs)[0]
+        print(f"{fname:<16}{r:>3}{n:>4}{old * 1e6:>10.1f}us{new * 1e6:>10.1f}us"
               f"{old / new:>7.1f}x")
 
 
 def bench_psi(results, repeats, runs):
     """psi(g) application vs Horner vec_compose on the same series, per call."""
-    from orbipar.local_galois import make_artin_schreier, make_kummer
+    from orbipar.local_galois import Substitution, make_artin_schreier, make_kummer
     from orbipar.series import Series
 
     cases = [("Kummer s->zeta*s", make_kummer(make_field(7), 3, 16), 1),
@@ -157,10 +161,13 @@ def bench_psi(results, repeats, runs):
         f = Series(field, n, tuple(rng.randrange(field.order) for _ in range(n)))
         act = ext.act(g).coeffs
         calls = max(repeats // (n * 4), 1)
-        t0 = time.perf_counter()
-        ext.psi(g)(f)
-        build = time.perf_counter() - t0
         op = ext.psi(g)
+        build = "-"
+        if op.scalars is None:      # applied through its table of powers
+            t_build = timed(results, f"psi table build {label} {fname} N={n}",
+                            lambda: Substitution(op.image)._table(),
+                            max(repeats // (n * n), 1), runs)[0]
+            build = f"{t_build * 1e6:.1f}us"
         horner = kernels.vec_compose(field.ctx, f.coeffs, act, n)
         assert list(op(f).coeffs) == horner, "psi(g) disagrees with Horner composition"
         t_horner = timed(results, f"Horner compose {label} {fname} N={n}",
@@ -169,7 +176,7 @@ def bench_psi(results, repeats, runs):
         t_psi = timed(results, f"psi apply {label} {fname} N={n}", lambda: op(f),
                       calls, runs)[0]
         print(f"{label:<18}{fname:<8}{n:>4}{t_horner * 1e6:>10.1f}us{t_psi * 1e6:>10.1f}us"
-              f"{t_horner / t_psi:>8.1f}x{build * 1e6:>12.1f}us")
+              f"{t_horner / t_psi:>8.1f}x{build:>14}")
 
 
 def _largest_system(call):

@@ -12,6 +12,7 @@ digitwise base p (table-backed for small q).  The table context (FieldCtx)
 is also the object handed to the series kernels.
 """
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -217,13 +218,18 @@ class FieldCtx:
     """Arithmetic tables for one FieldSpec; also the kernel field context.
 
     exp has length 2(q-1) (doubled, so exp[log a + log b] needs no reduction);
-    log[0] is a -1 sentinel.
+    log[0] is a -1 sentinel.  For k >= 2, add_table[a][b] is a + b when
+    q <= ADD_TABLE_MAX_ORDER (else None, and add goes digit by digit), and
+    modulus holds m_0, ..., m_{k-1}, 1.  digit_blocks(tc) gives the packed
+    form of each element for the kernels' GF(p^k) products.
     """
 
     def __init__(self, spec: FieldSpec):
         p, k = spec.p, spec.k_deg
         q = p ** k
         self.p, self.k, self.q = p, k, q
+        self.modulus = spec.modulus
+        self._digit_blocks = {}
         m = list(spec.modulus)
 
         # exp/log via the canonical generator (minimal full-order encoding)
@@ -268,6 +274,18 @@ class FieldCtx:
         if self.add_table is not None:
             return self.add_table[a][b]
         return _digit_add(a, b, self.p, self.k)
+
+    def digit_blocks(self, tc):
+        """Per element, the bytes of array(tc, its k base-p digits, low first,
+        then k - 1 zeros): one coefficient's group of 2k - 1 slots in a packed
+        series.  Built for each slot typecode on first use."""
+        blocks = self._digit_blocks.get(tc)
+        if blocks is None:
+            pad = [0] * (self.k - 1)
+            blocks = [array(tc, _decode(e, self.p, self.k) + pad).tobytes()
+                      for e in range(self.q)]
+            self._digit_blocks[tc] = blocks
+        return blocks
 
     def neg(self, a: int) -> int:
         if self.k == 1:

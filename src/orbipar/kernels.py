@@ -5,21 +5,31 @@ composition over a FieldCtx, vec_scale and vec_tri (the two ways a cached
 substitution operator applies itself), and the row updates of exact
 elimination, row_axpy and row_scale.  Coefficient vectors are lists or
 tuples of element encodings; results are lists.  Prime fields take a direct
-`% p` path, extension fields the ctx's exp/log tables.
+`% p` path, extension fields the ctx's exp/log tables, with sums looked up
+in ctx.add_table where the field has one.
 
-Prime-field products are packed (Kronecker substitution): a coefficient
-vector becomes one Python int, coefficient i in the fixed-width
-little-endian slot i, so one bigint product is the whole convolution and a
-sum of such products is a whole matrix entry.  Each output slot then holds
-the exact unreduced sum of at most short * inner products of residues below
-p, with short the shorter operand length and inner the number of products
-summed; the slot is the narrowest of 16, 32 or 64 bits that holds
-(p - 1)^2 * short * inner, so no carry crosses slots and one `% p` per
-output coefficient finishes the product.  A bound above 64 bits raises
-StructuralError; nothing is truncated.  Packing has a fixed cost per call,
-so products that sum fewer than PACK_MIN coefficient products per output
-coefficient take the direct loop.  GF(p^k) products stay in the log
-domain.
+Products are packed (Kronecker substitution): a coefficient vector becomes
+one Python int of fixed-width little-endian slots, so one bigint product is
+the whole convolution and a sum of such products is a whole matrix entry.
+Over GF(p) coefficient i fills slot i.  Over GF(p^k), k >= 2, an element is
+its k base-p digits (the coefficients of its polynomial in x), and
+coefficient i fills the group of 2k - 1 slots from slot (2k - 1) * i, digit
+j in slot j of the group, the top k - 1 slots zero (ctx.digit_blocks).  The
+product is then the bivariate (s, x) product: slot j of group i holds the
+coefficient of s^i x^j, for j up to 2k - 2, so groups never overlap.
+Unpacking folds the digits of degree >= k down with the modulus, x^k =
+-(m_0 + ... + m_{k-1} x^(k-1)), in exact integers, then reduces each digit
+`% p` and encodes.
+
+Each slot holds the exact unreduced sum of at most k * short * inner digit
+products below p, with short the shorter operand length and inner the
+number of products summed (k = 1 over GF(p)); the slot is the narrowest of
+16, 32 or 64 bits that holds (p - 1)^2 * k * short * inner, so no carry
+crosses slots.  A bound above 64 bits raises StructuralError; nothing is
+truncated.  (p - 1)^2 * k is below 2^17 for every field with k >= 2 and
+q <= 2^16, so within the scenario caps no slot overflows.  Packing has a
+fixed cost per call, so products that sum fewer than PACK_MIN coefficient
+products per output coefficient take the direct loop.
 """
 
 from array import array
@@ -33,7 +43,10 @@ from .errors import StructuralError
 # 0.34x at n=1, 0.49x at n=4, 1.49x at n=8, 2.38x at n=16; repeated runs
 # ranged 0.5-1.0x at n=4 and 0.85-2.0x at n=8, and GF(13) and GF(65521)
 # behave alike.  A 2x2 matrix product at n=4 (8 products per coefficient)
-# packed ran 1.4-1.7x the sum of direct products.
+# packed ran 1.4-1.7x the sum of direct products.  Over GF(9) (BENCH_7.json)
+# packed against the log-table loop ran 0.21x at n=1, 0.62x at n=4, 1.00x at
+# n=8 and 1.83x at n=16 (an earlier run: 0.25x, 0.54x, 1.01x, 1.75x), so the
+# same threshold holds there.
 PACK_MIN = 8
 
 # (bytes, array typecode) of the slot widths, narrowest first
@@ -49,9 +62,9 @@ def available_backends():
     return ("pure",)
 
 
-def _slot(p, short, inner):
-    """(bytes, typecode) of the narrowest slot holding (p-1)^2 * short * inner."""
-    bound = (p - 1) ** 2 * short * inner
+def _slot(p, k, short, inner):
+    """(bytes, typecode) of the narrowest slot holding (p-1)^2 * k * short * inner."""
+    bound = (p - 1) ** 2 * k * short * inner
     for nbytes, tc in _SLOTS:
         if bound < 1 << (8 * nbytes):
             return nbytes, tc
@@ -71,14 +84,41 @@ def _unpack(c, nbytes, tc, n, p):
     return [x % p for x in out]
 
 
+def _pack_digits(blocks, x, n):
+    """The first n coefficients of x over GF(p^k) as one int, one group of
+    2k - 1 slots per coefficient; blocks is ctx.digit_blocks(tc)."""
+    return int.from_bytes(b"".join(map(blocks.__getitem__, x[:n])), "little")
+
+
+def _unpack_digits(ctx, c, nbytes, tc, n):
+    """The first n slot groups of c, each folded with the modulus, its
+    digits reduced mod p, and encoded."""
+    p, k, m = ctx.p, ctx.k, ctx.modulus
+    width = 2 * k - 1
+    size = nbytes * width * n
+    slots = array(tc)
+    slots.frombytes((c & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
+    digits = [slots[j::width] for j in range(width)]
+    for j in range(width - 1, k - 1, -1):    # x^j = -x^(j-k) * (m_0 + ... + m_{k-1} x^(k-1))
+        top = digits[j]
+        for i in range(k):
+            if m[i]:
+                d, mi = j - k + i, m[i]
+                digits[d] = [u - mi * v for u, v in zip(digits[d], top)]
+    out = [u % p for u in digits[k - 1]]
+    for j in range(k - 2, -1, -1):
+        out = [e * p + u % p for e, u in zip(out, digits[j])]
+    return out
+
+
 def vec_mul(ctx, a, b, n):
     """Truncated product: first n coefficients of a*b."""
+    la, lb = len(a), len(b)
+    short = min(la, lb, n)
     if ctx.k == 1:
         p = ctx.p
-        la, lb = len(a), len(b)
-        short = min(la, lb, n)
         if short >= PACK_MIN:
-            nbytes, tc = _slot(p, short, 1)
+            nbytes, tc = _slot(p, 1, short, 1)
             return _unpack(_pack(tc, a, n) * _pack(tc, b, n), nbytes, tc, n, p)
         out = [0] * n
         for k in range(n):
@@ -93,8 +133,12 @@ def vec_mul(ctx, a, b, n):
                 acc += a[i] * b[k - i]
             out[k] = acc % p
         return out
-    exp, log, add = ctx.exp, ctx.log, ctx.add
-    la, lb = len(a), len(b)
+    if short >= PACK_MIN:
+        nbytes, tc = _slot(ctx.p, ctx.k, short, 1)
+        blocks = ctx.digit_blocks(tc)
+        return _unpack_digits(ctx, _pack_digits(blocks, a, n) * _pack_digits(blocks, b, n),
+                              nbytes, tc, n)
+    exp, log, add, tab = ctx.exp, ctx.log, ctx.add, ctx.add_table
     out = [0] * n
     for k in range(n):
         acc = 0
@@ -104,7 +148,8 @@ def vec_mul(ctx, a, b, n):
             ai = a[i]
             bj = b[k - i]
             if ai and bj:
-                acc = add(acc, exp[log[ai] + log[bj]])
+                z = exp[log[ai] + log[bj]]
+                acc = tab[acc][z] if tab else add(acc, z)
         out[k] = acc
     return out
 
@@ -117,24 +162,31 @@ def mat_mul(ctx, a, b, n):
     len(b); the result is rows of lists.
     """
     inner = len(b)
-    if ctx.k == 1:
+    short = min(max(len(x) for row in a for x in row),
+                max(len(x) for row in b for x in row), n)
+    if short * inner >= PACK_MIN:
         p = ctx.p
-        short = min(max(len(x) for row in a for x in row),
-                    max(len(x) for row in b for x in row), n)
-        if short * inner >= PACK_MIN:
-            nbytes, tc = _slot(p, short, inner)
+        nbytes, tc = _slot(p, ctx.k, short, inner)
+        if ctx.k == 1:
             pa = [[_pack(tc, x, n) for x in row] for row in a]
             cols = list(zip(*([_pack(tc, x, n) for x in row] for row in b)))
             return [[_unpack(sum(map(_mul, row, col)), nbytes, tc, n, p) for col in cols]
                     for row in pa]
-    add = ctx.add
+        blocks = ctx.digit_blocks(tc)
+        pa = [[_pack_digits(blocks, x, n) for x in row] for row in a]
+        cols = list(zip(*([_pack_digits(blocks, x, n) for x in row] for row in b)))
+        return [[_unpack_digits(ctx, sum(map(_mul, row, col)), nbytes, tc, n) for col in cols]
+                for row in pa]
+    add, tab = ctx.add, ctx.add_table
     out = []
     for row in a:
         out_row = []
         for j in range(len(b[0])):
             acc = vec_mul(ctx, row[0], b[0][j], n)
             for t in range(1, inner):
-                acc = [add(x, y) for x, y in zip(acc, vec_mul(ctx, row[t], b[t][j], n))]
+                term = vec_mul(ctx, row[t], b[t][j], n)
+                acc = ([tab[x][y] for x, y in zip(acc, term)] if tab
+                       else [add(x, y) for x, y in zip(acc, term)])
             out_row.append(acc)
         out.append(out_row)
     return out
@@ -155,7 +207,7 @@ def vec_inverse(ctx, a, n):
                 acc += a[i] * out[k - i]
             out[k] = (-acc * c0inv) % p
         return out
-    exp, log, add, neg = ctx.exp, ctx.log, ctx.add, ctx.neg
+    exp, log, add, tab, neg = ctx.exp, ctx.log, ctx.add, ctx.add_table, ctx.neg
     la = len(a)
     out = [0] * n
     out[0] = c0inv
@@ -167,7 +219,8 @@ def vec_inverse(ctx, a, n):
             ai = a[i]
             bj = out[k - i]
             if ai and bj:
-                acc = add(acc, exp[log[ai] + log[bj]])
+                z = exp[log[ai] + log[bj]]
+                acc = tab[acc][z] if tab else add(acc, z)
         out[k] = exp[log[neg(acc)] + lci] if acc else 0
     return out
 
@@ -205,14 +258,15 @@ def vec_tri(ctx, cols, a, n):
     if ctx.k == 1:
         p = ctx.p
         return [sum(map(_mul, a, cols[k])) % p for k in range(n)]
-    exp, log, add = ctx.exp, ctx.log, ctx.add
+    exp, log, add, tab = ctx.exp, ctx.log, ctx.add, ctx.add_table
     la = [log[x] for x in a]
     out = [0] * n
     for k in range(n):
         acc = 0
         for lx, y in zip(la, cols[k]):
             if lx >= 0 and y:
-                acc = add(acc, exp[lx + log[y]])
+                z = exp[lx + log[y]]
+                acc = tab[acc][z] if tab else add(acc, z)
         out[k] = acc
     return out
 
@@ -223,9 +277,12 @@ def row_axpy(ctx, v, f, w):
     if ctx.k == 1:
         p = ctx.p
         return [(x - f * y) % p for x, y in zip(v, w)]
-    exp, log, add = ctx.exp, ctx.log, ctx.add
+    exp, log, tab = ctx.exp, ctx.log, ctx.add_table
     lnf = log[ctx.neg(f)]
-    return [add(x, exp[lnf + log[y]]) if y else x for x, y in zip(v, w)]
+    if tab is None:
+        add = ctx.add
+        return [add(x, exp[lnf + log[y]]) if y else x for x, y in zip(v, w)]
+    return [tab[x][exp[lnf + log[y]]] if y else x for x, y in zip(v, w)]
 
 
 def row_scale(ctx, f, v):

@@ -34,14 +34,15 @@ REPORT_SCHEMA = "orbipar-report/1"
 
 # Resource caps, checked before any work starts.  With field order at most
 # 2^16, a packed kernel product fits its 64-bit slots when short * inner <=
-# 2^32 (its slots hold (p-1)^2 * short * inner, short <= the precision).  The
-# caps give short * inner <= 2^10 * 2^12 for products of data and of their
-# Hom spaces (ranks up to MAX_RANK^2; tensor results are data), and 2^10 *
-# 2^6 * l for a pushforward with l components (its rank is l*r*e at
-# precision N/e), so up to 2^16 components.  Past the bound the kernels
-# raise StructuralError.
+# 2^32 (its slots hold (p-1)^2 * k * short * inner, short <= the precision,
+# and (p-1)^2 * k < 2^32 for every such GF(p^k)).  The caps give short *
+# inner <= 2^10 * 2^12 for products of data and of their Hom spaces (ranks
+# up to MAX_RANK^2; tensor results are data), and 2^10 * 2^6 * l for a
+# pushforward with l components (its rank is l*r*e at precision N/e), so up
+# to 2^16 components.  Past the bound the kernels raise StructuralError.
 MAX_PRECISION = 1024
 MAX_RANK = 64
+MAX_ROUNDTRIPS = 1000     # random_roundtrips count
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +317,9 @@ def _check_references(sc: Scenario):
         if cmd.get("character_exponents") == []:
             raise ScenarioError(f"{where}: character_exponents is empty")
         _check_rank(cmd.get("rank", 1), where)
+        if "count" in cmd and not 1 <= cmd["count"] <= MAX_ROUNDTRIPS:
+            raise ScenarioError(f"{where}: count must be in 1..{MAX_ROUNDTRIPS}, "
+                                f"got {cmd['count']}")
         for key, table in (("datum", "data"), ("scene", "scenes")):
             if "point" in cmd and key in cmd and cmd["point"] not in known[table][cmd[key]]:
                 raise ScenarioError(f"{where}: {key} {cmd[key]!r} has no point "

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from orbipar.cli import demo_scenario, main
-from orbipar.scenario import MAX_PRECISION, MAX_RANK, load_scenario, matrix_from_json
+from orbipar.scenario import (MAX_PRECISION, MAX_RANK, MAX_ROUNDTRIPS, load_scenario,
+                              matrix_from_json)
 
 
 def run_cli(tmp_path, doc, *args):
@@ -214,6 +215,12 @@ BAD_INPUTS = {
     "command-rank-above-cap": lambda d: d["commands"].append(
         {"op": "random_roundtrips", "scene": "cover", "rank": MAX_RANK + 1}),
     "tensor-rank-above-cap": _tensor_square(9),
+    "count-zero": lambda d: d["commands"].append(
+        {"op": "random_roundtrips", "scene": "cover", "count": 0}),
+    "count-negative": lambda d: d["commands"].append(
+        {"op": "random_roundtrips", "scene": "cover", "count": -3}),
+    "count-above-cap": lambda d: d["commands"].append(
+        {"op": "random_roundtrips", "scene": "cover", "count": MAX_ROUNDTRIPS + 1}),
 }
 
 

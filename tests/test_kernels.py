@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from orbipar import kernels
 from orbipar.errors import StructuralError
-from orbipar.fields import make_field
+from orbipar.fields import MAX_FIELD_ORDER, is_prime, make_field
 from orbipar.linalg import Matrix
 from orbipar.prng import SplitMix64
+from orbipar.scenario import MAX_PRECISION, MAX_RANK
 from orbipar.series import Series
 
 FIELDS = [(2, 1), (5, 1), (13, 1), (5, 2), (7, 2), (3, 3)]
@@ -76,11 +77,18 @@ def test_pure_mul_matches_schoolbook(a, b):
     assert kernels.vec_mul(F.ctx, a, b, n) == _schoolbook_mul(F, a, b, n)
 
 
-@pytest.mark.parametrize("p,k", FIELDS + [(65521, 1)])
-def test_packed_products_match_schoolbook(p, k):
+# GF(9) under x^2 + x + 2 (a middle term in the fold), GF(11^3) (no add
+# table), GF(251^2) (the largest (p-1)^2 * k) and GF(13^4) (three fold steps)
+PACKED_FIELDS = [pytest.param(p, k, None, id=f"{p}-{k}")
+                 for p, k in FIELDS + [(65521, 1), (2, 4), (11, 3), (251, 2), (13, 4)]]
+PACKED_FIELDS.append(pytest.param(3, 2, (2, 1, 1), id="3-2-x2+x+2"))
+
+
+@pytest.mark.parametrize("p,k,modulus", PACKED_FIELDS)
+def test_packed_products_match_schoolbook(p, k, modulus):
     """vec_mul and mat_mul on both sides of PACK_MIN, with ragged and empty
     vectors and n above la + lb; GF(65521) needs 64-bit slots from length 2."""
-    F = make_field(p, k)
+    F = make_field(p, k, modulus)
     ctx = F.ctx
     rng = SplitMix64(p * 7 + k)
 
@@ -107,11 +115,23 @@ def test_packed_products_match_schoolbook(p, k):
 
 
 def test_slot_width_follows_the_bound():
-    assert kernels._slot(7, 16, 4) == (2, "H")
-    assert kernels._slot(257, 8, 1)[0] == 4
-    assert kernels._slot(65521, 2, 1)[0] == 8
+    assert kernels._slot(7, 1, 16, 4) == (2, "H")
+    assert kernels._slot(257, 1, 8, 1)[0] == 4
+    assert kernels._slot(65521, 1, 2, 1)[0] == 8
+    # GF(p^k): each slot sums k times as many digit products
+    assert kernels._slot(3, 2, 24, 2) == (2, "H")       # GF(9), r=2, N=24
+    assert kernels._slot(3, 1, 1024, 8) == (2, "H")     # 4 * 2^13 = 2^15
+    assert kernels._slot(3, 2, 1024, 8)[0] == 4         # 4 * 2 * 2^13 = 2^16
+    assert kernels._slot(251, 2, 1, 1)[0] == 4          # 250^2 * 2 >= 2^16
     with pytest.raises(StructuralError):
-        kernels._slot(65521, 1 << 20, 1 << 20)
+        kernels._slot(65521, 1, 1 << 20, 1 << 20)
+    with pytest.raises(StructuralError):
+        kernels._slot(251, 2, 1 << 24, 1 << 24)
+    # the largest p with p^k <= MAX_FIELD_ORDER fits at the scenario caps
+    for k in range(1, 5):
+        p = max(p for p in range(2, MAX_FIELD_ORDER + 1)
+                if is_prime(p) and p ** k <= MAX_FIELD_ORDER)
+        assert kernels._slot(p, k, MAX_PRECISION, MAX_RANK ** 2)[0] <= 8
 
 
 def test_series_matrix_product_keeps_its_errors():
