@@ -20,11 +20,14 @@ Cases, layer by layer:
 * psi(g) apply: one application of the cached substitution operator against
   the Horner vec_compose it replaces (outputs asserted equal), plus the
   one-off cost of building its table of powers where it has one;
-* solve_linear on two systems the program really builds: the joint system
-  of find_parabolic_isomorphism inside dual_pairing_check (the `calculus`
-  size, 256 x 160 over GF(13)) and the fixed-space system of invariants on
-  a rank-2 Artin-Schreier datum (the `wild-extfield` rank*N size, 48 x 48
-  over GF(9));
+* solve_linear on three systems the program really builds: the joint
+  system of find_parabolic_isomorphism inside dual_pairing_check (the
+  `calculus` size, 256 x 160 over GF(13)), the fixed-space system of
+  invariants on a rank-2 Kummer Z/3 datum (the `tame-roundtrip` rank*N
+  size, 32 x 32 over GF(7)) and on a rank-2 Artin-Schreier datum (the
+  `wild-extfield` rank*N size, 48 x 48 over GF(9)); prime fields take the
+  packed rows, GF(9) the list rows; plus null_space (elimination and the
+  echelon pass over its kernel) on the calculus joint system;
 * functor layer: dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data;
 * end to end: Z/6 round trips.
 """
@@ -200,16 +203,20 @@ def _largest_system(call):
 
 def bench_solve(results, runs):
     from orbipar.equivariant import invariants
-    from orbipar.linalg import solve_linear
+    from orbipar.linalg import null_space, solve_linear
     from orbipar.local_galois import make_artin_schreier, make_kummer
     from orbipar.parabolic import random_datum
     from orbipar.pvect import dual_pairing_check
 
     calc = random_datum(make_kummer(make_field(13), 4, 8), 2, SplitMix64(2718),
                         character_exponent=1)
+    tame = random_datum(make_kummer(make_field(7), 3, 16), 2, SplitMix64(12345),
+                        character_exponent=1)
     wild = random_datum(make_artin_schreier(make_field(3, 2), 24), 2, SplitMix64(5))
-    systems = [("calculus joint system", _largest_system(
-                    lambda: dual_pairing_check(calc, rng=SplitMix64(1)))),
+    joint = _largest_system(lambda: dual_pairing_check(calc, rng=SplitMix64(1)))
+    systems = [("calculus joint system", joint),
+               ("tame invariants system", _largest_system(
+                    lambda: invariants(tame.points[0].psi))),
                ("wild invariants system", _largest_system(
                     lambda: invariants(wild.points[0].psi)))]
     for label, (field, rows) in systems:
@@ -218,6 +225,12 @@ def bench_solve(results, runs):
                          lambda: solve_linear(field, rows), 1, runs)
         print(f"solve_linear, {label} ({size}): {med * 1000:.1f} ms median, "
               f"{low * 1000:.1f} ms min")
+    field, rows = joint
+    size = f"{len(rows)}x{len(rows[0])} {field.describe()}"
+    med, low = timed(results, f"null_space calculus joint system {size}",
+                     lambda: null_space(field, rows, len(rows[0])), 1, runs)
+    print(f"null_space, calculus joint system ({size}): {med * 1000:.1f} ms median, "
+          f"{low * 1000:.1f} ms min")
 
 
 def bench_dual_pairing(results, pairings, runs):

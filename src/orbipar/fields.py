@@ -219,8 +219,9 @@ class FieldCtx:
 
     exp has length 2(q-1) (doubled, so exp[log a + log b] needs no reduction);
     log[0] is a -1 sentinel.  For k >= 2, add_table[a][b] is a + b when
-    q <= ADD_TABLE_MAX_ORDER (else None, and add goes digit by digit), and
-    modulus holds m_0, ..., m_{k-1}, 1.  digit_blocks(tc) gives the packed
+    q <= ADD_TABLE_MAX_ORDER (else None, and add goes digit by digit),
+    neg_table[a] is -a (None over GF(p)), and modulus holds m_0, ...,
+    m_{k-1}, 1.  digit_blocks(tc) gives the packed
     form of each element for the kernels' GF(p^k) products.
     """
 
@@ -259,6 +260,7 @@ class FieldCtx:
         self.exp = exp
         self.log = log
 
+        self.neg_table = None if k == 1 else [_digit_neg(a, p, k) for a in range(q)]
         if k == 1:
             self.add_table = None
         elif q <= ADD_TABLE_MAX_ORDER:
@@ -290,7 +292,7 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         if self.k == 1:
             return (-a) % self.p
-        return _digit_neg(a, self.p, self.k)
+        return self.neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))

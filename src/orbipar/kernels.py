@@ -2,11 +2,13 @@
 
 Truncated convolution and matrix products, series inversion and
 composition over a FieldCtx, vec_scale and vec_tri (the two ways a cached
-substitution operator applies itself), and the row updates of exact
-elimination, row_axpy and row_scale.  Coefficient vectors are lists or
-tuples of element encodings; results are lists.  Prime fields take a direct
-`% p` path, extension fields the ctx's exp/log tables, with sums looked up
-in ctx.add_table where the field has one.
+substitution operator applies itself), and the rows of exact elimination:
+row_axpy, row_scale and row_neg on lists, and pack_rows, packed_column,
+packed_normalize and unpack_rows for the packed prime-field rows of
+linalg.solve_linear.  Coefficient vectors are lists or tuples of element
+encodings; results are lists.  Prime fields take a direct `% p` path,
+extension fields the ctx's exp/log tables, with sums looked up in
+ctx.add_table where the field has one and negation in ctx.neg_table.
 
 Products are packed (Kronecker substitution): a coefficient vector becomes
 one Python int of fixed-width little-endian slots, so one bigint product is
@@ -30,6 +32,16 @@ truncated.  (p - 1)^2 * k is below 2^17 for every field with k >= 2 and
 q <= 2^16, so within the scenario caps no slot overflows.  Packing has a
 fixed cost per call, so products that sum fewer than PACK_MIN coefficient
 products per output coefficient take the direct loop.
+
+Elimination rows over GF(p) pack the same way, entry j in slot j, but
+reduce lazily: a row update adds (p - e) times a pivot row whose entries
+are below p, so a slot grows by at most (p - 1)^2 per pivot and is reduced
+only when it is read (`% p`) or its row becomes the pivot row.  With at
+most min(m, n) pivots the slot is _slot(p, 1, 1, min(m, n) + 1): 16 bits
+for the 256 x 160 GF(13) joint system of the isomorphism search, 64 bits
+for any p < 2^16 up to 2^32 pivots, and StructuralError past that.
+GF(p^k) rows stay lists: packed as digit groups, every entry read would
+first have to fold its digits with the modulus.
 """
 
 from array import array
@@ -77,11 +89,40 @@ def _pack(tc, x, n):
     return int.from_bytes(array(tc, x[:n]).tobytes(), "little")
 
 
-def _unpack(c, nbytes, tc, n, p):
-    """The first n slots of c, each reduced mod p."""
+def _slots(c, nbytes, tc, n):
+    """The first n slots of c, unreduced."""
     out = array(tc)
     out.frombytes((c & ((1 << (8 * nbytes * n)) - 1)).to_bytes(nbytes * n, "little"))
-    return [x % p for x in out]
+    return out
+
+
+def _unpack(c, nbytes, tc, n, p):
+    """The first n slots of c, each reduced mod p."""
+    return [x % p for x in _slots(c, nbytes, tc, n)]
+
+
+def pack_rows(p, rows, pivots):
+    """(nbytes, tc, packed) for rows of elements of GF(p): each row one int
+    with entry j in slot j, the slots wide enough for the entries plus one
+    row update of at most (p - 1)^2 per slot for each of `pivots` pivots."""
+    nbytes, tc = _slot(p, 1, 1, pivots + 1)
+    return nbytes, tc, [_pack(tc, r, len(r)) for r in rows]
+
+
+def packed_column(rows, nbytes, j, p):
+    """Entry j of each packed row: its slot j reduced mod p."""
+    shift, mask = 8 * nbytes * j, (1 << (8 * nbytes)) - 1
+    return [(v >> shift & mask) % p for v in rows]
+
+
+def packed_normalize(v, nbytes, tc, width, f, p):
+    """The packed row f * v, each of its width slots reduced mod p."""
+    return _pack(tc, [x * f % p for x in _slots(v, nbytes, tc, width)], width)
+
+
+def unpack_rows(rows, nbytes, tc, width, p):
+    """The packed rows as lists of their width entries, reduced mod p."""
+    return [_unpack(v, nbytes, tc, width, p) for v in rows]
 
 
 def _pack_digits(blocks, x, n):
@@ -207,7 +248,7 @@ def vec_inverse(ctx, a, n):
                 acc += a[i] * out[k - i]
             out[k] = (-acc * c0inv) % p
         return out
-    exp, log, add, tab, neg = ctx.exp, ctx.log, ctx.add, ctx.add_table, ctx.neg
+    exp, log, add, tab, neg = ctx.exp, ctx.log, ctx.add, ctx.add_table, ctx.neg_table
     la = len(a)
     out = [0] * n
     out[0] = c0inv
@@ -221,7 +262,7 @@ def vec_inverse(ctx, a, n):
             if ai and bj:
                 z = exp[log[ai] + log[bj]]
                 acc = tab[acc][z] if tab else add(acc, z)
-        out[k] = exp[log[neg(acc)] + lci] if acc else 0
+        out[k] = exp[log[neg[acc]] + lci] if acc else 0
     return out
 
 
@@ -278,7 +319,7 @@ def row_axpy(ctx, v, f, w):
         p = ctx.p
         return [(x - f * y) % p for x, y in zip(v, w)]
     exp, log, tab = ctx.exp, ctx.log, ctx.add_table
-    lnf = log[ctx.neg(f)]
+    lnf = log[ctx.neg_table[f]]
     if tab is None:
         add = ctx.add
         return [add(x, exp[lnf + log[y]]) if y else x for x, y in zip(v, w)]
@@ -293,3 +334,11 @@ def row_scale(ctx, f, v):
     exp, log = ctx.exp, ctx.log
     lf = log[f]
     return [exp[lf + log[x]] if x else 0 for x in v]
+
+
+def row_neg(ctx, v):
+    """The row -v, coefficientwise."""
+    if ctx.k == 1:
+        p = ctx.p
+        return [-x % p for x in v]
+    return list(map(ctx.neg_table.__getitem__, v))

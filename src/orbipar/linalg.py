@@ -9,8 +9,14 @@ Three layers:
   coordinate), null_space (that basis for the solutions of rows * x = 0),
   combination (sum of scaled vectors) and residue_search (the first
   combination of flattened r x r matrices over k that is invertible).
-  Every row update of the elimination goes through the kernels' row_axpy
-  and row_scale.
+  Over GF(p), solve_linear keeps each augmented row as one int of
+  fixed-width slots (kernels.pack_rows, the rhs in slot n): a row update
+  v - e*w is the one bigint multiply-add v + (p - e)*w with no reduction,
+  entries are read as their slot mod p, and a row is reduced only when it
+  becomes the pivot row (kernels.packed_normalize), so each update adds at
+  most (p - 1)^2 to a slot and min(m, n) + 1 such sums fit the slots.  Over
+  GF(p^k), and in echelonize, reduce_against and residue_det, rows are
+  lists updated by the kernels' row_axpy and row_scale.
 * Matrix -- rectangular matrices with uniform Series or Laurent entries;
   inversion over k[[s]] requires a unit determinant (residue-invertible)
   and is exact at precision.  Series-matrix products run in the kernels'
@@ -25,7 +31,8 @@ Three layers:
 from dataclasses import dataclass
 
 from .errors import DomainError, NotInvertibleError, StructuralError
-from .kernels import mat_mul, row_axpy, row_scale
+from .kernels import (mat_mul, pack_rows, packed_column, packed_normalize, row_axpy, row_neg,
+                      row_scale, unpack_rows)
 from .series import Laurent, Series
 
 
@@ -51,10 +58,37 @@ def solve_linear(field, rows, rhs=None):
     if len(rhs) != m:
         raise StructuralError("rhs length mismatch")
     ctx = field.ctx
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+    aug = (list(r) + [b] for r, b in zip(rows, rhs))
+    eliminate = _eliminate_packed if ctx.k == 1 else _eliminate
+    pivot_cols, reduced, rest = eliminate(ctx, aug, m, n)
+    r = len(pivot_cols)
+    if any(rest):
+        return LinearSolution(False, None, [], r, pivot_cols)
+    particular = [0] * n
+    for row, col in zip(reduced, pivot_cols):
+        particular[col] = row[n]
+    pivots = set(pivot_cols)
+    free_cols = [c for c in range(n) if c not in pivots]
+    kernel = []
+    for f in free_cols:
+        vec = [0] * n
+        vec[f] = 1
+        for col, x in zip(pivot_cols, row_neg(ctx, [row[f] for row in reduced])):
+            vec[col] = x
+        kernel.append(vec)
+    return LinearSolution(True, particular, kernel, r, pivot_cols)
+
+
+def _eliminate(ctx, aug, m, n):
+    """Gauss-Jordan over GF(p^k) on the m augmented rows (lists, rhs last):
+    (pivot columns, the reduced pivot rows, the rhs entries of the rows past
+    them)."""
+    aug = list(aug)
     pivot_cols = []
     r = 0
     for col in range(n):
+        if r == m:
+            break
         sel = None
         for i in range(r, m):
             if aug[i][col]:
@@ -69,23 +103,38 @@ def solve_linear(field, rows, rhs=None):
                 aug[i] = row_axpy(ctx, aug[i], aug[i][col], aug[r])
         pivot_cols.append(col)
         r += 1
+    return pivot_cols, aug[:r], [row[n] for row in aug[r:]]
+
+
+def _eliminate_packed(ctx, aug, m, n):
+    """_eliminate over GF(p) on packed rows (kernels.pack_rows), the rhs in
+    slot n: a row update is v + (p - e)*w, unreduced, and a row is reduced
+    only when it becomes the pivot row w."""
+    p = ctx.p
+    nbytes, tc, rows = pack_rows(p, aug, min(m, n))
+    pivot_cols = []
+    r = 0
+    for col in range(n):
         if r == m:
             break
-    for i in range(r, m):
-        if aug[i][n]:
-            return LinearSolution(False, None, [], r, pivot_cols)
-    particular = [0] * n
-    for row_i, col in enumerate(pivot_cols):
-        particular[col] = aug[row_i][n]
-    free_cols = [c for c in range(n) if c not in pivot_cols]
-    kernel = []
-    for f in free_cols:
-        vec = [0] * n
-        vec[f] = 1
-        for row_i, col in enumerate(pivot_cols):
-            vec[col] = ctx.neg(aug[row_i][f])
-        kernel.append(vec)
-    return LinearSolution(True, particular, kernel, r, pivot_cols)
+        column = packed_column(rows, nbytes, col, p)
+        sel = None
+        for i in range(r, m):
+            if column[i]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        e = column[sel]
+        rows[r], rows[sel] = rows[sel], rows[r]
+        column[sel] = column[r]
+        column[r] = 0                   # the pivot row takes no update
+        w = rows[r] = packed_normalize(rows[r], nbytes, tc, n + 1, ctx.inv(e), p)
+        rows = [v + (p - e) * w if e else v for v, e in zip(rows, column)]
+        pivot_cols.append(col)
+        r += 1
+    return (pivot_cols, unpack_rows(rows[:r], nbytes, tc, n + 1, p),
+            packed_column(rows[r:], nbytes, n, p))
 
 
 def reduce_against(field, ech, v):
@@ -213,6 +262,15 @@ class Matrix:
         self.rows = len(rows)
         self.cols = ncols
         self.field = first.field
+
+    @classmethod
+    def _checked(cls, rows, kind, field):
+        """The matrix of rows (non-empty tuples of equal length) whose entries
+        are already known to be of one kind over field: no re-check."""
+        self = cls.__new__(cls)
+        self.kind, self.field = kind, field
+        self.entries, self.rows, self.cols = rows, len(rows), len(rows[0])
+        return self
 
     # -- constructors --
 
@@ -402,7 +460,8 @@ def _series_product(a, b):
     field, prec = a.field, precs.pop()
     rows = mat_mul(field.ctx, [[e.coeffs for e in row] for row in a.entries],
                    [[e.coeffs for e in row] for row in b.entries], prec)
-    return Matrix([[Series(field, prec, tuple(c)) for c in row] for row in rows])
+    return Matrix._checked(tuple(tuple(Series(field, prec, tuple(c)) for c in row)
+                                 for row in rows), Series, field)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -39,10 +39,16 @@ REPORT_SCHEMA = "orbipar-report/1"
 # inner <= 2^10 * 2^12 for products of data and of their Hom spaces (ranks
 # up to MAX_RANK^2; tensor results are data), and 2^10 * 2^6 * l for a
 # pushforward with l components (its rank is l*r*e at precision N/e), so up
-# to 2^16 components.  Past the bound the kernels raise StructuralError.
+# to 2^16 components.  A packed prime-field elimination keeps 64-bit slots
+# up to 2^32 pivots, against at most 2^22 unknowns in one Hom block at the
+# caps.  Past the bound the kernels raise StructuralError.
 MAX_PRECISION = 1024
 MAX_RANK = 64
 MAX_ROUNDTRIPS = 1000     # random_roundtrips count
+# Group orders (cyclic, dihedral, product and table groups, Kummer degrees,
+# tower n and m) are checked before a group's order x order table is built,
+# whose cost grows as order^2: cyclic n = 2000 took 0.44 s to build.
+MAX_GROUP_ORDER = 256
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +149,14 @@ def _load(doc):
     for name, cfg in doc.get("extensions", {}).items():
         kind = cfg.get("kind")
         if kind == "kummer":
-            exts[name] = make_kummer(field, int(cfg["n"]), prec)
+            exts[name] = make_kummer(field, _group_order(int(cfg["n"]), f"extension {name!r}"),
+                                     prec)
         elif kind == "artin_schreier":
             exts[name] = make_artin_schreier(field, prec)
         elif kind == "trivial":
             exts[name] = trivial_extension(field, prec)
         elif kind == "explicit":
-            group = group_from_config(cfg["group"])
+            group = _group(cfg["group"], f"extension {name!r}")
             action = [Series.from_coeffs(field, c, prec) for c in cfg["action"]]
             t = Series.from_coeffs(field, cfg["t"], prec)
             exts[name] = make_explicit(field, prec, group, action, t)
@@ -160,7 +167,9 @@ def _load(doc):
     for name, cfg in doc.get("embeddings", {}).items():
         kind = cfg.get("kind")
         if kind == "kummer_tower":
-            embs[name] = kummer_tower(field, int(cfg["n"]), int(cfg["m"]), prec)
+            where = f"embedding {name!r}"
+            embs[name] = kummer_tower(field, _group_order(int(cfg["n"]), where),
+                                      _group_order(int(cfg["m"]), where), prec)
         elif kind == "identity":
             embs[name] = identity_embedding(_resolve(exts, cfg, "ext"))
         elif kind == "explicit":
@@ -174,7 +183,7 @@ def _load(doc):
 
     scenes = {}
     for name, cfg in doc.get("scenes", {}).items():
-        group = group_from_config(cfg["group"])
+        group = _group(cfg["group"], f"scene {name!r}")
         pts = []
         for p in cfg["points"]:
             ext = _resolve(exts, p, "ext")
@@ -260,6 +269,36 @@ _INT_LIST_KEYS = ("seeds1", "seeds2", "character_exponents")
 def _check_rank(rank, where):
     if not 1 <= rank <= MAX_RANK:
         raise ScenarioError(f"{where}: rank must be in 1..{MAX_RANK}, got {rank}")
+
+
+def _group_order(order, where):
+    if not 1 <= order <= MAX_GROUP_ORDER:
+        raise ScenarioError(f"{where}: group order must be in 1..{MAX_GROUP_ORDER}, "
+                            f"got {order}")
+    return order
+
+
+def _declared_order(cfg, where):
+    """The order a group description declares, each factor of a product and
+    the product itself checked against MAX_GROUP_ORDER."""
+    kind = _object(cfg, f"{where}: group").get("kind")
+    if kind == "cyclic":
+        order = int(cfg["n"])
+    elif kind == "dihedral":
+        order = 2 * int(cfg["n"])
+    elif kind == "product":
+        order = _declared_order(cfg["left"], where) * _declared_order(cfg["right"], where)
+    elif kind == "table":
+        order = len(cfg["table"])
+    else:
+        raise ScenarioError(f"{where}: unknown group kind {kind!r}")
+    return _group_order(order, where)
+
+
+def _group(cfg, where):
+    """group_from_config(cfg), its order checked before any table is built."""
+    _declared_order(cfg, where)
+    return group_from_config(cfg)
 
 
 def _is_int(x):

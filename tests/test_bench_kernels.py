@@ -21,11 +21,15 @@ def test_bench_kernels_runs(capsys, tmp_path):
     assert "GF(3^2)           2  24" in out
     assert "solve_linear, calculus joint system (256x160 GF(13))" in out
     assert "solve_linear, wild invariants system (48x48 GF(3^2))" in out
+    assert "solve_linear, tame invariants system (32x32 GF(7))" in out
+    assert "null_space, calculus joint system (256x160 GF(13))" in out
     assert "functor layer: dual_pairing_check (rank 2, GF(13), N=8, Kummer Z/4)" in out
     assert "end-to-end: 1 Z/6 round trips" in out
     doc = json.loads(out_file.read_text())
     assert doc["python"] and doc["machine"]["cpus"]
     assert all({"median_us", "min_us"} <= set(case) for case in doc["cases"].values())
     for case in ("vec_mul packed GF(3^2) n=8", "Matrix.__mul__ GF(3^2) r=2 N=24",
-                 "entrywise product GF(3^2) r=2 N=24", "psi table build AS s/(1+s) GF(9) N=24"):
+                 "entrywise product GF(3^2) r=2 N=24", "psi table build AS s/(1+s) GF(9) N=24",
+                 "solve_linear tame invariants system 32x32 GF(7)",
+                 "null_space calculus joint system 256x160 GF(13)"):
         assert case in doc["cases"]

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from orbipar.cli import demo_scenario, main
-from orbipar.scenario import (MAX_PRECISION, MAX_RANK, MAX_ROUNDTRIPS, load_scenario,
-                              matrix_from_json)
+from orbipar.errors import ScenarioError
+from orbipar.scenario import (MAX_GROUP_ORDER, MAX_PRECISION, MAX_RANK, MAX_ROUNDTRIPS,
+                              load_scenario, matrix_from_json)
 
 
 def run_cli(tmp_path, doc, *args):
@@ -176,6 +177,26 @@ def _tensor_square(rank):
     return edit
 
 
+def _scene_group(group):
+    """An edit adding a scene "big" over the given group."""
+    def edit(d):
+        d["scenes"]["big"] = {"group": group, "points": []}
+    return edit
+
+
+def _tower(n, m):
+    """An edit adding the Kummer tower embedding Z/n -> Z/m over GF(521),
+    which has the roots of unity of every order dividing 520."""
+    def edit(d):
+        d["field"] = {"p": 521}
+        d["embeddings"] = {"tower": {"kind": "kummer_tower", "n": n, "m": m}}
+    return edit
+
+
+def _cyclic_table(n):
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
 BAD_INPUTS = {
     "missing-ext": lambda d: d["data"]["d"]["points"][0].update(ext="K9"),
     "unknown-datum": lambda d: d["commands"][0].update(datum="nope"),
@@ -221,7 +242,29 @@ BAD_INPUTS = {
         {"op": "random_roundtrips", "scene": "cover", "count": -3}),
     "count-above-cap": lambda d: d["commands"].append(
         {"op": "random_roundtrips", "scene": "cover", "count": MAX_ROUNDTRIPS + 1}),
+    "cyclic-above-cap": _scene_group({"kind": "cyclic", "n": MAX_GROUP_ORDER + 1}),
+    "cyclic-zero": _scene_group({"kind": "cyclic", "n": 0}),
+    "dihedral-above-cap": _scene_group({"kind": "dihedral", "n": MAX_GROUP_ORDER // 2 + 1}),
+    "product-above-cap": _scene_group({"kind": "product",
+                                       "left": {"kind": "cyclic", "n": MAX_GROUP_ORDER // 2},
+                                       "right": {"kind": "cyclic", "n": 3}}),
+    "product-factor-above-cap": _scene_group(
+        {"kind": "product", "left": {"kind": "cyclic", "n": 1},
+         "right": {"kind": "cyclic", "n": MAX_GROUP_ORDER + 1}}),
+    "table-above-cap": _scene_group({"kind": "table",
+                                     "table": _cyclic_table(MAX_GROUP_ORDER + 1)}),
+    "group-kind-unknown": _scene_group({"kind": "free", "n": 2}),
+    "group-not-object": _scene_group([2]),
+    "explicit-ext-group-above-cap": lambda d: d["extensions"].update(
+        E={"kind": "explicit", "group": {"kind": "cyclic", "n": MAX_GROUP_ORDER + 1},
+           "action": [], "t": []}),
+    "kummer-above-cap": lambda d: d.update(
+        field={"p": 521}, extensions={**d["extensions"], "K": {"kind": "kummer", "n": 260}}),
+    "tower-n-above-cap": _tower(260, 520),
+    "tower-m-above-cap": _tower(130, 520),
 }
+GROUP_CAP_CASES = sorted(k for k in BAD_INPUTS if "cap" in k and any(
+    w in k for w in ("cyclic", "dihedral", "product", "table", "group", "kummer", "tower")))
 
 
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
@@ -234,12 +277,25 @@ def test_bad_input_is_scenario_error(tmp_path, capsys, case, sub):
     assert "Traceback" not in err and err.strip()
 
 
+@pytest.mark.parametrize("case", GROUP_CAP_CASES)
+def test_group_order_cap_rejects_before_building(case):
+    assert MAX_GROUP_ORDER < 260 <= 520
+    with pytest.raises(ScenarioError, match=f"group order must be in 1..{MAX_GROUP_ORDER}"):
+        load_scenario(_broken(BAD_INPUTS[case]))
+
+
 def test_base_of_bad_inputs_is_good(tmp_path):
     f = tmp_path / "s.json"
     f.write_text(json.dumps(BASE))
     assert main(["verify", str(f)]) == 0
     f.write_text(json.dumps(_broken(_tensor_square(8))))
     assert main(["verify", str(f)]) == 0
+    for group in ({"kind": "cyclic", "n": MAX_GROUP_ORDER},
+                  {"kind": "dihedral", "n": MAX_GROUP_ORDER // 2},
+                  {"kind": "product", "left": {"kind": "cyclic", "n": 2},
+                   "right": {"kind": "cyclic", "n": MAX_GROUP_ORDER // 2}}):
+        f.write_text(json.dumps(_broken(_scene_group(group))))
+        assert main(["verify", str(f)]) == 0
 
 
 def test_precision_flag_above_cap_is_scenario_error(tmp_path, capsys):

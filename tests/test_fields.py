@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbipar.errors import ConfigurationError, NotInvertibleError
-from orbipar.fields import FieldSpec, find_modulus, is_prime, make_field, required_degree_for_root
+from orbipar.fields import (FieldSpec, _digit_neg, find_modulus, is_prime, make_field,
+                            required_degree_for_root)
 
 
 def test_prime_check():
@@ -85,3 +86,10 @@ def test_generator_order_is_full():
     for p, k in [(5, 1), (7, 1), (5, 2), (3, 2)]:
         F = make_field(p, k)
         assert F.element_order(F.generator) == F.order - 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 4), (11, 3)])
+def test_neg_table_is_digit_negation(p, k):
+    ctx = make_field(p, k).ctx
+    assert ctx.neg_table == [_digit_neg(a, p, k) for a in range(p ** k)]
+    assert all(ctx.add(a, ctx.neg(a)) == 0 for a in range(p ** k))

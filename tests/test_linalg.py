@@ -1,10 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbipar.errors import NotInvertibleError
+from orbipar.errors import NotInvertibleError, StructuralError
 from orbipar.fields import ADD_TABLE_MAX_ORDER, make_field
-from orbipar.linalg import (Matrix, echelonize, kron, laurent_inverse, null_space,
-                            residue_det, residue_search, smith, solve_linear)
+from orbipar.kernels import pack_rows
+from orbipar.linalg import (LinearSolution, Matrix, echelonize, kron, laurent_inverse,
+                            null_space, residue_det, residue_search, smith, solve_linear)
+from orbipar.scenario import MAX_PRECISION, MAX_RANK
 from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
 
@@ -136,6 +138,23 @@ def test_kron_convention_row_major():
                     assert k.entries[i1 * 2 + i2][j1 * 2 + j2].coeffs[0] == expect
 
 
+def test_series_product_is_a_checked_matrix():
+    """A product built without re-checking its entries is the Matrix the
+    public constructor builds from them."""
+    rng = SplitMix64(31)
+    for rows, inner, cols in ((1, 1, 1), (2, 3, 2), (3, 2, 4)):
+        a = Matrix([[Series(F5, 6, tuple(rng.randrange(5) for _ in range(6)))
+                     for _ in range(inner)] for _ in range(rows)])
+        b = Matrix([[Series(F5, 6, tuple(rng.randrange(5) for _ in range(6)))
+                     for _ in range(cols)] for _ in range(inner)])
+        prod = a * b
+        rebuilt = Matrix(prod.entries)
+        assert prod == rebuilt and hash(prod) == hash(rebuilt)
+        assert (prod.kind, prod.field, prod.rows, prod.cols) == \
+            (rebuilt.kind, rebuilt.field, rebuilt.rows, rebuilt.cols) == (Series, F5, rows, cols)
+        assert type(prod.entries) is tuple and all(type(r) is tuple for r in prod.entries)
+
+
 def test_mixed_kind_multiplication_promotes():
     s_mat = Matrix.identity(F5, 2, 4)
     l_mat = Matrix.identity(F5, 2, 4).to_laurent()
@@ -192,7 +211,8 @@ def test_residue_search_exhaustive_and_cap():
 # -- the row kernels against the elimination they replaced --
 
 def _ref_solve_linear(field, rows, rhs):
-    """Gauss-Jordan through ctx.sub/ctx.mul: (particular or None, kernel, pivots)."""
+    """Textbook Gauss-Jordan on lists through ctx.sub/ctx.mul, every entry
+    reduced at every step, with solve_linear's pivot order."""
     ctx = field.ctx
     m, n = len(rows), len(rows[0])
     aug = [list(r) + [b] for r, b in zip(rows, rhs)]
@@ -214,7 +234,7 @@ def _ref_solve_linear(field, rows, rhs):
         if r == m:
             break
     if any(aug[i][n] for i in range(r, m)):
-        return None, [], pivot_cols
+        return LinearSolution(False, None, [], r, pivot_cols)
     particular = [0] * n
     for row_i, col in enumerate(pivot_cols):
         particular[col] = aug[row_i][n]
@@ -225,7 +245,7 @@ def _ref_solve_linear(field, rows, rhs):
         for row_i, col in enumerate(pivot_cols):
             vec[col] = ctx.neg(aug[row_i][f])
         kernel.append(vec)
-    return particular, kernel, pivot_cols
+    return LinearSolution(True, particular, kernel, r, pivot_cols)
 
 
 def _ref_echelonize(field, vectors):
@@ -264,9 +284,66 @@ def test_row_kernels_match_reference_elimination(pk, m, n, data):
     entry = st.sampled_from([0] + values)
     rows = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(m)]
     rhs = data.draw(st.lists(entry, min_size=m, max_size=m))
-    particular, kernel, pivots = _ref_solve_linear(F, rows, rhs)
-    sol = solve_linear(F, rows, rhs)
-    assert sol.consistent == (particular is not None)
-    assert (sol.particular, sol.kernel, sol.pivot_cols) == (particular, kernel, pivots)
+    assert solve_linear(F, rows, rhs) == _ref_solve_linear(F, rows, rhs)
     assert echelonize(F, rows) == _ref_echelonize(F, rows)
-    assert null_space(F, rows, n) == _ref_echelonize(F, _ref_solve_linear(F, rows, [0] * m)[1])
+    assert null_space(F, rows, n) == _ref_echelonize(F, _ref_solve_linear(F, rows, [0] * m).kernel)
+
+
+# -- packed prime-field elimination against the reference --
+
+@st.composite
+def prime_systems(draw):
+    """(p, rows, rhs): m x n over GF(p), m and n in 1..9, each row a
+    combination of `rank` random rows (so zero rows and rank deficiency are
+    common), rhs zero, in the column space, or arbitrary (often inconsistent)."""
+    p = draw(st.sampled_from([2, 3, 13, 65521]))
+    m, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rank = draw(st.integers(0, min(m, n)))
+    entry = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    vectors = st.lists(entry, min_size=rank, max_size=rank)
+    basis = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(rank)]
+    coeffs = [draw(vectors) for _ in range(m)]
+    rows = [[sum(c * b[j] for c, b in zip(cs, basis)) % p for j in range(n)] for cs in coeffs]
+    kind = draw(st.sampled_from(["zero", "consistent", "arbitrary"]))
+    if kind == "zero":
+        rhs = [0] * m
+    elif kind == "consistent":
+        x = draw(st.lists(entry, min_size=n, max_size=n))
+        rhs = [sum(a * b for a, b in zip(row, x)) % p for row in rows]
+    else:
+        rhs = draw(st.lists(entry, min_size=m, max_size=m))
+    return p, rows, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(prime_systems())
+def test_packed_elimination_matches_reference(system):
+    p, rows, rhs = system
+    F = make_field(p)
+    assert solve_linear(F, rows, rhs) == _ref_solve_linear(F, rows, rhs)
+
+
+def test_packed_elimination_matches_reference_on_large_systems():
+    """Dense systems long enough for many updates to pile up in each slot."""
+    rng = SplitMix64(88)
+    for p, m, n in ((2, 70, 60), (13, 60, 80), (65521, 40, 30)):
+        F = make_field(p)
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(m)]
+        rows += [list(r) for r in rows[:5]]         # rank deficient
+        rhs = [rng.randrange(p) for _ in range(len(rows))]
+        for b in (rhs, [0] * len(rows)):
+            assert solve_linear(F, rows, b) == _ref_solve_linear(F, rows, b)
+
+
+def test_packed_rows_slots_at_the_caps():
+    """The slots of a packed elimination hold (p - 1)^2 * (pivots + 1).  At
+    p = 65521 the largest system the caps allow per block (the Hom space of
+    rank-MAX_RANK data at MAX_PRECISION: MAX_RANK^2 * MAX_PRECISION
+    unknowns) takes 64-bit slots, as does any system with up to 2^32
+    pivots; far past that the packing refuses rather than truncates."""
+    pivots = MAX_RANK ** 2 * MAX_PRECISION
+    assert pack_rows(65521, [], pivots)[:2] == (8, "Q")
+    assert pack_rows(65521, [], 2 ** 32)[:2] == (8, "Q")
+    assert pack_rows(13, [], 160)[:2] == (2, "H")
+    with pytest.raises(StructuralError):
+        pack_rows(65521, [], 2 ** 33)
