@@ -17,6 +17,12 @@ Cases, layer by layer:
 * matrix products: Matrix.__mul__ (kernels.mat_mul) against the entrywise
   sum of Series products, outputs asserted equal, over GF(7), GF(13) and
   GF(9);
+* Laurent matrix products: Matrix.__mul__ (kernels.laurent_mat_mul)
+  against the entrywise chain of Laurent products and sums, outputs
+  asserted equal, at 1x1 GF(9) N=24, 2x2 GF(7) N=16 and 4x4 GF(13) N=8,
+  with floors and lengths varying per entry;
+* fixed_rows on the Hom actions kron(A_g, A*_g) of a rank-2 GF(13), N=8
+  Kummer Z/4 datum (the `calculus` size: rank 4, 32 x 32 per action);
 * psi(g) apply: one application of the cached substitution operator against
   the Horner vec_compose it replaces (outputs asserted equal), plus the
   one-off cost of building its table of powers where it has one;
@@ -108,7 +114,8 @@ def bench_crossover(results, repeats, runs):
 
 
 def _entrywise_product(a, b):
-    """The product as a sum of Series products, entry by entry."""
+    """The product as a sum of entry products (Series or Laurent), entry by
+    entry."""
     from orbipar.linalg import Matrix
 
     rows = []
@@ -145,6 +152,51 @@ def bench_mat_mul(results, repeats, runs):
         new = timed(results, f"Matrix.__mul__ {fname} r={r} N={n}", lambda: a * b, calls, runs)[0]
         print(f"{fname:<16}{r:>3}{n:>4}{old * 1e6:>10.1f}us{new * 1e6:>10.1f}us"
               f"{old / new:>7.1f}x")
+
+
+def bench_laurent_mul(results, repeats, runs):
+    from orbipar.linalg import Matrix
+    from orbipar.series import Laurent
+
+    print(f"{'Laurent product':<16}{'r':>3}{'N':>4}{'entrywise':>12}{'Matrix*':>12}{'gain':>8}")
+    for (p, k), r, n in (((3, 2), 1, 24), ((7, 1), 2, 16), ((13, 1), 4, 8)):
+        field = make_field(p, k)
+        q, fname = field.order, field.describe()
+        rng = SplitMix64(q * 1000 + r)
+
+        def random_matrix():
+            return Matrix([[Laurent(field, rng.randrange(5) - 2,
+                                    tuple(rng.randrange(q) for _ in range(n - rng.randrange(3))))
+                            for _ in range(r)] for _ in range(r)])
+
+        a, b = random_matrix(), random_matrix()
+        assert a * b == _entrywise_product(a, b), \
+            "the Laurent matrix product disagrees with the entrywise product"
+        calls = max(repeats // (n * r * r), 1)
+        old = timed(results, f"entrywise Laurent product {fname} r={r} N={n}",
+                    lambda: _entrywise_product(a, b), calls, runs)[0]
+        new = timed(results, f"Laurent Matrix.__mul__ {fname} r={r} N={n}", lambda: a * b,
+                    calls, runs)[0]
+        print(f"{fname:<16}{r:>3}{n:>4}{old * 1e6:>10.1f}us{new * 1e6:>10.1f}us"
+              f"{old / new:>7.1f}x")
+
+
+def bench_fixed_rows(results, runs):
+    """fixed_rows on the Hom actions of dual_pairing_check's search."""
+    from orbipar.equivariant import fixed_rows
+    from orbipar.linalg import kron
+    from orbipar.local_galois import make_kummer
+    from orbipar.parabolic import random_datum
+    from orbipar.pvect import dual_matrix
+
+    ext = make_kummer(make_field(13), 4, 8)
+    c = random_datum(ext, 2, SplitMix64(2718), character_exponent=1).points[0].psi
+    actions = [(kron(c.mats[g], dual_matrix(c, g)), ext.psi(g).power)
+               for g in ext.group.generators()]
+    med, low = timed(results, "fixed_rows calculus Hom actions rank 4 GF(13) N=8",
+                     lambda: fixed_rows(ext.field, 4, ext.prec, actions), 10, runs)
+    print(f"fixed_rows, calculus Hom actions (rank 4, GF(13), N=8): {med * 1e6:.0f} us median, "
+          f"{low * 1e6:.0f} us min")
 
 
 def bench_psi(results, repeats, runs):
@@ -279,6 +331,9 @@ def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
     bench_crossover(results, repeats, runs)
     print()
     bench_mat_mul(results, repeats, runs)
+    print()
+    bench_laurent_mul(results, repeats, runs)
+    bench_fixed_rows(results, runs)
     print()
     bench_psi(results, repeats, runs)
     print()

@@ -527,16 +527,20 @@ def fixed_rows(field, rank, prec, actions):
     Both x and the equations use coordinates m*rank + comp, one block of
     rank*prec rows per action.  `actions` lists (A, power) pairs, power(m)
     being psi(s^m): psi(s^m e_comp) is column comp of A scaled by power(m).
+    Every such product is an entry of one matrix product per action: the
+    column of A's entries times the row of the powers.
     """
     ctx = field.ctx
     dim = rank * prec
     rows = []
     for a, power in actions:
+        prods = (Matrix([[e] for row in a.entries for e in row])
+                 * Matrix([[power(m) for m in range(prec)]])).entries
         cols = []
         for idx in range(dim):
             m, comp = divmod(idx, rank)
-            col = vec_to_coords(tuple(a.entries[row][comp] * power(m)
-                                       for row in range(rank)), rank, prec)
+            col = vec_to_coords(tuple(prods[row * rank + comp][m]
+                                      for row in range(rank)), rank, prec)
             col[idx] = ctx.sub(col[idx], 1)
             cols.append(col)
         rows.extend(zip(*cols))

@@ -1,18 +1,22 @@
 """Series kernels: the one implementation of the hot loops.
 
-Truncated convolution and matrix products, series inversion and
-composition over a FieldCtx, vec_scale and vec_tri (the two ways a cached
-substitution operator applies itself), and the rows of exact elimination:
-row_axpy, row_scale and row_neg on lists, and pack_rows, packed_column,
-packed_normalize and unpack_rows for the packed prime-field rows of
-linalg.solve_linear.  Coefficient vectors are lists or tuples of element
-encodings; results are lists.  Prime fields take a direct `% p` path,
-extension fields the ctx's exp/log tables, with sums looked up in
-ctx.add_table where the field has one and negation in ctx.neg_table.
+Truncated convolution, Series and Laurent matrix products, series
+inversion and composition over a FieldCtx, vec_scale and vec_tri (the two
+ways a cached substitution operator applies itself), and the rows of exact
+elimination: row_axpy, row_scale and row_neg on lists, and pack_rows,
+packed_pivot, packed_column, packed_normalize and unpack_rows for the
+packed prime-field rows of linalg.solve_linear.  Coefficient vectors are
+lists or tuples of element encodings; results are lists.  Prime fields take
+a direct `% p` path, extension fields the ctx's exp/log tables, with sums
+looked up in ctx.add_table where the field has one and negation in
+ctx.neg_table.
 
 Products are packed (Kronecker substitution): a coefficient vector becomes
 one Python int of fixed-width little-endian slots, so one bigint product is
 the whole convolution and a sum of such products is a whole matrix entry.
+A Laurent matrix entry is a shifted window sum: each term's product is
+shifted up by the distance of its floor above the lowest floor, so one
+bigint sum lines up every term's coefficients by exponent.
 Over GF(p) coefficient i fills slot i.  Over GF(p^k), k >= 2, an element is
 its k base-p digits (the coefficients of its polynomial in x), and
 coefficient i fills the group of 2k - 1 slots from slot (2k - 1) * i, digit
@@ -24,7 +28,8 @@ Unpacking folds the digits of degree >= k down with the modulus, x^k =
 `% p` and encodes.
 
 Each slot holds the exact unreduced sum of at most k * short * inner digit
-products below p, with short the shorter operand length and inner the
+products below p, with short the shorter operand length (for a matrix
+product the smaller of the two operands' longest entries) and inner the
 number of products summed (k = 1 over GF(p)); the slot is the narrowest of
 16, 32 or 64 bits that holds (p - 1)^2 * k * short * inner, so no carry
 crosses slots.  A bound above 64 bits raises StructuralError; nothing is
@@ -115,6 +120,17 @@ def packed_column(rows, nbytes, j, p):
     return [(v >> shift & mask) % p for v in rows]
 
 
+def packed_pivot(rows, start, nbytes, j, p):
+    """(i, entry j of row i) for the first row i >= start whose entry j is
+    nonzero, or None."""
+    shift, mask = 8 * nbytes * j, (1 << (8 * nbytes)) - 1
+    for i in range(start, len(rows)):
+        e = (rows[i] >> shift & mask) % p
+        if e:
+            return i, e
+    return None
+
+
 def packed_normalize(v, nbytes, tc, width, f, p):
     """The packed row f * v, each of its width slots reduced mod p."""
     return _pack(tc, [x * f % p for x in _slots(v, nbytes, tc, width)], width)
@@ -195,40 +211,121 @@ def vec_mul(ctx, a, b, n):
     return out
 
 
+def _packers(ctx, short, inner):
+    """(pack, unpack, bits) for packed products summing at most inner
+    products whose shorter operand has at most short coefficients: pack(x,
+    n) is the first n coefficients of x as one int, unpack(c, n) the first n
+    coefficients of c, and bits the width of one coefficient's slot (its
+    group of 2k - 1 slots over GF(p^k))."""
+    p = ctx.p
+    nbytes, tc = _slot(p, ctx.k, short, inner)
+    if ctx.k == 1:
+        return (lambda x, n: _pack(tc, x, n),
+                lambda c, n: _unpack(c, nbytes, tc, n, p), 8 * nbytes)
+    blocks = ctx.digit_blocks(tc)
+    return (lambda x, n: _pack_digits(blocks, x, n),
+            lambda c, n: _unpack_digits(ctx, c, nbytes, tc, n), 8 * nbytes * (2 * ctx.k - 1))
+
+
+def _add_into(ctx, acc, term, offset):
+    """acc[offset:] += term coefficientwise, acc cut where the shorter of
+    the two ends; over GF(p) the sums stay unreduced."""
+    if ctx.k == 1:
+        acc[offset:] = [x + y for x, y in zip(acc[offset:], term)]
+    elif ctx.add_table:
+        tab = ctx.add_table
+        acc[offset:] = [tab[x][y] for x, y in zip(acc[offset:], term)]
+    else:
+        add = ctx.add
+        acc[offset:] = [add(x, y) for x, y in zip(acc[offset:], term)]
+
+
 def mat_mul(ctx, a, b, n):
     """Truncated matrix product over k[[s]]/(s^n): out[i][j] is the first n
     coefficients of sum_t a[i][t] * b[t][j].
 
     a and b are non-empty rows of coefficient vectors with len(a[0]) ==
-    len(b); the result is rows of lists.
+    len(b); the result is rows of lists.  A 1 x 1 product uses each operand
+    once, so it is one vec_mul, which packs by itself.
     """
     inner = len(b)
+    if inner == len(a) == len(b[0]) == 1:
+        return [[vec_mul(ctx, a[0][0], b[0][0], n)]]
     short = min(max(len(x) for row in a for x in row),
                 max(len(x) for row in b for x in row), n)
     if short * inner >= PACK_MIN:
-        p = ctx.p
-        nbytes, tc = _slot(p, ctx.k, short, inner)
-        if ctx.k == 1:
-            pa = [[_pack(tc, x, n) for x in row] for row in a]
-            cols = list(zip(*([_pack(tc, x, n) for x in row] for row in b)))
-            return [[_unpack(sum(map(_mul, row, col)), nbytes, tc, n, p) for col in cols]
-                    for row in pa]
-        blocks = ctx.digit_blocks(tc)
-        pa = [[_pack_digits(blocks, x, n) for x in row] for row in a]
-        cols = list(zip(*([_pack_digits(blocks, x, n) for x in row] for row in b)))
-        return [[_unpack_digits(ctx, sum(map(_mul, row, col)), nbytes, tc, n) for col in cols]
-                for row in pa]
-    add, tab = ctx.add, ctx.add_table
+        pack, unpack, _ = _packers(ctx, short, inner)
+        pa = [[pack(x, n) for x in row] for row in a]
+        cols = list(zip(*([pack(x, n) for x in row] for row in b)))
+        return [[unpack(sum(map(_mul, row, col)), n) for col in cols] for row in pa]
     out = []
     for row in a:
         out_row = []
-        for j in range(len(b[0])):
-            acc = vec_mul(ctx, row[0], b[0][j], n)
-            for t in range(1, inner):
-                term = vec_mul(ctx, row[t], b[t][j], n)
-                acc = ([tab[x][y] for x, y in zip(acc, term)] if tab
-                       else [add(x, y) for x, y in zip(acc, term)])
-            out_row.append(acc)
+        for col in zip(*b):
+            acc = [0] * n
+            for x, y in zip(row, col):
+                _add_into(ctx, acc, vec_mul(ctx, x, y, n), 0)
+            out_row.append([x % ctx.p for x in acc] if ctx.k == 1 else acc)
+        out.append(out_row)
+    return out
+
+
+def laurent_mat_mul(ctx, a, b):
+    """Matrix product of Laurent values: a and b are non-empty rows of
+    (val_floor, coeffs) pairs with len(a[0]) == len(b); out[i][j] is the
+    (val_floor, coeffs) pair of sum_t a[i][t] * b[t][j].
+
+    Term t starts at f_t = a[i][t].val_floor + b[t][j].val_floor and is
+    known for min(len a[i][t], len b[t][j]) coefficients, so the sum is
+    known on [lo, hi): lo = min f_t, hi = min over t of f_t plus that
+    length, the window a chain of Laurent additions gives.  Packed, every
+    operand is packed once at full length, term t's bigint product is
+    shifted up by f_t - lo slots (slot groups over GF(p^k)), and the first
+    hi - lo slots of the sum are read: below its operands' shorter length
+    a full product agrees with the truncated one, and its further
+    coefficients land at slot hi - lo or above.  A 1 x 1 product uses each
+    operand once, so it is one vec_mul, which packs by itself.  Raises
+    StructuralError for an empty coeffs.
+    """
+    inner = len(b)
+    if inner == len(a) == len(b[0]) == 1:
+        (fa, x), (fb, y) = a[0][0], b[0][0]
+        n = min(len(x), len(y))
+        if not n:
+            raise StructuralError("empty validity window in Laurent product")
+        return [[(fa + fb, vec_mul(ctx, x, y, n))]]
+    cols = list(zip(*b))
+    len_a = [len(x) for row in a for _, x in row]
+    len_b = [len(x) for col in cols for _, x in col]
+    if not (min(len_a) and min(len_b)):
+        raise StructuralError("empty validity window in Laurent product")
+    short = min(max(len_a), max(len_b))
+    out = []
+    if short * inner >= PACK_MIN:
+        pack, unpack, bits = _packers(ctx, short, inner)
+        pa = [[(f, len(x), pack(x, len(x))) for f, x in row] for row in a]
+        pb = [[(f, len(x), pack(x, len(x))) for f, x in col] for col in cols]
+        for row in pa:
+            out_row = []
+            for col in pb:
+                terms = [(fa + fb, la if la < lb else lb, x * y)
+                         for (fa, la, x), (fb, lb, y) in zip(row, col)]
+                lo = min(terms)[0]
+                hi = min([f + n for f, n, _ in terms])
+                out_row.append((lo, unpack(sum([c << bits * (f - lo) for f, _, c in terms]),
+                                           hi - lo)))
+            out.append(out_row)
+        return out
+    for row in a:
+        out_row = []
+        for col in cols:
+            terms = [(fa + fb, vec_mul(ctx, x, y, min(len(x), len(y))))
+                     for (fa, x), (fb, y) in zip(row, col)]
+            lo = min(terms)[0]
+            acc = [0] * (min([f + len(c) for f, c in terms]) - lo)
+            for f, c in terms:
+                _add_into(ctx, acc, c, f - lo)
+            out_row.append((lo, [x % ctx.p for x in acc] if ctx.k == 1 else acc))
         out.append(out_row)
     return out
 

@@ -14,14 +14,21 @@ Three layers:
   v - e*w is the one bigint multiply-add v + (p - e)*w with no reduction,
   entries are read as their slot mod p, and a row is reduced only when it
   becomes the pivot row (kernels.packed_normalize), so each update adds at
-  most (p - 1)^2 to a slot and min(m, n) + 1 such sums fit the slots.  Over
-  GF(p^k), and in echelonize, reduce_against and residue_det, rows are
-  lists updated by the kernels' row_axpy and row_scale.
+  most (p - 1)^2 to a slot and min(m, n) + 1 such sums fit the slots.  The
+  pivot is searched row by row (kernels.packed_pivot) before the rest of
+  its column is read.  Over GF(p^k), and in echelonize, reduce_against and
+  residue_det, rows are lists updated by the kernels' row_axpy and
+  row_scale.
 * Matrix -- rectangular matrices with uniform Series or Laurent entries;
   inversion over k[[s]] requires a unit determinant (residue-invertible)
   and is exact at precision.  Series-matrix products run in the kernels'
-  mat_mul; Laurent products stay entrywise, since each entry's validity
-  window defines the result's.
+  mat_mul, Laurent-matrix products (a Series operand promoted) in
+  laurent_mat_mul: each output entry is the shifted sum of its terms'
+  packed products, read on the window the chain of Laurent sums gives
+  (lowest term floor up to the lowest term window end).  Results of
+  products and of the entrywise maps whose kind and field are fixed
+  (scale, negation, shift, substitute, to_laurent, to_series) are built
+  without re-checking their entries.
 * smith -- Smith normal form over the truncated DVR k[[s]]: M = U*D*W with
   U, W unimodular, D diagonal with entries of increasing valuation.  The
   divisor valuations feed the is_induced diagnostic; the U factor is the
@@ -31,8 +38,8 @@ Three layers:
 from dataclasses import dataclass
 
 from .errors import DomainError, NotInvertibleError, StructuralError
-from .kernels import (mat_mul, pack_rows, packed_column, packed_normalize, row_axpy, row_neg,
-                      row_scale, unpack_rows)
+from .kernels import (laurent_mat_mul, mat_mul, pack_rows, packed_column, packed_normalize,
+                      packed_pivot, row_axpy, row_neg, row_scale, unpack_rows)
 from .series import Laurent, Series
 
 
@@ -109,7 +116,9 @@ def _eliminate(ctx, aug, m, n):
 def _eliminate_packed(ctx, aug, m, n):
     """_eliminate over GF(p) on packed rows (kernels.pack_rows), the rhs in
     slot n: a row update is v + (p - e)*w, unreduced, and a row is reduced
-    only when it becomes the pivot row w."""
+    only when it becomes the pivot row w.  The pivot is searched row by row
+    from row r, so a column without one costs no reads of rows 0..r-1, and
+    the rest of a column is read only once its pivot is found."""
     p = ctx.p
     nbytes, tc, rows = pack_rows(p, aug, min(m, n))
     pivot_cols = []
@@ -117,20 +126,17 @@ def _eliminate_packed(ctx, aug, m, n):
     for col in range(n):
         if r == m:
             break
-        column = packed_column(rows, nbytes, col, p)
-        sel = None
-        for i in range(r, m):
-            if column[i]:
-                sel = i
-                break
-        if sel is None:
+        found = packed_pivot(rows, r, nbytes, col, p)
+        if found is None:
             continue
-        e = column[sel]
+        sel, e = found
         rows[r], rows[sel] = rows[sel], rows[r]
-        column[sel] = column[r]
-        column[r] = 0                   # the pivot row takes no update
         w = rows[r] = packed_normalize(rows[r], nbytes, tc, n + 1, ctx.inv(e), p)
-        rows = [v + (p - e) * w if e else v for v, e in zip(rows, column)]
+        # rows r+1..sel are zero in col (row sel now holds the old row r)
+        for lo, hi in ((0, r), (sel + 1, m)):
+            part = rows[lo:hi]
+            rows[lo:hi] = [v + (p - e) * w if e else v
+                           for v, e in zip(part, packed_column(part, nbytes, col, p))]
         pivot_cols.append(col)
         r += 1
     return (pivot_cols, unpack_rows(rows[:r], nbytes, tc, n + 1, p),
@@ -301,6 +307,12 @@ class Matrix:
     def map(self, fn):
         return Matrix([[fn(e) for e in row] for row in self.entries])
 
+    def _map_checked(self, fn, kind):
+        """map for an fn that takes every entry to an entry of this field of
+        the given kind: no re-check."""
+        return Matrix._checked(tuple(tuple(map(fn, row)) for row in self.entries),
+                               kind, self.field)
+
     def __add__(self, other):
         self._shape_check(other)
         return Matrix([[a + b for a, b in zip(r1, r2)]
@@ -312,7 +324,7 @@ class Matrix:
                        for r1, r2 in zip(self.entries, other.entries)])
 
     def __neg__(self):
-        return self.map(lambda e: -e)
+        return self._map_checked(lambda e: -e, self.kind)
 
     def _shape_check(self, other):
         if self.rows != other.rows or self.cols != other.cols:
@@ -322,28 +334,17 @@ class Matrix:
         if isinstance(other, Matrix):
             if self.cols != other.rows:
                 raise StructuralError("inner dimension mismatch")
-            a, b = self, other
-            if a.kind is Series and b.kind is Series:
-                return _series_product(a, b)
-            if a.kind is Laurent and b.kind is Series:
-                b = b.to_laurent()
-            elif a.kind is Series and b.kind is Laurent:
-                a = a.to_laurent()
-            out = []
-            for i in range(a.rows):
-                row = []
-                for j in range(b.cols):
-                    acc = None
-                    for t in range(a.cols):
-                        term = a.entries[i][t] * b.entries[t][j]
-                        acc = term if acc is None else acc + term
-                    row.append(acc)
-                out.append(row)
-            return Matrix(out)
+            if self.kind is Series and other.kind is Series:
+                return _series_product(self, other)
+            return _laurent_product(self.to_laurent(), other.to_laurent())
         raise StructuralError("can only multiply by Matrix")
 
     def scale(self, c):
-        return self.map(lambda e: e.scale(c))
+        return self._map_checked(lambda e: e.scale(c), self.kind)
+
+    def shift(self, m):
+        """Multiply every entry by s^m."""
+        return self._map_checked(lambda e: e.shift(m), self.kind)
 
     def transpose(self):
         return Matrix([[self.entries[i][j] for i in range(self.rows)]
@@ -352,18 +353,18 @@ class Matrix:
     def substitute(self, act: Series):
         """Apply the ring map s -> act(s) to every entry."""
         if self.kind is Series:
-            return self.map(lambda e: e.compose(act))
-        return self.map(lambda e: e.substitute(act))
+            return self._map_checked(lambda e: e.compose(act), Series)
+        return self._map_checked(lambda e: e.substitute(act), Laurent)
 
     def to_laurent(self):
         if self.kind is Laurent:
             return self
-        return self.map(Laurent.from_series)
+        return self._map_checked(Laurent.from_series, Laurent)
 
     def to_series(self, prec):
         if self.kind is Series:
-            return self.map(lambda e: e.truncate(prec))
-        return self.map(lambda e: e.to_series(prec))
+            return self._map_checked(lambda e: e.truncate(prec), Series)
+        return self._map_checked(lambda e: e.to_series(prec), Series)
 
     def residue(self):
         """Constant-term matrix over k (Laurent entries must have no pole on window)."""
@@ -460,21 +461,33 @@ def _series_product(a, b):
     field, prec = a.field, precs.pop()
     rows = mat_mul(field.ctx, [[e.coeffs for e in row] for row in a.entries],
                    [[e.coeffs for e in row] for row in b.entries], prec)
-    return Matrix._checked(tuple(tuple(Series(field, prec, tuple(c)) for c in row)
-                                 for row in rows), Series, field)
+    return Matrix._checked(tuple([tuple([Series(field, prec, tuple(c)) for c in row])
+                                  for row in rows]), Series, field)
+
+
+def _laurent_product(a, b):
+    """a * b for Laurent matrices, through the kernels' Laurent matrix
+    product: each entry on the window its chain of Laurent sums gives."""
+    field = a.field
+    if b.field is not field and b.field != field:
+        raise StructuralError("field mismatch")
+    rows = laurent_mat_mul(field.ctx,
+                           [[(e.val_floor, e.coeffs) for e in row] for row in a.entries],
+                           [[(e.val_floor, e.coeffs) for e in row] for row in b.entries])
+    return Matrix._checked(tuple([tuple([Laurent(field, f, tuple(c)) for f, c in row])
+                                  for row in rows]), Laurent, field)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    """Kronecker product, row-major index convention (i1, i2) -> i1*r2 + i2."""
-    out = []
-    for i1 in range(a.rows):
-        for i2 in range(b.rows):
-            row = []
-            for j1 in range(a.cols):
-                for j2 in range(b.cols):
-                    row.append(a.entries[i1][j1] * b.entries[i2][j2])
-            out.append(row)
-    return Matrix(out)
+    """Kronecker product, row-major index convention (i1, i2) -> i1*r2 + i2.
+
+    One outer product: the column of a's entries times the row of b's."""
+    outer = (Matrix._checked(tuple((e,) for row in a.entries for e in row), a.kind, a.field)
+             * Matrix._checked((tuple(e for row in b.entries for e in row),), b.kind, b.field))
+    return Matrix._checked(
+        tuple(tuple(outer.entries[i1 * a.cols + j1][i2 * b.cols + j2]
+                    for j1 in range(a.cols) for j2 in range(b.cols))
+              for i1 in range(a.rows) for i2 in range(b.rows)), outer.kind, outer.field)
 
 
 @dataclass
@@ -584,4 +597,4 @@ def laurent_inverse(m: Matrix) -> Matrix:
         d_inv_entries.append(row)
     d_inv = Matrix(d_inv_entries)
     out = sf.W.inverse().to_laurent() * d_inv * sf.U.inverse().to_laurent()
-    return out.map(lambda e: e.shift(-shift))
+    return out.shift(-shift)

@@ -62,8 +62,10 @@ class Substitution:
             return self.series(x)
         if isinstance(x, Laurent):
             return self.laurent(x)
-        if isinstance(x, Matrix):
-            return x.map(self.series if x.kind is Series else self.laurent)
+        if isinstance(x, Matrix):      # series and laurent keep the kind and check the field
+            if x.kind is Series:
+                return x._map_checked(self.series, Series)
+            return x._map_checked(self.laurent, Laurent)
         raise StructuralError("psi applies to a Series, a Laurent value or a Matrix")
 
     def _map(self, coeffs, n):

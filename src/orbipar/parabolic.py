@@ -623,6 +623,6 @@ def random_datum(ext, rank, rng, label="p", character_exponent=0):
         d_shift = (n - a) % n
     coc = coboundary(ext, b, character=character)
     w = random_base_unimodular(ext, rank, rng)
-    mu = (b * w).to_laurent().map(lambda e: e.shift(d_shift))
+    mu = (b * w).to_laurent().shift(d_shift)
     return ParabolicDatum(rank=rank,
                           points=(ParabolicPoint(label=label, ext=ext, psi=coc, mu=mu),))

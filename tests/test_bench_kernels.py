@@ -19,6 +19,9 @@ def test_bench_kernels_runs(capsys, tmp_path):
     assert "psi(g) apply" in out
     assert "vec_mul GF(7)" in out and "vec_mul GF(3^2)" in out and "matrix product" in out
     assert "GF(3^2)           2  24" in out
+    assert "Laurent product" in out and "GF(3^2)           1  24" in out
+    assert "GF(7)             2  16" in out and "GF(13)            4   8" in out
+    assert "fixed_rows, calculus Hom actions (rank 4, GF(13), N=8)" in out
     assert "solve_linear, calculus joint system (256x160 GF(13))" in out
     assert "solve_linear, wild invariants system (48x48 GF(3^2))" in out
     assert "solve_linear, tame invariants system (32x32 GF(7))" in out
@@ -31,5 +34,12 @@ def test_bench_kernels_runs(capsys, tmp_path):
     for case in ("vec_mul packed GF(3^2) n=8", "Matrix.__mul__ GF(3^2) r=2 N=24",
                  "entrywise product GF(3^2) r=2 N=24", "psi table build AS s/(1+s) GF(9) N=24",
                  "solve_linear tame invariants system 32x32 GF(7)",
-                 "null_space calculus joint system 256x160 GF(13)"):
+                 "null_space calculus joint system 256x160 GF(13)",
+                 "Laurent Matrix.__mul__ GF(3^2) r=1 N=24",
+                 "entrywise Laurent product GF(3^2) r=1 N=24",
+                 "Laurent Matrix.__mul__ GF(7) r=2 N=16",
+                 "entrywise Laurent product GF(7) r=2 N=16",
+                 "Laurent Matrix.__mul__ GF(13) r=4 N=8",
+                 "entrywise Laurent product GF(13) r=4 N=8",
+                 "fixed_rows calculus Hom actions rank 4 GF(13) N=8"):
         assert case in doc["cases"]
