@@ -34,7 +34,14 @@ Cases, layer by layer:
   `wild-extfield` rank*N size, 48 x 48 over GF(9)); prime fields take the
   packed rows, GF(9) the list rows; plus null_space (elimination and the
   echelon pass over its kernel) on the calculus joint system;
-* functor layer: dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data;
+* module ops: invariants on a rank-2 Artin-Schreier datum (GF(9), N=24, the
+  `wild-extfield` datum) and on a rank-3 Kummer Z/3 datum (GF(7), N=16, the
+  `tame-roundtrip` rank-3 datum), trivialize on the same wild datum, and
+  assemble_product on a rank-2 datum over the two-component Z/6 scene
+  (GF(7), N=16); each call runs outside a scenario run, so the run memo is
+  off and every call does its work afresh;
+* functor layer: functor_T and functor_S on that Z/6 datum, and
+  dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data;
 * end to end: Z/6 round trips.
 """
 
@@ -53,15 +60,15 @@ from orbipar.fields import make_field
 from orbipar.prng import SplitMix64
 
 
-def timed(results, name, fn, calls, runs):
-    """Time `runs` runs of `calls` calls of fn; record and return the median
-    and minimum seconds per call."""
+def timed(results, name, fn, calls, runs, items=1):
+    """Time `runs` runs of `calls` calls of fn, each call handling `items`
+    items; record and return the median and minimum seconds per item."""
     per_call = []
     for _ in range(runs):
         t0 = time.perf_counter()
         for _ in range(calls):
             fn()
-        per_call.append((time.perf_counter() - t0) / calls)
+        per_call.append((time.perf_counter() - t0) / (calls * items))
     med, low = statistics.median(per_call), min(per_call)
     results[name] = {"median_us": round(med * 1e6, 2), "min_us": round(low * 1e6, 2),
                      "calls": calls, "runs": runs}
@@ -285,6 +292,42 @@ def bench_solve(results, runs):
           f"{low * 1000:.1f} ms min")
 
 
+def _z6_scene(ext):
+    """The Z/6 scene over a Kummer Z/3 extension: two components, stabilizer
+    the even elements."""
+    from orbipar.groups import cyclic
+    from orbipar.parabolic import CoverScene, ScenePoint
+
+    return CoverScene(group=cyclic(6), points=(ScenePoint("p", ext, (0, 2, 4), (0, 1)),))
+
+
+def bench_module_ops(results, runs):
+    """invariants, trivialize, assemble_product, functor_T and functor_S, one
+    call per run, each outside a scenario run (no memo)."""
+    from orbipar.equivariant import assemble_product, invariants, trivialize
+    from orbipar.local_galois import make_artin_schreier, make_kummer
+    from orbipar.parabolic import build_spec_from_scene, functor_S, functor_T, random_datum
+
+    wild = random_datum(make_artin_schreier(make_field(3, 2), 24), 2,
+                        SplitMix64(5)).points[0].psi
+    k3 = make_kummer(make_field(7), 3, 16)
+    tame3 = random_datum(k3, 3, SplitMix64(12345), character_exponent=1).points[0].psi
+    scene = _z6_scene(k3)
+    d = random_datum(k3, 2, SplitMix64(12345), character_exponent=1)
+    sp = scene.points[0]
+    spec = build_spec_from_scene(sp, scene.group, d.points[0].psi)
+    glued = functor_T(d, scene)
+    cases = [("invariants", "wild rank 2 GF(3^2) N=24", lambda: invariants(wild)),
+             ("invariants", "tame rank 3 GF(7) N=16", lambda: invariants(tame3)),
+             ("trivialize", "wild rank 2 GF(3^2) N=24", lambda: trivialize(wild)),
+             ("assemble_product", "Z/6 rank 2 GF(7) N=16", lambda: assemble_product(spec)),
+             ("functor_T", "Z/6 rank 2 GF(7) N=16", lambda: functor_T(d, scene)),
+             ("functor_S", "Z/6 rank 2 GF(7) N=16", lambda: functor_S(glued))]
+    for op, label, fn in cases:
+        med, low = timed(results, f"{op} {label}", fn, 1, runs)
+        print(f"{op}, {label}: {med * 1000:.1f} ms median, {low * 1000:.1f} ms min")
+
+
 def bench_dual_pairing(results, pairings, runs):
     """dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, per call."""
     from orbipar.local_galois import make_kummer
@@ -299,20 +342,16 @@ def bench_dual_pairing(results, pairings, runs):
         for d in data:
             assert dual_pairing_check(d, rng=rng.fork()).ok
 
-    med, _ = timed(results, "dual_pairing_check rank 2 GF(13) N=8 Kummer Z/4 (per datum)",
-                   check_all, 1, runs)
-    return med / pairings
+    return timed(results, "dual_pairing_check rank 2 GF(13) N=8 Kummer Z/4 (per datum)",
+                 check_all, 1, runs, items=pairings)[0]
 
 
 def bench_roundtrips(results, count, runs):
-    from orbipar.groups import cyclic
     from orbipar.local_galois import make_kummer
-    from orbipar.parabolic import CoverScene, ScenePoint, random_datum, roundtrip_check
+    from orbipar.parabolic import random_datum, roundtrip_check
 
-    field = make_field(7)
-    ext = make_kummer(field, 3, 16)
-    scene = CoverScene(group=cyclic(6),
-                       points=(ScenePoint("p", ext, (0, 2, 4), (0, 1)),))
+    ext = make_kummer(make_field(7), 3, 16)
+    scene = _z6_scene(ext)
     rng = SplitMix64(12345)
     data = [random_datum(ext, 2, rng, character_exponent=1) for _ in range(count)]
 
@@ -320,8 +359,8 @@ def bench_roundtrips(results, count, runs):
         for d in data:
             assert roundtrip_check(d, scene).ok
 
-    med, _ = timed(results, "Z/6 round trip rank 2 GF(7) N=16 (per datum)", check_all, 1, runs)
-    return med / count
+    return timed(results, "Z/6 round trip rank 2 GF(7) N=16 (per datum)", check_all, 1, runs,
+                 items=count)[0]
 
 
 def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
@@ -338,6 +377,8 @@ def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
     bench_psi(results, repeats, runs)
     print()
     bench_solve(results, runs)
+    print()
+    bench_module_ops(results, runs)
     t = bench_dual_pairing(results, pairings, runs)
     print(f"functor layer: dual_pairing_check (rank 2, GF(13), N=8, Kummer Z/4): "
           f"{t * 1000:.0f} ms each over {pairings}")

@@ -20,12 +20,23 @@ from .scenario import (SCENARIO_SCHEMA, canonical_report, exit_code, load_scenar
                        run_scenario)
 
 
+def _demo_params(name, prefix, usage, counts):
+    """The integer parameters of a demo name `prefix(a,b,...)`; their number
+    must be in `counts`."""
+    try:
+        parts = [int(x) for x in name[len(prefix):-1].split(",")]
+    except ValueError:
+        parts = None
+    if parts is None or len(parts) not in counts:
+        raise ScenarioError(f"bad demo parameters in {name!r}; expected {usage}")
+    return parts
+
+
 def demo_scenario(name: str) -> dict:
     """Built-in demo corpora; names as documented (kummer(n,p,k) etc.)."""
     if name.startswith("kummer(") and name.endswith(")"):
-        parts = [int(x) for x in name[7:-1].split(",")]
-        n, p = parts[0], parts[1]
-        k = parts[2] if len(parts) > 2 else 1
+        n, p, k = (_demo_params(name, "kummer(", "kummer(n,p[,k]) with integers",
+                                (2, 3)) + [1])[:3]
         return {
             "schema": SCENARIO_SCHEMA,
             "field": {"p": p, "k_deg": k},
@@ -35,7 +46,7 @@ def demo_scenario(name: str) -> dict:
             "commands": [{"op": "verify_extension", "ext": "E"}],
         }
     if name.startswith("artin-schreier(") and name.endswith(")"):
-        p = int(name[15:-1])
+        p, = _demo_params(name, "artin-schreier(", "artin-schreier(p) with an integer", (1,))
         return {
             "schema": SCENARIO_SCHEMA,
             "field": {"p": p},

@@ -13,6 +13,11 @@ Conventions (fixed throughout):
   Phi(g).  Every ring isomorphism between component rings is psi(w) for a
   known w once the components are identified with k[[s]], so composition and
   equality checks stay exact.
+
+Inside a scenario run (see memo.py) each cocycle's fixed space and its
+InvariantsResult are computed once: invariants, invariants_product,
+is_induced, the S functor and stage 3 of trivialize share one solve.
+Outside a run every call solves afresh.
 """
 
 from dataclasses import dataclass
@@ -21,6 +26,7 @@ from itertools import islice
 from .errors import AssemblyError, DomainError, RankDeficiencyError, StructuralError
 from .linalg import (Matrix, combination, echelonize, extend_echelon, is_invertible_combination,
                      null_space, reduce_against, residue_search, smith, solve_linear)
+from .memo import memoized
 from .series import Series
 
 
@@ -495,9 +501,9 @@ def independence_intertwiner(mod1: ProductGModule, mod2: ProductGModule) -> Equi
 # invariants, induced-ness, trivialization
 
 
-@dataclass
+@dataclass(frozen=True)
 class InvariantsResult:
-    generators: list      # module generators, each a tuple of Series (length rank)
+    generators: tuple     # module generators, each a tuple of Series (length rank)
     natural: Matrix       # columns = generators: the map V (x) R -> E
     base_prec: int        # trustworthy base-ring coefficients, floor(N/e)
     fixed_dim: int        # k-dimension of the truncated fixed space
@@ -572,26 +578,44 @@ def module_generators(field, candidates, rank, prec, times_t):
             vec = times_t(vec)
 
 
+def fixed_space(c: Cocycle) -> tuple:
+    """Reduced echelon basis, over k, of {x in R^rank : Phi(g) x = x for all g},
+    in the coordinates of vec_to_coords; one tuple per basis vector.
+
+    Fixed by the group generators alone; memoized per cocycle in a run.
+    """
+    def solve():
+        ext = c.ext
+        actions = [(c.mats[g], ext.psi(g).power) for g in ext.group.generators()]
+        rows = fixed_rows(ext.field, c.rank, ext.prec, actions)
+        return tuple(map(tuple, null_space(ext.field, rows, c.rank * ext.prec)))
+
+    return memoized("fixed_space", c, None, solve)
+
+
 def invariants(c: Cocycle) -> InvariantsResult:
     """Fixed module of the semilinear action, as a base-ring module.
 
-    Solves Phi(g) x = x over k for the group generators, then extracts a
-    rank-r generating set with module_generators.
+    Takes the fixed space over k, then extracts a rank-r generating set with
+    module_generators; memoized per cocycle in a run.
     """
+    return memoized("invariants", c, None, lambda: _invariants(c))
+
+
+def _invariants(c: Cocycle) -> InvariantsResult:
     ext = c.ext
     field = ext.field
     rank, prec = c.rank, ext.prec
-    actions = [(c.mats[g], ext.psi(g).power) for g in ext.group.generators()]
-    candidates = null_space(field, fixed_rows(field, rank, prec, actions), rank * prec)
+    candidates = fixed_space(c)
     t = ext.base_uniformizer
 
     def times_t(coords):
         vec = coords_to_vec(field, coords, rank, prec)
         return vec_to_coords(tuple(x * t for x in vec), rank, prec)
 
-    selected = [coords_to_vec(field, v, rank, prec)
-                for v in islice(module_generators(field, candidates, rank, prec, times_t),
-                                rank)]
+    selected = tuple(coords_to_vec(field, v, rank, prec)
+                     for v in islice(module_generators(field, candidates, rank, prec, times_t),
+                                     rank))
     if len(selected) < rank:
         raise RankDeficiencyError(
             f"invariants: found {len(selected)} generators, expected {rank}",
@@ -731,8 +755,7 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
             out[(i * rank + j) * prec + m] = x
         return out
 
-    actions = [(c.mats[g], ext.psi(g).power) for g in ext.group.generators()]
-    columns = null_space(field, fixed_rows(field, rank, prec, actions), rank * prec)
+    columns = fixed_space(c)
     kernel = echelonize(field, [in_column(v, j) for j in range(rank) for v in columns])
     if not kernel:
         return TrivializeResult(False, None, "fixed-space",

@@ -12,6 +12,12 @@ action, and every ring-level transport is psi(w) for w determined by the
 transversal.  The generic part of a glued bundle is normalized to the
 trivial twist (rank alone), so the generic comparison map in round trips is
 the identity.
+
+Inside a scenario run (see memo.py) the product module that T assembles at
+a datum point is built once per scene point, group and connector family:
+functor_T and the connector_independence command share it through
+point_module.  The memo is keyed on the ParabolicPoint, which the module
+does not reference, so an entry dies with its datum.
 """
 
 from dataclasses import dataclass
@@ -21,6 +27,7 @@ from .equivariant import (Cocycle, ComponentSpec, ProductGModule, ProductGModule
                           make_connectors, verify_cocycle)
 from .errors import ConfigurationError, DomainError, StructuralError
 from .linalg import Matrix, smith
+from .memo import memoized
 from .series import Laurent, Series
 
 
@@ -334,6 +341,20 @@ def build_spec_from_scene(scene_point: ScenePoint, group, psi: Cocycle,
                               perms=perms, connectors=connectors, thetas=thetas)
 
 
+def point_module(dpt: ParabolicPoint, scene_point: ScenePoint, group,
+                 connectors=None) -> ProductGModule:
+    """The assembled product module of T at one datum point; connectors
+    default to the scene transversal seeds.  Memoized in a run per datum
+    point, scene point, group and resolved connector family."""
+    if connectors is None:
+        connectors = make_connectors(group, scene_point.perms(group),
+                                     scene_point.default_seeds(group))
+    connectors = tuple(map(tuple, connectors))
+    return memoized("point_module", dpt, (scene_point, group, connectors),
+                    lambda: assemble_product(build_spec_from_scene(
+                        scene_point, group, dpt.psi, connectors=connectors)))
+
+
 def functor_T(d: ParabolicDatum, scene: CoverScene, connectors=None) -> GluedBundle:
     """Parabolic datum -> glued bundle: assemble the formal parts and transport mu.
 
@@ -347,8 +368,8 @@ def functor_T(d: ParabolicDatum, scene: CoverScene, connectors=None) -> GluedBun
             raise ConfigurationError(
                 f"scene and datum disagree on the extension at {dpt.label}")
         conn = connectors.get(dpt.label) if connectors else None
-        spec = build_spec_from_scene(sp, scene.group, dpt.psi, connectors=conn)
-        module = assemble_product(spec)
+        module = point_module(dpt, sp, scene.group, connectors=conn)
+        spec = module.spec
         taus = []
         for i in range(sp.size()):
             w_0i = spec.thetas[0][i][1]

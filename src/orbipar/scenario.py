@@ -19,8 +19,9 @@ from .linalg import Matrix
 from .local_galois import (identity_embedding, kummer_tower, make_artin_schreier,
                            make_explicit, make_kummer, trivial_extension,
                            verify_extension)
+from .memo import run_scope
 from .parabolic import (CoverScene, ParabolicDatum, ParabolicPoint, ScenePoint,
-                        build_spec_from_scene, functor_T, random_datum,
+                        functor_T, point_module, random_datum,
                         roundtrip_check, multipoint_map, sign_twist_datum,
                         totally_ramified_scene, trivial_datum, validate_parabolic)
 from .prng import SplitMix64
@@ -322,6 +323,9 @@ def _check_references(sc: Scenario):
              "data": {name: [p.label for p in d.points] for name, d in sc.data.items()},
              "scenes": {name: [p.label for p in s.points] for name, s in sc.scenes.items()}}
     ranks = {name: d.rank for name, d in sc.data.items()}
+    # extensions per point label, where known: stored tensors and duals keep
+    # their source's, a pullback's are its refinement's
+    exts = {name: {p.label: p.ext for p in d.points} for name, d in sc.data.items()}
     for i, cmd in enumerate(sc.commands):
         if not isinstance(cmd, dict):
             raise ScenarioError(f"command {i} is not a JSON object")
@@ -363,23 +367,52 @@ def _check_references(sc: Scenario):
             if "point" in cmd and key in cmd and cmd["point"] not in known[table][cmd[key]]:
                 raise ScenarioError(f"{where}: {key} {cmd[key]!r} has no point "
                                     f"{cmd['point']!r}")
+        if "datum" in cmd and "scene" in cmd:
+            _check_scene_points(sc, cmd, known["data"][cmd["datum"]],
+                                exts.get(cmd["datum"], {}), where)
         if op == "connector_independence":
             _check_connectors(sc, cmd, known, where)
         if op in _STORING_OPS and "store_as" in cmd:
             source = cmd.get("datum", cmd.get("datum1"))
             known["data"][cmd["store_as"]] = known["data"].get(source, [])
+            exts[cmd["store_as"]] = {} if op == "pullback_refine" else exts.get(source, {})
             rank = ranks.get(source, 1) * (ranks.get(cmd["datum2"], 1) if op == "tensor" else 1)
             _check_rank(rank, where)
             ranks[cmd["store_as"]] = rank
 
 
+# ops that apply T at every point of their datum; connector_independence
+# assembles the module of one point
+_WHOLE_DATUM_SCENE_OPS = ("assemble", "roundtrip", "multipoint_roundtrip", "pushforward")
+
+
+def _check_scene_points(sc, cmd, labels, exts, where):
+    """Every datum point the command places on its scene is a scene point
+    over the same extension, as functor_T requires."""
+    if cmd.get("op") in _WHOLE_DATUM_SCENE_OPS:
+        placed = labels
+    elif cmd.get("op") == "connector_independence" and labels:
+        placed = [cmd.get("point", labels[0])]
+    else:
+        return
+    scene = sc.scenes[cmd["scene"]]
+    for label in placed:
+        sp = next((p for p in scene.points if p.label == label), None)
+        if sp is None:
+            raise ScenarioError(f"{where}: scene {cmd['scene']!r} has no point {label!r} "
+                                f"of datum {cmd['datum']!r}")
+        if label in exts and exts[label] != sp.ext:
+            raise ScenarioError(f"{where}: scene {cmd['scene']!r} and datum "
+                                f"{cmd['datum']!r} disagree on the extension at {label!r}")
+
+
 def _check_connectors(sc, cmd, known, where):
     """Build the connectors of seeds1/seeds2 on the command's scene point, as
     running it will."""
-    labels = known["data"].get(cmd.get("datum"))
+    labels = known["data"][cmd["datum"]]
     label = cmd.get("point", labels[0] if labels else None)
-    if cmd.get("scene") not in sc.scenes or label not in known["scenes"][cmd["scene"]]:
-        return      # running the command reports the missing reference
+    if label is None:
+        return      # a datum without points: there is no module to build
     scene = sc.scenes[cmd["scene"]]
     perms = scene.point(label).perms(scene.group)
     for key in ("seeds1", "seeds2"):
@@ -481,21 +514,18 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         return finish({"ok": True, "components": sizes})
 
     if op == "connector_independence":
-        from .equivariant import assemble_product, independence_intertwiner
+        from .equivariant import independence_intertwiner
         d = _resolve(sc.data, cmd, "datum")
         scene = _resolve(sc.scenes, cmd, "scene")
         label = cmd.get("point", d.points[0].label)
         sp = scene.point(label)
         perms = sp.perms(scene.group)
         seeds1 = cmd.get("seeds1") or sp.default_seeds(scene.group)
-        seeds2 = cmd["seeds2"]
         conn1 = make_connectors(scene.group, perms, list(seeds1))
-        conn2 = make_connectors(scene.group, perms, list(seeds2))
-        psi = d.point(label).psi
-        m1 = assemble_product(build_spec_from_scene(sp, scene.group, psi,
-                                                    connectors=conn1))
-        m2 = assemble_product(build_spec_from_scene(sp, scene.group, psi,
-                                                    connectors=conn2))
+        conn2 = make_connectors(scene.group, perms, list(cmd["seeds2"]))
+        dpt = d.point(label)
+        m1 = point_module(dpt, sp, scene.group, connectors=conn1)
+        m2 = point_module(dpt, sp, scene.group, connectors=conn2)
         tau = independence_intertwiner(m1, m2)
         certs = {"tau": [matrix_to_json(b_) for b_ in tau.blocks]}
         return finish({"ok": True, "components": len(tau.blocks)}, certificates=certs)
@@ -640,19 +670,22 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
 
 
 def run_scenario(sc: Scenario) -> dict:
+    """Run every command in order; one memo (see memo.py) lives for the run,
+    so each fixed space and each assembled point module is computed once."""
     rng = SplitMix64(sc.seed)
     results = []
     counts = {"pass": 0, "fail": 0, "inconclusive": 0, "error": 0}
-    for i, cmd in enumerate(sc.commands):
-        try:
-            status, detail, certs = run_command(sc, cmd, rng)
-        except OrbiparError as exc:
-            status, detail, certs = "error", {"error": str(exc)}, None
-        entry = {"index": i, "op": cmd.get("op"), "status": status, "detail": detail}
-        if certs:
-            entry["certificates"] = certs
-        results.append(entry)
-        counts[status] += 1
+    with run_scope():
+        for i, cmd in enumerate(sc.commands):
+            try:
+                status, detail, certs = run_command(sc, cmd, rng)
+            except OrbiparError as exc:
+                status, detail, certs = "error", {"error": str(exc)}, None
+            entry = {"index": i, "op": cmd.get("op"), "status": status, "detail": detail}
+            if certs:
+                entry["certificates"] = certs
+            results.append(entry)
+            counts[status] += 1
     return {"schema": REPORT_SCHEMA, "seed": sc.seed,
             "results": results, "summary": counts}
 

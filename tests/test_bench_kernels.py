@@ -26,6 +26,10 @@ def test_bench_kernels_runs(capsys, tmp_path):
     assert "solve_linear, wild invariants system (48x48 GF(3^2))" in out
     assert "solve_linear, tame invariants system (32x32 GF(7))" in out
     assert "null_space, calculus joint system (256x160 GF(13))" in out
+    for line in ("invariants, wild rank 2 GF(3^2) N=24", "invariants, tame rank 3 GF(7) N=16",
+                 "trivialize, wild rank 2 GF(3^2) N=24", "assemble_product, Z/6 rank 2 GF(7) N=16",
+                 "functor_T, Z/6 rank 2 GF(7) N=16", "functor_S, Z/6 rank 2 GF(7) N=16"):
+        assert line in out
     assert "functor layer: dual_pairing_check (rank 2, GF(13), N=8, Kummer Z/4)" in out
     assert "end-to-end: 1 Z/6 round trips" in out
     doc = json.loads(out_file.read_text())
@@ -41,5 +45,8 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "entrywise Laurent product GF(7) r=2 N=16",
                  "Laurent Matrix.__mul__ GF(13) r=4 N=8",
                  "entrywise Laurent product GF(13) r=4 N=8",
-                 "fixed_rows calculus Hom actions rank 4 GF(13) N=8"):
+                 "fixed_rows calculus Hom actions rank 4 GF(13) N=8",
+                 "invariants wild rank 2 GF(3^2) N=24", "invariants tame rank 3 GF(7) N=16",
+                 "trivialize wild rank 2 GF(3^2) N=24", "assemble_product Z/6 rank 2 GF(7) N=16",
+                 "functor_T Z/6 rank 2 GF(7) N=16", "functor_S Z/6 rank 2 GF(7) N=16"):
         assert case in doc["cases"]

@@ -87,6 +87,17 @@ def test_unknown_demo(tmp_path):
     assert main(["demo", "nonsense", "-o", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("name", ["kummer(a,b)", "kummer()", "artin-schreier(x)", "kummer(3)",
+                                  "kummer(3,7,2,9)", "artin-schreier()", "artin-schreier(2,3)"])
+def test_bad_demo_parameters_are_scenario_errors(tmp_path, capsys, name):
+    with pytest.raises(ScenarioError, match="bad demo parameters"):
+        demo_scenario(name)
+    assert main(["demo", name, "-o", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "bad demo parameters" in err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_reports_byte_identical_across_runs(tmp_path):
     doc = demo_scenario("z6-two-points")
     _, _, out1 = run_cli(tmp_path, doc)
@@ -193,6 +204,24 @@ def _tower(n, m):
     return edit
 
 
+def _label_q_on_cover(*commands, sign_twist=False):
+    """An edit relabelling datum "d" (or adding a sign_twist datum "sign") to
+    "q", which scene "cover" lacks, and running only the given commands."""
+    def edit(d):
+        if sign_twist:
+            d["data"]["sign"] = {"kind": "sign_twist", "label": "q"}
+        else:
+            d["data"]["d"]["points"][0]["label"] = "q"
+        d["commands"] = list(commands)
+    return edit
+
+
+def _datum_on_k4(d):
+    """Datum "d" over Kummer Z/4, while scene "cover" is over K2."""
+    d["extensions"]["K4"] = {"kind": "kummer", "n": 4}
+    d["data"]["d"]["points"][0]["ext"] = "K4"
+
+
 def _cyclic_table(n):
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
@@ -262,6 +291,19 @@ BAD_INPUTS = {
         field={"p": 521}, extensions={**d["extensions"], "K": {"kind": "kummer", "n": 260}}),
     "tower-n-above-cap": _tower(260, 520),
     "tower-m-above-cap": _tower(130, 520),
+    "datum-label-not-in-scene": lambda d: d["data"]["d"]["points"][0].update(label="q"),
+    "sign-twist-label-not-in-scene": _label_q_on_cover(
+        {"op": "assemble", "datum": "sign", "scene": "cover"}, sign_twist=True),
+    "multipoint-label-not-in-scene": _label_q_on_cover(
+        {"op": "multipoint_roundtrip", "datum": "d", "scene": "cover"}),
+    "connector-label-not-in-scene": _label_q_on_cover(
+        {"op": "connector_independence", "datum": "d", "scene": "cover", "seeds2": []}),
+    "pushforward-label-not-in-scene": _label_q_on_cover(
+        {"op": "pushforward", "datum": "d", "scene": "cover"}),
+    "stored-label-not-in-scene": _label_q_on_cover(
+        {"op": "dual", "datum": "d", "store_as": "dd"},
+        {"op": "roundtrip", "datum": "dd", "scene": "cover"}),
+    "datum-ext-not-scene-ext": _datum_on_k4,
 }
 GROUP_CAP_CASES = sorted(k for k in BAD_INPUTS if "cap" in k and any(
     w in k for w in ("cyclic", "dihedral", "product", "table", "group", "kummer", "tower")))
@@ -338,6 +380,27 @@ def test_bad_connector_seeds_are_scenario_errors(tmp_path, capsys, sub, seeds2):
     assert main([sub, str(f)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "seeds2" in err and "does not map component" in err
+
+
+def test_scene_point_checks_pass_good_data(tmp_path):
+    """Stored data keep their labels and extensions, so a scene check passes
+    on them, and a command that names its point may use a multi-point datum
+    whose other points the scene lacks."""
+    def edit(d):
+        d["commands"] += [{"op": "dual", "datum": "d", "store_as": "dd"},
+                          {"op": "assemble", "datum": "dd", "scene": "cover"}]
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(_broken(edit)))
+    assert main(["verify", str(f)]) == 0
+    assert main(["run", str(f)]) == 0
+    doc = demo_scenario("multipoint-mixed")
+    doc["scenes"]["onlyB"] = {"group": {"kind": "cyclic", "n": 6},
+                              "points": [doc["scenes"]["cover"]["points"][1]]}
+    doc["commands"] = [{"op": "connector_independence", "datum": "d", "scene": "onlyB",
+                        "point": "B", "seeds2": [3]}]
+    f.write_text(json.dumps(doc))
+    assert main(["verify", str(f)]) == 0
+    assert main(["run", str(f)]) == 0
 
 
 def test_verify_counts_stored_data(tmp_path):

@@ -1,0 +1,238 @@
+"""The per-run memo: work counts, scope, and a differential test against
+the unmemoized path.
+
+Inside run_scenario each cocycle's fixed space and InvariantsResult, and
+each assembled point module, are computed once; outside a run every call
+computes afresh.  The counters below wrap the functions that do the work,
+on every orbipar module that binds them.
+"""
+
+from contextlib import nullcontext
+from dataclasses import FrozenInstanceError
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from orbipar import equivariant, linalg, memo, parabolic, pvect, scenario
+from orbipar.equivariant import invariants, is_induced, trivialize
+from orbipar.parabolic import functor_T, roundtrip_check
+from orbipar.prng import SplitMix64
+
+COUNTED = {"null_space": (linalg, equivariant, pvect),
+           "assemble_product": (equivariant, parabolic, pvect),
+           "_invariants": (equivariant,)}
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Call counts of null_space, assemble_product and _invariants."""
+    seen = dict.fromkeys(COUNTED, 0)
+    for name, modules in COUNTED.items():
+        original = getattr(modules[0], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            seen[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def _doc(field, extensions, scenes, data, commands, seed=5):
+    return {"schema": "orbipar-scenario/1", "field": field, "precision": 8, "seed": seed,
+            "extensions": extensions, "scenes": scenes, "data": data, "commands": commands}
+
+
+def _datum(rank, ext, seed, exponent=0):
+    return {"kind": "random", "rank": rank, "seed": seed,
+            "points": [{"label": "p", "ext": ext, "character_exponent": exponent}]}
+
+
+def _two_component(ext, n):
+    """The Z/2n scene whose component-0 stabilizer is the even elements."""
+    return {"group": {"kind": "cyclic", "n": 2 * n},
+            "points": [{"label": "p", "ext": ext, "iso": list(range(0, 2 * n, 2)),
+                        "transversal": [0, 1]}]}
+
+
+def _per_datum(d, scene, seeds2, trivialize_expect=None):
+    return [{"op": "verify_cocycle", "datum": d},
+            {"op": "invariants", "datum": d},
+            {"op": "is_induced", "datum": d},
+            {"op": "trivialize", "datum": d, "expect": trivialize_expect or {}},
+            {"op": "assemble", "datum": d, "scene": scene},
+            {"op": "connector_independence", "datum": d, "scene": scene, "seeds2": seeds2},
+            {"op": "roundtrip", "datum": d, "scene": scene}]
+
+
+# tame: GF(7), Kummer Z/3, a rank-2 datum on the two-component Z/6 scene
+# (seeds2 differs from the default seeds) and a rank-1 one on the totally
+# ramified Z/3 scene (seeds2 = the default, empty)
+TAME = _doc({"p": 7}, {"K3": {"kind": "kummer", "n": 3}},
+            {"z6": _two_component("K3", 3),
+             "z3": {"group": {"kind": "cyclic", "n": 3},
+                    "points": [{"label": "p", "ext": "K3", "totally_ramified": True}]}},
+            {"a": _datum(2, "K3", 11, exponent=1), "b": _datum(1, "K3", 12)},
+            _per_datum("a", "z6", [3], {"found": False, "stage": "residue"})
+            + _per_datum("b", "z3", []))
+# wild: GF(9), Artin-Schreier Z/3, rank 2, totally ramified
+WILD = _doc({"p": 3, "k_deg": 2}, {"AS": {"kind": "artin_schreier"}},
+            {"tr": {"group": {"kind": "cyclic", "n": 3},
+                    "points": [{"label": "p", "ext": "AS", "totally_ramified": True}]}},
+            {"d": _datum(2, "AS", 13)}, _per_datum("d", "tr", []))
+
+# Per run of the scenario.  Unmemoized, each datum's fixed space is solved
+# by invariants, is_induced and S, and by trivialize where it reaches stage
+# 3 (wild's d does; tame's a stops at the residue obstruction, b at
+# averaging); the module of T is assembled by assemble, twice by
+# connector_independence, and twice by the round trip (T(d) and
+# T(S(T(d)))).  Memoized, one solve per datum, and connector_independence
+# and T(d) reuse assemble's module, except for a seeds2 that differs from
+# the default seeds.
+WORK = {"tame": (TAME, {"null_space": 2, "_invariants": 2, "assemble_product": 5},
+                 {"null_space": 6, "_invariants": 6, "assemble_product": 10}),
+        "wild": (WILD, {"null_space": 1, "_invariants": 1, "assemble_product": 2},
+                 {"null_space": 4, "_invariants": 3, "assemble_product": 5})}
+
+
+def _unmemoized_report(sc):
+    with mock.patch.object(scenario, "run_scope", nullcontext):
+        return scenario.run_scenario(sc)
+
+
+@pytest.mark.parametrize("case", sorted(WORK))
+def test_run_counts(counts, case):
+    doc, memoized, fresh = WORK[case]
+    sc = scenario.load_scenario(doc)
+    report = scenario.run_scenario(sc)
+    assert report["summary"]["error"] == 0 and report["summary"]["fail"] == 0
+    assert counts == memoized
+    # the same loaded scenario again: no entry survives the first run
+    counts.update(dict.fromkeys(counts, 0))
+    assert scenario.run_scenario(sc) == report
+    assert counts == memoized
+    counts.update(dict.fromkeys(counts, 0))
+    assert _unmemoized_report(scenario.load_scenario(doc)) == report
+    assert counts == fresh
+
+
+def test_library_calls_outside_a_run_memoize_nothing(counts):
+    sc = scenario.load_scenario(TAME)
+    d, scene = sc.data["a"], sc.scenes["z6"]
+    psi = d.points[0].psi
+    assert invariants(psi) == invariants(psi)
+    is_induced(psi)
+    trivialize(psi)
+    assert functor_T(d, scene) == functor_T(d, scene)
+    assert counts == {"null_space": 3, "_invariants": 3, "assemble_product": 2}
+    assert memo.live_keys() == {}
+
+
+def test_memo_hits_share_one_object():
+    sc = scenario.load_scenario(TAME)
+    d, scene = sc.data["a"], sc.scenes["z6"]
+    psi = d.points[0].psi
+    with memo.run_scope():
+        assert invariants(psi) is invariants(psi)
+        assert functor_T(d, scene).points[0].module is functor_T(d, scene).points[0].module
+        assert memo.live_keys() == {"fixed_space": 1, "invariants": 1, "point_module": 1}
+    assert memo.live_keys() == {}
+    # shared results are immutable
+    res = invariants(psi)
+    with pytest.raises(AttributeError):
+        res.generators.append(())
+    with pytest.raises(FrozenInstanceError):
+        res.fixed_dim = 0
+    space = equivariant.fixed_space(psi)
+    assert isinstance(space, tuple) and all(isinstance(v, tuple) for v in space)
+
+
+def test_random_roundtrips_leave_no_live_entries(monkeypatch):
+    """The data random_roundtrips draws die with the command, and so do their
+    entries; the scenario's own datum keeps its entries for the rest of the run."""
+    doc = dict(TAME, commands=[
+        {"op": "roundtrip", "datum": "a", "scene": "z6"},
+        {"op": "random_roundtrips", "scene": "z6", "count": 4, "rank": 2,
+         "character_exponents": [0, 1]},
+        {"op": "is_induced", "datum": "a"}])
+    live = []
+    original = scenario.run_command
+
+    def recording(sc, cmd, rng):
+        out = original(sc, cmd, rng)
+        live.append(memo.live_keys())
+        return out
+
+    monkeypatch.setattr(scenario, "run_command", recording)
+    report = scenario.run_scenario(scenario.load_scenario(doc))
+    assert report["summary"]["pass"] == 3
+    datum_a = {"fixed_space": 1, "invariants": 1, "point_module": 1}
+    assert live == [datum_a, datum_a, datum_a]
+
+
+def test_failures_are_not_memoized(monkeypatch):
+    """A build that raises records nothing and runs again at the next call."""
+    sc = scenario.load_scenario(TAME)
+    psi = sc.data["a"].points[0].psi
+    calls = []
+
+    def failing(c):
+        calls.append(c)
+        raise equivariant.RankDeficiencyError("no generators", found=0, expected=2)
+
+    monkeypatch.setattr(equivariant, "_invariants", failing)
+    with memo.run_scope():
+        for _ in range(2):
+            with pytest.raises(equivariant.RankDeficiencyError):
+                invariants(psi)
+        assert memo.live_keys() == {}
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# differential: memo on (inside a scope) against memo off
+
+# (field, extension config, group order, character exponents)
+EXTENSIONS = [({"p": 7}, {"kind": "kummer", "n": 3}, 3, (0, 1, 2)),
+              ({"p": 13}, {"kind": "kummer", "n": 4}, 4, (0, 1, 3)),
+              ({"p": 2}, {"kind": "artin_schreier"}, 2, (0,)),
+              ({"p": 3}, {"kind": "artin_schreier"}, 3, (0,)),
+              ({"p": 3, "k_deg": 2}, {"kind": "artin_schreier"}, 3, (0,))]
+
+
+def _differential_doc(spec, rank, exponent, seed, two_components):
+    field, ext, n, _ = spec
+    scene = (_two_component("E", n) if two_components else
+             {"group": {"kind": "cyclic", "n": n},
+              "points": [{"label": "p", "ext": "E", "totally_ramified": True}]})
+    seeds2 = [2 * n - 1] if two_components else []
+    return _doc(field, {"E": ext}, {"s": scene}, {"d": _datum(rank, "E", seed, exponent)},
+                _per_datum("d", "s", seeds2) + [
+                    {"op": "multipoint_roundtrip", "datum": "d", "scene": "s"}], seed=seed)
+
+
+def _library_results(d, scene):
+    psi = d.points[0].psi
+    return (invariants(psi), is_induced(psi), trivialize(psi, rng=SplitMix64(7)),
+            functor_T(d, scene), roundtrip_check(d, scene))
+
+
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(spec=st.sampled_from(EXTENSIONS), rank=st.integers(1, 3), pick=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1), two_components=st.booleans())
+def test_memo_on_equals_memo_off(spec, rank, pick, seed, two_components):
+    exponent = spec[3][pick % len(spec[3])]
+    doc = _differential_doc(spec, rank, exponent, seed, two_components)
+    sc = scenario.load_scenario(doc)
+    d, scene = sc.data["d"], sc.scenes["s"]
+    fresh = _library_results(d, scene)
+    with memo.run_scope():
+        first = _library_results(d, scene)
+        again = _library_results(d, scene)
+    assert first == fresh and again == fresh
+    on = scenario.canonical_report(scenario.run_scenario(sc))
+    off = scenario.canonical_report(_unmemoized_report(scenario.load_scenario(doc)))
+    assert on == off
