@@ -8,8 +8,7 @@ __version__ = "0.1.0"
 from .equivariant import (Cocycle, assemble_product, invariants, is_induced,
                           make_connectors, trivialize, verify_cocycle)
 from .fields import FieldSpec, make_field
-from .local_galois import (kummer_tower, make_artin_schreier, make_kummer,
-                           rewrite_in_base, verify_extension)
+from .local_galois import kummer_tower, make_artin_schreier, make_kummer, verify_extension
 from .parabolic import (CoverScene, GluedBundle, ParabolicDatum, ScenePoint,
                         functor_S, functor_T, roundtrip_check, sign_twist_datum,
                         totally_ramified_scene, trivial_datum, validate_parabolic)
@@ -20,7 +19,7 @@ from .series import Laurent, Series
 __all__ = [
     "__version__", "FieldSpec", "make_field", "Series", "Laurent",
     "make_kummer", "make_artin_schreier", "kummer_tower", "verify_extension",
-    "rewrite_in_base", "Cocycle", "verify_cocycle", "assemble_product",
+    "Cocycle", "verify_cocycle", "assemble_product",
     "make_connectors", "invariants", "is_induced", "trivialize",
     "ParabolicDatum", "CoverScene", "ScenePoint", "GluedBundle",
     "functor_T", "functor_S", "roundtrip_check", "validate_parabolic",

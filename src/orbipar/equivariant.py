@@ -47,9 +47,6 @@ class Cocycle:
             if m.rows != self.rank or m.cols != self.rank:
                 raise StructuralError("cocycle matrix of wrong shape")
 
-    def mat(self, g):
-        return self.mats[g]
-
     def apply(self, g, vec):
         """Phi(g) on a coordinate vector (tuple of Series)."""
         psi = self.ext.psi(g)
@@ -169,6 +166,12 @@ def compose_blocks(ext, m1, w1, m2, w2):
     return m1 * ext.psi(w1)(m2), ext.group.mul(w1, w2)
 
 
+def block_inverse(ext, m, w):
+    """The inverse of the semilinear block (m, w): (psi(w^{-1})(m^{-1}), w^{-1})."""
+    w_inv = ext.group.inv(w)
+    return ext.psi(w_inv)(m.inverse()), w_inv
+
+
 def verify_spec(spec: ProductGModuleSpec):
     """Conditions (A), (B), (C) of the assembly lemma; raises AssemblyError."""
     g_, i_ = spec.group, spec.ext.group
@@ -264,9 +267,6 @@ class ProductGModule:
     @property
     def size(self):
         return self.spec.size
-
-    def block(self, g, i):
-        return self.phi[g][i]
 
 
 def assemble_product(spec: ProductGModuleSpec) -> ProductGModule:
@@ -395,58 +395,6 @@ class EquivariantMorphism:
     blocks: tuple    # per-component Matrix (R-linear)
 
 
-def assemble_morphism(source: ProductGModule, target: ProductGModule,
-                      mats) -> EquivariantMorphism:
-    """Glue per-component R-linear maps into a G-equivariant morphism.
-
-    Requires theta'_{ij} f_i = f_j theta_{ij} and G_i-equivariance of each
-    f_i; full G-equivariance of the glued map is then re-verified blockwise.
-    """
-    s_spec, t_spec = source.spec, target.spec
-    if s_spec.size != t_spec.size or s_spec.group is not t_spec.group:
-        if s_spec.group.table != t_spec.group.table or s_spec.size != t_spec.size:
-            raise StructuralError("morphism between incompatible modules")
-    ext = s_spec.ext
-    l = s_spec.size
-    mats = tuple(mats)
-    for i in range(l):
-        for j in range(l):
-            m_ij, w_ij = s_spec.thetas[i][j]
-            m2_ij, w2_ij = t_spec.thetas[i][j]
-            if w_ij != w2_ij:
-                raise AssemblyError("source and target thetas have different ring parts",
-                                    condition="theta", indices=(i, j))
-            lhs = m2_ij * ext.psi(w2_ij)(mats[i])
-            rhs = mats[j] * m_ij
-            if not lhs.agrees_with(rhs):
-                raise AssemblyError(
-                    f"compatibility theta'_{i}{j} f_{i} = f_{j} theta_{i}{j} fails",
-                    condition="compat", indices=(i, j))
-    for i in range(l):
-        for u in range(ext.group.order):
-            a = s_spec.components[i].iso[u]
-            lhs = mats[i] * s_spec.components[i].cocycle.mats[u]
-            rhs = t_spec.components[i].cocycle.mats[u] * ext.psi(u)(mats[i])
-            if not lhs.agrees_with(rhs):
-                raise AssemblyError(
-                    f"component {i} map is not equivariant at isotropy element {u}",
-                    condition="equivariance", indices=(i, a))
-    # full equivariance of the glued map
-    for g in range(s_spec.group.order):
-        for i in range(l):
-            j, m, w = source.phi[g][i]
-            j2, m2, w2 = target.phi[g][i]
-            if j != j2 or w != w2:
-                raise AssemblyError("source/target blocks disagree structurally",
-                                    condition="blocks", indices=(i, g))
-            lhs = mats[j] * m
-            rhs = m2 * ext.psi(w)(mats[i])
-            if not lhs.agrees_with(rhs):
-                raise AssemblyError(f"glued map not equivariant at element {g}, "
-                                    f"component {i}", condition="glued", indices=(i, g))
-    return EquivariantMorphism(blocks=mats)
-
-
 def independence_intertwiner(mod1: ProductGModule, mod2: ProductGModule) -> EquivariantMorphism:
     """The connector-independence intertwiner tau with Phi2(g) = tau Phi1(g) tau^{-1}.
 
@@ -470,31 +418,42 @@ def independence_intertwiner(mod1: ProductGModule, mod2: ProductGModule) -> Equi
             raise DomainError(f"connector difference f_{j} is not in the isotropy group")
         m2, w2 = s2.thetas[0][j]
         m1, w1 = s1.thetas[0][j]
-        # theta^1_{0j} inverse as a semilinear block
-        w1_inv = ext.group.inv(w1)
-        m1_inv = ext.psi(w1_inv)(m1.inverse())
-        m, w = compose_blocks(ext, psi.cocycle.mats[u], u, m1_inv, w1_inv)
+        m, w = compose_blocks(ext, psi.cocycle.mats[u], u, *block_inverse(ext, m1, w1))
         m, w = compose_blocks(ext, m2, w2, m, w)
         if w != 0:
             raise AssemblyError("intertwiner block is not R-linear "
                                 "(ring parts of the two theta families disagree)",
                                 condition="tau", indices=(j,))
         blocks.append(m)
-    # verify Phi2(g) o tau = tau o Phi1(g) blockwise, exhaustively
-    for g in range(g_.order):
-        for i in range(l):
+    bad = first_nonintertwining(mod1, mod2, blocks)
+    if bad is not None:
+        g, i, index_mismatch = bad
+        if index_mismatch:
+            raise AssemblyError("modules have incompatible index actions",
+                                condition="tau", indices=(g, i))
+        raise AssemblyError(f"intertwiner fails equivariance at element {g}, component {i}",
+                            condition="tau", indices=(g, i))
+    return EquivariantMorphism(blocks=tuple(blocks))
+
+
+def first_nonintertwining(mod1: ProductGModule, mod2: ProductGModule, blocks):
+    """The first (g, i, index_mismatch) at which Phi2(g) o tau = tau o Phi1(g)
+    fails blockwise, tau being the R-linear blocks; None if tau intertwines.
+
+    Scans every g, then every component i.  index_mismatch is True when the
+    two modules send component i to different targets or ring parts under g,
+    False when only the matrix parts disagree.
+    """
+    ext = mod1.spec.ext
+    for g in range(mod1.spec.group.order):
+        for i in range(mod1.size):
             j1, ma, wa = mod1.phi[g][i]
             j2, mb, wb = mod2.phi[g][i]
             if j1 != j2 or wa != wb:
-                raise AssemblyError("modules have incompatible index actions",
-                                    condition="tau", indices=(g, i))
-            lhs = mb * ext.psi(wb)(blocks[i])
-            rhs = blocks[j1] * ma
-            if not lhs.agrees_with(rhs):
-                raise AssemblyError(
-                    f"intertwiner fails equivariance at element {g}, component {i}",
-                    condition="tau", indices=(g, i))
-    return EquivariantMorphism(blocks=tuple(blocks))
+                return g, i, True
+            if not (mb * ext.psi(wb)(blocks[i])).agrees_with(blocks[j1] * ma):
+                return g, i, False
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +595,6 @@ def _invariants(c: Cocycle) -> InvariantsResult:
                             fixed_dim=len(candidates))
 
 
-def component_cocycle(m: ProductGModule) -> Cocycle:
-    return m.spec.components[0].cocycle
-
-
 def invariants_product(m: ProductGModule) -> InvariantsResult:
     """Invariants of the glued module.
 
@@ -648,7 +603,7 @@ def invariants_product(m: ProductGModule) -> InvariantsResult:
     components are theta-transports.  So this reduces to the component-0
     cocycle.
     """
-    return invariants(component_cocycle(m))
+    return invariants(m.spec.components[0].cocycle)
 
 
 @dataclass

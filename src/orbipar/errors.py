@@ -26,14 +26,6 @@ class NotInvertibleError(DomainError):
         self.valuation = valuation
 
 
-class NotInvariantError(DomainError):
-    """Base-rewriting of a non-invariant series; carries the offending valuation."""
-
-    def __init__(self, message, valuation=None):
-        super().__init__(message)
-        self.valuation = valuation
-
-
 class ConfigurationError(OrbiparError):
     """Unsatisfiable construction request (missing roots of unity, bad tower data...)."""
 

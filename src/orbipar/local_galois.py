@@ -33,7 +33,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
 from . import kernels
-from .errors import ConfigurationError, DomainError, NotInvariantError, StructuralError
+from .errors import ConfigurationError, DomainError, StructuralError
 from .groups import FiniteGroup, cyclic
 from .linalg import Matrix
 from .series import Laurent, Series
@@ -277,46 +277,6 @@ def norm(ext: LocalExtension, f: Series) -> Series:
     return out
 
 
-def rewrite_in_base(ext: LocalExtension, f: Series) -> Series:
-    """Express an invariant series as a series in t; output precision floor(N/e).
-
-    Greedy from the lowest remaining valuation, which must be divisible by e
-    at every step; a non-divisible valuation certifies non-invariance.
-    """
-    if f.field != ext.field or f.prec != ext.prec:
-        raise StructuralError("series incompatible with the extension")
-    e = ext.ram_index
-    n = ext.prec
-    out_prec = max(n // e, 1)
-    t = ext.base_uniformizer
-    lead = t.coeffs[e] if e < n else 1
-    ctx = ext.field.ctx
-    remaining = f
-    coeffs = {}
-    tpows = {0: Series.one(ext.field, n)}
-    while True:
-        v = remaining.valuation()
-        if v is None:
-            break
-        if v % e != 0:
-            raise NotInvariantError(
-                f"series is not invariant: lowest remaining valuation {v} "
-                f"not divisible by e = {e}", valuation=v)
-        m = v // e
-        if m not in tpows:
-            mm = max(k for k in tpows if k <= m)
-            acc = tpows[mm]
-            for _ in range(m - mm):
-                acc = acc * t
-                mm += 1
-                tpows[mm] = acc
-        c = ctx.mul(remaining.coeffs[v], ctx.inv(ext.field.pow(lead, m)))
-        coeffs[m] = c
-        remaining = remaining - tpows[m].scale(c)
-    return Series(ext.field, out_prec,
-                  tuple(coeffs.get(m, 0) for m in range(out_prec)))
-
-
 def evaluate_in_base(ext: LocalExtension, h: Series) -> Series:
     """h(t(s)) as a series in s at the extension precision."""
     acc = Series.zero(ext.field, ext.prec)
@@ -415,10 +375,3 @@ def kummer_tower(field, n: int, m: int, prec: int) -> ExtensionEmbedding:
 def identity_embedding(ext: LocalExtension) -> ExtensionEmbedding:
     return make_embedding(ext, ext, Series.s(ext.field, ext.prec),
                           tuple(range(ext.group.order)))
-
-
-def trivial_into(big: LocalExtension) -> ExtensionEmbedding:
-    """The trivial extension inside big: s_small -> t_big (degree-e embedding)."""
-    small = trivial_extension(big.field, big.prec)
-    quotient = (0,) * big.group.order
-    return make_embedding(small, big, big.base_uniformizer, quotient)

@@ -23,9 +23,10 @@ does not reference, so an entry dies with its datum.
 from dataclasses import dataclass
 
 from .equivariant import (Cocycle, ComponentSpec, ProductGModule, ProductGModuleSpec,
-                          assemble_product, compose_blocks, invariants_product,
-                          make_connectors, verify_cocycle)
-from .errors import ConfigurationError, DomainError, StructuralError
+                          assemble_product, block_inverse, compose_blocks,
+                          first_nonintertwining, invariants_product, make_connectors,
+                          verify_cocycle)
+from .errors import ConfigurationError, DomainError, OrbiparError, StructuralError
 from .linalg import Matrix, smith
 from .memo import memoized
 from .series import Laurent, Series
@@ -118,7 +119,7 @@ def validate_parabolic(d: ParabolicDatum) -> ValidationReport:
                                     point=pt.label, detail=bad)
         try:
             pt.mu.inverse()
-        except Exception:
+        except OrbiparError:
             return ValidationReport(False, f"mu at {pt.label} is not invertible",
                                     point=pt.label)
     return ValidationReport(True, "ok")
@@ -264,7 +265,7 @@ def verify_glued(b: GluedBundle) -> ValidationReport:
         for i, tau in enumerate(pt.taus):
             try:
                 tau.inverse()
-            except Exception:
+            except OrbiparError:
                 return ValidationReport(False,
                                         f"tau_{i} at {pt.label} is not invertible",
                                         point=pt.label)
@@ -322,15 +323,14 @@ def build_spec_from_scene(scene_point: ScenePoint, group, psi: Cocycle,
         iso_i = scene_point.component_iso(group, i)
         g_0i = connectors[0][i]
         m_0i, w_0i = thetas[0][i]
-        w_0i_inv = i_.inv(w_0i)
+        m_0i_inv, w_0i_inv = block_inverse(ext, m_0i, w_0i)
         mats = []
         for u in range(i_.order):
             a = iso_i[u]
             inner = group.mul(group.mul(group.inv(g_0i), a), g_0i)
             u_inner = scene_point.q0(group, inner)
             m, w = compose_blocks(ext, m_0i, w_0i, psi.mats[u_inner], u_inner)
-            m, w = compose_blocks(ext, m, w,
-                                  ext.psi(w_0i_inv)(m_0i.inverse()), w_0i_inv)
+            m, w = compose_blocks(ext, m, w, m_0i_inv, w_0i_inv)
             if w != u:
                 raise ConfigurationError(
                     "conjugated component action has unexpected ring part "
@@ -387,7 +387,7 @@ def functor_T(d: ParabolicDatum, scene: CoverScene, connectors=None) -> GluedBun
 @dataclass
 class SResult:
     datum: ParabolicDatum
-    identifications: dict     # label -> Matrix (iota)
+    sigmas: dict              # label -> Matrix (iota^{-1})
     induced: dict             # label -> bool
 
 
@@ -399,7 +399,7 @@ def functor_S(b: GluedBundle) -> SResult:
     leftover discrepancy lands in mu = iota^{-1} tau_0.
     """
     pts = []
-    iotas = {}
+    sigmas = {}
     induced = {}
     for gpt in b.points:
         spec = gpt.module.spec
@@ -419,12 +419,12 @@ def functor_S(b: GluedBundle) -> SResult:
         psi = Cocycle(ext, b.rank, mats)
         mu = iota_inv.to_laurent() * gpt.taus[0]
         pts.append(ParabolicPoint(label=gpt.label, ext=ext, psi=psi, mu=mu))
-        iotas[gpt.label] = iota
+        sigmas[gpt.label] = iota_inv
     datum = ParabolicDatum(rank=b.rank, points=tuple(pts))
     rep = validate_parabolic(datum)
     if not rep.ok:
         raise ConfigurationError(f"functor_S produced an invalid datum: {rep.message}")
-    return SResult(datum=datum, identifications=iotas, induced=induced)
+    return SResult(datum=datum, sigmas=sigmas, induced=induced)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +468,6 @@ def validate_parabolic_morphism(src: ParabolicDatum, dst: ParabolicDatum,
     return ValidationReport(True, "ok")
 
 
-def _block_inverse(ext, m, w):
-    w_inv = ext.group.inv(w)
-    return ext.psi(w_inv)(m.inverse()), w_inv
-
-
 @dataclass
 class RoundtripReport:
     ok: bool
@@ -499,7 +494,7 @@ def roundtrip_check(d: ParabolicDatum, scene: CoverScene,
     sres = functor_S(b)
     d2 = sres.datum
 
-    sigmas = {label: iota.inverse() for label, iota in sres.identifications.items()}
+    sigmas = sres.sigmas
     g_ident = None
     for dpt in d.points:
         base_prec = max(dpt.ext.prec // dpt.ext.ram_index, 1)
@@ -518,7 +513,6 @@ def roundtrip_check(d: ParabolicDatum, scene: CoverScene,
         gpt2 = b2.point(label)
         spec, spec2 = gpt.module.spec, gpt2.module.spec
         ext = spec.ext
-        group = scene.group
         iota_inv = sigmas[label]
         l = spec.size
         blocks = []
@@ -529,27 +523,20 @@ def roundtrip_check(d: ParabolicDatum, scene: CoverScene,
             if j != i or j2 != i or w_theta != w_theta2:
                 return RoundtripReport(False,
                                        f"transport blocks disagree at {label}", per_point)
-            m_inv, w_inv = _block_inverse(ext, m_theta, w_theta)
-            m, w = compose_blocks(ext, iota_inv, 0, m_inv, w_inv)
+            m, w = compose_blocks(ext, iota_inv, 0, *block_inverse(ext, m_theta, w_theta))
             m, w = compose_blocks(ext, m_theta2, w_theta2, m, w)
             if w != 0:
                 return RoundtripReport(False, f"rho_{i} at {label} is not R-linear",
                                        per_point)
             blocks.append(m)
         # rho equivariance: rho_j o Phi(g) = Phi~(g) o rho_i blockwise
-        for g in range(group.order):
-            for i in range(l):
-                j, m1, w1 = gpt.module.phi[g][i]
-                j2, m2, w2 = gpt2.module.phi[g][i]
-                if j != j2 or w1 != w2:
-                    return RoundtripReport(False, "incompatible index bookkeeping",
-                                           per_point)
-                lhs = blocks[j] * m1
-                rhs = m2 * ext.psi(w1)(blocks[i])
-                if not lhs.agrees_with(rhs):
-                    return RoundtripReport(
-                        False, f"rho equivariance fails at {label}, element {g}, "
-                        f"component {i}", per_point)
+        bad = first_nonintertwining(gpt.module, gpt2.module, blocks)
+        if bad is not None:
+            g, i, index_mismatch = bad
+            if index_mismatch:
+                return RoundtripReport(False, "incompatible index bookkeeping", per_point)
+            return RoundtripReport(False, f"rho equivariance fails at {label}, element {g}, "
+                                   f"component {i}", per_point)
         # gluing square: tau~_i = rho_i o tau_i (generic comparison = identity)
         for i in range(l):
             lhs = gpt2.taus[i]

@@ -313,39 +313,7 @@ def dual_pairing_check(d: ParabolicDatum, rng=None) -> PairingReport:
 def decompose_series(ext, f: Series):
     """Graded pieces: f = sum_j s^j * h_j(t), j < e; each h_j has floor(N/e)
     trustworthy base coefficients."""
-    return _decompose_series_at(ext, f, f.prec)
-
-
-def decompose_laurent(ext, x: Laurent):
-    """Graded pieces of a Laurent value: x = sum_j s^j h_j(t), h_j Laurent in t.
-
-    Factor x = t^{m0} * y with m0 = floor(val_floor / e); y is then series-like
-    and decomposes gradedly; each piece picks up a t-shift by m0.
-    """
-    e = ext.ram_index
-    field = ext.field
-    lo = x.val_floor
-    m0 = lo // e  # floor division handles negative floors
-    if m0 != 0:
-        t_l = Laurent.from_series(ext.base_uniformizer)
-        y = x * t_l.pow(-m0)
-    else:
-        y = x
-    v = y.valuation()
-    if v is None:
-        zero = Laurent.zero(field, max(len(y.coeffs) // e, 1), val_floor=m0)
-        return [zero for _ in range(e)]
-    if v < 0:
-        raise StructuralError("laurent decomposition produced a genuine pole")
-    # stored coefficients below the valuation are known zeros; drop them
-    end = y.val_floor + len(y.coeffs)
-    prec_s = min(ext.prec, end)
-    f = Series(field, prec_s, tuple(y.coeff(k) for k in range(prec_s)))
-    pieces = _decompose_series_at(ext, f, prec_s)
-    return [Laurent(field, m0, p.coeffs) for p in pieces]
-
-
-def _decompose_series_at(ext, f: Series, prec):
+    prec = f.prec
     e = ext.ram_index
     out_prec = max(prec // e, 1)
     lead = ext.base_uniformizer.coeffs[e] if e < ext.prec else 1
@@ -373,6 +341,35 @@ def _decompose_series_at(ext, f: Series, prec):
         remaining = remaining - (tpows[m] * mono).scale(c)
     return [Series(field, out_prec, tuple(parts[j].get(m, 0) for m in range(out_prec)))
             for j in range(e)]
+
+
+def decompose_laurent(ext, x: Laurent):
+    """Graded pieces of a Laurent value: x = sum_j s^j h_j(t), h_j Laurent in t.
+
+    Factor x = t^{m0} * y with m0 = floor(val_floor / e); y is then series-like
+    and decomposes gradedly; each piece picks up a t-shift by m0.
+    """
+    e = ext.ram_index
+    field = ext.field
+    lo = x.val_floor
+    m0 = lo // e  # floor division handles negative floors
+    if m0 != 0:
+        t_l = Laurent.from_series(ext.base_uniformizer)
+        y = x * t_l.pow(-m0)
+    else:
+        y = x
+    v = y.valuation()
+    if v is None:
+        zero = Laurent.zero(field, max(len(y.coeffs) // e, 1), val_floor=m0)
+        return [zero for _ in range(e)]
+    if v < 0:
+        raise StructuralError("laurent decomposition produced a genuine pole")
+    # stored coefficients below the valuation are known zeros; drop them
+    end = y.val_floor + len(y.coeffs)
+    prec_s = min(ext.prec, end)
+    f = Series(field, prec_s, tuple(y.coeff(k) for k in range(prec_s)))
+    pieces = decompose_series(ext, f)
+    return [Laurent(field, m0, p.coeffs) for p in pieces]
 
 
 @dataclass

@@ -206,6 +206,8 @@ def _load(doc):
         if kind in ("trivial", "random", "explicit"):
             rank = int(cfg["rank"])
             _check_rank(rank, f"datum {name!r}")
+            if not cfg["points"]:
+                raise ScenarioError(f"datum {name!r} has no points")
         if kind == "trivial":
             data[name] = trivial_datum(rank,
                                        [(p["label"], _resolve(exts, p, "ext"))
@@ -391,7 +393,7 @@ def _check_scene_points(sc, cmd, labels, exts, where):
     over the same extension, as functor_T requires."""
     if cmd.get("op") in _WHOLE_DATUM_SCENE_OPS:
         placed = labels
-    elif cmd.get("op") == "connector_independence" and labels:
+    elif cmd.get("op") == "connector_independence":
         placed = [cmd.get("point", labels[0])]
     else:
         return
@@ -410,9 +412,7 @@ def _check_connectors(sc, cmd, known, where):
     """Build the connectors of seeds1/seeds2 on the command's scene point, as
     running it will."""
     labels = known["data"][cmd["datum"]]
-    label = cmd.get("point", labels[0] if labels else None)
-    if label is None:
-        return      # a datum without points: there is no module to build
+    label = cmd.get("point", labels[0])
     scene = sc.scenes[cmd["scene"]]
     perms = scene.point(label).perms(scene.group)
     for key in ("seeds1", "seeds2"):
@@ -446,6 +446,11 @@ def _expect_match(expect, result):
 
 def _pass_fail(ok):
     return "pass" if ok else "fail"
+
+
+def _command_point(d, cmd):
+    """The datum point a command names with "point", by default the first."""
+    return d.point(cmd.get("point", d.points[0].label))
 
 
 def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
@@ -483,7 +488,7 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
     if op == "invariants":
         from .equivariant import invariants as inv_op
         d = _resolve(sc.data, cmd, "datum")
-        pt = d.point(cmd.get("point", d.points[0].label))
+        pt = _command_point(d, cmd)
         res = inv_op(pt.psi)
         certs = {"generators": [[series_to_json(s) for s in g] for g in res.generators],
                  "natural": matrix_to_json(res.natural)}
@@ -492,13 +497,13 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
 
     if op == "is_induced":
         d = _resolve(sc.data, cmd, "datum")
-        pt = d.point(cmd.get("point", d.points[0].label))
+        pt = _command_point(d, cmd)
         rep = is_induced(pt.psi)
         return finish({"induced": rep.induced, "profile": rep.profile})
 
     if op == "trivialize":
         d = _resolve(sc.data, cmd, "datum")
-        pt = d.point(cmd.get("point", d.points[0].label))
+        pt = _command_point(d, cmd)
         res = trivialize(pt.psi, budget=sc.budgets["residue_cap"], rng=rng.fork())
         certs = {"b": matrix_to_json(res.b)} if res.b is not None else {}
         result = {"found": res.found, "stage": res.stage, "proven": res.proven,
@@ -517,13 +522,12 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         from .equivariant import independence_intertwiner
         d = _resolve(sc.data, cmd, "datum")
         scene = _resolve(sc.scenes, cmd, "scene")
-        label = cmd.get("point", d.points[0].label)
-        sp = scene.point(label)
+        dpt = _command_point(d, cmd)
+        sp = scene.point(dpt.label)
         perms = sp.perms(scene.group)
         seeds1 = cmd.get("seeds1") or sp.default_seeds(scene.group)
         conn1 = make_connectors(scene.group, perms, list(seeds1))
         conn2 = make_connectors(scene.group, perms, list(cmd["seeds2"]))
-        dpt = d.point(label)
         m1 = point_module(dpt, sp, scene.group, connectors=conn1)
         m2 = point_module(dpt, sp, scene.group, connectors=conn2)
         tau = independence_intertwiner(m1, m2)
@@ -632,7 +636,7 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
 
     if op == "adjunction":
         d = _resolve(sc.data, cmd, "datum")
-        pt = d.point(cmd.get("point", d.points[0].label))
+        pt = _command_point(d, cmd)
         rep = adjunction_check(int(cmd.get("source_rank", 1)), pt)
         return finish({"ok": rep.ok, "lhs_rank": rep.lhs_rank,
                        "rhs_rank": rep.rhs_rank,

@@ -222,6 +222,12 @@ def _datum_on_k4(d):
     d["data"]["d"]["points"][0]["ext"] = "K4"
 
 
+def _datum_without_points(d):
+    """Datum "d" with no points, and a command that defaults to its first point."""
+    d["data"]["d"]["points"] = []
+    d["commands"].append({"op": "invariants", "datum": "d"})
+
+
 def _cyclic_table(n):
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
@@ -304,6 +310,7 @@ BAD_INPUTS = {
         {"op": "dual", "datum": "d", "store_as": "dd"},
         {"op": "roundtrip", "datum": "dd", "scene": "cover"}),
     "datum-ext-not-scene-ext": _datum_on_k4,
+    "datum-without-points": _datum_without_points,
 }
 GROUP_CAP_CASES = sorted(k for k in BAD_INPUTS if "cap" in k and any(
     w in k for w in ("cyclic", "dihedral", "product", "table", "group", "kummer", "tower")))

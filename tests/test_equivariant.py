@@ -1,7 +1,7 @@
 import pytest
 
 from orbipar.equivariant import (Cocycle, ComponentSpec, ProductGModuleSpec,
-                                 assemble_morphism, assemble_product, coboundary,
+                                 assemble_product, coboundary, first_nonintertwining,
                                  independence_intertwiner, invariants, is_induced,
                                  make_connectors, trivialize, twist, verify_action,
                                  verify_cocycle)
@@ -194,35 +194,20 @@ def test_intertwiner_nonabelian_dihedral():
     assert len(tau.blocks) == 2
 
 
-# -- morphisms --
-
-
-def test_morphism_identity_and_scalar():
+def test_first_nonintertwining_reports_first_failure():
+    """Identity blocks intertwine a module with itself; a scaled block first
+    fails at element 1, component 0; another transversal first changes the
+    ring part there."""
     ext = make_kummer(F7, 3, 12)
     g6 = cyclic(6)
-    sp = ScenePoint(label="p", ext=ext, iso=(0, 2, 4), transversal=(0, 1))
-    c = Cocycle.trivial(ext, 2)
-    mod = assemble_product(build_spec_from_scene(sp, g6, c))
-    ident = Matrix.identity(F7, 2, 12)
-    assemble_morphism(mod, mod, [ident, ident])
-    scal = ident.scale(3)
-    assemble_morphism(mod, mod, [scal, scal])
-
-
-def test_morphism_forced_second_component():
-    """f_1 arbitrary forces f_2 = theta f_1 theta^{-1}; anything else fails."""
-    ext = make_kummer(F7, 3, 12)
-    g6 = cyclic(6)
-    sp = ScenePoint(label="p", ext=ext, iso=(0, 2, 4), transversal=(0, 1))
     c = Cocycle.trivial(ext, 1)
-    mod = assemble_product(build_spec_from_scene(sp, g6, c))
-    # with trivial cocycle and identity thetas, constants are equivariant
-    m = Matrix([[Series.constant(F7, 2, 12)]])
-    assemble_morphism(mod, mod, [m, m])
-    other = Matrix([[Series.constant(F7, 3, 12)]])
-    with pytest.raises(AssemblyError) as exc:
-        assemble_morphism(mod, mod, [m, other])
-    assert exc.value.indices is not None
+    mods = [assemble_product(build_spec_from_scene(
+        ScenePoint(label="p", ext=ext, iso=(0, 2, 4), transversal=(0, t)), g6, c))
+        for t in (1, 3)]
+    ident = Matrix.identity(F7, 1, 12)
+    assert first_nonintertwining(mods[0], mods[0], [ident, ident]) is None
+    assert first_nonintertwining(mods[0], mods[0], [ident, ident.scale(2)]) == (1, 0, False)
+    assert first_nonintertwining(mods[0], mods[1], [ident, ident]) == (1, 0, True)
 
 
 # -- invariants / induced --

@@ -1,13 +1,13 @@
 import pytest
 
-from orbipar.errors import ConfigurationError, NotInvariantError
+from orbipar.errors import ConfigurationError
 from orbipar.fields import make_field
 from orbipar.groups import cyclic
 from orbipar.local_galois import (LocalExtension, evaluate_in_base,
                                   identity_embedding, kummer_tower, make_artin_schreier,
-                                  make_embedding, make_kummer, norm, rewrite_in_base,
-                                  trivial_into, verify_extension)
+                                  make_embedding, make_kummer, norm, verify_extension)
 from orbipar.prng import SplitMix64
+from orbipar.pvect import decompose_series
 from orbipar.series import Series
 
 F5 = make_field(5)
@@ -109,29 +109,19 @@ def test_norm_invariance():
             assert nm.compose(e.action[g]).coeffs == nm.coeffs
 
 
-def test_rewrite_in_base_examples():
-    e = make_kummer(F5, 2, N)
-    t = e.base_uniformizer
-    h = rewrite_in_base(e, t)
-    assert h.coeffs[:2] == (0, 1)
-    f = Series.monomial(F5, 1, 2, N)         # s^2 = 4t since t = 4s^2
-    h2 = rewrite_in_base(e, f)
-    assert h2.coeffs[:2] == (0, 4)
-    assert evaluate_in_base(e, h2).coeffs == f.coeffs
-    with pytest.raises(NotInvariantError) as exc:
-        rewrite_in_base(e, Series.s(F5, N))
-    assert exc.value.valuation == 1
-
-
 def test_rewrite_round_trip_property():
+    """decompose_series inverts evaluate_in_base: an invariant h(t) comes back
+    as piece 0, and the pieces s^j h_j(t) with j > 0 vanish."""
     rng = SplitMix64(3)
-    for e in (make_kummer(F5, 2, N), make_artin_schreier(F3, 15)):
+    for e in (make_kummer(F5, 2, N), make_artin_schreier(F3, 15),
+              make_kummer(make_field(7), 3, N), make_artin_schreier(make_field(3, 2), 12)):
         m = e.prec // e.ram_index
         for _ in range(10):
             h = Series(e.field, m, tuple(rng.randrange(e.field.order)
                                          for _ in range(m)))
-            f = evaluate_in_base(e, h)
-            assert rewrite_in_base(e, f).coeffs == h.coeffs
+            pieces = decompose_series(e, evaluate_in_base(e, h))
+            assert pieces[0].coeffs == h.coeffs
+            assert all(p.valuation() is None for p in pieces[1:])
 
 
 def test_identity_embedding_and_trivial_into():
@@ -139,8 +129,6 @@ def test_identity_embedding_and_trivial_into():
     emb = identity_embedding(e)
     f = Series.from_coeffs(F5, [1, 2, 3], N)
     assert emb.expand(f).coeffs == f.coeffs
-    emb2 = trivial_into(e)
-    assert emb2.s_image.coeffs == e.base_uniformizer.coeffs
 
 
 def test_kummer_tower_2_in_4():

@@ -12,7 +12,7 @@ from orbipar.parabolic import (CoverScene, ParabolicDatum, ParabolicPoint, Scene
                                trivial_datum, validate_parabolic,
                                validate_parabolic_morphism, verify_glued)
 from orbipar.prng import SplitMix64
-from orbipar.series import Series
+from orbipar.series import Laurent, Series
 
 F5 = make_field(5)
 F7 = make_field(7)
@@ -39,6 +39,32 @@ def test_sign_twist_with_wrong_mu_fails():
         ParabolicPoint(pt.label, pt.ext, pt.psi, bad_mu),))
     rep = validate_parabolic(bad)
     assert not rep.ok and "condition (b)" in rep.message
+
+
+def test_singular_mu_is_not_invertible():
+    ext = make_kummer(F5, 2, N)
+    one = Laurent.exact(F5, 0, [1], N)
+    pt = trivial_datum(2, [("p", ext)]).points[0]
+    bad = ParabolicDatum(rank=2, points=(
+        ParabolicPoint("p", ext, pt.psi, Matrix([[one, one], [one, one]])),))
+    rep = validate_parabolic(bad)
+    assert not rep.ok and rep.message == "mu at p is not invertible"
+
+
+def test_programming_error_in_inverse_propagates(monkeypatch):
+    """Only orbipar errors read as "not invertible"; anything else is a bug."""
+    ext = make_kummer(F5, 2, N)
+    d = trivial_datum(1, [("p", ext)])
+    b = functor_T(d, totally_ramified_scene(ext))
+
+    def broken_inverse(self):
+        raise TypeError("broken inverse")
+
+    monkeypatch.setattr(Matrix, "inverse", broken_inverse)
+    with pytest.raises(TypeError):
+        validate_parabolic(d)
+    with pytest.raises(TypeError):
+        verify_glued(b)
 
 
 # -- functor T --
