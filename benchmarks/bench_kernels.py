@@ -40,6 +40,11 @@ Cases, layer by layer:
   assemble_product on a rank-2 datum over the two-component Z/6 scene
   (GF(7), N=16); each call runs outside a scenario run, so the run memo is
   off and every call does its work afresh;
+* law checks: verify_cocycle and verify_action, which prove their group
+  laws on the generators, against verify_cocycle_exhaustive and
+  verify_action_exhaustive, which scan every pair (reports asserted equal),
+  on that Z/6 datum's cocycle and module; and is_invertible against
+  laurent_inverse on its mu;
 * functor layer: functor_T and functor_S on that Z/6 datum, and
   dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data;
 * end to end: Z/6 round trips.
@@ -328,6 +333,39 @@ def bench_module_ops(results, runs):
         print(f"{op}, {label}: {med * 1000:.1f} ms median, {low * 1000:.1f} ms min")
 
 
+def bench_law_checks(results, repeats, runs):
+    """The generator proofs of the group laws against the exhaustive scans,
+    and the divisor-only invertibility test against the inverse, on the
+    rank-2 Z/6 datum of bench_module_ops."""
+    from orbipar.equivariant import (assemble_product, verify_action, verify_action_exhaustive,
+                                     verify_cocycle, verify_cocycle_exhaustive)
+    from orbipar.linalg import is_invertible, laurent_inverse
+    from orbipar.local_galois import make_kummer
+    from orbipar.parabolic import build_spec_from_scene, random_datum
+
+    k3 = make_kummer(make_field(7), 3, 16)
+    scene = _z6_scene(k3)
+    pt = random_datum(k3, 2, SplitMix64(12345), character_exponent=1).points[0]
+    module = assemble_product(build_spec_from_scene(scene.points[0], scene.group, pt.psi))
+    assert verify_cocycle(pt.psi) == verify_cocycle_exhaustive(pt.psi)
+    assert verify_action(module) == verify_action_exhaustive(module)
+    assert is_invertible(pt.mu)
+    # (reference, fast path, case, reference call, fast call)
+    cases = [("verify_cocycle_exhaustive", "verify_cocycle", "Z/3 cocycle rank 2 GF(7) N=16",
+              lambda: verify_cocycle_exhaustive(pt.psi), lambda: verify_cocycle(pt.psi)),
+             ("verify_action_exhaustive", "verify_action", "Z/6 module rank 2 GF(7) N=16",
+              lambda: verify_action_exhaustive(module), lambda: verify_action(module)),
+             ("laurent_inverse", "is_invertible", "tame mu rank 2 GF(7) N=16",
+              lambda: laurent_inverse(pt.mu), lambda: is_invertible(pt.mu))]
+    print(f"{'law check':<16}{'case':<32}{'reference':>12}{'fast':>12}{'gain':>8}")
+    calls = max(repeats // 300, 1)
+    for ref_name, fast_name, label, ref, fast in cases:
+        old = timed(results, f"{ref_name} {label}", ref, calls, runs)[0]
+        new = timed(results, f"{fast_name} {label}", fast, calls, runs)[0]
+        print(f"{fast_name:<16}{label:<32}{old * 1e6:>10.0f}us{new * 1e6:>10.0f}us"
+              f"{old / new:>7.1f}x")
+
+
 def bench_dual_pairing(results, pairings, runs):
     """dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, per call."""
     from orbipar.local_galois import make_kummer
@@ -379,6 +417,8 @@ def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
     bench_solve(results, runs)
     print()
     bench_module_ops(results, runs)
+    print()
+    bench_law_checks(results, repeats, runs)
     t = bench_dual_pairing(results, pairings, runs)
     print(f"functor layer: dual_pairing_check (rank 2, GF(13), N=8, Kummer Z/4): "
           f"{t * 1000:.0f} ms each over {pairings}")

@@ -33,6 +33,8 @@ Three layers:
   U, W unimodular, D diagonal with entries of increasing valuation.  The
   divisor valuations feed the is_induced diagnostic; the U factor is the
   deterministic unimodular completion used by the invariants functor.
+  is_invertible runs it without U and W: a Laurent matrix is invertible
+  exactly when no divisor of its series part is None.
 """
 
 from dataclasses import dataclass
@@ -492,20 +494,23 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass
 class SmithForm:
-    U: Matrix
+    U: Matrix             # U, D and W are None when smith ran without transforms
     D: Matrix
     W: Matrix
     divisors: list        # valuations, None meaning >= trust
     trust: int            # valuations below this bound are exact
 
 
-def smith(m: Matrix) -> SmithForm:
+def smith(m: Matrix, transforms=True) -> SmithForm:
     """Smith normal form over truncated k[[s]]: m = U * D * W.
 
     Pivots are chosen by minimal valuation, then lowest row, then lowest
     column; U and W stay unimodular (their updates are elementary).  Every
     division by a pivot of valuation v > 0 costs v coefficients of trust,
-    tracked conservatively in the result.
+    tracked conservatively in the result.  With transforms=False only the
+    divisors and the trust are computed: U, W and D are None.  The row
+    updates alone decide the divisors, since the column updates of step t
+    touch only row t once column t is cleared below the pivot.
     """
     if m.kind is Laurent:
         raise StructuralError("smith expects Series entries; shift Laurent matrices first")
@@ -513,8 +518,9 @@ def smith(m: Matrix) -> SmithForm:
     prec = m.entries[0][0].prec
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.entries]
-    u = [list(r) for r in Matrix.identity(field, rows, prec).entries]
-    w = [list(r) for r in Matrix.identity(field, cols, prec).entries]
+    if transforms:
+        u = [list(r) for r in Matrix.identity(field, rows, prec).entries]
+        w = [list(r) for r in Matrix.identity(field, cols, prec).entries]
     trust = prec
     divisors = []
     steps = min(rows, cols)
@@ -535,12 +541,14 @@ def smith(m: Matrix) -> SmithForm:
         v, bi, bj = best
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
-            for row in u:                       # U <- U * swap(t, bi)
-                row[t], row[bi] = row[bi], row[t]
+            if transforms:
+                for row in u:                   # U <- U * swap(t, bi)
+                    row[t], row[bi] = row[bi], row[t]
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
-            w[t], w[bj] = w[bj], w[t]           # W <- swap(t, bj) * W
+            if transforms:
+                w[t], w[bj] = w[bj], w[t]       # W <- swap(t, bj) * W
         unit_inv = shift_down(a[t][t], v).inverse()
         for i in range(t + 1, rows):
             e = a[i][t]
@@ -548,8 +556,14 @@ def smith(m: Matrix) -> SmithForm:
                 continue
             f = shift_down(e, v) * unit_inv     # e / pivot, exact: val(e) >= v
             a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-            for row in u:                       # U <- U * (I + f E_{it}): col t += f * col i
-                row[t] = row[t] + f * row[i]
+            if transforms:
+                for row in u:                   # U <- U * (I + f E_{it}): col t += f * col i
+                    row[t] = row[t] + f * row[i]
+        divisors.append(v)
+        if v:
+            trust -= v
+        if not transforms:
+            continue
         for j in range(t + 1, cols):
             e = a[t][j]
             if e.valuation() is None:
@@ -558,11 +572,10 @@ def smith(m: Matrix) -> SmithForm:
             for row in a:
                 row[j] = row[j] - f * row[t]
             w[t] = [x + f * y for x, y in zip(w[t], w[j])]   # W <- (I + f E_{tj}) * W
-        divisors.append(v)
-        if v:
-            trust -= v
-    d = Matrix(a)
-    return SmithForm(U=Matrix(u), D=d, W=Matrix(w), divisors=divisors, trust=max(trust, 0))
+    trust = max(trust, 0)
+    if not transforms:
+        return SmithForm(U=None, D=None, W=None, divisors=divisors, trust=trust)
+    return SmithForm(U=Matrix(u), D=Matrix(a), W=Matrix(w), divisors=divisors, trust=trust)
 
 
 def series_part(m: Matrix):
@@ -575,8 +588,26 @@ def series_part(m: Matrix):
     return Matrix([[e.shift(-shift).to_series(p) for e in row] for row in m.entries]), shift, p
 
 
+def is_invertible(m: Matrix) -> bool:
+    """Whether laurent_inverse(m) succeeds, without building the inverse.
+
+    laurent_inverse raises exactly when m is not square, when its entries
+    share no validity window, or when a Smith divisor of its series part is
+    None; U and W are unimodular, so the divisors decide alone, and smith
+    runs without its transforms.
+    """
+    if m.rows != m.cols:
+        return False
+    try:
+        ser = series_part(m.to_laurent())[0]
+    except StructuralError:     # no common validity window
+        return False
+    return None not in smith(ser, transforms=False).divisors
+
+
 def laurent_inverse(m: Matrix) -> Matrix:
-    """Inverse of an invertible Laurent matrix via Smith on its series part."""
+    """Inverse of an invertible Laurent matrix via Smith on its series part;
+    is_invertible tests the same conditions without building it."""
     if m.kind is Series:
         m = m.to_laurent()
     if m.rows != m.cols:

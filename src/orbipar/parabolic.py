@@ -16,8 +16,11 @@ the identity.
 Inside a scenario run (see memo.py) the product module that T assembles at
 a datum point is built once per scene point, group and connector family:
 functor_T and the connector_independence command share it through
-point_module.  The memo is keyed on the ParabolicPoint, which the module
-does not reference, so an entry dies with its datum.
+point_module, and T's glued point (module and taus) through glued_point.
+The checks of validate_parabolic and verify_glued run once per datum point
+and per glued point.  The memo is keyed on the ParabolicPoint (or the
+GluedPoint), which the stored values do not reference, so an entry dies
+with its datum.
 """
 
 from dataclasses import dataclass
@@ -26,8 +29,8 @@ from .equivariant import (Cocycle, ComponentSpec, ProductGModule, ProductGModule
                           assemble_product, block_inverse, compose_blocks,
                           first_nonintertwining, invariants_product, make_connectors,
                           verify_cocycle)
-from .errors import ConfigurationError, DomainError, OrbiparError, StructuralError
-from .linalg import Matrix, smith
+from .errors import ConfigurationError, DomainError, StructuralError
+from .linalg import Matrix, is_invertible, smith
 from .memo import memoized
 from .series import Laurent, Series
 
@@ -83,7 +86,7 @@ def sign_twist_datum(field, prec, label="p"):
     return ParabolicDatum(rank=1, points=(ParabolicPoint(label, ext, psi, mu),))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     message: str
@@ -105,24 +108,32 @@ def check_mu_equivariance(ext, psi: Cocycle, mu: Matrix):
 
 
 def validate_parabolic(d: ParabolicDatum) -> ValidationReport:
+    """Conditions (a) and (b) and the invertibility of mu, point by point;
+    the report of the first point that fails.  Each point's checks run once
+    per run (memo table point_check)."""
     for pt in d.points:
-        rep = verify_cocycle(pt.psi)
-        if not rep.ok:
-            return ValidationReport(False, f"condition (a) fails at {pt.label}: "
-                                    f"{rep.message}", point=pt.label, detail=rep)
-        bad = check_mu_equivariance(pt.ext, pt.psi, pt.mu)
-        if bad is not None:
-            g, mism = bad
-            return ValidationReport(False,
-                                    f"condition (b) fails at {pt.label}, element {g}, "
-                                    f"entry {mism[:2]}, exponent {mism[2]}",
-                                    point=pt.label, detail=bad)
-        try:
-            pt.mu.inverse()
-        except OrbiparError:
-            return ValidationReport(False, f"mu at {pt.label} is not invertible",
-                                    point=pt.label)
+        rep = memoized("point_check", pt, None, lambda: _check_point(pt))
+        if rep is not None:
+            return rep
     return ValidationReport(True, "ok")
+
+
+def _check_point(pt: ParabolicPoint):
+    """The report of the first failing check at one datum point, or None."""
+    rep = verify_cocycle(pt.psi)
+    if not rep.ok:
+        return ValidationReport(False, f"condition (a) fails at {pt.label}: "
+                                f"{rep.message}", point=pt.label, detail=rep)
+    bad = check_mu_equivariance(pt.ext, pt.psi, pt.mu)
+    if bad is not None:
+        g, mism = bad
+        return ValidationReport(False,
+                                f"condition (b) fails at {pt.label}, element {g}, "
+                                f"entry {mism[:2]}, exponent {mism[2]}",
+                                point=pt.label, detail=bad)
+    if not is_invertible(pt.mu):
+        return ValidationReport(False, f"mu at {pt.label} is not invertible", point=pt.label)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -256,36 +267,43 @@ class GluedBundle:
 
 
 def verify_glued(b: GluedBundle) -> ValidationReport:
-    """tau-equivariance Phi0(g) o tau = tau o phi0(g) blockwise, plus invertibility."""
+    """tau-equivariance Phi0(g) o tau = tau o phi0(g) blockwise, plus
+    invertibility; the report of the first point that fails.  Each glued
+    point is checked once per run and group (memo table glued_check)."""
     group = b.scene.group
     for pt in b.points:
-        spec = pt.module.spec
-        ext = spec.ext
-        sp = pt.scene_point
-        for i, tau in enumerate(pt.taus):
-            try:
-                tau.inverse()
-            except OrbiparError:
-                return ValidationReport(False,
-                                        f"tau_{i} at {pt.label} is not invertible",
-                                        point=pt.label)
-        for g in range(group.order):
-            for i in range(spec.size):
-                j, m, w = pt.module.phi[g][i]
-                w_phi = sp.ring_part(group, i, j, g)
-                if w != w_phi:
-                    return ValidationReport(
-                        False, f"ring parts of the formal and generic actions disagree "
-                        f"at {pt.label}, element {g}, component {i}", point=pt.label)
-                lhs = m.to_laurent() * ext.psi(w)(pt.taus[i])
-                rhs = pt.taus[j]
-                mism = lhs.first_mismatch(rhs)
-                if mism is not None:
-                    return ValidationReport(
-                        False, f"tau-equivariance fails at {pt.label}, element {g}, "
-                        f"component {i}, entry {mism[:2]}, exponent {mism[2]}",
-                        point=pt.label, detail=(g, i, mism))
+        rep = memoized("glued_check", pt, group, lambda: _check_glued_point(pt, group))
+        if rep is not None:
+            return rep
     return ValidationReport(True, "ok")
+
+
+def _check_glued_point(pt: GluedPoint, group):
+    """The report of the first failing check at one glued point, or None."""
+    spec = pt.module.spec
+    ext = spec.ext
+    sp = pt.scene_point
+    for i, tau in enumerate(pt.taus):
+        if not is_invertible(tau):
+            return ValidationReport(False, f"tau_{i} at {pt.label} is not invertible",
+                                    point=pt.label)
+    for g in range(group.order):
+        for i in range(spec.size):
+            j, m, w = pt.module.phi[g][i]
+            w_phi = sp.ring_part(group, i, j, g)
+            if w != w_phi:
+                return ValidationReport(
+                    False, f"ring parts of the formal and generic actions disagree "
+                    f"at {pt.label}, element {g}, component {i}", point=pt.label)
+            lhs = m.to_laurent() * ext.psi(w)(pt.taus[i])
+            rhs = pt.taus[j]
+            mism = lhs.first_mismatch(rhs)
+            if mism is not None:
+                return ValidationReport(
+                    False, f"tau-equivariance fails at {pt.label}, element {g}, "
+                    f"component {i}, entry {mism[:2]}, exponent {mism[2]}",
+                    point=pt.label, detail=(g, i, mism))
+    return None
 
 
 def _thetas_from_connectors(scene_point, group, connectors, rank):
@@ -341,25 +359,47 @@ def build_spec_from_scene(scene_point: ScenePoint, group, psi: Cocycle,
                               perms=perms, connectors=connectors, thetas=thetas)
 
 
+def _resolve_connectors(scene_point, group, connectors):
+    """The connector family as a tuple of tuples; None means the one the
+    scene transversal seeds give."""
+    if connectors is None:
+        connectors = make_connectors(group, scene_point.perms(group),
+                                     scene_point.default_seeds(group))
+    return tuple(map(tuple, connectors))
+
+
 def point_module(dpt: ParabolicPoint, scene_point: ScenePoint, group,
                  connectors=None) -> ProductGModule:
     """The assembled product module of T at one datum point; connectors
     default to the scene transversal seeds.  Memoized in a run per datum
     point, scene point, group and resolved connector family."""
-    if connectors is None:
-        connectors = make_connectors(group, scene_point.perms(group),
-                                     scene_point.default_seeds(group))
-    connectors = tuple(map(tuple, connectors))
+    connectors = _resolve_connectors(scene_point, group, connectors)
     return memoized("point_module", dpt, (scene_point, group, connectors),
                     lambda: assemble_product(build_spec_from_scene(
                         scene_point, group, dpt.psi, connectors=connectors)))
+
+
+def glued_point(dpt: ParabolicPoint, scene_point: ScenePoint, group,
+                connectors=None) -> GluedPoint:
+    """T at one datum point: its module and mu transported to every
+    component.  Memoized in a run like point_module."""
+    connectors = _resolve_connectors(scene_point, group, connectors)
+
+    def build():
+        module = point_module(dpt, scene_point, group, connectors)
+        taus = tuple(dpt.ext.psi(module.spec.thetas[0][i][1])(dpt.mu)
+                     for i in range(scene_point.size()))
+        return GluedPoint(label=dpt.label, scene_point=scene_point, module=module, taus=taus)
+
+    return memoized("glued_point", dpt, (scene_point, group, connectors), build)
 
 
 def functor_T(d: ParabolicDatum, scene: CoverScene, connectors=None) -> GluedBundle:
     """Parabolic datum -> glued bundle: assemble the formal parts and transport mu.
 
     connectors, when given, maps point label -> connector family; defaults to
-    the scene transversal seeds.
+    the scene transversal seeds.  In a run each glued point is built and
+    checked once.
     """
     pts = []
     for dpt in d.points:
@@ -368,14 +408,7 @@ def functor_T(d: ParabolicDatum, scene: CoverScene, connectors=None) -> GluedBun
             raise ConfigurationError(
                 f"scene and datum disagree on the extension at {dpt.label}")
         conn = connectors.get(dpt.label) if connectors else None
-        module = point_module(dpt, sp, scene.group, connectors=conn)
-        spec = module.spec
-        taus = []
-        for i in range(sp.size()):
-            w_0i = spec.thetas[0][i][1]
-            taus.append(dpt.ext.psi(w_0i)(dpt.mu))
-        pts.append(GluedPoint(label=dpt.label, scene_point=sp, module=module,
-                              taus=tuple(taus)))
+        pts.append(glued_point(dpt, sp, scene.group, conn))
     b = GluedBundle(rank=d.rank, scene=scene, points=tuple(pts))
     rep = verify_glued(b)
     if not rep.ok:

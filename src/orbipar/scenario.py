@@ -369,6 +369,9 @@ def _check_references(sc: Scenario):
             if "point" in cmd and key in cmd and cmd["point"] not in known[table][cmd[key]]:
                 raise ScenarioError(f"{where}: {key} {cmd[key]!r} has no point "
                                     f"{cmd['point']!r}")
+        if op == "random_roundtrips" and "point" not in cmd and not known["scenes"][cmd["scene"]]:
+            raise ScenarioError(f"{where}: scene {cmd['scene']!r} has no points to draw "
+                                "data at")
         if "datum" in cmd and "scene" in cmd:
             _check_scene_points(sc, cmd, known["data"][cmd["datum"]],
                                 exts.get(cmd["datum"], {}), where)

@@ -10,7 +10,7 @@ import time
 from orbipar.cli import demo_scenario
 from orbipar.equivariant import (Cocycle, assemble_product, coboundary,
                                  independence_intertwiner, is_induced,
-                                 make_connectors, twist, verify_action)
+                                 make_connectors, twist, verify_action_exhaustive)
 from orbipar.errors import DomainError
 from orbipar.fields import make_field, required_degree_for_root
 from orbipar.groups import cyclic, dihedral, direct_product
@@ -90,13 +90,13 @@ def test_criterion_2_constructbundle_law():
     chi = tuple(k3.field.pow(zeta, u) for u in range(3))
     mod6 = assemble_product(build_spec_from_scene(
         sp6, g6, coboundary(k3, b, character=chi)))
-    rep6 = verify_action(mod6)
+    rep6 = verify_action_exhaustive(mod6)
     assert rep6.ok, rep6.message
 
     k4, sp8, d4 = _d4_scene()
     b8 = _random_unimodular(k4.field, 3, 16, rng)
     mod8 = assemble_product(build_spec_from_scene(sp8, d4, coboundary(k4, b8)))
-    rep8 = verify_action(mod8)
+    rep8 = verify_action_exhaustive(mod8)
     assert rep8.ok, rep8.message
     elapsed = time.perf_counter() - t0
     _report(2, elapsed < 5.0,

@@ -228,6 +228,12 @@ def _datum_without_points(d):
     d["commands"].append({"op": "invariants", "datum": "d"})
 
 
+def _random_roundtrips_on_empty_scene(d):
+    """A scene with no points, and random_roundtrips on it without "point"."""
+    _scene_group({"kind": "cyclic", "n": 2})(d)
+    d["commands"].append({"op": "random_roundtrips", "scene": "big"})
+
+
 def _cyclic_table(n):
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
@@ -311,6 +317,7 @@ BAD_INPUTS = {
         {"op": "roundtrip", "datum": "dd", "scene": "cover"}),
     "datum-ext-not-scene-ext": _datum_on_k4,
     "datum-without-points": _datum_without_points,
+    "random-roundtrips-on-empty-scene": _random_roundtrips_on_empty_scene,
 }
 GROUP_CAP_CASES = sorted(k for k in BAD_INPUTS if "cap" in k and any(
     w in k for w in ("cyclic", "dihedral", "product", "table", "group", "kummer", "tower")))

@@ -1,5 +1,6 @@
 import pytest
 
+from orbipar import linalg
 from orbipar.equivariant import is_induced
 from orbipar.errors import ConfigurationError
 from orbipar.fields import make_field
@@ -57,10 +58,14 @@ def test_programming_error_in_inverse_propagates(monkeypatch):
     d = trivial_datum(1, [("p", ext)])
     b = functor_T(d, totally_ramified_scene(ext))
 
-    def broken_inverse(self):
-        raise TypeError("broken inverse")
+    original = linalg.smith
 
-    monkeypatch.setattr(Matrix, "inverse", broken_inverse)
+    def broken_divisors(m, transforms=True):
+        if not transforms:
+            raise TypeError("broken divisor-only Smith form")
+        return original(m, transforms)
+
+    monkeypatch.setattr(linalg, "smith", broken_divisors)
     with pytest.raises(TypeError):
         validate_parabolic(d)
     with pytest.raises(TypeError):

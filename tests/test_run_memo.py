@@ -1,9 +1,10 @@
 """The per-run memo: work counts, scope, and a differential test against
 the unmemoized path.
 
-Inside run_scenario each cocycle's fixed space and InvariantsResult, and
-each assembled point module, are computed once; outside a run every call
-computes afresh.  The counters below wrap the functions that do the work,
+Inside run_scenario each cocycle's fixed space, InvariantsResult and
+verify_cocycle report, each assembled point module and glued point, and
+the checks of each datum point and glued point are computed once; outside
+a run every call computes afresh.  The counters below wrap the functions that do the work,
 on every orbipar module that binds them.
 """
 
@@ -138,7 +139,8 @@ def test_memo_hits_share_one_object():
     with memo.run_scope():
         assert invariants(psi) is invariants(psi)
         assert functor_T(d, scene).points[0].module is functor_T(d, scene).points[0].module
-        assert memo.live_keys() == {"fixed_space": 1, "invariants": 1, "point_module": 1}
+        assert memo.live_keys() == {"fixed_space": 1, "invariants": 1, "point_module": 1,
+                                    "glued_point": 1, "glued_check": 1}
     assert memo.live_keys() == {}
     # shared results are immutable
     res = invariants(psi)
@@ -169,7 +171,8 @@ def test_random_roundtrips_leave_no_live_entries(monkeypatch):
     monkeypatch.setattr(scenario, "run_command", recording)
     report = scenario.run_scenario(scenario.load_scenario(doc))
     assert report["summary"]["pass"] == 3
-    datum_a = {"fixed_space": 1, "invariants": 1, "point_module": 1}
+    datum_a = {"fixed_space": 1, "invariants": 1, "point_module": 1, "glued_point": 1,
+               "glued_check": 1, "point_check": 1, "verify_cocycle": 1}
     assert live == [datum_a, datum_a, datum_a]
 
 
