@@ -45,6 +45,13 @@ Cases, layer by layer:
   verify_action_exhaustive, which scan every pair (reports asserted equal),
   on that Z/6 datum's cocycle and module; and is_invertible against
   laurent_inverse on its mu;
+* assembly and pushforward: build_spec_from_scene and
+  independence_intertwiner (two connector families) on that Z/6 datum,
+  pushforward_local on a rank-1 GF(13), N=8 Kummer Z/4 datum over the
+  totally ramified Z/4 scene (the `calculus` size), and its
+  PushedBundle.verify, which proves the representation laws on the
+  generators, against verify_exhaustive, which scans every pair (results
+  asserted equal);
 * functor layer: functor_T and functor_S on that Z/6 datum, and
   dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data;
 * end to end: Z/6 round trips.
@@ -366,6 +373,41 @@ def bench_law_checks(results, repeats, runs):
               f"{old / new:>7.1f}x")
 
 
+def bench_assembly(results, repeats, runs):
+    """build_spec_from_scene and independence_intertwiner on the rank-2 Z/6
+    datum of bench_module_ops; pushforward_local and PushedBundle.verify
+    against verify_exhaustive on a rank-1 Kummer Z/4 datum."""
+    from orbipar.equivariant import assemble_product, independence_intertwiner, make_connectors
+    from orbipar.groups import cyclic
+    from orbipar.local_galois import make_kummer
+    from orbipar.parabolic import (CoverScene, ScenePoint, build_spec_from_scene, functor_T,
+                                   random_datum)
+    from orbipar.pvect import pushforward_local
+
+    k3 = make_kummer(make_field(7), 3, 16)
+    scene = _z6_scene(k3)
+    sp, group = scene.points[0], scene.group
+    psi = random_datum(k3, 2, SplitMix64(12345), character_exponent=1).points[0].psi
+    m1 = assemble_product(build_spec_from_scene(sp, group, psi))
+    m2 = assemble_product(build_spec_from_scene(
+        sp, group, psi, connectors=make_connectors(group, sp.perms(group), [3])))
+    k4 = make_kummer(make_field(13), 4, 8)
+    scene4 = CoverScene(group=cyclic(4), points=(ScenePoint("p", k4, (0, 1, 2, 3), (0,)),))
+    glued = functor_T(random_datum(k4, 1, SplitMix64(31), character_exponent=1), scene4)
+    pushed = pushforward_local(glued)
+    assert pushed.verify() == pushed.verify_exhaustive() == (True, "ok")
+    z6, z4 = "Z/6 rank 2 GF(7) N=16", "Z/4 rank 1 GF(13) N=8"
+    cases = [("build_spec_from_scene", z6, lambda: build_spec_from_scene(sp, group, psi)),
+             ("independence_intertwiner", z6, lambda: independence_intertwiner(m1, m2)),
+             ("pushforward_local", z4, lambda: pushforward_local(glued)),
+             ("PushedBundle.verify_exhaustive", z4, pushed.verify_exhaustive),
+             ("PushedBundle.verify", z4, pushed.verify)]
+    calls = max(repeats // 300, 1)
+    for op, label, fn in cases:
+        med, low = timed(results, f"{op} {label}", fn, calls, runs)
+        print(f"{op}, {label}: {med * 1e6:.0f} us median, {low * 1e6:.0f} us min")
+
+
 def bench_dual_pairing(results, pairings, runs):
     """dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, per call."""
     from orbipar.local_galois import make_kummer
@@ -419,6 +461,8 @@ def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
     bench_module_ops(results, runs)
     print()
     bench_law_checks(results, repeats, runs)
+    print()
+    bench_assembly(results, repeats, runs)
     t = bench_dual_pairing(results, pairings, runs)
     print(f"functor layer: dual_pairing_check (rank 2, GF(13), N=8, Kummer Z/4): "
           f"{t * 1000:.0f} ms each over {pairings}")

@@ -13,6 +13,8 @@ Conventions (fixed throughout):
   Phi(g).  Every ring isomorphism between component rings is psi(w) for a
   known w once the components are identified with k[[s]], so composition and
   equality checks stay exact.
+* A connector block theta_ij is (identity, w_ij): psi is a ring map, so
+  (I, w) o (M, u) = (psi(w)(M), w u) and (M, u) o (I, w) = (M, u w).
 
 Inside a scenario run (see memo.py) each cocycle's fixed space, its
 InvariantsResult and its verify_cocycle report are computed once:
@@ -50,16 +52,8 @@ class Cocycle:
 
     def apply(self, g, vec):
         """Phi(g) on a coordinate vector (tuple of Series)."""
-        psi = self.ext.psi(g)
-        moved = [psi(v) for v in vec]
-        out = []
-        for i in range(self.rank):
-            acc = None
-            for j in range(self.rank):
-                term = self.mats[g].entries[i][j] * moved[j]
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return tuple(out)
+        image = self.mats[g] * self.ext.psi(g)(Matrix([[v] for v in vec]))
+        return tuple(row[0] for row in image.entries)
 
     @classmethod
     def trivial(cls, ext, rank):
@@ -159,12 +153,14 @@ class ComponentSpec:
 
 @dataclass(frozen=True)
 class ProductGModuleSpec:
+    """Assembly data; a connector block theta_ij is (identity, w_ij), stored as w_ij."""
+
     group: object                # FiniteGroup G
     ext: object                  # shared LocalExtension (inertia I = ext.group)
     components: tuple            # ComponentSpec per component
     perms: tuple                 # perms[g][i] = index action of g
     connectors: tuple            # connectors[i][j] = g_ij in G mapping i -> j
-    thetas: tuple                # thetas[i][j] = (Matrix, w in I)
+    thetas: tuple                # thetas[i][j] = w_ij in I
 
     @property
     def size(self):
@@ -194,7 +190,11 @@ def block_inverse(ext, m, w):
 
 
 def verify_spec(spec: ProductGModuleSpec):
-    """Conditions (A), (B), (C) of the assembly lemma; raises AssemblyError."""
+    """Conditions (A), (B), (C) of the assembly lemma; raises AssemblyError.
+
+    With theta_ij = (identity, w_ij), (B) reads w_ii = e and w_ik = w_jk w_ij,
+    and (C) at a = iso_i[u], g_ij a g_ij^{-1} = iso_j[u2] reads
+    A^(j)_{u2} = psi(w_ij)(A^(i)_u) and u2 w_ij = w_ij u."""
     g_, i_ = spec.group, spec.ext.group
     l = spec.size
     for i in range(l):
@@ -236,18 +236,12 @@ def verify_spec(spec: ProductGModuleSpec):
                         condition="A", indices=(i, j, k))
     # (B)
     for i in range(l):
-        m_ii, w_ii = spec.thetas[i][i]
-        ident = Matrix.identity(spec.ext.field, spec.rank, spec.ext.prec)
-        if w_ii != 0 or not m_ii.agrees_with(ident):
+        if spec.thetas[i][i] != 0:
             raise AssemblyError(f"theta_{i}{i} must be the identity",
                                 condition="B", indices=(i, i))
         for j in range(l):
             for k in range(l):
-                m_ij, w_ij = spec.thetas[i][j]
-                m_jk, w_jk = spec.thetas[j][k]
-                m_ik, w_ik = spec.thetas[i][k]
-                m, w = compose_blocks(spec.ext, m_jk, w_jk, m_ij, w_ij)
-                if w != w_ik or not m.agrees_with(m_ik):
+                if spec.thetas[i][k] != i_.mul(spec.thetas[j][k], spec.thetas[i][j]):
                     raise AssemblyError(
                         f"condition (B) fails: theta_{i}{k} != theta_{j}{k} theta_{i}{j}",
                         condition="B", indices=(i, j, k))
@@ -255,7 +249,7 @@ def verify_spec(spec: ProductGModuleSpec):
     for i in range(l):
         for j in range(l):
             g_ij = spec.connectors[i][j]
-            m_ij, w_ij = spec.thetas[i][j]
+            w_ij = spec.thetas[i][j]
             for u in range(i_.order):
                 a = spec.components[i].iso[u]
                 conj = g_.conj(g_ij, a)
@@ -265,11 +259,9 @@ def verify_spec(spec: ProductGModuleSpec):
                         f"condition (C) fails: conjugate of component-{i} isotropy "
                         f"element {a} by g_{i}{j} lands outside component-{j} isotropy",
                         condition="C", indices=(i, j, u))
-                lhs_m, lhs_w = compose_blocks(
-                    spec.ext, spec.components[j].cocycle.mats[u2], u2, m_ij, w_ij)
-                rhs_m, rhs_w = compose_blocks(
-                    spec.ext, m_ij, w_ij, spec.components[i].cocycle.mats[u], u)
-                if lhs_w != rhs_w or not lhs_m.agrees_with(rhs_m):
+                if (i_.mul(u2, w_ij) != i_.mul(w_ij, u)
+                        or not spec.components[j].cocycle.mats[u2].agrees_with(
+                            spec.ext.psi(w_ij)(spec.components[i].cocycle.mats[u]))):
                     raise AssemblyError(
                         f"condition (C) fails between components ({i},{j}) at "
                         f"isotropy element {u}",
@@ -292,7 +284,8 @@ class ProductGModule:
 
 def assemble_product(spec: ProductGModuleSpec) -> ProductGModule:
     """Glue the component actions into Phi; verifies (A)-(C), the group law
-    on the result, and the restriction law Phi|_{G_i} = Phi_i."""
+    on the result, and the restriction law Phi|_{G_i} = Phi_i.  g = g_ij iso_i[u]
+    acts on component i by theta_ij o Phi_i(iso_i[u]) = (j, psi(w_ij)(A_u), w_ij u)."""
     verify_spec(spec)
     g_ = spec.group
     phi = []
@@ -307,10 +300,9 @@ def assemble_product(spec: ProductGModuleSpec) -> ProductGModule:
                 raise AssemblyError(
                     f"element {g} does not factor as g_{i}{j} * (isotropy) "
                     f"on component {i}", condition="factor", indices=(g, i))
-            m_ij, w_ij = spec.thetas[i][j]
-            m, w = compose_blocks(spec.ext, m_ij, w_ij,
-                                  spec.components[i].cocycle.mats[u], u)
-            blocks.append((j, m, w))
+            w_ij = spec.thetas[i][j]
+            blocks.append((j, spec.ext.psi(w_ij)(spec.components[i].cocycle.mats[u]),
+                           spec.ext.group.mul(w_ij, u)))
         phi.append(tuple(blocks))
     module = ProductGModule(spec=spec, phi=tuple(phi))
     rep = verify_action(module)
@@ -429,14 +421,15 @@ def independence_intertwiner(mod1: ProductGModule, mod2: ProductGModule) -> Equi
 
     Requires the two modules to share components at index 0 (Phi^1_1 = Phi^2_1)
     and differ only in connectors/thetas; tau_j = theta^2_{1j} o Psi(f_j^{-1})
-    o (theta^1_{1j})^{-1} with f_j = (g^1_{1j})^{-1} g^2_{1j} in G_1.
+    o (theta^1_{1j})^{-1} with f_j = (g^1_{1j})^{-1} g^2_{1j} in G_1.  With thetas
+    (I, w1), (I, w2) and f_j^{-1} = iso_0[u] that is psi(w2)(A_u), if w2 u w1^{-1} = e.
     """
     s1, s2 = mod1.spec, mod2.spec
     if s1.components[0] != s2.components[0]:
         raise DomainError("intertwiner requires Phi^1_1 = Phi^2_1 (shared component 0)")
     if s1.size != s2.size:
         raise StructuralError("component count mismatch")
-    ext, g_ = s1.ext, s1.group
+    ext, g_, i_ = s1.ext, s1.group, s1.ext.group
     psi = s1.components[0]
     l = s1.size
     blocks = []
@@ -445,15 +438,12 @@ def independence_intertwiner(mod1: ProductGModule, mod2: ProductGModule) -> Equi
         u = s1.iso_inverse(0, g_.inv(f_j))
         if u is None:
             raise DomainError(f"connector difference f_{j} is not in the isotropy group")
-        m2, w2 = s2.thetas[0][j]
-        m1, w1 = s1.thetas[0][j]
-        m, w = compose_blocks(ext, psi.cocycle.mats[u], u, *block_inverse(ext, m1, w1))
-        m, w = compose_blocks(ext, m2, w2, m, w)
-        if w != 0:
+        w2 = s2.thetas[0][j]
+        if i_.mul(w2, u) != s1.thetas[0][j]:  # w2 u w1^{-1} != e
             raise AssemblyError("intertwiner block is not R-linear "
                                 "(ring parts of the two theta families disagree)",
                                 condition="tau", indices=(j,))
-        blocks.append(m)
+        blocks.append(ext.psi(w2)(psi.cocycle.mats[u]))
     bad = first_nonintertwining(mod1, mod2, blocks)
     if bad is not None:
         g, i, index_mismatch = bad

@@ -306,18 +306,11 @@ def _check_glued_point(pt: GluedPoint, group):
     return None
 
 
-def _thetas_from_connectors(scene_point, group, connectors, rank):
-    ext = scene_point.ext
+def _thetas_from_connectors(scene_point, group, connectors):
+    """The connector blocks theta_ij = (identity, w_ij) as their ring parts w_ij."""
     l = scene_point.size()
-    ident = Matrix.identity(ext.field, rank, ext.prec)
-    out = []
-    for i in range(l):
-        row = []
-        for j in range(l):
-            w = scene_point.ring_part(group, i, j, connectors[i][j])
-            row.append((ident, w))
-        out.append(tuple(row))
-    return tuple(out)
+    return tuple(tuple(scene_point.ring_part(group, i, j, connectors[i][j]) for j in range(l))
+                 for i in range(l))
 
 
 def build_spec_from_scene(scene_point: ScenePoint, group, psi: Cocycle,
@@ -325,8 +318,9 @@ def build_spec_from_scene(scene_point: ScenePoint, group, psi: Cocycle,
     """The functor-T product specification at one point.
 
     Component 0 carries Psi; component i carries the conjugated cocycle
-    theta_{0i} o Psi(g_{0i}^{-1} a g_{0i}) o theta_{0i}^{-1}, whose ring part
-    collapses to the inertia element of a, as asserted.
+    theta_{0i} o Psi(g_{0i}^{-1} a g_{0i}) o theta_{0i}^{-1} = (psi(w_0i)(A_{u_inner}),
+    w_0i u_inner w_0i^{-1}), whose ring part collapses to the inertia element of a, as
+    asserted.
     """
     ext = scene_point.ext
     i_ = ext.group
@@ -335,25 +329,21 @@ def build_spec_from_scene(scene_point: ScenePoint, group, psi: Cocycle,
         if seeds is None:
             seeds = scene_point.default_seeds(group)
         connectors = make_connectors(group, perms, seeds)
-    thetas = _thetas_from_connectors(scene_point, group, connectors, psi.rank)
+    thetas = _thetas_from_connectors(scene_point, group, connectors)
     comps = [ComponentSpec(iso=scene_point.iso, cocycle=psi)]
     for i in range(1, scene_point.size()):
         iso_i = scene_point.component_iso(group, i)
-        g_0i = connectors[0][i]
-        m_0i, w_0i = thetas[0][i]
-        m_0i_inv, w_0i_inv = block_inverse(ext, m_0i, w_0i)
+        g_0i, w_0i = connectors[0][i], thetas[0][i]
         mats = []
         for u in range(i_.order):
             a = iso_i[u]
             inner = group.mul(group.mul(group.inv(g_0i), a), g_0i)
             u_inner = scene_point.q0(group, inner)
-            m, w = compose_blocks(ext, m_0i, w_0i, psi.mats[u_inner], u_inner)
-            m, w = compose_blocks(ext, m, w, m_0i_inv, w_0i_inv)
-            if w != u:
+            if i_.mul(w_0i, u_inner) != i_.mul(u, w_0i):  # w_0i u_inner w_0i^{-1} != u
                 raise ConfigurationError(
                     "conjugated component action has unexpected ring part "
                     f"(component {i}, isotropy element {u})")
-            mats.append(m)
+            mats.append(ext.psi(w_0i)(psi.mats[u_inner]))
         comps.append(ComponentSpec(iso=iso_i, cocycle=Cocycle(ext, psi.rank, tuple(mats))))
     return ProductGModuleSpec(group=group, ext=ext, components=tuple(comps),
                               perms=perms, connectors=connectors, thetas=thetas)
@@ -387,7 +377,7 @@ def glued_point(dpt: ParabolicPoint, scene_point: ScenePoint, group,
 
     def build():
         module = point_module(dpt, scene_point, group, connectors)
-        taus = tuple(dpt.ext.psi(module.spec.thetas[0][i][1])(dpt.mu)
+        taus = tuple(dpt.ext.psi(module.spec.thetas[0][i])(dpt.mu)
                      for i in range(scene_point.size()))
         return GluedPoint(label=dpt.label, scene_point=scene_point, module=module, taus=taus)
 

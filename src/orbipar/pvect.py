@@ -13,10 +13,12 @@ for them with the fixed-space equations of `equivariant.fixed_rows`.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .equivariant import (Cocycle, assemble_product, coords_to_vec, fixed_rows, invariants,
-                          module_generators, trivialize)
+from .equivariant import (ActionReport, Cocycle, assemble_product, coords_to_vec, fixed_rows,
+                          invariants, module_generators, trivialize)
 from .errors import ConfigurationError, DomainError, StructuralError
+from .groups import law_by_generators
 from .linalg import (Matrix, combination, kron, laurent_inverse, null_space, residue_det,
                      residue_search, series_part, solve_linear)
 from .parabolic import (CoverScene, GluedBundle, GluedPoint, ParabolicDatum,
@@ -391,11 +393,24 @@ class PushedBundle:
     tau: Matrix             # Laurent entries, values in t
 
     def verify(self):
+        """(ok, message) of the representation laws rep(hg) = rep(h) rep(g),
+        proven on the generators h (groups.law_by_generators; products of
+        base matrices are associative), then of tau's equivariance per g."""
+        return self._verify(lambda law: law_by_generators(self.group, law))
+
+    def verify_exhaustive(self):
+        """verify with the laws scanned over all |G|^2 pairs: the reference."""
+        return self._verify(lambda law: law(range(self.group.order)))
+
+    def _verify(self, prove):
+        mul = self.group.mul
         for name, rep in (("formal", self.formal_rep), ("generic", self.generic_rep)):
-            for h in range(self.group.order):
-                for g in range(self.group.order):
-                    if not rep[self.group.mul(h, g)].agrees_with(rep[h] * rep[g]):
-                        return False, f"{name} representation law fails at ({h},{g})"
+            report = prove(lambda hs: next(
+                (ActionReport(False, f"{name} representation law fails at ({h},{g})")
+                 for h in hs for g in range(self.group.order)
+                 if not rep[mul(h, g)].agrees_with(rep[h] * rep[g])), ActionReport(True, "ok")))
+            if not report.ok:
+                return False, report.message
         for g in range(self.group.order):
             lhs = self.formal_rep[g].to_laurent() * self.tau
             rhs = self.tau * self.generic_rep[g].to_laurent()
@@ -436,12 +451,14 @@ def pushforward_local(b: GluedBundle, label=None) -> PushedBundle:
     d_out = l * r * e
     group = b.scene.group
 
+    powers = cache(lambda w: [ext.psi(w).power(m) for m in range(e)])
+
     def push_block(mat, w):
         """(r*e) x (r*e) base matrix of (mat, psi_w) under restriction of scalars."""
         out = [[None] * (r * e) for _ in range(r * e)]
         for a in range(r):
             for m in range(e):
-                col_series = [mat.entries[bb][a] * ext.psi(w).power(m) for bb in range(r)]
+                col_series = [mat.entries[bb][a] * powers(w)[m] for bb in range(r)]
                 for bb in range(r):
                     pieces = decompose_series(ext, col_series[bb])
                     for j in range(e):
@@ -452,6 +469,7 @@ def pushforward_local(b: GluedBundle, label=None) -> PushedBundle:
         return out
 
     ident_small = Matrix.identity(field, r, ext.prec)
+    generic_block = cache(lambda w: push_block(ident_small, w))
     zero_base = Series.zero(field, base_prec)
     formal = []
     generic = []
@@ -461,7 +479,7 @@ def pushforward_local(b: GluedBundle, label=None) -> PushedBundle:
         for i in range(l):
             j, m_blk, w = gpt.module.phi[g][i]
             fb = push_block(m_blk, w)
-            gb = push_block(ident_small, w)
+            gb = generic_block(w)
             for rr in range(r * e):
                 for cc in range(r * e):
                     big_f[j * r * e + rr][i * r * e + cc] = fb[rr][cc]

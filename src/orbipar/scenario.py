@@ -149,6 +149,8 @@ def _load(doc):
     exts = {}
     for name, cfg in doc.get("extensions", {}).items():
         kind = cfg.get("kind")
+        if prec < 2:
+            raise ScenarioError(f"extension {name!r}: precision {prec} < 2 cannot hold s")
         if kind == "kummer":
             exts[name] = make_kummer(field, _group_order(int(cfg["n"]), f"extension {name!r}"),
                                      prec)

@@ -30,6 +30,12 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "trivialize, wild rank 2 GF(3^2) N=24", "assemble_product, Z/6 rank 2 GF(7) N=16",
                  "functor_T, Z/6 rank 2 GF(7) N=16", "functor_S, Z/6 rank 2 GF(7) N=16"):
         assert line in out
+    for line in ("build_spec_from_scene, Z/6 rank 2 GF(7) N=16",
+                 "independence_intertwiner, Z/6 rank 2 GF(7) N=16",
+                 "pushforward_local, Z/4 rank 1 GF(13) N=8",
+                 "PushedBundle.verify_exhaustive, Z/4 rank 1 GF(13) N=8",
+                 "PushedBundle.verify, Z/4 rank 1 GF(13) N=8"):
+        assert line in out
     assert "functor layer: dual_pairing_check (rank 2, GF(13), N=8, Kummer Z/4)" in out
     assert "end-to-end: 1 Z/6 round trips" in out
     doc = json.loads(out_file.read_text())

@@ -273,6 +273,7 @@ BAD_INPUTS = {
         {"op": "pullback_refine", "datum": "d", "refinement": {"q": "id"}}),
     "precision-above-cap": lambda d: d.update(precision=MAX_PRECISION + 1),
     "precision-zero": lambda d: d.update(precision=0),
+    "precision-one-with-extension": lambda d: d.update(precision=1),
     "datum-rank-above-cap": lambda d: d["data"]["d"].update(rank=MAX_RANK + 1),
     "command-rank-above-cap": lambda d: d["commands"].append(
         {"op": "random_roundtrips", "scene": "cover", "rank": MAX_RANK + 1}),
