@@ -43,8 +43,12 @@ Cases, layer by layer:
 * law checks: verify_cocycle and verify_action, which prove their group
   laws on the generators, against verify_cocycle_exhaustive and
   verify_action_exhaustive, which scan every pair (reports asserted equal),
-  on that Z/6 datum's cocycle and module; and is_invertible against
-  laurent_inverse on its mu;
+  on that Z/6 datum's cocycle and module; is_invertible against
+  laurent_inverse on its mu; and the unary laws check_mu_equivariance,
+  check_tau_equivariance, first_nonintertwining and
+  check_sigma_equivariance against their *_exhaustive scans, on its mu, its
+  glued point, the intertwiner between two connector families and the
+  S o T sigma, inside a scenario run that holds their premises;
 * assembly and pushforward: build_spec_from_scene and
   independence_intertwiner (two connector families) on that Z/6 datum,
   pushforward_local on a rank-1 GF(13), N=8 Kummer Z/4 datum over the
@@ -53,7 +57,8 @@ Cases, layer by layer:
   generators, against verify_exhaustive, which scans every pair (results
   asserted equal);
 * functor layer: functor_T and functor_S on that Z/6 datum, and
-  dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data;
+  dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, with the
+  find_parabolic_isomorphism search inside it timed on its own;
 * end to end: Z/6 round trips.
 """
 
@@ -343,17 +348,34 @@ def bench_module_ops(results, runs):
 def bench_law_checks(results, repeats, runs):
     """The generator proofs of the group laws against the exhaustive scans,
     and the divisor-only invertibility test against the inverse, on the
-    rank-2 Z/6 datum of bench_module_ops."""
-    from orbipar.equivariant import (assemble_product, verify_action, verify_action_exhaustive,
+    rank-2 Z/6 datum of bench_module_ops.  The unary laws (mu, tau,
+    intertwiner, sigma) run inside a scenario run whose memo already holds
+    their premises (verify_cocycle, verify_action), as in `orbipar run`."""
+    from orbipar.equivariant import (assemble_product, first_nonintertwining,
+                                     first_nonintertwining_exhaustive, independence_intertwiner,
+                                     make_connectors, verify_action, verify_action_exhaustive,
                                      verify_cocycle, verify_cocycle_exhaustive)
     from orbipar.linalg import is_invertible, laurent_inverse
     from orbipar.local_galois import make_kummer
-    from orbipar.parabolic import build_spec_from_scene, random_datum
+    from orbipar.memo import run_scope
+    from orbipar.parabolic import (build_spec_from_scene, check_mu_equivariance,
+                                   check_mu_equivariance_exhaustive, check_sigma_equivariance,
+                                   check_sigma_equivariance_exhaustive, check_tau_equivariance,
+                                   check_tau_equivariance_exhaustive, functor_S, functor_T,
+                                   random_datum)
 
     k3 = make_kummer(make_field(7), 3, 16)
     scene = _z6_scene(k3)
-    pt = random_datum(k3, 2, SplitMix64(12345), character_exponent=1).points[0]
-    module = assemble_product(build_spec_from_scene(scene.points[0], scene.group, pt.psi))
+    sp, group = scene.points[0], scene.group
+    d = random_datum(k3, 2, SplitMix64(12345), character_exponent=1)
+    pt = d.points[0]
+    module = assemble_product(build_spec_from_scene(sp, group, pt.psi))
+    m2 = assemble_product(build_spec_from_scene(
+        sp, group, pt.psi, connectors=make_connectors(group, sp.perms(group), [3])))
+    blocks = independence_intertwiner(module, m2).blocks
+    glued = functor_T(d, scene)
+    sres = functor_S(glued)
+    gpt, dst, sigma = glued.points[0], sres.datum.points[0], sres.sigmas["p"]
     assert verify_cocycle(pt.psi) == verify_cocycle_exhaustive(pt.psi)
     assert verify_action(module) == verify_action_exhaustive(module)
     assert is_invertible(pt.mu)
@@ -364,13 +386,38 @@ def bench_law_checks(results, repeats, runs):
               lambda: verify_action_exhaustive(module), lambda: verify_action(module)),
              ("laurent_inverse", "is_invertible", "tame mu rank 2 GF(7) N=16",
               lambda: laurent_inverse(pt.mu), lambda: is_invertible(pt.mu))]
-    print(f"{'law check':<16}{'case':<32}{'reference':>12}{'fast':>12}{'gain':>8}")
+    # (law, case, reference call, fast call)
+    unary = [("check_mu_equivariance", "Z/3 mu rank 2 GF(7) N=16",
+              lambda: check_mu_equivariance_exhaustive(pt.ext, pt.psi, pt.mu),
+              lambda: check_mu_equivariance(pt.ext, pt.psi, pt.mu)),
+             ("check_tau_equivariance", "Z/6 taus rank 2 GF(7) N=16",
+              lambda: check_tau_equivariance_exhaustive(gpt, group),
+              lambda: check_tau_equivariance(gpt, group)),
+             ("first_nonintertwining", "Z/6 intertwiner rank 2 GF(7) N=16",
+              lambda: first_nonintertwining_exhaustive(module, m2, blocks),
+              lambda: first_nonintertwining(module, m2, blocks)),
+             ("check_sigma_equivariance", "Z/3 S.T sigma rank 2 GF(7) N=16",
+              lambda: check_sigma_equivariance_exhaustive(pt, dst, sigma),
+              lambda: check_sigma_equivariance(pt, dst, sigma))]
+    print(f"{'law check':<26}{'case':<36}{'reference':>12}{'fast':>12}{'gain':>8}")
     calls = max(repeats // 300, 1)
-    for ref_name, fast_name, label, ref, fast in cases:
-        old = timed(results, f"{ref_name} {label}", ref, calls, runs)[0]
-        new = timed(results, f"{fast_name} {label}", fast, calls, runs)[0]
-        print(f"{fast_name:<16}{label:<32}{old * 1e6:>10.0f}us{new * 1e6:>10.0f}us"
-              f"{old / new:>7.1f}x")
+
+    def compare(cases):
+        for ref_name, fast_name, label, ref, fast in cases:
+            old = timed(results, f"{ref_name} {label}", ref, calls, runs)[0]
+            new = timed(results, f"{fast_name} {label}", fast, calls, runs)[0]
+            print(f"{fast_name:<26}{label:<36}{old * 1e6:>10.0f}us{new * 1e6:>10.0f}us"
+                  f"{old / new:>7.1f}x")
+
+    compare(cases)      # outside a run: no memo
+    with run_scope():
+        # the premises, recorded in the run's memo as a scenario run records them
+        assert all(verify_cocycle(c).ok for c in (pt.psi, dst.psi))
+        assert all(verify_action(m).ok for m in (module, m2, gpt.module))
+        for _, _, ref, fast in unary:
+            assert fast() is ref() is None
+        compare([(f"{name}_exhaustive", name, label, ref, fast)
+                 for name, label, ref, fast in unary])
 
 
 def bench_assembly(results, repeats, runs):
@@ -409,14 +456,24 @@ def bench_assembly(results, repeats, runs):
 
 
 def bench_dual_pairing(results, pairings, runs):
-    """dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, per call."""
+    """dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, per call,
+    and the isomorphism search inside it, find_parabolic_isomorphism of
+    V (x) V* against the trivial datum, on the first datum."""
     from orbipar.local_galois import make_kummer
-    from orbipar.parabolic import random_datum
-    from orbipar.pvect import dual_pairing_check
+    from orbipar.parabolic import random_datum, trivial_datum
+    from orbipar.pvect import dual, dual_pairing_check, find_parabolic_isomorphism, tensor
 
     ext = make_kummer(make_field(13), 4, 8)
     rng = SplitMix64(2718)
     data = [random_datum(ext, 2, rng, character_exponent=1) for _ in range(pairings)]
+    pair = tensor(data[0], dual(data[0]))
+    reference = trivial_datum(pair.rank, [(p.label, p.ext) for p in pair.points])
+    assert find_parabolic_isomorphism(pair, reference, rng=SplitMix64(3)).status == "isomorphic"
+    med, low = timed(results, "find_parabolic_isomorphism dual_pairing rank 4 GF(13) N=8",
+                     lambda: find_parabolic_isomorphism(pair, reference, rng=SplitMix64(3)),
+                     1, runs)
+    print(f"find_parabolic_isomorphism, dual_pairing V(x)V* (rank 4, GF(13), N=8): "
+          f"{med * 1000:.1f} ms median, {low * 1000:.1f} ms min")
 
     def check_all():
         for d in data:

@@ -19,7 +19,10 @@ Conventions (fixed throughout):
 Inside a scenario run (see memo.py) each cocycle's fixed space, its
 InvariantsResult and its verify_cocycle report are computed once:
 invariants, invariants_product, is_induced, the S functor and stage 3 of
-trivialize share one solve.  Outside a run every call computes afresh.
+trivialize share one solve.  So is each module's verify_action report.
+The generator proofs of the unary laws take these reports as premises,
+but only once the run holds them (verified_in_run).  Outside a run every
+call computes afresh.
 """
 
 from dataclasses import dataclass
@@ -29,7 +32,7 @@ from .errors import AssemblyError, DomainError, RankDeficiencyError, StructuralE
 from .groups import law_by_generators
 from .linalg import (Matrix, combination, echelonize, extend_echelon, is_invertible_combination,
                      null_space, reduce_against, residue_search, smith, solve_linear)
-from .memo import memoized
+from .memo import memoized, recorded
 from .series import Series
 
 
@@ -49,6 +52,8 @@ class Cocycle:
         for m in self.mats:
             if m.rows != self.rank or m.cols != self.rank:
                 raise StructuralError("cocycle matrix of wrong shape")
+            if m.kind is not Series:
+                raise StructuralError("cocycle matrix must have Series entries")
 
     def apply(self, g, vec):
         """Phi(g) on a coordinate vector (tuple of Series)."""
@@ -84,6 +89,17 @@ def verify_cocycle(c: Cocycle) -> CocycleReport:
     """
     return memoized("verify_cocycle", c, None, lambda: law_by_generators(
         c.ext.group, lambda hs: _cocycle_report(c, hs)))
+
+
+def verified_in_run(check, key) -> bool:
+    """Whether the open run has already found key to pass `check`
+    ("verify_cocycle" on a cocycle, "verify_action" on a module): the
+    premise of the unary laws' generator proofs.  Checking it afresh would
+    cost about as much as the generator proof saves, so outside a run, or
+    before the run has checked key, this is False and those laws are
+    scanned exhaustively."""
+    rep = recorded(check, key)
+    return rep is not None and rep.ok
 
 
 def verify_cocycle_exhaustive(c: Cocycle) -> CocycleReport:
@@ -273,6 +289,10 @@ class ProductGModule:
     spec: ProductGModuleSpec
     phi: tuple    # phi[g][i] = (target j, Matrix, w in I)
 
+    def __post_init__(self):
+        if any(m.kind is not Series for blocks in self.phi for _, m, _ in blocks):
+            raise StructuralError("module block matrices must have Series entries")
+
     @property
     def rank(self):
         return self.spec.rank
@@ -321,7 +341,7 @@ def assemble_product(spec: ProductGModuleSpec) -> ProductGModule:
     return module
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionReport:
     ok: bool
     message: str
@@ -336,9 +356,12 @@ def verify_action(m: ProductGModule) -> ActionReport:
     inertia group (verify_extension's law, as in verify_cocycle), so the
     law at (h1, h2 g), (h1, h2) and (h2, g) gives it at (h1 h2, g),
     exactly.  A failure re-runs the exhaustive scan of
-    verify_action_exhaustive and returns its report.
+    verify_action_exhaustive and returns its report.  Memoized per module
+    in a run, so the check assemble_product makes serves as the premise of
+    the unary laws (verified_in_run).
     """
-    return law_by_generators(m.spec.group, lambda hs: _action_report(m, hs))
+    return memoized("verify_action", m, None, lambda: law_by_generators(
+        m.spec.group, lambda hs: _action_report(m, hs)))
 
 
 def verify_action_exhaustive(m: ProductGModule) -> ActionReport:
@@ -459,12 +482,37 @@ def first_nonintertwining(mod1: ProductGModule, mod2: ProductGModule, blocks):
     """The first (g, i, index_mismatch) at which Phi2(g) o tau = tau o Phi1(g)
     fails blockwise, tau being the R-linear blocks; None if tau intertwines.
 
-    Scans every g, then every component i.  index_mismatch is True when the
-    two modules send component i to different targets or ring parts under g,
-    False when only the matrix parts disagree.
+    index_mismatch is True when the two modules send component i to
+    different targets or ring parts under g, False when only the matrix
+    parts disagree.  The law at h and at g gives it at hg once both actions
+    are verified: the ring parts multiply, and Phi2(hg) tau =
+    Phi2(h) Phi2(g) tau = Phi2(h) tau Phi1(g) = tau Phi1(h) Phi1(g) =
+    tau Phi1(hg), an identity of Series matrices mod s^N, so no validity
+    window enters.  So it is proven on the generators
+    (groups.law_by_generators) when the modules share G and the extension,
+    tau's blocks are Series matrices and the run has verified both actions
+    (verified_in_run, as assemble_product does); otherwise, or on a
+    failure, the exhaustive scan of first_nonintertwining_exhaustive
+    decides.
     """
+    s1, s2 = mod1.spec, mod2.spec
+    return law_by_generators(
+        s1.group, lambda gs: _intertwining_scan(mod1, mod2, blocks, gs),
+        premise=lambda: (s1.group == s2.group and s1.ext == s2.ext
+                         and all(b.kind is Series for b in blocks)
+                         and verified_in_run("verify_action", mod1)
+                         and verified_in_run("verify_action", mod2)))
+
+
+def first_nonintertwining_exhaustive(mod1: ProductGModule, mod2: ProductGModule, blocks):
+    """first_nonintertwining by a scan of every g in G: the reference."""
+    return _intertwining_scan(mod1, mod2, blocks, range(mod1.spec.group.order))
+
+
+def _intertwining_scan(mod1, mod2, blocks, gs):
+    """The intertwining law at g for g in gs, then every component i."""
     ext = mod1.spec.ext
-    for g in range(mod1.spec.group.order):
+    for g in gs:
         for i in range(mod1.size):
             j1, ma, wa = mod1.phi[g][i]
             j2, mb, wb = mod2.phi[g][i]

@@ -97,24 +97,29 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
-def law_by_generators(group, check):
+def law_by_generators(group, check, premise=None):
     """The report of a group law, proven on the generators where it holds.
 
-    check(hs) scans the law L(h, g) for h in hs and every g, and returns a
-    report with an `ok` flag.  Each law checked this way composes:
-    L(h1, h2 g), L(h1, h2) and L(h2, g) give L(h1 h2, g).  In a finite
-    group every element, e included, is a positive word in the generators,
-    so L(h, g) for generators h and all g proves it for all pairs, by
-    induction on the length of the word of h.  The order-1 group has no
-    generators, so there h = e is checked directly.  If the generator scan
-    fails or raises an orbipar error, the exhaustive scan check(range(order))
-    runs instead, so a failure reports the same first failing pair, message
-    and detail as the exhaustive scan.
+    check(hs) scans the law at the elements hs.  A binary law L(h, g) is
+    scanned for h in hs and every g, and its report has an `ok` flag; each
+    such law composes: L(h1, h2 g), L(h1, h2) and L(h2, g) give
+    L(h1 h2, g).  A unary law L(g) is scanned for g in hs, and its report
+    is None where the law holds; it composes under the caller's premise,
+    premise() (a cocycle or action law already verified): L(h) and L(g)
+    give L(hg).  In a finite group every element, e included, is a positive
+    word in the generators, so the law on the generators proves it
+    everywhere, by induction on the length of the word.  The order-1 group
+    has no generators, so there e is checked directly.  If the premise
+    fails, or the generator scan fails, or either raises an orbipar error,
+    the exhaustive scan check(range(order)) runs instead, so a failure
+    reports the same first failing element, message and detail as the
+    exhaustive scan.
     """
     try:
-        rep = check(group.generators() or [0])
-        if rep.ok:
-            return rep
+        if premise is None or premise():
+            rep = check(group.generators() or [0])
+            if rep is None or getattr(rep, "ok", False):
+                return rep
     except OrbiparError:
         pass
     return check(range(group.order))

@@ -3,7 +3,8 @@
 `scenario.run_scenario` opens a scope with `run_scope()` and the scope is
 discarded when the run ends.  Inside it, `memoized(table, key, subkey,
 compute)` returns the value recorded earlier in the scope for (key,
-subkey), or calls compute() and records the result.  Outside a scope
+subkey), or calls compute() and records the result; `recorded(table,
+key)` reads an entry (sub-key None) without computing one.  Outside a scope
 every call computes afresh, so library calls behave as if there were no
 memo.
 
@@ -54,6 +55,13 @@ def memoized(table, key, subkey, compute):
         slot = entries[id(key)] = (ref, {})
     slot[1][subkey] = value
     return value
+
+
+def recorded(table, key):
+    """The value recorded under (key, None) in `table` in the open scope, or
+    None; computes nothing."""
+    slot = (_tables.get() or {}).get(table, {}).get(id(key))
+    return None if slot is None else slot[1].get(None)
 
 
 def live_keys():

@@ -28,8 +28,9 @@ from dataclasses import dataclass
 from .equivariant import (Cocycle, ComponentSpec, ProductGModule, ProductGModuleSpec,
                           assemble_product, block_inverse, compose_blocks,
                           first_nonintertwining, invariants_product, make_connectors,
-                          verify_cocycle)
+                          verified_in_run, verify_cocycle)
 from .errors import ConfigurationError, DomainError, StructuralError
+from .groups import law_by_generators
 from .linalg import Matrix, is_invertible, smith
 from .memo import memoized
 from .series import Laurent, Series
@@ -97,9 +98,44 @@ class ValidationReport:
 def check_mu_equivariance(ext, psi: Cocycle, mu: Matrix):
     """Condition (b): A_g * psi(g)(mu) = mu on the common validity window.
 
-    Returns None, or (g, (i, j, exponent)) for the first violation.
+    Returns None, or (g, (i, j, exponent)) for the first violation.  Proven
+    on the generators (groups.law_by_generators) once the run has found psi
+    to be a cocycle (verified_in_run); otherwise, or on a failure, the
+    exhaustive scan of check_mu_equivariance_exhaustive decides.  The window argument, with
+    x = mu and E_g = A_g psi(g)(x) - x:
+
+    * Every A_g is a Series matrix at precision N: floor 0, length N.  The
+      window psi(g) gives an entry depends on that entry's floor and length
+      alone, not on g, and ends no later than the entry's own window.
+    * So the window the check compares in entry (a, b) is the same for
+      every g.  It ends at c_b, the least end over t of the windows of
+      psi(g)(x_tb), since each term A_at psi(g)(x_tb) keeps that window;
+      c_b is at most the end of x_ab's window.  Every window is honest: its
+      coefficients are those of the true value for any lift of A, x and the
+      action images.  So, lifts fixed, the check at g says that E_g
+      vanishes below s^c_b in column b.
+    * E_hk = A_h psi(h)(E_k) + E_h + (A_hk - A_h psi(h)(A_k)) psi(hk)(x)
+      + A_h psi(h)(A_k) (psi(hk)(x) - psi(h)(psi(k)(x))).  The first two
+      terms vanish below c_b when E_h and E_k do: A_h has no pole and psi
+      keeps valuations.  The third is O(s^(N + f)) in column b, f its least
+      floor in x, by the cocycle law mod s^N, and c_b <= N + f.  The last
+      is O(s^e) in entry (t, b) by the extension's law mod s^N, e being the
+      end of psi's window on x_tb (that window stops where the law mod s^N
+      stops determining the value), and c_b <= e.
+    * A check that raises for want of a window raises at every g alike.
     """
-    for g in range(ext.group.order):
+    return law_by_generators(ext.group, lambda gs: _mu_scan(ext, psi, mu, gs),
+                             premise=lambda: verified_in_run("verify_cocycle", psi))
+
+
+def check_mu_equivariance_exhaustive(ext, psi: Cocycle, mu: Matrix):
+    """check_mu_equivariance by a scan of every g in G: the reference."""
+    return _mu_scan(ext, psi, mu, range(ext.group.order))
+
+
+def _mu_scan(ext, psi, mu, gs):
+    """Condition (b) at g for g in gs."""
+    for g in gs:
         lhs = psi.mats[g].to_laurent() * ext.psi(g)(mu)
         mism = lhs.first_mismatch(mu)
         if mism is not None:
@@ -280,13 +316,51 @@ def verify_glued(b: GluedBundle) -> ValidationReport:
 
 def _check_glued_point(pt: GluedPoint, group):
     """The report of the first failing check at one glued point, or None."""
-    spec = pt.module.spec
-    ext = spec.ext
-    sp = pt.scene_point
     for i, tau in enumerate(pt.taus):
         if not is_invertible(tau):
             return ValidationReport(False, f"tau_{i} at {pt.label} is not invertible",
                                     point=pt.label)
+    return check_tau_equivariance(pt, group)
+
+
+def check_tau_equivariance(pt: GluedPoint, group):
+    """The ring parts of the formal and generic actions agree at every
+    (g, i), and m * psi(w)(tau_i) = tau_j for each block (j, m, w) of
+    Phi(g) on component i; None, or the report of the first failure.
+
+    The ring parts are integers and are compared at every (g, i).  The tau
+    law is proven on the generators (groups.law_by_generators) when the run
+    has verified the module's action (verified_in_run; assemble_product
+    does so) and every tau_i has the same floor and length in each entry,
+    as glued_point builds them (each is psi(w)(mu)); otherwise, or on a
+    failure, the exhaustive scan of check_tau_equivariance_exhaustive
+    decides.  The window argument is
+    check_mu_equivariance's, with x = tau_i, the blocks m (Series at
+    precision N) in place of A_g, and Phi(hg) = Phi(h) o Phi(g) in place of
+    the cocycle law: with E_(g,i) = m psi(w)(tau_i) - tau_j, the law at
+    (h, j) and (g, i) gives it at (hg, i).  As the taus share their window
+    shapes, the window compared in entry (a, b) is the same for every g and
+    every i.
+    """
+    def premise():
+        shapes = {tuple((e.val_floor, len(e.coeffs)) for row in tau.to_laurent().entries
+                        for e in row) for tau in pt.taus}
+        return len(shapes) == 1 and verified_in_run("verify_action", pt.module)
+
+    return law_by_generators(group, lambda gs: _tau_scan(pt, group, gs), premise=premise)
+
+
+def check_tau_equivariance_exhaustive(pt: GluedPoint, group):
+    """check_tau_equivariance by a scan of every g in G: the reference."""
+    return _tau_scan(pt, group, range(group.order))
+
+
+def _tau_scan(pt, group, gs):
+    """The ring parts at every (g, i) and the tau law for g in gs, in the
+    order g, then i."""
+    spec = pt.module.spec
+    ext = spec.ext
+    sp = pt.scene_point
     for g in range(group.order):
         for i in range(spec.size):
             j, m, w = pt.module.phi[g][i]
@@ -295,6 +369,8 @@ def _check_glued_point(pt: GluedPoint, group):
                 return ValidationReport(
                     False, f"ring parts of the formal and generic actions disagree "
                     f"at {pt.label}, element {g}, component {i}", point=pt.label)
+            if g not in gs:
+                continue
             lhs = m.to_laurent() * ext.psi(w)(pt.taus[i])
             rhs = pt.taus[j]
             mism = lhs.first_mismatch(rhs)
@@ -472,15 +548,10 @@ def validate_parabolic_morphism(src: ParabolicDatum, dst: ParabolicDatum,
         if spt.ext != dpt.ext:
             raise StructuralError(f"extensions differ at {spt.label}")
         sigma = sigmas[spt.label]
-        ext = spt.ext
-        for a in range(ext.group.order):
-            lhs = sigma * spt.psi.mats[a]
-            rhs = dpt.psi.mats[a] * ext.psi(a)(sigma)
-            if not lhs.agrees_with(rhs):
-                return ValidationReport(False,
-                                        f"sigma at {spt.label} is not equivariant at "
-                                        f"element {a}", point=spt.label)
-        g_local = base_to_point(ext, g_matrix).to_laurent()
+        rep = check_sigma_equivariance(spt, dpt, sigma)
+        if rep is not None:
+            return rep
+        g_local = base_to_point(spt.ext, g_matrix).to_laurent()
         lhs = dpt.mu * g_local
         rhs = sigma.to_laurent() * spt.mu
         mism = lhs.first_mismatch(rhs)
@@ -489,6 +560,43 @@ def validate_parabolic_morphism(src: ParabolicDatum, dst: ParabolicDatum,
                                     f"mu square fails at {spt.label}, entry {mism[:2]}, "
                                     f"exponent {mism[2]}", point=spt.label, detail=mism)
     return ValidationReport(True, "ok")
+
+
+def check_sigma_equivariance(spt: ParabolicPoint, dpt: ParabolicPoint, sigma: Matrix):
+    """sigma * A1_a = A2_a * psi(a)(sigma) for every a in I, A1 and A2 the
+    cocycles at spt and dpt; None, or the report of the first failure.
+
+    The law at a and at b gives it at ab, by both cocycle laws:
+    sigma A1_ab = sigma A1_a psi(a)(A1_b) = A2_a psi(a)(sigma A1_b) =
+    A2_a psi(a)(A2_b) psi(ab)(sigma) = A2_ab psi(ab)(sigma), an identity of
+    Series matrices mod s^N, so no validity window enters.  So it is proven
+    on the generators (groups.law_by_generators) when sigma is a Series
+    matrix and the run has found both to be cocycles (verified_in_run);
+    otherwise, or on a failure, the exhaustive scan of
+    check_sigma_equivariance_exhaustive decides.
+    """
+    return law_by_generators(
+        spt.ext.group, lambda xs: _sigma_scan(spt, dpt, sigma, xs),
+        premise=lambda: (sigma.kind is Series and verified_in_run("verify_cocycle", spt.psi)
+                         and verified_in_run("verify_cocycle", dpt.psi)))
+
+
+def check_sigma_equivariance_exhaustive(spt: ParabolicPoint, dpt: ParabolicPoint,
+                                        sigma: Matrix):
+    """check_sigma_equivariance by a scan of every a in I: the reference."""
+    return _sigma_scan(spt, dpt, sigma, range(spt.ext.group.order))
+
+
+def _sigma_scan(spt, dpt, sigma, xs):
+    """The sigma law at a for a in xs."""
+    ext = spt.ext
+    for a in xs:
+        lhs = sigma * spt.psi.mats[a]
+        rhs = dpt.psi.mats[a] * ext.psi(a)(sigma)
+        if not lhs.agrees_with(rhs):
+            return ValidationReport(False, f"sigma at {spt.label} is not equivariant at "
+                                    f"element {a}", point=spt.label)
+    return None
 
 
 @dataclass

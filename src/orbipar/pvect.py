@@ -205,10 +205,14 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
                   for j in range(r)] for i in range(r)])
         return gm, sigmas
 
-    def jointly_invertible(gm, sigmas):
-        if residue_det(field, gm.residue()) == 0:
-            return False
-        return all(residue_det(field, s.residue()) != 0 for s in sigmas.values())
+    # (offset, precision) of g and of each sigma_x in the coordinates
+    blocks = [(0, base_prec)] + [(offsets[p.label], p.ext.prec) for p in d1.points]
+
+    def jointly_invertible(coords):
+        """Whether g and every sigma_x have invertible residues, read off
+        their degree-0 coordinates."""
+        return all(residue_det(field, [[coords[off + (i * r + j) * per] for j in range(r)]
+                                       for i in range(r)]) != 0 for off, per in blocks)
 
     candidates = list(basis)
     tried = 0
@@ -219,9 +223,9 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
             coords = combination(field, [rng.randrange(field.order) for _ in basis],
                                  basis, total)
         tried += 1
-        gm, sigmas = coords_to_candidate(coords)
-        if not jointly_invertible(gm, sigmas):
+        if not jointly_invertible(coords):
             continue
+        gm, sigmas = coords_to_candidate(coords)
         rep = validate_parabolic_morphism(d1, d2, gm, sigmas)
         if rep.ok:
             return IsoResult("isomorphic", g=gm, sigmas=sigmas, proven=True,

@@ -134,17 +134,17 @@ def _load(doc):
     if "seed" not in doc:
         raise ScenarioError("scenario files must carry an explicit seed")
     fcfg = doc.get("field", {})
-    field = make_field(int(fcfg.get("p", 5)), int(fcfg.get("k_deg", 1)),
+    field = make_field(_int(fcfg.get("p", 5), "field p"),
+                       _int(fcfg.get("k_deg", 1), "field k_deg"),
                        tuple(fcfg["modulus"]) if "modulus" in fcfg else None)
-    prec = int(doc.get("precision", 16))
+    prec = _int(doc.get("precision", 16), "precision")
     if not 1 <= prec <= MAX_PRECISION:
         raise ScenarioError(f"precision must be in 1..{MAX_PRECISION}, got {prec}")
-    seed = int(doc["seed"])
+    seed = _int(doc["seed"], "seed")
     budgets = {"residue_cap": 10 ** 6, "random_tries": 300}
     budgets.update(_object(doc.get("budgets", {}), "budgets"))
     for key, value in budgets.items():
-        if not _is_int(value):
-            raise ScenarioError(f"budget {key} must be an integer, got {value!r}")
+        _int(value, f"budget {key}")
 
     exts = {}
     for name, cfg in doc.get("extensions", {}).items():
@@ -152,7 +152,8 @@ def _load(doc):
         if prec < 2:
             raise ScenarioError(f"extension {name!r}: precision {prec} < 2 cannot hold s")
         if kind == "kummer":
-            exts[name] = make_kummer(field, _group_order(int(cfg["n"]), f"extension {name!r}"),
+            where = f"extension {name!r}"
+            exts[name] = make_kummer(field, _group_order(_int(cfg["n"], f"{where}: n"), where),
                                      prec)
         elif kind == "artin_schreier":
             exts[name] = make_artin_schreier(field, prec)
@@ -171,8 +172,8 @@ def _load(doc):
         kind = cfg.get("kind")
         if kind == "kummer_tower":
             where = f"embedding {name!r}"
-            embs[name] = kummer_tower(field, _group_order(int(cfg["n"]), where),
-                                      _group_order(int(cfg["m"]), where), prec)
+            embs[name] = kummer_tower(field, _group_order(_int(cfg["n"], f"{where}: n"), where),
+                                      _group_order(_int(cfg["m"], f"{where}: m"), where), prec)
         elif kind == "identity":
             embs[name] = identity_embedding(_resolve(exts, cfg, "ext"))
         elif kind == "explicit":
@@ -206,7 +207,7 @@ def _load(doc):
         cfg = doc["data"][name]
         kind = cfg.get("kind")
         if kind in ("trivial", "random", "explicit"):
-            rank = int(cfg["rank"])
+            rank = _int(cfg["rank"], f"datum {name!r}: rank")
             _check_rank(rank, f"datum {name!r}")
             if not cfg["points"]:
                 raise ScenarioError(f"datum {name!r} has no points")
@@ -310,6 +311,14 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _int(x, what):
+    """x, which the document must give as a JSON integer: a bool, a float or
+    a string is a ScenarioError, not a number that int() makes of it."""
+    if not _is_int(x):
+        raise ScenarioError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def _object(x, what):
     if not isinstance(x, dict):
         raise ScenarioError(f"{what} must be a JSON object, got {x!r}")
@@ -355,8 +364,8 @@ def _check_references(sc: Scenario):
                     raise ScenarioError(f"{where}: {key} has no embedding for point "
                                         f"{missing[0]!r} of {datum} {cmd[datum]!r}")
         for key in _INT_KEYS:
-            if key in cmd and not _is_int(cmd[key]):
-                raise ScenarioError(f"{where}: {key} must be an integer, got {cmd[key]!r}")
+            if key in cmd:
+                _int(cmd[key], f"{where}: {key}")
         for key in _INT_LIST_KEYS:
             if key in cmd and not (isinstance(cmd[key], list) and all(map(_is_int, cmd[key]))):
                 raise ScenarioError(f"{where}: {key} must be a list of integers, "

@@ -9,8 +9,8 @@ import time
 
 from orbipar.cli import demo_scenario
 from orbipar.equivariant import (Cocycle, assemble_product, coboundary,
-                                 independence_intertwiner, is_induced,
-                                 make_connectors, twist, verify_action_exhaustive)
+                                 first_nonintertwining_exhaustive, independence_intertwiner,
+                                 is_induced, make_connectors, twist, verify_action_exhaustive)
 from orbipar.errors import DomainError
 from orbipar.fields import make_field, required_degree_for_root
 from orbipar.groups import cyclic, dihedral, direct_product
@@ -143,7 +143,8 @@ def test_criterion_3_connector_independence():
             sp, group, psi, connectors=make_connectors(group, perms, seeds1)))
         m2 = assemble_product(build_spec_from_scene(
             sp, group, psi, connectors=make_connectors(group, perms, seeds2)))
-        independence_intertwiner(m1, m2)   # raises unless verified exhaustively
+        tau = independence_intertwiner(m1, m2)   # raises unless verified
+        assert first_nonintertwining_exhaustive(m1, m2, tau.blocks) is None
         count += 1
     elapsed = time.perf_counter() - t0
     _report(3, count >= 5 and elapsed < 5.0,

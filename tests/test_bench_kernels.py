@@ -36,6 +36,10 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "PushedBundle.verify_exhaustive, Z/4 rank 1 GF(13) N=8",
                  "PushedBundle.verify, Z/4 rank 1 GF(13) N=8"):
         assert line in out
+    for law in ("check_mu_equivariance", "check_tau_equivariance", "first_nonintertwining",
+                "check_sigma_equivariance"):
+        assert law in out
+    assert "find_parabolic_isomorphism, dual_pairing V(x)V* (rank 4, GF(13), N=8)" in out
     assert "functor layer: dual_pairing_check (rank 2, GF(13), N=8, Kummer Z/4)" in out
     assert "end-to-end: 1 Z/6 round trips" in out
     doc = json.loads(out_file.read_text())
@@ -54,5 +58,8 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "fixed_rows calculus Hom actions rank 4 GF(13) N=8",
                  "invariants wild rank 2 GF(3^2) N=24", "invariants tame rank 3 GF(7) N=16",
                  "trivialize wild rank 2 GF(3^2) N=24", "assemble_product Z/6 rank 2 GF(7) N=16",
-                 "functor_T Z/6 rank 2 GF(7) N=16", "functor_S Z/6 rank 2 GF(7) N=16"):
+                 "functor_T Z/6 rank 2 GF(7) N=16", "functor_S Z/6 rank 2 GF(7) N=16",
+                 "check_tau_equivariance Z/6 taus rank 2 GF(7) N=16",
+                 "check_tau_equivariance_exhaustive Z/6 taus rank 2 GF(7) N=16",
+                 "find_parabolic_isomorphism dual_pairing rank 4 GF(13) N=8"):
         assert case in doc["cases"]

@@ -243,6 +243,13 @@ BAD_INPUTS = {
     "unknown-datum": lambda d: d["commands"][0].update(datum="nope"),
     "unknown-scene": lambda d: d["commands"][1].update(scene="nowhere"),
     "precision-abc": lambda d: d.update(precision="abc"),
+    "precision-bool": lambda d: d.update(precision=True),
+    "precision-float": lambda d: d.update(precision=2.5),
+    "seed-float": lambda d: d.update(seed=1.0),
+    "field-p-bool": lambda d: d.update(field={"p": 5, "k_deg": True}),
+    "datum-rank-float": lambda d: d["data"]["d"].update(rank=1.5),
+    "kummer-n-float": lambda d: d["extensions"]["K2"].update(n=2.0),
+    "tower-n-bool": _tower(True, 4),
     "top-level-list": lambda d: [d],
     "missing-seeds2": lambda d: d["commands"].append(
         {"op": "connector_independence", "datum": "d", "scene": "cover"}),

@@ -4,14 +4,25 @@ verify_cocycle, verify_action and verify_extension prove their group laws
 on the generators and fall back to the exhaustive scan on a failure; their
 reports must equal those of verify_cocycle_exhaustive,
 verify_action_exhaustive and verify_extension_exhaustive, on valid inputs
-and on inputs corrupted at one generator value or at one other value.
-is_invertible must be False exactly where Matrix.inverse raises, and the
-divisor-only Smith form must give the divisors of the full one.
+and on inputs corrupted at one generator value or at one other value.  The
+unary laws (check_mu_equivariance, check_tau_equivariance,
+first_nonintertwining, check_sigma_equivariance) are proven on the
+generators only under a verified premise; their reports must equal those
+of the *_exhaustive scans on valid data, on data corrupted at one
+coefficient, on cocycles and modules corrupted off the generators (where
+the premise must force the exhaustive answer), and on a mu with negative
+floors and unequal entry windows; the fast checks run inside a scenario
+run whose memo holds their premises, as in `orbipar run`.  is_invertible
+must be False exactly where Matrix.inverse raises, and the divisor-only
+Smith form must give the divisors of the full one.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from orbipar import equivariant, linalg, parabolic
 from orbipar.equivariant import (Cocycle, ProductGModule, assemble_product, coboundary,
+                                 first_nonintertwining, first_nonintertwining_exhaustive,
+                                 independence_intertwiner, make_connectors, twist,
                                  verify_action, verify_action_exhaustive, verify_cocycle,
                                  verify_cocycle_exhaustive)
 from orbipar.errors import OrbiparError
@@ -21,7 +32,12 @@ from orbipar.linalg import Matrix, is_invertible, residue_det, series_part, smit
 from orbipar.local_galois import (LocalExtension, make_artin_schreier, make_kummer,
                                   trivial_extension, verify_extension,
                                   verify_extension_exhaustive)
-from orbipar.parabolic import ScenePoint, build_spec_from_scene
+from orbipar.memo import run_scope
+from orbipar.parabolic import (GluedPoint, ParabolicDatum, ParabolicPoint, ScenePoint,
+                               build_spec_from_scene, check_mu_equivariance,
+                               check_mu_equivariance_exhaustive, check_sigma_equivariance,
+                               check_sigma_equivariance_exhaustive, check_tau_equivariance,
+                               check_tau_equivariance_exhaustive, glued_point, random_datum)
 from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
 
@@ -48,6 +64,8 @@ def _scenes():
 
 
 SCENES = _scenes()
+# per scene, the seeds of a second connector family (the first is the scene's)
+SEEDS2 = [[3], [5], [3], []]
 
 
 def _unimodular(field, rank, rng):
@@ -157,6 +175,250 @@ def test_failure_off_the_generators_reports_the_exhaustive_pair():
     rep = verify_cocycle(bad)
     assert rep == verify_cocycle_exhaustive(bad)
     assert not rep.ok and rep.failing_pair == (1, 2) and rep.entry == (1, 0)
+
+
+def _bump_laurent(m, i, j, k):
+    """m (Laurent entries) with coefficient k of entry (i, j)'s window changed."""
+    rows = [list(r) for r in m.entries]
+    e = rows[i][j]
+    coeffs = list(e.coeffs)
+    k %= len(coeffs)
+    coeffs[k] = (coeffs[k] + 1) % e.field.order
+    rows[i][j] = Laurent(e.field, e.val_floor, tuple(coeffs))
+    return Matrix(rows)
+
+
+def _bump_cocycle(c, x, i, j, k):
+    mats = list(c.mats)
+    mats[x] = _bump(mats[x], i % c.rank, j % c.rank, k)
+    return Cocycle(c.ext, c.rank, tuple(mats))
+
+
+def _bump_phi(module, x, comp, i, j, k):
+    """module with the matrix part of Phi(x) on component comp changed: a
+    hand-built module whose action is no longer a group action."""
+    phi = [list(blocks) for blocks in module.phi]
+    tgt, m, w = phi[x][comp % module.size]
+    phi[x][comp % module.size] = (tgt, _bump(m, i % m.rows, j % m.rows, k), w)
+    return ProductGModule(spec=module.spec, phi=tuple(map(tuple, phi)))
+
+
+def _dual_of_diag_gluing(ext, seed):
+    """The dual of the rank-2 gluing A_g = diag(zeta^-g, 1), mu = diag(s, 1),
+    written down exactly: A*_g = diag(zeta^g, 1), mu* = diag(s^-1, 1), then
+    twisted by a random unimodular B.  B^-1 mu* has a negative floor, and
+    its columns have different windows."""
+    field, n = ext.field, ext.group.order
+    zeta = field.root_of_unity(n)
+    zero, one = Series.zero(field, N), Series.one(field, N)
+    mats = tuple(Matrix([[Series.constant(field, field.pow(zeta, g), N), zero],
+                         [zero, one]]) for g in range(n))
+    b = _unimodular(field, 2, SplitMix64(seed))
+    mu = Matrix([[Laurent.exact(field, -1, [1], N), Laurent.zero(field, N)],
+                 [Laurent.zero(field, N), Laurent.exact(field, 0, [1], N)]])
+    return ParabolicPoint("p", ext, twist(Cocycle(ext, 2, mats), b),
+                          b.inverse().to_laurent() * mu)
+
+
+def _datum_point(ext, rank, seed, shape):
+    if shape == "dual-diag" and (ext.field.order - 1) % ext.group.order == 0:
+        return _dual_of_diag_gluing(ext, seed)
+    return random_datum(ext, rank, SplitMix64(seed)).points[0]
+
+
+def test_dual_of_diag_gluing_has_negative_floors_and_unequal_windows():
+    pt = _dual_of_diag_gluing(make_kummer(make_field(13), 4, N), 5)
+    windows = {e.window for row in pt.mu.entries for e in row}
+    assert min(lo for lo, _ in windows) < 0 and len(windows) > 1
+    assert verify_cocycle_exhaustive(pt.psi).ok
+    assert check_mu_equivariance_exhaustive(pt.ext, pt.psi, pt.mu) is None
+
+
+unary_corruption = st.sampled_from(["none", "value", "generator", "other"])
+
+
+def _in_run(call, *premises):
+    """call() inside a scenario run whose memo holds the premise checks
+    (verify_cocycle or verify_action calls), as the fast paths need."""
+    with run_scope():
+        for check in premises:
+            check()
+        return call()
+
+
+@settings(max_examples=40, deadline=None)
+@given(ext_i=st.integers(0, len(EXTENSIONS) - 1), rank=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(["random", "dual-diag"]),
+       where=unary_corruption, pick=st.integers(0, 7), i=st.integers(0, 1),
+       j=st.integers(0, 1), k=st.integers(0, N - 1))
+def test_mu_equivariance_equals_exhaustive(ext_i, rank, seed, shape, where, pick, i, j, k):
+    pt = _datum_point(EXTENSIONS[ext_i](), rank, seed, shape)
+    ext, psi, mu = pt.ext, pt.psi, pt.mu
+    if where == "value":
+        mu = _bump_laurent(mu, i % mu.rows, j % mu.rows, k)
+    elif where != "none":
+        x = _target(ext.group, where, pick)
+        if x is not None:
+            psi = _bump_cocycle(psi, x, i, j, k)
+    ref = check_mu_equivariance_exhaustive(ext, psi, mu)
+    assert _in_run(lambda: check_mu_equivariance(ext, psi, mu), lambda: verify_cocycle(psi)) == ref
+    assert ref is None or where != "none"
+
+
+def _glued(scene_i, rank, seed, shape):
+    sp, group = SCENES[scene_i]
+    return glued_point(_datum_point(sp.ext, rank, seed, shape), sp, group), group
+
+
+@settings(max_examples=30, deadline=None)
+@given(scene_i=st.integers(0, len(SCENES) - 1), rank=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1), shape=st.sampled_from(["random", "dual-diag"]),
+       where=unary_corruption, pick=st.integers(0, 7), comp=st.integers(0, 1),
+       i=st.integers(0, 1), j=st.integers(0, 1), k=st.integers(0, N - 1))
+def test_tau_equivariance_equals_exhaustive(scene_i, rank, seed, shape, where, pick, comp,
+                                            i, j, k):
+    pt, group = _glued(scene_i, rank, seed, shape)
+    if where == "value":
+        taus = list(pt.taus)
+        tau = taus[comp % len(taus)]
+        taus[comp % len(taus)] = _bump_laurent(tau, i % tau.rows, j % tau.rows, k)
+        pt = GluedPoint(pt.label, pt.scene_point, pt.module, tuple(taus))
+    elif where != "none":
+        x = _target(group, where, pick)
+        if x is not None:
+            pt = GluedPoint(pt.label, pt.scene_point,
+                            _bump_phi(pt.module, x, comp, i, j, k), pt.taus)
+    ref = check_tau_equivariance_exhaustive(pt, group)
+    assert _in_run(lambda: check_tau_equivariance(pt, group),
+                   lambda: verify_action(pt.module)) == ref
+    assert ref is None or where != "none"
+
+
+def _intertwined(scene_i, rank, seed):
+    """Two modules of one datum under two connector families, and the
+    blocks of the independence intertwiner between them."""
+    sp, group = SCENES[scene_i]
+    psi = coboundary(sp.ext, _unimodular(sp.ext.field, rank, SplitMix64(seed)))
+    m1 = assemble_product(build_spec_from_scene(sp, group, psi))
+    m2 = assemble_product(build_spec_from_scene(
+        sp, group, psi, connectors=make_connectors(group, sp.perms(group), SEEDS2[scene_i])))
+    return m1, m2, list(independence_intertwiner(m1, m2).blocks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(scene_i=st.integers(0, len(SCENES) - 1), rank=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1), where=unary_corruption, pick=st.integers(0, 7),
+       comp=st.integers(0, 1), i=st.integers(0, 1), j=st.integers(0, 1),
+       k=st.integers(0, N - 1))
+def test_intertwining_equals_exhaustive(scene_i, rank, seed, where, pick, comp, i, j, k):
+    m1, m2, blocks = _intertwined(scene_i, rank, seed)
+    group = m1.spec.group
+    if where == "value":
+        comp %= len(blocks)
+        blocks[comp] = _bump(blocks[comp], i % rank, j % rank, k)
+    elif where != "none":
+        x = _target(group, where, pick)
+        if x is not None:
+            m2 = _bump_phi(m2, x, comp, i, j, k)
+    ref = first_nonintertwining_exhaustive(m1, m2, blocks)
+    assert _in_run(lambda: first_nonintertwining(m1, m2, blocks),
+                   lambda: verify_action(m1), lambda: verify_action(m2)) == ref
+    assert ref is None or where != "none"
+
+
+@settings(max_examples=40, deadline=None)
+@given(ext_i=st.integers(0, len(EXTENSIONS) - 1), rank=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1), where=unary_corruption, pick=st.integers(0, 7),
+       i=st.integers(0, 1), j=st.integers(0, 1), k=st.integers(0, N - 1))
+def test_sigma_equivariance_equals_exhaustive(ext_i, rank, seed, where, pick, i, j, k):
+    """sigma = B^{-1} is a morphism from a datum to its twist by B."""
+    ext = EXTENSIONS[ext_i]()
+    rng = SplitMix64(seed)
+    src = random_datum(ext, rank, rng).points[0]
+    b = _unimodular(ext.field, rank, rng)
+    sigma = b.inverse()
+    psi2 = twist(src.psi, b)
+    if where == "value":
+        sigma = _bump(sigma, i % rank, j % rank, k)
+    elif where != "none":
+        x = _target(ext.group, where, pick)
+        if x is not None:
+            psi2 = _bump_cocycle(psi2, x, i, j, k)
+    dst = ParabolicPoint("p", ext, psi2, sigma.to_laurent() * src.mu)
+    ref = check_sigma_equivariance_exhaustive(src, dst, sigma)
+    assert _in_run(lambda: check_sigma_equivariance(src, dst, sigma),
+                   lambda: verify_cocycle(src.psi), lambda: verify_cocycle(dst.psi)) == ref
+    assert ref is None or where != "none"
+
+
+def test_premise_forces_the_exhaustive_answer_off_the_generators():
+    """Modules corrupted at 3, which is not a generator of Z/6: the tau and
+    intertwining laws still hold on the generators, but the run finds that
+    verify_action fails, so the fast checks return the exhaustive scans'
+    failures."""
+    pt, group = _glued(0, 2, 11, "random")
+    assert group.generators() == [1]
+    bad = GluedPoint(pt.label, pt.scene_point, _bump_phi(pt.module, 3, 0, 0, 0, 0), pt.taus)
+    assert parabolic._tau_scan(bad, group, group.generators()) is None
+    ref = check_tau_equivariance_exhaustive(bad, group)
+    assert ref is not None and ref.detail[0] == 3
+    assert _in_run(lambda: check_tau_equivariance(bad, group),
+                   lambda: verify_action(bad.module)) == ref
+
+    m1, m2, blocks = _intertwined(0, 2, 11)
+    m2 = _bump_phi(m2, 3, 0, 0, 0, 0)
+    assert equivariant._intertwining_scan(m1, m2, blocks, group.generators()) is None
+    ref = first_nonintertwining_exhaustive(m1, m2, blocks)
+    assert ref is not None and ref[0] == 3
+    assert _in_run(lambda: first_nonintertwining(m1, m2, blocks),
+                   lambda: verify_action(m1), lambda: verify_action(m2)) == ref
+
+
+def test_unequal_tau_windows_force_the_exhaustive_answer():
+    """tau_1 cut 3 coefficients short and tau_0 changed above tau_1's window:
+    every check at the generator 1 compares below tau_1's window end and
+    passes, but 2 maps component 0 to itself and sees the change.  The taus
+    no longer share their window shapes, so the exhaustive scan decides."""
+    pt, group = _glued(0, 2, 11, "random")
+    tau0, tau1 = pt.taus
+    short = Matrix([[Laurent(e.field, e.val_floor, e.coeffs[:-3]) for e in row]
+                    for row in tau1.entries])
+    bad = GluedPoint(pt.label, pt.scene_point, pt.module,
+                     (_bump_laurent(tau0, 0, 0, N - 1), short))
+    assert parabolic._tau_scan(bad, group, group.generators()) is None
+    ref = check_tau_equivariance_exhaustive(bad, group)
+    assert ref is not None and ref.detail[0] == 2
+    assert _in_run(lambda: check_tau_equivariance(bad, group),
+                   lambda: verify_action(bad.module)) == ref
+
+
+def test_tau_check_makes_one_product_per_generator_and_component(monkeypatch):
+    """On the Z/6 rank-2 GF(7) N=16 point (|S| = 1, l = 2), the tau check of
+    a valid glued point in a run makes |S| l = 2 Laurent products, not
+    |G| l = 12; outside a run nothing has verified the action, so it scans
+    all 12."""
+    k3 = make_kummer(make_field(7), 3, 16)
+    sp, group = ScenePoint("p", k3, (0, 2, 4), (0, 1)), cyclic(6)
+    dpt = random_datum(k3, 2, SplitMix64(12345), character_exponent=1).points[0]
+    calls = []
+    original = linalg._laurent_product
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    def products(check):
+        monkeypatch.setattr(linalg, "_laurent_product", counting)
+        calls.clear()
+        assert check() is None
+        monkeypatch.setattr(linalg, "_laurent_product", original)
+        return len(calls)
+
+    with run_scope():
+        pt = glued_point(dpt, sp, group)       # assemble_product verifies the action
+        assert products(lambda: check_tau_equivariance(pt, group)) == 2
+        assert products(lambda: check_tau_equivariance_exhaustive(pt, group)) == 12
+    assert products(lambda: check_tau_equivariance(pt, group)) == 12
 
 
 @st.composite
