@@ -647,19 +647,30 @@ def _invariants(c: Cocycle) -> InvariantsResult:
             f"invariants: found {len(selected)} generators, expected {rank}",
             found=len(selected), expected=rank)
 
-    # safety: every generator is fixed by every group element
-    for g in range(ext.group.order):
-        for vec in selected:
-            img = c.apply(g, vec)
-            if any(a.coeffs != b.coeffs for a, b in zip(img, vec)):
-                raise RankDeficiencyError("extracted generator is not fixed "
-                                          f"by element {g}", found=len(selected),
-                                          expected=rank)
+    # safety: every generator is fixed by every group element.  Proven on the
+    # group's generators once the run has found c to be a cocycle: Phi(hk) =
+    # Phi(h) o Phi(k) exactly mod s^N, so vectors fixed by Phi(h) and Phi(k)
+    # are fixed by Phi(hk); otherwise, or on a failure, every element is scanned
+    g = law_by_generators(ext.group, lambda gs: _unfixed_scan(c, selected, gs),
+                          premise=lambda: verified_in_run("verify_cocycle", c))
+    if g is not None:
+        raise RankDeficiencyError(f"extracted generator is not fixed by element {g}",
+                                  found=len(selected), expected=rank)
 
     natural = Matrix([[selected[j][i] for j in range(rank)] for i in range(rank)])
     return InvariantsResult(generators=selected, natural=natural,
                             base_prec=max(prec // ext.ram_index, 1),
                             fixed_dim=len(candidates))
+
+
+def _unfixed_scan(c: Cocycle, vectors, gs):
+    """The first g in gs whose Phi(g) moves one of the vectors, or None."""
+    for g in gs:
+        for vec in vectors:
+            img = c.apply(g, vec)
+            if any(a.coeffs != b.coeffs for a, b in zip(img, vec)):
+                return g
+    return None
 
 
 def invariants_product(m: ProductGModule) -> InvariantsResult:

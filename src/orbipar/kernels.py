@@ -45,11 +45,17 @@ only when it is read (`% p`) or its row becomes the pivot row.  With at
 most min(m, n) pivots the slot is _slot(p, 1, 1, min(m, n) + 1): 16 bits
 for the 256 x 160 GF(13) joint system of the isomorphism search, 64 bits
 for any p < 2^16 up to 2^32 pivots, and StructuralError past that.
-GF(p^k) rows stay lists: packed as digit groups, every entry read would
-first have to fold its digits with the modulus.
+Packed as digit groups, GF(p^k) rows would need every entry read to fold
+its digits with the modulus.  Where an element's k digits fit one byte
+with room for the sum of two of them (byte_rows: GF(4), GF(8), GF(16),
+GF(9), GF(25) and GF(49)), a row is instead one byte per entry, and a row
+update is a translate of the pivot row, one bigint addition and a
+reducing translate (byte_axpy); entries are read as plain bytes.  Other
+GF(p^k) rows stay lists.
 """
 
 from array import array
+from functools import lru_cache
 from operator import mul as _mul
 
 from .errors import StructuralError
@@ -407,6 +413,54 @@ def vec_tri(ctx, cols, a, n):
                 acc = tab[acc][z] if tab else add(acc, z)
         out[k] = acc
     return out
+
+
+@lru_cache(maxsize=None)
+def byte_rows(ctx):
+    """Tables for elimination rows over GF(p^k) held as bytes, or None.
+
+    An entry's code is its k base-p digits in fields of b bits, b the width
+    of 2(p - 1), digit j in bits j*b and up.  Adding two rows as
+    little-endian ints then sums each pair of digits within its own field,
+    with no carry, provided k * b <= 8; otherwise (and over GF(p)) this is
+    None.  Returns (enc, dec, red, neg_mul, inv_mul): translate tables from
+    encodings to codes and back, one that reduces every field of a byte
+    mod p, and, under each nonzero code c, the tables that multiply codes
+    by -c and by 1/c.
+    """
+    p, k, q = ctx.p, ctx.k, ctx.q
+    b = (2 * p - 2).bit_length()
+    if k == 1 or k * b > 8:
+        return None
+    mask = (1 << b) - 1
+
+    def code(e):
+        return sum(e // p ** j % p << (j * b) for j in range(k))
+
+    codes = [code(e) for e in range(q)]
+    dec = bytearray(256)
+    for e, c in enumerate(codes):
+        dec[c] = e
+    red = bytes(sum((x >> (j * b) & mask) % p << (j * b) for j in range(k))
+                for x in range(256))
+
+    def times(f):
+        table = bytearray(256)
+        for e, c in enumerate(codes):
+            table[c] = codes[ctx.mul(f, e)]
+        return bytes(table)
+
+    neg_mul, inv_mul = [None] * 256, [None] * 256
+    for f in range(1, q):
+        neg_mul[codes[f]] = times(ctx.neg(f))
+        inv_mul[codes[f]] = times(ctx.inv(f))
+    return bytes(codes) + bytes(256 - q), bytes(dec), red, tuple(neg_mul), tuple(inv_mul)
+
+
+def byte_axpy(v, neg_f, w, red):
+    """The byte row v - f*w, neg_f being byte_rows' table for -f."""
+    total = int.from_bytes(v, "little") + int.from_bytes(w.translate(neg_f), "little")
+    return total.to_bytes(len(v), "little").translate(red)
 
 
 def row_axpy(ctx, v, f, w):

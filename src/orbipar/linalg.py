@@ -6,7 +6,8 @@ Three layers:
   deterministic pivot order (leftmost column, then lowest row index);
   returns a particular solution and a kernel basis.  On top of it:
   echelonize (the reduced echelon basis of a span, ordered by leading
-  coordinate), null_space (that basis for the solutions of rows * x = 0),
+  coordinate), null_space (that basis for the solutions of rows * x = 0,
+  read off one solve with the columns reversed),
   combination (sum of scaled vectors) and residue_search (the first
   combination of flattened r x r matrices over k that is invertible).
   Over GF(p), solve_linear keeps each augmented row as one int of
@@ -16,9 +17,11 @@ Three layers:
   becomes the pivot row (kernels.packed_normalize), so each update adds at
   most (p - 1)^2 to a slot and min(m, n) + 1 such sums fit the slots.  The
   pivot is searched row by row (kernels.packed_pivot) before the rest of
-  its column is read.  Over GF(p^k), and in echelonize, reduce_against and
-  residue_det, rows are lists updated by the kernels' row_axpy and
-  row_scale.
+  its column is read.  Over the GF(p^k) whose digits fit a byte
+  (kernels.byte_rows), solve_linear keeps each row as bytes and updates it
+  with kernels.byte_axpy.  Over other GF(p^k), and in echelonize,
+  reduce_against and residue_det, rows are lists updated by the kernels'
+  row_axpy and row_scale.
 * Matrix -- rectangular matrices with uniform Series or Laurent entries;
   inversion over k[[s]] requires a unit determinant (residue-invertible)
   and is exact at precision.  Series-matrix products run in the kernels'
@@ -40,8 +43,8 @@ Three layers:
 from dataclasses import dataclass
 
 from .errors import DomainError, NotInvertibleError, StructuralError
-from .kernels import (laurent_mat_mul, mat_mul, pack_rows, packed_column, packed_normalize,
-                      packed_pivot, row_axpy, row_neg, row_scale, unpack_rows)
+from .kernels import (byte_axpy, byte_rows, laurent_mat_mul, mat_mul, pack_rows, packed_column,
+                      packed_normalize, packed_pivot, row_axpy, row_neg, row_scale, unpack_rows)
 from .series import Laurent, Series
 
 
@@ -68,8 +71,12 @@ def solve_linear(field, rows, rhs=None):
         raise StructuralError("rhs length mismatch")
     ctx = field.ctx
     aug = (list(r) + [b] for r, b in zip(rows, rhs))
-    eliminate = _eliminate_packed if ctx.k == 1 else _eliminate
-    pivot_cols, reduced, rest = eliminate(ctx, aug, m, n)
+    if ctx.k == 1:
+        pivot_cols, reduced, rest = _eliminate_packed(ctx, aug, m, n)
+    elif byte_rows(ctx):
+        pivot_cols, reduced, rest = _eliminate_bytes(byte_rows(ctx), aug, m, n)
+    else:
+        pivot_cols, reduced, rest = _eliminate(ctx, aug, m, n)
     r = len(pivot_cols)
     if any(rest):
         return LinearSolution(False, None, [], r, pivot_cols)
@@ -145,6 +152,31 @@ def _eliminate_packed(ctx, aug, m, n):
             packed_column(rows[r:], nbytes, n, p))
 
 
+def _eliminate_bytes(tables, aug, m, n):
+    """_eliminate over GF(p^k) on rows of byte codes (kernels.byte_rows):
+    a row update v - e*w is kernels.byte_axpy, and entries are read as
+    plain bytes, nonzero exactly where the element is."""
+    enc, dec, red, neg_mul, inv_mul = tables
+    rows = [bytes(r).translate(enc) for r in aug]
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        sel = next((i for i in range(r, m) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        w = rows[r] = rows[r].translate(inv_mul[rows[r][col]])
+        for i in range(m):
+            c = rows[i][col]
+            if c and i != r:
+                rows[i] = byte_axpy(rows[i], neg_mul[c], w, red)
+        pivot_cols.append(col)
+        r += 1
+    return pivot_cols, [list(v.translate(dec)) for v in rows[:r]], [dec[v[n]] for v in rows[r:]]
+
+
 def reduce_against(field, ech, v):
     """Clear v's leading coordinates against ech (lead -> normalized row);
     returns (reduced v, its leading coordinate or None if it vanished)."""
@@ -181,11 +213,22 @@ def echelonize(field, vectors):
 
 
 def null_space(field, rows, n):
-    """Reduced echelon basis of {x in k^n : rows * x = 0}; no rows gives the
-    identity basis."""
+    """Reduced echelon basis of {x in k^n : rows * x = 0}, ordered by leading
+    coordinate; no rows gives the identity basis.
+
+    One solve with the columns reversed, and no echelonize pass.  Gauss-
+    Jordan on the reversed columns picks its pivots from the right, so the
+    row of a pivot column c holds, besides its 1, only free columns left of
+    c.  The kernel vector of a free column f is therefore 1 at f, 0 at every
+    other free column and nonzero only at pivot columns right of f: f is its
+    leading coordinate and the other vectors vanish there.  That is the
+    reduced echelon basis, which is unique, so it equals
+    echelonize(solve_linear(rows).kernel) entry for entry.
+    """
     if not rows:
         return [[1 if t == i else 0 for t in range(n)] for i in range(n)]
-    return echelonize(field, solve_linear(field, rows).kernel)
+    kernel = solve_linear(field, [r[::-1] for r in rows]).kernel
+    return [v[::-1] for v in reversed(kernel)]
 
 
 def combination(field, coeffs, vectors, n):

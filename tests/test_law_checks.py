@@ -25,7 +25,7 @@ from orbipar.equivariant import (Cocycle, ProductGModule, assemble_product, cobo
                                  independence_intertwiner, make_connectors, twist,
                                  verify_action, verify_action_exhaustive, verify_cocycle,
                                  verify_cocycle_exhaustive)
-from orbipar.errors import OrbiparError
+from orbipar.errors import OrbiparError, RankDeficiencyError
 from orbipar.fields import make_field
 from orbipar.groups import cyclic, dihedral, direct_product
 from orbipar.linalg import Matrix, is_invertible, residue_det, series_part, smith
@@ -349,6 +349,46 @@ def test_sigma_equivariance_equals_exhaustive(ext_i, rank, seed, where, pick, i,
     assert _in_run(lambda: check_sigma_equivariance(src, dst, sigma),
                    lambda: verify_cocycle(src.psi), lambda: verify_cocycle(dst.psi)) == ref
     assert ref is None or where != "none"
+
+
+def _outcome(call):
+    try:
+        return call()
+    except OrbiparError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ext_i=st.integers(0, len(EXTENSIONS) - 1), rank=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1), where=corruption, pick=st.integers(0, 7),
+       i=st.integers(0, 1), j=st.integers(0, 1), k=st.integers(0, N - 1))
+def test_invariants_fixedness_check_equals_exhaustive(ext_i, rank, seed, where, pick, i, j, k):
+    """invariants in a run that has checked the cocycle (its generators'
+    fixedness proven on the group's generators) against invariants outside
+    a run (every element scanned): the same result, or the same error."""
+    ext = EXTENSIONS[ext_i]()
+    c = coboundary(ext, _unimodular(ext.field, rank, SplitMix64(seed)))
+    x = _target(ext.group, where, pick) if where != "none" else None
+    if x is not None:
+        c = _bump_cocycle(c, x, i, j, k)
+    ref = _outcome(lambda: equivariant.invariants(c))
+    assert _outcome(lambda: _in_run(lambda: equivariant.invariants(c),
+                                    lambda: verify_cocycle(c))) == ref
+    assert isinstance(ref, equivariant.InvariantsResult) or x is not None
+
+
+def test_invariants_premise_forces_the_exhaustive_answer_off_the_generators():
+    """A coboundary corrupted at 2, not a generator of Z/3: the fixed space,
+    solved on the generators, passes the generator scan, but the run finds
+    that verify_cocycle fails, so invariants raises the exhaustive scan's
+    error at element 2."""
+    ext = make_kummer(make_field(7), 3, N)
+    assert ext.group.generators() == [1]
+    c = _bump_cocycle(coboundary(ext, _unimodular(ext.field, 1, SplitMix64(3))), 2, 0, 0, 1)
+    ref = _outcome(lambda: equivariant.invariants(c))
+    assert ref == (RankDeficiencyError, "extracted generator is not fixed by element 2")
+    assert _outcome(lambda: _in_run(lambda: equivariant.invariants(c),
+                                    lambda: verify_cocycle(c))) == ref
 
 
 def test_premise_forces_the_exhaustive_answer_off_the_generators():

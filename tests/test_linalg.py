@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbipar.errors import NotInvertibleError, StructuralError
 from orbipar.fields import ADD_TABLE_MAX_ORDER, make_field
-from orbipar.kernels import pack_rows
+from orbipar.kernels import byte_rows, pack_rows
 from orbipar.linalg import (LinearSolution, Matrix, echelonize, kron, laurent_inverse,
                             null_space, residue_det, residue_search, smith, solve_linear)
 from orbipar.scenario import MAX_PRECISION, MAX_RANK
@@ -270,8 +270,16 @@ def _ref_echelonize(field, vectors):
     return [ech[lead] for lead in sorted(ech)]
 
 
-# GF(11^3) is above ADD_TABLE_MAX_ORDER, so its ctx.add adds digit by digit
-ROW_KERNEL_FIELDS = [(2, 1), (13, 1), (3, 2), (2, 4), (11, 3)]
+# GF(11^3) is above ADD_TABLE_MAX_ORDER, so its ctx.add adds digit by digit;
+# GF(3^2), GF(2^3), GF(2^4), GF(5^2) and GF(7^2) eliminate on byte rows,
+# GF(3^3) and GF(11^3) on lists
+ROW_KERNEL_FIELDS = [(2, 1), (13, 1), (3, 2), (2, 3), (2, 4), (5, 2), (7, 2), (3, 3), (11, 3)]
+
+
+def test_byte_rows_exactly_where_two_digit_sums_fit_a_byte():
+    fields = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (11, 2), (13, 1)]
+    assert [pk for pk in fields if byte_rows(make_field(*pk).ctx)] == [
+        (2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (7, 2)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -333,6 +341,23 @@ def test_packed_elimination_matches_reference_on_large_systems():
         rhs = [rng.randrange(p) for _ in range(len(rows))]
         for b in (rhs, [0] * len(rows)):
             assert solve_linear(F, rows, b) == _ref_solve_linear(F, rows, b)
+
+
+def test_byte_row_elimination_matches_reference_on_large_systems():
+    """Dense GF(p^k) systems the size of the wild invariants solve (48 x 48
+    over GF(3^2)) and larger, on byte rows: every update reduces its row,
+    so nothing piles up, however many pivots."""
+    rng = SplitMix64(89)
+    for pk, m, n in (((3, 2), 48, 48), ((7, 2), 40, 60), ((2, 4), 70, 50)):
+        F = make_field(*pk)
+        assert byte_rows(F.ctx)
+        rows = [[rng.randrange(F.order) for _ in range(n)] for _ in range(m - 5)]
+        rows += [list(r) for r in rows[:5]]         # rank deficient
+        rhs = [rng.randrange(F.order) for _ in range(len(rows))]
+        for b in (rhs, [0] * len(rows)):
+            assert solve_linear(F, rows, b) == _ref_solve_linear(F, rows, b)
+        assert null_space(F, rows, n) == _ref_echelonize(
+            F, _ref_solve_linear(F, rows, [0] * m).kernel)
 
 
 def test_packed_rows_slots_at_the_caps():
