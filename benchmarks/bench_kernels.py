@@ -3,7 +3,9 @@
 Usage: python benchmarks/bench_kernels.py [repeats [out.json]]
 
 Each case is timed in `runs` runs of a fixed number of calls; a case reports
-the median and the minimum over the runs of the time per call.  With
+the median and the minimum over the runs of the time per call, at nominal
+machine speed: each run is timed by perfbench's calibrated timer (Meter in
+perfbench/run.py), which divides out the machine's current slowdown.  With
 out.json the results are also written there as JSON, together with the
 machine and the Python version.
 
@@ -16,11 +18,13 @@ Cases, layer by layer:
   kernels.PACK_MIN;
 * matrix products: Matrix.__mul__ (kernels.mat_mul) against the entrywise
   sum of Series products, outputs asserted equal, over GF(7), GF(13) and
-  GF(9);
+  GF(9), plus two short shapes: 4x4 GF(13) at N=1 and the GF(9) outer
+  product 4x1 * 1x4 at N=3;
 * Laurent matrix products: Matrix.__mul__ (kernels.laurent_mat_mul)
   against the entrywise chain of Laurent products and sums, outputs
-  asserted equal, at 1x1 GF(9) N=24, 2x2 GF(7) N=16 and 4x4 GF(13) N=8,
-  with floors and lengths varying per entry;
+  asserted equal, at 1x1 GF(9) N=24, 2x2 GF(7) N=16, 4x4 GF(13) N=8 and
+  the GF(9) outer product 4x1 * 1x4 at N=3, with floors and lengths
+  varying per entry;
 * fixed_rows on the Hom actions kron(A_g, A*_g) of a rank-2 GF(13), N=8
   Kummer Z/4 datum (the `calculus` size: rank 4, 32 x 32 per action);
 * psi(g) apply: one application of the cached substitution operator against
@@ -32,8 +36,13 @@ Cases, layer by layer:
   invariants on a rank-2 Kummer Z/3 datum (the `tame-roundtrip` rank*N
   size, 32 x 32 over GF(7)) and on a rank-2 Artin-Schreier datum (the
   `wild-extfield` rank*N size, 48 x 48 over GF(9)); prime fields take the
-  packed rows, GF(9) the list rows; plus null_space (elimination and the
-  echelon pass over its kernel) on the calculus joint system;
+  packed rows, GF(9) the byte rows; plus null_space (one solve on the
+  reversed columns) on the calculus joint system, and echelonize on the
+  largest system trivialize's stage 3 builds for the wild datum below (36
+  x 96 over GF(9));
+* evaluate_in_base, h(t) at N/e coefficients re-expanded in s, on each
+  workload's extension: Kummer Z/3 over GF(7) at N=16, Artin-Schreier over
+  GF(9) at N=24 and Kummer Z/4 over GF(13) at N=8;
 * module ops: invariants on a rank-2 Artin-Schreier datum (GF(9), N=24, the
   `wild-extfield` datum) and on a rank-3 Kummer Z/3 datum (GF(7), N=16, the
   `tame-roundtrip` rank-3 datum), trivialize on the same wild datum, and
@@ -62,30 +71,37 @@ Cases, layer by layer:
 * end to end: Z/6 round trips.
 """
 
+import importlib
 import json
 import os
 import platform
 import statistics
 import sys
-import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from orbipar import kernels
 from orbipar.fields import make_field
 from orbipar.prng import SplitMix64
+from run import Meter
 
 
 def timed(results, name, fn, calls, runs, items=1):
     """Time `runs` runs of `calls` calls of fn, each call handling `items`
-    items; record and return the median and minimum seconds per item."""
-    per_call = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
+    items, at nominal speed; record and return the median and minimum
+    seconds per item."""
+    def run():
         for _ in range(calls):
             fn()
-        per_call.append((time.perf_counter() - t0) / (calls * items))
+
+    per_call = []
+    with Meter() as meter:
+        for _ in range(runs):
+            meter.time(run)
+            per_call.append(meter.last_s / (calls * items))
     med, low = statistics.median(per_call), min(per_call)
     results[name] = {"median_us": round(med * 1e6, 2), "min_us": round(low * 1e6, 2),
                      "calls": calls, "runs": runs}
@@ -154,28 +170,45 @@ def _entrywise_product(a, b):
     return Matrix(rows)
 
 
+# (p, k), shape, N: shape r is r x r times r x r, shape (4, 1, 4) is the
+# outer product 4x1 * 1x4
+MAT_MUL_CASES = (((7, 1), 2, 16), ((7, 1), 3, 16), ((13, 1), 4, 8), ((3, 2), 2, 24),
+                 ((13, 1), 4, 1), ((3, 2), (4, 1, 4), 3))
+LAURENT_MUL_CASES = (((3, 2), 1, 24), ((7, 1), 2, 16), ((13, 1), 4, 8), ((3, 2), (4, 1, 4), 3))
+
+
+def _shape(shape):
+    """(rows, inner, cols, label) of a case's shape."""
+    if isinstance(shape, int):
+        return shape, shape, shape, f"r={shape}"
+    rows, inner, cols = shape
+    return rows, inner, cols, f"{rows}x{inner}*{inner}x{cols}"
+
+
 def bench_mat_mul(results, repeats, runs):
     from orbipar.linalg import Matrix
     from orbipar.series import Series
 
     print(f"{'matrix product':<16}{'r':>3}{'N':>4}{'entrywise':>12}{'mat_mul':>12}{'gain':>8}")
-    for (p, k), r, n in (((7, 1), 2, 16), ((7, 1), 3, 16), ((13, 1), 4, 8), ((3, 2), 2, 24)):
+    for (p, k), shape, n in MAT_MUL_CASES:
+        rows, inner, cols, label = _shape(shape)
         field = make_field(p, k)
         q, fname = field.order, field.describe()
-        rng = SplitMix64(q * 100 + r)
+        rng = SplitMix64(q * 100 + rows)
 
-        def random_matrix():
+        def random_matrix(h, w):
             return Matrix([[Series(field, n, tuple(rng.randrange(q) for _ in range(n)))
-                            for _ in range(r)] for _ in range(r)])
+                            for _ in range(w)] for _ in range(h)])
 
-        a, b = random_matrix(), random_matrix()
+        a, b = random_matrix(rows, inner), random_matrix(inner, cols)
         assert a * b == _entrywise_product(a, b), "mat_mul disagrees with the entrywise product"
-        calls = max(repeats // (n * r * r), 1)
-        old = timed(results, f"entrywise product {fname} r={r} N={n}",
+        calls = max(repeats // (n * rows * cols), 1)
+        old = timed(results, f"entrywise product {fname} {label} N={n}",
                     lambda: _entrywise_product(a, b), calls, runs)[0]
-        new = timed(results, f"Matrix.__mul__ {fname} r={r} N={n}", lambda: a * b, calls, runs)[0]
-        print(f"{fname:<16}{r:>3}{n:>4}{old * 1e6:>10.1f}us{new * 1e6:>10.1f}us"
-              f"{old / new:>7.1f}x")
+        new = timed(results, f"Matrix.__mul__ {fname} {label} N={n}", lambda: a * b,
+                    calls, runs)[0]
+        print(f"{fname:<16}{label.removeprefix('r='):>3}{n:>4}{old * 1e6:>10.1f}us"
+              f"{new * 1e6:>10.1f}us{old / new:>7.1f}x")
 
 
 def bench_laurent_mul(results, repeats, runs):
@@ -183,26 +216,27 @@ def bench_laurent_mul(results, repeats, runs):
     from orbipar.series import Laurent
 
     print(f"{'Laurent product':<16}{'r':>3}{'N':>4}{'entrywise':>12}{'Matrix*':>12}{'gain':>8}")
-    for (p, k), r, n in (((3, 2), 1, 24), ((7, 1), 2, 16), ((13, 1), 4, 8)):
+    for (p, k), shape, n in LAURENT_MUL_CASES:
+        rows, inner, cols, label = _shape(shape)
         field = make_field(p, k)
         q, fname = field.order, field.describe()
-        rng = SplitMix64(q * 1000 + r)
+        rng = SplitMix64(q * 1000 + rows)
 
-        def random_matrix():
+        def random_matrix(h, w):
             return Matrix([[Laurent(field, rng.randrange(5) - 2,
                                     tuple(rng.randrange(q) for _ in range(n - rng.randrange(3))))
-                            for _ in range(r)] for _ in range(r)])
+                            for _ in range(w)] for _ in range(h)])
 
-        a, b = random_matrix(), random_matrix()
+        a, b = random_matrix(rows, inner), random_matrix(inner, cols)
         assert a * b == _entrywise_product(a, b), \
             "the Laurent matrix product disagrees with the entrywise product"
-        calls = max(repeats // (n * r * r), 1)
-        old = timed(results, f"entrywise Laurent product {fname} r={r} N={n}",
+        calls = max(repeats // (n * rows * cols), 1)
+        old = timed(results, f"entrywise Laurent product {fname} {label} N={n}",
                     lambda: _entrywise_product(a, b), calls, runs)[0]
-        new = timed(results, f"Laurent Matrix.__mul__ {fname} r={r} N={n}", lambda: a * b,
+        new = timed(results, f"Laurent Matrix.__mul__ {fname} {label} N={n}", lambda: a * b,
                     calls, runs)[0]
-        print(f"{fname:<16}{r:>3}{n:>4}{old * 1e6:>10.1f}us{new * 1e6:>10.1f}us"
-              f"{old / new:>7.1f}x")
+        print(f"{fname:<16}{label.removeprefix('r='):>3}{n:>4}{old * 1e6:>10.1f}us"
+              f"{new * 1e6:>10.1f}us{old / new:>7.1f}x")
 
 
 def bench_fixed_rows(results, runs):
@@ -258,28 +292,30 @@ def bench_psi(results, repeats, runs):
               f"{t_horner / t_psi:>8.1f}x{build:>14}")
 
 
-def _largest_system(call):
-    """(field, rows) of the largest solve_linear system that call() builds."""
-    from orbipar import linalg, pvect
-
+def _largest_system(call, name="solve_linear", bound_in=("linalg", "pvect")):
+    """(field, rows) of the largest system that call() hands to `name`, as
+    the orbipar modules `bound_in` bind it."""
+    modules = [importlib.import_module(f"orbipar.{m}") for m in bound_in]
+    original = getattr(modules[0], name)
     seen = []
-    original = linalg.solve_linear
 
-    def record(field, rows, rhs=None):
+    def record(field, rows, *rest):
         seen.append((field, rows))
-        return original(field, rows, rhs)
+        return original(field, rows, *rest)
 
-    linalg.solve_linear = pvect.solve_linear = record
+    for module in modules:
+        setattr(module, name, record)
     try:
         call()
     finally:
-        linalg.solve_linear = pvect.solve_linear = original
+        for module in modules:
+            setattr(module, name, original)
     return max(seen, key=lambda fr: len(fr[1]) * len(fr[1][0]))
 
 
 def bench_solve(results, runs):
-    from orbipar.equivariant import invariants
-    from orbipar.linalg import null_space, solve_linear
+    from orbipar.equivariant import invariants, trivialize
+    from orbipar.linalg import echelonize, null_space, solve_linear
     from orbipar.local_galois import make_artin_schreier, make_kummer
     from orbipar.parabolic import random_datum
     from orbipar.pvect import dual_pairing_check
@@ -307,6 +343,32 @@ def bench_solve(results, runs):
                      lambda: null_space(field, rows, len(rows[0])), 1, runs)
     print(f"null_space, calculus joint system ({size}): {med * 1000:.1f} ms median, "
           f"{low * 1000:.1f} ms min")
+    field, rows = _largest_system(lambda: trivialize(wild.points[0].psi), "echelonize",
+                                  ("equivariant",))
+    size = f"{len(rows)}x{len(rows[0])} {field.describe()}"
+    med, low = timed(results, f"echelonize wild trivialize system {size}",
+                     lambda: echelonize(field, rows), 10, runs)
+    print(f"echelonize, wild trivialize system ({size}): {med * 1e6:.0f} us median, "
+          f"{low * 1e6:.0f} us min")
+
+
+def bench_evaluate_in_base(results, repeats, runs):
+    """evaluate_in_base of an h(t) with N/e coefficients on each workload's
+    extension."""
+    from orbipar.local_galois import evaluate_in_base, make_artin_schreier, make_kummer
+    from orbipar.series import Series
+
+    cases = [("tame Kummer Z/3", make_kummer(make_field(7), 3, 16)),
+             ("wild Artin-Schreier", make_artin_schreier(make_field(3, 2), 24)),
+             ("calculus Kummer Z/4", make_kummer(make_field(13), 4, 8))]
+    for label, ext in cases:
+        field, m = ext.field, ext.prec // ext.ram_index
+        rng = SplitMix64(ext.prec)
+        h = Series(field, m, tuple(rng.randrange(field.order) for _ in range(m)))
+        case = f"{label} {field.describe()} N={ext.prec}"
+        med, low = timed(results, f"evaluate_in_base {case}", lambda: evaluate_in_base(ext, h),
+                         max(repeats // 100, 1), runs)
+        print(f"evaluate_in_base, {case}: {med * 1e6:.1f} us median, {low * 1e6:.1f} us min")
 
 
 def _z6_scene(ext):
@@ -514,6 +576,8 @@ def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
     bench_psi(results, repeats, runs)
     print()
     bench_solve(results, runs)
+    print()
+    bench_evaluate_in_base(results, repeats, runs)
     print()
     bench_module_ops(results, runs)
     print()

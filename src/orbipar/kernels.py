@@ -35,8 +35,9 @@ number of products summed (k = 1 over GF(p)); the slot is the narrowest of
 crosses slots.  A bound above 64 bits raises StructuralError; nothing is
 truncated.  (p - 1)^2 * k is below 2^17 for every field with k >= 2 and
 q <= 2^16, so within the scenario caps no slot overflows.  Packing has a
-fixed cost per call, so products that sum fewer than PACK_MIN coefficient
-products per output coefficient take the direct loop.
+fixed cost per call, so vec_mul takes its direct loop when its shorter
+operand has fewer than PACK_MIN coefficients.  Every matrix product larger
+than 1 x 1 packs, whatever its size (see PACK_MIN).
 
 Elimination rows over GF(p) pack the same way, entry j in slot j, but
 reduce lazily: a row update adds (p - e) times a pivot row whose entries
@@ -60,16 +61,23 @@ from operator import mul as _mul
 
 from .errors import StructuralError
 
-# Packing wins once each output coefficient sums this many products.  Packed
-# vec_mul against the direct loop at equal lengths n over GF(7), from
-# benchmarks/bench_kernels.py on 2 vCPUs with Python 3.11 (BENCH_6.json):
-# 0.34x at n=1, 0.49x at n=4, 1.49x at n=8, 2.38x at n=16; repeated runs
-# ranged 0.5-1.0x at n=4 and 0.85-2.0x at n=8, and GF(13) and GF(65521)
-# behave alike.  A 2x2 matrix product at n=4 (8 products per coefficient)
-# packed ran 1.4-1.7x the sum of direct products.  Over GF(9) (BENCH_7.json)
+# vec_mul packs once its shorter operand has this many coefficients; no
+# other loop reads the threshold.  Packed vec_mul against the direct loop at
+# equal lengths n over GF(7), from benchmarks/bench_kernels.py on 2 vCPUs
+# with Python 3.11 (BENCH_6.json): 0.34x at n=1, 0.49x at n=4, 1.49x at
+# n=8, 2.38x at n=16; repeated runs ranged 0.5-1.0x at n=4 and 0.85-2.0x at
+# n=8, and GF(13) and GF(65521) behave alike.  Over GF(9) (BENCH_7.json)
 # packed against the log-table loop ran 0.21x at n=1, 0.62x at n=4, 1.00x at
 # n=8 and 1.83x at n=16 (an earlier run: 0.25x, 0.54x, 1.01x, 1.75x), so the
-# same threshold holds there.
+# same threshold holds there.  A matrix product larger than 1 x 1 always
+# packs.  Against the direct loop it replaced (BENCH_16.json, medians of 10
+# runs), a GF(13) 4x4 product at n=1 went from 219 to 101 us, and the GF(9)
+# outer product 4x1 * 1x4 at n=3 from 135 to 151 us as a Series product and
+# from 126 to 182 us as a Laurent one.  Timed alone, products with few
+# outputs and short entries, such as 1x5 * 5x1 at n=1, run up to 2x slower
+# packed, 5-20 us each.  No workload builds those: the only products below
+# the old threshold of PACK_MIN coefficient products are `calculus`'s 16x1
+# * 1x2 and 1x1 * 1x16 over GF(13) at n=2, which run 1.2-1.5x faster packed.
 PACK_MIN = 8
 
 # (bytes, array typecode) of the slot widths, narrowest first
@@ -233,47 +241,25 @@ def _packers(ctx, short, inner):
             lambda c, n: _unpack_digits(ctx, c, nbytes, tc, n), 8 * nbytes * (2 * ctx.k - 1))
 
 
-def _add_into(ctx, acc, term, offset):
-    """acc[offset:] += term coefficientwise, acc cut where the shorter of
-    the two ends; over GF(p) the sums stay unreduced."""
-    if ctx.k == 1:
-        acc[offset:] = [x + y for x, y in zip(acc[offset:], term)]
-    elif ctx.add_table:
-        tab = ctx.add_table
-        acc[offset:] = [tab[x][y] for x, y in zip(acc[offset:], term)]
-    else:
-        add = ctx.add
-        acc[offset:] = [add(x, y) for x, y in zip(acc[offset:], term)]
-
-
 def mat_mul(ctx, a, b, n):
     """Truncated matrix product over k[[s]]/(s^n): out[i][j] is the first n
     coefficients of sum_t a[i][t] * b[t][j].
 
     a and b are non-empty rows of coefficient vectors with len(a[0]) ==
     len(b); the result is rows of lists.  A 1 x 1 product uses each operand
-    once, so it is one vec_mul, which packs by itself.
+    once, so it is one vec_mul, which packs by itself at PACK_MIN.  Any
+    larger product packs every operand once, and each output entry is one
+    sum of bigint products.
     """
     inner = len(b)
     if inner == len(a) == len(b[0]) == 1:
         return [[vec_mul(ctx, a[0][0], b[0][0], n)]]
     short = min(max(len(x) for row in a for x in row),
                 max(len(x) for row in b for x in row), n)
-    if short * inner >= PACK_MIN:
-        pack, unpack, _ = _packers(ctx, short, inner)
-        pa = [[pack(x, n) for x in row] for row in a]
-        cols = list(zip(*([pack(x, n) for x in row] for row in b)))
-        return [[unpack(sum(map(_mul, row, col)), n) for col in cols] for row in pa]
-    out = []
-    for row in a:
-        out_row = []
-        for col in zip(*b):
-            acc = [0] * n
-            for x, y in zip(row, col):
-                _add_into(ctx, acc, vec_mul(ctx, x, y, n), 0)
-            out_row.append([x % ctx.p for x in acc] if ctx.k == 1 else acc)
-        out.append(out_row)
-    return out
+    pack, unpack, _ = _packers(ctx, short, inner)
+    pa = [[pack(x, n) for x in row] for row in a]
+    cols = list(zip(*([pack(x, n) for x in row] for row in b)))
+    return [[unpack(sum(map(_mul, row, col)), n) for col in cols] for row in pa]
 
 
 def laurent_mat_mul(ctx, a, b):
@@ -284,13 +270,13 @@ def laurent_mat_mul(ctx, a, b):
     Term t starts at f_t = a[i][t].val_floor + b[t][j].val_floor and is
     known for min(len a[i][t], len b[t][j]) coefficients, so the sum is
     known on [lo, hi): lo = min f_t, hi = min over t of f_t plus that
-    length, the window a chain of Laurent additions gives.  Packed, every
-    operand is packed once at full length, term t's bigint product is
-    shifted up by f_t - lo slots (slot groups over GF(p^k)), and the first
-    hi - lo slots of the sum are read: below its operands' shorter length
-    a full product agrees with the truncated one, and its further
-    coefficients land at slot hi - lo or above.  A 1 x 1 product uses each
-    operand once, so it is one vec_mul, which packs by itself.  Raises
+    length, the window a chain of Laurent additions gives.  Every operand
+    is packed once at full length, term t's bigint product is shifted up
+    by f_t - lo slots (slot groups over GF(p^k)), and the first hi - lo
+    slots of the sum are read: below its operands' shorter length a full
+    product agrees with the truncated one, and its further coefficients
+    land at slot hi - lo or above.  A 1 x 1 product uses each operand once,
+    so it is one vec_mul, which packs by itself at PACK_MIN.  Raises
     StructuralError for an empty coeffs.
     """
     inner = len(b)
@@ -306,32 +292,19 @@ def laurent_mat_mul(ctx, a, b):
     if not (min(len_a) and min(len_b)):
         raise StructuralError("empty validity window in Laurent product")
     short = min(max(len_a), max(len_b))
+    pack, unpack, bits = _packers(ctx, short, inner)
+    pa = [[(f, len(x), pack(x, len(x))) for f, x in row] for row in a]
+    pb = [[(f, len(x), pack(x, len(x))) for f, x in col] for col in cols]
     out = []
-    if short * inner >= PACK_MIN:
-        pack, unpack, bits = _packers(ctx, short, inner)
-        pa = [[(f, len(x), pack(x, len(x))) for f, x in row] for row in a]
-        pb = [[(f, len(x), pack(x, len(x))) for f, x in col] for col in cols]
-        for row in pa:
-            out_row = []
-            for col in pb:
-                terms = [(fa + fb, la if la < lb else lb, x * y)
-                         for (fa, la, x), (fb, lb, y) in zip(row, col)]
-                lo = min(terms)[0]
-                hi = min([f + n for f, n, _ in terms])
-                out_row.append((lo, unpack(sum([c << bits * (f - lo) for f, _, c in terms]),
-                                           hi - lo)))
-            out.append(out_row)
-        return out
-    for row in a:
+    for row in pa:
         out_row = []
-        for col in cols:
-            terms = [(fa + fb, vec_mul(ctx, x, y, min(len(x), len(y))))
-                     for (fa, x), (fb, y) in zip(row, col)]
+        for col in pb:
+            terms = [(fa + fb, la if la < lb else lb, x * y)
+                     for (fa, la, x), (fb, lb, y) in zip(row, col)]
             lo = min(terms)[0]
-            acc = [0] * (min([f + len(c) for f, c in terms]) - lo)
-            for f, c in terms:
-                _add_into(ctx, acc, c, f - lo)
-            out_row.append((lo, [x % ctx.p for x in acc] if ctx.k == 1 else acc))
+            hi = min([f + n for f, n, _ in terms])
+            out_row.append((lo, unpack(sum([c << bits * (f - lo) for f, _, c in terms]),
+                                       hi - lo)))
         out.append(out_row)
     return out
 

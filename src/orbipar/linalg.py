@@ -19,9 +19,10 @@ Three layers:
   pivot is searched row by row (kernels.packed_pivot) before the rest of
   its column is read.  Over the GF(p^k) whose digits fit a byte
   (kernels.byte_rows), solve_linear keeps each row as bytes and updates it
-  with kernels.byte_axpy.  Over other GF(p^k), and in echelonize,
-  reduce_against and residue_det, rows are lists updated by the kernels'
-  row_axpy and row_scale.
+  with kernels.byte_axpy.  Over other GF(p^k), rows are lists updated by
+  the kernels' row_axpy and row_scale.  echelonize runs the same
+  elimination, field dispatch included; reduce_against, extend_echelon and
+  residue_det update lists.
 * Matrix -- rectangular matrices with uniform Series or Laurent entries;
   inversion over k[[s]] requires a unit determinant (residue-invertible)
   and is exact at precision.  Series-matrix products run in the kernels'
@@ -70,13 +71,8 @@ def solve_linear(field, rows, rhs=None):
     if len(rhs) != m:
         raise StructuralError("rhs length mismatch")
     ctx = field.ctx
-    aug = (list(r) + [b] for r, b in zip(rows, rhs))
-    if ctx.k == 1:
-        pivot_cols, reduced, rest = _eliminate_packed(ctx, aug, m, n)
-    elif byte_rows(ctx):
-        pivot_cols, reduced, rest = _eliminate_bytes(byte_rows(ctx), aug, m, n)
-    else:
-        pivot_cols, reduced, rest = _eliminate(ctx, aug, m, n)
+    pivot_cols, reduced, rest = _gauss_jordan(ctx, (list(r) + [b] for r, b in zip(rows, rhs)),
+                                              m, n)
     r = len(pivot_cols)
     if any(rest):
         return LinearSolution(False, None, [], r, pivot_cols)
@@ -95,10 +91,21 @@ def solve_linear(field, rows, rhs=None):
     return LinearSolution(True, particular, kernel, r, pivot_cols)
 
 
+def _gauss_jordan(ctx, aug, m, n):
+    """Gauss-Jordan on the m augmented rows (n entries, then the rhs) in the
+    field's row form: packed over GF(p), bytes where kernels.byte_rows has
+    tables, lists otherwise.  Returns (pivot columns, the reduced pivot rows
+    as lists, the rhs entries of the rows past them)."""
+    if ctx.k == 1:
+        return _eliminate_packed(ctx, aug, m, n)
+    tables = byte_rows(ctx)
+    if tables:
+        return _eliminate_bytes(tables, aug, m, n)
+    return _eliminate(ctx, aug, m, n)
+
+
 def _eliminate(ctx, aug, m, n):
-    """Gauss-Jordan over GF(p^k) on the m augmented rows (lists, rhs last):
-    (pivot columns, the reduced pivot rows, the rhs entries of the rows past
-    them)."""
+    """_gauss_jordan over GF(p^k) on rows that are lists."""
     aug = list(aug)
     pivot_cols = []
     r = 0
@@ -123,7 +130,7 @@ def _eliminate(ctx, aug, m, n):
 
 
 def _eliminate_packed(ctx, aug, m, n):
-    """_eliminate over GF(p) on packed rows (kernels.pack_rows), the rhs in
+    """_gauss_jordan over GF(p) on packed rows (kernels.pack_rows), the rhs in
     slot n: a row update is v + (p - e)*w, unreduced, and a row is reduced
     only when it becomes the pivot row w.  The pivot is searched row by row
     from row r, so a column without one costs no reads of rows 0..r-1, and
@@ -153,7 +160,7 @@ def _eliminate_packed(ctx, aug, m, n):
 
 
 def _eliminate_bytes(tables, aug, m, n):
-    """_eliminate over GF(p^k) on rows of byte codes (kernels.byte_rows):
+    """_gauss_jordan over GF(p^k) on rows of byte codes (kernels.byte_rows):
     a row update v - e*w is kernels.byte_axpy, and entries are read as
     plain bytes, nonzero exactly where the element is."""
     enc, dec, red, neg_mul, inv_mul = tables
@@ -200,16 +207,14 @@ def extend_echelon(field, ech, v):
 
 
 def echelonize(field, vectors):
-    """Reduced echelon basis of the span, ordered by leading coordinate."""
-    ctx = field.ctx
-    ech = {}
-    for v in vectors:
-        extend_echelon(field, ech, v)
-    for lead in sorted(ech, reverse=True):
-        for other, w in ech.items():
-            if other != lead and w[lead]:
-                ech[other] = row_axpy(ctx, w, w[lead], ech[lead])
-    return [ech[lead] for lead in sorted(ech)]
+    """Reduced echelon basis of the span, ordered by leading coordinate: the
+    reduced pivot rows of Gauss-Jordan on the vectors, each given a zero rhs
+    that is dropped again.  A pivot row is zero left of its pivot column and
+    at every other pivot column, so that column is its leading coordinate."""
+    m = len(vectors)
+    n = len(vectors[0]) if m else 0
+    reduced = _gauss_jordan(field.ctx, (list(v) + [0] for v in vectors), m, n)[1]
+    return [row[:n] for row in reduced]
 
 
 def null_space(field, rows, n):

@@ -297,13 +297,8 @@ def norm(ext: LocalExtension, f: Series) -> Series:
 
 def evaluate_in_base(ext: LocalExtension, h: Series) -> Series:
     """h(t(s)) as a series in s at the extension precision."""
-    acc = Series.zero(ext.field, ext.prec)
-    tpow = Series.one(ext.field, ext.prec)
-    for m in range(h.prec):
-        if h.coeffs[m]:
-            acc = acc + tpow.scale(h.coeffs[m])
-        tpow = tpow * ext.base_uniformizer
-    return acc
+    return Series(ext.field, ext.prec, tuple(kernels.vec_compose(
+        ext.field.ctx, h.coeffs, ext.base_uniformizer.coeffs, ext.prec)))
 
 
 @dataclass(frozen=True)

@@ -390,7 +390,7 @@ def _thetas_from_connectors(scene_point, group, connectors):
 
 
 def build_spec_from_scene(scene_point: ScenePoint, group, psi: Cocycle,
-                          connectors=None, seeds=None) -> ProductGModuleSpec:
+                          connectors=None) -> ProductGModuleSpec:
     """The functor-T product specification at one point.
 
     Component 0 carries Psi; component i carries the conjugated cocycle
@@ -402,9 +402,7 @@ def build_spec_from_scene(scene_point: ScenePoint, group, psi: Cocycle,
     i_ = ext.group
     perms = scene_point.perms(group)
     if connectors is None:
-        if seeds is None:
-            seeds = scene_point.default_seeds(group)
-        connectors = make_connectors(group, perms, seeds)
+        connectors = make_connectors(group, perms, scene_point.default_seeds(group))
     thetas = _thetas_from_connectors(scene_point, group, connectors)
     comps = [ComponentSpec(iso=scene_point.iso, cocycle=psi)]
     for i in range(1, scene_point.size()):
@@ -608,8 +606,7 @@ class RoundtripReport:
     rhos: dict = None        # label -> list of Matrix (T o S isomorphism blocks)
 
 
-def roundtrip_check(d: ParabolicDatum, scene: CoverScene,
-                    connectors=None) -> RoundtripReport:
+def roundtrip_check(d: ParabolicDatum, scene: CoverScene) -> RoundtripReport:
     """Both round trips with explicit verified isomorphisms.
 
     S(T(d)) ~ d via (identity on V, sigma = iota^{-1}); T(S(T(d))) ~ T(d) via
@@ -621,7 +618,7 @@ def roundtrip_check(d: ParabolicDatum, scene: CoverScene,
     val = validate_parabolic(d)
     if not val.ok:
         return RoundtripReport(False, f"input datum invalid: {val.message}", {})
-    b = functor_T(d, scene, connectors=connectors)
+    b = functor_T(d, scene)
     sres = functor_S(b)
     d2 = sres.datum
 
@@ -637,7 +634,7 @@ def roundtrip_check(d: ParabolicDatum, scene: CoverScene,
         return RoundtripReport(False, f"S o T isomorphism failed: {st_rep.message}",
                                per_point, sigmas=sigmas)
 
-    b2 = functor_T(d2, scene, connectors=connectors)
+    b2 = functor_T(d2, scene)
     rhos = {}
     for gpt in b.points:
         label = gpt.label

@@ -304,6 +304,9 @@ def dual_pairing_check(d: ParabolicDatum, rng=None) -> PairingReport:
     for pt in pair.points:
         triv_results[pt.label] = trivialize(pt.psi, rng=rng.fork())
     reference = trivial_datum(pair.rank, [(p.label, p.ext) for p in pair.points])
+    # the trivial datum is valid; validating it records its cocycle law in
+    # the run, the premise of the search's sigma checks on the generators
+    validate_parabolic(reference)
     iso = find_parabolic_isomorphism(pair, reference, rng=rng.fork())
     ok = iso.status == "isomorphic" and all(t.found for t in triv_results.values())
     msg = ("pairing is trivial with explicit certificates" if ok

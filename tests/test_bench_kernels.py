@@ -21,11 +21,17 @@ def test_bench_kernels_runs(capsys, tmp_path):
     assert "GF(3^2)           2  24" in out
     assert "Laurent product" in out and "GF(3^2)           1  24" in out
     assert "GF(7)             2  16" in out and "GF(13)            4   8" in out
+    assert "GF(13)            4   1" in out and "GF(3^2)         4x1*1x4   3" in out
     assert "fixed_rows, calculus Hom actions (rank 4, GF(13), N=8)" in out
     assert "solve_linear, calculus joint system (256x160 GF(13))" in out
     assert "solve_linear, wild invariants system (48x48 GF(3^2))" in out
     assert "solve_linear, tame invariants system (32x32 GF(7))" in out
     assert "null_space, calculus joint system (256x160 GF(13))" in out
+    assert "echelonize, wild trivialize system (36x96 GF(3^2))" in out
+    for line in ("evaluate_in_base, tame Kummer Z/3 GF(7) N=16",
+                 "evaluate_in_base, wild Artin-Schreier GF(3^2) N=24",
+                 "evaluate_in_base, calculus Kummer Z/4 GF(13) N=8"):
+        assert line in out
     for line in ("invariants, wild rank 2 GF(3^2) N=24", "invariants, tame rank 3 GF(7) N=16",
                  "trivialize, wild rank 2 GF(3^2) N=24", "assemble_product, Z/6 rank 2 GF(7) N=16",
                  "functor_T, Z/6 rank 2 GF(7) N=16", "functor_S, Z/6 rank 2 GF(7) N=16"):
@@ -61,5 +67,14 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "functor_T Z/6 rank 2 GF(7) N=16", "functor_S Z/6 rank 2 GF(7) N=16",
                  "check_tau_equivariance Z/6 taus rank 2 GF(7) N=16",
                  "check_tau_equivariance_exhaustive Z/6 taus rank 2 GF(7) N=16",
-                 "find_parabolic_isomorphism dual_pairing rank 4 GF(13) N=8"):
+                 "find_parabolic_isomorphism dual_pairing rank 4 GF(13) N=8",
+                 "Matrix.__mul__ GF(13) r=4 N=1", "entrywise product GF(13) r=4 N=1",
+                 "Matrix.__mul__ GF(3^2) 4x1*1x4 N=3",
+                 "entrywise product GF(3^2) 4x1*1x4 N=3",
+                 "Laurent Matrix.__mul__ GF(3^2) 4x1*1x4 N=3",
+                 "entrywise Laurent product GF(3^2) 4x1*1x4 N=3",
+                 "echelonize wild trivialize system 36x96 GF(3^2)",
+                 "evaluate_in_base tame Kummer Z/3 GF(7) N=16",
+                 "evaluate_in_base wild Artin-Schreier GF(3^2) N=24",
+                 "evaluate_in_base calculus Kummer Z/4 GF(13) N=8"):
         assert case in doc["cases"]

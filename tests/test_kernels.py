@@ -86,8 +86,10 @@ PACKED_FIELDS.append(pytest.param(3, 2, (2, 1, 1), id="3-2-x2+x+2"))
 
 @pytest.mark.parametrize("p,k,modulus", PACKED_FIELDS)
 def test_packed_products_match_schoolbook(p, k, modulus):
-    """vec_mul and mat_mul on both sides of PACK_MIN, with ragged and empty
-    vectors and n above la + lb; GF(65521) needs 64-bit slots from length 2."""
+    """vec_mul on both sides of PACK_MIN, and mat_mul (packed at every shape
+    but 1 x 1, inner dimension 1 included), with ragged and empty vectors,
+    n above la + lb and the largest slot sums; GF(65521) needs 64-bit slots
+    from length 2."""
     F = make_field(p, k, modulus)
     ctx = F.ctx
     rng = SplitMix64(p * 7 + k)
@@ -112,6 +114,11 @@ def test_packed_products_match_schoolbook(p, k, modulus):
         assert kernels.mat_mul(ctx, a, b, n) == expect
         as_tuples = [[tuple(x) for x in row] for row in a]
         assert kernels.mat_mul(ctx, as_tuples, [[tuple(x) for x in row] for row in b], n) == expect
+    # every digit p - 1 and an inner dimension of 40: the largest slot sums,
+    # which spill over a slot sized without the inner dimension
+    top = [F.order - 1] * 16
+    a, b = [[top] * 40], [[top] for _ in range(40)]
+    assert kernels.mat_mul(ctx, a, b, 16) == _schoolbook_mat_mul(F, a, b, 16)
 
 
 def test_slot_width_follows_the_bound():

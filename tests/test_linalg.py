@@ -341,16 +341,20 @@ def test_packed_elimination_matches_reference_on_large_systems():
         rhs = [rng.randrange(p) for _ in range(len(rows))]
         for b in (rhs, [0] * len(rows)):
             assert solve_linear(F, rows, b) == _ref_solve_linear(F, rows, b)
+        assert echelonize(F, rows) == _ref_echelonize(F, rows)
 
 
 def test_byte_row_elimination_matches_reference_on_large_systems():
     """Dense GF(p^k) systems the size of the wild invariants solve (48 x 48
-    over GF(3^2)) and larger, on byte rows: every update reduces its row,
-    so nothing piles up, however many pivots."""
+    over GF(3^2)) and of the wild trivialize echelonize (36 x 96 over
+    GF(3^2)), and larger, on byte rows: every update reduces its row, so
+    nothing piles up, however many pivots.  GF(3^3) has no byte rows; its
+    system runs on lists."""
     rng = SplitMix64(89)
-    for pk, m, n in (((3, 2), 48, 48), ((7, 2), 40, 60), ((2, 4), 70, 50)):
+    for pk, m, n in (((3, 2), 48, 48), ((3, 2), 36, 96), ((7, 2), 40, 60), ((2, 4), 70, 50),
+                     ((3, 3), 40, 50)):
         F = make_field(*pk)
-        assert byte_rows(F.ctx)
+        assert bool(byte_rows(F.ctx)) == (pk != (3, 3))
         rows = [[rng.randrange(F.order) for _ in range(n)] for _ in range(m - 5)]
         rows += [list(r) for r in rows[:5]]         # rank deficient
         rhs = [rng.randrange(F.order) for _ in range(len(rows))]
@@ -358,6 +362,7 @@ def test_byte_row_elimination_matches_reference_on_large_systems():
             assert solve_linear(F, rows, b) == _ref_solve_linear(F, rows, b)
         assert null_space(F, rows, n) == _ref_echelonize(
             F, _ref_solve_linear(F, rows, [0] * m).kernel)
+        assert echelonize(F, rows) == _ref_echelonize(F, rows)
 
 
 def test_packed_rows_slots_at_the_caps():

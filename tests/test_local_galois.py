@@ -5,7 +5,8 @@ from orbipar.fields import make_field
 from orbipar.groups import cyclic
 from orbipar.local_galois import (LocalExtension, evaluate_in_base,
                                   identity_embedding, kummer_tower, make_artin_schreier,
-                                  make_embedding, make_kummer, norm, verify_extension)
+                                  make_embedding, make_kummer, norm, trivial_extension,
+                                  verify_extension)
 from orbipar.prng import SplitMix64
 from orbipar.pvect import decompose_series
 from orbipar.series import Series
@@ -109,19 +110,37 @@ def test_norm_invariance():
             assert nm.compose(e.action[g]).coeffs == nm.coeffs
 
 
+def _power_sum(e, h):
+    """sum_m h_m t^m with Series arithmetic, one power of t at a time."""
+    acc = Series.zero(e.field, e.prec)
+    tpow = Series.one(e.field, e.prec)
+    for c in h.coeffs:
+        if c:
+            acc = acc + tpow.scale(c)
+        tpow = tpow * e.base_uniformizer
+    return acc
+
+
 def test_rewrite_round_trip_property():
-    """decompose_series inverts evaluate_in_base: an invariant h(t) comes back
-    as piece 0, and the pieces s^j h_j(t) with j > 0 vanish."""
+    """evaluate_in_base is the power sum of h in t, also for an h longer
+    than N/e; and decompose_series inverts it:
+    an invariant h(t) comes back as piece 0, and the pieces s^j h_j(t) with
+    j > 0 vanish."""
     rng = SplitMix64(3)
     for e in (make_kummer(F5, 2, N), make_artin_schreier(F3, 15),
-              make_kummer(make_field(7), 3, N), make_artin_schreier(make_field(3, 2), 12)):
+              make_kummer(make_field(7), 3, N), make_artin_schreier(make_field(3, 2), 12),
+              trivial_extension(F5, N)):
         m = e.prec // e.ram_index
         for _ in range(10):
             h = Series(e.field, m, tuple(rng.randrange(e.field.order)
                                          for _ in range(m)))
+            assert evaluate_in_base(e, h) == _power_sum(e, h)
             pieces = decompose_series(e, evaluate_in_base(e, h))
             assert pieces[0].coeffs == h.coeffs
             assert all(p.valuation() is None for p in pieces[1:])
+            long = Series(e.field, m + 3, h.coeffs + tuple(rng.randrange(e.field.order)
+                                                           for _ in range(3)))
+            assert evaluate_in_base(e, long) == _power_sum(e, long)
 
 
 def test_identity_embedding_and_trivial_into():

@@ -69,9 +69,9 @@ def _assert_checked(m):
 @st.composite
 def operand(draw, field, rows, cols):
     """A rows x cols Laurent matrix (floors in -4..4, lengths 1..12 per
-    entry, below a per-matrix cap so that products short enough for the
-    direct loop are common) or, one time in four, a Series matrix of one
-    precision."""
+    entry, below a per-matrix cap so that short products, where vec_mul
+    runs its direct loop in the 1 x 1 case and slots are narrow otherwise,
+    are common) or, one time in four, a Series matrix of one precision."""
     coeff = st.integers(0, field.order - 1)
     top = draw(st.integers(1, 12))
     if draw(st.integers(0, 3)) == 0:

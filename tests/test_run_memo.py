@@ -120,6 +120,37 @@ def test_run_counts(counts, case):
     assert counts == fresh
 
 
+# calculus: GF(13), a rank-2 Kummer Z/4 datum paired with its dual, and a
+# rank-1 Kummer Z/2 datum against its pullback along the Z/2 -> Z/4 tower
+CALCULUS = dict(
+    _doc({"p": 13}, {"K4": {"kind": "kummer", "n": 4}, "K2": {"kind": "kummer", "n": 2}}, {},
+         {"v": _datum(2, "K4", 21, exponent=1), "w": _datum(1, "K2", 22, exponent=1)},
+         [{"op": "dual_pairing", "datum": "v"},
+          {"op": "pullback_refine", "datum": "w", "refinement": {"p": "tower"},
+           "store_as": "w4"},
+          {"op": "equiv", "datum1": "w", "datum2": "w4", "refinement1": {"p": "tower"},
+           "refinement2": {"p": "idK4"}, "expect": {"status": "isomorphic", "proven": True}}]),
+    embeddings={"tower": {"kind": "kummer_tower", "n": 2, "m": 4},
+                "idK4": {"kind": "identity", "ext": "K4"}})
+
+
+def test_isomorphism_searches_check_sigma_on_the_generators(monkeypatch):
+    """In a run, both data of each isomorphism search have verified cocycles
+    (dual_pairing validates its trivial reference), so every sigma check is
+    proven on the generators of I and none scans all of it."""
+    scans = {"generators": 0, "exhaustive": 0}
+    original = parabolic._sigma_scan
+
+    def counting(spt, dpt, sigma, xs):
+        scans["exhaustive" if isinstance(xs, range) else "generators"] += 1
+        return original(spt, dpt, sigma, xs)
+
+    monkeypatch.setattr(parabolic, "_sigma_scan", counting)
+    report = scenario.run_scenario(scenario.load_scenario(CALCULUS))
+    assert report["summary"]["error"] == 0 and report["summary"]["fail"] == 0
+    assert scans == {"generators": 2, "exhaustive": 0}
+
+
 def test_library_calls_outside_a_run_memoize_nothing(counts):
     sc = scenario.load_scenario(TAME)
     d, scene = sc.data["a"], sc.scenes["z6"]
