@@ -25,8 +25,16 @@ Cases, layer by layer:
   asserted equal, at 1x1 GF(9) N=24, 2x2 GF(7) N=16, 4x4 GF(13) N=8 and
   the GF(9) outer product 4x1 * 1x4 at N=3, with floors and lengths
   varying per entry;
-* fixed_rows on the Hom actions kron(A_g, A*_g) of a rank-2 GF(13), N=8
-  Kummer Z/4 datum (the `calculus` size: rank 4, 32 x 32 per action);
+* fixed_rows (kernels.fixed_point_rows) on three shapes: the Hom actions
+  kron(A_g, A*_g) of a rank-2 GF(13), N=8 Kummer Z/4 datum (rank 4, 32 x 32
+  per action: an isomorphism search between rank-2 data); the Hom actions
+  of dual_pairing_check's search, which runs on V (x) V* of that datum
+  against the trivial datum (the `calculus` size: rank 16, 128 x 128 per
+  action); and the cocycle of a rank-2 Artin-Schreier datum over GF(9) at
+  N=24 (the `wild-extfield` invariants size: rank 2, 48 x 48 per action);
+* decompose_series, restriction of scalars through the extension's cached
+  decomposition matrix, on Kummer Z/4 over GF(13) at N=8 (`calculus`) and
+  Artin-Schreier over GF(9) at N=24;
 * psi(g) apply: one application of the cached substitution operator against
   the Horner vec_compose it replaces (outputs asserted equal), plus the
   one-off cost of building its table of powers where it has one;
@@ -240,21 +248,55 @@ def bench_laurent_mul(results, repeats, runs):
 
 
 def bench_fixed_rows(results, runs):
-    """fixed_rows on the Hom actions of dual_pairing_check's search."""
+    """fixed_rows on the Hom actions of the isomorphism searches and on a
+    wild cocycle."""
     from orbipar.equivariant import fixed_rows
     from orbipar.linalg import kron
-    from orbipar.local_galois import make_kummer
-    from orbipar.parabolic import random_datum
-    from orbipar.pvect import dual_matrix
+    from orbipar.local_galois import make_artin_schreier, make_kummer
+    from orbipar.parabolic import random_datum, trivial_datum
+    from orbipar.pvect import dual, dual_matrix, tensor
 
     ext = make_kummer(make_field(13), 4, 8)
-    c = random_datum(ext, 2, SplitMix64(2718), character_exponent=1).points[0].psi
-    actions = [(kron(c.mats[g], dual_matrix(c, g)), ext.psi(g).power)
-               for g in ext.group.generators()]
-    med, low = timed(results, "fixed_rows calculus Hom actions rank 4 GF(13) N=8",
-                     lambda: fixed_rows(ext.field, 4, ext.prec, actions), 10, runs)
-    print(f"fixed_rows, calculus Hom actions (rank 4, GF(13), N=8): {med * 1e6:.0f} us median, "
-          f"{low * 1e6:.0f} us min")
+    d = random_datum(ext, 2, SplitMix64(2718), character_exponent=1)
+    c = d.points[0].psi
+    pair = tensor(d, dual(d)).points[0].psi
+    ident = trivial_datum(4, [("p", ext)]).points[0].psi
+    wild = make_artin_schreier(make_field(3, 2), 24)
+    cases = [("rank-2 Hom actions", "rank 4 GF(13) N=8", ext,
+              [(kron(c.mats[g], dual_matrix(c, g)), g) for g in ext.group.generators()]),
+             ("calculus dual_pairing Hom actions", "rank 16 GF(13) N=8", ext,
+              [(kron(ident.mats[g], dual_matrix(pair, g)), g) for g in ext.group.generators()]),
+             ("wild cocycle", "rank 2 GF(3^2) N=24", wild,
+              [(random_datum(wild, 2, SplitMix64(2719)).points[0].psi.mats[g], g)
+               for g in wild.group.generators()])]
+    for label, shape, ext, mats in cases:
+        actions = [(a, ext.psi(g).power) for a, g in mats]
+        rank = actions[0][0].rows
+        med, low = timed(results, f"fixed_rows {label} {shape}",
+                         lambda: fixed_rows(ext.field, rank, ext.prec, actions), 10, runs)
+        size = rank * ext.prec
+        print(f"fixed_rows, {label} ({shape}, {size}x{size}): {med * 1e6:.0f} us median, "
+              f"{low * 1e6:.0f} us min")
+
+
+def bench_decompose(results, repeats, runs):
+    """decompose_series of a full-precision series on the calculus and wild
+    extensions; the decomposition matrix is built before timing."""
+    from orbipar.local_galois import make_artin_schreier, make_kummer
+    from orbipar.pvect import decompose_series
+    from orbipar.series import Series
+
+    cases = [("Kummer Z/4", make_kummer(make_field(13), 4, 8)),
+             ("Artin-Schreier", make_artin_schreier(make_field(3, 2), 24))]
+    for label, ext in cases:
+        field = ext.field
+        rng = SplitMix64(ext.prec + 1)
+        f = Series(field, ext.prec, tuple(rng.randrange(field.order) for _ in range(ext.prec)))
+        decompose_series(ext, f)
+        case = f"{label} {field.describe()} N={ext.prec}"
+        med, low = timed(results, f"decompose_series {case}", lambda: decompose_series(ext, f),
+                         max(repeats // 100, 1), runs)
+        print(f"decompose_series, {case}: {med * 1e6:.1f} us median, {low * 1e6:.1f} us min")
 
 
 def bench_psi(results, repeats, runs):
@@ -572,6 +614,7 @@ def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
     print()
     bench_laurent_mul(results, repeats, runs)
     bench_fixed_rows(results, runs)
+    bench_decompose(results, repeats, runs)
     print()
     bench_psi(results, repeats, runs)
     print()

@@ -30,6 +30,7 @@ from itertools import islice
 
 from .errors import AssemblyError, DomainError, RankDeficiencyError, StructuralError
 from .groups import law_by_generators
+from .kernels import fixed_point_rows
 from .linalg import (Matrix, combination, echelonize, extend_echelon, is_invertible_combination,
                      null_space, reduce_against, residue_search, smith, solve_linear)
 from .memo import memoized, recorded
@@ -558,24 +559,20 @@ def fixed_rows(field, rank, prec, actions):
 
     Both x and the equations use coordinates m*rank + comp, one block of
     rank*prec rows per action.  `actions` lists (A, power) pairs, power(m)
-    being psi(s^m): psi(s^m e_comp) is column comp of A scaled by power(m).
-    Every such product is an entry of one matrix product per action: the
-    column of A's entries times the row of the powers.
+    being psi(s^m): the image of s^m e_comp is column comp of A times
+    power(m), one packed product per equation column
+    (kernels.fixed_point_rows).  Every entry of A and every power must have
+    precision prec.
     """
-    ctx = field.ctx
-    dim = rank * prec
     rows = []
     for a, power in actions:
-        prods = (Matrix([[e] for row in a.entries for e in row])
-                 * Matrix([[power(m) for m in range(prec)]])).entries
-        cols = []
-        for idx in range(dim):
-            m, comp = divmod(idx, rank)
-            col = vec_to_coords(tuple(prods[row * rank + comp][m]
-                                      for row in range(rank)), rank, prec)
-            col[idx] = ctx.sub(col[idx], 1)
-            cols.append(col)
-        rows.extend(zip(*cols))
+        powers = [power(m) for m in range(prec)]
+        if any(x.field != field for x in [a] + powers):
+            raise StructuralError("field mismatch")
+        if any(x.prec != prec for x in [e for row in a.entries for e in row] + powers):
+            raise StructuralError("precision mismatch")
+        rows.extend(fixed_point_rows(field.ctx, [[e.coeffs for e in row] for row in a.entries],
+                                     [x.coeffs for x in powers]))
     return rows
 
 

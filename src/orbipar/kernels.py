@@ -1,11 +1,14 @@
 """Series kernels: the one implementation of the hot loops.
 
 Truncated convolution, Series and Laurent matrix products, series
-inversion and composition over a FieldCtx, vec_scale and vec_tri (the two
-ways a cached substitution operator applies itself), and the rows of exact
-elimination: row_axpy, row_scale and row_neg on lists, and pack_rows,
-packed_pivot, packed_column, packed_normalize and unpack_rows for the
-packed prime-field rows of linalg.solve_linear.  Coefficient vectors are
+inversion and composition over a FieldCtx; vec_scale and vec_tri, the two
+ways a cached substitution operator applies itself, vec_tri also applying
+an extension's cached decomposition matrix (restriction of scalars);
+fixed_point_rows, the equations of a semilinear action's fixed space; and
+the rows of exact elimination: row_axpy, row_scale and row_neg on lists,
+pack_rows, packed_pivot, packed_column, packed_normalize and unpack_rows
+for the packed prime-field rows of linalg.solve_linear, and byte_rows and
+byte_axpy for the byte rows of small GF(p^k).  Coefficient vectors are
 lists or tuples of element encodings; results are lists.  Prime fields take
 a direct `% p` path, extension fields the ctx's exp/log tables, with sums
 looked up in ctx.add_table where the field has one and negation in
@@ -309,6 +312,39 @@ def laurent_mat_mul(ctx, a, b):
     return out
 
 
+def fixed_point_rows(ctx, a, powers):
+    """The rows of the k-linear map x -> a * psi(x) - x on x in R^rank, R =
+    k[[s]]/(s^prec), in the coordinates m*rank + comp of s^m e_comp.
+
+    a is rank rows of rank coefficient vectors and powers[m] the coefficient
+    vector of psi(s^m), each of length prec = len(powers).  The image of s^m
+    e_comp is column comp of a times powers[m].  Column comp of a is packed
+    once as one vector in the coordinates k*rank + row, and each power with
+    stride rank, so slot k*rank + row of their bigint product is coefficient
+    k of a[row][comp] * powers[m]: its first rank*prec slots are equation
+    column m*rank + comp, less 1 on the diagonal.  A slot sums at most prec
+    products of two coefficients (a digit group over GF(p^k)), the bound of
+    _packers(ctx, prec, 1).
+    """
+    rank, prec = len(a), len(powers)
+    dim = rank * prec
+    pack, unpack, _ = _packers(ctx, prec, 1)
+    cols_a = [pack([a[row][comp][k] for k in range(prec) for row in range(rank)], dim)
+              for comp in range(rank)]
+    sub = ctx.sub
+    cols = []
+    for power in powers:
+        spread = [0] * dim
+        spread[::rank] = power
+        packed = pack(spread, dim)
+        for col_a in cols_a:
+            col = unpack(col_a * packed, dim)
+            idx = len(cols)
+            col[idx] = sub(col[idx], 1)
+            cols.append(col)
+    return list(zip(*cols))
+
+
 def vec_inverse(ctx, a, n):
     """First n coefficients of 1/a; a[0] must be a unit (caller-checked)."""
     c0inv = ctx.inv(a[0])
@@ -367,10 +403,13 @@ def vec_scale(ctx, a, w):
 
 
 def vec_tri(ctx, cols, a, n):
-    """Lower-triangular product: out[k] = sum over m <= k of a[m] * cols[k][m], k < n.
+    """Row-by-row dot products: out[k] = sum over m of a[m] * cols[k][m], k < n,
+    over the shorter of a and cols[k].
 
-    With cols[k][m] the coefficient of s^k in g^m this is the first n
-    coefficients of a(g), in O(n^2) instead of Horner's O(n^3).
+    With cols[k][m] the coefficient of s^k in g^m, m <= k, this is the
+    first n coefficients of a(g), in O(n^2) instead of Horner's O(n^3).
+    With cols an extension's decomposition matrix it is restriction of
+    scalars (LocalExtension.decomposition).
     """
     if ctx.k == 1:
         p = ctx.p

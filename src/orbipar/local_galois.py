@@ -27,6 +27,11 @@ powers of s/act(g) for v < 0.  Results equal Series.compose and
 Laurent.substitute coefficient for coefficient, windows included.
 Series.compose stays the general composition (verify_extension, norm,
 reversion, embeddings) and the reference the operator is tested against.
+
+ext.decomposition(prec) is restriction of scalars as a matrix: the map
+f -> (h_j) with f = sum_j s^j h_j(t), the inverse of evaluate_in_base summed
+over the graded pieces.  It too is built on first use and cached on the
+extension, one per precision.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -148,6 +153,8 @@ class LocalExtension:
     ram_index: int
     _psi: dict = dc_field(default_factory=dict, init=False, compare=False,
                           hash=False, repr=False)
+    _decomposition: dict = dc_field(default_factory=dict, init=False, compare=False,
+                                    hash=False, repr=False)
 
     def act(self, g: int) -> Series:
         return self.action[g]
@@ -159,8 +166,55 @@ class LocalExtension:
             op = self._psi[g] = Substitution(self.action[g])
         return op
 
+    def decomposition(self, prec: int) -> tuple:
+        """The matrix of restriction of scalars at precision prec, built on
+        first use and cached on the extension, one per precision.
+
+        Row j*M + m, M = max(prec // e, 1), gives coefficient m of h_j in f =
+        sum_j s^j h_j(t), j < e, as a dot product with f's prec coefficients.
+        The basis s^j t^m of k[[s]]/(s^prec) is triangular by valuation j +
+        e*m, its lead coefficient lead^m a unit (lead that of s^e in t), so
+        h is k-linear in f.  Column v is the greedy elimination of s^v
+        against that basis, which touches only basis elements of valuation
+        v or more, so row j*M + m stops at coefficient j + e*m.
+        """
+        rows = self._decomposition.get(prec)
+        if rows is None:
+            rows = self._decomposition[prec] = _decomposition_rows(self, prec)
+        return rows
+
     def describe(self):
         return f"extension of degree {self.group.order} over {self.field.describe()}"
+
+
+def _decomposition_rows(ext, prec):
+    """LocalExtension.decomposition, built column by column."""
+    e, field = ext.ram_index, ext.field
+    ctx = field.ctx
+    out_prec = max(prec // e, 1)
+    t = ext.base_uniformizer.truncate(prec).coeffs
+    lead = ext.base_uniformizer.coeffs[e] if e < ext.prec else 1
+    tpows = [[1] + [0] * (prec - 1)]
+    while len(tpows) * e < prec:
+        tpows.append(kernels.vec_mul(ctx, tpows[-1], t, prec))
+    # basis[w] = s^j t^m, w = j + e*m, and its scale 1/lead^m
+    basis, scales = [], []
+    for w in range(prec):
+        m, j = divmod(w, e)
+        basis.append([0] * j + tpows[m][:prec - j])
+        scales.append(ctx.inv(field.pow(lead, m)))
+    rows = [[0] * min(j + e * m + 1, prec) for j in range(e) for m in range(out_prec)]
+    for v in range(prec):
+        x = [0] * prec
+        x[v] = 1
+        for w in range(v, prec):
+            if x[w]:
+                m, j = divmod(w, e)
+                c = ctx.mul(x[w], scales[w])
+                if m < out_prec:
+                    rows[j * out_prec + m][v] = c
+                x = kernels.row_axpy(ctx, x, c, basis[w])
+    return tuple(map(tuple, rows))
 
 
 def trivial_extension(field, prec) -> LocalExtension:

@@ -4,9 +4,9 @@
 discarded when the run ends.  Inside it, `memoized(table, key, subkey,
 compute)` returns the value recorded earlier in the scope for (key,
 subkey), or calls compute() and records the result; `recorded(table,
-key)` reads an entry (sub-key None) without computing one.  Outside a scope
-every call computes afresh, so library calls behave as if there were no
-memo.
+key)` reads an entry (sub-key None) without computing one, and `in_run()`
+says whether a scope is open.  Outside a scope every call computes afresh,
+so library calls behave as if there were no memo.
 
 An entry is keyed by the identity of `key` and holds it weakly: when the
 key object dies, a weakref callback drops its entries.  So transient data
@@ -62,6 +62,11 @@ def recorded(table, key):
     None; computes nothing."""
     slot = (_tables.get() or {}).get(table, {}).get(id(key))
     return None if slot is None else slot[1].get(None)
+
+
+def in_run():
+    """Whether a scope is open, so that what is computed now is recorded."""
+    return _tables.get() is not None
 
 
 def live_keys():

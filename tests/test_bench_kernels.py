@@ -22,7 +22,12 @@ def test_bench_kernels_runs(capsys, tmp_path):
     assert "Laurent product" in out and "GF(3^2)           1  24" in out
     assert "GF(7)             2  16" in out and "GF(13)            4   8" in out
     assert "GF(13)            4   1" in out and "GF(3^2)         4x1*1x4   3" in out
-    assert "fixed_rows, calculus Hom actions (rank 4, GF(13), N=8)" in out
+    for line in ("fixed_rows, rank-2 Hom actions (rank 4 GF(13) N=8, 32x32)",
+                 "fixed_rows, calculus dual_pairing Hom actions (rank 16 GF(13) N=8, 128x128)",
+                 "fixed_rows, wild cocycle (rank 2 GF(3^2) N=24, 48x48)",
+                 "decompose_series, Kummer Z/4 GF(13) N=8",
+                 "decompose_series, Artin-Schreier GF(3^2) N=24"):
+        assert line in out
     assert "solve_linear, calculus joint system (256x160 GF(13))" in out
     assert "solve_linear, wild invariants system (48x48 GF(3^2))" in out
     assert "solve_linear, tame invariants system (32x32 GF(7))" in out
@@ -61,7 +66,11 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "entrywise Laurent product GF(7) r=2 N=16",
                  "Laurent Matrix.__mul__ GF(13) r=4 N=8",
                  "entrywise Laurent product GF(13) r=4 N=8",
-                 "fixed_rows calculus Hom actions rank 4 GF(13) N=8",
+                 "fixed_rows rank-2 Hom actions rank 4 GF(13) N=8",
+                 "fixed_rows calculus dual_pairing Hom actions rank 16 GF(13) N=8",
+                 "fixed_rows wild cocycle rank 2 GF(3^2) N=24",
+                 "decompose_series Kummer Z/4 GF(13) N=8",
+                 "decompose_series Artin-Schreier GF(3^2) N=24",
                  "invariants wild rank 2 GF(3^2) N=24", "invariants tame rank 3 GF(7) N=16",
                  "trivialize wild rank 2 GF(3^2) N=24", "assemble_product Z/6 rank 2 GF(7) N=16",
                  "functor_T Z/6 rank 2 GF(7) N=16", "functor_S Z/6 rank 2 GF(7) N=16",

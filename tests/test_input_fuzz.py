@@ -1,15 +1,18 @@
-"""Bounded fuzz test of the input boundary: mutated demo scenarios.
+"""Bounded fuzz test of the input boundary: mutated demo scenarios and
+perfbench scenarios.
 
-Each example takes one demo scenario, changes one to three places in its
-JSON tree (a value replaced by one of a fixed menu, or a key or list item
-deleted) and runs `orbipar verify` and `orbipar run` on it in-process
-through cli.main.  Neither may raise, both must exit with a documented code,
-and verify and run must agree on whether the file loads.  The integer
-replacements are small or beyond every resource cap, so each run stays
-short.
+Each example takes one demo scenario or the first seed-1 scenario of a
+perfbench workload (perfbench/workloads.py, imported as it is), changes
+one to three places in its JSON tree (a value replaced by one of a fixed
+menu, or a key or list item deleted) and runs `orbipar verify` and
+`orbipar run` on it in-process through cli.main.  Neither may raise, both
+must exit with a documented code, and verify and run must agree on whether
+the file loads.  The integer replacements are small or beyond every
+resource cap, so each run stays short.
 """
 
 import contextlib
+import importlib.util
 import io
 import json
 import tempfile
@@ -21,6 +24,19 @@ from orbipar.cli import demo_scenario, main
 
 DEMOS = ["kummer(2,5,1)", "kummer(3,7)", "artin-schreier(2)", "sign-twist",
          "z6-two-points", "tower-2-4", "multipoint-mixed"]
+
+
+def _perfbench_scenarios():
+    """The first seed-1 document of each perfbench workload, by workload."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return {name: workloads.generate(name, workloads.DEFAULT_SEED)[0]
+            for name in workloads.WORKLOADS}
+
+
+PERFBENCH = _perfbench_scenarios()
 
 VALUES = [-1, 0, 1, 2, 3, 4, 10 ** 6, 2.5, True, None, "", "p", "E",
           [], [0], [0, 1], {}, {"kind": "cyclic", "n": 2}]
@@ -59,9 +75,10 @@ mutations = st.lists(st.tuples(st.integers(0, 10 ** 6), st.sampled_from(["replac
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(demo=st.sampled_from(DEMOS), changes=mutations)
-def test_mutated_demo_scenarios_exit_cleanly(demo, changes):
-    doc = demo_scenario(demo)
+@given(source=st.sampled_from(DEMOS + sorted(PERFBENCH)), changes=mutations)
+def test_mutated_demo_scenarios_exit_cleanly(source, changes):
+    doc = json.loads(json.dumps(PERFBENCH[source])) if source in PERFBENCH \
+        else demo_scenario(source)
     for where, action, value in changes:
         _mutate(doc, where, action, value)
     with tempfile.TemporaryDirectory() as tmp:

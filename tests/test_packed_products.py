@@ -8,7 +8,7 @@ from orbipar.equivariant import fixed_rows, vec_to_coords
 from orbipar.errors import StructuralError
 from orbipar.fields import make_field
 from orbipar.linalg import Matrix, kron
-from orbipar.local_galois import make_artin_schreier, make_kummer
+from orbipar.local_galois import Substitution, make_artin_schreier, make_kummer
 from orbipar.parabolic import random_datum
 from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
@@ -136,15 +136,50 @@ def _data():
                                    (make_artin_schreier(make_field(5), 10), 14, 0))]
 
 
-def test_fixed_rows_match_entrywise():
+def _random_matrix(field, rank, prec, rng):
+    return Matrix([[Series(field, prec, tuple(rng.randrange(field.order) for _ in range(prec)))
+                    for _ in range(rank)] for _ in range(rank)])
+
+
+def _fixed_rows_cases():
+    """(field, rank, prec, actions): the Hom actions kron(A_g, A_g) of the
+    data above; random rank-2 actions with Artin-Schreier powers over GF(2^2)
+    and GF(3^3) (digit groups, the latter without byte rows) and with Kummer
+    powers over GF(65521); actions of Hom rank 16 at N=8 (the size of
+    dual_pairing's search); and over GF(65521) dense powers and an action
+    whose every coefficient is q - 1, whose slots sum prec products of (p -
+    1)^2 each."""
     for ext, d in _data():
         c = d.points[0].psi
-        actions = [(c.mats[g], ext.psi(g).power) for g in range(ext.group.order)]
-        assert fixed_rows(ext.field, 2, ext.prec, actions) == \
-            _entrywise_fixed_rows(ext.field, 2, ext.prec, actions)
-        dual = [(kron(c.mats[g], c.mats[g]), ext.psi(g).power) for g in ext.group.generators()]
-        assert fixed_rows(ext.field, 4, ext.prec, dual) == \
-            _entrywise_fixed_rows(ext.field, 4, ext.prec, dual)
+        yield ext.field, 2, ext.prec, [(c.mats[g], ext.psi(g).power)
+                                       for g in range(ext.group.order)]
+        yield ext.field, 4, ext.prec, [(kron(c.mats[g], c.mats[g]), ext.psi(g).power)
+                                       for g in ext.group.generators()]
+    rng = SplitMix64(31)
+    for ext in (make_artin_schreier(make_field(2, 2), 12),
+                make_artin_schreier(make_field(3, 3), 12),
+                make_kummer(make_field(65521), 4, 8)):
+        yield ext.field, 2, ext.prec, [(_random_matrix(ext.field, 2, ext.prec, rng),
+                                        ext.psi(g).power) for g in range(ext.group.order)]
+    ext = make_kummer(make_field(13), 4, 8)
+    yield ext.field, 16, 8, [(_random_matrix(ext.field, 16, 8, rng), ext.psi(g).power)
+                             for g in ext.group.generators()]
+    F = make_field(65521)
+    image = Series(F, 8, (0, 1) + tuple(rng.randrange(F.order) for _ in range(6)))
+    dense = Substitution(image).power
+    yield F, 3, 8, [(_random_matrix(F, 3, 8, rng), dense)]
+    top = Matrix([[Series(F, 8, (F.order - 1,) * 8)] * 3] * 3)
+
+    def tops(m):
+        return Series(F, 8, (0,) * m + (F.order - 1,) * (8 - m))
+
+    yield F, 3, 8, [(top, tops), (top, dense)]
+
+
+def test_fixed_rows_match_entrywise():
+    for field, rank, prec, actions in _fixed_rows_cases():
+        assert fixed_rows(field, rank, prec, actions) == \
+            _entrywise_fixed_rows(field, rank, prec, actions)
 
 
 def test_fixed_rows_precision_mismatch_raises():

@@ -1,5 +1,6 @@
 import pytest
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +15,7 @@ from orbipar.parabolic import (CoverScene, ParabolicDatum, ParabolicPoint, Scene
                                functor_T, random_datum, sign_twist_datum,
                                totally_ramified_scene, trivial_datum, validate_parabolic,
                                validate_parabolic_morphism)
+from orbipar import pvect
 from orbipar.prng import SplitMix64
 from orbipar.pvect import (RefinementMap, ScenePullback, adjunction_check,
                            decompose_laurent, decompose_series, dual,
@@ -283,6 +285,61 @@ def test_decompose_laurent_negative_floor():
             acc = term if acc is None else acc + term
     assert acc is not None
     assert acc.first_mismatch(x) is None
+
+
+def _greedy_decompose(ext, f):
+    """decompose_series by greedy elimination: subtract c * s^j * t^m at the
+    valuation j + e*m of what remains until nothing does.  The reference
+    for the decomposition matrix."""
+    prec = f.prec
+    e = ext.ram_index
+    out_prec = max(prec // e, 1)
+    lead = ext.base_uniformizer.coeffs[e] if e < ext.prec else 1
+    field = ext.field
+    ctx = field.ctx
+    t = ext.base_uniformizer.truncate(prec)
+    parts = [dict() for _ in range(e)]
+    remaining = f
+    tpows = [Series.one(field, prec)]
+    while True:
+        v = remaining.valuation()
+        if v is None:
+            break
+        m, j = divmod(v, e)
+        while len(tpows) <= m:
+            tpows.append(tpows[-1] * t)
+        c = ctx.mul(remaining.coeffs[v], ctx.inv(field.pow(lead, m)))
+        parts[j][m] = c
+        remaining = remaining - (tpows[m] * Series.monomial(field, 1, j, prec)).scale(c)
+    return [Series(field, out_prec, tuple(parts[j].get(m, 0) for m in range(out_prec)))
+            for j in range(e)]
+
+
+# (field, Kummer order n, None for Artin-Schreier or 1 for the trivial
+# extension, precision)
+DECOMPOSE_EXTENSIONS = [((5,), 2, 12), ((13,), 4, 8), ((3,), None, 9), ((3, 2), None, 24),
+                        ((7,), 1, 6)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=st.sampled_from(DECOMPOSE_EXTENSIONS), data=st.data())
+def test_decomposition_matrix_matches_greedy_loop(spec, data):
+    """decompose_series at the extension precision and a shorter one, and
+    decompose_laurent on floors down to -2e, against the greedy loop."""
+    pk, n, prec = spec
+    field = make_field(*pk)
+    ext = make_artin_schreier(field, prec) if n is None else make_kummer(field, n, prec)
+    coeff = st.integers(0, field.order - 1)
+    for length in (prec, data.draw(st.integers(1, prec))):
+        f = Series(field, length, tuple(data.draw(st.lists(coeff, min_size=length,
+                                                           max_size=length))))
+        assert decompose_series(ext, f) == _greedy_decompose(ext, f)
+    x = Laurent(field, data.draw(st.integers(-2 * ext.ram_index, 3)),
+                tuple(data.draw(st.lists(coeff, min_size=1, max_size=prec))))
+    with mock.patch.object(pvect, "decompose_series", _greedy_decompose):
+        expected = decompose_laurent(ext, x)
+    got = decompose_laurent(ext, x)
+    assert [(h.val_floor, h.coeffs) for h in got] == [(h.val_floor, h.coeffs) for h in expected]
 
 
 def test_pushforward_trivial_kummer2_line():

@@ -151,6 +151,27 @@ def test_isomorphism_searches_check_sigma_on_the_generators(monkeypatch):
     assert scans == {"generators": 2, "exhaustive": 0}
 
 
+def test_dual_pairing_outside_a_run_does_not_check_its_reference(monkeypatch):
+    """Outside a run no memo keeps a check of dual_pairing_check's trivial
+    reference, so it is not checked; the pairing is still found trivial."""
+    references, checked = [], []
+    make_reference, report = pvect.trivial_datum, equivariant._cocycle_report
+
+    def recording(*args):
+        references.append(make_reference(*args))
+        return references[-1]
+
+    def counting(c, hs):
+        checked.append(c)
+        return report(c, hs)
+
+    monkeypatch.setattr(pvect, "trivial_datum", recording)
+    monkeypatch.setattr(equivariant, "_cocycle_report", counting)
+    assert pvect.dual_pairing_check(scenario.load_scenario(CALCULUS).data["v"]).ok
+    assert len(references) == 1 and checked
+    assert not [c for c in checked for pt in references[0].points if c is pt.psi]
+
+
 def test_library_calls_outside_a_run_memoize_nothing(counts):
     sc = scenario.load_scenario(TAME)
     d, scene = sc.data["a"], sc.scenes["z6"]
