@@ -515,7 +515,8 @@ def bench_law_checks(results, repeats, runs):
 
     compare(cases)      # outside a run: no memo
     with run_scope():
-        # the premises, recorded in the run's memo as a scenario run records them
+        # the premises, memoized as a scenario run memoizes them, so that the
+        # fast calls below time the generator proofs alone
         assert all(verify_cocycle(c).ok for c in (pt.psi, dst.psi))
         assert all(verify_action(m).ok for m in (module, m2, gpt.module))
         for _, _, ref, fast in unary:

@@ -20,9 +20,10 @@ Inside a scenario run (see memo.py) each cocycle's fixed space, its
 InvariantsResult and its verify_cocycle report are computed once:
 invariants, invariants_product, is_induced, the S functor and stage 3 of
 trivialize share one solve.  So is each module's verify_action report.
-The generator proofs of the unary laws take these reports as premises,
-but only once the run holds them (verified_in_run).  Outside a run every
-call computes afresh.
+Outside a run every call computes afresh; the memo only caches.  The
+generator proofs of the unary laws take verify_cocycle or verify_action
+as their premise, in a run or not: inside one the premise is usually a
+memo hit, outside one it is computed.
 """
 
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .groups import law_by_generators
 from .kernels import fixed_point_rows
 from .linalg import (Matrix, combination, echelonize, extend_echelon, is_invertible_combination,
                      null_space, reduce_against, residue_search, smith, solve_linear)
-from .memo import memoized, recorded
+from .memo import memoized
 from .series import Series
 
 
@@ -90,17 +91,6 @@ def verify_cocycle(c: Cocycle) -> CocycleReport:
     """
     return memoized("verify_cocycle", c, None, lambda: law_by_generators(
         c.ext.group, lambda hs: _cocycle_report(c, hs)))
-
-
-def verified_in_run(check, key) -> bool:
-    """Whether the open run has already found key to pass `check`
-    ("verify_cocycle" on a cocycle, "verify_action" on a module): the
-    premise of the unary laws' generator proofs.  Checking it afresh would
-    cost about as much as the generator proof saves, so outside a run, or
-    before the run has checked key, this is False and those laws are
-    scanned exhaustively."""
-    rep = recorded(check, key)
-    return rep is not None and rep.ok
 
 
 def verify_cocycle_exhaustive(c: Cocycle) -> CocycleReport:
@@ -358,8 +348,8 @@ def verify_action(m: ProductGModule) -> ActionReport:
     law at (h1, h2 g), (h1, h2) and (h2, g) gives it at (h1 h2, g),
     exactly.  A failure re-runs the exhaustive scan of
     verify_action_exhaustive and returns its report.  Memoized per module
-    in a run, so the check assemble_product makes serves as the premise of
-    the unary laws (verified_in_run).
+    in a run, so the check assemble_product makes serves the premises of
+    the unary laws.
     """
     return memoized("verify_action", m, None, lambda: law_by_generators(
         m.spec.group, lambda hs: _action_report(m, hs)))
@@ -491,18 +481,16 @@ def first_nonintertwining(mod1: ProductGModule, mod2: ProductGModule, blocks):
     tau Phi1(hg), an identity of Series matrices mod s^N, so no validity
     window enters.  So it is proven on the generators
     (groups.law_by_generators) when the modules share G and the extension,
-    tau's blocks are Series matrices and the run has verified both actions
-    (verified_in_run, as assemble_product does); otherwise, or on a
-    failure, the exhaustive scan of first_nonintertwining_exhaustive
-    decides.
+    tau's blocks are Series matrices and verify_action passes on both
+    modules; otherwise, or on a failure, the exhaustive scan of
+    first_nonintertwining_exhaustive decides.
     """
     s1, s2 = mod1.spec, mod2.spec
     return law_by_generators(
         s1.group, lambda gs: _intertwining_scan(mod1, mod2, blocks, gs),
         premise=lambda: (s1.group == s2.group and s1.ext == s2.ext
                          and all(b.kind is Series for b in blocks)
-                         and verified_in_run("verify_action", mod1)
-                         and verified_in_run("verify_action", mod2)))
+                         and verify_action(mod1).ok and verify_action(mod2).ok))
 
 
 def first_nonintertwining_exhaustive(mod1: ProductGModule, mod2: ProductGModule, blocks):
@@ -645,11 +633,11 @@ def _invariants(c: Cocycle) -> InvariantsResult:
             found=len(selected), expected=rank)
 
     # safety: every generator is fixed by every group element.  Proven on the
-    # group's generators once the run has found c to be a cocycle: Phi(hk) =
-    # Phi(h) o Phi(k) exactly mod s^N, so vectors fixed by Phi(h) and Phi(k)
-    # are fixed by Phi(hk); otherwise, or on a failure, every element is scanned
+    # group's generators when c is a cocycle: Phi(hk) = Phi(h) o Phi(k)
+    # exactly mod s^N, so vectors fixed by Phi(h) and Phi(k) are fixed by
+    # Phi(hk); otherwise, or on a failure, every element is scanned
     g = law_by_generators(ext.group, lambda gs: _unfixed_scan(c, selected, gs),
-                          premise=lambda: verified_in_run("verify_cocycle", c))
+                          premise=lambda: verify_cocycle(c).ok)
     if g is not None:
         raise RankDeficiencyError(f"extracted generator is not fixed by element {g}",
                                   found=len(selected), expected=rank)
@@ -694,7 +682,7 @@ def is_induced(m) -> InducedReport:
     nt = inv.natural
     if nt.is_residue_invertible():
         return InducedReport(True, [0] * nt.rows, trust=nt.entries[0][0].prec)
-    sf = smith(nt)
+    sf = smith(nt, transforms=False)
     profile = [d for d in sf.divisors]
     return InducedReport(False, profile, trust=sf.trust)
 

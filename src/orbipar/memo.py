@@ -3,10 +3,12 @@
 `scenario.run_scenario` opens a scope with `run_scope()` and the scope is
 discarded when the run ends.  Inside it, `memoized(table, key, subkey,
 compute)` returns the value recorded earlier in the scope for (key,
-subkey), or calls compute() and records the result; `recorded(table,
-key)` reads an entry (sub-key None) without computing one, and `in_run()`
-says whether a scope is open.  Outside a scope every call computes afresh,
-so library calls behave as if there were no memo.
+subkey), or calls compute() and records the result.  Outside a scope every
+call computes afresh.  The memo only caches: a call returns the same value
+and takes the same path in a run or not, and no code asks whether a value
+is recorded or a scope is open.  Where a proof needs a premise, such as
+the cocycle law under the unary laws, the premise is the memoized check
+itself: a hit inside a scope, computed afresh outside one.
 
 An entry is keyed by the identity of `key` and holds it weakly: when the
 key object dies, a weakref callback drops its entries.  So transient data
@@ -55,18 +57,6 @@ def memoized(table, key, subkey, compute):
         slot = entries[id(key)] = (ref, {})
     slot[1][subkey] = value
     return value
-
-
-def recorded(table, key):
-    """The value recorded under (key, None) in `table` in the open scope, or
-    None; computes nothing."""
-    slot = (_tables.get() or {}).get(table, {}).get(id(key))
-    return None if slot is None else slot[1].get(None)
-
-
-def in_run():
-    """Whether a scope is open, so that what is computed now is recorded."""
-    return _tables.get() is not None
 
 
 def live_keys():

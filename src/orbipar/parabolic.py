@@ -20,7 +20,9 @@ point_module, and T's glued point (module and taus) through glued_point.
 The checks of validate_parabolic and verify_glued run once per datum point
 and per glued point.  The memo is keyed on the ParabolicPoint (or the
 GluedPoint), which the stored values do not reference, so an entry dies
-with its datum.
+with its datum.  The memo only caches: the premise of the mu, tau and sigma
+laws' generator proofs is the memoized verify_cocycle or verify_action
+itself, so each check takes the same proof in a run or outside one.
 """
 
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from .equivariant import (Cocycle, ComponentSpec, ProductGModule, ProductGModuleSpec,
                           assemble_product, block_inverse, compose_blocks,
                           first_nonintertwining, invariants_product, make_connectors,
-                          verified_in_run, verify_cocycle)
+                          verify_action, verify_cocycle)
 from .errors import ConfigurationError, DomainError, StructuralError
 from .groups import law_by_generators
 from .linalg import Matrix, is_invertible, smith
@@ -99,9 +101,9 @@ def check_mu_equivariance(ext, psi: Cocycle, mu: Matrix):
     """Condition (b): A_g * psi(g)(mu) = mu on the common validity window.
 
     Returns None, or (g, (i, j, exponent)) for the first violation.  Proven
-    on the generators (groups.law_by_generators) once the run has found psi
-    to be a cocycle (verified_in_run); otherwise, or on a failure, the
-    exhaustive scan of check_mu_equivariance_exhaustive decides.  The window argument, with
+    on the generators (groups.law_by_generators) when verify_cocycle passes
+    on psi; otherwise, or on a failure, the exhaustive scan of
+    check_mu_equivariance_exhaustive decides.  The window argument, with
     x = mu and E_g = A_g psi(g)(x) - x:
 
     * Every A_g is a Series matrix at precision N: floor 0, length N.  The
@@ -125,7 +127,7 @@ def check_mu_equivariance(ext, psi: Cocycle, mu: Matrix):
     * A check that raises for want of a window raises at every g alike.
     """
     return law_by_generators(ext.group, lambda gs: _mu_scan(ext, psi, mu, gs),
-                             premise=lambda: verified_in_run("verify_cocycle", psi))
+                             premise=lambda: verify_cocycle(psi).ok)
 
 
 def check_mu_equivariance_exhaustive(ext, psi: Cocycle, mu: Matrix):
@@ -329,9 +331,9 @@ def check_tau_equivariance(pt: GluedPoint, group):
     Phi(g) on component i; None, or the report of the first failure.
 
     The ring parts are integers and are compared at every (g, i).  The tau
-    law is proven on the generators (groups.law_by_generators) when the run
-    has verified the module's action (verified_in_run; assemble_product
-    does so) and every tau_i has the same floor and length in each entry,
+    law is proven on the generators (groups.law_by_generators) when
+    verify_action passes on the module (assemble_product has checked it)
+    and every tau_i has the same floor and length in each entry,
     as glued_point builds them (each is psi(w)(mu)); otherwise, or on a
     failure, the exhaustive scan of check_tau_equivariance_exhaustive
     decides.  The window argument is
@@ -345,7 +347,7 @@ def check_tau_equivariance(pt: GluedPoint, group):
     def premise():
         shapes = {tuple((e.val_floor, len(e.coeffs)) for row in tau.to_laurent().entries
                         for e in row) for tau in pt.taus}
-        return len(shapes) == 1 and verified_in_run("verify_action", pt.module)
+        return len(shapes) == 1 and verify_action(pt.module).ok
 
     return law_by_generators(group, lambda gs: _tau_scan(pt, group, gs), premise=premise)
 
@@ -401,8 +403,7 @@ def build_spec_from_scene(scene_point: ScenePoint, group, psi: Cocycle,
     ext = scene_point.ext
     i_ = ext.group
     perms = scene_point.perms(group)
-    if connectors is None:
-        connectors = make_connectors(group, perms, scene_point.default_seeds(group))
+    connectors = _resolve_connectors(scene_point, group, connectors)
     thetas = _thetas_from_connectors(scene_point, group, connectors)
     comps = [ComponentSpec(iso=scene_point.iso, cocycle=psi)]
     for i in range(1, scene_point.size()):
@@ -569,14 +570,14 @@ def check_sigma_equivariance(spt: ParabolicPoint, dpt: ParabolicPoint, sigma: Ma
     A2_a psi(a)(A2_b) psi(ab)(sigma) = A2_ab psi(ab)(sigma), an identity of
     Series matrices mod s^N, so no validity window enters.  So it is proven
     on the generators (groups.law_by_generators) when sigma is a Series
-    matrix and the run has found both to be cocycles (verified_in_run);
-    otherwise, or on a failure, the exhaustive scan of
-    check_sigma_equivariance_exhaustive decides.
+    matrix and verify_cocycle passes on both cocycles; otherwise, or on a
+    failure, the exhaustive scan of check_sigma_equivariance_exhaustive
+    decides.
     """
     return law_by_generators(
         spt.ext.group, lambda xs: _sigma_scan(spt, dpt, sigma, xs),
-        premise=lambda: (sigma.kind is Series and verified_in_run("verify_cocycle", spt.psi)
-                         and verified_in_run("verify_cocycle", dpt.psi)))
+        premise=lambda: (sigma.kind is Series and verify_cocycle(spt.psi).ok
+                         and verify_cocycle(dpt.psi).ok))
 
 
 def check_sigma_equivariance_exhaustive(spt: ParabolicPoint, dpt: ParabolicPoint,

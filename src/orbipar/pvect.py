@@ -22,7 +22,6 @@ from .errors import ConfigurationError, DomainError, StructuralError
 from .groups import law_by_generators
 from .linalg import (Matrix, combination, kron, laurent_inverse, null_space, residue_det,
                      residue_search, series_part, solve_linear)
-from .memo import in_run
 from .parabolic import (CoverScene, GluedBundle, GluedPoint, ParabolicDatum,
                         ParabolicPoint, build_spec_from_scene, functor_T,
                         trivial_datum, validate_parabolic, validate_parabolic_morphism,
@@ -307,11 +306,6 @@ def dual_pairing_check(d: ParabolicDatum, rng=None) -> PairingReport:
     for pt in pair.points:
         triv_results[pt.label] = trivialize(pt.psi, rng=rng.fork())
     reference = trivial_datum(pair.rank, [(p.label, p.ext) for p in pair.points])
-    # the trivial datum is valid; inside a run, validating it records its
-    # cocycle law, the premise of the search's sigma checks on the
-    # generators, and outside one it would prove nothing that is kept
-    if in_run():
-        validate_parabolic(reference)
     iso = find_parabolic_isomorphism(pair, reference, rng=rng.fork())
     ok = iso.status == "isomorphic" and all(t.found for t in triv_results.values())
     msg = ("pairing is trivial with explicit certificates" if ok
@@ -454,12 +448,8 @@ def pushforward_local(b: GluedBundle, label=None) -> PushedBundle:
             for m in range(e):
                 col_series = [mat.entries[bb][a] * powers(w)[m] for bb in range(r)]
                 for bb in range(r):
-                    pieces = decompose_series(ext, col_series[bb])
-                    for j in range(e):
-                        piece = pieces[j]
-                        out[bb * e + j][a * e + m] = Series(
-                            field, base_prec,
-                            (piece.coeffs + (0,) * base_prec)[:base_prec])
+                    for j, piece in enumerate(decompose_series(ext, col_series[bb])):
+                        out[bb * e + j][a * e + m] = piece
         return out
 
     ident_small = Matrix.identity(field, r, ext.prec)

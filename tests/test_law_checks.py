@@ -7,15 +7,19 @@ verify_action_exhaustive and verify_extension_exhaustive, on valid inputs
 and on inputs corrupted at one generator value or at one other value.  The
 unary laws (check_mu_equivariance, check_tau_equivariance,
 first_nonintertwining, check_sigma_equivariance) are proven on the
-generators only under a verified premise; their reports must equal those
-of the *_exhaustive scans on valid data, on data corrupted at one
-coefficient, on cocycles and modules corrupted off the generators (where
-the premise must force the exhaustive answer), and on a mu with negative
-floors and unequal entry windows; the fast checks run inside a scenario
-run whose memo holds their premises, as in `orbipar run`.  is_invertible
+generators only under their premise, the memoized verify_cocycle or
+verify_action; their reports must equal those of the *_exhaustive scans
+on valid data, on data corrupted at one coefficient, on cocycles and
+modules corrupted off the generators (where the premise must force the
+exhaustive answer), and on a mu with negative floors and unequal entry
+windows; the fast checks run outside a run, where the premise is computed,
+and inside a scenario run whose memo holds their premises, as in
+`orbipar run`.  is_invertible
 must be False exactly where Matrix.inverse raises, and the divisor-only
 Smith form must give the divisors of the full one.
 """
+
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
@@ -261,6 +265,7 @@ def test_mu_equivariance_equals_exhaustive(ext_i, rank, seed, shape, where, pick
         if x is not None:
             psi = _bump_cocycle(psi, x, i, j, k)
     ref = check_mu_equivariance_exhaustive(ext, psi, mu)
+    assert check_mu_equivariance(ext, psi, mu) == ref
     assert _in_run(lambda: check_mu_equivariance(ext, psi, mu), lambda: verify_cocycle(psi)) == ref
     assert ref is None or where != "none"
 
@@ -289,6 +294,7 @@ def test_tau_equivariance_equals_exhaustive(scene_i, rank, seed, shape, where, p
             pt = GluedPoint(pt.label, pt.scene_point,
                             _bump_phi(pt.module, x, comp, i, j, k), pt.taus)
     ref = check_tau_equivariance_exhaustive(pt, group)
+    assert check_tau_equivariance(pt, group) == ref
     assert _in_run(lambda: check_tau_equivariance(pt, group),
                    lambda: verify_action(pt.module)) == ref
     assert ref is None or where != "none"
@@ -321,6 +327,7 @@ def test_intertwining_equals_exhaustive(scene_i, rank, seed, where, pick, comp, 
         if x is not None:
             m2 = _bump_phi(m2, x, comp, i, j, k)
     ref = first_nonintertwining_exhaustive(m1, m2, blocks)
+    assert first_nonintertwining(m1, m2, blocks) == ref
     assert _in_run(lambda: first_nonintertwining(m1, m2, blocks),
                    lambda: verify_action(m1), lambda: verify_action(m2)) == ref
     assert ref is None or where != "none"
@@ -346,6 +353,7 @@ def test_sigma_equivariance_equals_exhaustive(ext_i, rank, seed, where, pick, i,
             psi2 = _bump_cocycle(psi2, x, i, j, k)
     dst = ParabolicPoint("p", ext, psi2, sigma.to_laurent() * src.mu)
     ref = check_sigma_equivariance_exhaustive(src, dst, sigma)
+    assert check_sigma_equivariance(src, dst, sigma) == ref
     assert _in_run(lambda: check_sigma_equivariance(src, dst, sigma),
                    lambda: verify_cocycle(src.psi), lambda: verify_cocycle(dst.psi)) == ref
     assert ref is None or where != "none"
@@ -358,20 +366,30 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _exhaustive_invariants(c):
+    """The outcome of invariants(c) with every group law scanned over all of
+    G (law_by_generators replaced by the exhaustive scan): the reference."""
+    with mock.patch.object(equivariant, "law_by_generators",
+                           lambda group, check, premise=None: check(range(group.order))):
+        return _outcome(lambda: equivariant.invariants(c))
+
+
 @settings(max_examples=30, deadline=None)
 @given(ext_i=st.integers(0, len(EXTENSIONS) - 1), rank=st.integers(1, 2),
        seed=st.integers(0, 2 ** 32 - 1), where=corruption, pick=st.integers(0, 7),
        i=st.integers(0, 1), j=st.integers(0, 1), k=st.integers(0, N - 1))
 def test_invariants_fixedness_check_equals_exhaustive(ext_i, rank, seed, where, pick, i, j, k):
-    """invariants in a run that has checked the cocycle (its generators'
-    fixedness proven on the group's generators) against invariants outside
-    a run (every element scanned): the same result, or the same error."""
+    """invariants, its generators' fixedness proven on the group's
+    generators under the premise verify_cocycle, outside a run and in a run
+    that has checked the cocycle, against invariants with every element
+    scanned: the same result, or the same error."""
     ext = EXTENSIONS[ext_i]()
     c = coboundary(ext, _unimodular(ext.field, rank, SplitMix64(seed)))
     x = _target(ext.group, where, pick) if where != "none" else None
     if x is not None:
         c = _bump_cocycle(c, x, i, j, k)
-    ref = _outcome(lambda: equivariant.invariants(c))
+    ref = _exhaustive_invariants(c)
+    assert _outcome(lambda: equivariant.invariants(c)) == ref
     assert _outcome(lambda: _in_run(lambda: equivariant.invariants(c),
                                     lambda: verify_cocycle(c))) == ref
     assert isinstance(ref, equivariant.InvariantsResult) or x is not None
@@ -379,29 +397,31 @@ def test_invariants_fixedness_check_equals_exhaustive(ext_i, rank, seed, where, 
 
 def test_invariants_premise_forces_the_exhaustive_answer_off_the_generators():
     """A coboundary corrupted at 2, not a generator of Z/3: the fixed space,
-    solved on the generators, passes the generator scan, but the run finds
-    that verify_cocycle fails, so invariants raises the exhaustive scan's
-    error at element 2."""
+    solved on the generators, passes the generator scan, but its premise
+    verify_cocycle fails, so invariants raises the exhaustive scan's error
+    at element 2, in a run or not."""
     ext = make_kummer(make_field(7), 3, N)
     assert ext.group.generators() == [1]
     c = _bump_cocycle(coboundary(ext, _unimodular(ext.field, 1, SplitMix64(3))), 2, 0, 0, 1)
-    ref = _outcome(lambda: equivariant.invariants(c))
+    ref = _exhaustive_invariants(c)
     assert ref == (RankDeficiencyError, "extracted generator is not fixed by element 2")
+    assert _outcome(lambda: equivariant.invariants(c)) == ref
     assert _outcome(lambda: _in_run(lambda: equivariant.invariants(c),
                                     lambda: verify_cocycle(c))) == ref
 
 
 def test_premise_forces_the_exhaustive_answer_off_the_generators():
     """Modules corrupted at 3, which is not a generator of Z/6: the tau and
-    intertwining laws still hold on the generators, but the run finds that
+    intertwining laws still hold on the generators, but their premise
     verify_action fails, so the fast checks return the exhaustive scans'
-    failures."""
+    failures, in a run or not."""
     pt, group = _glued(0, 2, 11, "random")
     assert group.generators() == [1]
     bad = GluedPoint(pt.label, pt.scene_point, _bump_phi(pt.module, 3, 0, 0, 0, 0), pt.taus)
     assert parabolic._tau_scan(bad, group, group.generators()) is None
     ref = check_tau_equivariance_exhaustive(bad, group)
     assert ref is not None and ref.detail[0] == 3
+    assert check_tau_equivariance(bad, group) == ref
     assert _in_run(lambda: check_tau_equivariance(bad, group),
                    lambda: verify_action(bad.module)) == ref
 
@@ -410,6 +430,7 @@ def test_premise_forces_the_exhaustive_answer_off_the_generators():
     assert equivariant._intertwining_scan(m1, m2, blocks, group.generators()) is None
     ref = first_nonintertwining_exhaustive(m1, m2, blocks)
     assert ref is not None and ref[0] == 3
+    assert first_nonintertwining(m1, m2, blocks) == ref
     assert _in_run(lambda: first_nonintertwining(m1, m2, blocks),
                    lambda: verify_action(m1), lambda: verify_action(m2)) == ref
 
@@ -434,9 +455,9 @@ def test_unequal_tau_windows_force_the_exhaustive_answer():
 
 def test_tau_check_makes_one_product_per_generator_and_component(monkeypatch):
     """On the Z/6 rank-2 GF(7) N=16 point (|S| = 1, l = 2), the tau check of
-    a valid glued point in a run makes |S| l = 2 Laurent products, not
-    |G| l = 12; outside a run nothing has verified the action, so it scans
-    all 12."""
+    a valid glued point makes |S| l = 2 Laurent products, not |G| l = 12,
+    in a run or not: outside a run its premise verify_action is computed,
+    on Series blocks, and makes no Laurent product."""
     k3 = make_kummer(make_field(7), 3, 16)
     sp, group = ScenePoint("p", k3, (0, 2, 4), (0, 1)), cyclic(6)
     dpt = random_datum(k3, 2, SplitMix64(12345), character_exponent=1).points[0]
@@ -458,7 +479,7 @@ def test_tau_check_makes_one_product_per_generator_and_component(monkeypatch):
         pt = glued_point(dpt, sp, group)       # assemble_product verifies the action
         assert products(lambda: check_tau_equivariance(pt, group)) == 2
         assert products(lambda: check_tau_equivariance_exhaustive(pt, group)) == 12
-    assert products(lambda: check_tau_equivariance(pt, group)) == 12
+    assert products(lambda: check_tau_equivariance(pt, group)) == 2
 
 
 @st.composite

@@ -4,12 +4,16 @@ the unmemoized path.
 Inside run_scenario each cocycle's fixed space, InvariantsResult and
 verify_cocycle report, each assembled point module and glued point, and
 the checks of each datum point and glued point are computed once; outside
-a run every call computes afresh.  The counters below wrap the functions that do the work,
-on every orbipar module that binds them.
+a run every call computes afresh.  The memo only caches: a unary law takes
+the same proof, on the generators or by the exhaustive scan, with the memo
+on and off.  The counters below wrap the functions that do the work, on
+every orbipar module that binds them.
 """
 
+import re
 from contextlib import nullcontext
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -134,42 +138,42 @@ CALCULUS = dict(
                 "idK4": {"kind": "identity", "ext": "K4"}})
 
 
-def test_isomorphism_searches_check_sigma_on_the_generators(monkeypatch):
-    """In a run, both data of each isomorphism search have verified cocycles
-    (dual_pairing validates its trivial reference), so every sigma check is
-    proven on the generators of I and none scans all of it."""
-    scans = {"generators": 0, "exhaustive": 0}
-    original = parabolic._sigma_scan
+# the unary laws' scans, each called with xs a range (the exhaustive scan)
+# or the group's generators
+SCANS = {"_mu_scan": parabolic, "_tau_scan": parabolic, "_sigma_scan": parabolic,
+         "_intertwining_scan": equivariant, "_unfixed_scan": equivariant}
 
-    def counting(spt, dpt, sigma, xs):
-        scans["exhaustive" if isinstance(xs, range) else "generators"] += 1
-        return original(spt, dpt, sigma, xs)
 
-    monkeypatch.setattr(parabolic, "_sigma_scan", counting)
+@pytest.fixture
+def scans(monkeypatch):
+    """Per unary scan, how often it ran on the generators and exhaustively."""
+    seen = {name: {"generators": 0, "exhaustive": 0} for name in SCANS}
+    for name, module in SCANS.items():
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            seen[_name]["exhaustive" if isinstance(args[-1], range) else "generators"] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+def test_isomorphism_searches_check_sigma_on_the_generators(scans):
+    """In a run, every sigma check of the isomorphism searches is proven on
+    the generators of I and none scans all of it."""
     report = scenario.run_scenario(scenario.load_scenario(CALCULUS))
     assert report["summary"]["error"] == 0 and report["summary"]["fail"] == 0
-    assert scans == {"generators": 2, "exhaustive": 0}
+    assert scans["_sigma_scan"] == {"generators": 2, "exhaustive": 0}
 
 
-def test_dual_pairing_outside_a_run_does_not_check_its_reference(monkeypatch):
-    """Outside a run no memo keeps a check of dual_pairing_check's trivial
-    reference, so it is not checked; the pairing is still found trivial."""
-    references, checked = [], []
-    make_reference, report = pvect.trivial_datum, equivariant._cocycle_report
-
-    def recording(*args):
-        references.append(make_reference(*args))
-        return references[-1]
-
-    def counting(c, hs):
-        checked.append(c)
-        return report(c, hs)
-
-    monkeypatch.setattr(pvect, "trivial_datum", recording)
-    monkeypatch.setattr(equivariant, "_cocycle_report", counting)
-    assert pvect.dual_pairing_check(scenario.load_scenario(CALCULUS).data["v"]).ok
-    assert len(references) == 1 and checked
-    assert not [c for c in checked for pt in references[0].points if c is pt.psi]
+def test_isomorphism_searches_outside_a_run_check_sigma_on_the_generators(scans):
+    """Outside a run the sigma checks are proven on the generators too:
+    their premise, verify_cocycle on both data (for dual_pairing, V (x) V*
+    and its trivial reference), is computed rather than read from a memo."""
+    report = _unmemoized_report(scenario.load_scenario(CALCULUS))
+    assert report["summary"]["error"] == 0 and report["summary"]["fail"] == 0
+    assert scans["_sigma_scan"] == {"generators": 2, "exhaustive": 0}
 
 
 def test_library_calls_outside_a_run_memoize_nothing(counts):
@@ -191,8 +195,9 @@ def test_memo_hits_share_one_object():
     with memo.run_scope():
         assert invariants(psi) is invariants(psi)
         assert functor_T(d, scene).points[0].module is functor_T(d, scene).points[0].module
-        assert memo.live_keys() == {"fixed_space": 1, "invariants": 1, "point_module": 1,
-                                    "verify_action": 1, "glued_point": 1, "glued_check": 1}
+        assert memo.live_keys() == {"fixed_space": 1, "invariants": 1, "verify_cocycle": 1,
+                                    "point_module": 1, "verify_action": 1, "glued_point": 1,
+                                    "glued_check": 1}
     assert memo.live_keys() == {}
     # shared results are immutable
     res = invariants(psi)
@@ -202,6 +207,15 @@ def test_memo_hits_share_one_object():
         res.fixed_dim = 0
     space = equivariant.fixed_space(psi)
     assert isinstance(space, tuple) and all(isinstance(v, tuple) for v in space)
+
+
+def test_readme_lists_every_memo_table():
+    """The tables README describes are the ones the code memoizes into."""
+    root = Path(__file__).resolve().parent.parent
+    used = {name for path in (root / "src" / "orbipar").glob("*.py")
+            for name in re.findall(r'memoized\(\s*"(\w+)"', path.read_text())}
+    listed = set(re.findall(r"^- `(\w+)` \(per ", (root / "README.md").read_text(), re.M))
+    assert used and listed == used
 
 
 def test_random_roundtrips_leave_no_live_entries(monkeypatch):
@@ -275,10 +289,21 @@ def _library_results(d, scene):
             functor_T(d, scene), roundtrip_check(d, scene))
 
 
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def _scanned(scans, run):
+    """run()'s result and, per unary scan, the exhaustive scans it made and
+    whether it scanned the generators.  The generator scans are not
+    counted: the memo makes fewer of the checks that run them."""
+    for counts in scans.values():
+        counts.update(generators=0, exhaustive=0)
+    result = run()
+    return result, {name: (c["exhaustive"], c["generators"] > 0) for name, c in scans.items()}
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
 @given(spec=st.sampled_from(EXTENSIONS), rank=st.integers(1, 3), pick=st.integers(0, 2),
        seed=st.integers(0, 2 ** 32 - 1), two_components=st.booleans())
-def test_memo_on_equals_memo_off(spec, rank, pick, seed, two_components):
+def test_memo_on_equals_memo_off(scans, spec, rank, pick, seed, two_components):
     exponent = spec[3][pick % len(spec[3])]
     doc = _differential_doc(spec, rank, exponent, seed, two_components)
     sc = scenario.load_scenario(doc)
@@ -288,6 +313,10 @@ def test_memo_on_equals_memo_off(spec, rank, pick, seed, two_components):
         first = _library_results(d, scene)
         again = _library_results(d, scene)
     assert first == fresh and again == fresh
-    on = scenario.canonical_report(scenario.run_scenario(sc))
-    off = scenario.canonical_report(_unmemoized_report(scenario.load_scenario(doc)))
+    on, paths_on = _scanned(scans, lambda: scenario.canonical_report(
+        scenario.run_scenario(sc)))
+    off, paths_off = _scanned(scans, lambda: scenario.canonical_report(
+        _unmemoized_report(scenario.load_scenario(doc))))
     assert on == off
+    # the memo only caches: each unary law takes the same proof on and off
+    assert paths_on == paths_off
