@@ -11,6 +11,8 @@ machine and the Python version.
 
 Cases, layer by layer:
 
+* field ops: FieldCtx.mul, FieldCtx.inv and FieldCtx.add over GF(13) and
+  GF(9), per operation, over a fixed list of operands;
 * kernels: truncated product, series inversion and series composition at
   several precisions over a prime field and an extension field;
 * vec_mul crossover: the direct loop (over GF(9) the log-table loop) against
@@ -25,6 +27,9 @@ Cases, layer by layer:
   asserted equal, at 1x1 GF(9) N=24, 2x2 GF(7) N=16, 4x4 GF(13) N=8 and
   the GF(9) outer product 4x1 * 1x4 at N=3, with floors and lengths
   varying per entry;
+* Matrix.inverse (Gauss-Jordan over k[[s]]) of a random unimodular rank-2
+  matrix over GF(7) at N=16 and over GF(9) at N=24, the product with the
+  matrix asserted to be the identity;
 * fixed_rows (kernels.fixed_point_rows) on three shapes: the Hom actions
   kron(A_g, A*_g) of a rank-2 GF(13), N=8 Kummer Z/4 datum (rank 4, 32 x 32
   per action: an isomorphism search between rank-2 data); the Hom actions
@@ -40,14 +45,17 @@ Cases, layer by layer:
   one-off cost of building its table of powers where it has one;
 * solve_linear on three systems the program really builds: the joint
   system of find_parabolic_isomorphism inside dual_pairing_check (the
-  `calculus` size, 256 x 160 over GF(13)), the fixed-space system of
-  invariants on a rank-2 Kummer Z/3 datum (the `tame-roundtrip` rank*N
-  size, 32 x 32 over GF(7)) and on a rank-2 Artin-Schreier datum (the
-  `wild-extfield` rank*N size, 48 x 48 over GF(9)); prime fields take the
-  packed rows, GF(9) the byte rows; plus null_space (one solve on the
-  reversed columns) on the calculus joint system, and echelonize on the
-  largest system trivialize's stage 3 builds for the wild datum below (36
-  x 96 over GF(9));
+  `calculus` size, 256 x 160 over GF(13), solved whole as the reference),
+  the fixed-space system of invariants on a rank-2 Kummer Z/3 datum (the
+  `tame-roundtrip` rank*N size, 32 x 32 over GF(7)) and on a rank-2
+  Artin-Schreier datum (the `wild-extfield` rank*N size, 48 x 48 over
+  GF(9)); prime fields take the packed rows, GF(9) the byte rows; plus
+  kernel_by_blocks, which the search itself runs on that joint system
+  (four solves of 60 x 40 blocks; its kernel asserted equal to
+  solve_linear's), null_space (one solve on the reversed columns) on the
+  calculus joint system, and echelonize on the largest system
+  trivialize's stage 3 builds for the wild datum below (36 x 96 over
+  GF(9));
 * evaluate_in_base, h(t) at N/e coefficients re-expanded in s, on each
   workload's extension: Kummer Z/3 over GF(7) at N=16, Artin-Schreier over
   GF(9) at N=24 and Kummer Z/4 over GF(13) at N=8;
@@ -111,9 +119,24 @@ def timed(results, name, fn, calls, runs, items=1):
             meter.time(run)
             per_call.append(meter.last_s / (calls * items))
     med, low = statistics.median(per_call), min(per_call)
-    results[name] = {"median_us": round(med * 1e6, 2), "min_us": round(low * 1e6, 2),
+    results[name] = {"median_us": round(med * 1e6, 3), "min_us": round(low * 1e6, 3),
                      "calls": calls, "runs": runs}
     return med, low
+
+
+def bench_field_ops(results, repeats, runs):
+    """FieldCtx.mul, inv and add per operation, over repeats operand pairs."""
+    print(f"{'field op':<16}{'field':<10}{'median':>12}{'min':>12}")
+    for field in (make_field(13), make_field(3, 2)):
+        ctx, q, fname = field.ctx, field.order, field.describe()
+        rng = SplitMix64(q)
+        pairs = [(1 + rng.randrange(q - 1), 1 + rng.randrange(q - 1)) for _ in range(repeats)]
+        cases = [("mul", lambda: [ctx.mul(a, b) for a, b in pairs]),
+                 ("inv", lambda: [ctx.inv(a) for a, _ in pairs]),
+                 ("add", lambda: [ctx.add(a, b) for a, b in pairs])]
+        for op, fn in cases:
+            med, low = timed(results, f"FieldCtx.{op} {fname}", fn, 1, runs, items=len(pairs))
+            print(f"{'FieldCtx.' + op:<16}{fname:<10}{med * 1e9:>10.1f}ns{low * 1e9:>10.1f}ns")
 
 
 def bench_kernels(results, repeats, runs):
@@ -247,6 +270,22 @@ def bench_laurent_mul(results, repeats, runs):
               f"{new * 1e6:>10.1f}us{old / new:>7.1f}x")
 
 
+def bench_matrix_inverse(results, repeats, runs):
+    """Matrix.inverse of a random unimodular rank-2 matrix over a prime field
+    and an extension field."""
+    from orbipar.linalg import Matrix
+    from orbipar.parabolic import random_unimodular
+
+    for (p, k), n in (((7, 1), 16), ((3, 2), 24)):
+        field = make_field(p, k)
+        a = random_unimodular(field, 2, n, SplitMix64(p * 10 + n))
+        assert a * a.inverse() == Matrix.identity(field, 2, n), "Matrix.inverse is not an inverse"
+        case = f"{field.describe()} r=2 N={n}"
+        med, low = timed(results, f"Matrix.inverse {case}", a.inverse,
+                         max(repeats // (n * 10), 1), runs)
+        print(f"Matrix.inverse, {case}: {med * 1e6:.1f} us median, {low * 1e6:.1f} us min")
+
+
 def bench_fixed_rows(results, runs):
     """fixed_rows on the Hom actions of the isomorphism searches and on a
     wild cocycle."""
@@ -357,7 +396,7 @@ def _largest_system(call, name="solve_linear", bound_in=("linalg", "pvect")):
 
 def bench_solve(results, runs):
     from orbipar.equivariant import invariants, trivialize
-    from orbipar.linalg import echelonize, null_space, solve_linear
+    from orbipar.linalg import echelonize, kernel_by_blocks, null_space, solve_linear
     from orbipar.local_galois import make_artin_schreier, make_kummer
     from orbipar.parabolic import random_datum
     from orbipar.pvect import dual_pairing_check
@@ -367,7 +406,8 @@ def bench_solve(results, runs):
     tame = random_datum(make_kummer(make_field(7), 3, 16), 2, SplitMix64(12345),
                         character_exponent=1)
     wild = random_datum(make_artin_schreier(make_field(3, 2), 24), 2, SplitMix64(5))
-    joint = _largest_system(lambda: dual_pairing_check(calc, rng=SplitMix64(1)))
+    joint = _largest_system(lambda: dual_pairing_check(calc, rng=SplitMix64(1)),
+                            "kernel_by_blocks", ("pvect",))
     systems = [("calculus joint system", joint),
                ("tame invariants system", _largest_system(
                     lambda: invariants(tame.points[0].psi))),
@@ -381,8 +421,15 @@ def bench_solve(results, runs):
               f"{low * 1000:.1f} ms min")
     field, rows = joint
     size = f"{len(rows)}x{len(rows[0])} {field.describe()}"
+    n = len(rows[0])
+    assert kernel_by_blocks(field, rows, n) == solve_linear(field, rows).kernel, \
+        "kernel_by_blocks disagrees with solve_linear"
+    med, low = timed(results, f"kernel_by_blocks calculus joint system {size}",
+                     lambda: kernel_by_blocks(field, rows, n), 1, runs)
+    print(f"kernel_by_blocks, calculus joint system ({size}): {med * 1000:.1f} ms median, "
+          f"{low * 1000:.1f} ms min")
     med, low = timed(results, f"null_space calculus joint system {size}",
-                     lambda: null_space(field, rows, len(rows[0])), 1, runs)
+                     lambda: null_space(field, rows, n), 1, runs)
     print(f"null_space, calculus joint system ({size}): {med * 1000:.1f} ms median, "
           f"{low * 1000:.1f} ms min")
     field, rows = _largest_system(lambda: trivialize(wild.points[0].psi), "echelonize",
@@ -607,6 +654,8 @@ def bench_roundtrips(results, count, runs):
 
 def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
     results = {}
+    bench_field_ops(results, repeats, runs)
+    print()
     bench_kernels(results, repeats, runs)
     print()
     bench_crossover(results, repeats, runs)
@@ -614,6 +663,7 @@ def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
     bench_mat_mul(results, repeats, runs)
     print()
     bench_laurent_mul(results, repeats, runs)
+    bench_matrix_inverse(results, repeats, runs)
     bench_fixed_rows(results, runs)
     bench_decompose(results, repeats, runs)
     print()

@@ -47,8 +47,10 @@ reduce lazily: a row update adds (p - e) times a pivot row whose entries
 are below p, so a slot grows by at most (p - 1)^2 per pivot and is reduced
 only when it is read (`% p`) or its row becomes the pivot row.  With at
 most min(m, n) pivots the slot is _slot(p, 1, 1, min(m, n) + 1): 16 bits
-for the 256 x 160 GF(13) joint system of the isomorphism search, 64 bits
-for any p < 2^16 up to 2^32 pivots, and StructuralError past that.
+for the 60 x 40 GF(13) blocks that the isomorphism search's 256 x 160
+joint system splits into (linalg.kernel_by_blocks), as for that system
+whole, 64 bits for any p < 2^16 up to 2^32 pivots, and StructuralError
+past that.
 Packed as digit groups, GF(p^k) rows would need every entry read to fold
 its digits with the modulus.  Where an element's k digits fit one byte
 with room for the sum of two of them (byte_rows: GF(4), GF(8), GF(16),

@@ -7,9 +7,11 @@ Three layers:
   returns a particular solution and a kernel basis.  On top of it:
   echelonize (the reduced echelon basis of a span, ordered by leading
   coordinate), null_space (that basis for the solutions of rows * x = 0,
-  read off one solve with the columns reversed),
-  combination (sum of scaled vectors) and residue_search (the first
-  combination of flattened r x r matrices over k that is invertible).
+  read off one solve with the columns reversed), kernel_by_blocks
+  (solve_linear's kernel, from one solve per block of unknowns that share
+  no row with the rest), combination (sum of scaled vectors) and
+  residue_search (the first combination of flattened r x r matrices over k
+  that is invertible).
   Over GF(p), solve_linear keeps each augmented row as one int of
   fixed-width slots (kernels.pack_rows, the rhs in slot n): a row update
   v - e*w is the one bigint multiply-add v + (p - e)*w with no reduction,
@@ -42,6 +44,8 @@ Three layers:
 """
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import itemgetter
 
 from .errors import DomainError, NotInvertibleError, StructuralError
 from .kernels import (byte_axpy, byte_rows, laurent_mat_mul, mat_mul, pack_rows, packed_column,
@@ -234,6 +238,69 @@ def null_space(field, rows, n):
         return [[1 if t == i else 0 for t in range(n)] for i in range(n)]
     kernel = solve_linear(field, [r[::-1] for r in rows]).kernel
     return [v[::-1] for v in reversed(kernel)]
+
+
+_NONZERO = bytes([0]) + bytes([1]) * 255
+
+
+def kernel_by_blocks(field, rows, n):
+    """solve_linear(field, rows).kernel, from one solve per block of the
+    system; no rows gives the identity basis.
+
+    The blocks are the connected components of the unknowns that share a
+    nonzero row.  Columns in different blocks have disjoint row supports, so
+    whether column c is a pivot (it is not a combination of the columns left
+    of it) depends only on the earlier columns of c's own block, and c's
+    reduced pivot row touches only that block.  The reduced echelon form is
+    unique, so the kernel vector of a free column, 1 there, 0 at the other
+    free columns, is its block's kernel vector embedded in the full
+    coordinates; unknowns in no row are free, with unit vectors.  The
+    vectors are listed by free column, ascending, as solve_linear lists them.
+    A system with one block is one solve_linear of the rows as given.
+    """
+    if not rows:
+        return [[1 if t == i else 0 for t in range(n)] for i in range(n)]
+    # blocks as [column mask, row indices]; a mask has one byte per column,
+    # 1 where the row's entry is nonzero (entries below 256 convert as bytes)
+    small = field.order <= 256
+    blocks = []
+    for i, row in enumerate(rows):
+        mask = int.from_bytes(bytes(row).translate(_NONZERO) if small else bytes(map(bool, row)),
+                              "little")
+        if not mask:
+            continue
+        hit = [b for b in blocks if b[0] & mask]
+        if not hit:
+            blocks.append([mask, [i]])
+            continue
+        first = hit[0]
+        first[0] |= mask
+        first[1].append(i)
+        for b in hit[1:]:
+            first[0] |= b[0]
+            first[1].extend(b[1])
+            blocks.remove(b)
+    if len(blocks) == 1:
+        return solve_linear(field, rows).kernel
+    used = 0
+    by_free = {}
+    for mask, block_rows in blocks:
+        used |= mask
+        cols = list(compress(range(n), mask.to_bytes(n, "little")))
+        if len(cols) == 1:      # a pivot column: its rows are nonzero there
+            continue
+        take = itemgetter(*cols)
+        sol = solve_linear(field, [take(rows[i]) for i in block_rows])
+        pivots = set(sol.pivot_cols)
+        free = (c for t, c in enumerate(cols) if t not in pivots)
+        for f, vec in zip(free, sol.kernel):
+            full = by_free[f] = [0] * n
+            for c, x in zip(cols, vec):
+                full[c] = x
+    unused = int.from_bytes(bytes([1]) * n, "little") & ~used
+    for f in compress(range(n), unused.to_bytes(n, "little")):
+        by_free[f] = [1 if t == f else 0 for t in range(n)]
+    return [by_free[f] for f in sorted(by_free)]
 
 
 def combination(field, coeffs, vectors, n):

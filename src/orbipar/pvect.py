@@ -8,7 +8,10 @@ valid datum, the double dual literally the identity, and the pairing
 V (x) V* trivial on induced data.  The local parts sigma_x of an isomorphism
 V1 -> V2 are invariant sections of Hom = V2 (x) V1*, whose cocycle is
 kron(A2_g, A1*_g); the isomorphism search takes validated data and solves
-for them with the fixed-space equations of `equivariant.fixed_rows`.
+for them with the fixed-space equations of `equivariant.fixed_rows`.  Its
+joint system is solved one independent block of unknowns at a time
+(linalg.kernel_by_blocks), which gives the joint solve's kernel basis
+exactly, so the certificates drawn from it do not change.
 """
 
 from dataclasses import dataclass
@@ -20,8 +23,8 @@ from .equivariant import (ActionReport, Cocycle, assemble_product, coords_to_vec
                           invariants, module_generators, trivialize)
 from .errors import ConfigurationError, DomainError, StructuralError
 from .groups import law_by_generators
-from .linalg import (Matrix, combination, kron, laurent_inverse, null_space, residue_det,
-                     residue_search, series_part, solve_linear)
+from .linalg import (Matrix, combination, kernel_by_blocks, kron, laurent_inverse, null_space,
+                     residue_det, residue_search, series_part, solve_linear)
 from .parabolic import (CoverScene, GluedBundle, GluedPoint, ParabolicDatum,
                         ParabolicPoint, build_spec_from_scene, functor_T,
                         trivial_datum, validate_parabolic, validate_parabolic_morphism,
@@ -103,6 +106,16 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
     element.  The degree-0 Hom equations give the residue intertwiners, and
     an exhaustive search among them that finds no invertible one certifies
     non-isomorphism.
+
+    The system is solved block by block (linalg.kernel_by_blocks): unknowns
+    that share no equation with the rest are solved on their own.  Against
+    a trivial d2 (dual_pairing_check's reference) A2_g = I and s2 = I, so
+    the Hom equations and the mu square tie row a of g only to row a of each
+    sigma_x: one block per row.  Columns of different blocks have disjoint
+    row supports, so the pivot columns, and the reduced echelon form, which
+    is unique, are those of the one joint Gauss-Jordan; the kernel basis,
+    which the candidates below combine, is therefore the same vector for
+    vector, listed by free column as before.
     """
     rng = rng or SplitMix64(0x150)
     labels = [p.label for p in d1.points]
@@ -186,8 +199,7 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
                                 c[k - m - lag]
         rows.extend(square)
 
-    sol = solve_linear(field, rows)
-    basis = sol.kernel
+    basis = kernel_by_blocks(field, rows, total)
     if not basis:
         return IsoResult("inconclusive", proven=False,
                          detail="candidate space is zero at this precision")

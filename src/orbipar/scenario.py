@@ -121,22 +121,27 @@ def load_scenario(doc: dict) -> Scenario:
     """Build a Scenario; any malformed input ends in ScenarioError."""
     if not isinstance(doc, dict):
         raise ScenarioError(f"a scenario is a JSON object, not {type(doc).__name__}")
+    at = ["the document"]
     try:
-        return _load(doc)
+        return _load(doc, at)
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
-        raise ScenarioError(f"malformed scenario: {type(exc).__name__}: {exc}") from exc
+        raise ScenarioError(f"malformed scenario at {at[0]}: {type(exc).__name__}: {exc}") \
+            from exc
 
 
-def _load(doc):
+def _load(doc, at):
+    """load_scenario's work; at[0] names the object being read."""
     if doc.get("schema") != SCENARIO_SCHEMA:
         raise ScenarioError(f"unsupported schema {doc.get('schema')!r}; "
                             f"expected {SCENARIO_SCHEMA!r}")
     if "seed" not in doc:
         raise ScenarioError("scenario files must carry an explicit seed")
+    at[0] = "field"
     fcfg = doc.get("field", {})
     field = make_field(_int(fcfg.get("p", 5), "field p"),
                        _int(fcfg.get("k_deg", 1), "field k_deg"),
                        tuple(fcfg["modulus"]) if "modulus" in fcfg else None)
+    at[0] = "the document"
     prec = _int(doc.get("precision", 16), "precision")
     if not 1 <= prec <= MAX_PRECISION:
         raise ScenarioError(f"precision must be in 1..{MAX_PRECISION}, got {prec}")
@@ -147,7 +152,9 @@ def _load(doc):
         _int(value, f"budget {key}")
 
     exts = {}
+    at[0] = "extensions"
     for name, cfg in doc.get("extensions", {}).items():
+        at[0] = f"extension {name!r}"
         kind = cfg.get("kind")
         if prec < 2:
             raise ScenarioError(f"extension {name!r}: precision {prec} < 2 cannot hold s")
@@ -168,7 +175,9 @@ def _load(doc):
             raise ScenarioError(f"extension {name!r}: unknown kind {kind!r}")
 
     embs = {}
+    at[0] = "embeddings"
     for name, cfg in doc.get("embeddings", {}).items():
+        at[0] = f"embedding {name!r}"
         kind = cfg.get("kind")
         if kind == "kummer_tower":
             where = f"embedding {name!r}"
@@ -186,10 +195,13 @@ def _load(doc):
             raise ScenarioError(f"embedding {name!r}: unknown kind {kind!r}")
 
     scenes = {}
+    at[0] = "scenes"
     for name, cfg in doc.get("scenes", {}).items():
-        group = _group(cfg["group"], f"scene {name!r}")
+        at[0] = f"scene {name!r}"
+        group = _group(cfg["group"], at[0])
         pts = []
-        for p in cfg["points"]:
+        for i, p in enumerate(cfg["points"]):
+            at[0] = f"scene {name!r} point {i}"
             ext = _resolve(exts, p, "ext")
             if p.get("totally_ramified"):
                 iso = tuple(range(ext.group.order))
@@ -203,7 +215,9 @@ def _load(doc):
 
     data = {}
     master = SplitMix64(seed)
+    at[0] = "data"
     for name in sorted(doc.get("data", {})):
+        at[0] = f"datum {name!r}"
         cfg = doc["data"][name]
         kind = cfg.get("kind")
         if kind in ("trivial", "random", "explicit"):
@@ -238,7 +252,9 @@ def _load(doc):
         else:
             raise ScenarioError(f"datum {name!r}: unknown kind {kind!r}")
 
+    at[0] = "group_quotients"
     quotients = {name: tuple(q) for name, q in doc.get("group_quotients", {}).items()}
+    at[0] = "commands"
 
     sc = Scenario(raw=doc, field=field, precision=prec, seed=seed, budgets=budgets,
                   extensions=exts, embeddings=embs, scenes=scenes, data=data,

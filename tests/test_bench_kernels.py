@@ -32,6 +32,12 @@ def test_bench_kernels_runs(capsys, tmp_path):
     assert "solve_linear, wild invariants system (48x48 GF(3^2))" in out
     assert "solve_linear, tame invariants system (32x32 GF(7))" in out
     assert "null_space, calculus joint system (256x160 GF(13))" in out
+    assert "kernel_by_blocks, calculus joint system (256x160 GF(13))" in out
+    for fname in ("GF(13)", "GF(3^2)"):
+        for op in ("mul", "inv", "add"):
+            assert f"FieldCtx.{op:<7}{fname}" in out
+    assert "Matrix.inverse, GF(7) r=2 N=16" in out
+    assert "Matrix.inverse, GF(3^2) r=2 N=24" in out
     assert "echelonize, wild trivialize system (36x96 GF(3^2))" in out
     for line in ("evaluate_in_base, tame Kummer Z/3 GF(7) N=16",
                  "evaluate_in_base, wild Artin-Schreier GF(3^2) N=24",
@@ -60,6 +66,11 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "entrywise product GF(3^2) r=2 N=24", "psi table build AS s/(1+s) GF(9) N=24",
                  "solve_linear tame invariants system 32x32 GF(7)",
                  "null_space calculus joint system 256x160 GF(13)",
+                 "solve_linear calculus joint system 256x160 GF(13)",
+                 "kernel_by_blocks calculus joint system 256x160 GF(13)",
+                 "FieldCtx.mul GF(13)", "FieldCtx.inv GF(13)", "FieldCtx.add GF(13)",
+                 "FieldCtx.mul GF(3^2)", "FieldCtx.inv GF(3^2)", "FieldCtx.add GF(3^2)",
+                 "Matrix.inverse GF(7) r=2 N=16", "Matrix.inverse GF(3^2) r=2 N=24",
                  "Laurent Matrix.__mul__ GF(3^2) r=1 N=24",
                  "entrywise Laurent product GF(3^2) r=1 N=24",
                  "Laurent Matrix.__mul__ GF(7) r=2 N=16",

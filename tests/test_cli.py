@@ -326,6 +326,8 @@ BAD_INPUTS = {
     "datum-ext-not-scene-ext": _datum_on_k4,
     "datum-without-points": _datum_without_points,
     "random-roundtrips-on-empty-scene": _random_roundtrips_on_empty_scene,
+    "scene-point-not-object": lambda d: d["scenes"]["cover"]["points"].__setitem__(0, "p"),
+    "scene-group-without-n": _scene_group({"kind": "cyclic"}),
 }
 GROUP_CAP_CASES = sorted(k for k in BAD_INPUTS if "cap" in k and any(
     w in k for w in ("cyclic", "dihedral", "product", "table", "group", "kummer", "tower")))
@@ -346,6 +348,16 @@ def test_group_order_cap_rejects_before_building(case):
     assert MAX_GROUP_ORDER < 260 <= 520
     with pytest.raises(ScenarioError, match=f"group order must be in 1..{MAX_GROUP_ORDER}"):
         load_scenario(_broken(BAD_INPUTS[case]))
+
+
+@pytest.mark.parametrize("case, place", [("scene-point-not-object", "scene 'cover' point 0"),
+                                         ("scene-group-without-n", "scene 'big'")])
+@pytest.mark.parametrize("sub", ["run", "verify"])
+def test_malformed_input_names_its_place(tmp_path, capsys, case, place, sub):
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(_broken(BAD_INPUTS[case])))
+    assert main([sub, str(f)]) == 2
+    assert f"malformed scenario at {place}: " in capsys.readouterr().err
 
 
 def test_base_of_bad_inputs_is_good(tmp_path):

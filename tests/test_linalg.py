@@ -4,8 +4,9 @@ from hypothesis import given, settings, strategies as st
 from orbipar.errors import NotInvertibleError, StructuralError
 from orbipar.fields import ADD_TABLE_MAX_ORDER, make_field
 from orbipar.kernels import byte_rows, pack_rows
-from orbipar.linalg import (LinearSolution, Matrix, echelonize, kron, laurent_inverse,
-                            null_space, residue_det, residue_search, smith, solve_linear)
+from orbipar.linalg import (LinearSolution, Matrix, echelonize, kernel_by_blocks, kron,
+                            laurent_inverse, null_space, residue_det, residue_search, smith,
+                            solve_linear)
 from orbipar.scenario import MAX_PRECISION, MAX_RANK
 from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
@@ -187,6 +188,47 @@ def test_null_space_is_reduced_echelon_kernel(pk, m, n, data):
             for a, x in zip(row, v):
                 acc = F.add(acc, F.mul(a, x))
             assert acc == 0
+
+
+@st.composite
+def block_systems(draw):
+    """(field, rows, n): 1-4 blocks of rows, each on its own columns, plus
+    zero rows and unknowns in no row, with the rows and the columns shuffled.
+    GF(13) eliminates on packed rows, GF(3^2) on byte rows, GF(3^3) on lists;
+    GF(257), whose entries do not fit a byte, finds its blocks another way."""
+    F = make_field(*draw(st.sampled_from([(13, 1), (3, 2), (3, 3), (257, 1)])))
+    values = draw(st.lists(st.integers(1, F.order - 1), min_size=1, max_size=3))
+    entry = st.sampled_from([0] + values)
+    sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    n = sum(sizes) + draw(st.integers(0, 2))
+    columns = draw(st.permutations(range(n)))
+    rows = [[0] * n for _ in range(draw(st.integers(0, 2)))]
+    start = 0
+    for size in sizes:
+        cols = columns[start:start + size]
+        start += size
+        for _ in range(draw(st.integers(1, 5))):
+            row = [0] * n
+            for c in cols:
+                row[c] = draw(entry)
+            rows.append(row)
+    return F, draw(st.permutations(rows)), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_systems())
+def test_kernel_by_blocks_is_the_joint_kernel(system):
+    F, rows, n = system
+    assert kernel_by_blocks(F, rows, n) == solve_linear(F, rows).kernel
+
+
+def test_kernel_by_blocks_lists_by_free_column():
+    """Two interleaved blocks, {0, 2, 4} and {1, 3}, and unknown 5 in no row:
+    the kernel is listed by free column (3, 4, 5), not block by block."""
+    rows = [[1, 0, 2, 0, 0, 0], [0, 1, 0, 4, 0, 0], [0, 0, 1, 0, 3, 0], [0] * 6]
+    assert kernel_by_blocks(F5, rows, 6) == solve_linear(F5, rows).kernel == [
+        [0, 1, 0, 1, 0, 0], [1, 0, 2, 0, 1, 0], [0, 0, 0, 0, 0, 1]]
+    assert kernel_by_blocks(F5, [], 2) == [[1, 0], [0, 1]]
 
 
 # flattened 2 x 2 matrices over GF(5)

@@ -8,14 +8,14 @@ from orbipar.equivariant import Cocycle, twist, verify_cocycle
 from orbipar.errors import ConfigurationError, DomainError
 from orbipar.fields import make_field
 from orbipar.groups import cyclic, direct_product
-from orbipar.linalg import Matrix
+from orbipar.linalg import Matrix, kernel_by_blocks, solve_linear
 from orbipar.local_galois import (identity_embedding, kummer_tower, make_artin_schreier,
                                   make_kummer)
 from orbipar.parabolic import (CoverScene, ParabolicDatum, ParabolicPoint, ScenePoint,
-                               functor_T, random_datum, sign_twist_datum,
+                               functor_T, random_datum, random_unimodular, sign_twist_datum,
                                totally_ramified_scene, trivial_datum, validate_parabolic,
                                validate_parabolic_morphism)
-from orbipar import pvect
+from orbipar import linalg, pvect
 from orbipar.prng import SplitMix64
 from orbipar.pvect import (RefinementMap, ScenePullback, adjunction_check,
                            decompose_laurent, decompose_series, dual,
@@ -164,6 +164,67 @@ def test_iso_search_on_short_gluing_windows():
     res = find_parabolic_isomorphism(dd, dd, rng=SplitMix64(6))
     assert res.status == "isomorphic" and res.proven
     assert validate_parabolic_morphism(dd, dd, res.g, res.sigmas).ok
+
+
+def _twisted(d, rng):
+    """d in another basis at each point: A_g -> B^-1 A_g psi(g)(B) and
+    mu -> B^-1 mu, for a random unimodular B; isomorphic to d."""
+    pts = []
+    for pt in d.points:
+        b = random_unimodular(pt.ext.field, d.rank, pt.ext.prec, rng)
+        pts.append(ParabolicPoint(pt.label, pt.ext, twist(pt.psi, b),
+                                  b.inverse().to_laurent() * pt.mu))
+    return ParabolicDatum(rank=d.rank, points=tuple(pts))
+
+
+# (field p, Kummer order n or None for Artin-Schreier, per point), rank
+BLOCK_SEARCH_CASES = [((5, (4,)), 1), ((5, (2,)), 2), ((7, (3, 3)), 2), ((2, (None,)), 2),
+                      ((2, (None, None)), 1), ((3, (None,)), 2), ((3, (None, None)), 1)]
+
+
+@pytest.mark.parametrize("spec, rank", BLOCK_SEARCH_CASES)
+def test_iso_search_by_blocks_matches_one_joint_solve(monkeypatch, spec, rank):
+    """The search with its system solved block by block returns what it
+    returns with one joint solve_linear, on V (x) V* against the trivial
+    datum and on d against a twist of d."""
+    p, kinds = spec
+    field = make_field(p)
+    rng = SplitMix64(p * 100 + rank)
+    pts = []
+    for i, n in enumerate(kinds):
+        ext = make_artin_schreier(field, 6) if n is None else make_kummer(field, n, 6)
+        pts += random_datum(ext, rank, rng, label=f"p{i}",
+                            character_exponent=0 if n is None else 1).points
+    d = ParabolicDatum(rank=rank, points=tuple(pts))
+    pair = tensor(d, dual(d))
+    other = _twisted(d, rng)
+    assert validate_parabolic(other).ok
+    searches = [(pair, trivial_datum(pair.rank, [(q.label, q.ext) for q in pair.points])),
+                (d, other)]
+    solves, blocks = [], []
+
+    def counted(field, rows, *rest):
+        solves.append(len(rows))
+        return solve_linear(field, rows, *rest)
+
+    def split(field, rows, n):
+        start = len(solves)
+        kernel = kernel_by_blocks(field, rows, n)
+        blocks.append(len(solves) - start)
+        return kernel
+
+    monkeypatch.setattr(linalg, "solve_linear", counted)
+    monkeypatch.setattr(pvect, "kernel_by_blocks", split)
+    by_blocks = [find_parabolic_isomorphism(d1, d2, rng=SplitMix64(7)) for d1, d2 in searches]
+    # solves per system: at rank 2 the pairing splits into a block per row of
+    # the reference; the twist is one block, one solve_linear of the rows
+    assert blocks[0] >= (4 if rank == 2 else 1) and blocks[1] == 1
+    monkeypatch.setattr(pvect, "kernel_by_blocks",
+                        lambda field, rows, n: solve_linear(field, rows).kernel)
+    joint = [find_parabolic_isomorphism(d1, d2, rng=SplitMix64(7)) for d1, d2 in searches]
+    for a, b in zip(by_blocks, joint):
+        assert a.status == b.status == "isomorphic"
+        assert a.g == b.g and a.sigmas == b.sigmas
 
 
 # -- tensor --
