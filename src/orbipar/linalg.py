@@ -245,7 +245,7 @@ _NONZERO = bytes([0]) + bytes([1]) * 255
 
 def kernel_by_blocks(field, rows, n):
     """solve_linear(field, rows).kernel, from one solve per block of the
-    system; no rows gives the identity basis.
+    system.
 
     The blocks are the connected components of the unknowns that share a
     nonzero row.  Columns in different blocks have disjoint row supports, so
@@ -256,10 +256,7 @@ def kernel_by_blocks(field, rows, n):
     free columns, is its block's kernel vector embedded in the full
     coordinates; unknowns in no row are free, with unit vectors.  The
     vectors are listed by free column, ascending, as solve_linear lists them.
-    A system with one block is one solve_linear of the rows as given.
     """
-    if not rows:
-        return [[1 if t == i else 0 for t in range(n)] for i in range(n)]
     # blocks as [column mask, row indices]; a mask has one byte per column,
     # 1 where the row's entry is nonzero (entries below 256 convert as bytes)
     small = field.order <= 256
@@ -280,8 +277,6 @@ def kernel_by_blocks(field, rows, n):
             first[0] |= b[0]
             first[1].extend(b[1])
             blocks.remove(b)
-    if len(blocks) == 1:
-        return solve_linear(field, rows).kernel
     used = 0
     by_free = {}
     for mask, block_rows in blocks:

@@ -217,7 +217,7 @@ def test_iso_search_by_blocks_matches_one_joint_solve(monkeypatch, spec, rank):
     monkeypatch.setattr(pvect, "kernel_by_blocks", split)
     by_blocks = [find_parabolic_isomorphism(d1, d2, rng=SplitMix64(7)) for d1, d2 in searches]
     # solves per system: at rank 2 the pairing splits into a block per row of
-    # the reference; the twist is one block, one solve_linear of the rows
+    # the reference; the twist is one block, one solve_linear of its rows
     assert blocks[0] >= (4 if rank == 2 else 1) and blocks[1] == 1
     monkeypatch.setattr(pvect, "kernel_by_blocks",
                         lambda field, rows, n: solve_linear(field, rows).kernel)
