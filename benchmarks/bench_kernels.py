@@ -15,9 +15,9 @@ Cases, layer by layer:
   GF(9), per operation, over a fixed list of operands;
 * kernels: truncated product, series inversion and series composition at
   several precisions over a prime field and an extension field;
-* vec_mul crossover: the direct loop (over GF(9) the log-table loop) against
-  the packed product at short lengths over GF(7) and GF(9), on both sides of
-  kernels.PACK_MIN;
+* vec_mul crossover: the direct loop against the packed product at short
+  lengths over GF(7), on both sides of kernels.PACK_MIN (over GF(p^k)
+  vec_mul always packs);
 * matrix products: Matrix.__mul__ (kernels.mat_mul) against the entrywise
   sum of Series products, outputs asserted equal, over GF(7), GF(13) and
   GF(9), plus two short shapes: 4x4 GF(13) at N=1 and the GF(9) outer
@@ -160,26 +160,27 @@ def bench_kernels(results, repeats, runs):
 
 
 def bench_crossover(results, repeats, runs):
-    """vec_mul's direct loop against its packed product at equal lengths n."""
+    """vec_mul's direct loop against its packed product at equal lengths n,
+    over GF(7): PACK_MIN chooses between them over GF(p) only."""
     saved = kernels.PACK_MIN
     try:
-        for field in (make_field(7), make_field(3, 2)):
-            ctx, q, fname = field.ctx, field.order, field.describe()
-            print(f"{'vec_mul ' + fname:<16}{'n':>4}{'direct':>12}{'packed':>12}"
-                  f"{'packed gain':>13}   (PACK_MIN = {saved})")
-            for n in (1, 2, 4, 8, 16):
-                rng = SplitMix64(700 + n)
-                a = [rng.randrange(q) for _ in range(n)]
-                b = [rng.randrange(q) for _ in range(n)]
-                calls = max(repeats // n, 1)
-                times = {}
-                for path, pack_min in (("direct", n + 1), ("packed", 1)):
-                    kernels.PACK_MIN = pack_min
-                    times[path] = timed(results, f"vec_mul {path} {fname} n={n}",
-                                        lambda: kernels.vec_mul(ctx, a, b, n), calls, runs)[0]
-                print(f"{'':<16}{n:>4}{times['direct'] * 1e6:>10.2f}us"
-                      f"{times['packed'] * 1e6:>10.2f}us"
-                      f"{times['direct'] / times['packed']:>12.2f}x")
+        field = make_field(7)
+        ctx, q, fname = field.ctx, field.order, field.describe()
+        print(f"{'vec_mul ' + fname:<16}{'n':>4}{'direct':>12}{'packed':>12}"
+              f"{'packed gain':>13}   (PACK_MIN = {saved})")
+        for n in (1, 2, 4, 8, 16):
+            rng = SplitMix64(700 + n)
+            a = [rng.randrange(q) for _ in range(n)]
+            b = [rng.randrange(q) for _ in range(n)]
+            calls = max(repeats // n, 1)
+            times = {}
+            for path, pack_min in (("direct", n + 1), ("packed", 1)):
+                kernels.PACK_MIN = pack_min
+                times[path] = timed(results, f"vec_mul {path} {fname} n={n}",
+                                    lambda: kernels.vec_mul(ctx, a, b, n), calls, runs)[0]
+            print(f"{'':<16}{n:>4}{times['direct'] * 1e6:>10.2f}us"
+                  f"{times['packed'] * 1e6:>10.2f}us"
+                  f"{times['direct'] / times['packed']:>12.2f}x")
     finally:
         kernels.PACK_MIN = saved
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .errors import AssemblyError, DomainError, RankDeficiencyError, StructuralError
-from .groups import law_by_generators
+from .groups import Report, law_by_generators
 from .kernels import fixed_point_rows
 from .linalg import (Matrix, combination, echelonize, extend_echelon, is_invertible_combination,
                      null_space, reduce_against, residue_search, smith, solve_linear)
@@ -68,16 +68,7 @@ class Cocycle:
         return cls(ext, rank, tuple(ident for _ in range(ext.group.order)))
 
 
-@dataclass(frozen=True)
-class CocycleReport:
-    ok: bool
-    message: str
-    failing_pair: tuple = None
-    entry: tuple = None
-    coefficient_index: int = None
-
-
-def verify_cocycle(c: Cocycle) -> CocycleReport:
+def verify_cocycle(c: Cocycle) -> Report:
     """A_e = identity and A_{hg} = A_h * psi(h)(A_g) for all ordered pairs.
 
     Proven on the generators h alone (groups.law_by_generators): the law at
@@ -86,26 +77,25 @@ def verify_cocycle(c: Cocycle) -> CocycleReport:
     it holds exactly, coefficient for coefficient.  The last identity is
     verify_extension's law: Kummer and Artin-Schreier actions satisfy it by
     construction, and make_explicit checks it.  A failure re-runs the
-    exhaustive scan of verify_cocycle_exhaustive and returns its report.
-    Memoized per cocycle in a run.
+    exhaustive scan of verify_cocycle_exhaustive and returns its report,
+    whose detail is the failing pair.  Memoized per cocycle in a run.
     """
     return memoized("verify_cocycle", c, None, lambda: law_by_generators(
         c.ext.group, lambda hs: _cocycle_report(c, hs)))
 
 
-def verify_cocycle_exhaustive(c: Cocycle) -> CocycleReport:
+def verify_cocycle_exhaustive(c: Cocycle) -> Report:
     """verify_cocycle by a scan of all |G|^2 ordered pairs: the reference."""
     return _cocycle_report(c, range(c.ext.group.order))
 
 
-def _cocycle_report(c: Cocycle, hs) -> CocycleReport:
+def _cocycle_report(c: Cocycle, hs) -> Report:
     """A_e = identity, then the law at (h, g) for h in hs and every g."""
     ext = c.ext
     ident = Matrix.identity(ext.field, c.rank, ext.prec)
     mism = c.mats[0].first_mismatch(ident)
     if mism is not None:
-        return CocycleReport(False, "A_e is not the identity",
-                             failing_pair=(0,), entry=mism[:2], coefficient_index=mism[2])
+        return Report(False, "A_e is not the identity", (0,))
     for h in hs:
         psi_h = ext.psi(h)
         for g in range(ext.group.order):
@@ -113,12 +103,9 @@ def _cocycle_report(c: Cocycle, hs) -> CocycleReport:
             rhs = c.mats[h] * psi_h(c.mats[g])
             mism = lhs.first_mismatch(rhs)
             if mism is not None:
-                return CocycleReport(
-                    False,
-                    f"cocycle law fails at pair ({h},{g}), entry {mism[:2]}, "
-                    f"coefficient {mism[2]}",
-                    failing_pair=(h, g), entry=mism[:2], coefficient_index=mism[2])
-    return CocycleReport(True, "ok")
+                return Report(False, f"cocycle law fails at pair ({h},{g}), entry "
+                              f"{mism[:2]}, coefficient {mism[2]}", (h, g))
+    return Report(True, "ok")
 
 
 def coboundary(ext, b: Matrix, character=None) -> Cocycle:
@@ -285,10 +272,6 @@ class ProductGModule:
             raise StructuralError("module block matrices must have Series entries")
 
     @property
-    def rank(self):
-        return self.spec.rank
-
-    @property
     def size(self):
         return self.spec.size
 
@@ -332,14 +315,7 @@ def assemble_product(spec: ProductGModuleSpec) -> ProductGModule:
     return module
 
 
-@dataclass(frozen=True)
-class ActionReport:
-    ok: bool
-    message: str
-    failing_pair: tuple = None
-
-
-def verify_action(m: ProductGModule) -> ActionReport:
+def verify_action(m: ProductGModule) -> Report:
     """Phi(hg) = Phi(h) o Phi(g) for all ordered pairs.
 
     Proven on the generators h alone (groups.law_by_generators): blocks
@@ -355,12 +331,12 @@ def verify_action(m: ProductGModule) -> ActionReport:
         m.spec.group, lambda hs: _action_report(m, hs)))
 
 
-def verify_action_exhaustive(m: ProductGModule) -> ActionReport:
+def verify_action_exhaustive(m: ProductGModule) -> Report:
     """verify_action by a scan of all |G|^2 ordered pairs: the reference."""
     return _action_report(m, range(m.spec.group.order))
 
 
-def _action_report(m: ProductGModule, hs) -> ActionReport:
+def _action_report(m: ProductGModule, hs) -> Report:
     """The law at (h, g) for h in hs and every g, blockwise."""
     spec = m.spec
     g_ = spec.group
@@ -373,15 +349,13 @@ def _action_report(m: ProductGModule, hs) -> ActionReport:
                 k2, mhg, whg = m.phi[hg][i]
                 w = spec.ext.group.mul(wh, wg)
                 if k2 != k or whg != w:
-                    return ActionReport(False,
-                                        f"block bookkeeping differs at pair ({h},{g}), "
-                                        f"component {i}", failing_pair=(h, g))
+                    return Report(False, f"block bookkeeping differs at pair ({h},{g}), "
+                                  f"component {i}", (h, g))
                 comp = mh * spec.ext.psi(wh)(mg)
                 if not comp.agrees_with(mhg):
-                    return ActionReport(False,
-                                        f"matrix part differs at pair ({h},{g}), "
-                                        f"component {i}", failing_pair=(h, g))
-    return ActionReport(True, "ok")
+                    return Report(False, f"matrix part differs at pair ({h},{g}), "
+                                  f"component {i}", (h, g))
+    return Report(True, "ok")
 
 
 def make_connectors(group, perms, seeds):
@@ -539,6 +513,19 @@ def coords_to_vec(field, coords, rank, prec):
     return tuple(Series(field, prec,
                         tuple(coords[m * rank + comp] for m in range(prec)))
                  for comp in range(rank))
+
+
+def entry_starts(rank, prec, offset=0):
+    """Where each entry of a rank x rank matrix starts in coordinates that
+    hold coefficient m of entry (i, j) at offset + (i*rank + j)*prec + m:
+    row i lists the positions of its entries' constant terms."""
+    return [[offset + (i * rank + j) * prec for j in range(rank)] for i in range(rank)]
+
+
+def coords_to_matrix(field, coords, rank, prec, offset=0):
+    """The rank x rank Series matrix in the coordinates of entry_starts."""
+    return Matrix([[Series(field, prec, tuple(coords[s:s + prec])) for s in row]
+                   for row in entry_starts(rank, prec, offset)])
 
 
 def fixed_rows(field, rank, prec, actions):
@@ -757,20 +744,17 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
 
     # stage 3: linear fixed space and residue image.  B is fixed iff each of
     # its columns is, so the vector fixed space is placed in every column and
-    # re-echelonized in B's coordinates (i*rank + j)*prec + m for E_{ij} s^m
+    # re-echelonized in B's coordinates (entry_starts); residues lists the
+    # coordinates of B's constant terms, entry by entry
     dim = rank * rank * prec
-
-    def unflatten(coords):
-        return Matrix([[Series(field, prec,
-                               tuple(coords[(i * rank + j) * prec + m]
-                                     for m in range(prec)))
-                        for j in range(rank)] for i in range(rank)])
+    starts = entry_starts(rank, prec)
+    residues = [s for row in starts for s in row]
 
     def in_column(v, j):
         out = [0] * dim
         for idx, x in enumerate(v):
             m, i = divmod(idx, rank)
-            out[(i * rank + j) * prec + m] = x
+            out[starts[i][j] + m] = x
         return out
 
     columns = fixed_space(c)
@@ -779,8 +763,7 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
         return TrivializeResult(False, None, "fixed-space",
                                 "the twisted fixed space is zero", proven=True)
     # residue image basis
-    res_basis = echelonize(field, [[v[t * prec] for t in range(rank * rank)]
-                                   for v in kernel])
+    res_basis = echelonize(field, [[v[s] for s in residues] for v in kernel])
     d = len(res_basis)
     q = field.order
     found_combo, exhaustive = residue_search(field, res_basis, rank, cap)
@@ -805,13 +788,13 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
     # lift the residue choice to a full fixed-space element: solve for a
     # kernel combination whose residue equals the target
     target = combination(field, found_combo, res_basis, rank * rank)
-    rows2 = [[v[t * prec] for v in kernel] for t in range(rank * rank)]
+    rows2 = [[v[s] for v in kernel] for s in residues]
     sol2 = solve_linear(field, rows2, target)
     if not sol2.consistent:
         return TrivializeResult(None, None, "lift",
                                 "residue target not reachable (internal)", proven=False)
     coords = combination(field, sol2.particular, kernel, dim)
-    b = unflatten(coords)
+    b = coords_to_matrix(field, coords, rank, prec)
     if not _verify_coboundary(c, b):
         return TrivializeResult(None, None, "verify",
                                 "lifted candidate failed re-verification", proven=False)

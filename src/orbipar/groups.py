@@ -97,28 +97,37 @@ class FiniteGroup:
         return f"FiniteGroup(order={self.order})"
 
 
+@dataclass(frozen=True)
+class Report:
+    """The outcome of a check: ok, a message, and what a failure found
+    (the failing pair, element or mismatch), or None."""
+    ok: bool
+    message: str
+    detail: object = None
+
+
 def law_by_generators(group, check, premise=None):
     """The report of a group law, proven on the generators where it holds.
 
     check(hs) scans the law at the elements hs.  A binary law L(h, g) is
-    scanned for h in hs and every g, and its report has an `ok` flag; each
-    such law composes: L(h1, h2 g), L(h1, h2) and L(h2, g) give
-    L(h1 h2, g).  A unary law L(g) is scanned for g in hs, and its report
-    is None where the law holds; it composes under the caller's premise,
-    premise() (a cocycle or action law already verified): L(h) and L(g)
-    give L(hg).  In a finite group every element, e included, is a positive
-    word in the generators, so the law on the generators proves it
-    everywhere, by induction on the length of the word.  The order-1 group
-    has no generators, so there e is checked directly.  If the premise
-    fails, or the generator scan fails, or either raises an orbipar error,
-    the exhaustive scan check(range(order)) runs instead, so a failure
-    reports the same first failing element, message and detail as the
-    exhaustive scan.
+    scanned for h in hs and every g, and its report is a Report; each such
+    law composes: L(h1, h2 g), L(h1, h2) and L(h2, g) give L(h1 h2, g).  A
+    unary law L(g) is scanned for g in hs, and its report is None where the
+    law holds (a failing Report, or what the scan found, where it fails); it
+    composes under the caller's premise, premise() (a cocycle or action law
+    already verified): L(h) and L(g) give L(hg).  In a finite group every
+    element, e included, is a positive word in the generators, so the law
+    on the generators proves it everywhere, by induction on the length of
+    the word.  The order-1 group has no generators, so there e is checked
+    directly.  If the premise fails, or the generator scan fails, or either
+    raises an orbipar error, the exhaustive scan check(range(order)) runs
+    instead, so a failure reports the same first failing element, message
+    and detail as the exhaustive scan.
     """
     try:
         if premise is None or premise():
             rep = check(group.generators() or [0])
-            if rep is None or getattr(rep, "ok", False):
+            if rep is None or isinstance(rep, Report) and rep.ok:
                 return rep
     except OrbiparError:
         pass

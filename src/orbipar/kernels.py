@@ -17,6 +17,7 @@ ctx.neg_table.
 Products are packed (Kronecker substitution): a coefficient vector becomes
 one Python int of fixed-width little-endian slots, so one bigint product is
 the whole convolution and a sum of such products is a whole matrix entry.
+Every product over GF(p^k), k >= 2, packs.
 A Laurent matrix entry is a shifted window sum: each term's product is
 shifted up by the distance of its floor above the lowest floor, so one
 bigint sum lines up every term's coefficients by exponent.
@@ -38,9 +39,9 @@ number of products summed (k = 1 over GF(p)); the slot is the narrowest of
 crosses slots.  A bound above 64 bits raises StructuralError; nothing is
 truncated.  (p - 1)^2 * k is below 2^17 for every field with k >= 2 and
 q <= 2^16, so within the scenario caps no slot overflows.  Packing has a
-fixed cost per call, so vec_mul takes its direct loop when its shorter
-operand has fewer than PACK_MIN coefficients.  Every matrix product larger
-than 1 x 1 packs, whatever its size (see PACK_MIN).
+fixed cost per call, so over GF(p) only, vec_mul takes its direct loop when
+its shorter operand has fewer than PACK_MIN coefficients.  Every matrix
+product larger than 1 x 1 packs, whatever its size (see PACK_MIN).
 
 Elimination rows over GF(p) pack the same way, entry j in slot j, but
 reduce lazily: a row update adds (p - e) times a pivot row whose entries
@@ -66,23 +67,25 @@ from operator import mul as _mul
 
 from .errors import StructuralError
 
-# vec_mul packs once its shorter operand has this many coefficients; no
-# other loop reads the threshold.  Packed vec_mul against the direct loop at
-# equal lengths n over GF(7), from benchmarks/bench_kernels.py on 2 vCPUs
-# with Python 3.11 (BENCH_6.json): 0.34x at n=1, 0.49x at n=4, 1.49x at
-# n=8, 2.38x at n=16; repeated runs ranged 0.5-1.0x at n=4 and 0.85-2.0x at
-# n=8, and GF(13) and GF(65521) behave alike.  Over GF(9) (BENCH_7.json)
-# packed against the log-table loop ran 0.21x at n=1, 0.62x at n=4, 1.00x at
-# n=8 and 1.83x at n=16 (an earlier run: 0.25x, 0.54x, 1.01x, 1.75x), so the
-# same threshold holds there.  A matrix product larger than 1 x 1 always
-# packs.  Against the direct loop it replaced (BENCH_16.json, medians of 10
-# runs), a GF(13) 4x4 product at n=1 went from 219 to 101 us, and the GF(9)
-# outer product 4x1 * 1x4 at n=3 from 135 to 151 us as a Series product and
-# from 126 to 182 us as a Laurent one.  Timed alone, products with few
-# outputs and short entries, such as 1x5 * 5x1 at n=1, run up to 2x slower
-# packed, 5-20 us each.  No workload builds those: the only products below
-# the old threshold of PACK_MIN coefficient products are `calculus`'s 16x1
-# * 1x2 and 1x1 * 1x16 over GF(13) at n=2, which run 1.2-1.5x faster packed.
+# Over GF(p) only, vec_mul packs once its shorter operand has this many
+# coefficients; no other loop reads the threshold.  Packed vec_mul against
+# the direct loop at equal lengths n over GF(7), from
+# benchmarks/bench_kernels.py on 2 vCPUs with Python 3.11 (BENCH_6.json):
+# 0.34x at n=1, 0.49x at n=4, 1.49x at n=8, 2.38x at n=16; repeated runs
+# ranged 0.5-1.0x at n=4 and 0.85-2.0x at n=8, and GF(13) and GF(65521)
+# behave alike.  Over GF(p^k) vec_mul always packs.  Its log-table loop for
+# short operands was faster there (over GF(9), BENCH_7.json, the packed
+# product ran at 0.21x its speed at n=1 and 0.62x at n=4), but no workload
+# or demo multiplies GF(p^k) series that short.  A matrix product larger
+# than 1 x 1 always packs.  Against the direct loop it replaced
+# (BENCH_16.json, medians of 10 runs), a GF(13) 4x4 product at n=1 went
+# from 219 to 101 us, and the GF(9) outer product 4x1 * 1x4 at n=3 from 135
+# to 151 us as a Series product and from 126 to 182 us as a Laurent one.
+# Timed alone, products with few outputs and short entries, such as 1x5 *
+# 5x1 at n=1, run up to 2x slower packed, 5-20 us each.  No workload builds
+# those: the only products below the old threshold of PACK_MIN coefficient
+# products are `calculus`'s 16x1 * 1x2 and 1x1 * 1x16 over GF(13) at n=2,
+# which run 1.2-1.5x faster packed.
 PACK_MIN = 8
 
 # (bytes, array typecode) of the slot widths, narrowest first
@@ -188,45 +191,31 @@ def _unpack_digits(ctx, c, nbytes, tc, n):
 
 
 def vec_mul(ctx, a, b, n):
-    """Truncated product: first n coefficients of a*b."""
+    """Truncated product: first n coefficients of a*b.  Packed, except over
+    GF(p) when the shorter operand has fewer than PACK_MIN coefficients."""
     la, lb = len(a), len(b)
     short = min(la, lb, n)
-    if ctx.k == 1:
-        p = ctx.p
-        if short >= PACK_MIN:
-            nbytes, tc = _slot(p, 1, short, 1)
-            return _unpack(_pack(tc, a, n) * _pack(tc, b, n), nbytes, tc, n, p)
-        out = [0] * n
-        for k in range(n):
-            acc = 0
-            lo = k - lb + 1
-            if lo < 0:
-                lo = 0
-            hi = k + 1
-            if hi > la:
-                hi = la
-            for i in range(lo, hi):
-                acc += a[i] * b[k - i]
-            out[k] = acc % p
-        return out
-    if short >= PACK_MIN:
-        nbytes, tc = _slot(ctx.p, ctx.k, short, 1)
+    p = ctx.p
+    if ctx.k > 1:
+        nbytes, tc = _slot(p, ctx.k, short, 1)
         blocks = ctx.digit_blocks(tc)
         return _unpack_digits(ctx, _pack_digits(blocks, a, n) * _pack_digits(blocks, b, n),
                               nbytes, tc, n)
-    exp, log, add, tab = ctx.exp, ctx.log, ctx.add, ctx.add_table
+    if short >= PACK_MIN:
+        nbytes, tc = _slot(p, 1, short, 1)
+        return _unpack(_pack(tc, a, n) * _pack(tc, b, n), nbytes, tc, n, p)
     out = [0] * n
     for k in range(n):
         acc = 0
-        lo = max(0, k - lb + 1)
-        hi = min(k + 1, la)
+        lo = k - lb + 1
+        if lo < 0:
+            lo = 0
+        hi = k + 1
+        if hi > la:
+            hi = la
         for i in range(lo, hi):
-            ai = a[i]
-            bj = b[k - i]
-            if ai and bj:
-                z = exp[log[ai] + log[bj]]
-                acc = tab[acc][z] if tab else add(acc, z)
-        out[k] = acc
+            acc += a[i] * b[k - i]
+        out[k] = acc % p
     return out
 
 
@@ -252,9 +241,9 @@ def mat_mul(ctx, a, b, n):
 
     a and b are non-empty rows of coefficient vectors with len(a[0]) ==
     len(b); the result is rows of lists.  A 1 x 1 product uses each operand
-    once, so it is one vec_mul, which packs by itself at PACK_MIN.  Any
-    larger product packs every operand once, and each output entry is one
-    sum of bigint products.
+    once, so it is one vec_mul, which packs by itself (over GF(p) from
+    PACK_MIN on).  Any larger product packs every operand once, and each
+    output entry is one sum of bigint products.
     """
     inner = len(b)
     if inner == len(a) == len(b[0]) == 1:
@@ -281,8 +270,8 @@ def laurent_mat_mul(ctx, a, b):
     slots of the sum are read: below its operands' shorter length a full
     product agrees with the truncated one, and its further coefficients
     land at slot hi - lo or above.  A 1 x 1 product uses each operand once,
-    so it is one vec_mul, which packs by itself at PACK_MIN.  Raises
-    StructuralError for an empty coeffs.
+    so it is one vec_mul, which packs by itself (over GF(p) from PACK_MIN
+    on).  Raises StructuralError for an empty coeffs.
     """
     inner = len(b)
     if inner == len(a) == len(b[0]) == 1:

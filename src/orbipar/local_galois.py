@@ -39,7 +39,7 @@ from functools import lru_cache
 
 from . import kernels
 from .errors import ConfigurationError, DomainError, StructuralError
-from .groups import FiniteGroup, cyclic, law_by_generators
+from .groups import FiniteGroup, Report, cyclic, law_by_generators
 from .linalg import Matrix
 from .series import Laurent, Series
 
@@ -282,15 +282,7 @@ def make_explicit(field, prec, group: FiniteGroup, action_images,
     return ext
 
 
-@dataclass
-class ExtensionReport:
-    ok: bool
-    message: str
-    failing_pair: tuple = None
-    coefficient_index: int = None
-
-
-def verify_extension(ext: LocalExtension) -> ExtensionReport:
+def verify_extension(ext: LocalExtension) -> Report:
     """Check the homomorphism law for all pairs, t-invariance, and val(t) = e.
 
     The law act(hg) = act(g).compose(act(h)) is proven on the generators h
@@ -302,20 +294,19 @@ def verify_extension(ext: LocalExtension) -> ExtensionReport:
     return law_by_generators(ext.group, lambda hs: _extension_report(ext, hs))
 
 
-def verify_extension_exhaustive(ext: LocalExtension) -> ExtensionReport:
+def verify_extension_exhaustive(ext: LocalExtension) -> Report:
     """verify_extension by a scan of all |G|^2 ordered pairs: the reference."""
     return _extension_report(ext, range(ext.group.order))
 
 
-def _extension_report(ext: LocalExtension, hs) -> ExtensionReport:
+def _extension_report(ext: LocalExtension, hs) -> Report:
     """The images, the law at (h, g) for h in hs and every g, t-invariance
     and val(t) = e."""
     g_ = ext.group
     for g in range(g_.order):
         img = ext.action[g]
         if img.coeffs[0] != 0 or img.coeffs[1] == 0:
-            return ExtensionReport(False, f"act({g}) is not a valuation-1 substitution",
-                                   failing_pair=(g,))
+            return Report(False, f"act({g}) is not a valuation-1 substitution", (g,))
     for h in hs:
         for g in range(g_.order):
             expect = ext.action[g_.mul(h, g)]
@@ -323,21 +314,19 @@ def _extension_report(ext: LocalExtension, hs) -> ExtensionReport:
             if expect.coeffs != got.coeffs:
                 idx = next(i for i, (a, b) in enumerate(zip(expect.coeffs, got.coeffs))
                            if a != b)
-                return ExtensionReport(False,
-                                       f"action law fails at pair ({h},{g}), coefficient {idx}",
-                                       failing_pair=(h, g), coefficient_index=idx)
+                return Report(False, f"action law fails at pair ({h},{g}), coefficient {idx}",
+                              (h, g))
     t = ext.base_uniformizer
     for g in range(g_.order):
         moved = t.compose(ext.action[g])
         if moved.coeffs != t.coeffs:
             idx = next(i for i, (a, b) in enumerate(zip(t.coeffs, moved.coeffs)) if a != b)
-            return ExtensionReport(False,
-                                   f"base uniformizer not invariant under {g}, coefficient {idx}",
-                                   failing_pair=(g,), coefficient_index=idx)
+            return Report(False, f"base uniformizer not invariant under {g}, coefficient {idx}",
+                          (g,))
     if t.valuation() != ext.ram_index:
-        return ExtensionReport(False,
-                               f"valuation(t) = {t.valuation()} != ramification index {ext.ram_index}")
-    return ExtensionReport(True, "ok")
+        return Report(False,
+                      f"valuation(t) = {t.valuation()} != ramification index {ext.ram_index}")
+    return Report(True, "ok")
 
 
 def norm(ext: LocalExtension, f: Series) -> Series:

@@ -31,8 +31,8 @@ from .equivariant import (Cocycle, ComponentSpec, ProductGModule, ProductGModule
                           assemble_product, block_inverse, compose_blocks,
                           first_nonintertwining, invariants_product, make_connectors,
                           verify_action, verify_cocycle)
-from .errors import ConfigurationError, DomainError, StructuralError
-from .groups import law_by_generators
+from .errors import ConfigurationError, DomainError, OrbiparError, StructuralError
+from .groups import Report, law_by_generators
 from .linalg import Matrix, is_invertible, smith
 from .memo import memoized
 from .series import Laurent, Series
@@ -89,14 +89,6 @@ def sign_twist_datum(field, prec, label="p"):
     return ParabolicDatum(rank=1, points=(ParabolicPoint(label, ext, psi, mu),))
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    message: str
-    point: str = None
-    detail: object = None
-
-
 def check_mu_equivariance(ext, psi: Cocycle, mu: Matrix):
     """Condition (b): A_g * psi(g)(mu) = mu on the common validity window.
 
@@ -145,7 +137,7 @@ def _mu_scan(ext, psi, mu, gs):
     return None
 
 
-def validate_parabolic(d: ParabolicDatum) -> ValidationReport:
+def validate_parabolic(d: ParabolicDatum) -> Report:
     """Conditions (a) and (b) and the invertibility of mu, point by point;
     the report of the first point that fails.  Each point's checks run once
     per run (memo table point_check)."""
@@ -153,24 +145,21 @@ def validate_parabolic(d: ParabolicDatum) -> ValidationReport:
         rep = memoized("point_check", pt, None, lambda: _check_point(pt))
         if rep is not None:
             return rep
-    return ValidationReport(True, "ok")
+    return Report(True, "ok")
 
 
 def _check_point(pt: ParabolicPoint):
     """The report of the first failing check at one datum point, or None."""
     rep = verify_cocycle(pt.psi)
     if not rep.ok:
-        return ValidationReport(False, f"condition (a) fails at {pt.label}: "
-                                f"{rep.message}", point=pt.label, detail=rep)
+        return Report(False, f"condition (a) fails at {pt.label}: {rep.message}", rep)
     bad = check_mu_equivariance(pt.ext, pt.psi, pt.mu)
     if bad is not None:
         g, mism = bad
-        return ValidationReport(False,
-                                f"condition (b) fails at {pt.label}, element {g}, "
-                                f"entry {mism[:2]}, exponent {mism[2]}",
-                                point=pt.label, detail=bad)
+        return Report(False, f"condition (b) fails at {pt.label}, element {g}, "
+                      f"entry {mism[:2]}, exponent {mism[2]}", bad)
     if not is_invertible(pt.mu):
-        return ValidationReport(False, f"mu at {pt.label} is not invertible", point=pt.label)
+        return Report(False, f"mu at {pt.label} is not invertible")
     return None
 
 
@@ -304,7 +293,7 @@ class GluedBundle:
         raise StructuralError(f"no glued point labeled {label!r}")
 
 
-def verify_glued(b: GluedBundle) -> ValidationReport:
+def verify_glued(b: GluedBundle) -> Report:
     """tau-equivariance Phi0(g) o tau = tau o phi0(g) blockwise, plus
     invertibility; the report of the first point that fails.  Each glued
     point is checked once per run and group (memo table glued_check)."""
@@ -313,15 +302,14 @@ def verify_glued(b: GluedBundle) -> ValidationReport:
         rep = memoized("glued_check", pt, group, lambda: _check_glued_point(pt, group))
         if rep is not None:
             return rep
-    return ValidationReport(True, "ok")
+    return Report(True, "ok")
 
 
 def _check_glued_point(pt: GluedPoint, group):
     """The report of the first failing check at one glued point, or None."""
     for i, tau in enumerate(pt.taus):
         if not is_invertible(tau):
-            return ValidationReport(False, f"tau_{i} at {pt.label} is not invertible",
-                                    point=pt.label)
+            return Report(False, f"tau_{i} at {pt.label} is not invertible")
     return check_tau_equivariance(pt, group)
 
 
@@ -368,19 +356,17 @@ def _tau_scan(pt, group, gs):
             j, m, w = pt.module.phi[g][i]
             w_phi = sp.ring_part(group, i, j, g)
             if w != w_phi:
-                return ValidationReport(
-                    False, f"ring parts of the formal and generic actions disagree "
-                    f"at {pt.label}, element {g}, component {i}", point=pt.label)
+                return Report(False, f"ring parts of the formal and generic actions "
+                              f"disagree at {pt.label}, element {g}, component {i}")
             if g not in gs:
                 continue
             lhs = m.to_laurent() * ext.psi(w)(pt.taus[i])
             rhs = pt.taus[j]
             mism = lhs.first_mismatch(rhs)
             if mism is not None:
-                return ValidationReport(
-                    False, f"tau-equivariance fails at {pt.label}, element {g}, "
-                    f"component {i}, entry {mism[:2]}, exponent {mism[2]}",
-                    point=pt.label, detail=(g, i, mism))
+                return Report(False, f"tau-equivariance fails at {pt.label}, element {g}, "
+                              f"component {i}, entry {mism[:2]}, exponent {mism[2]}",
+                              (g, i, mism))
     return None
 
 
@@ -537,7 +523,7 @@ def base_to_point(ext, g_matrix: Matrix) -> Matrix:
 
 
 def validate_parabolic_morphism(src: ParabolicDatum, dst: ParabolicDatum,
-                                g_matrix: Matrix, sigmas: dict) -> ValidationReport:
+                                g_matrix: Matrix, sigmas: dict) -> Report:
     """A morphism (g, {sigma_x}): I-equivariance of each sigma and the mu square
     mu' o (g (x) Id) = sigma^0 o mu."""
     if {p.label for p in src.points} != {p.label for p in dst.points}:
@@ -555,10 +541,9 @@ def validate_parabolic_morphism(src: ParabolicDatum, dst: ParabolicDatum,
         rhs = sigma.to_laurent() * spt.mu
         mism = lhs.first_mismatch(rhs)
         if mism is not None:
-            return ValidationReport(False,
-                                    f"mu square fails at {spt.label}, entry {mism[:2]}, "
-                                    f"exponent {mism[2]}", point=spt.label, detail=mism)
-    return ValidationReport(True, "ok")
+            return Report(False, f"mu square fails at {spt.label}, entry {mism[:2]}, "
+                          f"exponent {mism[2]}", mism)
+    return Report(True, "ok")
 
 
 def check_sigma_equivariance(spt: ParabolicPoint, dpt: ParabolicPoint, sigma: Matrix):
@@ -593,8 +578,7 @@ def _sigma_scan(spt, dpt, sigma, xs):
         lhs = sigma * spt.psi.mats[a]
         rhs = dpt.psi.mats[a] * ext.psi(a)(sigma)
         if not lhs.agrees_with(rhs):
-            return ValidationReport(False, f"sigma at {spt.label} is not equivariant at "
-                                    f"element {a}", point=spt.label)
+            return Report(False, f"sigma at {spt.label} is not equivariant at element {a}")
     return None
 
 
@@ -683,7 +667,8 @@ def roundtrip_check(d: ParabolicDatum, scene: CoverScene) -> RoundtripReport:
 
 
 def multipoint_map(d: ParabolicDatum, scene: CoverScene) -> RoundtripReport:
-    """Pointwise functors with per-point aggregation (errors isolated by point)."""
+    """Pointwise functors with per-point aggregation: an orbipar error at one
+    point is reported for that point; any other exception propagates."""
     per_point = {}
     ok = True
     sigmas = {}
@@ -699,7 +684,7 @@ def multipoint_map(d: ParabolicDatum, scene: CoverScene) -> RoundtripReport:
             if rep.rhos:
                 rhos.update(rep.rhos)
             ok = ok and rep.ok
-        except Exception as exc:  # noqa: BLE001 - aggregate per point per contract
+        except OrbiparError as exc:
             per_point[dpt.label] = f"error: {exc}"
             ok = False
     return RoundtripReport(ok, "pointwise round trips " + ("pass" if ok else "fail"),

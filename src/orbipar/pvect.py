@@ -19,16 +19,17 @@ from fractions import Fraction
 from functools import cache
 
 from . import kernels
-from .equivariant import (ActionReport, Cocycle, assemble_product, coords_to_vec, fixed_rows,
-                          invariants, module_generators, trivialize)
+from .equivariant import (Cocycle, assemble_product, coords_to_matrix, coords_to_vec,
+                          entry_starts, fixed_rows, invariants, module_generators,
+                          trivialize)
 from .errors import ConfigurationError, DomainError, StructuralError
-from .groups import law_by_generators
+from .groups import Report, law_by_generators
 from .linalg import (Matrix, combination, kernel_by_blocks, kron, laurent_inverse, null_space,
                      residue_det, residue_search, series_part, solve_linear)
 from .parabolic import (CoverScene, GluedBundle, GluedPoint, ParabolicDatum,
                         ParabolicPoint, build_spec_from_scene, functor_T,
-                        trivial_datum, validate_parabolic, validate_parabolic_morphism,
-                        verify_glued)
+                        totally_ramified_scene, trivial_datum, validate_parabolic,
+                        validate_parabolic_morphism, verify_glued)
 from .prng import SplitMix64
 from .series import Laurent, Series
 
@@ -149,20 +150,22 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
                              f"{dpt.label!r} (exhaustive over {field.order}^{len(basis)} "
                              "residues)")
 
-    # joint linear system: g over the base at (i*r + j)*base_prec + m, then
-    # sigma_x over each extension at offset + (i*r + j)*prec + m
+    # joint linear system: g over the base, then sigma_x over each extension
+    # from its offset, each entry by entry (equivariant.entry_starts)
     base_prec = min(max(p.ext.prec // p.ext.ram_index, 1) for p in d1.points)
     offsets = {}
     total = rr * base_prec
     for p in d1.points:
         offsets[p.label] = total
         total += rr * p.ext.prec
+    gs = entry_starts(r, base_prec)
+    sigma_starts = {p.label: entry_starts(r, p.ext.prec, offsets[p.label]) for p in d1.points}
     rows = []
     for dpt in d1.points:
         ext = dpt.ext
         per = ext.prec
-        off = offsets[dpt.label]
-        place = [off + c * per + m for m in range(per) for c in range(rr)]
+        ss = sigma_starts[dpt.label]
+        place = [x + m for m in range(per) for row in ss for x in row]
         for hom in hom_rows[dpt.label]:
             row = [0] * total
             for col, x in zip(place, hom):
@@ -170,11 +173,12 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
             rows.append(row)
         # mu square with mu_i = s^sh_i * s_i: s2 g s^delta = sigma s1 (delta =
         # sh2 - sh1, moved to the side where it is positive); entry (a, b),
-        # coefficient k is row (a*r + b)*qprec + k
+        # coefficient k is row qs[a][b] + k
         s1, sh1, p1 = series_part(dpt.mu)
         s2, sh2, p2 = series_part(d2.point(dpt.label).mu)
         delta = sh2 - sh1
         qprec = min(p1, p2)
+        qs = entry_starts(r, qprec)
         square = [[0] * total for _ in range(rr * qprec)]
         t = ext.base_uniformizer.truncate(qprec)
         tpow = [Series.one(field, qprec)]
@@ -186,7 +190,7 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
                     prod = (s2.entries[a][i].truncate(qprec) * tpow[m]).shift(max(delta, 0))
                     for j in range(r):
                         for k, x in enumerate(prod.coeffs):
-                            square[(a * r + j) * qprec + k][(i * r + j) * base_prec + m] = x
+                            square[qs[a][j] + k][gs[i][j] + m] = x
         lag = max(-delta, 0)
         neg_s1 = [[kernels.row_neg(ctx, x.coeffs) for x in row] for row in s1.entries]
         for i in range(r):
@@ -195,8 +199,7 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
                     c = neg_s1[j][b]
                     for m in range(per):
                         for k in range(m + lag, qprec):
-                            square[(i * r + b) * qprec + k][off + (i * r + j) * per + m] = \
-                                c[k - m - lag]
+                            square[qs[i][b] + k][ss[i][j] + m] = c[k - m - lag]
         rows.extend(square)
 
     basis = kernel_by_blocks(field, rows, total)
@@ -204,30 +207,8 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
         return IsoResult("inconclusive", proven=False,
                          detail="candidate space is zero at this precision")
 
-    def coords_to_candidate(coords):
-        gm = Matrix([[Series(field, base_prec,
-                             tuple(coords[(i * r + j) * base_prec + m]
-                                   for m in range(base_prec)))
-                      for j in range(r)] for i in range(r)])
-        sigmas = {}
-        for dpt in d1.points:
-            per = dpt.ext.prec
-            off = offsets[dpt.label]
-            sigmas[dpt.label] = Matrix(
-                [[Series(field, per, tuple(coords[off + (i * r + j) * per + m]
-                                           for m in range(per)))
-                  for j in range(r)] for i in range(r)])
-        return gm, sigmas
-
-    # (offset, precision) of g and of each sigma_x in the coordinates
-    blocks = [(0, base_prec)] + [(offsets[p.label], p.ext.prec) for p in d1.points]
-
-    def jointly_invertible(coords):
-        """Whether g and every sigma_x have invertible residues, read off
-        their degree-0 coordinates."""
-        return all(residue_det(field, [[coords[off + (i * r + j) * per] for j in range(r)]
-                                       for i in range(r)]) != 0 for off, per in blocks)
-
+    # the constant terms of g and of each sigma_x in the coordinates
+    residues = [gs, *sigma_starts.values()]
     candidates = list(basis)
     tried = 0
     while tried < random_tries:
@@ -237,9 +218,12 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
             coords = combination(field, [rng.randrange(field.order) for _ in basis],
                                  basis, total)
         tried += 1
-        if not jointly_invertible(coords):
+        if not all(residue_det(field, [[coords[s] for s in row] for row in starts])
+                   for starts in residues):
             continue
-        gm, sigmas = coords_to_candidate(coords)
+        gm = coords_to_matrix(field, coords, r, base_prec)
+        sigmas = {p.label: coords_to_matrix(field, coords, r, p.ext.prec, offsets[p.label])
+                  for p in d1.points}
         rep = validate_parabolic_morphism(d1, d2, gm, sigmas)
         if rep.ok:
             return IsoResult("isomorphic", g=gm, sigmas=sigmas, proven=True,
@@ -406,9 +390,9 @@ class PushedBundle:
         mul = self.group.mul
         for name, rep in (("formal", self.formal_rep), ("generic", self.generic_rep)):
             report = prove(lambda hs: next(
-                (ActionReport(False, f"{name} representation law fails at ({h},{g})")
+                (Report(False, f"{name} representation law fails at ({h},{g})")
                  for h in hs for g in range(self.group.order)
-                 if not rep[mul(h, g)].agrees_with(rep[h] * rep[g])), ActionReport(True, "ok")))
+                 if not rep[mul(h, g)].agrees_with(rep[h] * rep[g])), Report(True, "ok")))
             if not report.ok:
                 return False, report.message
         for g in range(self.group.order):
@@ -507,16 +491,6 @@ def pushforward_local(b: GluedBundle, label=None) -> PushedBundle:
 # adjunction and projection formula
 
 
-def semilinear_hom_rank(ext, target: Cocycle, source_rank: int):
-    """Rank over the base ring of Hom_G(f^* k[[t]]^{source_rank}, target).
-
-    Columns are independent, so this is source_rank times the rank of the
-    fixed module {v : A_g psi(g)(v) = v}.
-    """
-    inv = invariants(target)
-    return source_rank * len(inv.generators), inv
-
-
 @dataclass
 class AdjunctionReport:
     ok: bool
@@ -526,19 +500,20 @@ class AdjunctionReport:
     message: str
 
 
-def adjunction_check(source_rank: int, w_point, scene=None) -> AdjunctionReport:
+def adjunction_check(source_rank: int, w_point) -> AdjunctionReport:
     """Local adjunction Hom_G(f^*V, W) = Hom(V, (f_*W)^G) by brute force,
     plus the projection formula f_*(f^*V (x) W) = V (x) f_*W via the explicit
     Kronecker shuffle.
 
     w_point: a ParabolicPoint (the W side, over the covering extension);
-    V is the trivial bundle of the given rank on the base.
+    V is the trivial bundle of the given rank on the base, and the scene is
+    the totally ramified one at w_point.
     """
-    from .parabolic import totally_ramified_scene
-
     ext = w_point.ext
-    lhs_rank, _ = semilinear_hom_rank(ext, w_point.psi, source_rank)
-    scene = scene or totally_ramified_scene(ext, label=w_point.label)
+    # columns are independent, so Hom_G(f^* k[[t]]^source_rank, W) has
+    # source_rank times the rank of the fixed module {v : A_g psi(g)(v) = v}
+    lhs_rank = source_rank * len(invariants(w_point.psi).generators)
+    scene = totally_ramified_scene(ext, label=w_point.label)
     b = functor_T(ParabolicDatum(rank=w_point.psi.rank, points=(w_point,)), scene)
     pushed = pushforward_local(b)
     pushed_inv = pushed.invariants()
@@ -698,14 +673,8 @@ def glued_pullback(b: GluedBundle, spb: ScenePullback) -> GluedBundle:
     return out
 
 
-@dataclass
-class CompatReport:
-    ok: bool
-    message: str
-
-
 def pullback_T_compat(d: ParabolicDatum, spb: ScenePullback,
-                      ref: RefinementMap) -> CompatReport:
+                      ref: RefinementMap) -> Report:
     """T'(i* d) versus i~*(T(d)): with aligned scenes the two glued bundles
     coincide blockwise; verified entry by entry (the explicit isomorphism is
     the identity)."""
@@ -719,12 +688,10 @@ def pullback_T_compat(d: ParabolicDatum, spb: ScenePullback,
                 j1, m1, w1 = lpt.module.phi[g][i]
                 j2, m2, w2 = rpt.module.phi[g][i]
                 if j1 != j2 or w1 != w2 or not m1.agrees_with(m2):
-                    return CompatReport(False,
-                                        f"formal blocks differ at {lpt.label}, "
-                                        f"element {g}, component {i}")
+                    return Report(False, f"formal blocks differ at {lpt.label}, "
+                                  f"element {g}, component {i}")
         for i, (t1, t2) in enumerate(zip(lpt.taus, rpt.taus)):
             if t1.first_mismatch(t2) is not None:
-                return CompatReport(False, f"gluing differs at {lpt.label}, "
-                                    f"component {i}")
-    return CompatReport(True, "T' o i* and i~* o T agree blockwise "
-                        "(identity isomorphism verified)")
+                return Report(False, f"gluing differs at {lpt.label}, component {i}")
+    return Report(True, "T' o i* and i~* o T agree blockwise "
+                  "(identity isomorphism verified)")

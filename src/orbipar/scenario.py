@@ -507,7 +507,7 @@ def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
         for pt in d.points:
             rep = verify_cocycle(pt.psi)
             results[pt.label] = {"ok": rep.ok, "message": rep.message,
-                                 "failing_pair": rep.failing_pair}
+                                 "failing_pair": rep.detail}
             ok = ok and rep.ok
         return finish({"ok": ok, "points": results}, status=_pass_fail(ok))
 

@@ -14,12 +14,12 @@ from orbipar.equivariant import (Cocycle, assemble_product, coboundary,
 from orbipar.errors import DomainError
 from orbipar.fields import make_field, required_degree_for_root
 from orbipar.groups import cyclic, dihedral, direct_product
-from orbipar.linalg import Matrix, residue_det
+from orbipar.linalg import Matrix
 from orbipar.local_galois import (kummer_tower, make_artin_schreier, make_kummer,
                                   norm, verify_extension)
 from orbipar.parabolic import (CoverScene, ParabolicDatum, ParabolicPoint,
                                ScenePoint, build_spec_from_scene, functor_S,
-                               functor_T, random_datum, roundtrip_check,
+                               functor_T, random_datum, random_unimodular, roundtrip_check,
                                sign_twist_datum, totally_ramified_scene,
                                trivial_datum)
 from orbipar.prng import SplitMix64
@@ -85,7 +85,7 @@ def test_criterion_2_constructbundle_law():
     t0 = time.perf_counter()
     rng = SplitMix64(2024)
     k3, sp6, g6 = _z6_scene()
-    b = _random_unimodular(k3.field, 2, 16, rng)
+    b = random_unimodular(k3.field, 2, 16, rng)
     zeta = k3.field.root_of_unity(3)
     chi = tuple(k3.field.pow(zeta, u) for u in range(3))
     mod6 = assemble_product(build_spec_from_scene(
@@ -94,7 +94,7 @@ def test_criterion_2_constructbundle_law():
     assert rep6.ok, rep6.message
 
     k4, sp8, d4 = _d4_scene()
-    b8 = _random_unimodular(k4.field, 3, 16, rng)
+    b8 = random_unimodular(k4.field, 3, 16, rng)
     mod8 = assemble_product(build_spec_from_scene(sp8, d4, coboundary(k4, b8)))
     rep8 = verify_action_exhaustive(mod8)
     assert rep8.ok, rep8.message
@@ -102,15 +102,6 @@ def test_criterion_2_constructbundle_law():
     _report(2, elapsed < 5.0,
             f"group law exhaustive on |G|=6 (36 pairs, rank 2) and |G|=8 "
             f"(64 pairs, rank 3) at N=16 ({elapsed:.2f}s < 5s)")
-
-
-def _random_unimodular(field, rank, prec, rng):
-    while True:
-        m = Matrix([[Series(field, prec, tuple(rng.randrange(field.order)
-                                               for _ in range(prec)))
-                     for _ in range(rank)] for _ in range(rank)])
-        if residue_det(field, m.residue()) != 0:
-            return m
 
 
 def test_criterion_3_connector_independence():
@@ -137,7 +128,7 @@ def test_criterion_3_connector_independence():
                    [1, 1], [4, 1], k2_3, 1))
     count = 0
     for sp, group, seeds1, seeds2, ext, rank in scenes:
-        psi = coboundary(ext, _random_unimodular(ext.field, rank, 16, rng))
+        psi = coboundary(ext, random_unimodular(ext.field, rank, 16, rng))
         perms = sp.perms(group)
         m1 = assemble_product(build_spec_from_scene(
             sp, group, psi, connectors=make_connectors(group, perms, seeds1)))

@@ -8,9 +8,9 @@ from orbipar.equivariant import (Cocycle, ComponentSpec, ProductGModuleSpec,
 from orbipar.errors import AssemblyError, RankDeficiencyError
 from orbipar.fields import make_field
 from orbipar.groups import cyclic, dihedral
-from orbipar.linalg import Matrix, residue_det
+from orbipar.linalg import Matrix
 from orbipar.local_galois import make_artin_schreier, make_kummer, trivial_extension
-from orbipar.parabolic import ScenePoint, build_spec_from_scene
+from orbipar.parabolic import ScenePoint, build_spec_from_scene, random_unimodular
 from orbipar.prng import SplitMix64
 from orbipar.series import Series
 
@@ -32,15 +32,6 @@ def sign_cocycle(prec=N):
                             Matrix([[Series.constant(F5, 4, prec)]])))
 
 
-def random_unimodular(field, rank, prec, rng):
-    while True:
-        m = Matrix([[Series(field, prec, tuple(rng.randrange(field.order)
-                                               for _ in range(prec)))
-                     for _ in range(rank)] for _ in range(rank)])
-        if residue_det(field, m.residue()) != 0:
-            return m
-
-
 # -- verify_cocycle --
 
 
@@ -58,7 +49,7 @@ def test_bad_constant_fails_at_sigma_sigma():
     bad = const_cocycle(ext, [1, 2])
     rep = verify_cocycle(bad)
     assert not rep.ok
-    assert rep.failing_pair == (1, 1)
+    assert rep.detail == (1, 1)
 
 
 def test_bad_identity_detected():

@@ -86,8 +86,9 @@ PACKED_FIELDS.append(pytest.param(3, 2, (2, 1, 1), id="3-2-x2+x+2"))
 
 @pytest.mark.parametrize("p,k,modulus", PACKED_FIELDS)
 def test_packed_products_match_schoolbook(p, k, modulus):
-    """vec_mul on both sides of PACK_MIN, and mat_mul (packed at every shape
-    but 1 x 1, inner dimension 1 included), with ragged and empty vectors,
+    """vec_mul on both sides of PACK_MIN (over GF(p^k) packed at every
+    length), and mat_mul (packed at every shape but 1 x 1, inner dimension 1
+    included), with ragged and empty vectors,
     n above la + lb and the largest slot sums; GF(65521) needs 64-bit slots
     from length 2."""
     F = make_field(p, k, modulus)

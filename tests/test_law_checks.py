@@ -32,7 +32,7 @@ from orbipar.equivariant import (Cocycle, ProductGModule, assemble_product, cobo
 from orbipar.errors import OrbiparError, RankDeficiencyError
 from orbipar.fields import make_field
 from orbipar.groups import cyclic, dihedral, direct_product
-from orbipar.linalg import Matrix, is_invertible, residue_det, series_part, smith
+from orbipar.linalg import Matrix, is_invertible, series_part, smith
 from orbipar.local_galois import (LocalExtension, make_artin_schreier, make_kummer,
                                   trivial_extension, verify_extension,
                                   verify_extension_exhaustive)
@@ -41,7 +41,8 @@ from orbipar.parabolic import (GluedPoint, ParabolicDatum, ParabolicPoint, Scene
                                build_spec_from_scene, check_mu_equivariance,
                                check_mu_equivariance_exhaustive, check_sigma_equivariance,
                                check_sigma_equivariance_exhaustive, check_tau_equivariance,
-                               check_tau_equivariance_exhaustive, glued_point, random_datum)
+                               check_tau_equivariance_exhaustive, glued_point, random_datum,
+                               random_unimodular)
 from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
 
@@ -70,14 +71,6 @@ def _scenes():
 SCENES = _scenes()
 # per scene, the seeds of a second connector family (the first is the scene's)
 SEEDS2 = [[3], [5], [3], []]
-
-
-def _unimodular(field, rank, rng):
-    while True:
-        m = Matrix([[Series(field, N, tuple(rng.randrange(field.order) for _ in range(N)))
-                     for _ in range(rank)] for _ in range(rank)])
-        if residue_det(field, m.residue()) != 0:
-            return m
 
 
 def _bump(m, i, j, k):
@@ -112,7 +105,8 @@ def test_verify_cocycle_equals_exhaustive(ext_i, rank, seed, twisted, where, pic
     if twisted and n > 1 and (field.order - 1) % n == 0:
         zeta = field.root_of_unity(n)
         character = tuple(field.pow(zeta, g) for g in range(n))
-    c = coboundary(ext, _unimodular(field, rank, SplitMix64(seed)), character=character)
+    c = coboundary(ext, random_unimodular(field, rank, N, SplitMix64(seed)),
+                   character=character)
     x = _target(ext.group, where, pick) if where != "none" else None
     if x is not None:
         mats = list(c.mats)
@@ -131,7 +125,7 @@ def test_verify_cocycle_equals_exhaustive(ext_i, rank, seed, twisted, where, pic
 def test_verify_action_equals_exhaustive(scene_i, rank, seed, where, part, pick, comp, i, j, k):
     sp, group = SCENES[scene_i]
     ext = sp.ext
-    psi = coboundary(ext, _unimodular(ext.field, rank, SplitMix64(seed)))
+    psi = coboundary(ext, random_unimodular(ext.field, rank, N, SplitMix64(seed)))
     module = assemble_product(build_spec_from_scene(sp, group, psi))
     x = _target(group, where, pick) if where != "none" else None
     if x is not None:
@@ -172,13 +166,13 @@ def test_failure_off_the_generators_reports_the_exhaustive_pair():
     the exhaustive scan's."""
     ext = make_kummer(make_field(13), 6, N)
     assert ext.group.generators() == [1]
-    c = coboundary(ext, _unimodular(ext.field, 2, SplitMix64(3)))
+    c = coboundary(ext, random_unimodular(ext.field, 2, N, SplitMix64(3)))
     mats = list(c.mats)
     mats[3] = _bump(mats[3], 1, 0, 2)
     bad = Cocycle(ext, 2, tuple(mats))
     rep = verify_cocycle(bad)
     assert rep == verify_cocycle_exhaustive(bad)
-    assert not rep.ok and rep.failing_pair == (1, 2) and rep.entry == (1, 0)
+    assert not rep.ok and rep.detail == (1, 2) and "entry (1, 0)" in rep.message
 
 
 def _bump_laurent(m, i, j, k):
@@ -217,7 +211,7 @@ def _dual_of_diag_gluing(ext, seed):
     zero, one = Series.zero(field, N), Series.one(field, N)
     mats = tuple(Matrix([[Series.constant(field, field.pow(zeta, g), N), zero],
                          [zero, one]]) for g in range(n))
-    b = _unimodular(field, 2, SplitMix64(seed))
+    b = random_unimodular(field, 2, N, SplitMix64(seed))
     mu = Matrix([[Laurent.exact(field, -1, [1], N), Laurent.zero(field, N)],
                  [Laurent.zero(field, N), Laurent.exact(field, 0, [1], N)]])
     return ParabolicPoint("p", ext, twist(Cocycle(ext, 2, mats), b),
@@ -304,7 +298,7 @@ def _intertwined(scene_i, rank, seed):
     """Two modules of one datum under two connector families, and the
     blocks of the independence intertwiner between them."""
     sp, group = SCENES[scene_i]
-    psi = coboundary(sp.ext, _unimodular(sp.ext.field, rank, SplitMix64(seed)))
+    psi = coboundary(sp.ext, random_unimodular(sp.ext.field, rank, N, SplitMix64(seed)))
     m1 = assemble_product(build_spec_from_scene(sp, group, psi))
     m2 = assemble_product(build_spec_from_scene(
         sp, group, psi, connectors=make_connectors(group, sp.perms(group), SEEDS2[scene_i])))
@@ -342,7 +336,7 @@ def test_sigma_equivariance_equals_exhaustive(ext_i, rank, seed, where, pick, i,
     ext = EXTENSIONS[ext_i]()
     rng = SplitMix64(seed)
     src = random_datum(ext, rank, rng).points[0]
-    b = _unimodular(ext.field, rank, rng)
+    b = random_unimodular(ext.field, rank, N, rng)
     sigma = b.inverse()
     psi2 = twist(src.psi, b)
     if where == "value":
@@ -384,7 +378,7 @@ def test_invariants_fixedness_check_equals_exhaustive(ext_i, rank, seed, where, 
     that has checked the cocycle, against invariants with every element
     scanned: the same result, or the same error."""
     ext = EXTENSIONS[ext_i]()
-    c = coboundary(ext, _unimodular(ext.field, rank, SplitMix64(seed)))
+    c = coboundary(ext, random_unimodular(ext.field, rank, N, SplitMix64(seed)))
     x = _target(ext.group, where, pick) if where != "none" else None
     if x is not None:
         c = _bump_cocycle(c, x, i, j, k)
@@ -402,7 +396,8 @@ def test_invariants_premise_forces_the_exhaustive_answer_off_the_generators():
     at element 2, in a run or not."""
     ext = make_kummer(make_field(7), 3, N)
     assert ext.group.generators() == [1]
-    c = _bump_cocycle(coboundary(ext, _unimodular(ext.field, 1, SplitMix64(3))), 2, 0, 0, 1)
+    c = _bump_cocycle(coboundary(ext, random_unimodular(ext.field, 1, N, SplitMix64(3))),
+                      2, 0, 0, 1)
     ref = _exhaustive_invariants(c)
     assert ref == (RankDeficiencyError, "extracted generator is not fixed by element 2")
     assert _outcome(lambda: equivariant.invariants(c)) == ref

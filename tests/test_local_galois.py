@@ -98,7 +98,7 @@ def test_verify_extension_detects_bad_action_table():
     bad = LocalExtension(field=F5, prec=N, group=e.group, action=tuple(action),
                          base_uniformizer=e.base_uniformizer, ram_index=4)
     rep = verify_extension(bad)
-    assert not rep.ok and rep.failing_pair is not None
+    assert not rep.ok and rep.detail is not None
 
 
 def test_norm_invariance():

@@ -1,6 +1,6 @@
 import pytest
 
-from orbipar import linalg
+from orbipar import linalg, parabolic
 from orbipar.equivariant import is_induced
 from orbipar.errors import ConfigurationError
 from orbipar.fields import make_field
@@ -255,6 +255,50 @@ def test_multipoint_trivial_point_is_absorbing():
     rep = multipoint_map(d, scene)
     assert rep.ok
     assert rep.per_point["A"]["induced"] is True
+
+
+def _two_point_datum():
+    F3 = make_field(3)
+    k2 = make_kummer(F3, 2, 12)
+    as3 = make_artin_schreier(F3, 12)
+    scene = CoverScene(group=cyclic(6), points=(
+        ScenePoint("A", k2, (0, 3), (0, 1, 2)),
+        ScenePoint("B", as3, (0, 2, 4), (0, 1))))
+    dB = random_datum(as3, 1, SplitMix64(67), label="B")
+    triv = trivial_datum(1, [("A", k2)])
+    return ParabolicDatum(rank=1, points=(triv.points[0], dB.points[0])), scene
+
+
+def _failing_at_a(monkeypatch, exc):
+    """roundtrip_check that raises exc at the one-point datum on A."""
+    original = parabolic.roundtrip_check
+
+    def check(d, scene):
+        if d.points[0].label == "A":
+            raise exc
+        return original(d, scene)
+
+    monkeypatch.setattr(parabolic, "roundtrip_check", check)
+
+
+def test_multipoint_reports_an_orbipar_error_at_its_point(monkeypatch):
+    d, scene = _two_point_datum()
+    clean = multipoint_map(d, scene)
+    _failing_at_a(monkeypatch, ConfigurationError("planted at A"))
+    rep = multipoint_map(d, scene)
+    assert not rep.ok
+    assert rep.per_point["A"] == "error: planted at A"
+    assert rep.per_point["B"] == clean.per_point["B"]
+    assert set(rep.sigmas) == set(rep.rhos) == {"B"}
+    assert rep.sigmas["B"].agrees_with(clean.sigmas["B"])
+
+
+def test_multipoint_programming_error_propagates(monkeypatch):
+    """Only orbipar errors are reported per point; anything else is a bug."""
+    d, scene = _two_point_datum()
+    _failing_at_a(monkeypatch, TypeError("broken round trip"))
+    with pytest.raises(TypeError):
+        multipoint_map(d, scene)
 
 
 # -- morphism validation --

@@ -21,9 +21,10 @@ from orbipar.equivariant import (Cocycle, ComponentSpec, ProductGModuleSpec, ass
 from orbipar.errors import AssemblyError
 from orbipar.fields import make_field
 from orbipar.groups import cyclic, dihedral
-from orbipar.linalg import Matrix, residue_det
+from orbipar.linalg import Matrix
 from orbipar.local_galois import make_artin_schreier, make_kummer
-from orbipar.parabolic import ScenePoint, build_spec_from_scene, random_datum
+from orbipar.parabolic import (ScenePoint, build_spec_from_scene, random_datum,
+                               random_unimodular)
 from orbipar.prng import SplitMix64
 from orbipar.series import Series
 
@@ -140,21 +141,14 @@ def _reference_bc(spec):
     return None
 
 
-def _unimodular(field, rank, rng):
-    while True:
-        m = Matrix([[Series(field, N, tuple(rng.randrange(field.order) for _ in range(N)))
-                     for _ in range(rank)] for _ in range(rank)])
-        if residue_det(field, m.residue()) != 0:
-            return m
-
-
 def _cocycle(ext, rank, seed, twisted):
     field, n = ext.field, ext.group.order
     character = None
     if twisted and (field.order - 1) % n == 0:
         zeta = field.root_of_unity(n)
         character = tuple(field.pow(zeta, g) for g in range(n))
-    return coboundary(ext, _unimodular(field, rank, SplitMix64(seed)), character=character)
+    return coboundary(ext, random_unimodular(field, rank, N, SplitMix64(seed)),
+                      character=character)
 
 
 def _seeds(sp, group, pick):
