@@ -8,17 +8,21 @@ canonical JSON (sorted keys, no whitespace, no wall-clock data), so fixed
 (scenario, seed) pairs reproduce byte-identical reports.
 """
 
+import difflib
 import json
+import math
 from dataclasses import dataclass, field as dc_field
+from typing import Callable, NamedTuple
 
-from .equivariant import Cocycle, is_induced, make_connectors, trivialize, verify_cocycle
+from .equivariant import (Cocycle, independence_intertwiner, invariants, is_induced,
+                          make_connectors, trivialize, verify_cocycle)
 from .errors import AssemblyError, OrbiparError, ScenarioError
 from .fields import make_field
 from .groups import group_from_config
 from .linalg import Matrix
 from .local_galois import (identity_embedding, kummer_tower, make_artin_schreier,
-                           make_explicit, make_kummer, trivial_extension,
-                           verify_extension)
+                           make_embedding, make_explicit, make_kummer,
+                           trivial_extension, verify_extension)
 from .memo import run_scope
 from .parabolic import (CoverScene, ParabolicDatum, ParabolicPoint, ScenePoint,
                         functor_T, point_module, random_datum,
@@ -79,14 +83,6 @@ def matrix_from_json(field, prec, data, laurent=False):
     if laurent:
         return Matrix([[laurent_from_json(field, prec, e) for e in row] for row in data])
     return Matrix([[series_from_json(field, prec, e) for e in row] for row in data])
-
-def extension_to_json(ext):
-    """Scenario-format form of an extension: group table, per-element action
-    images, base uniformizer coefficients."""
-    return {"kind": "explicit",
-            "group": {"kind": "table", "table": [list(r) for r in ext.group.table]},
-            "action": [list(a.coeffs) for a in ext.action],
-            "t": list(ext.base_uniformizer.coeffs)}
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +182,6 @@ def _load(doc, at):
         elif kind == "identity":
             embs[name] = identity_embedding(_resolve(exts, cfg, "ext"))
         elif kind == "explicit":
-            from .local_galois import make_embedding
             embs[name] = make_embedding(
                 _resolve(exts, cfg, "small"), _resolve(exts, cfg, "big"),
                 Series.from_coeffs(field, cfg["s_image"], prec),
@@ -263,26 +258,12 @@ def _load(doc, at):
     return sc
 
 
-# the keys each command op needs, in the order unknown-op messages list the ops
-_REQUIRED_KEYS = {
-    "verify_extension": ("ext",), "verify_cocycle": ("datum",),
-    "validate_parabolic": ("datum",), "invariants": ("datum",), "is_induced": ("datum",),
-    "trivialize": ("datum",), "assemble": ("datum", "scene"),
-    "connector_independence": ("datum", "scene", "seeds2"),
-    "roundtrip": ("datum", "scene"), "multipoint_roundtrip": ("datum", "scene"),
-    "random_roundtrips": ("scene",), "pullback_refine": ("datum", "refinement"),
-    "equiv": ("datum1", "datum2", "refinement1", "refinement2"),
-    "tensor": ("datum1", "datum2"), "dual": ("datum",), "dual_involution": ("datum",),
-    "dual_pairing": ("datum",), "pushforward": ("datum", "scene"), "adjunction": ("datum",),
-    "weights": ("datum",), "tower_compat": ("datum", "embedding"),
-}
 # command keys naming scenario objects, by the Scenario table they name
 _REFERENCE_KEYS = {"ext": "extensions", "datum": "data", "datum1": "data",
                    "datum2": "data", "scene": "scenes", "embedding": "embeddings"}
 # refinement keys, by the datum key whose points they embed
 _REFINEMENT_KEYS = {"refinement": "datum", "refinement1": "datum1",
                     "refinement2": "datum2"}
-_STORING_OPS = ("pullback_refine", "tensor", "dual")
 # command keys that name no scenario object, by type
 _INT_KEYS = ("count", "rank", "seed", "source_rank")
 _INT_LIST_KEYS = ("seeds1", "seeds2", "character_exponents")
@@ -342,25 +323,31 @@ def _object(x, what):
 
 
 def _check_references(sc: Scenario):
-    """Every name a command refers to resolves, counting the data that earlier
-    commands store, and every other key it reads has the right type; runs before
-    any command does."""
-    # names per table; data and scenes map to their point labels, and stored
-    # data keep the labels of the datum they derive from
+    """Every command names a known op, every name it refers to resolves,
+    counting the data that earlier commands store, and every other key it
+    reads has the right type; runs before any command does."""
+    # names per table: data and scenes map to their point labels, and stored
+    # data keep the labels of the datum they derive from; then each datum's
+    # rank and its extensions per point label, where known (see _stores)
     known = {"extensions": dict.fromkeys(sc.extensions),
              "embeddings": dict.fromkeys(sc.embeddings),
              "data": {name: [p.label for p in d.points] for name, d in sc.data.items()},
-             "scenes": {name: [p.label for p in s.points] for name, s in sc.scenes.items()}}
-    ranks = {name: d.rank for name, d in sc.data.items()}
-    # extensions per point label, where known: stored tensors and duals keep
-    # their source's, a pullback's are its refinement's
-    exts = {name: {p.label: p.ext for p in d.points} for name, d in sc.data.items()}
+             "scenes": {name: [p.label for p in s.points] for name, s in sc.scenes.items()},
+             "ranks": {name: d.rank for name, d in sc.data.items()},
+             "point_exts": {name: {p.label: p.ext for p in d.points}
+                            for name, d in sc.data.items()}}
     for i, cmd in enumerate(sc.commands):
         if not isinstance(cmd, dict):
             raise ScenarioError(f"command {i} is not a JSON object")
         op = cmd.get("op")
+        if not (isinstance(op, str) and op in OPS):
+            close = difflib.get_close_matches(str(op), list(OPS), n=3)
+            hint = f"; did you mean {', '.join(close)}?" if close else ""
+            raise ScenarioError(f"command {i}: unknown command op {op!r}{hint} "
+                                f"(known: {', '.join(OPS)})")
+        entry = OPS[op]
         where = f"command {i} ({op})"
-        for key in _REQUIRED_KEYS.get(op, ()):
+        for key in entry.keys:
             if key not in cmd:
                 raise ScenarioError(f"{where}: missing {key!r}")
         _object(cmd.get("expect", {}), f"{where}: expect")
@@ -396,39 +383,21 @@ def _check_references(sc: Scenario):
             if "point" in cmd and key in cmd and cmd["point"] not in known[table][cmd[key]]:
                 raise ScenarioError(f"{where}: {key} {cmd[key]!r} has no point "
                                     f"{cmd['point']!r}")
-        if op == "random_roundtrips" and "point" not in cmd and not known["scenes"][cmd["scene"]]:
-            raise ScenarioError(f"{where}: scene {cmd['scene']!r} has no points to draw "
-                                "data at")
-        if "datum" in cmd and "scene" in cmd:
-            _check_scene_points(sc, cmd, known["data"][cmd["datum"]],
-                                exts.get(cmd["datum"], {}), where)
-        if op == "connector_independence":
-            _check_connectors(sc, cmd, known, where)
-        if op in _STORING_OPS and "store_as" in cmd:
-            source = cmd.get("datum", cmd.get("datum1"))
-            known["data"][cmd["store_as"]] = known["data"].get(source, [])
-            exts[cmd["store_as"]] = {} if op == "pullback_refine" else exts.get(source, {})
-            rank = ranks.get(source, 1) * (ranks.get(cmd["datum2"], 1) if op == "tensor" else 1)
-            _check_rank(rank, where)
-            ranks[cmd["store_as"]] = rank
+        if entry.places:
+            _check_scene_points(sc, cmd, entry.places, known, where)
+        for check in (entry.check, entry.stores):
+            if check:
+                check(sc, cmd, known, where)
 
 
-# ops that apply T at every point of their datum; connector_independence
-# assembles the module of one point
-_WHOLE_DATUM_SCENE_OPS = ("assemble", "roundtrip", "multipoint_roundtrip", "pushforward")
-
-
-def _check_scene_points(sc, cmd, labels, exts, where):
-    """Every datum point the command places on its scene is a scene point
-    over the same extension, as functor_T requires."""
-    if cmd.get("op") in _WHOLE_DATUM_SCENE_OPS:
-        placed = labels
-    elif cmd.get("op") == "connector_independence":
-        placed = [cmd.get("point", labels[0])]
-    else:
-        return
+def _check_scene_points(sc, cmd, places, known, where):
+    """Every datum point the command places on its scene (all of them, or
+    the command's point) is a scene point over the same extension, as
+    functor_T requires."""
+    labels = known["data"][cmd["datum"]]
+    exts = known["point_exts"][cmd["datum"]]
     scene = sc.scenes[cmd["scene"]]
-    for label in placed:
+    for label in labels if places == "all" else [cmd.get("point", labels[0])]:
         sp = next((p for p in scene.points if p.label == label), None)
         if sp is None:
             raise ScenarioError(f"{where}: scene {cmd['scene']!r} has no point {label!r} "
@@ -454,253 +423,273 @@ def _check_connectors(sc, cmd, known, where):
             raise ScenarioError(f"{where}: {key} {cmd[key]}: {exc}") from exc
 
 
+def _check_scene_has_points(sc, cmd, known, where):
+    """A command without "point" draws its data at the scene's first point."""
+    if "point" not in cmd and not known["scenes"][cmd["scene"]]:
+        raise ScenarioError(f"{where}: scene {cmd['scene']!r} has no points to draw "
+                            "data at")
+
+
+def _check_source_rank(sc, cmd, known, where):
+    """adjunction tensors its datum with a trivial one of rank source_rank."""
+    rank, source_rank = known["ranks"][cmd["datum"]], cmd.get("source_rank", 1)
+    if not 1 <= source_rank <= MAX_RANK // rank:
+        raise ScenarioError(f"{where}: source_rank must be in 1..{MAX_RANK // rank} "
+                            f"for datum {cmd['datum']!r} of rank {rank}, got {source_rank}")
+
+
+def _stores(*sources, keeps_exts=True):
+    """The load check of an op that stores a datum built from the data its
+    `sources` keys name: that datum's rank, the product of theirs, lies in
+    1..MAX_RANK, and under store_as it keeps the first source's point labels
+    and, if `keeps_exts`, its extensions (a pullback's are its refinement's)."""
+    def check(sc, cmd, known, where):
+        rank = math.prod(known["ranks"][cmd[key]] for key in sources)
+        _check_rank(rank, where)
+        if "store_as" in cmd:
+            stored, source = cmd["store_as"], cmd[sources[0]]
+            known["data"][stored] = known["data"][source]
+            known["point_exts"][stored] = known["point_exts"][source] if keeps_exts else {}
+            known["ranks"][stored] = rank
+    return check
+
+
 # ---------------------------------------------------------------------------
 # command execution
 
 
 def _refinement_from(sc, cmd, key):
-    cfg = cmd.get(key)
-    if not isinstance(cfg, dict):
-        raise ScenarioError(f"{key} must map point labels to embeddings, got {cfg!r}")
-    embeddings = {label: _resolve(sc.embeddings, cfg, label) for label in cfg}
-    return RefinementMap(embeddings=embeddings)
+    cfg = cmd[key]
+    return RefinementMap(embeddings={label: _resolve(sc.embeddings, cfg, label) for label in cfg})
 
 
-def _expect_match(expect, result):
-    for key, want in expect.items():
-        got = result.get(key)
-        if got != want:
-            return False, f"expected {key}={want!r}, got {got!r}"
-    return True, ""
-
-
-def _pass_fail(ok):
-    return "pass" if ok else "fail"
-
-
-def _command_point(d, cmd):
-    """The datum point a command names with "point", by default the first."""
+def _command_point(sc, cmd):
+    """The point of the command's datum that "point" names, by default the first."""
+    d = _resolve(sc.data, cmd, "datum")
     return d.point(cmd.get("point", d.points[0].label))
 
 
+class Outcome(NamedTuple):
+    """What an op's runner returns."""
+    result: dict
+    certificates: dict = None
+    status: str = None      # None: a result with "ok" passes or fails by it, others pass
+    datum: object = None    # what a storing op stores under store_as
+
+
+class Op(NamedTuple):
+    """One command op, an entry of OPS."""
+    keys: tuple              # the keys a command must carry
+    run: Callable            # (sc, cmd, rng) -> Outcome
+    places: str = None       # datum points placed on its scene: "all" or the command's "point"
+    check: Callable = None   # its own load check, (sc, cmd, known, where) -> None
+    stores: Callable = None  # an op that stores its datum under store_as: its _stores check
+
+
+def _run_verify_extension(sc, cmd, rng):
+    rep = verify_extension(_resolve(sc.extensions, cmd, "ext"))
+    return Outcome({"ok": rep.ok, "message": rep.message})
+
+def _run_verify_cocycle(sc, cmd, rng):
+    results = {}
+    ok = True
+    for pt in _resolve(sc.data, cmd, "datum").points:
+        rep = verify_cocycle(pt.psi)
+        results[pt.label] = {"ok": rep.ok, "message": rep.message,
+                             "failing_pair": rep.detail}
+        ok = ok and rep.ok
+    return Outcome({"ok": ok, "points": results})
+
+def _run_validate_parabolic(sc, cmd, rng):
+    rep = validate_parabolic(_resolve(sc.data, cmd, "datum"))
+    return Outcome({"ok": rep.ok, "message": rep.message})
+
+def _run_invariants(sc, cmd, rng):
+    res = invariants(_command_point(sc, cmd).psi)
+    certs = {"generators": [[series_to_json(s) for s in g] for g in res.generators],
+             "natural": matrix_to_json(res.natural)}
+    return Outcome({"rank": len(res.generators), "base_prec": res.base_prec,
+                    "fixed_dim": res.fixed_dim}, certs)
+
+def _run_is_induced(sc, cmd, rng):
+    rep = is_induced(_command_point(sc, cmd).psi)
+    return Outcome({"induced": rep.induced, "profile": rep.profile})
+
+def _run_trivialize(sc, cmd, rng):
+    res = trivialize(_command_point(sc, cmd).psi, budget=sc.budgets["residue_cap"],
+                     rng=rng.fork())
+    certs = {"b": matrix_to_json(res.b)} if res.b is not None else None
+    status = "pass" if res.found else ("fail" if res.found is False else "inconclusive")
+    return Outcome({"found": res.found, "stage": res.stage, "proven": res.proven,
+                    "detail": res.detail}, certs, status)
+
+def _run_assemble(sc, cmd, rng):
+    b = functor_T(_resolve(sc.data, cmd, "datum"), _resolve(sc.scenes, cmd, "scene"))
+    return Outcome({"ok": True, "components": {pt.label: pt.module.spec.size
+                                               for pt in b.points}})
+
+def _run_connector_independence(sc, cmd, rng):
+    dpt = _command_point(sc, cmd)
+    scene = _resolve(sc.scenes, cmd, "scene")
+    sp = scene.point(dpt.label)
+    perms = sp.perms(scene.group)
+    seeds1 = cmd.get("seeds1") or sp.default_seeds(scene.group)
+    conn1 = make_connectors(scene.group, perms, list(seeds1))
+    conn2 = make_connectors(scene.group, perms, list(cmd["seeds2"]))
+    m1 = point_module(dpt, sp, scene.group, connectors=conn1)
+    m2 = point_module(dpt, sp, scene.group, connectors=conn2)
+    tau = independence_intertwiner(m1, m2)
+    return Outcome({"ok": True, "components": len(tau.blocks)},
+                   {"tau": [matrix_to_json(b_) for b_ in tau.blocks]})
+
+def _run_roundtrip(sc, cmd, rng):
+    rep = roundtrip_check(_resolve(sc.data, cmd, "datum"), _resolve(sc.scenes, cmd, "scene"))
+    certs = ({"sigmas": {lb: matrix_to_json(m) for lb, m in rep.sigmas.items()}}
+             if rep.sigmas else None)
+    return Outcome({"ok": rep.ok, "message": rep.message, "per_point": rep.per_point}, certs)
+
+def _run_multipoint_roundtrip(sc, cmd, rng):
+    rep = multipoint_map(_resolve(sc.data, cmd, "datum"), _resolve(sc.scenes, cmd, "scene"))
+    return Outcome({"ok": rep.ok, "per_point": rep.per_point})
+
+def _run_random_roundtrips(sc, cmd, rng):
+    scene = _resolve(sc.scenes, cmd, "scene")
+    count, max_rank = cmd.get("count", 20), cmd.get("rank", 2)
+    exps = cmd.get("character_exponents", [0])
+    label = cmd.get("point", scene.points[0].label)
+    sp = scene.point(label)
+    sub = SplitMix64(cmd.get("seed", sc.seed))
+    failures = []
+    for i in range(count):
+        rank = 1 + sub.randrange(max_rank)
+        exp = exps[sub.randrange(len(exps))]
+        d = random_datum(sp.ext, rank, sub, label=label, character_exponent=exp)
+        rep = roundtrip_check(d, CoverScene(group=scene.group, points=(sp,)))
+        if not rep.ok:
+            failures.append({"index": i, "rank": rank, "message": rep.message})
+    return Outcome({"ok": not failures, "count": count, "failures": failures})
+
+def _run_pullback_refine(sc, cmd, rng):
+    out = pullback_refine(_resolve(sc.data, cmd, "datum"),
+                          _refinement_from(sc, cmd, "refinement"))
+    return Outcome({"ok": True, "rank": out.rank,
+                    "group_orders": {p.label: p.ext.group.order for p in out.points}},
+                   datum=out)
+
+def _run_equiv(sc, cmd, rng):
+    res = equiv_check(_resolve(sc.data, cmd, "datum1"), _resolve(sc.data, cmd, "datum2"),
+                      _refinement_from(sc, cmd, "refinement1"),
+                      _refinement_from(sc, cmd, "refinement2"), rng=rng.fork(),
+                      residue_cap=sc.budgets["residue_cap"],
+                      random_tries=sc.budgets["random_tries"])
+    certs = ({"g": matrix_to_json(res.g),
+              "sigmas": {lb: matrix_to_json(m) for lb, m in res.sigmas.items()}}
+             if res.g is not None else None)
+    status = {"isomorphic": "pass", "distinct": "fail",
+              "inconclusive": "inconclusive"}[res.status]
+    return Outcome({"status": res.status, "proven": res.proven, "detail": res.detail},
+                   certs, status)
+
+def _run_tensor(sc, cmd, rng):
+    out = tensor(_resolve(sc.data, cmd, "datum1"), _resolve(sc.data, cmd, "datum2"))
+    return Outcome({"ok": True, "rank": out.rank}, datum=out)
+
+def _run_dual(sc, cmd, rng):
+    out = dual(_resolve(sc.data, cmd, "datum"))
+    return Outcome({"ok": True, "rank": out.rank}, datum=out)
+
+def _run_dual_involution(sc, cmd, rng):
+    d = _resolve(sc.data, cmd, "datum")
+    dd = dual(dual(d))
+    same = all(
+        all(dd.point(p.label).psi.mats[g].agrees_with(p.psi.mats[g])
+            for g in range(p.ext.group.order))
+        and dd.point(p.label).mu.first_mismatch(p.mu) is None
+        for p in d.points)
+    return Outcome({"ok": same})
+
+def _run_dual_pairing(sc, cmd, rng):
+    rep = dual_pairing_check(_resolve(sc.data, cmd, "datum"), rng=rng.fork())
+    return Outcome({"ok": rep.ok, "message": rep.message, "iso_status": rep.iso.status})
+
+def _run_pushforward(sc, cmd, rng):
+    b = functor_T(_resolve(sc.data, cmd, "datum"), _resolve(sc.scenes, cmd, "scene"))
+    pushed = pushforward_local(b, label=cmd.get("point"))
+    inv = pushed.invariants()
+    certs = {"rep": {str(g): matrix_to_json(pushed.formal_rep[g])
+                     for g in range(pushed.group.order)}}
+    return Outcome({"rank_out": pushed.rank_out, "invariants_rank": len(inv)}, certs)
+
+def _run_adjunction(sc, cmd, rng):
+    rep = adjunction_check(cmd.get("source_rank", 1), _command_point(sc, cmd))
+    return Outcome({"ok": rep.ok, "lhs_rank": rep.lhs_rank, "rhs_rank": rep.rhs_rank,
+                    "projection_ok": rep.projection_ok})
+
+def _run_weights(sc, cmd, rng):
+    d = _resolve(sc.data, cmd, "datum")
+    try:
+        res = extract_weights(d, label=cmd.get("point"))
+    except OrbiparError as exc:
+        return Outcome({"error": str(exc)}, status="error")
+    return Outcome({"weights": [[a, n, mult] for a, n, mult in res.pairs],
+                    "generator": res.generator})
+
+def _run_tower_compat(sc, cmd, rng):
+    d = _resolve(sc.data, cmd, "datum")
+    emb = _resolve(sc.embeddings, cmd, "embedding")
+    label = d.points[0].label
+    spb = ScenePullback(embeddings={label: emb},
+                        scene_small=totally_ramified_scene(emb.small, label=label),
+                        scene_big=totally_ramified_scene(emb.big, label=label),
+                        group_quotient=emb.quotient)
+    rep = pullback_T_compat(d, spb, RefinementMap(embeddings={label: emb}))
+    return Outcome({"ok": rep.ok, "message": rep.message})
+
+
+# every command op, in the order the unknown-op message lists them
+OPS = {
+    "verify_extension": Op(("ext",), _run_verify_extension),
+    "verify_cocycle": Op(("datum",), _run_verify_cocycle),
+    "validate_parabolic": Op(("datum",), _run_validate_parabolic),
+    "invariants": Op(("datum",), _run_invariants),
+    "is_induced": Op(("datum",), _run_is_induced),
+    "trivialize": Op(("datum",), _run_trivialize),
+    "assemble": Op(("datum", "scene"), _run_assemble, places="all"),
+    "connector_independence": Op(("datum", "scene", "seeds2"), _run_connector_independence,
+                                 places="point", check=_check_connectors),
+    "roundtrip": Op(("datum", "scene"), _run_roundtrip, places="all"),
+    "multipoint_roundtrip": Op(("datum", "scene"), _run_multipoint_roundtrip, places="all"),
+    "random_roundtrips": Op(("scene",), _run_random_roundtrips,
+                            check=_check_scene_has_points),
+    "pullback_refine": Op(("datum", "refinement"), _run_pullback_refine,
+                          stores=_stores("datum", keeps_exts=False)),
+    "equiv": Op(("datum1", "datum2", "refinement1", "refinement2"), _run_equiv),
+    "tensor": Op(("datum1", "datum2"), _run_tensor, stores=_stores("datum1", "datum2")),
+    "dual": Op(("datum",), _run_dual, stores=_stores("datum")),
+    "dual_involution": Op(("datum",), _run_dual_involution),
+    "dual_pairing": Op(("datum",), _run_dual_pairing),
+    "pushforward": Op(("datum", "scene"), _run_pushforward, places="all"),
+    "adjunction": Op(("datum",), _run_adjunction, check=_check_source_rank),
+    "weights": Op(("datum",), _run_weights),
+    "tower_compat": Op(("datum", "embedding"), _run_tower_compat),
+}
+
+
 def run_command(sc: Scenario, cmd: dict, rng: SplitMix64):
-    """Returns (status, detail, certificates)."""
-    op = cmd.get("op")
+    """Returns (status, detail, certificates).  An `expect` clause decides
+    pass or fail; without one, the runner's outcome does (see Outcome)."""
+    entry = OPS[cmd["op"]]
+    result, certs, status, datum = entry.run(sc, cmd, rng)
+    if entry.stores and "store_as" in cmd:
+        sc.data[cmd["store_as"]] = datum
     expect = cmd.get("expect", {})
-
-    def finish(result, status="pass", certificates=None):
-        """An `expect` clause decides pass/fail; without one, `status` stands."""
-        if expect:
-            ok, msg = _expect_match(expect, result)
-            return ("pass" if ok else "fail",
-                    result if ok else {**result, "mismatch": msg}, certificates)
-        return (status, result, certificates)
-
-    if op == "verify_extension":
-        rep = verify_extension(_resolve(sc.extensions, cmd, "ext"))
-        return finish({"ok": rep.ok, "message": rep.message}, status=_pass_fail(rep.ok))
-
-    if op == "verify_cocycle":
-        d = _resolve(sc.data, cmd, "datum")
-        results = {}
-        ok = True
-        for pt in d.points:
-            rep = verify_cocycle(pt.psi)
-            results[pt.label] = {"ok": rep.ok, "message": rep.message,
-                                 "failing_pair": rep.detail}
-            ok = ok and rep.ok
-        return finish({"ok": ok, "points": results}, status=_pass_fail(ok))
-
-    if op == "validate_parabolic":
-        rep = validate_parabolic(_resolve(sc.data, cmd, "datum"))
-        return finish({"ok": rep.ok, "message": rep.message}, status=_pass_fail(rep.ok))
-
-    if op == "invariants":
-        from .equivariant import invariants as inv_op
-        d = _resolve(sc.data, cmd, "datum")
-        pt = _command_point(d, cmd)
-        res = inv_op(pt.psi)
-        certs = {"generators": [[series_to_json(s) for s in g] for g in res.generators],
-                 "natural": matrix_to_json(res.natural)}
-        return finish({"rank": len(res.generators), "base_prec": res.base_prec,
-                       "fixed_dim": res.fixed_dim}, certificates=certs)
-
-    if op == "is_induced":
-        d = _resolve(sc.data, cmd, "datum")
-        pt = _command_point(d, cmd)
-        rep = is_induced(pt.psi)
-        return finish({"induced": rep.induced, "profile": rep.profile})
-
-    if op == "trivialize":
-        d = _resolve(sc.data, cmd, "datum")
-        pt = _command_point(d, cmd)
-        res = trivialize(pt.psi, budget=sc.budgets["residue_cap"], rng=rng.fork())
-        certs = {"b": matrix_to_json(res.b)} if res.b is not None else {}
-        result = {"found": res.found, "stage": res.stage, "proven": res.proven,
-                  "detail": res.detail}
-        status = "pass" if res.found else ("fail" if res.found is False else "inconclusive")
-        return finish(result, status, certs)
-
-    if op == "assemble":
-        d = _resolve(sc.data, cmd, "datum")
-        scene = _resolve(sc.scenes, cmd, "scene")
-        b = functor_T(d, scene)
-        sizes = {pt.label: pt.module.spec.size for pt in b.points}
-        return finish({"ok": True, "components": sizes})
-
-    if op == "connector_independence":
-        from .equivariant import independence_intertwiner
-        d = _resolve(sc.data, cmd, "datum")
-        scene = _resolve(sc.scenes, cmd, "scene")
-        dpt = _command_point(d, cmd)
-        sp = scene.point(dpt.label)
-        perms = sp.perms(scene.group)
-        seeds1 = cmd.get("seeds1") or sp.default_seeds(scene.group)
-        conn1 = make_connectors(scene.group, perms, list(seeds1))
-        conn2 = make_connectors(scene.group, perms, list(cmd["seeds2"]))
-        m1 = point_module(dpt, sp, scene.group, connectors=conn1)
-        m2 = point_module(dpt, sp, scene.group, connectors=conn2)
-        tau = independence_intertwiner(m1, m2)
-        certs = {"tau": [matrix_to_json(b_) for b_ in tau.blocks]}
-        return finish({"ok": True, "components": len(tau.blocks)}, certificates=certs)
-
-    if op == "roundtrip":
-        d = _resolve(sc.data, cmd, "datum")
-        scene = _resolve(sc.scenes, cmd, "scene")
-        rep = roundtrip_check(d, scene)
-        certs = {}
-        if rep.sigmas:
-            certs["sigmas"] = {lb: matrix_to_json(m) for lb, m in rep.sigmas.items()}
-        return finish({"ok": rep.ok, "message": rep.message,
-                       "per_point": rep.per_point}, status=_pass_fail(rep.ok),
-                      certificates=certs)
-
-    if op == "multipoint_roundtrip":
-        d = _resolve(sc.data, cmd, "datum")
-        scene = _resolve(sc.scenes, cmd, "scene")
-        rep = multipoint_map(d, scene)
-        return finish({"ok": rep.ok, "per_point": rep.per_point}, status=_pass_fail(rep.ok))
-
-    if op == "random_roundtrips":
-        scene = _resolve(sc.scenes, cmd, "scene")
-        count = int(cmd.get("count", 20))
-        max_rank = int(cmd.get("rank", 2))
-        exps = cmd.get("character_exponents", [0])
-        label = cmd.get("point", scene.points[0].label)
-        sp = scene.point(label)
-        sub = SplitMix64(int(cmd.get("seed", sc.seed)))
-        failures = []
-        for i in range(count):
-            rank = 1 + sub.randrange(max_rank)
-            exp = exps[sub.randrange(len(exps))]
-            d = random_datum(sp.ext, rank, sub, label=label, character_exponent=exp)
-            rep = roundtrip_check(d, CoverScene(group=scene.group, points=(sp,)))
-            if not rep.ok:
-                failures.append({"index": i, "rank": rank, "message": rep.message})
-        return finish({"ok": not failures, "count": count, "failures": failures},
-                      status=_pass_fail(not failures))
-
-    if op == "pullback_refine":
-        d = _resolve(sc.data, cmd, "datum")
-        ref = _refinement_from(sc, cmd, "refinement")
-        out = pullback_refine(d, ref)
-        if "store_as" in cmd:
-            sc.data[cmd["store_as"]] = out
-        return finish({"ok": True, "rank": out.rank,
-                       "group_orders": {p.label: p.ext.group.order for p in out.points}})
-
-    if op == "equiv":
-        d1, d2 = _resolve(sc.data, cmd, "datum1"), _resolve(sc.data, cmd, "datum2")
-        ref1 = _refinement_from(sc, cmd, "refinement1")
-        ref2 = _refinement_from(sc, cmd, "refinement2")
-        res = equiv_check(d1, d2, ref1, ref2, rng=rng.fork(),
-                          residue_cap=sc.budgets["residue_cap"],
-                          random_tries=sc.budgets["random_tries"])
-        result = {"status": res.status, "proven": res.proven, "detail": res.detail}
-        certs = {}
-        if res.g is not None:
-            certs = {"g": matrix_to_json(res.g),
-                     "sigmas": {lb: matrix_to_json(m) for lb, m in res.sigmas.items()}}
-        status = {"isomorphic": "pass", "distinct": "fail",
-                  "inconclusive": "inconclusive"}[res.status]
-        return finish(result, status, certs)
-
-    if op == "tensor":
-        out = tensor(_resolve(sc.data, cmd, "datum1"), _resolve(sc.data, cmd, "datum2"))
-        if "store_as" in cmd:
-            sc.data[cmd["store_as"]] = out
-        return finish({"ok": True, "rank": out.rank})
-
-    if op == "dual":
-        out = dual(_resolve(sc.data, cmd, "datum"))
-        if "store_as" in cmd:
-            sc.data[cmd["store_as"]] = out
-        return finish({"ok": True, "rank": out.rank})
-
-    if op == "dual_involution":
-        d = _resolve(sc.data, cmd, "datum")
-        dd = dual(dual(d))
-        same = all(
-            all(dd.point(p.label).psi.mats[g].agrees_with(p.psi.mats[g])
-                for g in range(p.ext.group.order))
-            and dd.point(p.label).mu.first_mismatch(p.mu) is None
-            for p in d.points)
-        return finish({"ok": same}, status=_pass_fail(same))
-
-    if op == "dual_pairing":
-        d = _resolve(sc.data, cmd, "datum")
-        rep = dual_pairing_check(d, rng=rng.fork())
-        return finish({"ok": rep.ok, "message": rep.message,
-                       "iso_status": rep.iso.status}, status=_pass_fail(rep.ok))
-
-    if op == "pushforward":
-        d = _resolve(sc.data, cmd, "datum")
-        scene = _resolve(sc.scenes, cmd, "scene")
-        b = functor_T(d, scene)
-        pushed = pushforward_local(b, label=cmd.get("point"))
-        inv = pushed.invariants()
-        certs = {"rep": {str(g): matrix_to_json(pushed.formal_rep[g])
-                         for g in range(pushed.group.order)}}
-        return finish({"rank_out": pushed.rank_out, "invariants_rank": len(inv)},
-                      certificates=certs)
-
-    if op == "adjunction":
-        d = _resolve(sc.data, cmd, "datum")
-        pt = _command_point(d, cmd)
-        rep = adjunction_check(int(cmd.get("source_rank", 1)), pt)
-        return finish({"ok": rep.ok, "lhs_rank": rep.lhs_rank,
-                       "rhs_rank": rep.rhs_rank,
-                       "projection_ok": rep.projection_ok},
-                      status=_pass_fail(rep.ok))
-
-    if op == "weights":
-        d = _resolve(sc.data, cmd, "datum")
-        try:
-            res = extract_weights(d, label=cmd.get("point"))
-        except OrbiparError as exc:
-            return finish({"error": str(exc)}, "error")
-        result = {"weights": [[a, n, mult] for a, n, mult in res.pairs],
-                  "generator": res.generator}
-        return finish(result)
-
-    if op == "tower_compat":
-        d = _resolve(sc.data, cmd, "datum")
-        emb = _resolve(sc.embeddings, cmd, "embedding")
-        label = d.points[0].label
-        scene_small = totally_ramified_scene(emb.small, label=label)
-        scene_big = totally_ramified_scene(emb.big, label=label)
-        spb = ScenePullback(embeddings={label: emb}, scene_small=scene_small,
-                            scene_big=scene_big, group_quotient=emb.quotient)
-        ref = RefinementMap(embeddings={label: emb})
-        rep = pullback_T_compat(d, spb, ref)
-        return finish({"ok": rep.ok, "message": rep.message}, status=_pass_fail(rep.ok))
-
-    import difflib
-
-    known = list(_REQUIRED_KEYS)
-    close = difflib.get_close_matches(str(op), known, n=3)
-    hint = f"; did you mean {', '.join(close)}?" if close else ""
-    raise ScenarioError(f"unknown command op {op!r}{hint} (known: {', '.join(known)})")
+    for key, want in expect.items():
+        got = result.get(key)
+        if got != want:
+            return "fail", {**result, "mismatch": f"expected {key}={want!r}, got {got!r}"}, certs
+    if expect:
+        return "pass", result, certs
+    return status or ("pass" if result.get("ok", True) else "fail"), result, certs
 
 
 def run_scenario(sc: Scenario) -> dict:

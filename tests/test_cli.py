@@ -1,10 +1,12 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from orbipar.cli import demo_scenario, main
 from orbipar.errors import ScenarioError
-from orbipar.scenario import (MAX_GROUP_ORDER, MAX_PRECISION, MAX_RANK, MAX_ROUNDTRIPS,
+from orbipar.scenario import (MAX_GROUP_ORDER, MAX_PRECISION, MAX_RANK, MAX_ROUNDTRIPS, OPS,
                               load_scenario, matrix_from_json)
 
 
@@ -61,12 +63,31 @@ def test_broken_cocycle_scenario_exits_one(tmp_path):
     assert detail["points"]["p"]["failing_pair"] == [1, 1]
 
 
-def test_unknown_command_is_structural_error(tmp_path):
+def test_unknown_command_is_structural_error(tmp_path, capsys):
+    """An unknown op is rejected at load: run writes no report, and verify
+    rejects the file too."""
     doc = {"schema": "orbipar-scenario/1", "field": {"p": 5}, "precision": 8,
-           "seed": 3, "commands": [{"op": "frobnicate"}]}
+           "seed": 3, "commands": [{"op": "roundtip"}]}
     code, report, _ = run_cli(tmp_path, doc)
-    assert code == 2
-    assert "unknown command" in report["results"][0]["detail"]["error"]
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert "bad scenario" in err and "unknown command op 'roundtip'" in err
+    assert "did you mean roundtrip" in err
+    assert main(["verify", str(tmp_path / "scenario.json")]) == 2
+
+
+def test_readme_lists_the_ops_of_the_table():
+    """README lists the table's ops, in its order, and names the ops that place
+    a datum on a scene by where they place it."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    text = " ".join(readme.read_text().split())
+    listed = re.search(r"Commands include (.*?)\.", text).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(OPS)
+    every, at_point = re.search(r"places a datum on a scene \((.*?) at every datum point,"
+                                r" (.*?) at its point\)", text).groups()
+    for names, places in ((every, "all"), (at_point, "point")):
+        assert re.findall(r"`(\w+)`", names) == [op for op, e in OPS.items()
+                                                  if e.places == places]
 
 
 def test_missing_seed_rejected(tmp_path):
@@ -113,11 +134,19 @@ def test_seed_override_changes_report(tmp_path):
     assert rep1["seed"] != rep2["seed"]
 
 
+def extension_to_json(ext):
+    """Scenario-format form of an extension: group table, per-element action
+    images, base uniformizer coefficients."""
+    return {"kind": "explicit",
+            "group": {"kind": "table", "table": [list(r) for r in ext.group.table]},
+            "action": [list(a.coeffs) for a in ext.action],
+            "t": list(ext.base_uniformizer.coeffs)}
+
+
 def test_explicit_extension_serialization_round_trip(tmp_path):
     """An extension serialized to the scenario format loads back and verifies."""
     from orbipar.fields import make_field
     from orbipar.local_galois import make_artin_schreier
-    from orbipar.scenario import extension_to_json
 
     ext = make_artin_schreier(make_field(3), 8)
     doc = {"schema": "orbipar-scenario/1", "field": {"p": 3}, "precision": 8,
@@ -178,13 +207,14 @@ def _with_identity_embedding(cmd):
     return edit
 
 
-def _tensor_square(rank):
-    """An edit adding a trivial datum of the given rank and its stored tensor square."""
+def _tensor_square(rank, store_as="big2"):
+    """An edit adding a trivial datum of the given rank and its tensor square,
+    stored under store_as unless that is None."""
     def edit(d):
         d["data"]["big"] = {"kind": "trivial", "rank": rank,
                             "points": [{"label": "p", "ext": "K2"}]}
-        d["commands"].append({"op": "tensor", "datum1": "big", "datum2": "big",
-                              "store_as": "big2"})
+        cmd = {"op": "tensor", "datum1": "big", "datum2": "big"}
+        d["commands"].append(cmd if store_as is None else {**cmd, "store_as": store_as})
     return edit
 
 
@@ -285,6 +315,13 @@ BAD_INPUTS = {
     "command-rank-above-cap": lambda d: d["commands"].append(
         {"op": "random_roundtrips", "scene": "cover", "rank": MAX_RANK + 1}),
     "tensor-rank-above-cap": _tensor_square(9),
+    "unstored-tensor-rank-above-cap": _tensor_square(9, store_as=None),
+    "adjunction-source-rank-zero": lambda d: d["commands"].append(
+        {"op": "adjunction", "datum": "d", "source_rank": 0}),
+    "adjunction-source-rank-above-cap": lambda d: d["commands"].append(
+        {"op": "adjunction", "datum": "d", "source_rank": MAX_RANK + 1}),
+    "unknown-op": lambda d: d["commands"][1].update(op="roundtip"),
+    "missing-op": lambda d: d["commands"][1].__delitem__("op"),
     "count-zero": lambda d: d["commands"].append(
         {"op": "random_roundtrips", "scene": "cover", "count": 0}),
     "count-negative": lambda d: d["commands"].append(
@@ -364,8 +401,11 @@ def test_base_of_bad_inputs_is_good(tmp_path):
     f = tmp_path / "s.json"
     f.write_text(json.dumps(BASE))
     assert main(["verify", str(f)]) == 0
-    f.write_text(json.dumps(_broken(_tensor_square(8))))
-    assert main(["verify", str(f)]) == 0
+    for edit in (_tensor_square(8), _tensor_square(8, store_as=None),
+                 lambda d: d["commands"].append(
+                     {"op": "adjunction", "datum": "d", "source_rank": MAX_RANK})):
+        f.write_text(json.dumps(_broken(edit)))
+        assert main(["verify", str(f)]) == 0
     for group in ({"kind": "cyclic", "n": MAX_GROUP_ORDER},
                   {"kind": "dihedral", "n": MAX_GROUP_ORDER // 2},
                   {"kind": "product", "left": {"kind": "cyclic", "n": 2},
