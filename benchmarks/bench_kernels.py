@@ -101,6 +101,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from orbipar import kernels
 from orbipar.fields import make_field
+from orbipar.groups import Report
 from orbipar.prng import SplitMix64
 from run import Meter
 
@@ -568,7 +569,7 @@ def bench_law_checks(results, repeats, runs):
         assert all(verify_cocycle(c).ok for c in (pt.psi, dst.psi))
         assert all(verify_action(m).ok for m in (module, m2, gpt.module))
         for _, _, ref, fast in unary:
-            assert fast() is ref() is None
+            assert fast() == ref() == Report(True, "ok")
         compare([(f"{name}_exhaustive", name, label, ref, fast)
                  for name, label, ref, fast in unary])
 
@@ -595,7 +596,7 @@ def bench_assembly(results, repeats, runs):
     scene4 = CoverScene(group=cyclic(4), points=(ScenePoint("p", k4, (0, 1, 2, 3), (0,)),))
     glued = functor_T(random_datum(k4, 1, SplitMix64(31), character_exponent=1), scene4)
     pushed = pushforward_local(glued)
-    assert pushed.verify() == pushed.verify_exhaustive() == (True, "ok")
+    assert pushed.verify() == pushed.verify_exhaustive() == Report(True, "ok")
     z6, z4 = "Z/6 rank 2 GF(7) N=16", "Z/4 rank 1 GF(13) N=8"
     cases = [("build_spec_from_scene", z6, lambda: build_spec_from_scene(sp, group, psi)),
              ("independence_intertwiner", z6, lambda: independence_intertwiner(m1, m2)),

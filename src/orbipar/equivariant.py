@@ -432,20 +432,18 @@ def independence_intertwiner(mod1: ProductGModule, mod2: ProductGModule) -> Equi
                                 "(ring parts of the two theta families disagree)",
                                 condition="tau", indices=(j,))
         blocks.append(ext.psi(w2)(psi.cocycle.mats[u]))
-    bad = first_nonintertwining(mod1, mod2, blocks)
-    if bad is not None:
-        g, i, index_mismatch = bad
-        if index_mismatch:
-            raise AssemblyError("modules have incompatible index actions",
-                                condition="tau", indices=(g, i))
-        raise AssemblyError(f"intertwiner fails equivariance at element {g}, component {i}",
-                            condition="tau", indices=(g, i))
+    rep = first_nonintertwining(mod1, mod2, blocks)
+    if not rep.ok:
+        msg = ("modules have incompatible index actions" if rep.detail[2]
+               else f"intertwiner fails equivariance at {rep.message}")
+        raise AssemblyError(msg, condition="tau", indices=rep.detail[:2])
     return EquivariantMorphism(blocks=tuple(blocks))
 
 
-def first_nonintertwining(mod1: ProductGModule, mod2: ProductGModule, blocks):
-    """The first (g, i, index_mismatch) at which Phi2(g) o tau = tau o Phi1(g)
-    fails blockwise, tau being the R-linear blocks; None if tau intertwines.
+def first_nonintertwining(mod1: ProductGModule, mod2: ProductGModule, blocks) -> Report:
+    """Whether Phi2(g) o tau = tau o Phi1(g) blockwise for every g, tau
+    being the R-linear blocks: a Report whose failing detail is the first
+    (g, i, index_mismatch) at which it fails.
 
     index_mismatch is True when the two modules send component i to
     different targets or ring parts under g, False when only the matrix
@@ -479,11 +477,10 @@ def _intertwining_scan(mod1, mod2, blocks, gs):
         for i in range(mod1.size):
             j1, ma, wa = mod1.phi[g][i]
             j2, mb, wb = mod2.phi[g][i]
-            if j1 != j2 or wa != wb:
-                return g, i, True
-            if not (mb * ext.psi(wb)(blocks[i])).agrees_with(blocks[j1] * ma):
-                return g, i, False
-    return None
+            index_mismatch = j1 != j2 or wa != wb
+            if index_mismatch or not (mb * ext.psi(wb)(blocks[i])).agrees_with(blocks[j1] * ma):
+                return Report(False, f"element {g}, component {i}", (g, i, index_mismatch))
+    return Report(True, "ok")
 
 
 # ---------------------------------------------------------------------------
@@ -623,11 +620,10 @@ def _invariants(c: Cocycle) -> InvariantsResult:
     # group's generators when c is a cocycle: Phi(hk) = Phi(h) o Phi(k)
     # exactly mod s^N, so vectors fixed by Phi(h) and Phi(k) are fixed by
     # Phi(hk); otherwise, or on a failure, every element is scanned
-    g = law_by_generators(ext.group, lambda gs: _unfixed_scan(c, selected, gs),
-                          premise=lambda: verify_cocycle(c).ok)
-    if g is not None:
-        raise RankDeficiencyError(f"extracted generator is not fixed by element {g}",
-                                  found=len(selected), expected=rank)
+    rep = law_by_generators(ext.group, lambda gs: _unfixed_scan(c, selected, gs),
+                            premise=lambda: verify_cocycle(c).ok)
+    if not rep.ok:
+        raise RankDeficiencyError(rep.message, found=len(selected), expected=rank)
 
     natural = Matrix([[selected[j][i] for j in range(rank)] for i in range(rank)])
     return InvariantsResult(generators=selected, natural=natural,
@@ -636,13 +632,14 @@ def _invariants(c: Cocycle) -> InvariantsResult:
 
 
 def _unfixed_scan(c: Cocycle, vectors, gs):
-    """The first g in gs whose Phi(g) moves one of the vectors, or None."""
+    """Whether Phi(g) fixes every vector for g in gs: a Report whose failing
+    detail is the first g that moves one of them."""
     for g in gs:
         for vec in vectors:
             img = c.apply(g, vec)
             if any(a.coeffs != b.coeffs for a, b in zip(img, vec)):
-                return g
-    return None
+                return Report(False, f"extracted generator is not fixed by element {g}", g)
+    return Report(True, "ok")
 
 
 def invariants_product(m: ProductGModule) -> InvariantsResult:

@@ -106,28 +106,27 @@ class Report:
     detail: object = None
 
 
-def law_by_generators(group, check, premise=None):
+def law_by_generators(group, check, premise=lambda: True):
     """The report of a group law, proven on the generators where it holds.
 
-    check(hs) scans the law at the elements hs.  A binary law L(h, g) is
-    scanned for h in hs and every g, and its report is a Report; each such
-    law composes: L(h1, h2 g), L(h1, h2) and L(h2, g) give L(h1 h2, g).  A
-    unary law L(g) is scanned for g in hs, and its report is None where the
-    law holds (a failing Report, or what the scan found, where it fails); it
-    composes under the caller's premise, premise() (a cocycle or action law
-    already verified): L(h) and L(g) give L(hg).  In a finite group every
-    element, e included, is a positive word in the generators, so the law
-    on the generators proves it everywhere, by induction on the length of
-    the word.  The order-1 group has no generators, so there e is checked
-    directly.  If the premise fails, or the generator scan fails, or either
-    raises an orbipar error, the exhaustive scan check(range(order)) runs
-    instead, so a failure reports the same first failing element, message
-    and detail as the exhaustive scan.
+    check(hs) scans the law at the elements hs and returns a Report.  A
+    binary law L(h, g) is scanned for h in hs and every g; each such law
+    composes: L(h1, h2 g), L(h1, h2) and L(h2, g) give L(h1 h2, g).  A unary
+    law L(g) is scanned for g in hs; it composes under the caller's premise,
+    premise() (a cocycle or action law already verified): L(h) and L(g)
+    give L(hg).  In a finite group every element, e included, is a positive
+    word in the generators, so the law on the generators proves it
+    everywhere, by induction on the length of the word.  The order-1 group
+    has no generators, so there e is checked directly.  If the premise
+    fails, or the generator scan fails, or either raises an orbipar error,
+    the exhaustive scan check(range(order)) runs instead, so a failure
+    reports the same first failing element, message and detail as the
+    exhaustive scan.
     """
     try:
-        if premise is None or premise():
+        if premise():
             rep = check(group.generators() or [0])
-            if rep is None or isinstance(rep, Report) and rep.ok:
+            if rep.ok:
                 return rep
     except OrbiparError:
         pass

@@ -61,11 +61,22 @@ class ParabolicDatum:
     rank: int
     points: tuple
 
+    def __post_init__(self):
+        _check_distinct_labels(self.points, "datum")
+
     def point(self, label):
         for pt in self.points:
             if pt.label == label:
                 return pt
         raise StructuralError(f"no point labeled {label!r}")
+
+
+def _check_distinct_labels(points, owner):
+    """Points are looked up, and results keyed, by label, so no two may share one."""
+    labels = [pt.label for pt in points]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise StructuralError(f"{owner} has two points labeled {label!r}")
 
 
 def trivial_datum(rank, labeled_exts):
@@ -89,14 +100,14 @@ def sign_twist_datum(field, prec, label="p"):
     return ParabolicDatum(rank=1, points=(ParabolicPoint(label, ext, psi, mu),))
 
 
-def check_mu_equivariance(ext, psi: Cocycle, mu: Matrix):
+def check_mu_equivariance(ext, psi: Cocycle, mu: Matrix) -> Report:
     """Condition (b): A_g * psi(g)(mu) = mu on the common validity window.
 
-    Returns None, or (g, (i, j, exponent)) for the first violation.  Proven
-    on the generators (groups.law_by_generators) when verify_cocycle passes
-    on psi; otherwise, or on a failure, the exhaustive scan of
-    check_mu_equivariance_exhaustive decides.  The window argument, with
-    x = mu and E_g = A_g psi(g)(x) - x:
+    A failing Report's detail is (g, (i, j, exponent)), the first
+    violation.  Proven on the generators (groups.law_by_generators) when
+    verify_cocycle passes on psi; otherwise, or on a failure, the
+    exhaustive scan of check_mu_equivariance_exhaustive decides.  The
+    window argument, with x = mu and E_g = A_g psi(g)(x) - x:
 
     * Every A_g is a Series matrix at precision N: floor 0, length N.  The
       window psi(g) gives an entry depends on that entry's floor and length
@@ -122,7 +133,7 @@ def check_mu_equivariance(ext, psi: Cocycle, mu: Matrix):
                              premise=lambda: verify_cocycle(psi).ok)
 
 
-def check_mu_equivariance_exhaustive(ext, psi: Cocycle, mu: Matrix):
+def check_mu_equivariance_exhaustive(ext, psi: Cocycle, mu: Matrix) -> Report:
     """check_mu_equivariance by a scan of every g in G: the reference."""
     return _mu_scan(ext, psi, mu, range(ext.group.order))
 
@@ -133,8 +144,9 @@ def _mu_scan(ext, psi, mu, gs):
         lhs = psi.mats[g].to_laurent() * ext.psi(g)(mu)
         mism = lhs.first_mismatch(mu)
         if mism is not None:
-            return (g, mism)
-    return None
+            return Report(False, f"element {g}, entry {mism[:2]}, exponent {mism[2]}",
+                          (g, mism))
+    return Report(True, "ok")
 
 
 def validate_parabolic(d: ParabolicDatum) -> Report:
@@ -143,24 +155,22 @@ def validate_parabolic(d: ParabolicDatum) -> Report:
     per run (memo table point_check)."""
     for pt in d.points:
         rep = memoized("point_check", pt, None, lambda: _check_point(pt))
-        if rep is not None:
+        if not rep.ok:
             return rep
     return Report(True, "ok")
 
 
-def _check_point(pt: ParabolicPoint):
-    """The report of the first failing check at one datum point, or None."""
+def _check_point(pt: ParabolicPoint) -> Report:
+    """The report of the first check that fails at one datum point, or ok."""
     rep = verify_cocycle(pt.psi)
     if not rep.ok:
         return Report(False, f"condition (a) fails at {pt.label}: {rep.message}", rep)
-    bad = check_mu_equivariance(pt.ext, pt.psi, pt.mu)
-    if bad is not None:
-        g, mism = bad
-        return Report(False, f"condition (b) fails at {pt.label}, element {g}, "
-                      f"entry {mism[:2]}, exponent {mism[2]}", bad)
+    rep = check_mu_equivariance(pt.ext, pt.psi, pt.mu)
+    if not rep.ok:
+        return Report(False, f"condition (b) fails at {pt.label}, {rep.message}", rep.detail)
     if not is_invertible(pt.mu):
         return Report(False, f"mu at {pt.label} is not invertible")
-    return None
+    return Report(True, "ok")
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +261,7 @@ class CoverScene:
     points: tuple
 
     def __post_init__(self):
+        _check_distinct_labels(self.points, "scene")
         for pt in self.points:
             pt.validate(self.group)
 
@@ -300,23 +311,23 @@ def verify_glued(b: GluedBundle) -> Report:
     group = b.scene.group
     for pt in b.points:
         rep = memoized("glued_check", pt, group, lambda: _check_glued_point(pt, group))
-        if rep is not None:
+        if not rep.ok:
             return rep
     return Report(True, "ok")
 
 
-def _check_glued_point(pt: GluedPoint, group):
-    """The report of the first failing check at one glued point, or None."""
+def _check_glued_point(pt: GluedPoint, group) -> Report:
+    """The report of the first check that fails at one glued point, or ok."""
     for i, tau in enumerate(pt.taus):
         if not is_invertible(tau):
             return Report(False, f"tau_{i} at {pt.label} is not invertible")
     return check_tau_equivariance(pt, group)
 
 
-def check_tau_equivariance(pt: GluedPoint, group):
+def check_tau_equivariance(pt: GluedPoint, group) -> Report:
     """The ring parts of the formal and generic actions agree at every
     (g, i), and m * psi(w)(tau_i) = tau_j for each block (j, m, w) of
-    Phi(g) on component i; None, or the report of the first failure.
+    Phi(g) on component i; the Report of the first failure, or ok.
 
     The ring parts are integers and are compared at every (g, i).  The tau
     law is proven on the generators (groups.law_by_generators) when
@@ -340,7 +351,7 @@ def check_tau_equivariance(pt: GluedPoint, group):
     return law_by_generators(group, lambda gs: _tau_scan(pt, group, gs), premise=premise)
 
 
-def check_tau_equivariance_exhaustive(pt: GluedPoint, group):
+def check_tau_equivariance_exhaustive(pt: GluedPoint, group) -> Report:
     """check_tau_equivariance by a scan of every g in G: the reference."""
     return _tau_scan(pt, group, range(group.order))
 
@@ -367,7 +378,7 @@ def _tau_scan(pt, group, gs):
                 return Report(False, f"tau-equivariance fails at {pt.label}, element {g}, "
                               f"component {i}, entry {mism[:2]}, exponent {mism[2]}",
                               (g, i, mism))
-    return None
+    return Report(True, "ok")
 
 
 def _thetas_from_connectors(scene_point, group, connectors):
@@ -534,7 +545,7 @@ def validate_parabolic_morphism(src: ParabolicDatum, dst: ParabolicDatum,
             raise StructuralError(f"extensions differ at {spt.label}")
         sigma = sigmas[spt.label]
         rep = check_sigma_equivariance(spt, dpt, sigma)
-        if rep is not None:
+        if not rep.ok:
             return rep
         g_local = base_to_point(spt.ext, g_matrix).to_laurent()
         lhs = dpt.mu * g_local
@@ -548,7 +559,7 @@ def validate_parabolic_morphism(src: ParabolicDatum, dst: ParabolicDatum,
 
 def check_sigma_equivariance(spt: ParabolicPoint, dpt: ParabolicPoint, sigma: Matrix):
     """sigma * A1_a = A2_a * psi(a)(sigma) for every a in I, A1 and A2 the
-    cocycles at spt and dpt; None, or the report of the first failure.
+    cocycles at spt and dpt; the Report of the first failure, or ok.
 
     The law at a and at b gives it at ab, by both cocycle laws:
     sigma A1_ab = sigma A1_a psi(a)(A1_b) = A2_a psi(a)(sigma A1_b) =
@@ -566,7 +577,7 @@ def check_sigma_equivariance(spt: ParabolicPoint, dpt: ParabolicPoint, sigma: Ma
 
 
 def check_sigma_equivariance_exhaustive(spt: ParabolicPoint, dpt: ParabolicPoint,
-                                        sigma: Matrix):
+                                        sigma: Matrix) -> Report:
     """check_sigma_equivariance by a scan of every a in I: the reference."""
     return _sigma_scan(spt, dpt, sigma, range(spt.ext.group.order))
 
@@ -578,8 +589,8 @@ def _sigma_scan(spt, dpt, sigma, xs):
         lhs = sigma * spt.psi.mats[a]
         rhs = dpt.psi.mats[a] * ext.psi(a)(sigma)
         if not lhs.agrees_with(rhs):
-            return Report(False, f"sigma at {spt.label} is not equivariant at element {a}")
-    return None
+            return Report(False, f"sigma at {spt.label} is not equivariant at element {a}", a)
+    return Report(True, "ok")
 
 
 @dataclass
@@ -643,13 +654,11 @@ def roundtrip_check(d: ParabolicDatum, scene: CoverScene) -> RoundtripReport:
                                        per_point)
             blocks.append(m)
         # rho equivariance: rho_j o Phi(g) = Phi~(g) o rho_i blockwise
-        bad = first_nonintertwining(gpt.module, gpt2.module, blocks)
-        if bad is not None:
-            g, i, index_mismatch = bad
-            if index_mismatch:
-                return RoundtripReport(False, "incompatible index bookkeeping", per_point)
-            return RoundtripReport(False, f"rho equivariance fails at {label}, element {g}, "
-                                   f"component {i}", per_point)
+        rep = first_nonintertwining(gpt.module, gpt2.module, blocks)
+        if not rep.ok:
+            msg = ("incompatible index bookkeeping" if rep.detail[2]
+                   else f"rho equivariance fails at {label}, {rep.message}")
+            return RoundtripReport(False, msg, per_point)
         # gluing square: tau~_i = rho_i o tau_i (generic comparison = identity)
         for i in range(l):
             lhs = gpt2.taus[i]

@@ -376,13 +376,13 @@ class PushedBundle:
     generic_rep: tuple
     tau: Matrix             # Laurent entries, values in t
 
-    def verify(self):
-        """(ok, message) of the representation laws rep(hg) = rep(h) rep(g),
+    def verify(self) -> Report:
+        """The Report of the representation laws rep(hg) = rep(h) rep(g),
         proven on the generators h (groups.law_by_generators; products of
         base matrices are associative), then of tau's equivariance per g."""
         return self._verify(lambda law: law_by_generators(self.group, law))
 
-    def verify_exhaustive(self):
+    def verify_exhaustive(self) -> Report:
         """verify with the laws scanned over all |G|^2 pairs: the reference."""
         return self._verify(lambda law: law(range(self.group.order)))
 
@@ -390,17 +390,17 @@ class PushedBundle:
         mul = self.group.mul
         for name, rep in (("formal", self.formal_rep), ("generic", self.generic_rep)):
             report = prove(lambda hs: next(
-                (Report(False, f"{name} representation law fails at ({h},{g})")
+                (Report(False, f"{name} representation law fails at ({h},{g})", (h, g))
                  for h in hs for g in range(self.group.order)
                  if not rep[mul(h, g)].agrees_with(rep[h] * rep[g])), Report(True, "ok")))
             if not report.ok:
-                return False, report.message
+                return report
         for g in range(self.group.order):
             lhs = self.formal_rep[g].to_laurent() * self.tau
             rhs = self.tau * self.generic_rep[g].to_laurent()
             if lhs.first_mismatch(rhs) is not None:
-                return False, f"pushed gluing not equivariant at {g}"
-        return True, "ok"
+                return Report(False, f"pushed gluing not equivariant at {g}", g)
+        return Report(True, "ok")
 
     def invariants(self):
         """Fixed module of the formal representation over the base ring."""
@@ -481,9 +481,9 @@ def pushforward_local(b: GluedBundle, label=None) -> PushedBundle:
     pushed = PushedBundle(group=group, field=field, base_prec=base_prec,
                           rank_out=d_out, formal_rep=tuple(formal),
                           generic_rep=tuple(generic), tau=Matrix(big_tau))
-    ok, msg = pushed.verify()
-    if not ok:
-        raise ConfigurationError(f"pushforward failed verification: {msg}")
+    rep = pushed.verify()
+    if not rep.ok:
+        raise ConfigurationError(f"pushforward failed verification: {rep.message}")
     return pushed
 
 

@@ -11,7 +11,7 @@ canonical JSON (sorted keys, no whitespace, no wall-clock data), so fixed
 import difflib
 import json
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .equivariant import (Cocycle, independence_intertwiner, invariants, is_induced,
@@ -91,9 +91,7 @@ def matrix_from_json(field, prec, data, laurent=False):
 
 @dataclass
 class Scenario:
-    raw: dict
     field: object
-    precision: int
     seed: int
     budgets: dict
     extensions: dict
@@ -101,7 +99,6 @@ class Scenario:
     scenes: dict
     data: dict
     commands: list
-    quotients: dict = dc_field(default_factory=dict)
 
 
 def _resolve(table, cfg, key):
@@ -227,12 +224,13 @@ def _load(doc, at):
         elif kind == "sign_twist":
             data[name] = sign_twist_datum(field, prec, label=cfg.get("label", "p"))
         elif kind == "random":
-            rng = SplitMix64(int(cfg.get("seed", master.next_u64())))
+            rng = SplitMix64(_int(cfg.get("seed", master.next_u64()), f"datum {name!r}: seed"))
             pts = []
             for p in cfg["points"]:
                 dd = random_datum(_resolve(exts, p, "ext"), rank, rng,
                                   label=p["label"],
-                                  character_exponent=int(p.get("character_exponent", 0)))
+                                  character_exponent=_int(p.get("character_exponent", 0),
+                                                          f"datum {name!r}: character_exponent"))
                 pts.append(dd.points[0])
             data[name] = ParabolicDatum(rank=rank, points=tuple(pts))
         elif kind == "explicit":
@@ -247,13 +245,10 @@ def _load(doc, at):
         else:
             raise ScenarioError(f"datum {name!r}: unknown kind {kind!r}")
 
-    at[0] = "group_quotients"
-    quotients = {name: tuple(q) for name, q in doc.get("group_quotients", {}).items()}
     at[0] = "commands"
 
-    sc = Scenario(raw=doc, field=field, precision=prec, seed=seed, budgets=budgets,
-                  extensions=exts, embeddings=embs, scenes=scenes, data=data,
-                  commands=list(doc.get("commands", [])), quotients=quotients)
+    sc = Scenario(field=field, seed=seed, budgets=budgets, extensions=exts, embeddings=embs,
+                  scenes=scenes, data=data, commands=list(doc.get("commands", [])))
     _check_references(sc)
     return sc
 

@@ -365,6 +365,13 @@ BAD_INPUTS = {
     "random-roundtrips-on-empty-scene": _random_roundtrips_on_empty_scene,
     "scene-point-not-object": lambda d: d["scenes"]["cover"]["points"].__setitem__(0, "p"),
     "scene-group-without-n": _scene_group({"kind": "cyclic"}),
+    "random-seed-string": lambda d: d["data"]["d"].update(seed="13"),
+    "character-exponent-float": lambda d: d["data"]["d"]["points"][0].update(
+        character_exponent=1.7),
+    "datum-duplicate-label": lambda d: d["data"]["d"]["points"].append(
+        {"label": "p", "ext": "K2"}),
+    "scene-duplicate-label": lambda d: d["scenes"]["cover"]["points"].append(
+        {"label": "p", "ext": "K2", "totally_ramified": True}),
 }
 GROUP_CAP_CASES = sorted(k for k in BAD_INPUTS if "cap" in k and any(
     w in k for w in ("cyclic", "dihedral", "product", "table", "group", "kummer", "tower")))

@@ -196,9 +196,9 @@ def test_first_nonintertwining_reports_first_failure():
         ScenePoint(label="p", ext=ext, iso=(0, 2, 4), transversal=(0, t)), g6, c))
         for t in (1, 3)]
     ident = Matrix.identity(F7, 1, 12)
-    assert first_nonintertwining(mods[0], mods[0], [ident, ident]) is None
-    assert first_nonintertwining(mods[0], mods[0], [ident, ident.scale(2)]) == (1, 0, False)
-    assert first_nonintertwining(mods[0], mods[1], [ident, ident]) == (1, 0, True)
+    assert first_nonintertwining(mods[0], mods[0], [ident, ident]).ok
+    assert first_nonintertwining(mods[0], mods[0], [ident, ident.scale(2)]).detail == (1, 0, False)
+    assert first_nonintertwining(mods[0], mods[1], [ident, ident]).detail == (1, 0, True)
 
 
 # -- invariants / induced --

@@ -1,24 +1,29 @@
 """Differential tests of the fast checks against their references.
 
-verify_cocycle, verify_action and verify_extension prove their group laws
-on the generators and fall back to the exhaustive scan on a failure; their
-reports must equal those of verify_cocycle_exhaustive,
-verify_action_exhaustive and verify_extension_exhaustive, on valid inputs
-and on inputs corrupted at one generator value or at one other value.  The
-unary laws (check_mu_equivariance, check_tau_equivariance,
-first_nonintertwining, check_sigma_equivariance) are proven on the
-generators only under their premise, the memoized verify_cocycle or
-verify_action; their reports must equal those of the *_exhaustive scans
-on valid data, on data corrupted at one coefficient, on cocycles and
-modules corrupted off the generators (where the premise must force the
-exhaustive answer), and on a mu with negative floors and unequal entry
-windows; the fast checks run outside a run, where the premise is computed,
-and inside a scenario run whose memo holds their premises, as in
-`orbipar run`.  is_invertible
-must be False exactly where Matrix.inverse raises, and the divisor-only
-Smith form must give the divisors of the full one.
+Every group-law check here returns a groups.Report, and a fast report
+must equal its reference's whole: ok, message and detail.
+verify_cocycle, verify_action, verify_extension and PushedBundle.verify
+prove their group laws on the generators and fall back to the exhaustive
+scan on a failure; their reports must equal those of
+verify_cocycle_exhaustive, verify_action_exhaustive,
+verify_extension_exhaustive and PushedBundle.verify_exhaustive, on valid
+inputs and on inputs corrupted at one generator value or at one other
+value (for the pushed bundle: at a non-generator, or at one tau
+coefficient).  The unary laws (check_mu_equivariance,
+check_tau_equivariance, first_nonintertwining, check_sigma_equivariance)
+are proven on the generators only under their premise, the memoized
+verify_cocycle or verify_action; their reports must equal those of the
+*_exhaustive scans on valid data, on data corrupted at one coefficient,
+on cocycles and modules corrupted off the generators (where the premise
+must force the exhaustive answer), and on a mu with negative floors and
+unequal entry windows; the fast checks run outside a run, where the
+premise is computed, and inside a scenario run whose memo holds their
+premises, as in `orbipar run`.  is_invertible must be False exactly where
+Matrix.inverse raises, and the divisor-only Smith form must give the
+divisors of the full one.
 """
 
+from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -41,9 +46,10 @@ from orbipar.parabolic import (GluedPoint, ParabolicDatum, ParabolicPoint, Scene
                                build_spec_from_scene, check_mu_equivariance,
                                check_mu_equivariance_exhaustive, check_sigma_equivariance,
                                check_sigma_equivariance_exhaustive, check_tau_equivariance,
-                               check_tau_equivariance_exhaustive, glued_point, random_datum,
-                               random_unimodular)
+                               check_tau_equivariance_exhaustive, functor_T, glued_point,
+                               random_datum, random_unimodular, totally_ramified_scene)
 from orbipar.prng import SplitMix64
+from orbipar.pvect import pushforward_local
 from orbipar.series import Laurent, Series
 
 N = 8
@@ -229,7 +235,7 @@ def test_dual_of_diag_gluing_has_negative_floors_and_unequal_windows():
     windows = {e.window for row in pt.mu.entries for e in row}
     assert min(lo for lo, _ in windows) < 0 and len(windows) > 1
     assert verify_cocycle_exhaustive(pt.psi).ok
-    assert check_mu_equivariance_exhaustive(pt.ext, pt.psi, pt.mu) is None
+    assert check_mu_equivariance_exhaustive(pt.ext, pt.psi, pt.mu).ok
 
 
 unary_corruption = st.sampled_from(["none", "value", "generator", "other"])
@@ -261,7 +267,7 @@ def test_mu_equivariance_equals_exhaustive(ext_i, rank, seed, shape, where, pick
     ref = check_mu_equivariance_exhaustive(ext, psi, mu)
     assert check_mu_equivariance(ext, psi, mu) == ref
     assert _in_run(lambda: check_mu_equivariance(ext, psi, mu), lambda: verify_cocycle(psi)) == ref
-    assert ref is None or where != "none"
+    assert ref.ok or where != "none"
 
 
 def _glued(scene_i, rank, seed, shape):
@@ -291,7 +297,7 @@ def test_tau_equivariance_equals_exhaustive(scene_i, rank, seed, shape, where, p
     assert check_tau_equivariance(pt, group) == ref
     assert _in_run(lambda: check_tau_equivariance(pt, group),
                    lambda: verify_action(pt.module)) == ref
-    assert ref is None or where != "none"
+    assert ref.ok or where != "none"
 
 
 def _intertwined(scene_i, rank, seed):
@@ -324,7 +330,7 @@ def test_intertwining_equals_exhaustive(scene_i, rank, seed, where, pick, comp, 
     assert first_nonintertwining(m1, m2, blocks) == ref
     assert _in_run(lambda: first_nonintertwining(m1, m2, blocks),
                    lambda: verify_action(m1), lambda: verify_action(m2)) == ref
-    assert ref is None or where != "none"
+    assert ref.ok or where != "none"
 
 
 @settings(max_examples=40, deadline=None)
@@ -350,7 +356,7 @@ def test_sigma_equivariance_equals_exhaustive(ext_i, rank, seed, where, pick, i,
     assert check_sigma_equivariance(src, dst, sigma) == ref
     assert _in_run(lambda: check_sigma_equivariance(src, dst, sigma),
                    lambda: verify_cocycle(src.psi), lambda: verify_cocycle(dst.psi)) == ref
-    assert ref is None or where != "none"
+    assert ref.ok or where != "none"
 
 
 def _outcome(call):
@@ -413,18 +419,18 @@ def test_premise_forces_the_exhaustive_answer_off_the_generators():
     pt, group = _glued(0, 2, 11, "random")
     assert group.generators() == [1]
     bad = GluedPoint(pt.label, pt.scene_point, _bump_phi(pt.module, 3, 0, 0, 0, 0), pt.taus)
-    assert parabolic._tau_scan(bad, group, group.generators()) is None
+    assert parabolic._tau_scan(bad, group, group.generators()).ok
     ref = check_tau_equivariance_exhaustive(bad, group)
-    assert ref is not None and ref.detail[0] == 3
+    assert not ref.ok and ref.detail[0] == 3
     assert check_tau_equivariance(bad, group) == ref
     assert _in_run(lambda: check_tau_equivariance(bad, group),
                    lambda: verify_action(bad.module)) == ref
 
     m1, m2, blocks = _intertwined(0, 2, 11)
     m2 = _bump_phi(m2, 3, 0, 0, 0, 0)
-    assert equivariant._intertwining_scan(m1, m2, blocks, group.generators()) is None
+    assert equivariant._intertwining_scan(m1, m2, blocks, group.generators()).ok
     ref = first_nonintertwining_exhaustive(m1, m2, blocks)
-    assert ref is not None and ref[0] == 3
+    assert not ref.ok and ref.detail[0] == 3
     assert first_nonintertwining(m1, m2, blocks) == ref
     assert _in_run(lambda: first_nonintertwining(m1, m2, blocks),
                    lambda: verify_action(m1), lambda: verify_action(m2)) == ref
@@ -441,9 +447,9 @@ def test_unequal_tau_windows_force_the_exhaustive_answer():
                     for row in tau1.entries])
     bad = GluedPoint(pt.label, pt.scene_point, pt.module,
                      (_bump_laurent(tau0, 0, 0, N - 1), short))
-    assert parabolic._tau_scan(bad, group, group.generators()) is None
+    assert parabolic._tau_scan(bad, group, group.generators()).ok
     ref = check_tau_equivariance_exhaustive(bad, group)
-    assert ref is not None and ref.detail[0] == 2
+    assert not ref.ok and ref.detail[0] == 2
     assert _in_run(lambda: check_tau_equivariance(bad, group),
                    lambda: verify_action(bad.module)) == ref
 
@@ -466,7 +472,7 @@ def test_tau_check_makes_one_product_per_generator_and_component(monkeypatch):
     def products(check):
         monkeypatch.setattr(linalg, "_laurent_product", counting)
         calls.clear()
-        assert check() is None
+        assert check().ok
         monkeypatch.setattr(linalg, "_laurent_product", original)
         return len(calls)
 
@@ -475,6 +481,27 @@ def test_tau_check_makes_one_product_per_generator_and_component(monkeypatch):
         assert products(lambda: check_tau_equivariance(pt, group)) == 2
         assert products(lambda: check_tau_equivariance_exhaustive(pt, group)) == 12
     assert products(lambda: check_tau_equivariance(pt, group)) == 2
+
+
+def test_pushed_verify_equals_exhaustive():
+    """The pushforward of a rank-1 Kummer Z/4 bundle over GF(13) at N = 8,
+    valid, with formal_rep corrupted at 2 (not a generator of Z/4), and
+    with one tau coefficient flipped: PushedBundle.verify, which proves the
+    representation laws on the generators, gives verify_exhaustive's
+    Report in each case."""
+    k4 = make_kummer(make_field(13), 4, N)
+    d = random_datum(k4, 1, SplitMix64(31), character_exponent=1)
+    pushed = pushforward_local(functor_T(d, totally_ramified_scene(k4)))
+    assert pushed.group.generators() == [1]
+    formal = list(pushed.formal_rep)
+    formal[2] = _bump(formal[2], 0, 1, 0)
+    cases = [pushed, replace(pushed, formal_rep=tuple(formal)),
+             replace(pushed, tau=_bump_laurent(pushed.tau, 0, 0, 0))]
+    refs = [case.verify_exhaustive() for case in cases]
+    assert [case.verify() for case in cases] == refs
+    assert refs[0].ok
+    assert refs[1].message.startswith("formal representation law fails")
+    assert refs[2].message.startswith("pushed gluing not equivariant")
 
 
 @st.composite
