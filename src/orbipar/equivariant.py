@@ -172,17 +172,6 @@ class ProductGModuleSpec:
             return None
 
 
-def compose_blocks(ext, m1, w1, m2, w2):
-    """(m1, w1) o (m2, w2) as semilinear blocks."""
-    return m1 * ext.psi(w1)(m2), ext.group.mul(w1, w2)
-
-
-def block_inverse(ext, m, w):
-    """The inverse of the semilinear block (m, w): (psi(w^{-1})(m^{-1}), w^{-1})."""
-    w_inv = ext.group.inv(w)
-    return ext.psi(w_inv)(m.inverse()), w_inv
-
-
 def verify_spec(spec: ProductGModuleSpec):
     """Conditions (A), (B), (C) of the assembly lemma; raises AssemblyError.
 
@@ -682,12 +671,19 @@ class TrivializeResult:
 
 
 def _verify_coboundary(c: Cocycle, b: Matrix) -> bool:
-    b_inv = b.inverse()
-    for g in range(c.ext.group.order):
-        rhs = b * c.ext.psi(g)(b_inv)
-        if not rhs.agrees_with(c.mats[g]):
-            return False
-    return True
+    """True iff B is invertible and A_g = B * psi(g)(B^{-1}) for every g.
+
+    psi(g) is a ring map, so for an invertible B that relation is the fixed
+    point law L(g): A_g * psi(g)(B) = B, which needs no inverse.  Under the
+    cocycle law the generators suffice (groups.law_by_generators, with
+    verify_cocycle as its premise): L(h) and L(g) give L(hg), since
+    A_hg * psi(hg)(B) = A_h * psi(h)(A_g * psi(g)(B)) = A_h * psi(h)(B) = B.
+    Every comparison is exact, coefficient for coefficient, mod s^N.
+    """
+    columns = [tuple(row[j] for row in b.entries) for j in range(b.cols)]
+    return b.is_residue_invertible() and law_by_generators(
+        c.ext.group, lambda gs: _unfixed_scan(c, columns, gs),
+        premise=lambda: verify_cocycle(c).ok).ok
 
 
 def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:

@@ -28,9 +28,8 @@ itself, so each check takes the same proof in a run or outside one.
 from dataclasses import dataclass
 
 from .equivariant import (Cocycle, ComponentSpec, ProductGModule, ProductGModuleSpec,
-                          assemble_product, block_inverse, compose_blocks,
-                          first_nonintertwining, invariants_product, make_connectors,
-                          verify_action, verify_cocycle)
+                          assemble_product, first_nonintertwining, invariants_product,
+                          make_connectors, verify_action, verify_cocycle)
 from .errors import ConfigurationError, DomainError, OrbiparError, StructuralError
 from .groups import Report, law_by_generators
 from .linalg import Matrix, is_invertible, smith
@@ -456,12 +455,11 @@ def glued_point(dpt: ParabolicPoint, scene_point: ScenePoint, group,
     return memoized("glued_point", dpt, (scene_point, group, connectors), build)
 
 
-def functor_T(d: ParabolicDatum, scene: CoverScene, connectors=None) -> GluedBundle:
+def functor_T(d: ParabolicDatum, scene: CoverScene) -> GluedBundle:
     """Parabolic datum -> glued bundle: assemble the formal parts and transport mu.
 
-    connectors, when given, maps point label -> connector family; defaults to
-    the scene transversal seeds.  In a run each glued point is built and
-    checked once.
+    Each point takes the connector family of the scene transversal seeds.  In
+    a run each glued point is built and checked once.
     """
     pts = []
     for dpt in d.points:
@@ -469,8 +467,7 @@ def functor_T(d: ParabolicDatum, scene: CoverScene, connectors=None) -> GluedBun
         if sp.ext != dpt.ext:
             raise ConfigurationError(
                 f"scene and datum disagree on the extension at {dpt.label}")
-        conn = connectors.get(dpt.label) if connectors else None
-        pts.append(glued_point(dpt, sp, scene.group, conn))
+        pts.append(glued_point(dpt, sp, scene.group))
     b = GluedBundle(rank=d.rank, scene=scene, points=tuple(pts))
     rep = verify_glued(b)
     if not rep.ok:
@@ -608,7 +605,11 @@ def roundtrip_check(d: ParabolicDatum, scene: CoverScene) -> RoundtripReport:
     S(T(d)) ~ d via (identity on V, sigma = iota^{-1}); T(S(T(d))) ~ T(d) via
     rho_i = theta~_{0i} o iota^{-1} o theta_{0i}^{-1} blockwise, with the
     generic comparison map normalized to the identity so the gluing square
-    reads tau~_i = rho_i o tau_i.
+    reads tau~_i = rho_i o tau_i.  Both glued bundles sit on one scene, so
+    their connector blocks agree, theta~_{0i} = theta_{0i} = (identity, w_0i),
+    and (I, w) o (M, u) = (psi(w)(M), w u) makes rho_i the R-linear block
+    psi(w_0i)(iota^{-1}).  first_nonintertwining and the gluing square
+    verify every rho_i.
     """
     per_point = {}
     val = validate_parabolic(d)
@@ -636,23 +637,9 @@ def roundtrip_check(d: ParabolicDatum, scene: CoverScene) -> RoundtripReport:
         label = gpt.label
         gpt2 = b2.point(label)
         spec, spec2 = gpt.module.spec, gpt2.module.spec
-        ext = spec.ext
-        iota_inv = sigmas[label]
-        l = spec.size
-        blocks = []
-        for i in range(l):
-            g_0i = spec.connectors[0][i]
-            j, m_theta, w_theta = gpt.module.phi[g_0i][0]
-            j2, m_theta2, w_theta2 = gpt2.module.phi[g_0i][0]
-            if j != i or j2 != i or w_theta != w_theta2:
-                return RoundtripReport(False,
-                                       f"transport blocks disagree at {label}", per_point)
-            m, w = compose_blocks(ext, iota_inv, 0, *block_inverse(ext, m_theta, w_theta))
-            m, w = compose_blocks(ext, m_theta2, w_theta2, m, w)
-            if w != 0:
-                return RoundtripReport(False, f"rho_{i} at {label} is not R-linear",
-                                       per_point)
-            blocks.append(m)
+        if spec2.thetas[0] != spec.thetas[0]:
+            return RoundtripReport(False, f"transport blocks disagree at {label}", per_point)
+        blocks = [spec.ext.psi(w)(sigmas[label]) for w in spec.thetas[0]]
         # rho equivariance: rho_j o Phi(g) = Phi~(g) o rho_i blockwise
         rep = first_nonintertwining(gpt.module, gpt2.module, blocks)
         if not rep.ok:
@@ -660,10 +647,8 @@ def roundtrip_check(d: ParabolicDatum, scene: CoverScene) -> RoundtripReport:
                    else f"rho equivariance fails at {label}, {rep.message}")
             return RoundtripReport(False, msg, per_point)
         # gluing square: tau~_i = rho_i o tau_i (generic comparison = identity)
-        for i in range(l):
-            lhs = gpt2.taus[i]
-            rhs = blocks[i].to_laurent() * gpt.taus[i]
-            mism = lhs.first_mismatch(rhs)
+        for i, rho in enumerate(blocks):
+            mism = gpt2.taus[i].first_mismatch(rho.to_laurent() * gpt.taus[i])
             if mism is not None:
                 return RoundtripReport(
                     False, f"gluing square fails at {label}, component {i}, "

@@ -76,7 +76,7 @@ def series_from_json(field, prec, data):
 
 def laurent_from_json(field, prec, data):
     if isinstance(data, dict):
-        return Laurent.exact(field, int(data["val_floor"]), data["coeffs"], prec)
+        return Laurent.exact(field, _int(data["val_floor"], "val_floor"), data["coeffs"], prec)
     return Laurent.exact(field, 0, data, prec)
 
 def matrix_from_json(field, prec, data, laurent=False):
@@ -281,9 +281,9 @@ def _declared_order(cfg, where):
     the product itself checked against MAX_GROUP_ORDER."""
     kind = _object(cfg, f"{where}: group").get("kind")
     if kind == "cyclic":
-        order = int(cfg["n"])
+        order = _int(cfg["n"], f"{where}: n")
     elif kind == "dihedral":
-        order = 2 * int(cfg["n"])
+        order = 2 * _int(cfg["n"], f"{where}: n")
     elif kind == "product":
         order = _declared_order(cfg["left"], where) * _declared_order(cfg["right"], where)
     elif kind == "table":

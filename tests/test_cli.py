@@ -264,6 +264,16 @@ def _random_roundtrips_on_empty_scene(d):
     d["commands"].append({"op": "random_roundtrips", "scene": "big"})
 
 
+def _explicit_datum(val_floor):
+    """An edit adding the explicit rank-1 datum "e" on K2: the trivial
+    cocycle, and mu = s^val_floor."""
+    def edit(d):
+        d["data"]["e"] = {"kind": "explicit", "rank": 1, "points": [
+            {"label": "p", "ext": "K2", "cocycle": [[[[1]]], [[[1]]]],
+             "mu": [[{"val_floor": val_floor, "coeffs": [1]}]]}]}
+    return edit
+
+
 def _cyclic_table(n):
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
@@ -365,6 +375,12 @@ BAD_INPUTS = {
     "random-roundtrips-on-empty-scene": _random_roundtrips_on_empty_scene,
     "scene-point-not-object": lambda d: d["scenes"]["cover"]["points"].__setitem__(0, "p"),
     "scene-group-without-n": _scene_group({"kind": "cyclic"}),
+    "cyclic-n-string": _scene_group({"kind": "cyclic", "n": "2"}),
+    "cyclic-n-float": _scene_group({"kind": "cyclic", "n": 2.0}),
+    "cyclic-n-bool": _scene_group({"kind": "cyclic", "n": True}),
+    "dihedral-n-string": _scene_group({"kind": "dihedral", "n": "2"}),
+    "val-floor-string": _explicit_datum("1"),
+    "val-floor-float": _explicit_datum(1.0),
     "random-seed-string": lambda d: d["data"]["d"].update(seed="13"),
     "character-exponent-float": lambda d: d["data"]["d"]["points"][0].update(
         character_exponent=1.7),
@@ -419,6 +435,8 @@ def test_base_of_bad_inputs_is_good(tmp_path):
                    "right": {"kind": "cyclic", "n": MAX_GROUP_ORDER // 2}}):
         f.write_text(json.dumps(_broken(_scene_group(group))))
         assert main(["verify", str(f)]) == 0
+    f.write_text(json.dumps(_broken(_explicit_datum(1))))
+    assert main(["verify", str(f)]) == 0
 
 
 def test_precision_flag_above_cap_is_scenario_error(tmp_path, capsys):

@@ -39,6 +39,26 @@ def test_non_associative_rejected():
         from_table(table)
 
 
+def _cyclic_with_swap(n, a, b, c):
+    """Z/n's table with the products a*b and a*c swapped: identity and
+    inverses survive, associativity does not."""
+    table = [[(x + y) % n for y in range(n)] for x in range(n)]
+    table[a][b], table[a][c] = table[a][c], table[a][b]
+    return table
+
+
+@pytest.mark.parametrize("n, a, b, c, triple", [(7, 1, 2, 3, (6, 1, 2)),
+                                                (256, 5, 10, 20, (4, 1, 10))])
+def test_non_associative_with_inverses_rejected(n, a, b, c, triple):
+    """Light's test on the generators finds the failure; the order-256 table
+    passed the 2,000 sampled triples that once checked orders above 24."""
+    table = _cyclic_with_swap(n, a, b, c)
+    x, g, y = triple
+    assert table[table[x][g]][y] != table[x][table[g][y]]
+    with pytest.raises(ConfigurationError, match="not associative"):
+        from_table(table)
+
+
 def test_identity_must_be_zero():
     table = [[1, 0], [0, 1]]
     with pytest.raises(ConfigurationError):

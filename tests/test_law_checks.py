@@ -16,9 +16,12 @@ verify_cocycle or verify_action; their reports must equal those of the
 *_exhaustive scans on valid data, on data corrupted at one coefficient,
 on cocycles and modules corrupted off the generators (where the premise
 must force the exhaustive answer), and on a mu with negative floors and
-unequal entry windows; the fast checks run outside a run, where the
-premise is computed, and inside a scenario run whose memo holds their
-premises, as in `orbipar run`.  is_invertible must be False exactly where
+unequal entry windows.  trivialize's coboundary check, the fixed point law
+A_g psi(g)(B) = B proven on the generators under verify_cocycle, must
+agree with the inverse form it replaced, A_g = B psi(g)(B^{-1}) over
+every g.  The fast checks run outside a run, where the premise is
+computed, and inside a scenario run whose memo holds their premises, as
+in `orbipar run`.  is_invertible must be False exactly where
 Matrix.inverse raises, and the divisor-only Smith form must give the
 divisors of the full one.
 """
@@ -409,6 +412,78 @@ def test_invariants_premise_forces_the_exhaustive_answer_off_the_generators():
     assert _outcome(lambda: equivariant.invariants(c)) == ref
     assert _outcome(lambda: _in_run(lambda: equivariant.invariants(c),
                                     lambda: verify_cocycle(c))) == ref
+
+
+def _verify_coboundary_by_inverse(c, b):
+    """The former coboundary check, the reference: invert B, then test
+    A_g = B * psi(g)(B^{-1}) for every g; a B that does not invert is no
+    trivialization."""
+    try:
+        b_inv = b.inverse()
+    except OrbiparError:
+        return False
+    return all((b * c.ext.psi(g)(b_inv)).agrees_with(c.mats[g])
+               for g in range(c.ext.group.order))
+
+
+def _times_in_column(m, j, t):
+    """m with column j multiplied by the series t."""
+    return Matrix([[e * t if col == j else e for col, e in enumerate(row)]
+                   for row in m.entries])
+
+
+@settings(max_examples=40, deadline=None)
+@given(ext_i=st.integers(0, len(EXTENSIONS) - 1), rank=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1),
+       case=st.sampled_from(["coboundary", "corrupted", "singular", "other-b", "twisted"]),
+       where=st.sampled_from(["generator", "other"]), pick=st.integers(0, 7),
+       i=st.integers(0, 1), j=st.integers(0, 1), k=st.integers(0, N - 1))
+def test_verify_coboundary_equals_inverse_form(ext_i, rank, seed, case, where, pick, i, j, k):
+    """_verify_coboundary, the fixed point law A_g psi(g)(B) = B proven on
+    the generators under verify_cocycle, outside a run and in one, against
+    the inverse form over every g: on a coboundary and its B, on the
+    coboundary corrupted at a generator or off them, with its B times the
+    base uniformizer t in one column (fixed, with a singular residue), with
+    another B, and on a cocycle twisted by a character."""
+    ext = EXTENSIONS[ext_i]()
+    field, n = ext.field, ext.group.order
+    b = random_unimodular(field, rank, N, SplitMix64(seed))
+    character = None
+    if case == "twisted" and n > 1 and (field.order - 1) % n == 0:
+        zeta = field.root_of_unity(n)
+        character = tuple(field.pow(zeta, g) for g in range(n))
+    c = coboundary(ext, b, character=character)
+    if case == "corrupted":
+        x = _target(ext.group, where, pick)
+        c = _bump_cocycle(c, 0 if x is None else x, i, j, k)
+    elif case == "singular":
+        # still fixed, since t is: only the residue test rejects it
+        b = _times_in_column(b, i % rank, ext.base_uniformizer)
+    elif case == "other-b":
+        b = random_unimodular(field, rank, N, SplitMix64(seed + 1))
+    ref = _verify_coboundary_by_inverse(c, b)
+    assert equivariant._verify_coboundary(c, b) is ref
+    assert _in_run(lambda: equivariant._verify_coboundary(c, b),
+                   lambda: verify_cocycle(c)) is ref
+    assert ref or case != "coboundary"
+
+
+def test_coboundary_premise_forces_the_exhaustive_answer_off_the_generators(monkeypatch):
+    """A coboundary of B corrupted at 2, not a generator of Z/3: B is still
+    fixed by A_1, but the premise verify_cocycle fails, so the check scans
+    every element and rejects B, as the inverse form does; and it inverts
+    nothing."""
+    ext = make_kummer(make_field(7), 3, N)
+    assert ext.group.generators() == [1]
+    b = random_unimodular(ext.field, 2, N, SplitMix64(3))
+    good = coboundary(ext, b)
+    bad = _bump_cocycle(good, 2, 0, 1, 4)
+    columns = [tuple(row[j] for row in b.entries) for j in range(2)]
+    assert equivariant._unfixed_scan(bad, columns, [1]).ok
+    assert not _verify_coboundary_by_inverse(bad, b)
+    monkeypatch.setattr(linalg.Matrix, "inverse", None)
+    assert equivariant._verify_coboundary(good, b) is True
+    assert equivariant._verify_coboundary(bad, b) is False
 
 
 def test_premise_forces_the_exhaustive_answer_off_the_generators():

@@ -7,8 +7,9 @@ from orbipar.fields import make_field
 from orbipar.groups import cyclic, dihedral, direct_product
 from orbipar.linalg import Matrix
 from orbipar.local_galois import make_artin_schreier, make_kummer
-from orbipar.parabolic import (CoverScene, ParabolicDatum, ParabolicPoint, ScenePoint,
-                               functor_S, functor_T, multipoint_map, random_datum,
+from orbipar.parabolic import (CoverScene, GluedBundle, ParabolicDatum, ParabolicPoint,
+                               ScenePoint, functor_S, functor_T, glued_point,
+                               multipoint_map, random_datum,
                                roundtrip_check, sign_twist_datum, totally_ramified_scene,
                                trivial_datum, validate_parabolic,
                                validate_parabolic_morphism, verify_glued)
@@ -206,12 +207,14 @@ def test_connector_independence_at_glued_level():
     perms = sp.perms(g6)
     conn1 = make_connectors(g6, perms, [1])
     conn2 = make_connectors(g6, perms, [3])
-    b1 = functor_T(d, scene, connectors={"p": conn1})
-    b2 = functor_T(d, scene, connectors={"p": conn2})
-    rho = independence_intertwiner(b1.points[0].module, b2.points[0].module)
+    p1 = glued_point(d.points[0], sp, g6, conn1)
+    p2 = glued_point(d.points[0], sp, g6, conn2)
+    assert verify_glued(GluedBundle(rank=2, scene=scene, points=(p1,))).ok
+    assert verify_glued(GluedBundle(rank=2, scene=scene, points=(p2,))).ok
+    rho = independence_intertwiner(p1.module, p2.module)
     for j, blk in enumerate(rho.blocks):
-        lhs = b2.points[0].taus[j]
-        rhs = blk.to_laurent() * b1.points[0].taus[j]
+        lhs = p2.taus[j]
+        rhs = blk.to_laurent() * p1.taus[j]
         assert lhs.first_mismatch(rhs) is None
 
 

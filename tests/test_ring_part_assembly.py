@@ -4,9 +4,10 @@ A connector block theta_ij is (identity, w_ij) and the spec stores w_ij
 alone.  The reference here composes the blocks the general way, with an
 explicit identity matrix for every theta: (m1, w1) o (m2, w2) =
 (m1 * psi(w1)(m2), w1 w2) and (m, w)^{-1} = (psi(w^{-1})(m^{-1}), w^{-1}).
-Phi blocks, conjugated component cocycles, intertwiner blocks and the first
-failure of conditions (B) and (C) must come out equal, over cyclic and
-dihedral scenes with Kummer and Artin-Schreier extensions.
+Phi blocks, conjugated component cocycles, intertwiner blocks, round-trip
+transports and the first failure of conditions (B) and (C) must come out
+equal, over cyclic and dihedral scenes with Kummer and Artin-Schreier
+extensions.
 """
 
 import sys
@@ -23,8 +24,8 @@ from orbipar.fields import make_field
 from orbipar.groups import cyclic, dihedral
 from orbipar.linalg import Matrix
 from orbipar.local_galois import make_artin_schreier, make_kummer
-from orbipar.parabolic import (ScenePoint, build_spec_from_scene, random_datum,
-                               random_unimodular)
+from orbipar.parabolic import (CoverScene, ScenePoint, build_spec_from_scene, functor_S,
+                               functor_T, random_datum, random_unimodular, roundtrip_check)
 from orbipar.prng import SplitMix64
 from orbipar.series import Series
 
@@ -264,3 +265,42 @@ def test_assembly_multiplies_and_inverts_no_connector_block(monkeypatch):
     module = assemble_product(build_spec_from_scene(sp, group, psi))
     assert not [c for c in callers if c != ("__mul__", "_action_report")]
     assert len(callers) == len(group.generators()) * group.order * module.size
+
+
+@pytest.mark.parametrize("scene_i, exponent, seeds", [(0, 1, [3]), (5, 0, [5]), (1, 1, [4]),
+                                                      (2, 1, [4, 1])],
+                         ids=["z6-kummer", "z6-artin-schreier", "d3-kummer", "z6-three-comps"])
+def test_roundtrip_rhos_equal_identity_blocks(monkeypatch, scene_i, exponent, seeds):
+    """Each round-trip transport rho_i is the block the general composition
+    gives, theta~_0i o (iota^{-1}, e) o theta_0i^{-1} with identity matrices
+    written out, and it is R-linear.  The scene's transversal seeds give
+    every theta_0i the ring part e, so the connectors here come from other
+    seeds, whose ring parts are not all e.  Building the rhos inverts
+    nothing: the round trip inverts only iota, once, in functor_S."""
+    sp, group = SCENES[scene_i]
+    monkeypatch.setattr(ScenePoint, "default_seeds", lambda self, g: seeds)
+    scene = CoverScene(group=group, points=(sp,))
+    d = random_datum(sp.ext, 2, SplitMix64(2024 + scene_i), character_exponent=exponent)
+    callers = []
+    orig = Matrix.inverse
+
+    def counted(self):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return orig(self)
+
+    monkeypatch.setattr(linalg.Matrix, "inverse", counted)
+    rep = roundtrip_check(d, scene)
+    assert rep.ok, rep.message
+    assert callers == ["functor_S"]
+    b = functor_T(d, scene)
+    sres = functor_S(b)
+    spec, spec2 = b.points[0].module.spec, functor_T(sres.datum, scene).points[0].module.spec
+    assert any(spec.thetas[0])
+    ext = sp.ext
+    rhos = rep.rhos["p"]
+    assert len(rhos) == spec.size
+    for i, rho in enumerate(rhos):
+        m, w = _compose(ext, sres.sigmas["p"], 0, *_inverse(ext, *_theta(spec, 0, i)))
+        m, w = _compose(ext, *_theta(spec2, 0, i), m, w)
+        assert w == 0
+        assert rho == m
