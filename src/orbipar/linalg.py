@@ -402,10 +402,6 @@ class Matrix:
         z = Series.zero(field, prec)
         return cls([[z] * cols for _ in range(rows)])
 
-    @classmethod
-    def from_residue(cls, field, rows, prec):
-        return cls([[Series.constant(field, c, prec) for c in r] for r in rows])
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]

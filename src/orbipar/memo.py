@@ -14,7 +14,9 @@ An entry is keyed by the identity of `key` and holds it weakly: when the
 key object dies, a weakref callback drops its entries.  So transient data
 (the data of `random_roundtrips`, the datum S returns inside a round trip)
 leave nothing behind.  A value must not reference its key, or the key
-would never die.  Sub-keys are compared by value.  A compute() that raises
+would never die.  Sub-keys are compared by value and held by their entry,
+so an entry whose sub-key is its key (a tensor square) lives until the
+scope closes.  A compute() that raises
 records nothing, so a failure runs again at its next call.  Values are
 shared between callers and must be immutable.
 """

@@ -12,11 +12,17 @@ for them with the fixed-space equations of `equivariant.fixed_rows`.  Its
 joint system is solved one independent block of unknowns at a time
 (linalg.kernel_by_blocks), which gives the joint solve's kernel basis
 exactly, so the certificates drawn from it do not change.
+
+Inside a scenario run (see memo.py) each dual point is built once per
+datum point, each tensor point once per pair of points (keyed on the first
+point, the second compared by value), and each local pushforward once per
+glued point, group and rank.  No stored value references its key, so an
+entry dies with its point.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from . import kernels
 from .equivariant import (Cocycle, assemble_product, coords_to_matrix, coords_to_vec,
@@ -26,6 +32,7 @@ from .errors import ConfigurationError, DomainError, StructuralError
 from .groups import Report, law_by_generators
 from .linalg import (Matrix, combination, kernel_by_blocks, kron, laurent_inverse, null_space,
                      residue_det, residue_search, series_part, solve_linear)
+from .memo import memoized
 from .parabolic import (CoverScene, GluedBundle, GluedPoint, ParabolicDatum,
                         ParabolicPoint, build_spec_from_scene, functor_T,
                         totally_ramified_scene, trivial_datum, validate_parabolic,
@@ -249,7 +256,9 @@ def equiv_check(d1: ParabolicDatum, d2: ParabolicDatum,
 
 
 def tensor(d1: ParabolicDatum, d2: ParabolicDatum) -> ParabolicDatum:
-    """Pointwise Kronecker product (row-major index (i1, i2) -> i1*r2 + i2)."""
+    """Pointwise Kronecker product (row-major index (i1, i2) -> i1*r2 + i2);
+    the output is validated.  Each tensor point is built once per run for a
+    first point and a second point equal in value (memo table tensor_point)."""
     if {p.label for p in d1.points} != {p.label for p in d2.points}:
         raise StructuralError("tensor requires matching supports")
     pts = []
@@ -257,12 +266,7 @@ def tensor(d1: ParabolicDatum, d2: ParabolicDatum) -> ParabolicDatum:
         p2 = d2.point(p1.label)
         if p1.ext != p2.ext:
             raise StructuralError(f"extension mismatch at {p1.label}")
-        ext = p1.ext
-        mats = tuple(kron(p1.psi.mats[g], p2.psi.mats[g])
-                     for g in range(ext.group.order))
-        psi = Cocycle(ext, d1.rank * d2.rank, mats)
-        mu = kron(p1.mu, p2.mu)
-        pts.append(ParabolicPoint(label=p1.label, ext=ext, psi=psi, mu=mu))
+        pts.append(memoized("tensor_point", p1, p2, lambda: _tensor_point(p1, p2)))
     out = ParabolicDatum(rank=d1.rank * d2.rank, points=tuple(pts))
     rep = validate_parabolic(out)
     if not rep.ok:
@@ -270,20 +274,31 @@ def tensor(d1: ParabolicDatum, d2: ParabolicDatum) -> ParabolicDatum:
     return out
 
 
+def _tensor_point(p1: ParabolicPoint, p2: ParabolicPoint) -> ParabolicPoint:
+    ext = p1.ext
+    mats = tuple(kron(p1.psi.mats[g], p2.psi.mats[g]) for g in range(ext.group.order))
+    psi = Cocycle(ext, p1.psi.rank * p2.psi.rank, mats)
+    return ParabolicPoint(label=p1.label, ext=ext, psi=psi, mu=kron(p1.mu, p2.mu))
+
+
 def dual(d: ParabolicDatum) -> ParabolicDatum:
-    """A*_g = psi(g)(A_{g^{-1}})^tr, mu* = (mu^tr)^{-1}; output validated."""
-    pts = []
-    for dpt in d.points:
-        ext = dpt.ext
-        psi = Cocycle(ext, d.rank, tuple(dual_matrix(dpt.psi, g)
-                                         for g in range(ext.group.order)))
-        mu = laurent_inverse(dpt.mu.transpose())
-        pts.append(ParabolicPoint(label=dpt.label, ext=ext, psi=psi, mu=mu))
-    out = ParabolicDatum(rank=d.rank, points=tuple(pts))
+    """A*_g = psi(g)(A_{g^{-1}})^tr, mu* = (mu^tr)^{-1}; output validated.
+    Each dual point is built once per run (memo table dual_point)."""
+    pts = tuple(memoized("dual_point", dpt, None, lambda: _dual_point(dpt))
+                for dpt in d.points)
+    out = ParabolicDatum(rank=d.rank, points=pts)
     rep = validate_parabolic(out)
     if not rep.ok:
         raise ConfigurationError(f"dual datum failed validation: {rep.message}")
     return out
+
+
+def _dual_point(dpt: ParabolicPoint) -> ParabolicPoint:
+    ext = dpt.ext
+    psi = Cocycle(ext, dpt.psi.rank, tuple(dual_matrix(dpt.psi, g)
+                                           for g in range(ext.group.order)))
+    return ParabolicPoint(label=dpt.label, ext=ext, psi=psi,
+                          mu=laurent_inverse(dpt.mu.transpose()))
 
 
 @dataclass
@@ -358,7 +373,7 @@ def decompose_laurent(ext, x: Laurent):
     return [Laurent(field, m0, p.coeffs) for p in pieces]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PushedBundle:
     """Restriction of scalars along t(s): everything becomes base-linear.
 
@@ -379,12 +394,37 @@ class PushedBundle:
     def verify(self) -> Report:
         """The Report of the representation laws rep(hg) = rep(h) rep(g),
         proven on the generators h (groups.law_by_generators; products of
-        base matrices are associative), then of tau's equivariance per g."""
-        return self._verify(lambda law: law_by_generators(self.group, law))
+        base matrices are associative), then of the tau law F_g tau = tau G_g
+        (F the formal, G the generic representation).
+
+        The tau law is proven on the generators when every entry of tau has
+        the same floor f and length n; otherwise, or on a failure, the scan
+        over every g decides.  Its premise is both representation laws, which
+        hold once the tau law is reached, and that shape.  The window
+        argument, with P the base precision and T the Laurent polynomial
+        matrix of tau's stored coefficients:
+
+        * F_g and G_g are Series matrices at precision P: floor 0, length P.
+          Each term of an entry of F_g tau or tau G_g starts at f and is
+          known for m = min(P, n) coefficients, so both sides are compared
+          on [f, f + m) in every entry and at every g.  On that window the
+          stored coefficients are those of the products of the polynomial
+          matrices F_g T and T G_g.  So the check at g says that
+          F_g T - T G_g vanishes below t^(f + m) in every entry.
+        * The representation laws say F_hg - F_h F_g and G_hg - G_h G_g
+          vanish below t^P.  So, modulo t^(f + m), T having no entry below
+          t^f and m <= P: F_hg T = F_h F_g T (the law for F) = F_h T G_g (the
+          check at g, F_h having no pole) = T G_h G_g (the check at h) =
+          T G_hg (the law for G).  The check at h and at g gives it at hg.
+        * Every element is a positive word in the generators, so the check
+          on the generators gives it at every g.
+        * A check that raises for want of a window raises at every g alike.
+        """
+        return self._verify(partial(law_by_generators, self.group))
 
     def verify_exhaustive(self) -> Report:
-        """verify with the laws scanned over all |G|^2 pairs: the reference."""
-        return self._verify(lambda law: law(range(self.group.order)))
+        """verify with every law scanned over all of G: the reference."""
+        return self._verify(lambda law, premise=None: law(range(self.group.order)))
 
     def _verify(self, prove):
         mul = self.group.mul
@@ -395,7 +435,12 @@ class PushedBundle:
                  if not rep[mul(h, g)].agrees_with(rep[h] * rep[g])), Report(True, "ok")))
             if not report.ok:
                 return report
-        for g in range(self.group.order):
+        return prove(self._tau_scan, lambda: len(
+            {(e.val_floor, len(e.coeffs)) for row in self.tau.entries for e in row}) == 1)
+
+    def _tau_scan(self, gs):
+        """The tau law at g for g in gs."""
+        for g in gs:
             lhs = self.formal_rep[g].to_laurent() * self.tau
             rhs = self.tau * self.generic_rep[g].to_laurent()
             if lhs.first_mismatch(rhs) is not None:
@@ -422,18 +467,24 @@ def pushforward_local(b: GluedBundle, label=None) -> PushedBundle:
 
     Output rank is l*r*e; the group acts base-linearly on the result, the
     generic trivial twist becomes an honest representation, and the gluing
-    pushes entrywise through the graded decomposition.
+    pushes entrywise through the graded decomposition.  The result is
+    verified, and built once per run for a glued point, group and rank
+    (memo table pushforward).
     """
     gpt = b.points[0] if label is None else b.point(label)
+    group = b.scene.group
+    return memoized("pushforward", gpt, (group, b.rank),
+                    lambda: _pushforward(gpt, group, b.rank))
+
+
+def _pushforward(gpt: GluedPoint, group, r) -> PushedBundle:
     spec = gpt.module.spec
     ext = spec.ext
     e = ext.ram_index
-    r = b.rank
     l = spec.size
     field = ext.field
     base_prec = max(ext.prec // e, 1)
     d_out = l * r * e
-    group = b.scene.group
 
     powers = cache(lambda w: [ext.psi(w).power(m) for m in range(e)])
 

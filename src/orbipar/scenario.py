@@ -278,7 +278,8 @@ def _group_order(order, where):
 
 def _declared_order(cfg, where):
     """The order a group description declares, each factor of a product and
-    the product itself checked against MAX_GROUP_ORDER."""
+    the product itself checked against MAX_GROUP_ORDER; a table must be a
+    list of rows of JSON integers that name its elements."""
     kind = _object(cfg, f"{where}: group").get("kind")
     if kind == "cyclic":
         order = _int(cfg["n"], f"{where}: n")
@@ -287,7 +288,15 @@ def _declared_order(cfg, where):
     elif kind == "product":
         order = _declared_order(cfg["left"], where) * _declared_order(cfg["right"], where)
     elif kind == "table":
-        order = len(cfg["table"])
+        rows = cfg["table"]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ScenarioError(f"{where}: a group table must be a list of rows")
+        order = _group_order(len(rows), where)
+        for row in rows:
+            for x in row:
+                if not 0 <= _int(x, f"{where}: group table entry") < order:
+                    raise ScenarioError(f"{where}: group table entry {x} is not in "
+                                        f"0..{order - 1}")
     else:
         raise ScenarioError(f"{where}: unknown group kind {kind!r}")
     return _group_order(order, where)

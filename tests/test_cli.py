@@ -379,6 +379,14 @@ BAD_INPUTS = {
     "cyclic-n-float": _scene_group({"kind": "cyclic", "n": 2.0}),
     "cyclic-n-bool": _scene_group({"kind": "cyclic", "n": True}),
     "dihedral-n-string": _scene_group({"kind": "dihedral", "n": "2"}),
+    "table-entry-bool": _scene_group({"kind": "table", "table": [[0, True], [True, 0]]}),
+    "table-entry-float": _scene_group({"kind": "table", "table": [[0, 1.0], [1.0, 0]]}),
+    "table-rows-string": _scene_group({"kind": "table", "table": ["01", "10"]}),
+    "table-string": _scene_group({"kind": "table", "table": "0110"}),
+    "table-entry-out-of-range": _scene_group(
+        {"kind": "table", "table": [[0, 1, 2], [1, 2, 0], [2, 0, 7]]}),
+    "table-entry-negative": _scene_group(
+        {"kind": "table", "table": [[0, 1, 2], [1, -1, 0], [2, 0, 1]]}),
     "val-floor-string": _explicit_datum("1"),
     "val-floor-float": _explicit_datum(1.0),
     "random-seed-string": lambda d: d["data"]["d"].update(seed="13"),
@@ -407,6 +415,18 @@ def test_bad_input_is_scenario_error(tmp_path, capsys, case, sub):
 def test_group_order_cap_rejects_before_building(case):
     assert MAX_GROUP_ORDER < 260 <= 520
     with pytest.raises(ScenarioError, match=f"group order must be in 1..{MAX_GROUP_ORDER}"):
+        load_scenario(_broken(BAD_INPUTS[case]))
+
+
+@pytest.mark.parametrize("case, message", [
+    ("table-entry-bool", "group table entry must be an integer, got True"),
+    ("table-entry-float", "group table entry must be an integer, got 1.0"),
+    ("table-rows-string", "a group table must be a list of rows"),
+    ("table-string", "a group table must be a list of rows"),
+    ("table-entry-out-of-range", r"group table entry 7 is not in 0\.\.2"),
+    ("table-entry-negative", r"group table entry -1 is not in 0\.\.2")])
+def test_table_group_reads_rows_of_integers(case, message):
+    with pytest.raises(ScenarioError, match=message):
         load_scenario(_broken(BAD_INPUTS[case]))
 
 

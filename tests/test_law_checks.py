@@ -9,10 +9,11 @@ verify_cocycle_exhaustive, verify_action_exhaustive,
 verify_extension_exhaustive and PushedBundle.verify_exhaustive, on valid
 inputs and on inputs corrupted at one generator value or at one other
 value (for the pushed bundle: at a non-generator, or at one tau
-coefficient).  The unary laws (check_mu_equivariance,
-check_tau_equivariance, first_nonintertwining, check_sigma_equivariance)
-are proven on the generators only under their premise, the memoized
-verify_cocycle or verify_action; their reports must equal those of the
+coefficient, with tau's entries of one window shape or of several).  The
+unary laws (check_mu_equivariance, check_tau_equivariance,
+first_nonintertwining, check_sigma_equivariance) are proven on the
+generators only under their premise, the memoized verify_cocycle or
+verify_action; their reports must equal those of the
 *_exhaustive scans on valid data, on data corrupted at one coefficient,
 on cocycles and modules corrupted off the generators (where the premise
 must force the exhaustive answer), and on a mu with negative floors and
@@ -29,6 +30,7 @@ divisors of the full one.
 from dataclasses import replace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbipar import equivariant, linalg, parabolic
@@ -529,7 +531,27 @@ def test_unequal_tau_windows_force_the_exhaustive_answer():
                    lambda: verify_action(bad.module)) == ref
 
 
-def test_tau_check_makes_one_product_per_generator_and_component(monkeypatch):
+@pytest.fixture
+def products(monkeypatch):
+    """products(check): how many Laurent matrix products a passing check() makes."""
+    original = linalg._laurent_product
+
+    def count(check):
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return original(a, b)
+
+        monkeypatch.setattr(linalg, "_laurent_product", counting)
+        assert check().ok
+        monkeypatch.setattr(linalg, "_laurent_product", original)
+        return len(calls)
+
+    return count
+
+
+def test_tau_check_makes_one_product_per_generator_and_component(products):
     """On the Z/6 rank-2 GF(7) N=16 point (|S| = 1, l = 2), the tau check of
     a valid glued point makes |S| l = 2 Laurent products, not |G| l = 12,
     in a run or not: outside a run its premise verify_action is computed,
@@ -537,20 +559,6 @@ def test_tau_check_makes_one_product_per_generator_and_component(monkeypatch):
     k3 = make_kummer(make_field(7), 3, 16)
     sp, group = ScenePoint("p", k3, (0, 2, 4), (0, 1)), cyclic(6)
     dpt = random_datum(k3, 2, SplitMix64(12345), character_exponent=1).points[0]
-    calls = []
-    original = linalg._laurent_product
-
-    def counting(a, b):
-        calls.append(1)
-        return original(a, b)
-
-    def products(check):
-        monkeypatch.setattr(linalg, "_laurent_product", counting)
-        calls.clear()
-        assert check().ok
-        monkeypatch.setattr(linalg, "_laurent_product", original)
-        return len(calls)
-
     with run_scope():
         pt = glued_point(dpt, sp, group)       # assemble_product verifies the action
         assert products(lambda: check_tau_equivariance(pt, group)) == 2
@@ -558,25 +566,53 @@ def test_tau_check_makes_one_product_per_generator_and_component(monkeypatch):
     assert products(lambda: check_tau_equivariance(pt, group)) == 2
 
 
-def test_pushed_verify_equals_exhaustive():
-    """The pushforward of a rank-1 Kummer Z/4 bundle over GF(13) at N = 8,
-    valid, with formal_rep corrupted at 2 (not a generator of Z/4), and
-    with one tau coefficient flipped: PushedBundle.verify, which proves the
-    representation laws on the generators, gives verify_exhaustive's
-    Report in each case."""
+def _tau_windows(pushed):
+    return {(e.val_floor, len(e.coeffs)) for row in pushed.tau.entries for e in row}
+
+
+def _pushed(shape):
+    """The pushforward of a Kummer Z/4 bundle over GF(13) at N = 8: a random
+    rank-1 datum, whose pushed tau has one window shape, or the rank-2
+    dual-of-diag gluing, whose pushed tau has several."""
     k4 = make_kummer(make_field(13), 4, N)
-    d = random_datum(k4, 1, SplitMix64(31), character_exponent=1)
-    pushed = pushforward_local(functor_T(d, totally_ramified_scene(k4)))
-    assert pushed.group.generators() == [1]
-    formal = list(pushed.formal_rep)
+    dpt = (random_datum(k4, 1, SplitMix64(31), character_exponent=1).points[0]
+           if shape == "uniform" else _dual_of_diag_gluing(k4, 5))
+    datum = ParabolicDatum(rank=dpt.psi.rank, points=(dpt,))
+    return pushforward_local(functor_T(datum, totally_ramified_scene(k4)))
+
+
+def test_pushed_verify_equals_exhaustive():
+    """PushedBundle.verify, which proves the representation laws on the
+    generators and then the tau law on them where tau has one window shape,
+    gives verify_exhaustive's Report: for a uniform tau valid, with
+    formal_rep corrupted at 2 (not a generator of Z/4), and with one tau
+    coefficient flipped; for a tau with unequal windows, valid and with one
+    coefficient flipped."""
+    uniform, unequal = _pushed("uniform"), _pushed("unequal")
+    assert uniform.group.generators() == [1]
+    assert len(_tau_windows(uniform)) == 1 and len(_tau_windows(unequal)) > 1
+    formal = list(uniform.formal_rep)
     formal[2] = _bump(formal[2], 0, 1, 0)
-    cases = [pushed, replace(pushed, formal_rep=tuple(formal)),
-             replace(pushed, tau=_bump_laurent(pushed.tau, 0, 0, 0))]
+    cases = [uniform, replace(uniform, formal_rep=tuple(formal)),
+             replace(uniform, tau=_bump_laurent(uniform.tau, 0, 0, 0)),
+             unequal, replace(unequal, tau=_bump_laurent(unequal.tau, 0, 0, 0))]
     refs = [case.verify_exhaustive() for case in cases]
     assert [case.verify() for case in cases] == refs
-    assert refs[0].ok
+    assert refs[0].ok and refs[3].ok
     assert refs[1].message.startswith("formal representation law fails")
     assert refs[2].message.startswith("pushed gluing not equivariant")
+    assert refs[4].message.startswith("pushed gluing not equivariant")
+
+
+def test_pushed_tau_check_makes_two_products_per_generator(products):
+    """The tau law of a valid pushed bundle over Z/4 (one generator) makes 2
+    Laurent products, F_1 tau and tau G_1, where tau has one window shape,
+    and 2 |G| = 8 where it has several or in the exhaustive reference; the
+    representation laws multiply Series matrices only."""
+    uniform, unequal = _pushed("uniform"), _pushed("unequal")
+    assert products(uniform.verify) == 2
+    assert products(uniform.verify_exhaustive) == 8
+    assert products(unequal.verify) == 8
 
 
 @st.composite

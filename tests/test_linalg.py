@@ -124,9 +124,14 @@ def test_laurent_inverse():
     assert prod.first_mismatch(ident) is None
 
 
+def _constant_matrix(field, rows, prec):
+    """The matrix of constant series with the given residues."""
+    return Matrix([[Series.constant(field, c, prec) for c in r] for r in rows])
+
+
 def test_kron_convention_row_major():
-    a = Matrix.from_residue(F5, [[1, 2], [3, 4]], 4)
-    b = Matrix.from_residue(F5, [[0, 1], [1, 0]], 4)
+    a = _constant_matrix(F5, [[1, 2], [3, 4]], 4)
+    b = _constant_matrix(F5, [[0, 1], [1, 0]], 4)
     k = kron(a, b)
     # entry ((i1,i2),(j1,j2)) = a[i1][j1] * b[i2][j2]; row index i1*2+i2
     assert k.entries[0][1].coeffs[0] == 1      # a[0][0]*b[0][1]

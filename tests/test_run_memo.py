@@ -2,17 +2,17 @@
 the unmemoized path.
 
 Inside run_scenario each cocycle's fixed space, InvariantsResult and
-verify_cocycle report, each assembled point module and glued point, and
-the checks of each datum point and glued point are computed once; outside
-a run every call computes afresh.  The memo only caches: a unary law takes
-the same proof, on the generators or by the exhaustive scan, with the memo
-on and off.  The counters below wrap the functions that do the work, on
+verify_cocycle report, each assembled point module and glued point, the
+checks of each datum point and glued point, and each dual point, tensor
+point and pushforward are computed once; outside a run every call computes
+afresh.  The memo only caches: a unary law takes the same proof, on the
+generators or by the exhaustive scan, with the memo on and off.  The counters below wrap the functions that do the work, on
 every orbipar module that binds them.
 """
 
 import re
 from contextlib import nullcontext
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 from unittest import mock
 
@@ -136,6 +136,96 @@ CALCULUS = dict(
            "refinement2": {"p": "idK4"}, "expect": {"status": "isomorphic", "proven": True}}]),
     embeddings={"tower": {"kind": "kummer_tower", "n": 2, "m": 4},
                 "idK4": {"kind": "identity", "ext": "K4"}})
+
+
+# calculus constructions: a rank-2 Kummer Z/4 datum v over GF(13) with its
+# dual, tensor, double dual and pairing, and a rank-1 one u pushed forward
+# along the totally ramified scene and checked for adjunction
+CONSTRUCTIONS = _doc(
+    {"p": 13}, {"K4": {"kind": "kummer", "n": 4}},
+    {"tr": {"group": {"kind": "cyclic", "n": 4},
+            "points": [{"label": "p", "ext": "K4", "totally_ramified": True}]}},
+    {"v": _datum(2, "K4", 21, exponent=1), "u": _datum(1, "K4", 23, exponent=3)},
+    [{"op": "dual", "datum": "v", "store_as": "v_dual"},
+     {"op": "tensor", "datum1": "v", "datum2": "v_dual", "store_as": "end_v"},
+     {"op": "dual_involution", "datum": "v"},
+     {"op": "dual_pairing", "datum": "v"},
+     {"op": "pushforward", "datum": "u", "scene": "tr"},
+     {"op": "adjunction", "datum": "u"}])
+BUILDERS = ("_dual_point", "_tensor_point", "_pushforward")
+NEW_TABLES = ("dual_point", "tensor_point", "pushforward")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Call counts of pvect's dual point, tensor point and pushforward builds."""
+    seen = dict.fromkeys(BUILDERS, 0)
+    for name in BUILDERS:
+        original = getattr(pvect, name)
+
+        def counted(*args, _name=name, _original=original):
+            seen[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(pvect, name, counted)
+    return seen
+
+
+def test_calculus_run_builds_each_construction_once(builds):
+    """Unmemoized, v's dual point is built by dual, twice by dual_involution
+    (v* and v**) and by dual_pairing; v (x) v* by tensor and dual_pairing,
+    and adjunction builds trivial (x) u; u's glued point is pushed forward by
+    pushforward and adjunction, which also pushes trivial (x) u forward.  In
+    a run each of the two dual points, two tensor pairs and two glued points
+    is built once."""
+    report = scenario.run_scenario(scenario.load_scenario(CONSTRUCTIONS))
+    assert report["summary"] == {"pass": 6, "fail": 0, "inconclusive": 0, "error": 0}
+    assert builds == {"_dual_point": 2, "_tensor_point": 2, "_pushforward": 2}
+    builds.update(dict.fromkeys(builds, 0))
+    assert _unmemoized_report(scenario.load_scenario(CONSTRUCTIONS)) == report
+    assert builds == {"_dual_point": 4, "_tensor_point": 3, "_pushforward": 3}
+
+
+def test_calculus_constructions_equal_in_and_out_of_a_run():
+    sc = scenario.load_scenario(CONSTRUCTIONS)
+    v, u, scene = sc.data["v"], sc.data["u"], sc.scenes["tr"]
+
+    def results():
+        v_dual = pvect.dual(v)
+        return (v_dual, pvect.dual(v_dual), pvect.tensor(v, v_dual), pvect.tensor(v, v),
+                pvect.pushforward_local(functor_T(u, scene)))
+
+    fresh = results()
+    with memo.run_scope():
+        first = results()
+        again = results()
+        # a second operand equal in value shares the tensor entry
+        twin = pvect.tensor(v, parabolic.ParabolicDatum(v.rank, tuple(
+            replace(pt) for pt in first[0].points)))
+        assert all(x.points[0] is y.points[0] for x, y in zip(first[:4], again[:4]))
+        assert twin.points[0] is first[2].points[0] and first[4] is again[4]
+    assert first == fresh and again == fresh and twin == fresh[2]
+
+
+def test_transient_constructions_leave_no_live_entries(monkeypatch):
+    """adjunction's trivial (x) u and its pushforward die with the command,
+    and so do their entries; v's dual points, v (x) v* and u's pushforward
+    keep theirs for the rest of the run."""
+    live = []
+    original = scenario.run_command
+
+    def recording(sc, cmd, rng):
+        out = original(sc, cmd, rng)
+        live.append({t: n for t, n in memo.live_keys().items() if t in NEW_TABLES})
+        return out
+
+    monkeypatch.setattr(scenario, "run_command", recording)
+    report = scenario.run_scenario(scenario.load_scenario(CONSTRUCTIONS))
+    assert report["summary"]["pass"] == 6
+    pairs = {"dual_point": 2, "tensor_point": 1}
+    assert live == [{"dual_point": 1}, {"dual_point": 1, "tensor_point": 1}, pairs, pairs,
+                    {**pairs, "pushforward": 1}, {**pairs, "pushforward": 1}]
+    assert memo.live_keys() == {}
 
 
 # the unary laws' scans, each called with xs a range (the exhaustive scan)
