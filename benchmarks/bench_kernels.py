@@ -14,7 +14,9 @@ Cases, layer by layer:
 * field ops: FieldCtx.mul, FieldCtx.inv and FieldCtx.add over GF(13) and
   GF(9), per operation, over a fixed list of operands;
 * kernels: truncated product, series inversion and series composition at
-  several precisions over a prime field and an extension field;
+  several precisions over a prime field and an extension field, and the
+  product over GF(9) at N=24, the `wild-extfield` size, whose 8-bit slots
+  fold in bytes;
 * vec_mul crossover: the direct loop against the packed product at short
   lengths over GF(7), on both sides of kernels.PACK_MIN (over GF(p^k)
   vec_mul always packs);
@@ -141,13 +143,15 @@ def bench_field_ops(results, repeats, runs):
 
 
 def bench_kernels(results, repeats, runs):
-    fields = [("GF(5)", make_field(5)), ("GF(49)", make_field(7, 2))]
+    sizes = (8, 16, 32, 64)
+    fields = [("GF(5)", make_field(5), sizes), ("GF(49)", make_field(7, 2), sizes)]
+    wild = [("GF(9)", make_field(3, 2), (24,))]
     print(f"{'kernel':<14}{'field':<8}{'N':>4}{'median':>12}{'min':>12}")
     for fn_name in ("vec_mul", "vec_inverse", "vec_compose"):
         fn = getattr(kernels, fn_name)
-        for fname, field in fields:
+        for fname, field, ns in fields + (wild if fn_name == "vec_mul" else []):
             ctx, q = field.ctx, field.order
-            for n in (8, 16, 32, 64):
+            for n in ns:
                 rng = SplitMix64(n * 31 + len(fn_name))
                 a = [rng.randrange(q) for _ in range(n)]
                 a[0] = 1 + rng.randrange(q - 1)

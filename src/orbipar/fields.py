@@ -9,7 +9,9 @@ canonical roots of unity) are reproducible.
 
 Multiplication runs on exp/log tables built once per FieldSpec; addition is
 digitwise base p (table-backed for small q).  The table context (FieldCtx)
-is also the object handed to the series kernels.
+is also the object handed to the series kernels.  Their products and psi
+over GF(p^k) use no exp/log lookups: they pack each element as its base-p
+digits (FieldCtx.digit_blocks) and fold the digits once with the modulus.
 """
 
 from array import array
@@ -222,7 +224,7 @@ class FieldCtx:
     q <= ADD_TABLE_MAX_ORDER (else None, and add goes digit by digit),
     neg_table[a] is -a (None over GF(p)), and modulus holds m_0, ...,
     m_{k-1}, 1.  digit_blocks(tc) gives the packed
-    form of each element for the kernels' GF(p^k) products.
+    form of each element for the kernels' GF(p^k) products and psi.
     """
 
     def __init__(self, spec: FieldSpec):

@@ -10,9 +10,9 @@ pack_rows, packed_pivot, packed_column, packed_normalize and unpack_rows
 for the packed prime-field rows of linalg.solve_linear, and byte_rows and
 byte_axpy for the byte rows of small GF(p^k).  Coefficient vectors are
 lists or tuples of element encodings; results are lists.  Prime fields take
-a direct `% p` path, extension fields the ctx's exp/log tables, with sums
-looked up in ctx.add_table where the field has one and negation in
-ctx.neg_table.
+a direct `% p` path.  Over extension fields the products and vec_tri pack
+(below); the other kernels use the ctx's exp/log tables, with sums looked
+up in ctx.add_table where the field has one and negation in ctx.neg_table.
 
 Products are packed (Kronecker substitution): a coefficient vector becomes
 one Python int of fixed-width little-endian slots, so one bigint product is
@@ -29,18 +29,31 @@ product is then the bivariate (s, x) product: slot j of group i holds the
 coefficient of s^i x^j, for j up to 2k - 2, so groups never overlap.
 Unpacking folds the digits of degree >= k down with the modulus, x^k =
 -(m_0 + ... + m_{k-1} x^(k-1)), in exact integers, then reduces each digit
-`% p` and encodes.
+`% p` and encodes (_fold_list).  With 8-bit slots and p^(2k-1) <= 256
+(GF(4), GF(8), GF(16), GF(9), GF(25) and GF(27)) it folds in bytes instead
+(_byte_fold): one translate reduces every slot mod p, masked bigint shifts
+and adds turn each group's digits d_j into one byte key sum d_j p^j, and one
+translate through a table of the field's p^(2k-1) keys encodes the keys.
+The table is built once per field, and only for these fields: GF(13^4)
+would need 13^7 entries.
+Over GF(p^k), vec_tri packs too.  Its table (tri_table) holds each
+column of the linear map (for psi, a power act^m) as digit groups, and
+applying it to a is the sum of a[m] * column m, the int of a[m]'s digit
+block times the packed column, folded once.
 
 Each slot holds the exact unreduced sum of at most k * short * inner digit
 products below p, with short the shorter operand length (for a matrix
 product the smaller of the two operands' longest entries) and inner the
 number of products summed (k = 1 over GF(p)); the slot is the narrowest of
-16, 32 or 64 bits that holds (p - 1)^2 * k * short * inner, so no carry
-crosses slots.  A bound above 64 bits raises StructuralError; nothing is
-truncated.  (p - 1)^2 * k is below 2^17 for every field with k >= 2 and
-q <= 2^16, so within the scenario caps no slot overflows.  Packing has a
-fixed cost per call, so over GF(p) only, vec_mul takes its direct loop when
-its shorter operand has fewer than PACK_MIN coefficients.  Every matrix
+8, 16, 32 or 64 bits that holds (p - 1)^2 * k * short * inner, so no carry
+crosses slots, and p - 1, the largest entry packed.  vec_tri's table sums
+one digit block times each column, so its bound takes short = the number
+of columns and inner = 1: 8 bits for GF(9) at N = 24.  A bound above 64
+bits raises StructuralError; nothing is truncated.  (p - 1)^2 * k is below
+2^17 for every field with k >= 2 and q <= 2^16, so within the scenario caps
+no slot overflows.  Packing has a fixed cost per call, so over GF(p) only,
+vec_mul takes its direct loop when its shorter operand has fewer than
+PACK_MIN coefficients.  Every matrix
 product larger than 1 x 1 packs, whatever its size (see PACK_MIN).
 
 Elimination rows over GF(p) pack the same way, entry j in slot j, but
@@ -89,7 +102,10 @@ from .errors import StructuralError
 PACK_MIN = 8
 
 # (bytes, array typecode) of the slot widths, narrowest first
-_SLOTS = tuple((array(tc).itemsize, tc) for tc in "HIQ")
+_SLOTS = tuple((array(tc).itemsize, tc) for tc in "BHIQ")
+# the narrowest slot for each bit length of a slot's bound, 0 to 64
+_SLOT_FOR_BITS = tuple(next(slot for slot in _SLOTS if bits <= 8 * slot[0])
+                       for bits in range(8 * _SLOTS[-1][0] + 1))
 
 
 # Benchmarks record which kernel implementation produced their timings.
@@ -102,12 +118,12 @@ def available_backends():
 
 
 def _slot(p, k, short, inner):
-    """(bytes, typecode) of the narrowest slot holding (p-1)^2 * k * short * inner."""
-    bound = (p - 1) ** 2 * k * short * inner
-    for nbytes, tc in _SLOTS:
-        if bound < 1 << (8 * nbytes):
-            return nbytes, tc
-    raise StructuralError(f"packed product needs {bound.bit_length()}-bit slots; "
+    """(bytes, typecode) of the narrowest slot holding (p-1)^2 * k * short *
+    inner, and at least p - 1, the largest entry a slot is packed with."""
+    bits = ((p - 1) ** 2 * k * short * inner or p - 1).bit_length()
+    if bits < len(_SLOT_FOR_BITS):
+        return _SLOT_FOR_BITS[bits]
+    raise StructuralError(f"packed product needs {bits}-bit slots; "
                           f"at most {8 * _SLOTS[-1][0]} are supported")
 
 
@@ -171,12 +187,33 @@ def _pack_digits(blocks, x, n):
 
 def _unpack_digits(ctx, c, nbytes, tc, n):
     """The first n slot groups of c, each folded with the modulus, its
-    digits reduced mod p, and encoded."""
+    digits reduced mod p, and encoded: in bytes where _byte_fold has tables
+    for 8-bit slots, else as lists (_fold_list)."""
+    width = 2 * ctx.k - 1
+    size = nbytes * width * n
+    raw = (c & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    tables = _byte_fold(ctx) if nbytes == 1 else None
+    if tables is None:
+        slots = array(tc)
+        slots.frombytes(raw)
+        return _fold_list(ctx, slots)
+    red, fold = tables
+    p = ctx.p
+    # each group's reduced digits d_0..d_{2k-2} as the key sum d_j p^j < 256,
+    # in the group's first byte
+    digits = int.from_bytes(raw.translate(red), "little")
+    mask = int.from_bytes(b"\xff".ljust(width, b"\0") * n, "little")
+    key = digits >> 8 * (width - 1) & mask
+    for j in range(width - 2, -1, -1):
+        key = key * p + (digits >> 8 * j & mask)
+    return list(key.to_bytes(size, "little")[::width].translate(fold))
+
+
+def _fold_list(ctx, slots):
+    """The encodings of the slot groups in slots (an array, 2k - 1 unreduced
+    digits per group), each folded with the modulus and reduced mod p."""
     p, k, m = ctx.p, ctx.k, ctx.modulus
     width = 2 * k - 1
-    size = nbytes * width * n
-    slots = array(tc)
-    slots.frombytes((c & ((1 << (8 * size)) - 1)).to_bytes(size, "little"))
     digits = [slots[j::width] for j in range(width)]
     for j in range(width - 1, k - 1, -1):    # x^j = -x^(j-k) * (m_0 + ... + m_{k-1} x^(k-1))
         top = digits[j]
@@ -188,6 +225,25 @@ def _unpack_digits(ctx, c, nbytes, tc, n):
     for j in range(k - 2, -1, -1):
         out = [e * p + u % p for e, u in zip(out, digits[j])]
     return out
+
+
+@lru_cache(maxsize=None)
+def _byte_fold(ctx):
+    """(red, fold) translate tables for slot groups of 8-bit slots, or None
+    unless p^(2k-1) <= 256: red reduces a slot mod p, and fold maps a group's
+    key sum d_j p^j of reduced digits to the encoding _fold_list gives it."""
+    p, width = ctx.p, 2 * ctx.k - 1
+    keys = p ** width
+    if keys > 256:
+        return None
+    groups = array("B", [key // p ** j % p for key in range(keys) for j in range(width)])
+    return bytes(x % p for x in range(256)), bytes(_fold_list(ctx, groups)).ljust(256, b"\0")
+
+
+@lru_cache(maxsize=None)
+def _block_ints(ctx, tc):
+    """Per element, its digit block (ctx.digit_blocks(tc)) as an int."""
+    return [int.from_bytes(b, "little") for b in ctx.digit_blocks(tc)]
 
 
 def vec_mul(ctx, a, b, n):
@@ -393,29 +449,45 @@ def vec_scale(ctx, a, w):
     return [exp[log[x] + log[y]] if x and y else 0 for x, y in zip(a, w)]
 
 
-def vec_tri(ctx, cols, a, n):
-    """Row-by-row dot products: out[k] = sum over m of a[m] * cols[k][m], k < n,
-    over the shorter of a and cols[k].
+def vec_tri(ctx, table, a, n):
+    """The first n coefficients of sum over m of a[m] * columns[m], table
+    being tri_table(ctx, columns).
 
-    With cols[k][m] the coefficient of s^k in g^m, m <= k, this is the
-    first n coefficients of a(g), in O(n^2) instead of Horner's O(n^3).
-    With cols an extension's decomposition matrix it is restriction of
-    scalars (LocalExtension.decomposition).
+    With columns[m] the coefficients of g^m this is a(g), in O(n^2) instead
+    of Horner's O(n^3); with columns those of an extension's decomposition
+    matrix it is restriction of scalars (LocalExtension.decomposition).
+    Over GF(p), out[k] is the dot product of a with row k of the table, over
+    the shorter of the two.  Over GF(p^k) it is one packed sum of the int of
+    a[m]'s digit block times packed column m, folded once.
     """
     if ctx.k == 1:
         p = ctx.p
-        return [sum(map(_mul, a, cols[k])) % p for k in range(n)]
-    exp, log, add, tab = ctx.exp, ctx.log, ctx.add, ctx.add_table
-    la = [log[x] for x in a]
-    out = [0] * n
-    for k in range(n):
-        acc = 0
-        for lx, y in zip(la, cols[k]):
-            if lx >= 0 and y:
-                z = exp[lx + log[y]]
-                acc = tab[acc][z] if tab else add(acc, z)
-        out[k] = acc
-    return out
+        return [sum(map(_mul, a, table[k])) % p for k in range(n)]
+    nbytes, tc, packed = table
+    elem = _block_ints(ctx, tc)
+    return _unpack_digits(ctx, sum(map(_mul, map(elem.__getitem__, a), packed)), nbytes, tc, n)
+
+
+def tri_table(ctx, columns):
+    """vec_tri's table of the k-linear map whose column m, the coefficients
+    that a[m] = 1 contributes, is columns[m]; the columns have equal length.
+
+    Over GF(p), the rows of the map, row k holding entry k of each column,
+    each cut after its last nonzero entry: for powers g^m, row k stops at m
+    = k.  Over GF(p^k), k >= 2, (nbytes, tc, packed): each column packed
+    once as digit groups, in slots that hold the sum over all the columns.
+    """
+    if ctx.k == 1:
+        rows = []
+        for row in zip(*columns):
+            end = len(row)
+            while end and not row[end - 1]:
+                end -= 1
+            rows.append(row[:end])
+        return tuple(rows)
+    nbytes, tc = _slot(ctx.p, ctx.k, len(columns), 1)
+    blocks = ctx.digit_blocks(tc)
+    return nbytes, tc, [_pack_digits(blocks, x, len(x)) for x in columns]
 
 
 @lru_cache(maxsize=None)

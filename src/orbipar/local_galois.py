@@ -19,12 +19,15 @@ ext.psi(g) is that automorphism as an operator on Series, Laurent values and
 matrices.  It is built on first use and cached on the extension, one per
 group element.  A monomial image c*s (Kummer, and the identity) acts
 diagonally, f_i -> c^i f_i, in O(N).  Any other image (Artin-Schreier
-s/(1+cs), explicit actions) acts through the lower-triangular table of its
-powers act(g)^m, m < N, as a matrix-vector product in O(N^2); the table costs
-about one Horner composition to build.  A Laurent value with val_floor v != 0
-takes its factor act(g)^v from the cache: table row v for v > 0, cached
-powers of s/act(g) for v < 0.  Results equal Series.compose and
-Laurent.substitute coefficient for coefficient, windows included.
+s/(1+cs), explicit actions) acts through the table of its powers act(g)^m,
+m < N, which costs about one Horner composition to build.  Over GF(p) the
+table is lower-triangular and psi is a matrix-vector product in O(N^2).
+Over GF(p^k), k >= 2, each power is packed once as digit groups, and psi of
+f is one packed sum, sum_m f_m * act(g)^m, folded once (kernels.vec_tri).
+A Laurent value with val_floor v != 0 takes its factor act(g)^v from the
+cache: table row v for v > 0, cached powers of s/act(g) for v < 0.  Results
+equal Series.compose and Laurent.substitute coefficient for coefficient,
+windows included.
 Series.compose stays the general composition (verify_extension, norm,
 reversion, embeddings) and the reference the operator is tested against.
 
@@ -82,8 +85,9 @@ class Substitution:
         return kernels.vec_tri(self.ctx, self._table()[1], coeffs, n)
 
     def _table(self):
-        """image^m for m < prec, built once by repeated multiplication, and its
-        columns: cols[k][m] = coefficient of s^k in image^m, m <= k."""
+        """image^m for m < prec, built once by repeated multiplication, and
+        vec_tri's table of the map f -> f(image), whose column m is
+        image^m (kernels.tri_table)."""
         if self._powers is None:
             n = self.prec
             img = list(self.image.coeffs)
@@ -91,7 +95,7 @@ class Substitution:
             for _ in range(n - 1):
                 rows.append(kernels.vec_mul(self.ctx, rows[-1], img, n))
             self._powers = [Series(self.field, n, tuple(r)) for r in rows]
-            self._cols = [tuple(rows[m][k] for m in range(k + 1)) for k in range(n)]
+            self._cols = kernels.tri_table(self.ctx, rows)
         return self._powers, self._cols
 
     def power(self, m):
@@ -176,19 +180,23 @@ class LocalExtension:
         e*m, its lead coefficient lead^m a unit (lead that of s^e in t), so
         h is k-linear in f.  Column v is the greedy elimination of s^v
         against that basis, which touches only basis elements of valuation
-        v or more, so row j*M + m stops at coefficient j + e*m.
+        v or more, so row j*M + m stops at coefficient j + e*m.  The matrix
+        is held as vec_tri's table (kernels.tri_table): over GF(p^k), k >= 2,
+        its columns packed, applied as one packed sum.
         """
-        rows = self._decomposition.get(prec)
-        if rows is None:
-            rows = self._decomposition[prec] = _decomposition_rows(self, prec)
-        return rows
+        table = self._decomposition.get(prec)
+        if table is None:
+            table = self._decomposition[prec] = kernels.tri_table(
+                self.field.ctx, _decomposition_columns(self, prec))
+        return table
 
     def describe(self):
         return f"extension of degree {self.group.order} over {self.field.describe()}"
 
 
-def _decomposition_rows(ext, prec):
-    """LocalExtension.decomposition, built column by column."""
+def _decomposition_columns(ext, prec):
+    """Column v of the decomposition matrix at precision prec, for v < prec:
+    coefficient m of h_j in s^v = sum_j s^j h_j(t) at index j*M + m."""
     e, field = ext.ram_index, ext.field
     ctx = field.ctx
     out_prec = max(prec // e, 1)
@@ -203,8 +211,9 @@ def _decomposition_rows(ext, prec):
         m, j = divmod(w, e)
         basis.append([0] * j + tpows[m][:prec - j])
         scales.append(ctx.inv(field.pow(lead, m)))
-    rows = [[0] * min(j + e * m + 1, prec) for j in range(e) for m in range(out_prec)]
+    cols = []
     for v in range(prec):
+        col = [0] * (e * out_prec)
         x = [0] * prec
         x[v] = 1
         for w in range(v, prec):
@@ -212,9 +221,10 @@ def _decomposition_rows(ext, prec):
                 m, j = divmod(w, e)
                 c = ctx.mul(x[w], scales[w])
                 if m < out_prec:
-                    rows[j * out_prec + m][v] = c
+                    col[j * out_prec + m] = c
                 x = kernels.row_axpy(ctx, x, c, basis[w])
-    return tuple(map(tuple, rows))
+        cols.append(col)
+    return cols
 
 
 def trivial_extension(field, prec) -> LocalExtension:

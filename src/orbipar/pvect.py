@@ -335,7 +335,7 @@ def decompose_series(ext, f: Series):
 
     Restriction of scalars is k-linear: the pieces are one product of f's
     coefficients with the extension's cached decomposition matrix at
-    precision N (LocalExtension.decomposition), row by row (kernels.vec_tri).
+    precision N (LocalExtension.decomposition), applied by kernels.vec_tri.
     """
     e = ext.ram_index
     out_prec = max(f.prec // e, 1)

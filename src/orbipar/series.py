@@ -170,18 +170,6 @@ class Series:
         coeffs = (0,) * min(m, self.prec) + self.coeffs[: max(self.prec - m, 0)]
         return Series(self.field, self.prec, coeffs)
 
-    def pow(self, e):
-        if e < 0:
-            raise DomainError("negative series powers need Laurent values")
-        out = Series.one(self.field, self.prec)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
-
     def truncate(self, prec):
         if prec > self.prec:
             raise StructuralError("cannot extend precision")

@@ -17,6 +17,7 @@ def test_bench_kernels_runs(capsys, tmp_path):
     for fn_name in ("vec_mul", "vec_inverse", "vec_compose"):
         assert fn_name in out
     assert "psi(g) apply" in out
+    assert "vec_mul       GF(9)     24" in out
     assert "vec_mul GF(7)" in out and "vec_mul GF(3^2)" not in out and "matrix product" in out
     assert "GF(3^2)           2  24" in out
     assert "Laurent product" in out and "GF(3^2)           1  24" in out
@@ -64,7 +65,8 @@ def test_bench_kernels_runs(capsys, tmp_path):
     assert all({"median_us", "min_us"} <= set(case) for case in doc["cases"].values())
     assert not any(case.startswith(("vec_mul direct GF(3^2)", "vec_mul packed GF(3^2)"))
                    for case in doc["cases"])
-    for case in ("vec_mul direct GF(7) n=8", "vec_mul packed GF(7) n=8",
+    for case in ("vec_mul direct GF(7) n=8", "vec_mul packed GF(7) n=8", "vec_mul GF(9) N=24",
+                 "psi apply AS s/(1+s) GF(9) N=24",
                  "Matrix.__mul__ GF(3^2) r=2 N=24",
                  "entrywise product GF(3^2) r=2 N=24", "psi table build AS s/(1+s) GF(9) N=24",
                  "solve_linear tame invariants system 32x32 GF(7)",

@@ -1,5 +1,7 @@
 """The series kernels against schoolbook references written with field ops."""
 
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,7 +9,9 @@ from orbipar import kernels
 from orbipar.errors import StructuralError
 from orbipar.fields import MAX_FIELD_ORDER, is_prime, make_field
 from orbipar.linalg import Matrix
+from orbipar.local_galois import _decomposition_columns, make_artin_schreier
 from orbipar.prng import SplitMix64
+from orbipar.pvect import decompose_series
 from orbipar.scenario import MAX_PRECISION, MAX_RANK
 from orbipar.series import Series
 
@@ -140,6 +144,84 @@ def test_slot_width_follows_the_bound():
         p = max(p for p in range(2, MAX_FIELD_ORDER + 1)
                 if is_prime(p) and p ** k <= MAX_FIELD_ORDER)
         assert kernels._slot(p, k, MAX_PRECISION, MAX_RANK ** 2)[0] <= 8
+
+
+def test_slot_holds_the_largest_entry():
+    """With nothing summed (short or inner 0) the slot still holds p - 1,
+    the largest entry packed into it."""
+    for p in (2, 3, 251, 65521):
+        for short, inner in ((0, 0), (0, 5), (5, 0)):
+            nbytes, tc = kernels._slot(p, 1, short, inner)
+            assert p - 1 < 1 << 8 * nbytes
+            assert array(tc, [p - 1]).itemsize == nbytes
+    assert kernels._slot(2, 1, 0, 0) == (1, "B")
+    assert kernels._slot(251, 1, 0, 0) == (1, "B")
+    assert kernels._slot(65521, 1, 0, 0) == (2, "H")
+
+
+# the fields whose digit groups fold in bytes: p^(2k-1) <= 256
+BYTE_FOLD_FIELDS = [(2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (3, 3)]
+
+
+def test_byte_fold_covers_exactly_the_small_fields():
+    for p, k in BYTE_FOLD_FIELDS:
+        assert kernels._byte_fold(make_field(p, k).ctx) is not None
+    for p, k in ((7, 2), (3, 4), (5, 3), (13, 4)):
+        assert kernels._byte_fold(make_field(p, k).ctx) is None
+
+
+@pytest.mark.parametrize("p,k", BYTE_FOLD_FIELDS,
+                         ids=[f"GF({p}^{k})" for p, k in BYTE_FOLD_FIELDS])
+def test_byte_fold_matches_list_fold(p, k):
+    """_unpack_digits on 8-bit slots folds in bytes; the list fold of the
+    same slots is the reference, on random slots and on all-255 slots, for
+    one group and for a full-precision vector, with groups above n in c."""
+    ctx = make_field(p, k).ctx
+    width = 2 * k - 1
+    rng = SplitMix64(p * 10 + k)
+    for n in (1, MAX_PRECISION):
+        cases = [[rng.randrange(256) for _ in range(width * n)] for _ in range(8)]
+        cases += [[255] * (width * n), [p - 1] * (width * n), [0] * (width * n)]
+        for slots in cases:
+            raw = bytes(slots)
+            c = int.from_bytes(raw + bytes(rng.randrange(256) for _ in range(width)), "little")
+            got = kernels._unpack_digits(ctx, c, 1, "B", n)
+            assert got == kernels._fold_list(ctx, array("B", raw))
+            assert len(got) == n and all(0 <= e < ctx.q for e in got)
+
+
+def _log_table_tri(ctx, cols, a, n):
+    """vec_tri's former GF(p^k) loop, through the exp/log and add tables:
+    out[k] = sum over m of a[m] * cols[k][m].  The reference for the packed
+    sum."""
+    exp, log, add, tab = ctx.exp, ctx.log, ctx.add, ctx.add_table
+    la = [log[x] for x in a]
+    out = [0] * n
+    for k in range(n):
+        acc = 0
+        for lx, y in zip(la, cols[k]):
+            if lx >= 0 and y:
+                z = exp[lx + log[y]]
+                acc = tab[acc][z] if tab else add(acc, z)
+        out[k] = acc
+    return out
+
+
+@pytest.mark.parametrize("prec", [5, 24])
+def test_decompose_series_gf9_matches_log_table_loop(prec):
+    """decompose_series over GF(9), a packed sum over the decomposition
+    matrix's packed columns, against the log-table loop on its rows, at the
+    extension precision and shorter."""
+    field = make_field(3, 2)
+    ext = make_artin_schreier(field, 24)
+    rng = SplitMix64(prec)
+    cols = _decomposition_columns(ext, prec)
+    rows = list(zip(*cols))
+    e, out_prec = ext.ram_index, max(prec // ext.ram_index, 1)
+    for _ in range(20):
+        f = Series(field, prec, tuple(rng.randrange(9) for _ in range(prec)))
+        flat = _log_table_tri(field.ctx, rows, f.coeffs, e * out_prec)
+        assert [c for h in decompose_series(ext, f) for c in h.coeffs] == flat
 
 
 def test_series_matrix_product_keeps_its_errors():

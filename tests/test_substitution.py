@@ -18,6 +18,7 @@ from orbipar.groups import cyclic
 from orbipar.linalg import Matrix
 from orbipar.local_galois import (kummer_tower, make_artin_schreier, make_explicit,
                                   make_kummer)
+from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
 
 
@@ -29,6 +30,17 @@ def horner_substitute(x: Laurent, act: Series) -> Laurent:
     if x.val_floor == 0:
         return mapped_l
     return Laurent.from_series(act).pow(x.val_floor) * mapped_l
+
+
+def series_pow(x: Series, e: int) -> Series:
+    """x^e by repeated squaring: the oracle for Substitution.power."""
+    out, base = Series.one(x.field, x.prec), x
+    while e:
+        if e & 1:
+            out = out * base
+        base = base * base
+        e >>= 1
+    return out
 
 
 def conjugated_kummer(field, n, prec):
@@ -107,7 +119,7 @@ def test_psi_matrix_and_powers(name):
         assert ext.psi(g)(m) == m.substitute(ext.act(g))
         assert ext.psi(g)(ml) == ml.substitute(ext.act(g))
         for k in range(prec + 2):
-            assert ext.psi(g).power(k) == ext.act(g).pow(k)
+            assert ext.psi(g).power(k) == series_pow(ext.act(g), k)
 
 
 def test_psi_is_cached_and_invisible():
@@ -125,3 +137,34 @@ def test_psi_rejects_mismatched_precision():
         ext.psi(1)(Series.one(ext.field, 6))
     with pytest.raises(StructuralError):
         ext.psi(1)(Laurent.zero(ext.field, 9))
+
+
+# (p, k, prec, slot bytes of the packed powers): over GF(4), GF(9) and GF(27)
+# the powers take 8-bit slots, which fold in bytes; over GF(49) they take
+# 16-bit slots, and p^(2k-1) = 343 > 256 rules the byte fold out anyway
+PACKED_PSI = [(2, 2, 20, 1), (3, 2, 24, 1), (3, 3, 16, 1), (7, 2, 12, 2)]
+
+
+@pytest.mark.parametrize("p,k,prec,nbytes", PACKED_PSI,
+                         ids=[f"GF({p}^{k})" for p, k, _, _ in PACKED_PSI])
+def test_packed_psi_matches_compose_and_substitute(p, k, prec, nbytes):
+    """Artin-Schreier psi over GF(p^k), one packed sum per application,
+    against Series.compose and Laurent.substitute: every element but the
+    identity, full series, and Laurent windows of every length with floors
+    from -3 to 3."""
+    field = make_field(p, k)
+    ext = make_artin_schreier(field, prec)
+    rng = SplitMix64(p * 100 + k)
+    q = field.order
+    for g in range(1, ext.group.order):
+        op, act = ext.psi(g), ext.act(g)
+        assert op._table()[1][0] == nbytes
+        for _ in range(6):
+            f = Series(field, prec, tuple(rng.randrange(q) for _ in range(prec)))
+            assert op(f).coeffs == f.compose(act).coeffs
+        for n in range(1, prec + 1):
+            x = Laurent(field, rng.randrange(7) - 3, tuple(rng.randrange(q) for _ in range(n)))
+            got, want = op(x), x.substitute(act)
+            assert (got.val_floor, got.coeffs) == (want.val_floor, want.coeffs)
+        top = Series(field, prec, (q - 1,) * prec)      # every digit p - 1
+        assert op(top).coeffs == top.compose(act).coeffs
