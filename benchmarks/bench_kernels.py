@@ -17,9 +17,6 @@ Cases, layer by layer:
   several precisions over a prime field and an extension field, and the
   product over GF(9) at N=24, the `wild-extfield` size, whose 8-bit slots
   fold in bytes;
-* vec_mul crossover: the direct loop against the packed product at short
-  lengths over GF(7), on both sides of kernels.PACK_MIN (over GF(p^k)
-  vec_mul always packs);
 * matrix products: Matrix.__mul__ (kernels.mat_mul) against the entrywise
   sum of Series products, outputs asserted equal, over GF(7), GF(13) and
   GF(9), plus two short shapes: 4x4 GF(13) at N=1 and the GF(9) outer
@@ -162,32 +159,6 @@ def bench_kernels(results, repeats, runs):
                 med, low = timed(results, f"{fn_name} {fname} N={n}",
                                  lambda: fn(*args), calls, runs)
                 print(f"{fn_name:<14}{fname:<8}{n:>4}{med * 1e6:>10.1f}us{low * 1e6:>10.1f}us")
-
-
-def bench_crossover(results, repeats, runs):
-    """vec_mul's direct loop against its packed product at equal lengths n,
-    over GF(7): PACK_MIN chooses between them over GF(p) only."""
-    saved = kernels.PACK_MIN
-    try:
-        field = make_field(7)
-        ctx, q, fname = field.ctx, field.order, field.describe()
-        print(f"{'vec_mul ' + fname:<16}{'n':>4}{'direct':>12}{'packed':>12}"
-              f"{'packed gain':>13}   (PACK_MIN = {saved})")
-        for n in (1, 2, 4, 8, 16):
-            rng = SplitMix64(700 + n)
-            a = [rng.randrange(q) for _ in range(n)]
-            b = [rng.randrange(q) for _ in range(n)]
-            calls = max(repeats // n, 1)
-            times = {}
-            for path, pack_min in (("direct", n + 1), ("packed", 1)):
-                kernels.PACK_MIN = pack_min
-                times[path] = timed(results, f"vec_mul {path} {fname} n={n}",
-                                    lambda: kernels.vec_mul(ctx, a, b, n), calls, runs)[0]
-            print(f"{'':<16}{n:>4}{times['direct'] * 1e6:>10.2f}us"
-                  f"{times['packed'] * 1e6:>10.2f}us"
-                  f"{times['direct'] / times['packed']:>12.2f}x")
-    finally:
-        kernels.PACK_MIN = saved
 
 
 def _entrywise_product(a, b):
@@ -663,8 +634,6 @@ def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
     bench_field_ops(results, repeats, runs)
     print()
     bench_kernels(results, repeats, runs)
-    print()
-    bench_crossover(results, repeats, runs)
     print()
     bench_mat_mul(results, repeats, runs)
     print()

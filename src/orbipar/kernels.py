@@ -4,20 +4,20 @@ Truncated convolution, Series and Laurent matrix products, series
 inversion and composition over a FieldCtx; vec_scale and vec_tri, the two
 ways a cached substitution operator applies itself, vec_tri also applying
 an extension's cached decomposition matrix (restriction of scalars);
-fixed_point_rows, the equations of a semilinear action's fixed space; and
-the rows of exact elimination: row_axpy, row_scale and row_neg on lists,
-pack_rows, packed_pivot, packed_column, packed_normalize and unpack_rows
-for the packed prime-field rows of linalg.solve_linear, and byte_rows and
-byte_axpy for the byte rows of small GF(p^k).  Coefficient vectors are
-lists or tuples of element encodings; results are lists.  Prime fields take
-a direct `% p` path.  Over extension fields the products and vec_tri pack
-(below); the other kernels use the ctx's exp/log tables, with sums looked
-up in ctx.add_table where the field has one and negation in ctx.neg_table.
+fixed_point_rows, the equations of a semilinear action's fixed space;
+gauss_jordan, exact elimination over the field; and row_axpy, row_scale
+and row_neg on list rows.  Coefficient vectors are lists or tuples of
+element encodings; results are lists.  The products and vec_tri have one
+packed path for every field (below); vec_inverse, vec_scale and the list
+rows take a direct `% p` path over GF(p) and the ctx's exp/log tables over
+GF(p^k), with sums looked up in ctx.add_table where the field has one and
+negation in ctx.neg_table.
 
 Products are packed (Kronecker substitution): a coefficient vector becomes
 one Python int of fixed-width little-endian slots, so one bigint product is
 the whole convolution and a sum of such products is a whole matrix entry.
-Every product over GF(p^k), k >= 2, packs.
+Every product packs, whatever its field and size; a 1 x 1 matrix product
+is one vec_mul.
 A Laurent matrix entry is a shifted window sum: each term's product is
 shifted up by the distance of its floor above the lowest floor, so one
 bigint sum lines up every term's coefficients by exponent.
@@ -36,10 +36,10 @@ and adds turn each group's digits d_j into one byte key sum d_j p^j, and one
 translate through a table of the field's p^(2k-1) keys encodes the keys.
 The table is built once per field, and only for these fields: GF(13^4)
 would need 13^7 entries.
-Over GF(p^k), vec_tri packs too.  Its table (tri_table) holds each
-column of the linear map (for psi, a power act^m) as digit groups, and
-applying it to a is the sum of a[m] * column m, the int of a[m]'s digit
-block times the packed column, folded once.
+vec_tri is one packed sum too.  Its table (tri_table) holds each column of
+the linear map (for psi, a power act^m) packed once, and applying it to a
+is the sum of a[m] * column m, unpacked once: over GF(p) a[m] is the int
+itself, over GF(p^k) the int of a[m]'s digit block.
 
 Each slot holds the exact unreduced sum of at most k * short * inner digit
 products below p, with short the shorter operand length (for a matrix
@@ -47,31 +47,28 @@ product the smaller of the two operands' longest entries) and inner the
 number of products summed (k = 1 over GF(p)); the slot is the narrowest of
 8, 16, 32 or 64 bits that holds (p - 1)^2 * k * short * inner, so no carry
 crosses slots, and p - 1, the largest entry packed.  vec_tri's table sums
-one digit block times each column, so its bound takes short = the number
-of columns and inner = 1: 8 bits for GF(9) at N = 24.  A bound above 64
-bits raises StructuralError; nothing is truncated.  (p - 1)^2 * k is below
-2^17 for every field with k >= 2 and q <= 2^16, so within the scenario caps
-no slot overflows.  Packing has a fixed cost per call, so over GF(p) only,
-vec_mul takes its direct loop when its shorter operand has fewer than
-PACK_MIN coefficients.  Every matrix
-product larger than 1 x 1 packs, whatever its size (see PACK_MIN).
+one element times each column, so its bound takes short = the number of
+columns and inner = 1: 8 bits for GF(9) at N = 24.  A bound above 64 bits
+raises StructuralError; nothing is truncated.  (p - 1)^2 * k is below 2^17
+for every field with k >= 2 and q <= 2^16, so within the scenario caps no
+slot overflows.
 
-Elimination rows over GF(p) pack the same way, entry j in slot j, but
-reduce lazily: a row update adds (p - e) times a pivot row whose entries
-are below p, so a slot grows by at most (p - 1)^2 per pivot and is reduced
-only when it is read (`% p`) or its row becomes the pivot row.  With at
-most min(m, n) pivots the slot is _slot(p, 1, 1, min(m, n) + 1): 16 bits
-for the 60 x 40 GF(13) blocks that the isomorphism search's 256 x 160
-joint system splits into (linalg.kernel_by_blocks), as for that system
-whole, 64 bits for any p < 2^16 up to 2^32 pivots, and StructuralError
-past that.
+gauss_jordan keeps its rows in one of three forms, chosen by the field.
+Over GF(p) a row packs the same way, entry j in slot j, but reduces lazily:
+a row update adds (p - e) times a pivot row whose entries are below p, so a
+slot grows by at most (p - 1)^2 per pivot and is reduced only when it is
+read (`% p`) or its row becomes the pivot row.  With at most min(m, n)
+pivots the slot is _slot(p, 1, 1, min(m, n) + 1): 16 bits for the 60 x 40
+GF(13) blocks that the isomorphism search's 256 x 160 joint system splits
+into (linalg.kernel_by_blocks), as for that system whole, 64 bits for any
+p < 2^16 up to 2^32 pivots, and StructuralError past that.
 Packed as digit groups, GF(p^k) rows would need every entry read to fold
 its digits with the modulus.  Where an element's k digits fit one byte
-with room for the sum of two of them (byte_rows: GF(4), GF(8), GF(16),
+with room for the sum of two of them (_byte_rows: GF(4), GF(8), GF(16),
 GF(9), GF(25) and GF(49)), a row is instead one byte per entry, and a row
 update is a translate of the pivot row, one bigint addition and a
-reducing translate (byte_axpy); entries are read as plain bytes.  Other
-GF(p^k) rows stay lists.
+reducing translate; entries are read as plain bytes.  Other GF(p^k) rows
+stay lists, updated by row_axpy and row_scale.
 """
 
 from array import array
@@ -79,27 +76,6 @@ from functools import lru_cache
 from operator import mul as _mul
 
 from .errors import StructuralError
-
-# Over GF(p) only, vec_mul packs once its shorter operand has this many
-# coefficients; no other loop reads the threshold.  Packed vec_mul against
-# the direct loop at equal lengths n over GF(7), from
-# benchmarks/bench_kernels.py on 2 vCPUs with Python 3.11 (BENCH_6.json):
-# 0.34x at n=1, 0.49x at n=4, 1.49x at n=8, 2.38x at n=16; repeated runs
-# ranged 0.5-1.0x at n=4 and 0.85-2.0x at n=8, and GF(13) and GF(65521)
-# behave alike.  Over GF(p^k) vec_mul always packs.  Its log-table loop for
-# short operands was faster there (over GF(9), BENCH_7.json, the packed
-# product ran at 0.21x its speed at n=1 and 0.62x at n=4), but no workload
-# or demo multiplies GF(p^k) series that short.  A matrix product larger
-# than 1 x 1 always packs.  Against the direct loop it replaced
-# (BENCH_16.json, medians of 10 runs), a GF(13) 4x4 product at n=1 went
-# from 219 to 101 us, and the GF(9) outer product 4x1 * 1x4 at n=3 from 135
-# to 151 us as a Series product and from 126 to 182 us as a Laurent one.
-# Timed alone, products with few outputs and short entries, such as 1x5 *
-# 5x1 at n=1, run up to 2x slower packed, 5-20 us each.  No workload builds
-# those: the only products below the old threshold of PACK_MIN coefficient
-# products are `calculus`'s 16x1 * 1x2 and 1x1 * 1x16 over GF(13) at n=2,
-# which run 1.2-1.5x faster packed.
-PACK_MIN = 8
 
 # (bytes, array typecode) of the slot widths, narrowest first
 _SLOTS = tuple((array(tc).itemsize, tc) for tc in "BHIQ")
@@ -142,41 +118,6 @@ def _slots(c, nbytes, tc, n):
 def _unpack(c, nbytes, tc, n, p):
     """The first n slots of c, each reduced mod p."""
     return [x % p for x in _slots(c, nbytes, tc, n)]
-
-
-def pack_rows(p, rows, pivots):
-    """(nbytes, tc, packed) for rows of elements of GF(p): each row one int
-    with entry j in slot j, the slots wide enough for the entries plus one
-    row update of at most (p - 1)^2 per slot for each of `pivots` pivots."""
-    nbytes, tc = _slot(p, 1, 1, pivots + 1)
-    return nbytes, tc, [_pack(tc, r, len(r)) for r in rows]
-
-
-def packed_column(rows, nbytes, j, p):
-    """Entry j of each packed row: its slot j reduced mod p."""
-    shift, mask = 8 * nbytes * j, (1 << (8 * nbytes)) - 1
-    return [(v >> shift & mask) % p for v in rows]
-
-
-def packed_pivot(rows, start, nbytes, j, p):
-    """(i, entry j of row i) for the first row i >= start whose entry j is
-    nonzero, or None."""
-    shift, mask = 8 * nbytes * j, (1 << (8 * nbytes)) - 1
-    for i in range(start, len(rows)):
-        e = (rows[i] >> shift & mask) % p
-        if e:
-            return i, e
-    return None
-
-
-def packed_normalize(v, nbytes, tc, width, f, p):
-    """The packed row f * v, each of its width slots reduced mod p."""
-    return _pack(tc, [x * f % p for x in _slots(v, nbytes, tc, width)], width)
-
-
-def unpack_rows(rows, nbytes, tc, width, p):
-    """The packed rows as lists of their width entries, reduced mod p."""
-    return [_unpack(v, nbytes, tc, width, p) for v in rows]
 
 
 def _pack_digits(blocks, x, n):
@@ -247,40 +188,19 @@ def _block_ints(ctx, tc):
 
 
 def vec_mul(ctx, a, b, n):
-    """Truncated product: first n coefficients of a*b.  Packed, except over
-    GF(p) when the shorter operand has fewer than PACK_MIN coefficients."""
-    la, lb = len(a), len(b)
-    short = min(la, lb, n)
-    p = ctx.p
-    if ctx.k > 1:
-        nbytes, tc = _slot(p, ctx.k, short, 1)
-        blocks = ctx.digit_blocks(tc)
-        return _unpack_digits(ctx, _pack_digits(blocks, a, n) * _pack_digits(blocks, b, n),
-                              nbytes, tc, n)
-    if short >= PACK_MIN:
-        nbytes, tc = _slot(p, 1, short, 1)
-        return _unpack(_pack(tc, a, n) * _pack(tc, b, n), nbytes, tc, n, p)
-    out = [0] * n
-    for k in range(n):
-        acc = 0
-        lo = k - lb + 1
-        if lo < 0:
-            lo = 0
-        hi = k + 1
-        if hi > la:
-            hi = la
-        for i in range(lo, hi):
-            acc += a[i] * b[k - i]
-        out[k] = acc % p
-    return out
+    """Truncated product: first n coefficients of a*b, one packed product."""
+    pack, unpack, _ = _packers(ctx, min(len(a), len(b), n), 1)
+    return unpack(pack(a, n) * pack(b, n), n)
 
 
+@lru_cache(maxsize=None)
 def _packers(ctx, short, inner):
     """(pack, unpack, bits) for packed products summing at most inner
     products whose shorter operand has at most short coefficients: pack(x,
     n) is the first n coefficients of x as one int, unpack(c, n) the first n
     coefficients of c, and bits the width of one coefficient's slot (its
-    group of 2k - 1 slots over GF(p^k))."""
+    group of 2k - 1 slots over GF(p^k)).  Cached: building the closures
+    costs about as much as a short product."""
     p = ctx.p
     nbytes, tc = _slot(p, ctx.k, short, inner)
     if ctx.k == 1:
@@ -297,9 +217,8 @@ def mat_mul(ctx, a, b, n):
 
     a and b are non-empty rows of coefficient vectors with len(a[0]) ==
     len(b); the result is rows of lists.  A 1 x 1 product uses each operand
-    once, so it is one vec_mul, which packs by itself (over GF(p) from
-    PACK_MIN on).  Any larger product packs every operand once, and each
-    output entry is one sum of bigint products.
+    once, so it is one vec_mul.  Any larger product packs every operand
+    once, and each output entry is one sum of bigint products.
     """
     inner = len(b)
     if inner == len(a) == len(b[0]) == 1:
@@ -326,8 +245,7 @@ def laurent_mat_mul(ctx, a, b):
     slots of the sum are read: below its operands' shorter length a full
     product agrees with the truncated one, and its further coefficients
     land at slot hi - lo or above.  A 1 x 1 product uses each operand once,
-    so it is one vec_mul, which packs by itself (over GF(p) from PACK_MIN
-    on).  Raises StructuralError for an empty coeffs.
+    so it is one vec_mul.  Raises StructuralError for an empty coeffs.
     """
     inner = len(b)
     if inner == len(a) == len(b[0]) == 1:
@@ -456,42 +374,30 @@ def vec_tri(ctx, table, a, n):
     With columns[m] the coefficients of g^m this is a(g), in O(n^2) instead
     of Horner's O(n^3); with columns those of an extension's decomposition
     matrix it is restriction of scalars (LocalExtension.decomposition).
-    Over GF(p), out[k] is the dot product of a with row k of the table, over
-    the shorter of the two.  Over GF(p^k) it is one packed sum of the int of
-    a[m]'s digit block times packed column m, folded once.
+    One packed sum of a[m] times packed column m, unpacked once: over GF(p)
+    a[m] is its own int, over GF(p^k) the int of its digit block.
     """
-    if ctx.k == 1:
-        p = ctx.p
-        return [sum(map(_mul, a, table[k])) % p for k in range(n)]
     nbytes, tc, packed = table
+    if ctx.k == 1:
+        return _unpack(sum(map(_mul, a, packed)), nbytes, tc, n, ctx.p)
     elem = _block_ints(ctx, tc)
     return _unpack_digits(ctx, sum(map(_mul, map(elem.__getitem__, a), packed)), nbytes, tc, n)
 
 
 def tri_table(ctx, columns):
     """vec_tri's table of the k-linear map whose column m, the coefficients
-    that a[m] = 1 contributes, is columns[m]; the columns have equal length.
-
-    Over GF(p), the rows of the map, row k holding entry k of each column,
-    each cut after its last nonzero entry: for powers g^m, row k stops at m
-    = k.  Over GF(p^k), k >= 2, (nbytes, tc, packed): each column packed
-    once as digit groups, in slots that hold the sum over all the columns.
-    """
-    if ctx.k == 1:
-        rows = []
-        for row in zip(*columns):
-            end = len(row)
-            while end and not row[end - 1]:
-                end -= 1
-            rows.append(row[:end])
-        return tuple(rows)
+    that a[m] = 1 contributes, is columns[m]: (nbytes, tc, packed), each
+    column packed once (as digit groups over GF(p^k)), in slots that hold
+    the sum over all the columns."""
     nbytes, tc = _slot(ctx.p, ctx.k, len(columns), 1)
+    if ctx.k == 1:
+        return nbytes, tc, [_pack(tc, x, len(x)) for x in columns]
     blocks = ctx.digit_blocks(tc)
     return nbytes, tc, [_pack_digits(blocks, x, len(x)) for x in columns]
 
 
 @lru_cache(maxsize=None)
-def byte_rows(ctx):
+def _byte_rows(ctx):
     """Tables for elimination rows over GF(p^k) held as bytes, or None.
 
     An entry's code is its k base-p digits in fields of b bits, b the width
@@ -532,10 +438,108 @@ def byte_rows(ctx):
     return bytes(codes) + bytes(256 - q), bytes(dec), red, tuple(neg_mul), tuple(inv_mul)
 
 
-def byte_axpy(v, neg_f, w, red):
-    """The byte row v - f*w, neg_f being byte_rows' table for -f."""
-    total = int.from_bytes(v, "little") + int.from_bytes(w.translate(neg_f), "little")
-    return total.to_bytes(len(v), "little").translate(red)
+def gauss_jordan(ctx, aug, m, n):
+    """Gauss-Jordan on the m augmented rows (n entries, then the rhs), with
+    the fixed pivot order (leftmost column, then lowest row index), in the
+    field's row form: packed over GF(p), bytes where _byte_rows has tables,
+    lists otherwise.  Returns (pivot columns, the reduced pivot rows as
+    lists, the rhs entries of the rows past them)."""
+    if ctx.k == 1:
+        return _eliminate_packed(ctx, aug, m, n)
+    tables = _byte_rows(ctx)
+    if tables:
+        return _eliminate_bytes(tables, aug, m, n)
+    return _eliminate(ctx, aug, m, n)
+
+
+def _eliminate(ctx, aug, m, n):
+    """gauss_jordan over GF(p^k) on rows that are lists."""
+    aug = list(aug)
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        sel = next((i for i in range(r, m) if aug[i][col]), None)
+        if sel is None:
+            continue
+        aug[r], aug[sel] = aug[sel], aug[r]
+        aug[r] = row_scale(ctx, ctx.inv(aug[r][col]), aug[r])
+        for i in range(m):
+            if i != r and aug[i][col]:
+                aug[i] = row_axpy(ctx, aug[i], aug[i][col], aug[r])
+        pivot_cols.append(col)
+        r += 1
+    return pivot_cols, aug[:r], [row[n] for row in aug[r:]]
+
+
+def _eliminate_packed(ctx, aug, m, n):
+    """gauss_jordan over GF(p) on packed rows, entry j in slot j and the rhs
+    in slot n: a row update is v + (p - e)*w, unreduced, and a row is
+    reduced only when it becomes the pivot row w, so each row takes at most
+    min(m, n) updates of at most (p - 1)^2 per slot on top of its entries.
+    The pivot is searched row by row from row r, so a column without one
+    costs no reads of rows 0..r-1, and the rest of a column is read only
+    once its pivot is found."""
+    p = ctx.p
+    width = n + 1
+    nbytes, tc = _slot(p, 1, 1, min(m, n) + 1)
+    rows = [_pack(tc, r, width) for r in aug]
+    mask = (1 << (8 * nbytes)) - 1
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        shift = 8 * nbytes * col
+        for sel in range(r, m):
+            e = (rows[sel] >> shift & mask) % p
+            if e:
+                break
+        else:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        f = ctx.inv(e)
+        w = rows[r] = _pack(tc, [x * f % p for x in _slots(rows[r], nbytes, tc, width)], width)
+        # rows r+1..sel are zero in col (row sel now holds the old row r)
+        for i in (*range(r), *range(sel + 1, m)):
+            e = (rows[i] >> shift & mask) % p
+            if e:
+                rows[i] += (p - e) * w
+        pivot_cols.append(col)
+        r += 1
+    shift = 8 * nbytes * n
+    return (pivot_cols, [_unpack(v, nbytes, tc, width, p) for v in rows[:r]],
+            [(v >> shift & mask) % p for v in rows[r:]])
+
+
+def _eliminate_bytes(tables, aug, m, n):
+    """gauss_jordan over GF(p^k) on rows of byte codes (_byte_rows): a row
+    update v - c*w adds the translate of w by -c to v as little-endian ints
+    and reduces the sum with one more translate; entries are read as plain
+    bytes, nonzero exactly where the element is."""
+    enc, dec, red, neg_mul, inv_mul = tables
+    rows = [bytes(r).translate(enc) for r in aug]
+    width = n + 1
+    pivot_cols = []
+    r = 0
+    for col in range(n):
+        if r == m:
+            break
+        sel = next((i for i in range(r, m) if rows[i][col]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        w = rows[r] = rows[r].translate(inv_mul[rows[r][col]])
+        for i in range(m):
+            c = rows[i][col]
+            if c and i != r:
+                total = (int.from_bytes(rows[i], "little")
+                         + int.from_bytes(w.translate(neg_mul[c]), "little"))
+                rows[i] = total.to_bytes(width, "little").translate(red)
+        pivot_cols.append(col)
+        r += 1
+    return pivot_cols, [list(v.translate(dec)) for v in rows[:r]], [dec[v[n]] for v in rows[r:]]
 
 
 def row_axpy(ctx, v, f, w):

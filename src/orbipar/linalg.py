@@ -3,28 +3,17 @@
 Three layers:
 
 * solve_linear -- Gauss-Jordan over the coefficient field k with the fixed
-  deterministic pivot order (leftmost column, then lowest row index);
-  returns a particular solution and a kernel basis.  On top of it:
-  echelonize (the reduced echelon basis of a span, ordered by leading
-  coordinate), null_space (that basis for the solutions of rows * x = 0,
-  read off one solve with the columns reversed), kernel_by_blocks
+  deterministic pivot order (leftmost column, then lowest row index), run
+  by kernels.gauss_jordan in the row form that suits the field; returns a
+  particular solution and a kernel basis.  On top of it: echelonize (the
+  reduced echelon basis of a span, ordered by leading coordinate, from the
+  same elimination), null_space (that basis for the solutions of rows * x
+  = 0, read off one solve with the columns reversed), kernel_by_blocks
   (solve_linear's kernel, from one solve per block of unknowns that share
   no row with the rest), combination (sum of scaled vectors) and
   residue_search (the first combination of flattened r x r matrices over k
-  that is invertible).
-  Over GF(p), solve_linear keeps each augmented row as one int of
-  fixed-width slots (kernels.pack_rows, the rhs in slot n): a row update
-  v - e*w is the one bigint multiply-add v + (p - e)*w with no reduction,
-  entries are read as their slot mod p, and a row is reduced only when it
-  becomes the pivot row (kernels.packed_normalize), so each update adds at
-  most (p - 1)^2 to a slot and min(m, n) + 1 such sums fit the slots.  The
-  pivot is searched row by row (kernels.packed_pivot) before the rest of
-  its column is read.  Over the GF(p^k) whose digits fit a byte
-  (kernels.byte_rows), solve_linear keeps each row as bytes and updates it
-  with kernels.byte_axpy.  Over other GF(p^k), rows are lists updated by
-  the kernels' row_axpy and row_scale.  echelonize runs the same
-  elimination, field dispatch included; reduce_against, extend_echelon and
-  residue_det update lists.
+  that is invertible).  reduce_against, extend_echelon and residue_det
+  update list rows with the kernels' row_axpy and row_scale.
 * Matrix -- rectangular matrices with uniform Series or Laurent entries;
   inversion over k[[s]] requires a unit determinant (residue-invertible)
   and is exact at precision.  Series-matrix products run in the kernels'
@@ -48,8 +37,7 @@ from itertools import compress
 from operator import itemgetter
 
 from .errors import DomainError, NotInvertibleError, StructuralError
-from .kernels import (byte_axpy, byte_rows, laurent_mat_mul, mat_mul, pack_rows, packed_column,
-                      packed_normalize, packed_pivot, row_axpy, row_neg, row_scale, unpack_rows)
+from .kernels import gauss_jordan, laurent_mat_mul, mat_mul, row_axpy, row_neg, row_scale
 from .series import Laurent, Series
 
 
@@ -75,8 +63,8 @@ def solve_linear(field, rows, rhs=None):
     if len(rhs) != m:
         raise StructuralError("rhs length mismatch")
     ctx = field.ctx
-    pivot_cols, reduced, rest = _gauss_jordan(ctx, (list(r) + [b] for r, b in zip(rows, rhs)),
-                                              m, n)
+    pivot_cols, reduced, rest = gauss_jordan(ctx, (list(r) + [b] for r, b in zip(rows, rhs)),
+                                             m, n)
     r = len(pivot_cols)
     if any(rest):
         return LinearSolution(False, None, [], r, pivot_cols)
@@ -93,99 +81,6 @@ def solve_linear(field, rows, rhs=None):
             vec[col] = x
         kernel.append(vec)
     return LinearSolution(True, particular, kernel, r, pivot_cols)
-
-
-def _gauss_jordan(ctx, aug, m, n):
-    """Gauss-Jordan on the m augmented rows (n entries, then the rhs) in the
-    field's row form: packed over GF(p), bytes where kernels.byte_rows has
-    tables, lists otherwise.  Returns (pivot columns, the reduced pivot rows
-    as lists, the rhs entries of the rows past them)."""
-    if ctx.k == 1:
-        return _eliminate_packed(ctx, aug, m, n)
-    tables = byte_rows(ctx)
-    if tables:
-        return _eliminate_bytes(tables, aug, m, n)
-    return _eliminate(ctx, aug, m, n)
-
-
-def _eliminate(ctx, aug, m, n):
-    """_gauss_jordan over GF(p^k) on rows that are lists."""
-    aug = list(aug)
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        sel = None
-        for i in range(r, m):
-            if aug[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        aug[r] = row_scale(ctx, ctx.inv(aug[r][col]), aug[r])
-        for i in range(m):
-            if i != r and aug[i][col]:
-                aug[i] = row_axpy(ctx, aug[i], aug[i][col], aug[r])
-        pivot_cols.append(col)
-        r += 1
-    return pivot_cols, aug[:r], [row[n] for row in aug[r:]]
-
-
-def _eliminate_packed(ctx, aug, m, n):
-    """_gauss_jordan over GF(p) on packed rows (kernels.pack_rows), the rhs in
-    slot n: a row update is v + (p - e)*w, unreduced, and a row is reduced
-    only when it becomes the pivot row w.  The pivot is searched row by row
-    from row r, so a column without one costs no reads of rows 0..r-1, and
-    the rest of a column is read only once its pivot is found."""
-    p = ctx.p
-    nbytes, tc, rows = pack_rows(p, aug, min(m, n))
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        found = packed_pivot(rows, r, nbytes, col, p)
-        if found is None:
-            continue
-        sel, e = found
-        rows[r], rows[sel] = rows[sel], rows[r]
-        w = rows[r] = packed_normalize(rows[r], nbytes, tc, n + 1, ctx.inv(e), p)
-        # rows r+1..sel are zero in col (row sel now holds the old row r)
-        for lo, hi in ((0, r), (sel + 1, m)):
-            part = rows[lo:hi]
-            rows[lo:hi] = [v + (p - e) * w if e else v
-                           for v, e in zip(part, packed_column(part, nbytes, col, p))]
-        pivot_cols.append(col)
-        r += 1
-    return (pivot_cols, unpack_rows(rows[:r], nbytes, tc, n + 1, p),
-            packed_column(rows[r:], nbytes, n, p))
-
-
-def _eliminate_bytes(tables, aug, m, n):
-    """_gauss_jordan over GF(p^k) on rows of byte codes (kernels.byte_rows):
-    a row update v - e*w is kernels.byte_axpy, and entries are read as
-    plain bytes, nonzero exactly where the element is."""
-    enc, dec, red, neg_mul, inv_mul = tables
-    rows = [bytes(r).translate(enc) for r in aug]
-    pivot_cols = []
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        sel = next((i for i in range(r, m) if rows[i][col]), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        w = rows[r] = rows[r].translate(inv_mul[rows[r][col]])
-        for i in range(m):
-            c = rows[i][col]
-            if c and i != r:
-                rows[i] = byte_axpy(rows[i], neg_mul[c], w, red)
-        pivot_cols.append(col)
-        r += 1
-    return pivot_cols, [list(v.translate(dec)) for v in rows[:r]], [dec[v[n]] for v in rows[r:]]
 
 
 def reduce_against(field, ech, v):
@@ -217,7 +112,7 @@ def echelonize(field, vectors):
     at every other pivot column, so that column is its leading coordinate."""
     m = len(vectors)
     n = len(vectors[0]) if m else 0
-    reduced = _gauss_jordan(field.ctx, (list(v) + [0] for v in vectors), m, n)[1]
+    reduced = gauss_jordan(field.ctx, (list(v) + [0] for v in vectors), m, n)[1]
     return [row[:n] for row in reduced]
 
 

@@ -20,10 +20,10 @@ matrices.  It is built on first use and cached on the extension, one per
 group element.  A monomial image c*s (Kummer, and the identity) acts
 diagonally, f_i -> c^i f_i, in O(N).  Any other image (Artin-Schreier
 s/(1+cs), explicit actions) acts through the table of its powers act(g)^m,
-m < N, which costs about one Horner composition to build.  Over GF(p) the
-table is lower-triangular and psi is a matrix-vector product in O(N^2).
-Over GF(p^k), k >= 2, each power is packed once as digit groups, and psi of
-f is one packed sum, sum_m f_m * act(g)^m, folded once (kernels.vec_tri).
+m < N, which costs about one Horner composition to build.  Each power is
+packed once (as digit groups over GF(p^k)), and psi of f is one packed
+sum, sum_m f_m * act(g)^m, unpacked once (kernels.vec_tri), over GF(p) as
+over GF(p^k).
 A Laurent value with val_floor v != 0 takes its factor act(g)^v from the
 cache: table row v for v > 0, cached powers of s/act(g) for v < 0.  Results
 equal Series.compose and Laurent.substitute coefficient for coefficient,
@@ -181,8 +181,8 @@ class LocalExtension:
         h is k-linear in f.  Column v is the greedy elimination of s^v
         against that basis, which touches only basis elements of valuation
         v or more, so row j*M + m stops at coefficient j + e*m.  The matrix
-        is held as vec_tri's table (kernels.tri_table): over GF(p^k), k >= 2,
-        its columns packed, applied as one packed sum.
+        is held as vec_tri's table (kernels.tri_table): its columns packed,
+        applied as one packed sum.
         """
         table = self._decomposition.get(prec)
         if table is None:

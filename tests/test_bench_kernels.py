@@ -18,7 +18,7 @@ def test_bench_kernels_runs(capsys, tmp_path):
         assert fn_name in out
     assert "psi(g) apply" in out
     assert "vec_mul       GF(9)     24" in out
-    assert "vec_mul GF(7)" in out and "vec_mul GF(3^2)" not in out and "matrix product" in out
+    assert "matrix product" in out
     assert "GF(3^2)           2  24" in out
     assert "Laurent product" in out and "GF(3^2)           1  24" in out
     assert "GF(7)             2  16" in out and "GF(13)            4   8" in out
@@ -63,9 +63,7 @@ def test_bench_kernels_runs(capsys, tmp_path):
     doc = json.loads(out_file.read_text())
     assert doc["python"] and doc["machine"]["cpus"]
     assert all({"median_us", "min_us"} <= set(case) for case in doc["cases"].values())
-    assert not any(case.startswith(("vec_mul direct GF(3^2)", "vec_mul packed GF(3^2)"))
-                   for case in doc["cases"])
-    for case in ("vec_mul direct GF(7) n=8", "vec_mul packed GF(7) n=8", "vec_mul GF(9) N=24",
+    for case in ("vec_mul GF(9) N=24",
                  "psi apply AS s/(1+s) GF(9) N=24",
                  "Matrix.__mul__ GF(3^2) r=2 N=24",
                  "entrywise product GF(3^2) r=2 N=24", "psi table build AS s/(1+s) GF(9) N=24",

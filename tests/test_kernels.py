@@ -1,6 +1,7 @@
 """The series kernels against schoolbook references written with field ops."""
 
 from array import array
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,7 @@ from orbipar import kernels
 from orbipar.errors import StructuralError
 from orbipar.fields import MAX_FIELD_ORDER, is_prime, make_field
 from orbipar.linalg import Matrix
-from orbipar.local_galois import _decomposition_columns, make_artin_schreier
+from orbipar.local_galois import _decomposition_columns, make_artin_schreier, make_kummer
 from orbipar.prng import SplitMix64
 from orbipar.pvect import decompose_series
 from orbipar.scenario import MAX_PRECISION, MAX_RANK
@@ -90,11 +91,10 @@ PACKED_FIELDS.append(pytest.param(3, 2, (2, 1, 1), id="3-2-x2+x+2"))
 
 @pytest.mark.parametrize("p,k,modulus", PACKED_FIELDS)
 def test_packed_products_match_schoolbook(p, k, modulus):
-    """vec_mul on both sides of PACK_MIN (over GF(p^k) packed at every
-    length), and mat_mul (packed at every shape but 1 x 1, inner dimension 1
-    included), with ragged and empty vectors,
-    n above la + lb and the largest slot sums; GF(65521) needs 64-bit slots
-    from length 2."""
+    """vec_mul (one packed product at every length, n = 0 and empty
+    operands included) and mat_mul (packed at every shape but 1 x 1, inner
+    dimension 1 included), with ragged and empty vectors, n above la + lb
+    and the largest slot sums; GF(65521) needs 64-bit slots from length 2."""
     F = make_field(p, k, modulus)
     ctx = F.ctx
     rng = SplitMix64(p * 7 + k)
@@ -103,15 +103,18 @@ def test_packed_products_match_schoolbook(p, k, modulus):
         return [rng.randrange(F.order) for _ in range(rng.randrange(top + 1))]
 
     for _ in range(30):
-        n = rng.randrange(2 * kernels.PACK_MIN + 8)
+        n = rng.randrange(25)
         a, b = vec(n + 2), vec(n + 2)
         if rng.randrange(4) == 0:
             n = len(a) + len(b) + 1 + rng.randrange(3)
         expect = _schoolbook_mul(F, a, b, n)
         assert kernels.vec_mul(ctx, a, b, n) == expect
         assert kernels.vec_mul(ctx, tuple(a), tuple(b), n) == expect
+    a = vec(8)
+    assert kernels.vec_mul(ctx, a, [], 5) == kernels.vec_mul(ctx, [], a, 5) == [0] * 5
+    assert kernels.vec_mul(ctx, a, a, 0) == kernels.vec_mul(ctx, [], [], 0) == []
     for _ in range(12):
-        n = rng.randrange(2 * kernels.PACK_MIN + 4)
+        n = rng.randrange(20)
         r, m, c = 1 + rng.randrange(3), 1 + rng.randrange(4), 1 + rng.randrange(3)
         a = [[vec(n + 2) for _ in range(m)] for _ in range(r)]
         b = [[vec(n + 2) for _ in range(c)] for _ in range(m)]
@@ -205,6 +208,66 @@ def _log_table_tri(ctx, cols, a, n):
                 acc = tab[acc][z] if tab else add(acc, z)
         out[k] = acc
     return out
+
+
+def _row_tri(ctx, cols, a, n):
+    """vec_tri's former GF(p) path: the rows of the map, each cut after its
+    last nonzero entry, and out[k] the dot product of a with row k.  The
+    reference for the packed sum over GF(p)."""
+    rows = []
+    for row in zip(*cols):
+        end = len(row)
+        while end and not row[end - 1]:
+            end -= 1
+        rows.append(row[:end])
+    return [sum(map(mul, a, rows[k])) % ctx.p for k in range(n)]
+
+
+def _power_columns(F, prec, rng):
+    """The columns g^m, m < prec, of psi for a random dense g of valuation 1."""
+    g = [0, 1 + rng.randrange(F.order - 1)] + [rng.randrange(F.order) for _ in range(prec - 2)]
+    cols = [[1] + [0] * (prec - 1)]
+    for _ in range(prec - 1):
+        cols.append(_schoolbook_mul(F, cols[-1], g, prec))
+    return cols
+
+
+# (p, n, prec) of the decomposition tables: Kummer Z/4 over GF(13) at N=8
+# (`calculus`) and Z/3 over GF(7) at N=16 (`tame-roundtrip`)
+GFP_DECOMPOSITIONS = [(13, 4, 8), (7, 3, 16)]
+
+
+@pytest.mark.parametrize("p,prec", [(7, 16), (65521, 16)])
+def test_vec_tri_gfp_matches_row_loop_on_power_tables(p, prec):
+    """vec_tri over GF(p), one packed sum of the packed columns, against the
+    row loop, on dense power tables and on a table whose every entry is p -
+    1 (the largest slot sum: prec products of (p - 1)^2, which GF(65521)
+    holds only in 64-bit slots), for every window length."""
+    F = make_field(p)
+    ctx = F.ctx
+    rng = SplitMix64(p + prec)
+    tables = [_power_columns(F, prec, rng) for _ in range(3)] + [[[p - 1] * prec] * prec]
+    for cols in tables:
+        table = kernels.tri_table(ctx, cols)
+        for n in range(1, prec + 1):
+            for a in ([rng.randrange(p) for _ in range(n)], [p - 1] * n):
+                assert kernels.vec_tri(ctx, table, a, n) == _row_tri(ctx, cols, a, n)
+
+
+@pytest.mark.parametrize("p,order,prec", GFP_DECOMPOSITIONS,
+                         ids=[f"Z{n}-GF({p})-N{prec}" for p, n, prec in GFP_DECOMPOSITIONS])
+def test_decompose_series_gfp_matches_row_loop(p, order, prec):
+    """decompose_series over GF(p), a packed sum over the decomposition
+    matrix's packed columns, against the row loop on its columns."""
+    field = make_field(p)
+    ext = make_kummer(field, order, prec)
+    rng = SplitMix64(p * prec)
+    cols = _decomposition_columns(ext, prec)
+    e, out_prec = ext.ram_index, max(prec // ext.ram_index, 1)
+    for f in [[p - 1] * prec] + [[rng.randrange(p) for _ in range(prec)] for _ in range(20)]:
+        flat = _row_tri(field.ctx, cols, f, e * out_prec)
+        got = decompose_series(ext, Series(field, prec, tuple(f)))
+        assert [c for h in got for c in h.coeffs] == flat
 
 
 @pytest.mark.parametrize("prec", [5, 24])

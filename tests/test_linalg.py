@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbipar.errors import NotInvertibleError, StructuralError
 from orbipar.fields import ADD_TABLE_MAX_ORDER, make_field
-from orbipar.kernels import byte_rows, pack_rows
+from orbipar.kernels import _byte_rows, _slot
 from orbipar.linalg import (LinearSolution, Matrix, echelonize, kernel_by_blocks, kron,
                             laurent_inverse, null_space, residue_det, residue_search, smith,
                             solve_linear)
@@ -327,7 +327,7 @@ ROW_KERNEL_FIELDS = [(2, 1), (13, 1), (3, 2), (2, 3), (2, 4), (5, 2), (7, 2), (3
 
 def test_byte_rows_exactly_where_two_digit_sums_fit_a_byte():
     fields = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (7, 2), (11, 2), (13, 1)]
-    assert [pk for pk in fields if byte_rows(make_field(*pk).ctx)] == [
+    assert [pk for pk in fields if _byte_rows(make_field(*pk).ctx)] == [
         (2, 2), (2, 3), (2, 4), (3, 2), (5, 2), (7, 2)]
 
 
@@ -393,6 +393,22 @@ def test_packed_elimination_matches_reference_on_large_systems():
         assert echelonize(F, rows) == _ref_echelonize(F, rows)
 
 
+def test_packed_elimination_fills_a_slot_to_its_bound():
+    """A slot takes its entry plus one update per pivot, (p - 1)^2 *
+    (pivots + 1) at most.  Over GF(2) with 255 pivots that is 256, one past
+    an 8-bit slot: rows e_i + e_254 (i < 254) and e_254 pivot in turn, and
+    the all-ones row past them gains 1 in column 254 from every pivot, 1 +
+    255 in all, whose carry would flip its rhs.  The all-ones row is the sum
+    of the others, so its rhs decides consistency."""
+    F2 = make_field(2)
+    n = 255
+    rows = [[1 if j in (i, n - 1) else 0 for j in range(n)] for i in range(n)] + [[1] * n]
+    rhs = [1] * (n - 1) + [0]
+    sol = solve_linear(F2, rows, rhs + [0])
+    assert sol.consistent and sol.rank == n and sol.particular == rhs
+    assert not solve_linear(F2, rows, rhs + [1]).consistent
+
+
 def test_byte_row_elimination_matches_reference_on_large_systems():
     """Dense GF(p^k) systems the size of the wild invariants solve (48 x 48
     over GF(3^2)) and of the wild trivialize echelonize (36 x 96 over
@@ -403,7 +419,7 @@ def test_byte_row_elimination_matches_reference_on_large_systems():
     for pk, m, n in (((3, 2), 48, 48), ((3, 2), 36, 96), ((7, 2), 40, 60), ((2, 4), 70, 50),
                      ((3, 3), 40, 50)):
         F = make_field(*pk)
-        assert bool(byte_rows(F.ctx)) == (pk != (3, 3))
+        assert bool(_byte_rows(F.ctx)) == (pk != (3, 3))
         rows = [[rng.randrange(F.order) for _ in range(n)] for _ in range(m - 5)]
         rows += [list(r) for r in rows[:5]]         # rank deficient
         rhs = [rng.randrange(F.order) for _ in range(len(rows))]
@@ -421,8 +437,8 @@ def test_packed_rows_slots_at_the_caps():
     unknowns) takes 64-bit slots, as does any system with up to 2^32
     pivots; far past that the packing refuses rather than truncates."""
     pivots = MAX_RANK ** 2 * MAX_PRECISION
-    assert pack_rows(65521, [], pivots)[:2] == (8, "Q")
-    assert pack_rows(65521, [], 2 ** 32)[:2] == (8, "Q")
-    assert pack_rows(13, [], 160)[:2] == (2, "H")
+    assert _slot(65521, 1, 1, pivots + 1) == (8, "Q")
+    assert _slot(65521, 1, 1, 2 ** 32 + 1) == (8, "Q")
+    assert _slot(13, 1, 1, 160 + 1) == (2, "H")
     with pytest.raises(StructuralError):
-        pack_rows(65521, [], 2 ** 33)
+        _slot(65521, 1, 1, 2 ** 33 + 1)
