@@ -42,6 +42,9 @@ Cases, layer by layer:
 * psi(g) apply: one application of the cached substitution operator against
   the Horner vec_compose it replaces (outputs asserted equal), plus the
   one-off cost of building its table of powers where it has one;
+* identity shortcuts: psi(e) on a rank-2 GF(9) N=24 Series matrix, which
+  returns the matrix itself, against the entrywise copy it skips, and
+  I * M at GF(7), r=2, N=16, which returns M, against kernels.mat_mul;
 * solve_linear on three systems the program really builds: the joint
   system of find_parabolic_isomorphism inside dual_pairing_check (the
   `calculus` size, 256 x 160 over GF(13), solved whole as the reference),
@@ -350,6 +353,48 @@ def bench_psi(results, repeats, runs):
               f"{t_horner / t_psi:>8.1f}x{build:>14}")
 
 
+def bench_identity(results, repeats, runs):
+    """The identity shortcuts against the work they skip: psi(e) on a rank-2
+    Series matrix over GF(9) at N=24, against the entrywise map that copies
+    each entry's coefficients (what psi(e) does without its shortcut), and
+    I * M at GF(7), r=2, N=16, against kernels.mat_mul on the same
+    coefficient rows (outputs asserted equal)."""
+    from orbipar.linalg import Matrix
+    from orbipar.local_galois import make_artin_schreier
+    from orbipar.series import Series
+
+    def random_matrix(field, r, n, rng):
+        return Matrix([[Series(field, n, tuple(rng.randrange(field.order) for _ in range(n)))
+                        for _ in range(r)] for _ in range(r)])
+
+    ext = make_artin_schreier(make_field(3, 2), 24)
+    field, n, op = ext.field, ext.prec, ext.psi(0)
+    m = random_matrix(field, 2, n, SplitMix64(24))
+
+    def copy_map():
+        return m._map_checked(lambda e: Series(field, n, tuple(op._map(e.coeffs, n))), Series)
+
+    assert op(m) == copy_map() == m, "psi(e) is not the identity"
+    calls = max(repeats // (n * 4), 1)
+    old = timed(results, f"psi(e) entrywise copy rank-2 matrix GF(3^2) N={n}", copy_map,
+                calls, runs)[0]
+    new = timed(results, f"psi(e) apply rank-2 matrix GF(3^2) N={n}", lambda: op(m),
+                calls, runs)[0]
+    print(f"psi(e) on a rank-2 Series matrix, GF(3^2) N={n}: {new * 1e6:.2f} us median "
+          f"(entrywise copy {old * 1e6:.1f} us)")
+    field, n = make_field(7), 16
+    ident, m = Matrix.identity(field, 2, n), random_matrix(field, 2, n, SplitMix64(16))
+    rows_i = [[e.coeffs for e in row] for row in ident.entries]
+    rows_m = [[e.coeffs for e in row] for row in m.entries]
+    assert [[list(e.coeffs) for e in row] for row in (ident * m).entries] == \
+        kernels.mat_mul(field.ctx, rows_i, rows_m, n), "I * M disagrees with mat_mul"
+    calls = max(repeats // (n * 4), 1)
+    old = timed(results, f"mat_mul I * M GF(7) r=2 N={n}",
+                lambda: kernels.mat_mul(field.ctx, rows_i, rows_m, n), calls, runs)[0]
+    new = timed(results, f"I * M GF(7) r=2 N={n}", lambda: ident * m, calls, runs)[0]
+    print(f"I * M, GF(7) r=2 N={n}: {new * 1e6:.2f} us median (mat_mul {old * 1e6:.1f} us)")
+
+
 def _largest_system(call, name="solve_linear", bound_in=("linalg", "pvect")):
     """(field, rows) of the largest system that call() hands to `name`, as
     the orbipar modules `bound_in` bind it."""
@@ -643,6 +688,7 @@ def main(repeats=3000, roundtrips=10, pairings=5, runs=5, out=None):
     bench_decompose(results, repeats, runs)
     print()
     bench_psi(results, repeats, runs)
+    bench_identity(results, repeats, runs)
     print()
     bench_solve(results, runs)
     print()

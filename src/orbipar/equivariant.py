@@ -92,9 +92,7 @@ def verify_cocycle_exhaustive(c: Cocycle) -> Report:
 def _cocycle_report(c: Cocycle, hs) -> Report:
     """A_e = identity, then the law at (h, g) for h in hs and every g."""
     ext = c.ext
-    ident = Matrix.identity(ext.field, c.rank, ext.prec)
-    mism = c.mats[0].first_mismatch(ident)
-    if mism is not None:
+    if not c.mats[0].is_one():
         return Report(False, "A_e is not the identity", (0,))
     for h in hs:
         psi_h = ext.psi(h)
@@ -119,14 +117,6 @@ def coboundary(ext, b: Matrix, character=None) -> Cocycle:
             m = m.scale(character[g])
         mats.append(m)
     return Cocycle(ext, rank, tuple(mats))
-
-
-def twist(c: Cocycle, b: Matrix) -> Cocycle:
-    """Basis change: A_g -> B^{-1} * A_g * psi(g)(B)."""
-    b_inv = b.inverse()
-    mats = tuple(b_inv * c.mats[g] * c.ext.psi(g)(b)
-                 for g in range(c.ext.group.order))
-    return Cocycle(c.ext, c.rank, mats)
 
 
 # ---------------------------------------------------------------------------

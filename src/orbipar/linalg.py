@@ -17,10 +17,14 @@ Three layers:
 * Matrix -- rectangular matrices with uniform Series or Laurent entries;
   inversion over k[[s]] requires a unit determinant (residue-invertible)
   and is exact at precision.  Series-matrix products run in the kernels'
-  mat_mul, Laurent-matrix products (a Series operand promoted) in
+  mat_mul, except that an identity factor (Matrix.is_one, cached per
+  matrix) returns the other factor itself once the field and precision
+  checks pass.  Laurent-matrix products (a Series operand promoted) run in
   laurent_mat_mul: each output entry is the shifted sum of its terms'
   packed products, read on the window the chain of Laurent sums gives
-  (lowest term floor up to the lowest term window end).  Results of
+  (lowest term floor up to the lowest term window end).  They take no
+  identity shortcut: that window rule also takes the floors and lengths of
+  the zero entries, so I * M can have other windows than M.  Results of
   products and of the entrywise maps whose kind and field are fixed
   (scale, negation, shift, substitute, to_laurent, to_series) are built
   without re-checking their entries.
@@ -256,6 +260,8 @@ def residue_det(field, rows):
 class Matrix:
     """Rectangular matrix with uniform Series or Laurent entries."""
 
+    _one = None     # is_one's answer, once asked; not an entry, so == and hash ignore it
+
     def __init__(self, entries):
         rows = [tuple(r) for r in entries]
         if not rows or not rows[0]:
@@ -296,6 +302,20 @@ class Matrix:
     def zero(cls, field, rows, cols, prec):
         z = Series.zero(field, prec)
         return cls([[z] * cols for _ in range(rows)])
+
+    def is_one(self):
+        """Whether this is an identity matrix: square, with Series entries
+        (1, 0, ...) on the diagonal and zero elsewhere, at any precision.
+        Computed on first use and cached."""
+        one = self._one
+        if one is None:
+            n, rows = self.rows, self.entries
+            # c_0 = 1 on the diagonal, and those n coefficients are the only nonzero ones
+            one = self._one = (
+                self.kind is Series and n == self.cols
+                and all(rows[i][i].coeffs[:1] == (1,) for i in range(n))
+                and sum(len(e.coeffs) - e.coeffs.count(0) for row in rows for e in row) == n)
+        return one
 
     def __getitem__(self, ij):
         i, j = ij
@@ -424,7 +444,8 @@ class Matrix:
     def first_mismatch(self, other):
         """(i, j, exponent) of the lowest-index difference, or None if equal.
 
-        Series matrices compare exactly; Laurent matrices compare on common
+        Series matrices compare exactly, and entries of different precisions
+        raise, as different shapes do; Laurent matrices compare on common
         validity windows.
         """
         if self.rows != other.rows or self.cols != other.cols:
@@ -436,6 +457,8 @@ class Matrix:
             for j in range(a.cols):
                 x, y = a.entries[i][j], b.entries[i][j]
                 if a.kind is Series:
+                    if x.prec != y.prec:
+                        raise StructuralError("precision mismatch in comparison")
                     if x.coeffs != y.coeffs:
                         for k, (c1, c2) in enumerate(zip(x.coeffs, y.coeffs)):
                             if c1 != c2:
@@ -455,12 +478,18 @@ class Matrix:
 
 def _series_product(a, b):
     """a * b for Series matrices, through the kernels' matrix product; the
-    operands must share their field and one precision, as Series products do."""
+    operands must share their field and one precision, as Series products do.
+    Once they pass those checks, an identity factor returns the other factor
+    itself."""
     if a.field != b.field:
         raise StructuralError("field mismatch")
     precs = {e.prec for m in (a, b) for row in m.entries for e in row}
     if len(precs) != 1:
         raise StructuralError("precision mismatch")
+    if a.is_one():
+        return b
+    if b.is_one():
+        return a
     field, prec = a.field, precs.pop()
     rows = mat_mul(field.ctx, [[e.coeffs for e in row] for row in a.entries],
                    [[e.coeffs for e in row] for row in b.entries], prec)

@@ -28,6 +28,12 @@ A Laurent value with val_floor v != 0 takes its factor act(g)^v from the
 cache: table row v for v > 0, cached powers of s/act(g) for v < 0.  Results
 equal Series.compose and Laurent.substitute coefficient for coefficient,
 windows included.
+The identity image s (psi(e), which every connector block theta = (I, e)
+applies) returns its argument itself, after the same field, precision and
+window checks: a Series, a Series matrix, or a Laurent value with val_floor
+0.  A Laurent value with val_floor v != 0 keeps the general path, because
+even psi(e) moves its window: to [0, n) for v > 0, and to a length of at
+most prec-1 for v < 0.
 Series.compose stays the general composition (verify_extension, norm,
 reversion, embeddings) and the reference the operator is tested against.
 
@@ -71,9 +77,12 @@ class Substitution:
         if isinstance(x, Laurent):
             return self.laurent(x)
         if isinstance(x, Matrix):      # series and laurent keep the kind and check the field
-            if x.kind is Series:
-                return x._map_checked(self.series, Series)
-            return x._map_checked(self.laurent, Laurent)
+            if x.kind is Laurent:
+                return x._map_checked(self.laurent, Laurent)
+            if self.identity and x.field == self.field and all(
+                    e.prec == self.prec for row in x.entries for e in row):
+                return x        # a mismatch raises in series, as for any image
+            return x._map_checked(self.series, Series)
         raise StructuralError("psi applies to a Series, a Laurent value or a Matrix")
 
     def _map(self, coeffs, n):
@@ -111,6 +120,8 @@ class Substitution:
             raise StructuralError("field mismatch")
         if x.prec != self.prec:
             raise StructuralError("precision mismatch")
+        if self.identity:
+            return x
         return Series(self.field, self.prec, tuple(self._map(x.coeffs, self.prec)))
 
     def laurent(self, x: Laurent) -> Laurent:
@@ -123,10 +134,10 @@ class Substitution:
         n = len(x.coeffs)
         if n > self.prec:
             raise StructuralError("precision mismatch")
-        mapped = self._map(x.coeffs, n)
         v = x.val_floor
         if v == 0:
-            return Laurent(self.field, 0, tuple(mapped))
+            return x if self.identity else Laurent(self.field, 0, tuple(self._map(x.coeffs, n)))
+        mapped = self._map(x.coeffs, n)
         if v > 0:
             factor = self.power(v).coeffs
         else:

@@ -10,7 +10,7 @@ import time
 from orbipar.cli import demo_scenario
 from orbipar.equivariant import (Cocycle, assemble_product, coboundary,
                                  first_nonintertwining_exhaustive, independence_intertwiner,
-                                 is_induced, make_connectors, twist, verify_action_exhaustive)
+                                 is_induced, make_connectors, verify_action_exhaustive)
 from orbipar.errors import DomainError
 from orbipar.fields import make_field, required_degree_for_root
 from orbipar.groups import cyclic, dihedral, direct_product
@@ -28,6 +28,8 @@ from orbipar.pvect import (RefinementMap, ScenePullback, adjunction_check, dual,
                            pullback_T_compat, pushforward_local)
 from orbipar.scenario import canonical_report, load_scenario, run_scenario
 from orbipar.series import Laurent, Series
+
+from cocycle_twist import twist
 
 
 def _report(num, ok, text):

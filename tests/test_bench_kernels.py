@@ -17,6 +17,8 @@ def test_bench_kernels_runs(capsys, tmp_path):
     for fn_name in ("vec_mul", "vec_inverse", "vec_compose"):
         assert fn_name in out
     assert "psi(g) apply" in out
+    assert "psi(e) on a rank-2 Series matrix, GF(3^2) N=24: " in out
+    assert "I * M, GF(7) r=2 N=16: " in out
     assert "vec_mul       GF(9)     24" in out
     assert "matrix product" in out
     assert "GF(3^2)           2  24" in out
@@ -65,6 +67,9 @@ def test_bench_kernels_runs(capsys, tmp_path):
     assert all({"median_us", "min_us"} <= set(case) for case in doc["cases"].values())
     for case in ("vec_mul GF(9) N=24",
                  "psi apply AS s/(1+s) GF(9) N=24",
+                 "psi(e) apply rank-2 matrix GF(3^2) N=24",
+                 "psi(e) entrywise copy rank-2 matrix GF(3^2) N=24",
+                 "I * M GF(7) r=2 N=16", "mat_mul I * M GF(7) r=2 N=16",
                  "Matrix.__mul__ GF(3^2) r=2 N=24",
                  "entrywise product GF(3^2) r=2 N=24", "psi table build AS s/(1+s) GF(9) N=24",
                  "solve_linear tame invariants system 32x32 GF(7)",

@@ -3,7 +3,7 @@ import pytest
 from orbipar.equivariant import (Cocycle, ComponentSpec, ProductGModuleSpec,
                                  assemble_product, coboundary, first_nonintertwining,
                                  independence_intertwiner, invariants, is_induced,
-                                 make_connectors, trivialize, twist, verify_action,
+                                 make_connectors, trivialize, verify_action,
                                  verify_cocycle)
 from orbipar.errors import AssemblyError, RankDeficiencyError
 from orbipar.fields import make_field
@@ -13,6 +13,8 @@ from orbipar.local_galois import make_artin_schreier, make_kummer, trivial_exten
 from orbipar.parabolic import ScenePoint, build_spec_from_scene, random_unimodular
 from orbipar.prng import SplitMix64
 from orbipar.series import Series
+
+from cocycle_twist import twist
 
 F5 = make_field(5)
 F7 = make_field(7)

@@ -36,8 +36,8 @@ from hypothesis import given, settings, strategies as st
 from orbipar import equivariant, linalg, parabolic
 from orbipar.equivariant import (Cocycle, ProductGModule, assemble_product, coboundary,
                                  first_nonintertwining, first_nonintertwining_exhaustive,
-                                 independence_intertwiner, make_connectors, twist,
-                                 verify_action, verify_action_exhaustive, verify_cocycle,
+                                 independence_intertwiner, make_connectors, verify_action,
+                                 verify_action_exhaustive, verify_cocycle,
                                  verify_cocycle_exhaustive)
 from orbipar.errors import OrbiparError, RankDeficiencyError
 from orbipar.fields import make_field
@@ -56,6 +56,8 @@ from orbipar.parabolic import (GluedPoint, ParabolicDatum, ParabolicPoint, Scene
 from orbipar.prng import SplitMix64
 from orbipar.pvect import pushforward_local
 from orbipar.series import Laurent, Series
+
+from cocycle_twist import twist
 
 N = 8
 

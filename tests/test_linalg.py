@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from orbipar.errors import NotInvertibleError, StructuralError
 from orbipar.fields import ADD_TABLE_MAX_ORDER, make_field
-from orbipar.kernels import _byte_rows, _slot
+from orbipar.kernels import _byte_rows, _slot, mat_mul
 from orbipar.linalg import (LinearSolution, Matrix, echelonize, kernel_by_blocks, kron,
                             laurent_inverse, null_space, residue_det, residue_search, smith,
                             solve_linear)
@@ -161,6 +161,98 @@ def test_series_product_is_a_checked_matrix():
         assert (prod.kind, prod.field, prod.rows, prod.cols) == \
             (rebuilt.kind, rebuilt.field, rebuilt.rows, rebuilt.cols) == (Series, F5, rows, cols)
         assert type(prod.entries) is tuple and all(type(r) is tuple for r in prod.entries)
+
+
+def _random_matrix(field, rows, cols, prec, rng):
+    q = field.order
+    return Matrix([[Series(field, prec, tuple(rng.randrange(q) for _ in range(prec)))
+                    for _ in range(cols)] for _ in range(rows)])
+
+
+@pytest.mark.parametrize("pk", [(7, 1), (3, 2)])
+def test_identity_factor_returns_the_other_factor(pk):
+    """I * M and M * I equal kernels.mat_mul's product, and are M itself."""
+    field = make_field(*pk)
+    rng = SplitMix64(field.order)
+    for prec in (1, 5, 16):
+        for r in range(1, 5):
+            ident = Matrix.identity(field, r, prec)
+            for c in range(1, 5):
+                for left in (True, False):
+                    shape = (r, c) if left else (c, r)
+                    m = _random_matrix(field, *shape, prec, rng)
+                    a, b = (ident, m) if left else (m, ident)
+                    want = mat_mul(field.ctx, [[e.coeffs for e in row] for row in a.entries],
+                                   [[e.coeffs for e in row] for row in b.entries], prec)
+                    got = a * b
+                    assert got is m
+                    assert [[list(e.coeffs) for e in row] for row in got.entries] == want
+
+
+def test_identity_factor_keeps_the_product_errors():
+    """An identity factor is recognised only after the field and precision
+    checks, so a mismatch raises as it does without one."""
+    f7, f9 = make_field(7), make_field(3, 2)
+    rng = SplitMix64(5)
+    ident = Matrix.identity(f7, 2, 8)
+    for m, message in ((_random_matrix(f7, 2, 2, 4, rng), "precision mismatch"),
+                       (Matrix.identity(f7, 2, 4), "precision mismatch"),
+                       (Matrix([[Series.one(f7, 8), Series.zero(f7, 4)]] * 2),
+                        "precision mismatch"),
+                       (_random_matrix(f9, 2, 2, 8, rng), "field mismatch"),
+                       (Matrix.identity(f9, 2, 8), "field mismatch")):
+        for a, b in ((ident, m), (m, ident)):
+            with pytest.raises(StructuralError, match=message):
+                a * b
+
+
+def test_is_one():
+    f7 = make_field(7)
+    for r in (1, 2, 4):
+        for prec in (1, 3, 8):
+            assert Matrix.identity(f7, r, prec).is_one()
+    ident = Matrix.identity(f7, 3, 4)
+    rows = [list(row) for row in ident.entries]
+    assert not Matrix(rows[:2]).is_one()                       # 2 x 3
+    assert not Matrix([row[:2] for row in rows]).is_one()      # 3 x 2
+    assert not ident.to_laurent().is_one()
+    assert not Matrix.zero(f7, 3, 3, 4).is_one()
+    for i in range(3):
+        for j in range(3):
+            for k in range(4):
+                for c in (1, 2):
+                    off = [list(row) for row in rows]
+                    coeffs = list(off[i][j].coeffs)
+                    if coeffs[k] == c:
+                        continue
+                    coeffs[k] = c
+                    off[i][j] = Series(f7, 4, tuple(coeffs))
+                    assert not Matrix(off).is_one(), (i, j, k, c)
+
+
+def test_is_one_is_invisible_to_equality_and_hash():
+    f9 = make_field(3, 2)
+    rng = SplitMix64(9)
+    for m in (Matrix.identity(f9, 2, 6), _random_matrix(f9, 2, 2, 6, rng)):
+        twin = Matrix(m.entries)
+        before = hash(m)
+        m.is_one()
+        assert m == twin and twin == m and hash(m) == hash(twin) == before
+        assert m._one is not None and twin._one is None
+
+
+def test_first_mismatch_rejects_different_precisions():
+    """A Series entry is not equal to a longer one that extends it."""
+    f7 = make_field(7)
+    short = Matrix([[Series(f7, 4, (1, 2, 0, 0))]])
+    long = Matrix([[Series(f7, 8, (1, 2, 0, 0, 5, 5, 5, 5))]])
+    assert short != long
+    for a, b in ((short, long), (long, short)):
+        with pytest.raises(StructuralError, match="precision mismatch in comparison"):
+            a.first_mismatch(b)
+        with pytest.raises(StructuralError, match="precision mismatch in comparison"):
+            a.agrees_with(b)
+    assert short.first_mismatch(Matrix([[Series(f7, 4, (1, 3, 0, 0))]])) == (0, 0, 1)
 
 
 def test_mixed_kind_multiplication_promotes():

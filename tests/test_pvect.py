@@ -4,7 +4,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from orbipar.equivariant import Cocycle, twist, verify_cocycle
+from orbipar.equivariant import Cocycle, verify_cocycle
 from orbipar.errors import ConfigurationError, DomainError
 from orbipar.fields import make_field
 from orbipar.groups import cyclic, direct_product
@@ -24,6 +24,8 @@ from orbipar.pvect import (RefinementMap, ScenePullback, adjunction_check,
                            pullback_T_compat, pullback_refine, pushforward_local,
                            tensor)
 from orbipar.series import Laurent, Series
+
+from cocycle_twist import twist
 
 F5 = make_field(5)
 F7 = make_field(7)

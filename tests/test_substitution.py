@@ -16,8 +16,8 @@ from orbipar.errors import StructuralError
 from orbipar.fields import make_field
 from orbipar.groups import cyclic
 from orbipar.linalg import Matrix
-from orbipar.local_galois import (kummer_tower, make_artin_schreier, make_explicit,
-                                  make_kummer)
+from orbipar.local_galois import (Substitution, kummer_tower, make_artin_schreier,
+                                  make_explicit, make_kummer)
 from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
 
@@ -168,3 +168,64 @@ def test_packed_psi_matches_compose_and_substitute(p, k, prec, nbytes):
             assert (got.val_floor, got.coeffs) == (want.val_floor, want.coeffs)
         top = Series(field, prec, (q - 1,) * prec)      # every digit p - 1
         assert op(top).coeffs == top.compose(act).coeffs
+
+
+def general_identity(ext):
+    """psi(e) with its shortcut off: the table path of _map, as for any
+    non-monomial image."""
+    op = Substitution(ext.act(0))
+    op.identity, op.scalars = False, None
+    return op
+
+
+@pytest.mark.parametrize("name", ["kummer-gf7", "as-p2", "as-gf9"])
+def test_psi_identity_returns_its_argument(name):
+    """psi(e) equals the general path on Series, Series and Laurent
+    matrices and Laurent values with floors -3..3 at every window length,
+    and returns the argument itself for a Series, a Series matrix and a
+    Laurent value with val_floor 0."""
+    ext = extension(name)
+    field, prec = ext.field, ext.prec
+    psi_e, ref = ext.psi(0), general_identity(ext)
+    assert psi_e.identity
+    rng = SplitMix64(prec)
+    coeffs = tuple(rng.randrange(field.order) for _ in range(prec))
+    f = Series(field, prec, coeffs)
+    assert psi_e(f) is f and f == ref(f)
+    m = Matrix([[Series(field, prec, coeffs[i:] + coeffs[:i]) for i in range(j, j + 2)]
+                for j in range(2)])
+    assert psi_e(m) is m and m == ref(m)
+    for v in range(-3, 4):
+        for n in range(1, prec + 1):
+            x = Laurent(field, v, coeffs[:n])
+            got, want = psi_e(x), ref(x)
+            assert (got.val_floor, got.coeffs) == (want.val_floor, want.coeffs)
+            assert (got is x) == (v == 0)
+    ml = Matrix([[Laurent(field, v, coeffs[:prec - abs(v)]) for v in (-2, 0)],
+                 [Laurent(field, v, coeffs[:prec - 1]) for v in (0, 3)]])
+    got, want = psi_e(ml), ref(ml)
+    assert [[(e.val_floor, e.coeffs) for e in row] for row in got.entries] == \
+        [[(e.val_floor, e.coeffs) for e in row] for row in want.entries]
+    assert got.entries[0][1] is ml.entries[0][1] and got.entries[1][0] is ml.entries[1][0]
+
+
+def test_psi_identity_keeps_its_errors():
+    """psi(e) checks the field, the precision and the window before it
+    returns its argument, and raises as the general path does."""
+    ext = extension("as-gf9")
+    other = make_field(7)
+    psi_e, ref = ext.psi(0), general_identity(ext)
+    prec = ext.prec
+    bad = [(Series.one(ext.field, prec - 2), "precision mismatch"),
+           (Series.one(ext.field, prec + 1), "precision mismatch"),
+           (Series.one(other, prec), "field mismatch"),
+           (Matrix.identity(ext.field, 2, prec - 1), "precision mismatch"),
+           (Matrix([[Series.one(ext.field, prec), Series.zero(ext.field, prec - 1)]]),
+            "precision mismatch"),
+           (Matrix.identity(other, 2, prec), "field mismatch"),
+           (Laurent.zero(ext.field, prec + 1), "precision mismatch"),
+           (Laurent(other, 0, (1,)), "field mismatch")]
+    for x, message in bad:
+        for op in (psi_e, ref):
+            with pytest.raises(StructuralError, match=message):
+                op(x)
