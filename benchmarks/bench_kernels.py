@@ -53,11 +53,14 @@ Cases, layer by layer:
   Artin-Schreier datum (the `wild-extfield` rank*N size, 48 x 48 over
   GF(9)); prime fields take the packed rows, GF(9) the byte rows; plus
   kernel_by_blocks, which the search itself runs on that joint system
-  (four solves of 60 x 40 blocks; its kernel asserted equal to
-  solve_linear's), null_space (one solve on the reversed columns) on the
-  calculus joint system, and echelonize on the largest system
-  trivialize's stage 3 builds for the wild datum below (36 x 96 over
-  GF(9));
+  (four equal 60 x 40 blocks, one solve shared by all four; its kernel
+  asserted equal to solve_linear's) and on the `calculus` equiv system
+  (16 x 10 over GF(13), a rank-1 Kummer Z/2 datum against its pullback to
+  Z/4, compared on Z/4: two distinct blocks, so nothing is shared and the
+  row shows what finding and keying blocks costs), null_space (one solve
+  on the reversed columns) on the calculus joint system, and echelonize
+  on the largest system trivialize's stage 3 builds for the wild datum
+  below (36 x 96 over GF(9));
 * evaluate_in_base, h(t) at N/e coefficients re-expanded in s, on each
   workload's extension: Kummer Z/3 over GF(7) at N=16, Artin-Schreier over
   GF(9) at N=24 and Kummer Z/4 over GF(13) at N=8;
@@ -419,9 +422,10 @@ def _largest_system(call, name="solve_linear", bound_in=("linalg", "pvect")):
 def bench_solve(results, runs):
     from orbipar.equivariant import invariants, trivialize
     from orbipar.linalg import echelonize, kernel_by_blocks, null_space, solve_linear
-    from orbipar.local_galois import make_artin_schreier, make_kummer
+    from orbipar.local_galois import (identity_embedding, kummer_tower, make_artin_schreier,
+                                      make_kummer)
     from orbipar.parabolic import random_datum
-    from orbipar.pvect import dual_pairing_check
+    from orbipar.pvect import RefinementMap, dual_pairing_check, equiv_check, pullback_refine
 
     calc = random_datum(make_kummer(make_field(13), 4, 8), 2, SplitMix64(2718),
                         character_exponent=1)
@@ -454,6 +458,22 @@ def bench_solve(results, runs):
                      lambda: null_space(field, rows, n), 1, runs)
     print(f"null_space, calculus joint system ({size}): {med * 1000:.1f} ms median, "
           f"{low * 1000:.1f} ms min")
+    tower = kummer_tower(make_field(13), 2, 4, 8)
+    small = random_datum(tower.small, 1, SplitMix64(1), character_exponent=1)
+    refine = RefinementMap({"p": tower})
+    refined = pullback_refine(small, refine)
+    field, rows = _largest_system(
+        lambda: equiv_check(small, refined, refine,
+                            RefinementMap({"p": identity_embedding(tower.big)})),
+        "kernel_by_blocks", ("pvect",))
+    size = f"{len(rows)}x{len(rows[0])} {field.describe()}"
+    n = len(rows[0])
+    assert kernel_by_blocks(field, rows, n) == solve_linear(field, rows).kernel, \
+        "kernel_by_blocks disagrees with solve_linear"
+    med, low = timed(results, f"kernel_by_blocks calculus equiv system {size}",
+                     lambda: kernel_by_blocks(field, rows, n), 50, runs)
+    print(f"kernel_by_blocks, calculus equiv system ({size}): {med * 1e6:.0f} us median, "
+          f"{low * 1e6:.0f} us min")
     field, rows = _largest_system(lambda: trivialize(wild.points[0].psi), "echelonize",
                                   ("equivariant",))
     size = f"{len(rows)}x{len(rows[0])} {field.describe()}"

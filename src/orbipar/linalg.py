@@ -9,8 +9,8 @@ Three layers:
   reduced echelon basis of a span, ordered by leading coordinate, from the
   same elimination), null_space (that basis for the solutions of rows * x
   = 0, read off one solve with the columns reversed), kernel_by_blocks
-  (solve_linear's kernel, from one solve per block of unknowns that share
-  no row with the rest), combination (sum of scaled vectors) and
+  (solve_linear's kernel, from one solve per distinct block of unknowns
+  that share no row with the rest), combination (sum of scaled vectors) and
   residue_search (the first combination of flattened r x r matrices over k
   that is invertible).  reduce_against, extend_echelon and residue_det
   update list rows with the kernels' row_axpy and row_scale.
@@ -143,8 +143,8 @@ _NONZERO = bytes([0]) + bytes([1]) * 255
 
 
 def kernel_by_blocks(field, rows, n):
-    """solve_linear(field, rows).kernel, from one solve per block of the
-    system.
+    """solve_linear(field, rows).kernel, from one solve per distinct block
+    of the system.
 
     The blocks are the connected components of the unknowns that share a
     nonzero row.  Columns in different blocks have disjoint row supports, so
@@ -155,6 +155,12 @@ def kernel_by_blocks(field, rows, n):
     free columns, is its block's kernel vector embedded in the full
     coordinates; unknowns in no row are free, with unit vectors.  The
     vectors are listed by free column, ascending, as solve_linear lists them.
+
+    A block's solution depends only on its restricted system: its rows in
+    row order, each read on the block's columns in column order.  So blocks
+    whose restricted systems are equal (the isomorphism search against a
+    trivial reference repeats one system per row of g) share one solve,
+    embedded into each block's own columns.
     """
     # blocks as [column mask, row indices]; a mask has one byte per column,
     # 1 where the row's entry is nonzero (entries below 256 convert as bytes)
@@ -178,13 +184,17 @@ def kernel_by_blocks(field, rows, n):
             blocks.remove(b)
     used = 0
     by_free = {}
+    solved = {}                 # restricted system -> its solution
     for mask, block_rows in blocks:
         used |= mask
         cols = list(compress(range(n), mask.to_bytes(n, "little")))
         if len(cols) == 1:      # a pivot column: its rows are nonzero there
             continue
         take = itemgetter(*cols)
-        sol = solve_linear(field, [take(rows[i]) for i in block_rows])
+        system = tuple(take(rows[i]) for i in block_rows)
+        sol = solved.get(system)
+        if sol is None:
+            sol = solved[system] = solve_linear(field, system)
         pivots = set(sol.pivot_cols)
         free = (c for t, c in enumerate(cols) if t not in pivots)
         for f, vec in zip(free, sol.kernel):

@@ -59,8 +59,3 @@ def memoized(table, key, subkey, compute):
         slot = entries[id(key)] = (ref, {})
     slot[1][subkey] = value
     return value
-
-
-def live_keys():
-    """The number of live key objects per table in the open scope."""
-    return {table: len(entries) for table, entries in (_tables.get() or {}).items() if entries}

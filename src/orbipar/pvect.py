@@ -9,9 +9,9 @@ V (x) V* trivial on induced data.  The local parts sigma_x of an isomorphism
 V1 -> V2 are invariant sections of Hom = V2 (x) V1*, whose cocycle is
 kron(A2_g, A1*_g); the isomorphism search takes validated data and solves
 for them with the fixed-space equations of `equivariant.fixed_rows`.  Its
-joint system is solved one independent block of unknowns at a time
-(linalg.kernel_by_blocks), which gives the joint solve's kernel basis
-exactly, so the certificates drawn from it do not change.
+joint system is solved with one solve per distinct independent block of
+unknowns (linalg.kernel_by_blocks), which gives the joint solve's kernel
+basis exactly, so the certificates drawn from it do not change.
 
 Inside a scenario run (see memo.py) each dual point is built once per
 datum point, each tensor point once per pair of points (keyed on the first
@@ -119,9 +119,11 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
     that share no equation with the rest are solved on their own.  Against
     a trivial d2 (dual_pairing_check's reference) A2_g = I and s2 = I, so
     the Hom equations and the mu square tie row a of g only to row a of each
-    sigma_x: one block per row.  Columns of different blocks have disjoint
-    row supports, so the pivot columns, and the reduced echelon form, which
-    is unique, are those of the one joint Gauss-Jordan; the kernel basis,
+    sigma_x, with coefficients that do not depend on a: r blocks, each the
+    same system on its own columns, which kernel_by_blocks solves once and
+    embeds r times.  Columns of different blocks have disjoint row
+    supports, so the pivot columns, and the reduced echelon form, which is
+    unique, are those of the one joint Gauss-Jordan; the kernel basis,
     which the candidates below combine, is therefore the same vector for
     vector, listed by free column as before.
     """

@@ -36,6 +36,7 @@ def test_bench_kernels_runs(capsys, tmp_path):
     assert "solve_linear, tame invariants system (32x32 GF(7))" in out
     assert "null_space, calculus joint system (256x160 GF(13))" in out
     assert "kernel_by_blocks, calculus joint system (256x160 GF(13))" in out
+    assert "kernel_by_blocks, calculus equiv system (16x10 GF(13))" in out
     for fname in ("GF(13)", "GF(3^2)"):
         for op in ("mul", "inv", "add"):
             assert f"FieldCtx.{op:<7}{fname}" in out
@@ -76,6 +77,7 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "null_space calculus joint system 256x160 GF(13)",
                  "solve_linear calculus joint system 256x160 GF(13)",
                  "kernel_by_blocks calculus joint system 256x160 GF(13)",
+                 "kernel_by_blocks calculus equiv system 16x10 GF(13)",
                  "FieldCtx.mul GF(13)", "FieldCtx.inv GF(13)", "FieldCtx.add GF(13)",
                  "FieldCtx.mul GF(3^2)", "FieldCtx.inv GF(3^2)", "FieldCtx.add GF(3^2)",
                  "Matrix.inverse GF(7) r=2 N=16", "Matrix.inverse GF(3^2) r=2 N=24",

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orbipar import linalg
 from orbipar.errors import NotInvertibleError, StructuralError
 from orbipar.fields import ADD_TABLE_MAX_ORDER, make_field
 from orbipar.kernels import _byte_rows, _slot, mat_mul
@@ -312,11 +313,79 @@ def block_systems(draw):
     return F, draw(st.permutations(rows)), n
 
 
-@settings(max_examples=150, deadline=None)
-@given(block_systems())
+@st.composite
+def repeated_block_systems(draw):
+    """(field, rows, n): copies of one drawn block on columns of their own,
+    their columns and rows interleaved, each copy's in its own order kept.
+    A copy is the block itself, the block with one entry changed, its rows
+    in another order, or its entries read row by row in another shape (an
+    h x w block as w rows of h); plus unknowns in no row."""
+    F = make_field(*draw(st.sampled_from([(13, 1), (3, 2)])))
+    entry = st.integers(0, F.order - 1)
+    h, w = draw(st.integers(1, 4)), draw(st.integers(2, 5))
+    block = [[draw(entry) for _ in range(w)] for _ in range(h)]
+    copies = [block]
+    for kind in draw(st.lists(st.sampled_from(["same", "entry", "rows", "shape"]),
+                              min_size=1, max_size=4)):
+        if kind == "same":
+            copies.append(block)
+        elif kind == "entry":
+            i, j = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+            copy = [list(row) for row in block]
+            copy[i][j] = draw(entry.filter(lambda x: x != block[i][j]))
+            copies.append(copy)
+        elif kind == "rows":
+            copies.append(draw(st.permutations(block)))
+        else:
+            flat = [x for row in block for x in row]
+            copies.append([flat[i * h:(i + 1) * h] for i in range(w)])
+    n = sum(len(c[0]) for c in copies) + draw(st.integers(0, 2))
+    columns = draw(st.permutations(range(n)))
+    placed, start = [], 0
+    for c in copies:
+        cols = sorted(columns[start:start + len(c[0])])
+        start += len(c[0])
+        placed.append([])
+        for row in c:
+            full = [0] * n
+            for col, x in zip(cols, row):
+                full[col] = x
+            placed[-1].append(full)
+    rows = []
+    for k in draw(st.permutations([k for k, c in enumerate(placed) for _ in c])):
+        rows.append(placed[k].pop(0))
+    return F, rows, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(block_systems(), repeated_block_systems()))
 def test_kernel_by_blocks_is_the_joint_kernel(system):
     F, rows, n = system
     assert kernel_by_blocks(F, rows, n) == solve_linear(F, rows).kernel
+
+
+def test_kernel_by_blocks_solves_each_distinct_block_once(monkeypatch):
+    """A 2 x 3 block at columns {0, 2, 4} and again at {1, 5, 7}, rows
+    interleaved; the same six entries as a 3 x 2 block at {3, 6}; and the
+    block with one entry changed at {8, 9, 10}: three distinct systems."""
+    F13 = make_field(13)
+    block = [[1, 2, 3], [4, 5, 6]]
+    rows = [[1, 0, 2, 0, 3, 0, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 2, 0, 3, 0, 0, 0],
+            [0, 0, 0, 1, 0, 0, 2, 0, 0, 0, 0], [4, 0, 5, 0, 6, 0, 0, 0, 0, 0, 0],
+            [0, 4, 0, 0, 0, 5, 0, 6, 0, 0, 0], [0, 0, 0, 3, 0, 0, 4, 0, 0, 0, 0],
+            [0, 0, 0, 5, 0, 0, 6, 0, 0, 0, 0], [0] * 8 + block[0],
+            [0] * 8 + [4, 5, 7]]
+    solves = []
+
+    def counted(field, system, *rest):
+        solves.append([list(row) for row in system])
+        return solve_linear(field, system, *rest)
+
+    monkeypatch.setattr(linalg, "solve_linear", counted)
+    kernel = kernel_by_blocks(F13, rows, 11)
+    monkeypatch.undo()
+    assert kernel == solve_linear(F13, rows).kernel
+    assert solves == [block, [[1, 2], [3, 4], [5, 6]], [[1, 2, 3], [4, 5, 7]]]
 
 
 def test_kernel_by_blocks_lists_by_free_column():
