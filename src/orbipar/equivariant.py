@@ -33,7 +33,8 @@ from .errors import AssemblyError, DomainError, RankDeficiencyError, StructuralE
 from .groups import Report, law_by_generators
 from .kernels import fixed_point_rows
 from .linalg import (Matrix, combination, echelonize, extend_echelon, is_invertible_combination,
-                     null_space, reduce_against, residue_search, smith, solve_linear)
+                     null_space, reduce_against, residue_det, residue_search, smith,
+                     solve_linear)
 from .memo import memoized
 from .series import Series
 
@@ -681,7 +682,12 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
 
     Stage 1 (averaging): B = sum_g A_g psi(g)(C) is always a fixed point of
     the twisted action; seeded candidates C are tried until one lands on a
-    unit.  Stage 2 (residue): since the coefficient field is fixed
+    unit.  Each psi(g) fixes constants, so res(B) = S res(C) with S = sum_g
+    res(A_g) over k, and det res(B) = det S det res(C): B is a unit exactly
+    when both determinants are nonzero, and no other candidate is averaged.
+    Where p divides |I| and every res(A_g) is the identity (the wild
+    coboundaries), S = |I| I = 0 and stage 1 does no series work.
+    Stage 2 (residue): since the coefficient field is fixed
     pointwise, any solution forces A_g = I mod s; a nonidentity residue is a
     proven level-0 obstruction (equivalent to the exhaustive search over
     GL_r(k), whose candidate map is constant).  Stage 3 (linear fix + residue
@@ -697,19 +703,25 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
     cap = 10 ** 6 if budget is None else budget
     rng = rng or SplitMix64(0x0B5E55ED)
 
-    # stage 1: averaging
+    # stage 1: averaging, over the candidates whose average has a unit residue
     candidates = [Matrix.identity(field, rank, prec)]
     for _ in range(7):
         candidates.append(Matrix([[Series(field, prec,
                                           tuple(rng.randrange(field.order)
                                                 for _ in range(prec)))
                                    for _ in range(rank)] for _ in range(rank)]))
-    for cand in candidates:
-        acc = None
-        for g in range(ext.group.order):
-            term = c.mats[g] * ext.psi(g)(cand)
-            acc = term if acc is None else acc + term
-        if acc.is_residue_invertible():
+    add = field.ctx.add
+    res_sum = [[0] * rank for _ in range(rank)]
+    for m in c.mats:
+        res_sum = [list(map(add, acc, row)) for acc, row in zip(res_sum, m.residue())]
+    if residue_det(field, res_sum):
+        for cand in candidates:
+            if not residue_det(field, cand.residue()):
+                continue
+            acc = None
+            for g in range(ext.group.order):
+                term = c.mats[g] * ext.psi(g)(cand)
+                acc = term if acc is None else acc + term
             if _verify_coboundary(c, acc):
                 return TrivializeResult(True, acc, "averaging", "averaged fixed point",
                                         proven=True)

@@ -29,10 +29,11 @@ product is then the bivariate (s, x) product: slot j of group i holds the
 coefficient of s^i x^j, for j up to 2k - 2, so groups never overlap.
 Unpacking folds the digits of degree >= k down with the modulus, x^k =
 -(m_0 + ... + m_{k-1} x^(k-1)), in exact integers, then reduces each digit
-`% p` and encodes (_fold_list).  With 8-bit slots and p^(2k-1) <= 256
-(GF(4), GF(8), GF(16), GF(9), GF(25) and GF(27)) it folds in bytes instead
-(_byte_fold): one translate reduces every slot mod p, masked bigint shifts
-and adds turn each group's digits d_j into one byte key sum d_j p^j, and one
+`% p` and encodes (_fold_list).  With 8- or 16-bit slots and p^(2k-1) <=
+256 (GF(4), GF(8), GF(16), GF(9), GF(25) and GF(27)) it folds in bytes
+instead (_byte_fold): translates reduce every slot mod p to one byte (a
+16-bit slot through its two bytes, summed as one bigint), masked bigint
+shifts and adds turn each group's digits d_j into one byte key sum d_j p^j, and one
 translate through a table of the field's p^(2k-1) keys encodes the keys.
 The table is built once per field, and only for these fields: GF(13^4)
 would need 13^7 entries.
@@ -129,17 +130,23 @@ def _pack_digits(blocks, x, n):
 def _unpack_digits(ctx, c, nbytes, tc, n):
     """The first n slot groups of c, each folded with the modulus, its
     digits reduced mod p, and encoded: in bytes where _byte_fold has tables
-    for 8-bit slots, else as lists (_fold_list)."""
+    for 8- or 16-bit slots, else as lists (_fold_list).  A 16-bit slot lo +
+    256 hi is first reduced to one byte: lo mod p plus 256 hi mod p, each
+    by translate, summed as one bigint (below 2p, so no byte carries), and
+    reduced by one more translate."""
     width = 2 * ctx.k - 1
     size = nbytes * width * n
     raw = (c & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-    tables = _byte_fold(ctx) if nbytes == 1 else None
+    tables = _byte_fold(ctx) if nbytes <= 2 else None
     if tables is None:
         slots = array(tc)
         slots.frombytes(raw)
         return _fold_list(ctx, slots)
-    red, fold = tables
-    p = ctx.p
+    red, red_hi, fold = tables
+    p, size = ctx.p, width * n
+    if nbytes == 2:     # one byte per slot
+        raw = (int.from_bytes(raw[::2].translate(red), "little")
+               + int.from_bytes(raw[1::2].translate(red_hi), "little")).to_bytes(size, "little")
     # each group's reduced digits d_0..d_{2k-2} as the key sum d_j p^j < 256,
     # in the group's first byte
     digits = int.from_bytes(raw.translate(red), "little")
@@ -170,15 +177,17 @@ def _fold_list(ctx, slots):
 
 @lru_cache(maxsize=None)
 def _byte_fold(ctx):
-    """(red, fold) translate tables for slot groups of 8-bit slots, or None
-    unless p^(2k-1) <= 256: red reduces a slot mod p, and fold maps a group's
-    key sum d_j p^j of reduced digits to the encoding _fold_list gives it."""
+    """(red, red_hi, fold) translate tables for slot groups of 8- and 16-bit
+    slots, or None unless p^(2k-1) <= 256: red reduces a byte mod p, red_hi
+    maps a high byte h to 256 h mod p, and fold maps a group's key sum d_j
+    p^j of reduced digits to the encoding _fold_list gives it."""
     p, width = ctx.p, 2 * ctx.k - 1
     keys = p ** width
     if keys > 256:
         return None
     groups = array("B", [key // p ** j % p for key in range(keys) for j in range(width)])
-    return bytes(x % p for x in range(256)), bytes(_fold_list(ctx, groups)).ljust(256, b"\0")
+    return (bytes(x % p for x in range(256)), bytes(256 * x % p for x in range(256)),
+            bytes(_fold_list(ctx, groups)).ljust(256, b"\0"))
 
 
 @lru_cache(maxsize=None)
@@ -346,14 +355,17 @@ def vec_inverse(ctx, a, n):
 def vec_compose(ctx, f, g, n):
     """First n coefficients of f(g); g[0] must be 0 (caller-checked).
 
-    Horner from the top coefficient: each step is one truncated product.
+    Horner from the top coefficient: each step is one truncated product,
+    with g packed once for all of them.
     """
     if not f:
         return [0] * n
     res = [0] * n
     res[0] = f[-1]
+    pack, unpack, _ = _packers(ctx, min(len(g), n), 1)
+    packed_g = pack(g, n)
     for idx in range(len(f) - 2, -1, -1):
-        res = vec_mul(ctx, res, g, n)
+        res = unpack(pack(res, n) * packed_g, n)
         res[0] = ctx.add(res[0], f[idx])
     return res
 

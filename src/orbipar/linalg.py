@@ -32,8 +32,10 @@ Three layers:
   U, W unimodular, D diagonal with entries of increasing valuation.  The
   divisor valuations feed the is_induced diagnostic; the U factor is the
   deterministic unimodular completion used by the invariants functor.
-  is_invertible runs it without U and W: a Laurent matrix is invertible
-  exactly when no divisor of its series part is None.
+  A Laurent matrix is invertible exactly when no divisor of its series
+  part is None.  is_invertible first tests the k-matrix of the entries'
+  lowest coefficients: when its determinant is nonzero every divisor is
+  that valuation; otherwise it runs smith without U and W.
 """
 
 from dataclasses import dataclass
@@ -633,8 +635,19 @@ def is_invertible(m: Matrix) -> bool:
 
     laurent_inverse raises exactly when m is not square, when its entries
     share no validity window, or when a Smith divisor of its series part is
-    None; U and W are unimodular, so the divisors decide alone, and smith
-    runs without its transforms.
+    None; U and W are unimodular, so the divisors decide alone.
+
+    Most matrices are decided by their lowest coefficients.  Let v be the
+    least valuation among the series part's entries (no entry nonzero: every
+    divisor is None) and L the k-matrix of the entries' coefficients v.  If
+    det L != 0, every divisor is v: smith's first pivot has valuation v, as
+    some entry of L is nonzero and none has lower valuation.  Eliminating
+    below it subtracts f * (pivot row) with f's constant term l_it / l_tt,
+    and the pivot row's entries have valuation >= v, so the rest keeps
+    valuation >= v and its coefficients v are the Schur complement of l_tt
+    in L (rows and columns permuted), again invertible; by induction every
+    pivot has valuation v < prec and no divisor is None.  Otherwise smith
+    decides, without its transforms.
     """
     if m.rows != m.cols:
         return False
@@ -642,6 +655,12 @@ def is_invertible(m: Matrix) -> bool:
         ser = series_part(m.to_laurent())[0]
     except StructuralError:     # no common validity window
         return False
+    vals = [v for row in ser.entries for e in row if (v := e.valuation()) is not None]
+    if not vals:
+        return False
+    v = min(vals)
+    if residue_det(m.field, [[e.coeffs[v] for e in row] for row in ser.entries]):
+        return True
     return None not in smith(ser, transforms=False).divisors
 
 

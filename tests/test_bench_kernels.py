@@ -57,6 +57,9 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "PushedBundle.verify_exhaustive, Z/4 rank 1 GF(13) N=8",
                  "PushedBundle.verify, Z/4 rank 1 GF(13) N=8"):
         assert line in out
+    assert "averaging of 8 candidates, wild rank 2 GF(3^2) N=24" in out
+    for label in ("mu rank 2 GF(7) N=16 lowest coeffs", "mu*diag(1,t) rank 2 GF(7) N=16 Smith"):
+        assert f"is_invertible             {label}" in out
     for law in ("check_mu_equivariance", "check_tau_equivariance", "first_nonintertwining",
                 "check_sigma_equivariance"):
         assert law in out
@@ -106,5 +109,10 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "echelonize wild trivialize system 36x96 GF(3^2)",
                  "evaluate_in_base tame Kummer Z/3 GF(7) N=16",
                  "evaluate_in_base wild Artin-Schreier GF(3^2) N=24",
-                 "evaluate_in_base calculus Kummer Z/4 GF(13) N=8"):
+                 "evaluate_in_base calculus Kummer Z/4 GF(13) N=8",
+                 "averaging of 8 candidates wild rank 2 GF(3^2) N=24",
+                 "divisor-only smith mu rank 2 GF(7) N=16 lowest coeffs",
+                 "is_invertible mu rank 2 GF(7) N=16 lowest coeffs",
+                 "divisor-only smith mu*diag(1,t) rank 2 GF(7) N=16 Smith",
+                 "is_invertible mu*diag(1,t) rank 2 GF(7) N=16 Smith"):
         assert case in doc["cases"]

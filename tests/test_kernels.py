@@ -193,6 +193,29 @@ def test_byte_fold_matches_list_fold(p, k):
             assert len(got) == n and all(0 <= e < ctx.q for e in got)
 
 
+@pytest.mark.parametrize("p,k", BYTE_FOLD_FIELDS,
+                         ids=[f"GF({p}^{k})" for p, k in BYTE_FOLD_FIELDS])
+def test_byte_fold_of_16_bit_slots_matches_list_fold(p, k):
+    """_unpack_digits on 16-bit slots reduces each slot to a byte and folds
+    in bytes; the list fold of the same slots is the reference, on random
+    slots, on all-65535 slots and on slots whose high and low bytes are p - 1
+    or 255, for one group and for a full-precision vector, with groups above
+    n in c."""
+    ctx = make_field(p, k).ctx
+    width = 2 * k - 1
+    rng = SplitMix64(p * 100 + k)
+    for n in (1, MAX_PRECISION):
+        cases = [[rng.randrange(1 << 16) for _ in range(width * n)] for _ in range(8)]
+        cases += [[x] * (width * n) for x in (0xFFFF, 0xFF00, 0x00FF, (p - 1) * 257, 0)]
+        for slots in cases:
+            raw = array("H", slots).tobytes()
+            c = int.from_bytes(raw + bytes(rng.randrange(256) for _ in range(2 * width)),
+                               "little")
+            got = kernels._unpack_digits(ctx, c, 2, "H", n)
+            assert got == kernels._fold_list(ctx, array("H", slots))
+            assert len(got) == n and all(0 <= e < ctx.q for e in got)
+
+
 def _log_table_tri(ctx, cols, a, n):
     """vec_tri's former GF(p^k) loop, through the exp/log and add tables:
     out[k] = sum over m of a[m] * cols[k][m].  The reference for the packed

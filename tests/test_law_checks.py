@@ -39,9 +39,9 @@ from orbipar.equivariant import (Cocycle, ProductGModule, assemble_product, cobo
                                  independence_intertwiner, make_connectors, verify_action,
                                  verify_action_exhaustive, verify_cocycle,
                                  verify_cocycle_exhaustive)
-from orbipar.errors import OrbiparError, RankDeficiencyError
+from orbipar.errors import OrbiparError, RankDeficiencyError, StructuralError
 from orbipar.fields import make_field
-from orbipar.groups import cyclic, dihedral, direct_product
+from orbipar.groups import Report, cyclic, dihedral, direct_product
 from orbipar.linalg import Matrix, is_invertible, series_part, smith
 from orbipar.local_galois import (LocalExtension, make_artin_schreier, make_kummer,
                                   trivial_extension, verify_extension,
@@ -535,19 +535,21 @@ def test_unequal_tau_windows_force_the_exhaustive_answer():
 
 @pytest.fixture
 def products(monkeypatch):
-    """products(check): how many Laurent matrix products a passing check() makes."""
-    original = linalg._laurent_product
+    """products(check, kind): how many matrix products of that kind (Laurent
+    unless Series is given) a passing check() makes."""
 
-    def count(check):
+    def count(check, kind=Laurent):
+        name = "_laurent_product" if kind is Laurent else "_series_product"
+        original = getattr(linalg, name)
         calls = []
 
         def counting(a, b):
             calls.append(1)
             return original(a, b)
 
-        monkeypatch.setattr(linalg, "_laurent_product", counting)
+        monkeypatch.setattr(linalg, name, counting)
         assert check().ok
-        monkeypatch.setattr(linalg, "_laurent_product", original)
+        monkeypatch.setattr(linalg, name, original)
         return len(calls)
 
     return count
@@ -619,28 +621,71 @@ def test_pushed_tau_check_makes_two_products_per_generator(products):
 
 @st.composite
 def laurent_matrices(draw):
-    """Square Laurent matrices, some singular (a repeated or zero row, sparse
-    low-precision entries) and some with no common validity window (an
-    empty entry below every other floor)."""
-    field = make_field(draw(st.sampled_from([2, 3, 5, 7])))
+    """Square Laurent matrices over GF(2), GF(3), GF(5), GF(7) and GF(9),
+    some singular (a repeated or zero row, sparse low-precision entries),
+    some with no common validity window (an empty entry below every other
+    floor), and some whose invertibility the lowest coefficients decide
+    either way: a unit triangular matrix times s^k (leading zeros below a
+    common floor), and a diagonal of units times distinct powers of s."""
+    field = make_field(*draw(st.sampled_from([(2,), (3,), (5,), (7,), (3, 2)])))
     r = draw(st.integers(1, 3))
     zero_bias = draw(st.floats(0, 0.9))
 
+    def coeffs(length):
+        return tuple(0 if draw(st.floats(0, 1)) < zero_bias
+                     else draw(st.integers(0, field.order - 1)) for _ in range(length))
+
+    def unit():
+        return draw(st.integers(1, field.order - 1))
+
     def entry():
-        length = draw(st.integers(1, N))
-        coeffs = tuple(0 if draw(st.floats(0, 1)) < zero_bias
-                       else draw(st.integers(0, field.order - 1)) for _ in range(length))
-        return Laurent(field, draw(st.integers(-2, 2)), coeffs)
+        return Laurent(field, draw(st.integers(-2, 2)), coeffs(draw(st.integers(1, N))))
 
     rows = [[entry() for _ in range(r)] for _ in range(r)]
-    shape = draw(st.sampled_from(["random", "repeat", "zero", "no-window"]))
+    shape = draw(st.sampled_from(["random", "repeat", "zero", "no-window", "unit-times-s^k",
+                                  "diagonal-powers"]))
     if shape == "repeat" and r > 1:
         rows[1] = list(rows[0])
     elif shape == "zero":
         rows[0] = [Laurent(field, 0, (0,) * N) for _ in range(r)]
     elif shape == "no-window":
         rows[0][0] = Laurent(field, -3, ())
+    elif shape == "unit-times-s^k":
+        floor, k = draw(st.integers(-2, 2)), draw(st.integers(0, 3))
+        rows = [[Laurent(field, floor, (0,) * k + (
+                    (unit(),) + coeffs(N - k - 1) if i == j else
+                    coeffs(N - k) if i < j else (0,) * (N - k)))
+                 for j in range(r)] for i in range(r)]
+    elif shape == "diagonal-powers":
+        powers = draw(st.permutations(range(r)))
+        rows = [[Laurent(field, powers[i], (unit(),) + coeffs(N - 1)) if i == j
+                 else Laurent.zero(field, N) for j in range(r)] for i in range(r)]
     return Matrix(rows)
+
+
+def _invertible_by_smith(m):
+    """The reference for is_invertible: square, with a common validity
+    window, and no divisor of its series part None."""
+    if m.rows != m.cols:
+        return False
+    try:
+        ser = series_part(m.to_laurent())[0]
+    except StructuralError:
+        return False
+    return None not in smith(ser, transforms=False).divisors
+
+
+def _smith_calls(call):
+    """(call(), how many times it ran smith)."""
+    calls = []
+    original = linalg.smith
+
+    def counting(m, transforms=True):
+        calls.append(transforms)
+        return original(m, transforms)
+
+    with mock.patch.object(linalg, "smith", counting):
+        return call(), len(calls)
 
 
 @settings(max_examples=150, deadline=None)
@@ -656,3 +701,117 @@ def test_is_invertible_iff_inverse_succeeds(m):
         ser = series_part(m)[0]
         full, divisors_only = smith(ser), smith(ser, transforms=False)
         assert (full.divisors, full.trust) == (divisors_only.divisors, divisors_only.trust)
+
+
+@settings(max_examples=300, deadline=None)
+@given(laurent_matrices())
+def test_is_invertible_equals_divisor_only_smith(m):
+    """The lowest-coefficient test decides as the divisor-only Smith form
+    does, and runs smith only where the lowest coefficients are singular."""
+    got, runs = _smith_calls(lambda: is_invertible(m))
+    assert got == _invertible_by_smith(m)
+    assert runs <= 1
+    if m.rows == 1:     # a nonzero entry's lowest coefficient is a unit
+        assert runs == 0
+
+
+def _lm(field, rows):
+    """A Laurent matrix from rows of (val_floor, coeffs), each exact to N."""
+    return Matrix([[Laurent.exact(field, f, c, N) for f, c in row] for row in rows])
+
+
+F7, F9 = make_field(7), make_field(3, 2)
+ZERO = (0, [])
+
+
+@pytest.mark.parametrize("case, m, invertible, smith_runs", [
+    # lowest coefficients invertible: decided without smith
+    ("unit times s^2", _lm(F7, [[(2, [3, 1]), (2, [5])], [(2, [0, 4]), (2, [1, 6])]]),
+     True, 0),
+    ("unit times s^-1, leading zeros", _lm(F7, [[(-3, [0, 0, 2]), (-3, [0, 0, 0, 1])],
+                                                 [(-3, [0, 0, 1]), (-3, [0, 0, 4])]]),
+     True, 0),
+    ("GF(9) unit", _lm(F9, [[(0, [4, 1]), (0, [7])], [(0, [2]), (0, [5, 8])]]), True, 0),
+    # lowest coefficients singular: smith decides
+    ("diag(1, s)", _lm(F7, [[(0, [1]), ZERO], [ZERO, (1, [1])]]), True, 1),
+    ("mixed floors", _lm(F7, [[(-1, [1]), (0, [1])], [ZERO, (1, [1])]]), True, 1),
+    ("GF(9) diag(s, s^3)", _lm(F9, [[(1, [5]), ZERO], [ZERO, (3, [7])]]), True, 1),
+    ("repeated row", _lm(F7, [[(0, [1, 2]), (1, [3])], [(0, [1, 2]), (1, [3])]]), False, 1),
+    ("zero row", _lm(F7, [[(0, [1, 2]), (1, [3])], [ZERO, ZERO]]), False, 1),
+    ("GF(9) repeated row", _lm(F9, [[(0, [4, 1]), (0, [7])], [(0, [4, 1]), (0, [7])]]),
+     False, 1),
+    # nothing to decide
+    ("zero matrix", _lm(F7, [[ZERO, ZERO], [ZERO, ZERO]]), False, 0),
+])
+def test_is_invertible_branches(case, m, invertible, smith_runs):
+    """Each branch of is_invertible on explicit matrices, against the
+    divisor-only Smith reference and Matrix.inverse."""
+    assert _smith_calls(lambda: is_invertible(m)) == (invertible, smith_runs), case
+    assert _invertible_by_smith(m) == invertible
+    try:
+        m.inverse()
+        inverts = True
+    except OrbiparError:
+        inverts = False
+    assert inverts == invertible
+
+
+def _stage_one_and_two(c):
+    """trivialize(c) stopped where stage 3 starts (its fixed_space call), as
+    a Report: ok iff stages 1 and 2 decided nothing."""
+    class Stage3(Exception):
+        pass
+
+    def stop(_):
+        raise Stage3
+
+    with mock.patch.object(equivariant, "fixed_space", stop):
+        try:
+            res = equivariant.trivialize(c)
+        except Stage3:
+            return Report(True, "stage 3 reached")
+    return Report(False, f"decided at stage {res.stage}")
+
+
+def _averaging_reference(c, rng):
+    """trivialize's stage 1 without the residue test: average every
+    candidate, in trivialize's order and from its rng draws, and return the
+    first average with a unit residue that the coboundary check accepts."""
+    ext, rank, prec = c.ext, c.rank, c.ext.prec
+    field = ext.field
+    cands = [Matrix.identity(field, rank, prec)] + [
+        Matrix([[Series(field, prec, tuple(rng.randrange(field.order) for _ in range(prec)))
+                 for _ in range(rank)] for _ in range(rank)]) for _ in range(7)]
+    for cand in cands:
+        acc = c.mats[0] * ext.psi(0)(cand)
+        for g in range(1, ext.group.order):
+            acc = acc + c.mats[g] * ext.psi(g)(cand)
+        if acc.is_residue_invertible() and equivariant._verify_coboundary(c, acc):
+            return acc
+    return None
+
+
+def test_wild_trivialize_averages_nothing(products):
+    """On the wild Artin-Schreier cocycle (GF(9), N=24, rank 2) every
+    res(A_g) is I and p = |I|, so every average has residue 0: stage 1
+    makes no Series matrix product, and stage 3 finds B."""
+    c = random_datum(make_artin_schreier(make_field(3, 2), 24), 2, SplitMix64(5)).points[0].psi
+    assert products(lambda: _stage_one_and_two(c), Series) == 0
+    assert _averaging_reference(c, SplitMix64(0x0B5E55ED)) is None
+    res = equivariant.trivialize(c)
+    assert (res.found, res.stage) == (True, "fixed-space")
+
+
+@pytest.mark.parametrize("ext", [make_kummer(make_field(7), 3, 16),
+                                 make_kummer(make_field(13), 4, N)],
+                         ids=["Z/3 GF(7)", "Z/4 GF(13)"])
+def test_kummer_trivialize_averages_as_before(ext):
+    """On Kummer coboundaries p does not divide |I|, so sum_g res(A_g) = |I| I
+    is invertible: stage 1 still finds B, the same B as averaging every
+    candidate and testing its residue afterwards."""
+    rng = SplitMix64(29)
+    for seed in range(3):
+        c = coboundary(ext, random_unimodular(ext.field, 2, ext.prec, rng))
+        res = equivariant.trivialize(c, rng=SplitMix64(seed))
+        assert (res.found, res.stage) == (True, "averaging")
+        assert res.b == _averaging_reference(c, SplitMix64(seed))

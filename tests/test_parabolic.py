@@ -54,10 +54,18 @@ def test_singular_mu_is_not_invertible():
 
 
 def test_programming_error_in_inverse_propagates(monkeypatch):
-    """Only orbipar errors read as "not invertible"; anything else is a bug."""
+    """Only orbipar errors read as "not invertible"; anything else is a bug.
+    mu = diag(1, t), t = s^2 the base uniformizer, inverts, but its lowest
+    coefficients diag(1, 0) are singular, so is_invertible reaches the
+    divisor-only Smith form for mu and for tau."""
     ext = make_kummer(F5, 2, N)
-    d = trivial_datum(1, [("p", ext)])
+    triv = trivial_datum(2, [("p", ext)]).points[0]
+    mu = Matrix([[Laurent.exact(F5, 0, [1], N), Laurent.zero(F5, N)],
+                 [Laurent.zero(F5, N), Laurent.exact(F5, 2, [1], N)]])
+    d = ParabolicDatum(rank=2, points=(ParabolicPoint("p", ext, triv.psi, mu),))
+    assert validate_parabolic(d).ok
     b = functor_T(d, totally_ramified_scene(ext))
+    assert verify_glued(b).ok
 
     original = linalg.smith
 
