@@ -66,9 +66,10 @@ Cases, layer by layer:
   GF(9) at N=24 and Kummer Z/4 over GF(13) at N=8;
 * module ops: invariants on a rank-2 Artin-Schreier datum (GF(9), N=24, the
   `wild-extfield` datum) and on a rank-3 Kummer Z/3 datum (GF(7), N=16, the
-  `tame-roundtrip` rank-3 datum), trivialize on the same wild datum, the
-  stage-1 averaging of all 8 trivialize candidates on it (every average has
-  residue 0 there, so trivialize's residue test skips this work), and
+  `tame-roundtrip` rank-3 datum), trivialize on the same wild datum (stage
+  3 decides it) and on the cocycle of V (x) V* for a rank-2 GF(13), N=8
+  Kummer Z/4 datum (the `calculus` dual_pairing size, rank 4; stage 1's
+  average decides it), and
   assemble_product on a rank-2 datum over the two-component Z/6 scene
   (GF(7), N=16); each call runs outside a scenario run, so the run memo is
   off and every call does its work afresh;
@@ -76,8 +77,8 @@ Cases, layer by layer:
   laws on the generators, against verify_cocycle_exhaustive and
   verify_action_exhaustive, which scan every pair (reports asserted equal),
   on that Z/6 datum's cocycle and module; is_invertible against
-  laurent_inverse on its mu, and against the divisor-only Smith form of the
-  series part on each of its branches: that mu, whose lowest coefficients
+  laurent_inverse on its mu, and against the Smith form of the series
+  part on each of its branches: that mu, whose lowest coefficients
   decide, and mu * diag(1, t), t = s^3, whose lowest coefficients are
   singular, so that Smith decides; and the unary laws check_mu_equivariance,
   check_tau_equivariance, first_nonintertwining and
@@ -516,40 +517,22 @@ def _z6_scene(ext):
     return CoverScene(group=cyclic(6), points=(ScenePoint("p", ext, (0, 2, 4), (0, 1)),))
 
 
-def _average_all_candidates(c):
-    """trivialize's stage-1 averages B = sum_g A_g psi(g)(C) of all its 8
-    candidates (the identity and 7 seeded draws), each one formed whatever
-    its residue: the work that the residue test skips where every average
-    has residue 0."""
-    from orbipar.linalg import Matrix
-    from orbipar.series import Series
-
-    ext, rank, prec = c.ext, c.rank, c.ext.prec
-    field, rng = ext.field, SplitMix64(0x0B5E55ED)
-    cands = [Matrix.identity(field, rank, prec)] + [
-        Matrix([[Series(field, prec, tuple(rng.randrange(field.order) for _ in range(prec)))
-                 for _ in range(rank)] for _ in range(rank)]) for _ in range(7)]
-    out = []
-    for cand in cands:
-        acc = c.mats[0] * ext.psi(0)(cand)
-        for g in range(1, ext.group.order):
-            acc = acc + c.mats[g] * ext.psi(g)(cand)
-        out.append(acc)
-    return out
-
-
 def bench_module_ops(results, runs):
     """invariants, trivialize, assemble_product, functor_T and functor_S, one
-    call per run, each outside a scenario run (no memo); and the averaging of
-    all of trivialize's stage-1 candidates on the wild cocycle, which its
-    residue test skips there."""
+    call per run, each outside a scenario run (no memo).  trivialize runs on
+    the wild cocycle, which stage 3 decides, and on the cocycle of V (x) V*
+    for a rank-2 Kummer Z/4 datum, which stage 1's average decides."""
     from orbipar.equivariant import assemble_product, invariants, trivialize
     from orbipar.local_galois import make_artin_schreier, make_kummer
     from orbipar.parabolic import build_spec_from_scene, functor_S, functor_T, random_datum
+    from orbipar.pvect import dual, tensor
 
     wild = random_datum(make_artin_schreier(make_field(3, 2), 24), 2,
                         SplitMix64(5)).points[0].psi
-    assert not any(b.is_residue_invertible() for b in _average_all_candidates(wild))
+    v = random_datum(make_kummer(make_field(13), 4, 8), 2, SplitMix64(2718),
+                     character_exponent=1)
+    pairing = tensor(v, dual(v)).points[0].psi
+    assert trivialize(pairing).stage == "averaging"
     k3 = make_kummer(make_field(7), 3, 16)
     tame3 = random_datum(k3, 3, SplitMix64(12345), character_exponent=1).points[0].psi
     scene = _z6_scene(k3)
@@ -560,8 +543,8 @@ def bench_module_ops(results, runs):
     cases = [("invariants", "wild rank 2 GF(3^2) N=24", lambda: invariants(wild)),
              ("invariants", "tame rank 3 GF(7) N=16", lambda: invariants(tame3)),
              ("trivialize", "wild rank 2 GF(3^2) N=24", lambda: trivialize(wild)),
-             ("averaging of 8 candidates", "wild rank 2 GF(3^2) N=24",
-              lambda: _average_all_candidates(wild)),
+             ("trivialize", "calculus dual-pairing rank 4 GF(13) N=8",
+              lambda: trivialize(pairing)),
              ("assemble_product", "Z/6 rank 2 GF(7) N=16", lambda: assemble_product(spec)),
              ("functor_T", "Z/6 rank 2 GF(7) N=16", lambda: functor_T(d, scene)),
              ("functor_S", "Z/6 rank 2 GF(7) N=16", lambda: functor_S(glued))]
@@ -572,7 +555,7 @@ def bench_module_ops(results, runs):
 
 def bench_law_checks(results, repeats, runs):
     """The generator proofs of the group laws against the exhaustive scans,
-    and the divisor-only invertibility test against the inverse, on the
+    and the invertibility test against the inverse and the Smith form, on the
     rank-2 Z/6 datum of bench_module_ops.  The unary laws (mu, tau,
     intertwiner, sigma) run inside a scenario run whose memo already holds
     their premises (verify_cocycle, verify_action), as in `orbipar run`."""
@@ -610,9 +593,8 @@ def bench_law_checks(results, repeats, runs):
                            [Laurent.zero(f7, 16), Laurent.exact(f7, 3, [1], 16)]])
 
     def by_smith(m):
-        """is_invertible's reference: the divisor-only Smith form of the
-        series part."""
-        return None not in smith(series_part(m)[0], transforms=False).divisors
+        """is_invertible's reference: the Smith form of the series part."""
+        return None not in smith(series_part(m)[0]).divisors
 
     assert is_invertible(pt.mu) and is_invertible(mu_t) and by_smith(mu_t)
     # (reference, fast path, case, reference call, fast call)
@@ -622,9 +604,9 @@ def bench_law_checks(results, repeats, runs):
               lambda: verify_action_exhaustive(module), lambda: verify_action(module)),
              ("laurent_inverse", "is_invertible", "tame mu rank 2 GF(7) N=16",
               lambda: laurent_inverse(pt.mu), lambda: is_invertible(pt.mu)),
-             ("divisor-only smith", "is_invertible", "mu rank 2 GF(7) N=16 lowest coeffs",
+             ("smith", "is_invertible", "mu rank 2 GF(7) N=16 lowest coeffs",
               lambda: by_smith(pt.mu), lambda: is_invertible(pt.mu)),
-             ("divisor-only smith", "is_invertible", "mu*diag(1,t) rank 2 GF(7) N=16 Smith",
+             ("smith", "is_invertible", "mu*diag(1,t) rank 2 GF(7) N=16 Smith",
               lambda: by_smith(mu_t), lambda: is_invertible(mu_t))]
     # (law, case, reference call, fast call)
     unary = [("check_mu_equivariance", "Z/3 mu rank 2 GF(7) N=16",

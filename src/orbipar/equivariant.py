@@ -17,9 +17,10 @@ Conventions (fixed throughout):
   (I, w) o (M, u) = (psi(w)(M), w u) and (M, u) o (I, w) = (M, u w).
 
 Inside a scenario run (see memo.py) each cocycle's fixed space, its
-InvariantsResult and its verify_cocycle report are computed once:
-invariants, invariants_product, is_induced, the S functor and stage 3 of
-trivialize share one solve.  So is each module's verify_action report.
+InvariantsResult, its InducedReport and its verify_cocycle report are
+computed once: invariants, is_induced, the S functor and stage 3 of
+trivialize share one solve, and is_induced and S one Smith form of the
+natural map.  So is each module's verify_action report.
 Outside a run every call computes afresh; the memo only caches.  The
 generator proofs of the unary laws take verify_cocycle or verify_action
 as their premise, in a run or not: inside one the premise is usually a
@@ -33,8 +34,7 @@ from .errors import AssemblyError, DomainError, RankDeficiencyError, StructuralE
 from .groups import Report, law_by_generators
 from .kernels import fixed_point_rows
 from .linalg import (Matrix, combination, echelonize, extend_echelon, is_invertible_combination,
-                     null_space, reduce_against, residue_det, residue_search, smith,
-                     solve_linear)
+                     null_space, reduce_against, residue_search, smith, solve_linear)
 from .memo import memoized
 from .series import Series
 
@@ -622,33 +622,36 @@ def _unfixed_scan(c: Cocycle, vectors, gs):
     return Report(True, "ok")
 
 
-def invariants_product(m: ProductGModule) -> InvariantsResult:
-    """Invariants of the glued module.
-
-    A G-invariant section of the product is determined by its component-0
-    part, which must be fixed by the component-0 isotropy action; the other
-    components are theta-transports.  So this reduces to the component-0
-    cocycle.
-    """
-    return invariants(m.spec.components[0].cocycle)
-
-
-@dataclass
+@dataclass(frozen=True)
 class InducedReport:
-    induced: bool
-    profile: list    # elementary divisor valuations of the natural map
-    trust: int
+    induced: bool    # the natural map is residue-invertible
+    profile: tuple   # elementary divisor valuations of the natural map
+    trust: int       # valuations below this bound are exact
+    iota: Matrix     # the natural map if induced, else its unimodular Smith U factor
 
 
 def is_induced(m) -> InducedReport:
-    """Whether the natural map V (x) R -> E is an isomorphism (unit determinant)."""
-    inv = invariants_product(m) if isinstance(m, ProductGModule) else invariants(m)
-    nt = inv.natural
-    if nt.is_residue_invertible():
-        return InducedReport(True, [0] * nt.rows, trust=nt.entries[0][0].prec)
-    sf = smith(nt, transforms=False)
-    profile = [d for d in sf.divisors]
-    return InducedReport(False, profile, trust=sf.trust)
+    """Whether the natural map V (x) R -> E is an isomorphism (unit determinant).
+
+    Induced when the natural map of invariants is residue-invertible (every
+    divisor 0); otherwise its Smith form gives the divisors, and its U is
+    the identification iota that the S functor takes.  For a product module
+    this is the component-0 cocycle's answer: a G-invariant section of the
+    product is determined by its component-0 part, which must be fixed by
+    the component-0 isotropy action, the other components being
+    theta-transports.  Memoized per cocycle in a run, so is_induced and S
+    share one Smith form.
+    """
+    c = m.spec.components[0].cocycle if isinstance(m, ProductGModule) else m
+
+    def decide():
+        nt = invariants(c).natural
+        if nt.is_residue_invertible():
+            return InducedReport(True, (0,) * nt.rows, nt.entries[0][0].prec, nt)
+        sf = smith(nt)
+        return InducedReport(False, tuple(sf.divisors), sf.trust, sf.U)
+
+    return memoized("is_induced", c, None, decide)
 
 
 @dataclass
@@ -680,20 +683,22 @@ def _verify_coboundary(c: Cocycle, b: Matrix) -> bool:
 def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
     """Search B with A_g = B * psi(g)(B^{-1}) for all g.
 
-    Stage 1 (averaging): B = sum_g A_g psi(g)(C) is always a fixed point of
-    the twisted action; seeded candidates C are tried until one lands on a
-    unit.  Each psi(g) fixes constants, so res(B) = S res(C) with S = sum_g
-    res(A_g) over k, and det res(B) = det S det res(C): B is a unit exactly
-    when both determinants are nonzero, and no other candidate is averaged.
-    Where p divides |I| and every res(A_g) is the identity (the wild
-    coboundaries), S = |I| I = 0 and stage 1 does no series work.
-    Stage 2 (residue): since the coefficient field is fixed
+    Stage 1 (averaging): B = sum_g A_g, the average sum_g A_g psi(g)(C) of
+    C = I (psi(g)(I) = I), is returned if _verify_coboundary accepts it.
+    No other average could be: for a cocycle, B is a fixed point of the
+    twisted action (A_h psi(h)(B) = sum_g A_hg = B), with residue S =
+    sum_g res(A_g) since each psi(g) fixes constants, so it is rejected
+    only when det S = 0; then every average of a C has the singular residue
+    S res(C).  For a non-cocycle no invertible fixed point exists at all,
+    since one would make A_g = B psi(g)(B^{-1}) a coboundary, hence a
+    cocycle.  Stage 2 (residue): since the coefficient field is fixed
     pointwise, any solution forces A_g = I mod s; a nonidentity residue is a
     proven level-0 obstruction (equivalent to the exhaustive search over
     GL_r(k), whose candidate map is constant).  Stage 3 (linear fix + residue
     image): the fixed space {B : A_g psi(g)(B) = B} is solved exactly over k;
     a solution exists iff its residue image contains an invertible matrix,
-    searched exhaustively when |k|^dim fits the budget.
+    searched exhaustively when |k|^dim fits the budget, else by up to 200
+    random residue choices drawn from rng, the only stage that reads it.
     """
     from .prng import SplitMix64
 
@@ -701,30 +706,11 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
     field = ext.field
     rank, prec = c.rank, ext.prec
     cap = 10 ** 6 if budget is None else budget
-    rng = rng or SplitMix64(0x0B5E55ED)
 
-    # stage 1: averaging, over the candidates whose average has a unit residue
-    candidates = [Matrix.identity(field, rank, prec)]
-    for _ in range(7):
-        candidates.append(Matrix([[Series(field, prec,
-                                          tuple(rng.randrange(field.order)
-                                                for _ in range(prec)))
-                                   for _ in range(rank)] for _ in range(rank)]))
-    add = field.ctx.add
-    res_sum = [[0] * rank for _ in range(rank)]
-    for m in c.mats:
-        res_sum = [list(map(add, acc, row)) for acc, row in zip(res_sum, m.residue())]
-    if residue_det(field, res_sum):
-        for cand in candidates:
-            if not residue_det(field, cand.residue()):
-                continue
-            acc = None
-            for g in range(ext.group.order):
-                term = c.mats[g] * ext.psi(g)(cand)
-                acc = term if acc is None else acc + term
-            if _verify_coboundary(c, acc):
-                return TrivializeResult(True, acc, "averaging", "averaged fixed point",
-                                        proven=True)
+    # stage 1: averaging the identity
+    b = sum(c.mats[1:], c.mats[0])
+    if _verify_coboundary(c, b):
+        return TrivializeResult(True, b, "averaging", "averaged fixed point", proven=True)
 
     # stage 2: residue obstruction
     ident = [[1 if i == j else 0 for j in range(rank)] for i in range(rank)]
@@ -769,6 +755,7 @@ def trivialize(c: Cocycle, budget=None, rng=None) -> TrivializeResult:
             "invertible residue; no trivialization exists at this precision",
             proven=True)
     if not exhaustive:
+        rng = rng or SplitMix64(0x0B5E55ED)
         for trial in range(200):
             combo = [rng.randrange(q) for _ in range(d)]
             if is_invertible_combination(field, combo, res_basis, rank):

@@ -29,13 +29,13 @@ Three layers:
   (scale, negation, shift, substitute, to_laurent, to_series) are built
   without re-checking their entries.
 * smith -- Smith normal form over the truncated DVR k[[s]]: M = U*D*W with
-  U, W unimodular, D diagonal with entries of increasing valuation.  The
-  divisor valuations feed the is_induced diagnostic; the U factor is the
-  deterministic unimodular completion used by the invariants functor.
+  U, W unimodular, D diagonal with entries of increasing valuation.  One
+  decomposition of a cocycle's natural map serves both its is_induced
+  divisors and the S functor's unimodular U (equivariant.is_induced).
   A Laurent matrix is invertible exactly when no divisor of its series
   part is None.  is_invertible first tests the k-matrix of the entries'
-  lowest coefficients: when its determinant is nonzero every divisor is
-  that valuation; otherwise it runs smith without U and W.
+  lowest coefficients on their common window: when its determinant is
+  nonzero every divisor is that valuation; otherwise smith decides.
 """
 
 from dataclasses import dataclass
@@ -536,23 +536,20 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass
 class SmithForm:
-    U: Matrix             # U, D and W are None when smith ran without transforms
+    U: Matrix
     D: Matrix
     W: Matrix
     divisors: list        # valuations, None meaning >= trust
     trust: int            # valuations below this bound are exact
 
 
-def smith(m: Matrix, transforms=True) -> SmithForm:
+def smith(m: Matrix) -> SmithForm:
     """Smith normal form over truncated k[[s]]: m = U * D * W.
 
     Pivots are chosen by minimal valuation, then lowest row, then lowest
     column; U and W stay unimodular (their updates are elementary).  Every
     division by a pivot of valuation v > 0 costs v coefficients of trust,
-    tracked conservatively in the result.  With transforms=False only the
-    divisors and the trust are computed: U, W and D are None.  The row
-    updates alone decide the divisors, since the column updates of step t
-    touch only row t once column t is cleared below the pivot.
+    tracked conservatively in the result.
     """
     if m.kind is Laurent:
         raise StructuralError("smith expects Series entries; shift Laurent matrices first")
@@ -560,9 +557,8 @@ def smith(m: Matrix, transforms=True) -> SmithForm:
     prec = m.entries[0][0].prec
     rows, cols = m.rows, m.cols
     a = [list(r) for r in m.entries]
-    if transforms:
-        u = [list(r) for r in Matrix.identity(field, rows, prec).entries]
-        w = [list(r) for r in Matrix.identity(field, cols, prec).entries]
+    u = [list(r) for r in Matrix.identity(field, rows, prec).entries]
+    w = [list(r) for r in Matrix.identity(field, cols, prec).entries]
     trust = prec
     divisors = []
     steps = min(rows, cols)
@@ -583,14 +579,12 @@ def smith(m: Matrix, transforms=True) -> SmithForm:
         v, bi, bj = best
         if bi != t:
             a[t], a[bi] = a[bi], a[t]
-            if transforms:
-                for row in u:                   # U <- U * swap(t, bi)
-                    row[t], row[bi] = row[bi], row[t]
+            for row in u:                       # U <- U * swap(t, bi)
+                row[t], row[bi] = row[bi], row[t]
         if bj != t:
             for row in a:
                 row[t], row[bj] = row[bj], row[t]
-            if transforms:
-                w[t], w[bj] = w[bj], w[t]       # W <- swap(t, bj) * W
+            w[t], w[bj] = w[bj], w[t]           # W <- swap(t, bj) * W
         unit_inv = shift_down(a[t][t], v).inverse()
         for i in range(t + 1, rows):
             e = a[i][t]
@@ -598,14 +592,11 @@ def smith(m: Matrix, transforms=True) -> SmithForm:
                 continue
             f = shift_down(e, v) * unit_inv     # e / pivot, exact: val(e) >= v
             a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-            if transforms:
-                for row in u:                   # U <- U * (I + f E_{it}): col t += f * col i
-                    row[t] = row[t] + f * row[i]
+            for row in u:                       # U <- U * (I + f E_{it}): col t += f * col i
+                row[t] = row[t] + f * row[i]
         divisors.append(v)
         if v:
             trust -= v
-        if not transforms:
-            continue
         for j in range(t + 1, cols):
             e = a[t][j]
             if e.valuation() is None:
@@ -614,10 +605,8 @@ def smith(m: Matrix, transforms=True) -> SmithForm:
             for row in a:
                 row[j] = row[j] - f * row[t]
             w[t] = [x + f * y for x, y in zip(w[t], w[j])]   # W <- (I + f E_{tj}) * W
-    trust = max(trust, 0)
-    if not transforms:
-        return SmithForm(U=None, D=None, W=None, divisors=divisors, trust=trust)
-    return SmithForm(U=Matrix(u), D=Matrix(a), W=Matrix(w), divisors=divisors, trust=trust)
+    return SmithForm(U=Matrix(u), D=Matrix(a), W=Matrix(w), divisors=divisors,
+                     trust=max(trust, 0))
 
 
 def series_part(m: Matrix):
@@ -637,31 +626,34 @@ def is_invertible(m: Matrix) -> bool:
     share no validity window, or when a Smith divisor of its series part is
     None; U and W are unimodular, so the divisors decide alone.
 
-    Most matrices are decided by their lowest coefficients.  Let v be the
-    least valuation among the series part's entries (no entry nonzero: every
-    divisor is None) and L the k-matrix of the entries' coefficients v.  If
-    det L != 0, every divisor is v: smith's first pivot has valuation v, as
-    some entry of L is nonzero and none has lower valuation.  Eliminating
-    below it subtracts f * (pivot row) with f's constant term l_it / l_tt,
-    and the pivot row's entries have valuation >= v, so the rest keeps
-    valuation >= v and its coefficients v are the Schur complement of l_tt
-    in L (rows and columns permuted), again invertible; by induction every
-    pivot has valuation v < prec and no divisor is None.  Otherwise smith
-    decides, without its transforms.
+    Most matrices are decided by their lowest coefficients, read straight
+    from the Laurent entries on their common window [lo, hi).  Let v be the
+    least valuation there (no entry nonzero on it: every divisor is None)
+    and L the k-matrix of the entries' coefficients v.  If det L != 0, every
+    divisor is v - lo: smith's first pivot on the series part has that
+    valuation, as some entry of L is nonzero and none has lower valuation.
+    Eliminating below it subtracts f * (pivot row) with f's constant term
+    l_it / l_tt, and the pivot row's entries have valuation >= v - lo, so
+    the rest keeps that valuation and its coefficients there are the Schur
+    complement of l_tt in L (rows and columns permuted), again invertible;
+    by induction every pivot has valuation v - lo < hi - lo and no divisor
+    is None.  Otherwise smith decides.
     """
     if m.rows != m.cols:
         return False
-    try:
-        ser = series_part(m.to_laurent())[0]
-    except StructuralError:     # no common validity window
+    lm = m.to_laurent()
+    lo = min(e.val_floor for row in lm.entries for e in row)
+    hi = min(e.val_floor + len(e.coeffs) for row in lm.entries for e in row)
+    if hi <= lo:                # no common validity window
         return False
-    vals = [v for row in ser.entries for e in row if (v := e.valuation()) is not None]
+    # an entry's first nonzero coefficient at or past hi leaves it zero on the window
+    vals = [v for row in lm.entries for e in row if (v := e.valuation()) is not None and v < hi]
     if not vals:
         return False
     v = min(vals)
-    if residue_det(m.field, [[e.coeffs[v] for e in row] for row in ser.entries]):
+    if residue_det(m.field, [[e.coeff(v) for e in row] for row in lm.entries]):
         return True
-    return None not in smith(ser, transforms=False).divisors
+    return None not in smith(series_part(lm)[0]).divisors
 
 
 def laurent_inverse(m: Matrix) -> Matrix:

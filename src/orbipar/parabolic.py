@@ -28,11 +28,11 @@ itself, so each check takes the same proof in a run or outside one.
 from dataclasses import dataclass
 
 from .equivariant import (Cocycle, ComponentSpec, ProductGModule, ProductGModuleSpec,
-                          assemble_product, first_nonintertwining, invariants_product,
+                          assemble_product, first_nonintertwining, is_induced,
                           make_connectors, verify_action, verify_cocycle)
 from .errors import ConfigurationError, DomainError, OrbiparError, StructuralError
 from .groups import Report, law_by_generators
-from .linalg import Matrix, is_invertible, smith
+from .linalg import Matrix, is_invertible
 from .memo import memoized
 from .series import Laurent, Series
 
@@ -486,9 +486,10 @@ class SResult:
 def functor_S(b: GluedBundle) -> SResult:
     """Glued bundle -> parabolic datum via invariants of the formal parts.
 
-    The identification of V (x) R with component 0 is the natural map when
-    unimodular, else the unimodular U-factor of its Smith decomposition; the
-    leftover discrepancy lands in mu = iota^{-1} tau_0.
+    The identification iota of V (x) R with component 0 is is_induced's:
+    the natural map when unimodular, else the unimodular U-factor of its
+    Smith decomposition; the leftover discrepancy lands in mu =
+    iota^{-1} tau_0.
     """
     pts = []
     sigmas = {}
@@ -496,17 +497,11 @@ def functor_S(b: GluedBundle) -> SResult:
     for gpt in b.points:
         spec = gpt.module.spec
         ext = spec.ext
-        inv = invariants_product(gpt.module)
-        nt = inv.natural
-        if nt.is_residue_invertible():
-            iota = nt
-            induced[gpt.label] = True
-        else:
-            iota = smith(nt).U
-            induced[gpt.label] = False
-        iota_inv = iota.inverse()
+        rep = is_induced(gpt.module)
+        induced[gpt.label] = rep.induced
+        iota_inv = rep.iota.inverse()
         a0 = spec.components[0].cocycle
-        mats = tuple(iota_inv * a0.mats[g] * ext.psi(g)(iota)
+        mats = tuple(iota_inv * a0.mats[g] * ext.psi(g)(rep.iota)
                      for g in range(ext.group.order))
         psi = Cocycle(ext, b.rank, mats)
         mu = iota_inv.to_laurent() * gpt.taus[0]

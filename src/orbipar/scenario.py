@@ -71,18 +71,30 @@ def matrix_to_json(m: Matrix):
         return [[laurent_to_json(e) for e in row] for row in m.entries]
     return [[series_to_json(e) for e in row] for row in m.entries]
 
-def series_from_json(field, prec, data):
-    return Series.from_coeffs(field, data, prec)
+def coeffs_from_json(field, data, where):
+    """data, which must be a list of JSON integers in 0..|k|-1; anything
+    else (a bool, a float, a string, null) is a ScenarioError naming `where`."""
+    if not isinstance(data, list):
+        raise ScenarioError(f"{where}: coefficients must be a list, got {data!r}")
+    for x in data:
+        if not (_is_int(x) and 0 <= x < field.order):
+            raise ScenarioError(f"{where}: coefficient {x!r} is not an integer in "
+                                f"0..{field.order - 1}")
+    return data
 
-def laurent_from_json(field, prec, data):
+def series_from_json(field, prec, data, where="series"):
+    return Series.from_coeffs(field, coeffs_from_json(field, data, where), prec)
+
+def laurent_from_json(field, prec, data, where="Laurent value"):
     if isinstance(data, dict):
-        return Laurent.exact(field, _int(data["val_floor"], "val_floor"), data["coeffs"], prec)
-    return Laurent.exact(field, 0, data, prec)
+        return Laurent.exact(field, _int(data["val_floor"], f"{where}: val_floor"),
+                             coeffs_from_json(field, data["coeffs"], where), prec)
+    return Laurent.exact(field, 0, coeffs_from_json(field, data, where), prec)
 
-def matrix_from_json(field, prec, data, laurent=False):
-    if laurent:
-        return Matrix([[laurent_from_json(field, prec, e) for e in row] for row in data])
-    return Matrix([[series_from_json(field, prec, e) for e in row] for row in data])
+def matrix_from_json(field, prec, data, laurent=False, where="matrix"):
+    entry = laurent_from_json if laurent else series_from_json
+    return Matrix([[entry(field, prec, e, f"{where} entry ({i}, {j})")
+                    for j, e in enumerate(row)] for i, row in enumerate(data)])
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +173,9 @@ def _load(doc, at):
             exts[name] = trivial_extension(field, prec)
         elif kind == "explicit":
             group = _group(cfg["group"], f"extension {name!r}")
-            action = [Series.from_coeffs(field, c, prec) for c in cfg["action"]]
-            t = Series.from_coeffs(field, cfg["t"], prec)
+            action = [series_from_json(field, prec, c, f"{at[0]}: action {g}")
+                      for g, c in enumerate(cfg["action"])]
+            t = series_from_json(field, prec, cfg["t"], f"{at[0]}: t")
             exts[name] = make_explicit(field, prec, group, action, t)
         else:
             raise ScenarioError(f"extension {name!r}: unknown kind {kind!r}")
@@ -181,7 +194,7 @@ def _load(doc, at):
         elif kind == "explicit":
             embs[name] = make_embedding(
                 _resolve(exts, cfg, "small"), _resolve(exts, cfg, "big"),
-                Series.from_coeffs(field, cfg["s_image"], prec),
+                series_from_json(field, prec, cfg["s_image"], f"{at[0]}: s_image"),
                 tuple(cfg["quotient"]))
         else:
             raise ScenarioError(f"embedding {name!r}: unknown kind {kind!r}")
@@ -237,9 +250,11 @@ def _load(doc, at):
             pts = []
             for p in cfg["points"]:
                 ext = _resolve(exts, p, "ext")
-                mats = tuple(matrix_from_json(field, prec, m) for m in p["cocycle"])
+                where = f"datum {name!r} point {p['label']!r}"
+                mats = tuple(matrix_from_json(field, prec, m, where=f"{where} cocycle {g}")
+                             for g, m in enumerate(p["cocycle"]))
                 psi = Cocycle(ext, rank, mats)
-                mu = matrix_from_json(field, prec, p["mu"], laurent=True)
+                mu = matrix_from_json(field, prec, p["mu"], laurent=True, where=f"{where} mu")
                 pts.append(ParabolicPoint(label=p["label"], ext=ext, psi=psi, mu=mu))
             data[name] = ParabolicDatum(rank=rank, points=tuple(pts))
         else:
@@ -517,7 +532,7 @@ def _run_invariants(sc, cmd, rng):
 
 def _run_is_induced(sc, cmd, rng):
     rep = is_induced(_command_point(sc, cmd).psi)
-    return Outcome({"induced": rep.induced, "profile": rep.profile})
+    return Outcome({"induced": rep.induced, "profile": list(rep.profile)})
 
 def _run_trivialize(sc, cmd, rng):
     res = trivialize(_command_point(sc, cmd).psi, budget=sc.budgets["residue_cap"],

@@ -199,7 +199,7 @@ def test_criterion_5_sign_twist_referee_case():
     scene = totally_ramified_scene(d.points[0].ext)
     b = functor_T(d, scene)
     ind = is_induced(b.points[0].module)
-    assert ind.induced is False and ind.profile == [1], \
+    assert ind.induced is False and ind.profile == (1,), \
         f"induced={ind.induced}, profile={ind.profile}"
     rep = roundtrip_check(d, scene)
     assert rep.ok, rep.message

@@ -274,6 +274,57 @@ def _explicit_datum(val_floor):
     return edit
 
 
+# GF(7): an explicit extension E (Kummer Z/2 by hand: s -> -s, t = s^2), the
+# identity embedding of E given explicitly, and an explicit rank-1 datum on E
+# (the trivial cocycle, mu = 1); each command reads one of them
+EXPLICIT_GF7 = {"schema": "orbipar-scenario/1", "field": {"p": 7}, "precision": 8, "seed": 1,
+                "extensions": {"E": {"kind": "explicit", "group": {"kind": "cyclic", "n": 2},
+                                     "action": [[0, 1], [0, 6]], "t": [0, 0, 1]}},
+                "embeddings": {"id": {"kind": "explicit", "small": "E", "big": "E",
+                                      "s_image": [0, 1], "quotient": [0, 1]}},
+                "scenes": {"cover": {"group": {"kind": "cyclic", "n": 2},
+                                     "points": [{"label": "p", "ext": "E",
+                                                 "totally_ramified": True}]}},
+                "data": {"e": {"kind": "explicit", "rank": 1, "points": [
+                    {"label": "p", "ext": "E", "cocycle": [[[[1]]], [[[1]]]],
+                     "mu": [[{"val_floor": 0, "coeffs": [1]}]]}]}},
+                "commands": [{"op": "verify_extension", "ext": "E"},
+                             {"op": "roundtrip", "datum": "e", "scene": "cover"},
+                             {"op": "tower_compat", "datum": "e", "embedding": "id"}]}
+# where a coefficient array sits in EXPLICIT_GF7, by name
+COEFF_PLACES = {
+    "cocycle": lambda d: d["data"]["e"]["points"][0]["cocycle"][1][0][0],
+    "mu": lambda d: d["data"]["e"]["points"][0]["mu"][0][0]["coeffs"],
+    "action": lambda d: d["extensions"]["E"]["action"][1],
+    "t": lambda d: d["extensions"]["E"]["t"],
+    "s-image": lambda d: d["embeddings"]["id"]["s_image"]}
+
+
+def _explicit_coeff(place, value):
+    """An edit that returns EXPLICIT_GF7 with the last coefficient of the
+    array at `place` set to value."""
+    def edit(_):
+        doc = json.loads(json.dumps(EXPLICIT_GF7))
+        COEFF_PLACES[place](doc)[-1] = value
+        return doc
+    return edit
+
+
+def _mu_entry(value):
+    """An edit that returns EXPLICIT_GF7 with mu's entry replaced by value."""
+    def edit(_):
+        doc = json.loads(json.dumps(EXPLICIT_GF7))
+        doc["data"]["e"]["points"][0]["mu"][0][0] = value
+        return doc
+    return edit
+
+
+BAD_COEFFS = {f"{place}-coeff-{name}": _explicit_coeff(place, value)
+              for place in COEFF_PLACES
+              for name, value in (("99", 99), ("7", 7), ("negative", -1), ("float", 1.5),
+                                  ("string", "a"), ("null", None), ("bool", True))}
+
+
 def _cyclic_table(n):
     return [[(a + b) % n for b in range(n)] for a in range(n)]
 
@@ -396,6 +447,9 @@ BAD_INPUTS = {
         {"label": "p", "ext": "K2"}),
     "scene-duplicate-label": lambda d: d["scenes"]["cover"]["points"].append(
         {"label": "p", "ext": "K2", "totally_ramified": True}),
+    "mu-entry-int": _mu_entry(5),
+    "mu-entry-array-coeff-99": _mu_entry([99]),
+    **BAD_COEFFS,
 }
 GROUP_CAP_CASES = sorted(k for k in BAD_INPUTS if "cap" in k and any(
     w in k for w in ("cyclic", "dihedral", "product", "table", "group", "kummer", "tower")))
@@ -457,6 +511,24 @@ def test_base_of_bad_inputs_is_good(tmp_path):
         assert main(["verify", str(f)]) == 0
     f.write_text(json.dumps(_broken(_explicit_datum(1))))
     assert main(["verify", str(f)]) == 0
+
+
+def test_explicit_coefficients_are_checked_at_load(tmp_path):
+    """The good GF(7) document runs clean, and a bad coefficient is named by
+    its place, whichever array holds it."""
+    code, report, _ = run_cli(tmp_path, EXPLICIT_GF7)
+    assert code == 0 and report["summary"]["pass"] == 3
+    for case, message in (
+            ("cocycle-coeff-99", r"datum 'e' point 'p' cocycle 1 entry \(0, 0\): "
+                                 r"coefficient 99 is not an integer in 0\.\.6"),
+            ("mu-coeff-float", r"datum 'e' point 'p' mu entry \(0, 0\): coefficient 1\.5 "),
+            ("action-coeff-negative", r"extension 'E': action 1: coefficient -1 "),
+            ("t-coeff-bool", r"extension 'E': t: coefficient True "),
+            ("s-image-coeff-null", r"embedding 'id': s_image: coefficient None "),
+            ("mu-entry-int", r"datum 'e' point 'p' mu entry \(0, 0\): coefficients must "
+                             r"be a list, got 5")):
+        with pytest.raises(ScenarioError, match=message):
+            load_scenario(_broken(BAD_INPUTS[case]))
 
 
 def test_precision_flag_above_cap_is_scenario_error(tmp_path, capsys):

@@ -1,16 +1,16 @@
 import pytest
 
 from orbipar.equivariant import (Cocycle, ComponentSpec, ProductGModuleSpec,
-                                 assemble_product, coboundary, first_nonintertwining,
-                                 independence_intertwiner, invariants, is_induced,
-                                 make_connectors, trivialize, verify_action,
+                                 TrivializeResult, assemble_product, coboundary,
+                                 first_nonintertwining, independence_intertwiner, invariants,
+                                 is_induced, make_connectors, trivialize, verify_action,
                                  verify_cocycle)
 from orbipar.errors import AssemblyError, RankDeficiencyError
 from orbipar.fields import make_field
 from orbipar.groups import cyclic, dihedral
 from orbipar.linalg import Matrix
 from orbipar.local_galois import make_artin_schreier, make_kummer, trivial_extension
-from orbipar.parabolic import ScenePoint, build_spec_from_scene, random_unimodular
+from orbipar.parabolic import ScenePoint, build_spec_from_scene, random_datum, random_unimodular
 from orbipar.prng import SplitMix64
 from orbipar.series import Series
 
@@ -218,7 +218,7 @@ def test_invariants_sign_twist():
     gen = res.generators[0][0]
     assert gen.valuation() == 1 and gen.coeffs[1] == 1
     rep = is_induced(sign_cocycle())
-    assert not rep.induced and rep.profile == [1]
+    assert not rep.induced and rep.profile == (1,)
 
 
 def test_invariants_artin_schreier_trivial():
@@ -309,3 +309,92 @@ def test_twist_changes_basis_not_class():
     assert verify_cocycle(c).ok
     res = trivialize(c)
     assert res.found is False and res.proven
+
+
+class CountingRng(SplitMix64):
+    """A SplitMix64 that counts its 64-bit draws."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_u64(self):
+        self.draws += 1
+        return super().next_u64()
+
+
+def _certifies(c, b):
+    """Whether B * psi(g)(B^{-1}) = A_g for every g, B inverted outright."""
+    b_inv = b.inverse()
+    return all((b * b_inv.substitute(c.ext.act(g))).agrees_with(c.mats[g])
+               for g in range(c.ext.group.order))
+
+
+def test_trivialize_randomized_residue_choice():
+    """The wild rank-2 cocycle's residue image has more than 100 elements, so
+    with budget 100 stage 3 draws residue choices from rng; the B it lifts
+    is a coboundary certificate."""
+    c = random_datum(make_artin_schreier(make_field(3, 2), 24), 2,
+                     SplitMix64(5)).points[0].psi
+    rng = CountingRng(1)
+    res = trivialize(c, budget=100, rng=rng)
+    assert (res.found, res.stage, res.detail, res.proven) == (
+        True, "fixed-space", "randomized residue choice", True)
+    assert rng.draws > 0
+    assert _certifies(c, res.b)
+
+
+def test_trivialize_budget_outcome():
+    """diag(1 + cs, 1) over Artin-Schreier GF(3), N=16, is the coboundary of
+    the non-unit diag(s, 1), so no B exists.  Budget 1 leaves its residue
+    image (3^2 elements) to 200 random choices, which find no invertible
+    residue and prove nothing; the default budget searches it and proves
+    that none exists."""
+    F3 = make_field(3)
+    ext = make_artin_schreier(F3, 16)
+    zero, one = Series.zero(F3, 16), Series.one(F3, 16)
+    c = Cocycle(ext, 2, tuple(Matrix([[Series.from_coeffs(F3, [1, g], 16), zero], [zero, one]])
+                              for g in range(3)))
+    assert verify_cocycle(c).ok
+    res = trivialize(c, budget=1)
+    assert (res.found, res.stage, res.proven) == (None, "budget", False)
+    res = trivialize(c)
+    assert (res.found, res.stage, res.proven) == (False, "residue-image", True)
+
+
+def test_trivialize_draws_only_for_a_randomized_residue_choice():
+    """Stage 1 (a Kummer coboundary), stage 2 (the sign twist) and an
+    exhaustive stage 3 (the trivial wild cocycle) leave rng untouched."""
+    kummer = coboundary(make_kummer(F7, 3, N), random_unimodular(F7, 2, N, SplitMix64(3)))
+    for c, stage in ((kummer, "averaging"), (sign_cocycle(), "residue"),
+                     (Cocycle.trivial(make_artin_schreier(F2, N), 2), "fixed-space")):
+        rng = CountingRng(7)
+        assert trivialize(c, rng=rng).stage == stage
+        assert rng.draws == 0
+
+
+def test_trivialize_on_inputs_that_break_the_cocycle_law():
+    """Two non-cocycles over Kummer Z/3, GF(7), whose residues sum to an
+    invertible matrix, so that stage 1 checks their average: it is no
+    certificate, since no invertible fixed point exists, and the later
+    stages decide as they did when stage 1 averaged 8 candidates."""
+    ext = make_kummer(F7, 3, N)
+
+    def m(rows):
+        return Matrix([[Series.from_coeffs(F7, c, N) for c in row] for row in rows])
+
+    ident = m([[[1], []], [[], [1]]])
+    unit_residues = Cocycle(ext, 2, (ident, m([[[2], []], [[], [1]]]),
+                                     m([[[1], [1]], [[], [1]]])))
+    identity_residues = Cocycle(ext, 2, (ident, m([[[1, 2], [0, 1]], [[], [1, 0, 3]]]),
+                                         m([[[1], [0, 0, 1]], [[0, 5], [1]]])))
+    assert not verify_cocycle(unit_residues).ok and not verify_cocycle(identity_residues).ok
+    assert trivialize(unit_residues) == TrivializeResult(
+        False, None, "residue",
+        "residue cocycle is not the identity at element 1; since the coefficient field is "
+        "fixed pointwise, every candidate residue B * B^{-1} is the identity (exhaustive "
+        "over GL_r(k))", proven=True, obstruction=1)
+    assert trivialize(identity_residues) == TrivializeResult(
+        False, None, "residue-image",
+        "exhaustive search over the 7^0 residue combinations found no invertible residue; "
+        "no trivialization exists at this precision", proven=True)

@@ -23,8 +23,7 @@ agree with the inverse form it replaced, A_g = B psi(g)(B^{-1}) over
 every g.  The fast checks run outside a run, where the premise is
 computed, and inside a scenario run whose memo holds their premises, as
 in `orbipar run`.  is_invertible must be False exactly where
-Matrix.inverse raises, and the divisor-only Smith form must give the
-divisors of the full one.
+Matrix.inverse raises, and agree with the Smith form of the series part.
 """
 
 from dataclasses import replace
@@ -672,7 +671,7 @@ def _invertible_by_smith(m):
         ser = series_part(m.to_laurent())[0]
     except StructuralError:
         return False
-    return None not in smith(ser, transforms=False).divisors
+    return None not in smith(ser).divisors
 
 
 def _smith_calls(call):
@@ -680,9 +679,9 @@ def _smith_calls(call):
     calls = []
     original = linalg.smith
 
-    def counting(m, transforms=True):
-        calls.append(transforms)
-        return original(m, transforms)
+    def counting(m):
+        calls.append(m)
+        return original(m)
 
     with mock.patch.object(linalg, "smith", counting):
         return call(), len(calls)
@@ -697,17 +696,14 @@ def test_is_invertible_iff_inverse_succeeds(m):
     except OrbiparError:
         inverts = False
     assert is_invertible(m) == inverts
-    if inverts:
-        ser = series_part(m)[0]
-        full, divisors_only = smith(ser), smith(ser, transforms=False)
-        assert (full.divisors, full.trust) == (divisors_only.divisors, divisors_only.trust)
 
 
 @settings(max_examples=300, deadline=None)
 @given(laurent_matrices())
-def test_is_invertible_equals_divisor_only_smith(m):
-    """The lowest-coefficient test decides as the divisor-only Smith form
-    does, and runs smith only where the lowest coefficients are singular."""
+def test_is_invertible_equals_smith(m):
+    """The lowest-coefficient test decides as the Smith form of the series
+    part does, and runs smith only where the lowest coefficients are
+    singular."""
     got, runs = _smith_calls(lambda: is_invertible(m))
     assert got == _invertible_by_smith(m)
     assert runs <= 1
@@ -742,10 +738,13 @@ ZERO = (0, [])
      False, 1),
     # nothing to decide
     ("zero matrix", _lm(F7, [[ZERO, ZERO], [ZERO, ZERO]]), False, 0),
+    ("nonzero only past the common window",
+     Matrix([[Laurent.exact(F7, 0, [0] * 5 + [1], N), Laurent(F7, 0, (0, 0))],
+             [Laurent.exact(F7, 0, [], N), Laurent.exact(F7, 0, [], N)]]), False, 0),
 ])
 def test_is_invertible_branches(case, m, invertible, smith_runs):
     """Each branch of is_invertible on explicit matrices, against the
-    divisor-only Smith reference and Matrix.inverse."""
+    Smith reference and Matrix.inverse."""
     assert _smith_calls(lambda: is_invertible(m)) == (invertible, smith_runs), case
     assert _invertible_by_smith(m) == invertible
     try:

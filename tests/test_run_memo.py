@@ -1,8 +1,8 @@
 """The per-run memo: work counts, scope, and a differential test against
 the unmemoized path.
 
-Inside run_scenario each cocycle's fixed space, InvariantsResult and
-verify_cocycle report, each assembled point module and glued point, the
+Inside run_scenario each cocycle's fixed space, InvariantsResult,
+InducedReport and verify_cocycle report, each assembled point module and glued point, the
 checks of each datum point and glued point, and each dual point, tensor
 point and pushforward are computed once; outside a run every call computes
 afresh.  The memo only caches: a unary law takes the same proof, on the
@@ -334,8 +334,9 @@ def test_random_roundtrips_leave_no_live_entries(monkeypatch):
     monkeypatch.setattr(scenario, "run_command", recording)
     report = scenario.run_scenario(scenario.load_scenario(doc))
     assert report["summary"]["pass"] == 3
-    datum_a = {"fixed_space": 1, "invariants": 1, "point_module": 1, "verify_action": 1,
-               "glued_point": 1, "glued_check": 1, "point_check": 1, "verify_cocycle": 1}
+    datum_a = {"fixed_space": 1, "invariants": 1, "is_induced": 1, "point_module": 1,
+               "verify_action": 1, "glued_point": 1, "glued_check": 1, "point_check": 1,
+               "verify_cocycle": 1}
     assert live == [datum_a, datum_a, datum_a]
 
 
