@@ -20,14 +20,15 @@ Inside a scenario run (see memo.py) each cocycle's fixed space, its
 InvariantsResult, its InducedReport and its verify_cocycle report are
 computed once: invariants, is_induced, the S functor and stage 3 of
 trivialize share one solve, and is_induced and S one Smith form of the
-natural map.  So is each module's verify_action report.
-Outside a run every call computes afresh; the memo only caches.  The
-generator proofs of the unary laws take verify_cocycle or verify_action
-as their premise, in a run or not: inside one the premise is usually a
-memo hit, outside one it is computed.
+natural map.  Outside a run every call computes afresh; the memo only
+caches.  A module that assemble_product returns carries the group-law
+Report of the assembly lemma, which verify_action reads.  The generator
+proofs of the unary laws take verify_cocycle or verify_action as their
+premise, in a run or not: inside one the cocycle premise is usually a memo
+hit, outside one it is computed.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import islice
 
 from .errors import AssemblyError, DomainError, RankDeficiencyError, StructuralError
@@ -234,8 +235,8 @@ def verify_spec(spec: ProductGModuleSpec):
                         f"element {a} by g_{i}{j} lands outside component-{j} isotropy",
                         condition="C", indices=(i, j, u))
                 if (i_.mul(u2, w_ij) != i_.mul(w_ij, u)
-                        or not spec.components[j].cocycle.mats[u2].agrees_with(
-                            spec.ext.psi(w_ij)(spec.components[i].cocycle.mats[u]))):
+                        or spec.components[j].cocycle.mats[u2]
+                        != spec.ext.psi(w_ij)(spec.components[i].cocycle.mats[u])):
                     raise AssemblyError(
                         f"condition (C) fails between components ({i},{j}) at "
                         f"isotropy element {u}",
@@ -246,6 +247,9 @@ def verify_spec(spec: ProductGModuleSpec):
 class ProductGModule:
     spec: ProductGModuleSpec
     phi: tuple    # phi[g][i] = (target j, Matrix, w in I)
+    # the group-law Report that assemble_product proved, or None; set only
+    # there, and unseen by ==, hashing and repr
+    law: Report = dc_field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if any(m.kind is not Series for blocks in self.phi for _, m, _ in blocks):
@@ -257,9 +261,42 @@ class ProductGModule:
 
 
 def assemble_product(spec: ProductGModuleSpec) -> ProductGModule:
-    """Glue the component actions into Phi; verifies (A)-(C), the group law
-    on the result, and the restriction law Phi|_{G_i} = Phi_i.  g = g_ij iso_i[u]
-    acts on component i by theta_ij o Phi_i(iso_i[u]) = (j, psi(w_ij)(A_u), w_ij u)."""
+    """Glue the component actions into Phi: g = g_ij iso_i[u] acts on
+    component i by theta_ij o Phi_i(iso_i[u]) = (j, psi(w_ij)(A_u), w_ij u).
+
+    Raises AssemblyError unless (A)-(C) hold (verify_spec), every g
+    factors so, Phi is a group action and it restricts to Phi_i on G_i.
+    The assembly lemma proves the last two; the module carries the
+    group-law Report, which verify_action returns.
+
+    Restriction law.  Let a = iso_i[u] fix component i.  Then j = i and
+    g_ii = e (A), so a factors with u itself (iso_i is injective), and
+    w_ii = e (B); psi(e) returns its argument, so Phi(a) on component i
+    is (i, A_u, u) = Phi_i(a) exactly.  The law is therefore the integer
+    check perms[iso_i[u]][i] == i for every i and u.
+
+    Action law.  Let g = g_ij a send i to j, a = iso_i[u], and h = g_jk b
+    send j to k, b = iso_j[v].  (A) gives g_ik = g_jk g_ij and g_ji =
+    g_ij^-1, so hg = g_ik (g_ji b g_ji^-1) a, and (C) at (j, i, v) gives
+    g_ji b g_ji^-1 = iso_i[v'] with v' w_ji = w_ji v and A^(i)_v' =
+    psi(w_ji)(A^(j)_v); iso_i is an injective homomorphism, so Phi(hg)
+    acts on component i through v'u.  Ring parts: (B) gives w_ik = w_jk
+    w_ij and w_ji = w_ij^-1, so w_ik v'u = w_jk v w_ij u, the ring part of
+    Phi(h) o Phi(g).  Matrix parts: by the cocycle law of component i,
+    psi(w_ik)(A^(i)_v'u) = psi(w_ik)(A^(i)_v') psi(w_ik v')(A^(i)_u) =
+    psi(w_jk)(A^(j)_v) psi(w_jk v w_ij)(A^(i)_u), the matrix part of
+    (psi(w_jk)(A^(j)_v), w_jk v) o (psi(w_ij)(A^(i)_u), w_ij u).  Both
+    steps use psi(x) o psi(y) = psi(xy), verify_extension's law, assumed
+    exactly as verify_cocycle's proof assumes it.  Component i's cocycle
+    law is component 0's carried by (C): x -> x', iso_i[x'] = g_0i iso_0[x]
+    g_0i^-1, is an automorphism of I with x' w = w x, w = w_0i, and
+    A^(i)_x' = psi(w)(A^(0)_x), so A^(i)_(xy)' = psi(w)(A^(0)_x
+    psi(x)(A^(0)_y)) = A^(i)_x' psi(x')(A^(i)_y').  So the lemma's one
+    premise is that component 0's cocycle, over the spec's extension,
+    passes verify_cocycle (memoized), and then the law is Report(True,
+    "ok").  Otherwise the scan of verify_action decides, and its failure
+    raises.
+    """
     verify_spec(spec)
     g_ = spec.group
     phi = []
@@ -279,36 +316,37 @@ def assemble_product(spec: ProductGModuleSpec) -> ProductGModule:
                            spec.ext.group.mul(w_ij, u)))
         phi.append(tuple(blocks))
     module = ProductGModule(spec=spec, phi=tuple(phi))
-    rep = verify_action(module)
-    if not rep.ok:
-        raise AssemblyError(f"assembled action violates the group law: {rep.message}",
+    c0 = spec.components[0].cocycle
+    law = (Report(True, "ok") if c0.ext == spec.ext and verify_cocycle(c0).ok
+           else verify_action(module))
+    if not law.ok:
+        raise AssemblyError(f"assembled action violates the group law: {law.message}",
                             condition="law")
-    # restriction law: Phi restricted to G_i on component i is Phi_i exactly
     for i in range(spec.size):
         for u in range(spec.ext.group.order):
-            a = spec.components[i].iso[u]
-            j, m, w = module.phi[a][i]
-            if j != i or w != u or not m.agrees_with(spec.components[i].cocycle.mats[u]):
+            if spec.perms[spec.components[i].iso[u]][i] != i:
                 raise AssemblyError(
                     f"restriction law fails on component {i} at isotropy element {u}",
                     condition="restriction", indices=(i, u))
+    object.__setattr__(module, "law", law)
     return module
 
 
 def verify_action(m: ProductGModule) -> Report:
     """Phi(hg) = Phi(h) o Phi(g) for all ordered pairs.
 
-    Proven on the generators h alone (groups.law_by_generators): blocks
-    compose associatively, since psi(w1) o psi(w2) = psi(w1 w2) on the
-    inertia group (verify_extension's law, as in verify_cocycle), so the
-    law at (h1, h2 g), (h1, h2) and (h2, g) gives it at (h1 h2, g),
-    exactly.  A failure re-runs the exhaustive scan of
-    verify_action_exhaustive and returns its report.  Memoized per module
-    in a run, so the check assemble_product makes serves the premises of
-    the unary laws.
+    A module that assemble_product returned carries the Report its assembly
+    lemma proved, and that Report is returned.  Any other module is proven
+    on the generators h alone (groups.law_by_generators): blocks compose
+    associatively, since psi(w1) o psi(w2) = psi(w1 w2) on the inertia
+    group (verify_extension's law, as in verify_cocycle), so the law at
+    (h1, h2 g), (h1, h2) and (h2, g) gives it at (h1 h2, g), exactly.  A
+    failure re-runs the exhaustive scan of verify_action_exhaustive and
+    returns its report.
     """
-    return memoized("verify_action", m, None, lambda: law_by_generators(
-        m.spec.group, lambda hs: _action_report(m, hs)))
+    if m.law is not None:
+        return m.law
+    return law_by_generators(m.spec.group, lambda hs: _action_report(m, hs))
 
 
 def verify_action_exhaustive(m: ProductGModule) -> Report:
@@ -341,9 +379,11 @@ def _action_report(m: ProductGModule, hs) -> Report:
 def make_connectors(group, perms, seeds):
     """Full connector family from seed choices g_{i,i+1}.
 
-    seeds[i] must map component i to i+1; g_ij for i < j is the product of
-    the seeds along the chain, g_ji = g_ij^{-1}, g_ii = e.  Condition (A)
-    holds by construction and is re-verified.
+    seeds[i] must map component i to i+1.  With Q_0 = e and Q_{i+1} =
+    seeds[i] Q_i, g_ij = Q_j Q_i^{-1}: the product of the seeds along the
+    chain from i to j for i < j, its inverse for i > j, and e for i = j.
+    Condition (A), g_ik = g_jk g_ij, holds by construction; the image of
+    i under each g_ij is checked.
     """
     l = len(seeds) + 1
     for i, s in enumerate(seeds):
@@ -353,29 +393,15 @@ def make_connectors(group, perms, seeds):
     reach = {perms[g][0] for g in range(group.order)}
     if reach != set(range(l)):
         raise AssemblyError("index action is not transitive", condition="seed")
-    conn = [[0] * l for _ in range(l)]
-    for i in range(l):
-        for j in range(l):
-            if i < j:
-                acc = 0
-                for t in range(i, j):
-                    acc = group.mul(seeds[t], acc)
-                conn[i][j] = acc
-            elif i > j:
-                acc = 0
-                for t in range(j, i):
-                    acc = group.mul(seeds[t], acc)
-                conn[i][j] = group.inv(acc)
-    conn = tuple(tuple(r) for r in conn)
+    q = [0]
+    for s in seeds:
+        q.append(group.mul(s, q[-1]))
+    conn = tuple(tuple(group.mul(q[j], group.inv(q[i])) for j in range(l)) for i in range(l))
     for i in range(l):
         for j in range(l):
             if perms[conn[i][j]][i] != j:
                 raise AssemblyError("constructed connector has wrong image",
                                     condition="A", indices=(i, j))
-            for k in range(l):
-                if conn[i][k] != group.mul(conn[j][k], conn[i][j]):
-                    raise AssemblyError("condition (A) fails for constructed connectors",
-                                        condition="A", indices=(i, j, k))
     return conn
 
 
@@ -434,7 +460,8 @@ def first_nonintertwining(mod1: ProductGModule, mod2: ProductGModule, blocks) ->
     window enters.  So it is proven on the generators
     (groups.law_by_generators) when the modules share G and the extension,
     tau's blocks are Series matrices and verify_action passes on both
-    modules; otherwise, or on a failure, the exhaustive scan of
+    modules (for an assembled module, the Report assemble_product proved);
+    otherwise, or on a failure, the exhaustive scan of
     first_nonintertwining_exhaustive decides.
     """
     s1, s2 = mod1.spec, mod2.spec

@@ -8,7 +8,9 @@ call computes afresh.  The memo only caches: a call returns the same value
 and takes the same path in a run or not, and no code asks whether a value
 is recorded or a scope is open.  Where a proof needs a premise, such as
 the cocycle law under the unary laws, the premise is the memoized check
-itself: a hit inside a scope, computed afresh outside one.
+itself: a hit inside a scope, computed afresh outside one.  The action law
+of an assembled product module is not memoized: the module carries the
+Report its assembly proved, which equivariant.verify_action returns.
 
 An entry is keyed by the identity of `key` and holds it weakly: when the
 key object dies, a weakref callback drops its entries.  So transient data

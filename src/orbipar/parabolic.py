@@ -21,8 +21,9 @@ The checks of validate_parabolic and verify_glued run once per datum point
 and per glued point.  The memo is keyed on the ParabolicPoint (or the
 GluedPoint), which the stored values do not reference, so an entry dies
 with its datum.  The memo only caches: the premise of the mu, tau and sigma
-laws' generator proofs is the memoized verify_cocycle or verify_action
-itself, so each check takes the same proof in a run or outside one.
+laws' generator proofs is the memoized verify_cocycle itself, or
+verify_action, which reads the Report an assembled module carries, so each
+check takes the same proof in a run or outside one.
 """
 
 from dataclasses import dataclass
@@ -330,11 +331,11 @@ def check_tau_equivariance(pt: GluedPoint, group) -> Report:
 
     The ring parts are integers and are compared at every (g, i).  The tau
     law is proven on the generators (groups.law_by_generators) when
-    verify_action passes on the module (assemble_product has checked it)
-    and every tau_i has the same floor and length in each entry,
-    as glued_point builds them (each is psi(w)(mu)); otherwise, or on a
-    failure, the exhaustive scan of check_tau_equivariance_exhaustive
-    decides.  The window argument is
+    verify_action passes on the module (it returns the Report that
+    assemble_product proved and stored) and every tau_i has the same
+    floor and length in each entry, as glued_point builds them (each is
+    psi(w)(mu)); otherwise, or on a failure, the exhaustive scan of
+    check_tau_equivariance_exhaustive decides.  The window argument is
     check_mu_equivariance's, with x = tau_i, the blocks m (Series at
     precision N) in place of A_g, and Phi(hg) = Phi(h) o Phi(g) in place of
     the cocycle law: with E_(g,i) = m psi(w)(tau_i) - tau_j, the law at

@@ -71,11 +71,14 @@ def matrix_to_json(m: Matrix):
         return [[laurent_to_json(e) for e in row] for row in m.entries]
     return [[series_to_json(e) for e in row] for row in m.entries]
 
-def coeffs_from_json(field, data, where):
-    """data, which must be a list of JSON integers in 0..|k|-1; anything
-    else (a bool, a float, a string, null) is a ScenarioError naming `where`."""
+def coeffs_from_json(field, prec, data, where):
+    """data, which must be a list of at most prec JSON integers in
+    0..|k|-1; anything else (a longer list, a bool, a float, a string, null)
+    is a ScenarioError naming `where`."""
     if not isinstance(data, list):
         raise ScenarioError(f"{where}: coefficients must be a list, got {data!r}")
+    if len(data) > prec:
+        raise ScenarioError(f"{where}: {len(data)} coefficients exceed the precision {prec}")
     for x in data:
         if not (_is_int(x) and 0 <= x < field.order):
             raise ScenarioError(f"{where}: coefficient {x!r} is not an integer in "
@@ -83,13 +86,13 @@ def coeffs_from_json(field, data, where):
     return data
 
 def series_from_json(field, prec, data, where="series"):
-    return Series.from_coeffs(field, coeffs_from_json(field, data, where), prec)
+    return Series.from_coeffs(field, coeffs_from_json(field, prec, data, where), prec)
 
 def laurent_from_json(field, prec, data, where="Laurent value"):
     if isinstance(data, dict):
         return Laurent.exact(field, _int(data["val_floor"], f"{where}: val_floor"),
-                             coeffs_from_json(field, data["coeffs"], where), prec)
-    return Laurent.exact(field, 0, coeffs_from_json(field, data, where), prec)
+                             coeffs_from_json(field, prec, data["coeffs"], where), prec)
+    return Laurent.exact(field, 0, coeffs_from_json(field, prec, data, where), prec)
 
 def matrix_from_json(field, prec, data, laurent=False, where="matrix"):
     entry = laurent_from_json if laurent else series_from_json

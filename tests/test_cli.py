@@ -310,6 +310,18 @@ def _explicit_coeff(place, value):
     return edit
 
 
+def _explicit_long(place):
+    """An edit that returns EXPLICIT_GF7 (precision 8) with the array at
+    `place` padded with zeros to 11 coefficients: cut to the precision, it
+    would read as the valid document."""
+    def edit(_):
+        doc = json.loads(json.dumps(EXPLICIT_GF7))
+        coeffs = COEFF_PLACES[place](doc)
+        coeffs.extend([0] * (11 - len(coeffs)))
+        return doc
+    return edit
+
+
 def _mu_entry(value):
     """An edit that returns EXPLICIT_GF7 with mu's entry replaced by value."""
     def edit(_):
@@ -323,6 +335,7 @@ BAD_COEFFS = {f"{place}-coeff-{name}": _explicit_coeff(place, value)
               for place in COEFF_PLACES
               for name, value in (("99", 99), ("7", 7), ("negative", -1), ("float", 1.5),
                                   ("string", "a"), ("null", None), ("bool", True))}
+BAD_COEFFS.update({f"{place}-coeffs-too-long": _explicit_long(place) for place in COEFF_PLACES})
 
 
 def _cyclic_table(n):
@@ -514,8 +527,9 @@ def test_base_of_bad_inputs_is_good(tmp_path):
 
 
 def test_explicit_coefficients_are_checked_at_load(tmp_path):
-    """The good GF(7) document runs clean, and a bad coefficient is named by
-    its place, whichever array holds it."""
+    """The good GF(7) document runs clean, and a bad coefficient, or an
+    array longer than the precision, is named by its place, whichever array
+    holds it."""
     code, report, _ = run_cli(tmp_path, EXPLICIT_GF7)
     assert code == 0 and report["summary"]["pass"] == 3
     for case, message in (
@@ -526,7 +540,13 @@ def test_explicit_coefficients_are_checked_at_load(tmp_path):
             ("t-coeff-bool", r"extension 'E': t: coefficient True "),
             ("s-image-coeff-null", r"embedding 'id': s_image: coefficient None "),
             ("mu-entry-int", r"datum 'e' point 'p' mu entry \(0, 0\): coefficients must "
-                             r"be a list, got 5")):
+                             r"be a list, got 5"),
+            ("cocycle-coeffs-too-long", r"datum 'e' point 'p' cocycle 1 entry \(0, 0\): "
+                                        r"11 coefficients exceed the precision 8"),
+            ("mu-coeffs-too-long", r"datum 'e' point 'p' mu entry \(0, 0\): 11 coefficients "),
+            ("action-coeffs-too-long", r"extension 'E': action 1: 11 coefficients "),
+            ("t-coeffs-too-long", r"extension 'E': t: 11 coefficients "),
+            ("s-image-coeffs-too-long", r"embedding 'id': s_image: 11 coefficients ")):
         with pytest.raises(ScenarioError, match=message):
             load_scenario(_broken(BAD_INPUTS[case]))
 

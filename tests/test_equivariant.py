@@ -148,6 +148,41 @@ def test_connectors_z6_three_components():
                 assert conn[i][k] == g6.mul(conn[j][k], conn[i][j])
 
 
+def _chain_connectors(group, seeds):
+    """g_ij as the product of the seeds along the chain from i to j, its
+    inverse for i > j: the reference make_connectors must equal."""
+    l = len(seeds) + 1
+    conn = [[0] * l for _ in range(l)]
+    for i in range(l):
+        for j in range(l):
+            acc = 0
+            for t in range(min(i, j), max(i, j)):
+                acc = group.mul(seeds[t], acc)
+            conn[i][j] = acc if i <= j else group.inv(acc)
+    return tuple(map(tuple, conn))
+
+
+@pytest.mark.parametrize("group, iso, transversal", [
+    (dihedral(3), (0, 3), (0, 1, 2)),
+    (dihedral(4), (0, 4), (0, 1, 2, 3)),
+    (cyclic(6), (0, 3), (0, 1, 2))], ids=["d3-three-comps", "d4-four-comps", "z6-three-comps"])
+def test_connectors_equal_the_seed_chain_products(group, iso, transversal):
+    """For every choice of seeds, on non-abelian G too, the connectors are
+    the seed-chain products, and condition (A) holds."""
+    sp = ScenePoint(label="p", ext=make_kummer(F5, 2, N), iso=iso, transversal=transversal)
+    perms = sp.perms(group)
+    l = len(transversal)
+    choices = [[]]
+    for i in range(l - 1):
+        choices = [c + [s] for c in choices for s in range(group.order) if perms[s][i] == i + 1]
+    assert len(choices) > 1
+    for seeds in choices:
+        conn = make_connectors(group, perms, seeds)
+        assert conn == _chain_connectors(group, seeds)
+        assert all(conn[i][k] == group.mul(conn[j][k], conn[i][j])
+                   for i in range(l) for j in range(l) for k in range(l))
+
+
 def test_connectors_bad_seed_rejected():
     g = cyclic(2)
     perms = ((0, 1), (1, 0))

@@ -9,7 +9,12 @@ verify_cocycle_exhaustive, verify_action_exhaustive,
 verify_extension_exhaustive and PushedBundle.verify_exhaustive, on valid
 inputs and on inputs corrupted at one generator value or at one other
 value (for the pushed bundle: at a non-generator, or at one tau
-coefficient, with tau's entries of one window shape or of several).  The
+coefficient, with tau's entries of one window shape or of several).  A
+module that assemble_product returns carries the Report of its assembly
+lemma instead, which verify_action returns: it must equal the exhaustive
+scan's on plain and character-twisted cocycles under both connector
+families, assembling from a cocycle must scan and compare no glued block,
+and isotropy that moves its component must fail the restriction law.  The
 unary laws (check_mu_equivariance, check_tau_equivariance,
 first_nonintertwining, check_sigma_equivariance) are proven on the
 generators only under their premise, the memoized verify_cocycle or
@@ -26,6 +31,7 @@ in `orbipar run`.  is_invertible must be False exactly where
 Matrix.inverse raises, and agree with the Smith form of the series part.
 """
 
+from contextlib import nullcontext
 from dataclasses import replace
 from unittest import mock
 
@@ -33,12 +39,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbipar import equivariant, linalg, parabolic
-from orbipar.equivariant import (Cocycle, ProductGModule, assemble_product, coboundary,
-                                 first_nonintertwining, first_nonintertwining_exhaustive,
-                                 independence_intertwiner, make_connectors, verify_action,
-                                 verify_action_exhaustive, verify_cocycle,
-                                 verify_cocycle_exhaustive)
-from orbipar.errors import OrbiparError, RankDeficiencyError, StructuralError
+from orbipar.equivariant import (Cocycle, ComponentSpec, ProductGModule, ProductGModuleSpec,
+                                 assemble_product, coboundary, first_nonintertwining,
+                                 first_nonintertwining_exhaustive, independence_intertwiner,
+                                 make_connectors, verify_action, verify_action_exhaustive,
+                                 verify_cocycle, verify_cocycle_exhaustive, verify_spec)
+from orbipar.errors import AssemblyError, OrbiparError, RankDeficiencyError, StructuralError
 from orbipar.fields import make_field
 from orbipar.groups import Report, cyclic, dihedral, direct_product
 from orbipar.linalg import Matrix, is_invertible, series_part, smith
@@ -129,16 +135,52 @@ def test_verify_cocycle_equals_exhaustive(ext_i, rank, seed, twisted, where, pic
     assert ref.ok or x is not None
 
 
-@settings(max_examples=30, deadline=None)
-@given(scene_i=st.integers(0, len(SCENES) - 1), rank=st.integers(1, 2),
-       seed=st.integers(0, 2 ** 32 - 1), where=corruption, part=st.sampled_from(["m", "w"]),
-       pick=st.integers(0, 7), comp=st.integers(0, 1), i=st.integers(0, 1),
-       j=st.integers(0, 1), k=st.integers(0, N - 1))
-def test_verify_action_equals_exhaustive(scene_i, rank, seed, where, part, pick, comp, i, j, k):
+def _character(ext):
+    """g -> zeta^g for a primitive |I|-th root of unity zeta in k (every
+    inertia group of SCENES is cyclic of order dividing |k*|)."""
+    zeta = ext.field.root_of_unity(ext.group.order)
+    return tuple(ext.field.pow(zeta, g) for g in range(ext.group.order))
+
+
+def _assembled(scene_i, rank, seed, twisted, family):
+    """assemble_product on a coboundary, twisted by a character or not,
+    under the scene's connector family or the SEEDS2 one."""
     sp, group = SCENES[scene_i]
     ext = sp.ext
-    psi = coboundary(ext, random_unimodular(ext.field, rank, N, SplitMix64(seed)))
-    module = assemble_product(build_spec_from_scene(sp, group, psi))
+    psi = coboundary(ext, random_unimodular(ext.field, rank, N, SplitMix64(seed)),
+                     character=_character(ext) if twisted else None)
+    connectors = (make_connectors(group, sp.perms(group), SEEDS2[scene_i])
+                  if family == "seeds2" else None)
+    return assemble_product(build_spec_from_scene(sp, group, psi, connectors=connectors))
+
+
+def test_seeds2_families_have_ring_parts():
+    """The SEEDS2 connector families of the multi-component scenes give
+    some theta a ring part other than e; the scenes' own families do not."""
+    for scene_i in range(3):
+        sp, group = SCENES[scene_i]
+        psi = Cocycle.trivial(sp.ext, 1)
+        spec = build_spec_from_scene(sp, group, psi)
+        spec2 = build_spec_from_scene(sp, group, psi, connectors=make_connectors(
+            group, sp.perms(group), SEEDS2[scene_i]))
+        assert not any(map(any, spec.thetas)) and any(map(any, spec2.thetas))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scene_i=st.integers(0, len(SCENES) - 1), rank=st.integers(1, 2),
+       seed=st.integers(0, 2 ** 32 - 1), twisted=st.booleans(),
+       family=st.sampled_from(["scene", "seeds2"]), where=corruption,
+       part=st.sampled_from(["m", "w"]), pick=st.integers(0, 7), comp=st.integers(0, 1),
+       i=st.integers(0, 1), j=st.integers(0, 1), k=st.integers(0, N - 1))
+def test_verify_action_equals_exhaustive(scene_i, rank, seed, twisted, family, where, part,
+                                         pick, comp, i, j, k):
+    """On every module assemble_product returns, the Report of its assembly
+    lemma equals the exhaustive scan's; on a module corrupted by hand, the
+    generator proof does."""
+    sp, group = SCENES[scene_i]
+    ext = sp.ext
+    module = _assembled(scene_i, rank, seed, twisted, family)
+    assert module.law == Report(True, "ok")
     x = _target(group, where, pick) if where != "none" else None
     if x is not None:
         phi = [list(blocks) for blocks in module.phi]
@@ -152,6 +194,93 @@ def test_verify_action_equals_exhaustive(scene_i, rank, seed, where, part, pick,
     fast, ref = verify_action(module), verify_action_exhaustive(module)
     assert fast == ref
     assert ref.ok or x is not None
+
+
+def _count_calls(monkeypatch, *targets):
+    """The names of the (owner, name) targets, in the order they are called."""
+    calls = []
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("in_run", [False, True], ids=["outside-a-run", "in-a-run"])
+def test_assembly_from_a_cocycle_scans_and_compares_no_block(monkeypatch, in_run):
+    """Assembling from a valid cocycle, plain or twisted by a character,
+    under either connector family, proves the action law by the assembly
+    lemma and the restriction law by an integer check: neither the scan
+    _action_report nor Matrix.agrees_with runs, in a run or out of one, and
+    verify_action returns the module's Report."""
+    calls = _count_calls(monkeypatch, (equivariant, "_action_report"),
+                         (linalg.Matrix, "agrees_with"))
+    modules = []
+    with run_scope() if in_run else nullcontext():
+        for scene_i in range(len(SCENES)):
+            for twisted in (False, True):
+                for family in ("scene", "seeds2"):
+                    module = _assembled(scene_i, 2, 7 + scene_i, twisted, family)
+                    assert verify_action(module) is module.law
+                    modules.append(module)
+    assert calls == []
+    monkeypatch.undo()
+    assert all(verify_action_exhaustive(m) == Report(True, "ok") for m in modules)
+
+
+def test_isotropy_that_moves_its_component_fails_the_restriction_law():
+    """G = Z/2 swaps two components and iso_0 = iso_1 = the identity map of
+    Z/2, so iso_1[1] moves component 1 (and, as (C) forces, iso_0[1]
+    moves component 0).  (A)-(C) hold, every g factors and the glued
+    blocks form a group action, but Phi restricted to G_i is not Phi_i:
+    the restriction law fails, first on component 0."""
+    ext = make_kummer(make_field(5), 2, N)
+    psi = coboundary(ext, random_unimodular(ext.field, 2, N, SplitMix64(5)))
+    comp = ComponentSpec(iso=(0, 1), cocycle=psi)
+    spec = ProductGModuleSpec(group=cyclic(2), ext=ext, components=(comp, comp),
+                              perms=((0, 1), (1, 0)), connectors=((0, 1), (1, 0)),
+                              thetas=((0, 0), (0, 0)))
+    verify_spec(spec)
+    with pytest.raises(AssemblyError) as exc:
+        assemble_product(spec)
+    assert (exc.value.condition, exc.value.indices) == ("restriction", (0, 1))
+    assert str(exc.value) == "restriction law fails on component 0 at isotropy element 1"
+
+
+def test_non_cocycle_is_scanned_and_violates_the_group_law(monkeypatch):
+    """Component 0's cocycle changed at 2, which is not a generator of I =
+    Z/3: build_spec_from_scene conjugates it to component 1, so (A)-(C)
+    hold, but the lemma's premise fails, and the scan finds the glued
+    blocks no group action."""
+    sp, group = SCENES[0]
+    bad = _bump_cocycle(coboundary(sp.ext, random_unimodular(sp.ext.field, 2, N,
+                                                             SplitMix64(9))), 2, 0, 1, 3)
+    assert not verify_cocycle(bad).ok
+    spec = build_spec_from_scene(sp, group, bad)
+    verify_spec(spec)
+    calls = _count_calls(monkeypatch, (equivariant, "_action_report"))
+    with pytest.raises(AssemblyError) as exc:
+        assemble_product(spec)
+    assert exc.value.condition == "law" and calls
+    assert str(exc.value).startswith("assembled action violates the group law: ")
+
+
+def test_zero_cocycle_is_scanned_and_assembles(monkeypatch):
+    """A_g = 0 for every g satisfies A_hg = A_h psi(h)(A_g) but not A_e = I,
+    so the lemma's premise fails; the scan then finds the zero blocks a
+    group action, and the module carries the scan's passing Report."""
+    sp, group = SCENES[0]
+    zero = Matrix([[Series.zero(sp.ext.field, N)]])
+    c = Cocycle(sp.ext, 1, (zero,) * sp.ext.group.order)
+    assert not verify_cocycle(c).ok
+    calls = _count_calls(monkeypatch, (equivariant, "_action_report"))
+    module = assemble_product(build_spec_from_scene(sp, group, c))
+    assert calls and verify_action(module) is module.law
+    assert module.law == verify_action_exhaustive(module) == Report(True, "ok")
 
 
 @settings(max_examples=30, deadline=None)

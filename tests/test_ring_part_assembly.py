@@ -248,8 +248,9 @@ def test_condition_b_violation_names_the_triple():
 def test_assembly_multiplies_and_inverts_no_connector_block(monkeypatch):
     """On the Z/6 rank-2 GF(7) N=16 datum, building the spec and assembling
     it call Matrix.inverse nowhere and Matrix.__mul__ only inside the
-    group-law check on the glued blocks (_action_report: one product per
-    generator, element and component), never on a connector block."""
+    assembly lemma's premise, the cocycle law of component 0
+    (_cocycle_report: one product per generator of I and element of I),
+    never on a connector block."""
     k3 = make_kummer(make_field(7), 3, 16)
     sp, group = ScenePoint("p", k3, (0, 2, 4), (0, 1)), cyclic(6)
     psi = random_datum(k3, 2, SplitMix64(12345), character_exponent=1).points[0].psi
@@ -263,8 +264,9 @@ def test_assembly_multiplies_and_inverts_no_connector_block(monkeypatch):
 
         monkeypatch.setattr(linalg.Matrix, name, counted)
     module = assemble_product(build_spec_from_scene(sp, group, psi))
-    assert not [c for c in callers if c != ("__mul__", "_action_report")]
-    assert len(callers) == len(group.generators()) * group.order * module.size
+    assert module.size == 2
+    assert not [c for c in callers if c != ("__mul__", "_cocycle_report")]
+    assert len(callers) == len(k3.group.generators()) * k3.group.order
 
 
 @pytest.mark.parametrize("scene_i, exponent, seeds", [(0, 1, [3]), (5, 0, [5]), (1, 1, [4]),

@@ -293,8 +293,7 @@ def test_memo_hits_share_one_object():
         assert invariants(psi) is invariants(psi)
         assert functor_T(d, scene).points[0].module is functor_T(d, scene).points[0].module
         assert live_keys() == {"fixed_space": 1, "invariants": 1, "verify_cocycle": 1,
-                               "point_module": 1, "verify_action": 1, "glued_point": 1,
-                               "glued_check": 1}
+                               "point_module": 1, "glued_point": 1, "glued_check": 1}
     assert live_keys() == {}
     # shared results are immutable
     res = invariants(psi)
@@ -335,8 +334,7 @@ def test_random_roundtrips_leave_no_live_entries(monkeypatch):
     report = scenario.run_scenario(scenario.load_scenario(doc))
     assert report["summary"]["pass"] == 3
     datum_a = {"fixed_space": 1, "invariants": 1, "is_induced": 1, "point_module": 1,
-               "verify_action": 1, "glued_point": 1, "glued_check": 1, "point_check": 1,
-               "verify_cocycle": 1}
+               "glued_point": 1, "glued_check": 1, "point_check": 1, "verify_cocycle": 1}
     assert live == [datum_a, datum_a, datum_a]
 
 
