@@ -32,9 +32,9 @@ Cases, layer by layer:
 * fixed_rows (kernels.fixed_point_rows) on three shapes: the Hom actions
   kron(A_g, A*_g) of a rank-2 GF(13), N=8 Kummer Z/4 datum (rank 4, 32 x 32
   per action: an isomorphism search between rank-2 data); the Hom actions
-  of dual_pairing_check's search, which runs on V (x) V* of that datum
-  against the trivial datum (the `calculus` size: rank 16, 128 x 128 per
-  action); and the cocycle of a rank-2 Artin-Schreier datum over GF(9) at
+  of the search dual_pairing_check falls back to, on V (x) V* of that
+  datum against the trivial datum (the `calculus` size: rank 16, 128 x 128
+  per action); and the cocycle of a rank-2 Artin-Schreier datum over GF(9) at
   N=24 (the `wild-extfield` invariants size: rank 2, 48 x 48 per action);
 * decompose_series, restriction of scalars through the extension's cached
   decomposition matrix, on Kummer Z/4 over GF(13) at N=8 (`calculus`) and
@@ -46,8 +46,9 @@ Cases, layer by layer:
   returns the matrix itself, against the entrywise copy it skips, and
   I * M at GF(7), r=2, N=16, which returns M, against kernels.mat_mul;
 * solve_linear on three systems the program really builds: the joint
-  system of find_parabolic_isomorphism inside dual_pairing_check (the
-  `calculus` size, 256 x 160 over GF(13), solved whole as the reference),
+  system of find_parabolic_isomorphism on V (x) V* against the trivial
+  datum, the search dual_pairing_check falls back to (the `calculus` size,
+  256 x 160 over GF(13), solved whole as the reference),
   the fixed-space system of invariants on a rank-2 Kummer Z/3 datum (the
   `tame-roundtrip` rank*N size, 32 x 32 over GF(7)) and on a rank-2
   Artin-Schreier datum (the `wild-extfield` rank*N size, 48 x 48 over
@@ -95,8 +96,10 @@ Cases, layer by layer:
   generators, against verify_exhaustive, which scans every pair (results
   asserted equal);
 * functor layer: functor_T and functor_S on that Z/6 datum, and
-  dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, with the
-  find_parabolic_isomorphism search inside it timed on its own;
+  dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data; on V (x) V*
+  of one such datum, the isomorphism it builds from its trivializations
+  (iso_from_trivializations) against the find_parabolic_isomorphism
+  search it would otherwise run, each timed on its own;
 * end to end: Z/6 round trips.
 """
 
@@ -432,16 +435,20 @@ def bench_solve(results, runs):
     from orbipar.linalg import echelonize, kernel_by_blocks, null_space, solve_linear
     from orbipar.local_galois import (identity_embedding, kummer_tower, make_artin_schreier,
                                       make_kummer)
-    from orbipar.parabolic import random_datum
-    from orbipar.pvect import RefinementMap, dual_pairing_check, equiv_check, pullback_refine
+    from orbipar.parabolic import random_datum, trivial_datum
+    from orbipar.pvect import (RefinementMap, dual, equiv_check, find_parabolic_isomorphism,
+                               pullback_refine, tensor)
 
     calc = random_datum(make_kummer(make_field(13), 4, 8), 2, SplitMix64(2718),
                         character_exponent=1)
     tame = random_datum(make_kummer(make_field(7), 3, 16), 2, SplitMix64(12345),
                         character_exponent=1)
     wild = random_datum(make_artin_schreier(make_field(3, 2), 24), 2, SplitMix64(5))
-    joint = _largest_system(lambda: dual_pairing_check(calc, rng=SplitMix64(1)),
-                            "kernel_by_blocks", ("pvect",))
+    pair = tensor(calc, dual(calc))
+    reference = trivial_datum(pair.rank, [(p.label, p.ext) for p in pair.points])
+    joint = _largest_system(
+        lambda: find_parabolic_isomorphism(pair, reference, rng=SplitMix64(1)),
+        "kernel_by_blocks", ("pvect",))
     systems = [("calculus joint system", joint),
                ("tame invariants system", _largest_system(
                     lambda: invariants(tame.points[0].psi))),
@@ -684,12 +691,16 @@ def bench_assembly(results, repeats, runs):
 
 
 def bench_dual_pairing(results, pairings, runs):
-    """dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, per call,
-    and the isomorphism search inside it, find_parabolic_isomorphism of
-    V (x) V* against the trivial datum, on the first datum."""
+    """dual_pairing_check on rank-2 GF(13), N=8 Kummer Z/4 data, per call;
+    and, on V (x) V* of the first datum against the trivial datum, the
+    isomorphism dual_pairing_check builds from its trivializations
+    (iso_from_trivializations) against the search it falls back to
+    (find_parabolic_isomorphism), both asserted isomorphic."""
+    from orbipar.equivariant import trivialize
     from orbipar.local_galois import make_kummer
     from orbipar.parabolic import random_datum, trivial_datum
-    from orbipar.pvect import dual, dual_pairing_check, find_parabolic_isomorphism, tensor
+    from orbipar.pvect import (dual, dual_pairing_check, find_parabolic_isomorphism,
+                               iso_from_trivializations, tensor)
 
     ext = make_kummer(make_field(13), 4, 8)
     rng = SplitMix64(2718)
@@ -701,6 +712,12 @@ def bench_dual_pairing(results, pairings, runs):
                      lambda: find_parabolic_isomorphism(pair, reference, rng=SplitMix64(3)),
                      1, runs)
     print(f"find_parabolic_isomorphism, dual_pairing V(x)V* (rank 4, GF(13), N=8): "
+          f"{med * 1000:.1f} ms median, {low * 1000:.1f} ms min")
+    trivs = {p.label: trivialize(p.psi) for p in pair.points}
+    assert iso_from_trivializations(pair, trivs).status == "isomorphic"
+    med, low = timed(results, "iso_from_trivializations dual_pairing rank 4 GF(13) N=8",
+                     lambda: iso_from_trivializations(pair, trivs), 1, runs)
+    print(f"iso_from_trivializations, dual_pairing V(x)V* (rank 4, GF(13), N=8): "
           f"{med * 1000:.1f} ms median, {low * 1000:.1f} ms min")
 
     def check_all():

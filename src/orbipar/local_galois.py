@@ -35,7 +35,8 @@ window checks: a Series, a Series matrix, or a Laurent value with val_floor
 even psi(e) moves its window: to [0, n) for v > 0, and to a length of at
 most prec-1 for v < 0.
 Series.compose stays the general composition (verify_extension, norm,
-reversion, embeddings) and the reference the operator is tested against.
+embeddings, the tests' series reversion) and the reference the operator is
+tested against.
 
 ext.decomposition(prec) is restriction of scalars as a matrix: the map
 f -> (h_j) with f = sum_j s^j h_j(t), the inverse of evaluate_in_base summed

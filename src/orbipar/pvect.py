@@ -11,7 +11,11 @@ kron(A2_g, A1*_g); the isomorphism search takes validated data and solves
 for them with the fixed-space equations of `equivariant.fixed_rows`.  Its
 joint system is solved with one solve per distinct independent block of
 unknowns (linalg.kernel_by_blocks), which gives the joint solve's kernel
-basis exactly, so the certificates drawn from it do not change.
+basis exactly, so the certificates drawn from it do not change.  The
+pairing check V (x) V* ~= trivial usually needs no search: the
+trivializations B_x of V (x) V* give sigma_x = B_x^{-1} and
+g = B_x^{-1} mu_x directly (iso_from_trivializations); only a failed
+construction falls back to the search.
 
 Inside a scenario run (see memo.py) each dual point is built once per
 datum point, each tensor point once per pair of points (keyed on the first
@@ -116,16 +120,17 @@ def find_parabolic_isomorphism(d1: ParabolicDatum, d2: ParabolicDatum,
     non-isomorphism.
 
     The system is solved block by block (linalg.kernel_by_blocks): unknowns
-    that share no equation with the rest are solved on their own.  Against
-    a trivial d2 (dual_pairing_check's reference) A2_g = I and s2 = I, so
-    the Hom equations and the mu square tie row a of g only to row a of each
-    sigma_x, with coefficients that do not depend on a: r blocks, each the
-    same system on its own columns, which kernel_by_blocks solves once and
-    embeds r times.  Columns of different blocks have disjoint row
-    supports, so the pivot columns, and the reduced echelon form, which is
-    unique, are those of the one joint Gauss-Jordan; the kernel basis,
-    which the candidates below combine, is therefore the same vector for
-    vector, listed by free column as before.
+    that share no equation with the rest are solved on their own.  Against a
+    trivial d2 (the reference of dual_pairing_check, which searches only
+    when it cannot build the isomorphism from its trivializations) A2_g = I
+    and s2 = I, so the Hom equations and the mu square tie row a of g only
+    to row a of each sigma_x, with coefficients that do not depend on a: r
+    blocks, each the same system on its own columns, which kernel_by_blocks
+    solves once and embeds r times.  Columns of different blocks have
+    disjoint row supports, so the pivot columns, and the reduced echelon
+    form, which is unique, are those of the one joint Gauss-Jordan; the
+    kernel basis, which the candidates below combine, is therefore the same
+    vector for vector, listed by free column as before.
     """
     rng = rng or SplitMix64(0x150)
     labels = [p.label for p in d1.points]
@@ -311,15 +316,87 @@ class PairingReport:
     message: str
 
 
+def iso_from_trivializations(d: ParabolicDatum, trivialized: dict) -> IsoResult:
+    """An isomorphism from d to the trivial datum on its points, built with
+    no solve from trivializations of its cocycles (label ->
+    TrivializeResult): sigma_x = B_x^{-1}, and g = B_x^{-1} mu_x read over
+    the base (dual_pairing_check gives the proof).
+
+    g is taken from graded piece 0 of decompose_laurent at the search's
+    base precision.  The result is "inconclusive", with the reason, when a
+    point did not trivialize, when a piece j >= 1 is nonzero, when piece 0
+    has a pole or too short a window, when two points give different g, or
+    when g has a singular residue (validate_parabolic_morphism does not
+    check invertibility); otherwise validate_parabolic_morphism decides.
+    """
+    if not all(t.found for t in trivialized.values()):
+        return IsoResult("inconclusive", detail="a point did not trivialize")
+    base_prec = min(max(p.ext.prec // p.ext.ram_index, 1) for p in d.points)
+    g = None
+    sigmas = {}
+    for pt in d.points:
+        sigma = sigmas[pt.label] = trivialized[pt.label].b.inverse()
+        local = sigma.to_laurent() * pt.mu
+        rows = []
+        for row in local.entries:
+            out = []
+            for x in row:
+                pieces = decompose_laurent(pt.ext, x)
+                if any(not h.is_zero() for h in pieces[1:]):
+                    return IsoResult("inconclusive",
+                                     detail=f"B^-1 mu is not over the base at {pt.label!r}")
+                h = pieces[0]
+                if (h.valuation() or 0) < 0 or h.window[1] < base_prec:
+                    return IsoResult("inconclusive", detail=f"B^-1 mu at {pt.label!r} is "
+                                     f"not a base series to precision {base_prec}")
+                out.append(Series(pt.ext.field, base_prec,
+                                  tuple(h.coeff(k) for k in range(base_prec))))
+            rows.append(out)
+        if g is None:
+            g = Matrix(rows)
+        elif Matrix(rows) != g:
+            return IsoResult("inconclusive", detail=f"B^-1 mu at {pt.label!r} differs "
+                             "from the first point's")
+    if not g.is_residue_invertible():
+        return IsoResult("inconclusive", detail="g = B^-1 mu has a singular residue")
+    reference = trivial_datum(d.rank, [(p.label, p.ext) for p in d.points])
+    rep = validate_parabolic_morphism(d, reference, g, sigmas)
+    if not rep.ok:
+        return IsoResult("inconclusive", detail=f"built isomorphism fails: {rep.message}")
+    return IsoResult("isomorphic", g=g, sigmas=sigmas, proven=True,
+                     detail="isomorphism built from the trivializations and re-verified")
+
+
 def dual_pairing_check(d: ParabolicDatum, rng=None) -> PairingReport:
-    """V (x) V* against the trivial datum of rank n^2, with certificates."""
+    """V (x) V* against the trivial datum of rank n^2, with certificates.
+
+    Every point x of V (x) V* is trivialized: B_x, invertible, with
+    A_a psi(a)(B_x) = B_x.  iso_from_trivializations then builds
+    sigma_x = B_x^{-1} and g = B_x^{-1} mu_x, which is an isomorphism:
+
+    * sigma law: psi(a)(B_x^{-1}) = B_x^{-1} A_a, i.e. sigma A_a =
+      psi(a)(sigma), the law against the trivial cocycle;
+    * mu square: against mu' = I it reads g = B_x^{-1} mu_x, and mu_x is a
+      Laurent fixed point (condition (b)), so psi(a)(B_x^{-1} mu_x) =
+      B_x^{-1} A_a psi(a)(mu_x) = B_x^{-1} mu_x lies over k((t));
+    * invertibility: sigma_x is, as B_x is; g is iff its residue is.
+
+    Nothing proves g integral, or the same at every point, and over a wild
+    extension a truncated fixed point may carry any coefficient at s^(N-1),
+    which psi fixes mod s^N and no base g reproduces.  So when the
+    construction fails, find_parabolic_isomorphism searches, on the rng
+    stream it would have had without the construction.
+    """
     rng = rng or SplitMix64(0xD0A1)
     pair = tensor(d, dual(d))
     triv_results = {}
     for pt in pair.points:
         triv_results[pt.label] = trivialize(pt.psi, rng=rng.fork())
-    reference = trivial_datum(pair.rank, [(p.label, p.ext) for p in pair.points])
-    iso = find_parabolic_isomorphism(pair, reference, rng=rng.fork())
+    search_rng = rng.fork()
+    iso = iso_from_trivializations(pair, triv_results)
+    if iso.status != "isomorphic":
+        reference = trivial_datum(pair.rank, [(p.label, p.ext) for p in pair.points])
+        iso = find_parabolic_isomorphism(pair, reference, rng=search_rng)
     ok = iso.status == "isomorphic" and all(t.found for t in triv_results.values())
     msg = ("pairing is trivial with explicit certificates" if ok
            else f"pairing check: trivialize "

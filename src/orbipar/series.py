@@ -124,45 +124,6 @@ class Series:
         out = kernels.vec_compose(self.field.ctx, self.coeffs, g.coeffs, self.prec)
         return Series(self.field, self.prec, tuple(out))
 
-    def derivative(self):
-        ctx = self.field.ctx
-        p = self.field.p
-        out = [0] * self.prec
-        for k in range(1, self.prec):
-            mult = k % p
-            if mult and self.coeffs[k]:
-                c = self.coeffs[k]
-                acc = 0
-                for _ in range(mult):
-                    acc = ctx.add(acc, c)
-                out[k - 1] = acc
-        return Series(self.field, self.prec, tuple(out))
-
-    def reversion(self):
-        """Compositional inverse h with self(h) = h(self) = s to precision.
-
-        Newton iteration h <- h - (f(h) - s) / f'(h); the error valuation
-        doubles each step.
-        """
-        if self.coeffs[0] != 0:
-            raise DomainError("reversion requires zero constant term")
-        if self.coeffs[1] == 0:
-            raise DomainError("reversion requires an invertible linear coefficient")
-        field, n = self.field, self.prec
-        s = Series.s(field, n)
-        if n == 1:
-            return Series.zero(field, 1)
-        h = Series.monomial(field, field.ctx.inv(self.coeffs[1]), 1, n)
-        fprime = self.derivative()
-        for _ in range(n.bit_length() + 2):
-            err = self.compose(h) - s
-            if err.is_zero():
-                return h
-            h = h - err * fprime.compose(h).inverse()
-        if not (self.compose(h) - s).is_zero():
-            raise DomainError("reversion did not converge (non-unit linear part?)")
-        return h
-
     def shift(self, m):
         """Multiply by s^m (m >= 0), truncating at precision."""
         if m < 0:

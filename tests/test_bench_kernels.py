@@ -64,6 +64,7 @@ def test_bench_kernels_runs(capsys, tmp_path):
                 "check_sigma_equivariance"):
         assert law in out
     assert "find_parabolic_isomorphism, dual_pairing V(x)V* (rank 4, GF(13), N=8)" in out
+    assert "iso_from_trivializations, dual_pairing V(x)V* (rank 4, GF(13), N=8)" in out
     assert "functor layer: dual_pairing_check (rank 2, GF(13), N=8, Kummer Z/4)" in out
     assert "end-to-end: 1 Z/6 round trips" in out
     doc = json.loads(out_file.read_text())
@@ -101,6 +102,7 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "check_tau_equivariance Z/6 taus rank 2 GF(7) N=16",
                  "check_tau_equivariance_exhaustive Z/6 taus rank 2 GF(7) N=16",
                  "find_parabolic_isomorphism dual_pairing rank 4 GF(13) N=8",
+                 "iso_from_trivializations dual_pairing rank 4 GF(13) N=8",
                  "Matrix.__mul__ GF(13) r=4 N=1", "entrywise product GF(13) r=4 N=1",
                  "Matrix.__mul__ GF(3^2) 4x1*1x4 N=3",
                  "entrywise product GF(3^2) 4x1*1x4 N=3",

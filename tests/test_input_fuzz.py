@@ -83,13 +83,16 @@ OBJECTS = _objects_by_role()
 # the places each action can change, by their path and the value found there
 TARGETS = {"nearby": lambda path, value: type(value) is int,
            "relabel": lambda path, value: isinstance(value, str),
-           "rename": lambda path, value: len(path) == 2 and path[0] in NAMED,
+           # a defined name: a key of a named map, which an earlier change
+           # may have replaced by a list
+           "rename": lambda path, value: (len(path) == 2 and path[0] in NAMED
+                                          and isinstance(path[1], str)),
            "splice": lambda path, value: isinstance(value, dict)}
 
 
 def _names(doc):
     """The names the document defines."""
-    return {p[1] for p, _ in _places(doc) if TARGETS["rename"](p, None) and isinstance(p[1], str)}
+    return {p[1] for p, _ in _places(doc) if TARGETS["rename"](p, None)}
 
 
 def _rewrite(node, old, new):

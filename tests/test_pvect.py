@@ -1,10 +1,11 @@
+import re
 import pytest
 from fractions import Fraction
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from orbipar.equivariant import Cocycle, verify_cocycle
+from orbipar.equivariant import Cocycle, trivialize, verify_cocycle
 from orbipar.errors import ConfigurationError, DomainError
 from orbipar.fields import make_field
 from orbipar.groups import cyclic, direct_product
@@ -21,8 +22,8 @@ from orbipar.pvect import (RefinementMap, ScenePullback, adjunction_check,
                            decompose_laurent, decompose_series, dual,
                            dual_pairing_check, equiv_check, extract_weights,
                            find_parabolic_isomorphism, glued_pullback,
-                           pullback_T_compat, pullback_refine, pushforward_local,
-                           tensor)
+                           iso_from_trivializations, pullback_T_compat,
+                           pullback_refine, pushforward_local, tensor)
 from orbipar.series import Laurent, Series
 
 from cocycle_twist import twist
@@ -309,6 +310,167 @@ def test_dual_pairing_on_induced_corpus():
 def test_dual_pairing_sign_twist():
     rep = dual_pairing_check(sign_twist_datum(F5, N), rng=SplitMix64(9))
     assert rep.ok
+
+
+# -- the pairing isomorphism built from the trivializations --
+
+
+def _diag(entries, zero):
+    """The diagonal matrix of entries, zero elsewhere."""
+    return Matrix([[x if i == j else zero for j, x in enumerate(entries)]
+                   for i, x in enumerate(entries)])
+
+
+def _general_datum(ext, rank, rng):
+    """A datum that is in general no twisted coboundary.  Over Kummer, a
+    direct sum of rank-1 data with independent characters; over
+    Artin-Schreier at rank 2, the unipotent cocycle A_c = [[1, c], [0, 1]],
+    which is not trivial (its residue is not I), glued by [[1, -1/s],
+    [0, 1]] (psi(c)(1/s) = 1/s + c); at rank 1 a coboundary.  Then the
+    whole in a random basis."""
+    field, prec, n = ext.field, ext.prec, ext.group.order
+    zero_s, zero_l = Series.zero(field, prec), Laurent.exact(field, 0, [], prec)
+    tame = (field.order - 1) % n == 0
+    if not tame and rank == 2:
+        one = Series.one(field, prec)
+        mats, c = [], 0
+        for _ in range(n):
+            mats.append(Matrix([[one, one.scale(c)], [zero_s, one]]))
+            c = field.ctx.add(c, 1)
+        unit = Laurent.exact(field, 0, [1], prec)
+        mu = Matrix([[unit, Laurent.exact(field, -1, [field.ctx.neg(1)], prec)],
+                     [zero_l, unit]])
+        pt = ParabolicPoint("p", ext, Cocycle(ext, 2, tuple(mats)), mu)
+    else:
+        lines = [random_datum(ext, 1, rng, character_exponent=rng.randrange(n) if tame else 0)
+                 .points[0] for _ in range(rank)]
+        psi = Cocycle(ext, rank, tuple(
+            _diag([ln.psi.mats[g].entries[0][0] for ln in lines], zero_s) for g in range(n)))
+        pt = ParabolicPoint("p", ext, psi, _diag([ln.mu.entries[0][0] for ln in lines], zero_l))
+    d = _twisted(ParabolicDatum(rank=rank, points=(pt,)), rng)
+    assert validate_parabolic(d).ok
+    return d
+
+
+def _pairing_search(d, rng):
+    """The search dual_pairing_check(d, rng) would run: V (x) V* against the
+    trivial datum, on the stream it hands the search (one fork per point
+    goes to trivialize first)."""
+    pair = tensor(d, dual(d))
+    for _ in pair.points:
+        rng.fork()
+    reference = trivial_datum(pair.rank, [(p.label, p.ext) for p in pair.points])
+    return find_parabolic_isomorphism(pair, reference, rng=rng.fork())
+
+
+def _checked_pairing(d, seed):
+    """dual_pairing_check(d) and the results of the searches it ran."""
+    searches = []
+    search = pvect.find_parabolic_isomorphism
+
+    def counted(*args, **kwargs):
+        searches.append(search(*args, **kwargs))
+        return searches[-1]
+
+    with mock.patch.object(pvect, "find_parabolic_isomorphism", counted):
+        rep = dual_pairing_check(d, rng=SplitMix64(seed))
+    return rep, searches
+
+
+# (field (p, k), Kummer order n or None for Artin-Schreier, precision)
+PAIRING_EXTENSIONS = [((7, 1), 3, 6), ((7, 1), 2, 6), ((3, 2), None, 9), ((3, 2), 4, 8)]
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=st.sampled_from(PAIRING_EXTENSIONS), rank=st.integers(1, 2),
+       general=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_pairing_construction_agrees_with_search(spec, rank, general, seed):
+    """dual_pairing_check ends with the search's status on every datum; on a
+    tame twisted coboundary (random_datum, as the workloads draw) it builds
+    the isomorphism from the trivializations with no search, and that
+    isomorphism validates."""
+    (p, k), n, prec = spec
+    field = make_field(p, k)
+    ext = make_artin_schreier(field, prec) if n is None else make_kummer(field, n, prec)
+    rng = SplitMix64(seed)
+    d = (_general_datum(ext, rank, rng) if general
+         else random_datum(ext, rank, rng, character_exponent=rng.randrange(n or 1)))
+    try:
+        search = _pairing_search(d, SplitMix64(seed))
+    except ConfigurationError as exc:
+        # windows too short to prove V (x) V*'s mu invertible: both refuse alike
+        with pytest.raises(ConfigurationError, match=re.escape(str(exc))):
+            dual_pairing_check(d, rng=SplitMix64(seed))
+        return
+    rep, searches = _checked_pairing(d, seed)
+    assert rep.iso.status == search.status
+    if searches:
+        # the fallback saw the stream the search had before the construction
+        assert (rep.iso.g, rep.iso.sigmas) == (search.g, search.sigmas)
+    if not general and n is not None:
+        # tame only: over Artin-Schreier a truncated fixed point may carry
+        # any top coefficient s^(N-1), which no base g reproduces
+        assert rep.ok and not searches
+        pair = tensor(d, dual(d))
+        reference = trivial_datum(pair.rank, [(q.label, q.ext) for q in pair.points])
+        assert validate_parabolic_morphism(pair, reference, rep.iso.g, rep.iso.sigmas).ok
+
+
+def test_pairing_construction_rejects_a_g_off_the_base():
+    """When B^-1 mu has a nonzero graded piece j >= 1 it is not over the base,
+    and the construction says so rather than keep piece 0 alone."""
+    d = random_datum(make_kummer(F7, 3, 6), 2, SplitMix64(21), character_exponent=1)
+    pair = tensor(d, dual(d))
+    trivs = {q.label: trivialize(q.psi) for q in pair.points}
+    assert iso_from_trivializations(pair, trivs).status == "isomorphic"
+    # mu (1 + s): piece 1 of B^-1 mu (1 + s) is piece 0, which is invertible
+    q = pair.points[0]
+    one_s = Laurent.exact(F7, 0, [1, 1], 6)
+    off = ParabolicDatum(rank=pair.rank, points=(ParabolicPoint(
+        q.label, q.ext, q.psi, q.mu * _diag([one_s] * pair.rank, Laurent.zero(F7, 6))),))
+    res = iso_from_trivializations(off, trivs)
+    assert res.status == "inconclusive" and "not over the base" in res.detail
+
+
+def test_pairing_construction_checks_the_residue_of_g():
+    """mu = diag(1, t) over the trivial cocycle: g = B^-1 mu passes the sigma
+    law and the mu square, which is all validate_parabolic_morphism checks,
+    but its residue is singular, so it is no isomorphism."""
+    ext = make_kummer(F7, 3, 6)
+    t = Laurent.from_series(ext.base_uniformizer)
+    mu = _diag([Laurent.exact(F7, 0, [1], 6), t], Laurent.zero(F7, 6))
+    v = ParabolicDatum(rank=2, points=(ParabolicPoint("p", ext, Cocycle.trivial(ext, 2), mu),))
+    assert validate_parabolic(v).ok
+    trivs = {"p": trivialize(v.points[0].psi)}
+    res = iso_from_trivializations(v, trivs)
+    assert res.status == "inconclusive" and "singular residue" in res.detail
+    sigma = trivs["p"].b.inverse()
+    g = Matrix([[e.truncate(2) for e in row] for row in sigma.entries]) * \
+        _diag([Series.one(F7, 2), Series.s(F7, 2)], Series.zero(F7, 2))
+    reference = trivial_datum(2, [("p", ext)])
+    assert validate_parabolic_morphism(v, reference, g, {"p": sigma}).ok
+
+
+def test_pairing_with_two_points_falls_back_when_g_differs():
+    """Each point of a two-point datum gives its own B^-1 mu; they differ, so
+    no one g exists and dual_pairing_check reports the search's result,
+    searched on the stream it would have had without the construction."""
+    ext = make_kummer(F7, 3, 6)
+    rng = SplitMix64(22)
+    points = [random_datum(ext, 2, rng, label=f"p{i}", character_exponent=i + 1).points[0]
+              for i in range(2)]
+    for pt in points:
+        alone = ParabolicDatum(rank=2, points=(pt,))
+        rep, searches = _checked_pairing(alone, 23)
+        assert rep.ok and not searches
+    d = ParabolicDatum(rank=2, points=tuple(points))
+    pair = tensor(d, dual(d))
+    built = iso_from_trivializations(pair, {q.label: trivialize(q.psi) for q in pair.points})
+    assert built.status == "inconclusive" and "differs" in built.detail
+    rep, searches = _checked_pairing(d, 23)
+    search = _pairing_search(d, SplitMix64(23))
+    assert len(searches) == 1 and rep.iso.status == search.status == "isomorphic"
+    assert (rep.iso.g, rep.iso.sigmas) == (search.g, search.sigmas) and rep.ok
 
 
 # -- graded decomposition and pushforward --

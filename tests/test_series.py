@@ -6,6 +6,8 @@ from orbipar.fields import make_field
 from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
 
+from series_reversion import reversion
+
 F5 = make_field(5)
 F2 = make_field(2)
 
@@ -98,11 +100,11 @@ def test_compose_associative_random():
 
 def test_reversion_examples():
     s = Series.s(F5, 6)
-    assert s.reversion().coeffs == s.coeffs
+    assert reversion(s).coeffs == s.coeffs
     zs = Series.monomial(F5, 2, 1, 6)
-    assert zs.reversion().coeffs == Series.monomial(F5, 3, 1, 6).coeffs  # 3 = 2^{-1}
+    assert reversion(zs).coeffs == Series.monomial(F5, 3, 1, 6).coeffs  # 3 = 2^{-1}
     g = Series.s(F5, 8) * (Series.one(F5, 8) + Series.s(F5, 8)).inverse()
-    h = g.reversion()
+    h = reversion(g)
     # oracle: compose back and compare with identity
     assert g.compose(h).coeffs == Series.s(F5, 8).coeffs
     assert h.compose(g).coeffs == Series.s(F5, 8).coeffs
@@ -112,7 +114,7 @@ def test_reversion_examples():
 
 def test_reversion_requires_unit_linear():
     with pytest.raises(DomainError):
-        Series.monomial(F5, 1, 2, 5).reversion()
+        reversion(Series.monomial(F5, 1, 2, 5))
 
 
 def test_ring_laws_random_triples():

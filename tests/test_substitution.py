@@ -21,6 +21,8 @@ from orbipar.local_galois import (Substitution, kummer_tower, make_artin_schreie
 from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
 
+from series_reversion import reversion
+
 
 def horner_substitute(x: Laurent, act: Series) -> Laurent:
     n = len(x.coeffs)
@@ -47,7 +49,7 @@ def conjugated_kummer(field, n, prec):
     """Kummer(n) conjugated by s -> s + s^2: every image is a dense series."""
     base = make_kummer(field, n, prec)
     phi = Series.from_coeffs(field, [0, 1, 1], prec)
-    phi_inv = phi.reversion()
+    phi_inv = reversion(phi)
     action = [phi.compose(a).compose(phi_inv) for a in base.action]
     t = base.base_uniformizer.compose(phi_inv)
     return make_explicit(field, prec, cyclic(n), action, t)
