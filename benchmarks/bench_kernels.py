@@ -26,9 +26,12 @@ Cases, layer by layer:
   asserted equal, at 1x1 GF(9) N=24, 2x2 GF(7) N=16, 4x4 GF(13) N=8 and
   the GF(9) outer product 4x1 * 1x4 at N=3, with floors and lengths
   varying per entry;
-* Matrix.inverse (Gauss-Jordan over k[[s]]) of a random unimodular rank-2
-  matrix over GF(7) at N=16 and over GF(9) at N=24, the product with the
-  matrix asserted to be the identity;
+* Matrix.inverse (kernels.mat_inverse, Gauss-Jordan on coefficient rows
+  over k[[s]]) of a random unimodular rank-2 matrix over GF(7) at N=16 and
+  over GF(9) at N=24, of a rank-3 one over GF(7) at N=16, and of the rank-4
+  B over GF(13) at N=8 that dual_pairing_check inverts (trivialize of V (x)
+  V* for bench_dual_pairing's first datum), the product with the matrix
+  asserted to be the identity;
 * fixed_rows (kernels.fixed_point_rows) on three shapes: the Hom actions
   kron(A_g, A*_g) of a rank-2 GF(13), N=8 Kummer Z/4 datum (rank 4, 32 x 32
   per action: an isomorphism search between rank-2 data); the Hom actions
@@ -265,16 +268,24 @@ def bench_laurent_mul(results, repeats, runs):
 
 
 def bench_matrix_inverse(results, repeats, runs):
-    """Matrix.inverse of a random unimodular rank-2 matrix over a prime field
-    and an extension field."""
+    """Matrix.inverse of random unimodular matrices over prime fields and an
+    extension field, and of the rank-4 B that dual_pairing_check inverts."""
+    from orbipar.equivariant import trivialize
     from orbipar.linalg import Matrix
-    from orbipar.parabolic import random_unimodular
+    from orbipar.local_galois import make_kummer
+    from orbipar.parabolic import random_datum, random_unimodular
+    from orbipar.pvect import dual, tensor
 
-    for (p, k), n in (((7, 1), 16), ((3, 2), 24)):
-        field = make_field(p, k)
-        a = random_unimodular(field, 2, n, SplitMix64(p * 10 + n))
-        assert a * a.inverse() == Matrix.identity(field, 2, n), "Matrix.inverse is not an inverse"
-        case = f"{field.describe()} r=2 N={n}"
+    # B of V (x) V* for bench_dual_pairing's first datum
+    d = random_datum(make_kummer(make_field(13), 4, 8), 2, SplitMix64(2718),
+                     character_exponent=1)
+    b = trivialize(tensor(d, dual(d)).points[0].psi).b
+    cases = [(random_unimodular(make_field(p, k), r, n, SplitMix64(p * 10 + n)), n)
+             for (p, k), r, n in (((7, 1), 2, 16), ((3, 2), 2, 24), ((7, 1), 3, 16))]
+    for a, n in cases + [(b, 8)]:
+        field, r = a.field, a.rows
+        assert a * a.inverse() == Matrix.identity(field, r, n), "Matrix.inverse is not an inverse"
+        case = f"{field.describe()} r={r} N={n}"
         med, low = timed(results, f"Matrix.inverse {case}", a.inverse,
                          max(repeats // (n * 10), 1), runs)
         print(f"Matrix.inverse, {case}: {med * 1e6:.1f} us median, {low * 1e6:.1f} us min")

@@ -6,7 +6,8 @@ ways a cached substitution operator applies itself, vec_tri also applying
 an extension's cached decomposition matrix (restriction of scalars);
 fixed_point_rows, the equations of a semilinear action's fixed space;
 gauss_jordan, exact elimination over the field; and row_axpy, row_scale
-and row_neg on list rows.  Coefficient vectors are lists or tuples of
+and row_neg on list rows; mat_inverse and smith_rows, the two
+eliminations over k[[s]]/(s^n).  Coefficient vectors are lists or tuples of
 element encodings; results are lists.  The products and vec_tri have one
 packed path for every field (below); vec_inverse, vec_scale and the list
 rows take a direct `% p` path over GF(p) and the ctx's exp/log tables over
@@ -70,6 +71,14 @@ GF(9), GF(25) and GF(49)), a row is instead one byte per entry, and a row
 update is a translate of the pivot row, one bigint addition and a
 reducing translate; entries are read as plain bytes.  Other GF(p^k) rows
 stay lists, updated by row_axpy and row_scale.
+
+mat_inverse (Gauss-Jordan) and smith_rows (Smith normal form) eliminate
+over the ring k[[s]]/(s^n), not the field: a row is a list of coefficient
+vectors, one per matrix entry.  A pivot's inverse is one vec_inverse,
+each product of two entries one vec_mul, and each entry update x - f * y
+(or x + f * y) one row_axpy of the product against x, so the field's own
+list-row arithmetic (its add and neg tables over GF(p^k)) does the sums.
+Zero factors and zero entries are skipped.
 """
 
 from array import array
@@ -584,3 +593,132 @@ def row_neg(ctx, v):
         p = ctx.p
         return [-x % p for x in v]
     return list(map(ctx.neg_table.__getitem__, v))
+
+
+def _identity_rows(size, n):
+    """The size x size identity over k[[s]]/(s^n) as rows of lists."""
+    return [[[int(i == j)] + [0] * (n - 1) for j in range(size)] for i in range(size)]
+
+
+def _valuation(x):
+    """Index of the first nonzero coefficient of x; None if x is zero."""
+    for k, c in enumerate(x):
+        if c:
+            return k
+    return None
+
+
+def mat_inverse(ctx, a, n):
+    """The inverse over k[[s]]/(s^n) of the square matrix a (rows of
+    coefficient vectors of length n) as rows of lists, or None when no unit
+    pivot exists: the residue matrix is singular.
+
+    Gauss-Jordan on coefficient rows: column by column, the pivot is the
+    lowest row at or below the diagonal whose entry is a unit; the pivot
+    row is scaled by its inverse (one vec_inverse), and every other row x
+    with a nonzero entry f in the column becomes x - f * (pivot row), each
+    product one vec_mul and each difference row_axpy(ctx, x, 1, f * y).
+    Only entries right of the pivot column are updated: the rest are zero
+    or never read again.  Zero factors f and zero entries y are skipped.
+    """
+    size = len(a)
+    a = [list(row) for row in a]
+    inv = _identity_rows(size, n)
+    for col in range(size):
+        sel = next((i for i in range(col, size) if a[i][col][0]), None)
+        if sel is None:
+            return None
+        a[col], a[sel] = a[sel], a[col]
+        inv[col], inv[sel] = inv[sel], inv[col]
+        prow, piv = a[col], vec_inverse(ctx, a[col][col], n)
+        # the pivot row scaled: a nonzero entry times a unit stays nonzero
+        a_terms = [(j, vec_mul(ctx, prow[j], piv, n)) for j in range(col + 1, size)
+                   if any(prow[j])]
+        for j, y in a_terms:
+            prow[j] = y
+        inv[col] = irow = [vec_mul(ctx, y, piv, n) if any(y) else y for y in inv[col]]
+        inv_terms = [(j, y) for j, y in enumerate(irow) if any(y)]
+        for i in range(size):
+            f = a[i][col]
+            if i == col or not any(f):
+                continue
+            row, out = a[i], inv[i]
+            for j, y in a_terms:
+                row[j] = row_axpy(ctx, row[j], 1, vec_mul(ctx, f, y, n))
+            for j, y in inv_terms:
+                out[j] = row_axpy(ctx, out[j], 1, vec_mul(ctx, f, y, n))
+    return inv
+
+
+def smith_rows(ctx, a, n):
+    """Smith normal form over k[[s]]/(s^n) of the matrix a (rows of
+    coefficient vectors of length n): (U, D, W, divisors, trust) with U, D
+    and W rows of lists, a = U * D * W.
+
+    Step t takes the pivot of least valuation v in the rows and columns
+    from t on, the lowest row first, then the lowest column, and swaps it
+    to (t, t): rows of D with columns of U, columns of D with rows of W.
+    With u the inverse of the pivot shifted down by v (one vec_inverse),
+    each nonzero entry e below it gives f = (e shifted down by v) * u, and
+    its row of D drops f times row t while column t of U gains f times
+    column i; then each nonzero entry e right of it gives f the same way,
+    its column of D drops f times column t and row t of W gains f times row
+    j.  Each product is one vec_mul and each sum one row_axpy; zero
+    entries are skipped.  A shifted-down entry is padded with zeros it does
+    not know, so each pivot of valuation v costs v coefficients of trust;
+    divisors past the last nonzero pivot are None.
+    """
+    rows, cols = len(a), len(a[0])
+    d = [list(row) for row in a]
+    u, w = _identity_rows(rows, n), _identity_rows(cols, n)
+    minus_one = ctx.neg(1)      # row_axpy(ctx, x, minus_one, y) is x + y
+    trust = n
+    divisors = []
+    steps = min(rows, cols)
+    for t in range(steps):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = _valuation(d[i][j])
+                if v is not None and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            divisors.extend([None] * (steps - t))
+            break
+        v, bi, bj = best
+        if bi != t:
+            d[t], d[bi] = d[bi], d[t]
+            for row in u:                       # U <- U * swap(t, bi)
+                row[t], row[bi] = row[bi], row[t]
+        if bj != t:
+            for row in d:
+                row[t], row[bj] = row[bj], row[t]
+            w[t], w[bj] = w[bj], w[t]           # W <- swap(t, bj) * W
+        unit_inv = vec_inverse(ctx, d[t][t][v:], n)
+        pivot_row = d[t]
+        for i in range(t + 1, rows):
+            e = d[i][t]
+            if not any(e):
+                continue
+            f = vec_mul(ctx, e[v:], unit_inv, n)    # e / pivot, exact: val(e) >= v
+            row = d[i]
+            for j in range(t, cols):
+                if any(pivot_row[j]):
+                    row[j] = row_axpy(ctx, row[j], 1, vec_mul(ctx, f, pivot_row[j], n))
+            for row in u:                       # U <- U * (I + f E_it): col t += f * col i
+                if any(row[i]):
+                    row[t] = row_axpy(ctx, row[t], minus_one, vec_mul(ctx, f, row[i], n))
+        divisors.append(v)
+        trust -= v
+        for j in range(t + 1, cols):
+            e = pivot_row[j]
+            if not any(e):
+                continue
+            f = vec_mul(ctx, e[v:], unit_inv, n)
+            for row in d:
+                if any(row[t]):
+                    row[j] = row_axpy(ctx, row[j], 1, vec_mul(ctx, f, row[t], n))
+            # W <- (I + f E_tj) * W: row t += f * row j
+            w[t] = [row_axpy(ctx, x, minus_one, vec_mul(ctx, f, y, n)) if any(y) else x
+                    for x, y in zip(w[t], w[j])]
+    return u, d, w, divisors, max(trust, 0)

@@ -16,7 +16,8 @@ Three layers:
   update list rows with the kernels' row_axpy and row_scale.
 * Matrix -- rectangular matrices with uniform Series or Laurent entries;
   inversion over k[[s]] requires a unit determinant (residue-invertible)
-  and is exact at precision.  Series-matrix products run in the kernels'
+  and is exact at precision; it runs in the kernels' mat_inverse, on the
+  entries' coefficient rows.  Series-matrix products run in the kernels'
   mat_mul, except that an identity factor (Matrix.is_one, cached per
   matrix) returns the other factor itself once the field and precision
   checks pass.  Laurent-matrix products (a Series operand promoted) run in
@@ -29,7 +30,8 @@ Three layers:
   (scale, negation, shift, substitute, to_laurent, to_series) are built
   without re-checking their entries.
 * smith -- Smith normal form over the truncated DVR k[[s]]: M = U*D*W with
-  U, W unimodular, D diagonal with entries of increasing valuation.  One
+  U, W unimodular, D diagonal with entries of increasing valuation, by the
+  kernels' smith_rows on coefficient rows.  One
   decomposition of a cocycle's natural map serves both its is_induced
   divisors and the S functor's unimodular U (equivariant.is_induced).
   A Laurent matrix is invertible exactly when no divisor of its series
@@ -43,7 +45,8 @@ from itertools import compress
 from operator import itemgetter
 
 from .errors import DomainError, NotInvertibleError, StructuralError
-from .kernels import gauss_jordan, laurent_mat_mul, mat_mul, row_axpy, row_neg, row_scale
+from .kernels import (gauss_jordan, laurent_mat_mul, mat_inverse, mat_mul, row_axpy, row_neg,
+                      row_scale, smith_rows)
 from .series import Laurent, Series
 
 
@@ -422,36 +425,21 @@ class Matrix:
         return residue_det(self.field, self.residue()) != 0
 
     def inverse(self):
-        """Inverse over k[[s]] (Series entries, unit determinant) by Gauss-Jordan."""
+        """Inverse over k[[s]] (Series entries, unit determinant): kernels.mat_inverse,
+        Gauss-Jordan on the entries' coefficient rows.  Raises StructuralError
+        unless the matrix is square with one precision, and NotInvertibleError
+        when its residue matrix is singular."""
         if self.kind is Laurent:
             return laurent_inverse(self)
         if self.rows != self.cols:
             raise StructuralError("inverse of a non-square matrix")
-        n = self.rows
-        prec = self.entries[0][0].prec
-        a = [list(row) for row in self.entries]
-        inv_rows = [list(Matrix.identity(self.field, n, prec).entries[i]) for i in range(n)]
-        for col in range(n):
-            sel = None
-            for i in range(col, n):
-                if a[i][col].coeffs[0] != 0:
-                    sel = i
-                    break
-            if sel is None:
-                raise NotInvertibleError(
-                    "matrix is not invertible over the series ring (non-unit determinant)",
-                    valuation=None)
-            a[col], a[sel] = a[sel], a[col]
-            inv_rows[col], inv_rows[sel] = inv_rows[sel], inv_rows[col]
-            piv_inv = a[col][col].inverse()
-            a[col] = [e * piv_inv for e in a[col]]
-            inv_rows[col] = [e * piv_inv for e in inv_rows[col]]
-            for i in range(n):
-                if i != col and not a[i][col].is_zero():
-                    f = a[i][col]
-                    a[i] = [e - f * g for e, g in zip(a[i], a[col])]
-                    inv_rows[i] = [e - f * g for e, g in zip(inv_rows[i], inv_rows[col])]
-        return Matrix(inv_rows)
+        prec = _common_prec(self)
+        rows = mat_inverse(self.field.ctx, _coeff_rows(self), prec)
+        if rows is None:
+            raise NotInvertibleError(
+                "matrix is not invertible over the series ring (non-unit determinant)",
+                valuation=None)
+        return _series_matrix(self.field, prec, rows)
 
     def first_mismatch(self, other):
         """(i, j, exponent) of the lowest-index difference, or None if equal.
@@ -488,6 +476,26 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field.describe()})"
 
 
+def _common_prec(m):
+    """The one precision of m's Series entries; StructuralError if they differ."""
+    precs = {e.prec for row in m.entries for e in row}
+    if len(precs) != 1:
+        raise StructuralError("precision mismatch")
+    return precs.pop()
+
+
+def _coeff_rows(m):
+    """m's entries as rows of coefficient vectors, the kernels' matrix form."""
+    return [[e.coeffs for e in row] for row in m.entries]
+
+
+def _series_matrix(field, prec, rows):
+    """The Series matrix over field at prec of the kernels' rows of
+    coefficient lists: no re-check."""
+    return Matrix._checked(tuple([tuple([Series(field, prec, tuple(c)) for c in row])
+                                  for row in rows]), Series, field)
+
+
 def _series_product(a, b):
     """a * b for Series matrices, through the kernels' matrix product; the
     operands must share their field and one precision, as Series products do.
@@ -495,18 +503,15 @@ def _series_product(a, b):
     itself."""
     if a.field != b.field:
         raise StructuralError("field mismatch")
-    precs = {e.prec for m in (a, b) for row in m.entries for e in row}
-    if len(precs) != 1:
+    prec = _common_prec(a)
+    if _common_prec(b) != prec:
         raise StructuralError("precision mismatch")
     if a.is_one():
         return b
     if b.is_one():
         return a
-    field, prec = a.field, precs.pop()
-    rows = mat_mul(field.ctx, [[e.coeffs for e in row] for row in a.entries],
-                   [[e.coeffs for e in row] for row in b.entries], prec)
-    return Matrix._checked(tuple([tuple([Series(field, prec, tuple(c)) for c in row])
-                                  for row in rows]), Series, field)
+    return _series_matrix(a.field, prec, mat_mul(a.field.ctx, _coeff_rows(a), _coeff_rows(b),
+                                                 prec))
 
 
 def _laurent_product(a, b):
@@ -544,69 +549,21 @@ class SmithForm:
 
 
 def smith(m: Matrix) -> SmithForm:
-    """Smith normal form over truncated k[[s]]: m = U * D * W.
+    """Smith normal form over truncated k[[s]]: m = U * D * W, by
+    kernels.smith_rows on the entries' coefficient rows.
 
     Pivots are chosen by minimal valuation, then lowest row, then lowest
     column; U and W stay unimodular (their updates are elementary).  Every
     division by a pivot of valuation v > 0 costs v coefficients of trust,
-    tracked conservatively in the result.
+    tracked conservatively in the result.  Raises StructuralError unless
+    the entries are Series of one precision.
     """
     if m.kind is Laurent:
         raise StructuralError("smith expects Series entries; shift Laurent matrices first")
-    field = m.field
-    prec = m.entries[0][0].prec
-    rows, cols = m.rows, m.cols
-    a = [list(r) for r in m.entries]
-    u = [list(r) for r in Matrix.identity(field, rows, prec).entries]
-    w = [list(r) for r in Matrix.identity(field, cols, prec).entries]
-    trust = prec
-    divisors = []
-    steps = min(rows, cols)
-
-    def shift_down(e, v):
-        return Series(field, prec, e.coeffs[v:] + (0,) * v)
-
-    for t in range(steps):
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                v = a[i][j].valuation()
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            divisors.extend([None] * (steps - t))
-            break
-        v, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-            for row in u:                       # U <- U * swap(t, bi)
-                row[t], row[bi] = row[bi], row[t]
-        if bj != t:
-            for row in a:
-                row[t], row[bj] = row[bj], row[t]
-            w[t], w[bj] = w[bj], w[t]           # W <- swap(t, bj) * W
-        unit_inv = shift_down(a[t][t], v).inverse()
-        for i in range(t + 1, rows):
-            e = a[i][t]
-            if e.valuation() is None:
-                continue
-            f = shift_down(e, v) * unit_inv     # e / pivot, exact: val(e) >= v
-            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-            for row in u:                       # U <- U * (I + f E_{it}): col t += f * col i
-                row[t] = row[t] + f * row[i]
-        divisors.append(v)
-        if v:
-            trust -= v
-        for j in range(t + 1, cols):
-            e = a[t][j]
-            if e.valuation() is None:
-                continue
-            f = shift_down(e, v) * unit_inv
-            for row in a:
-                row[j] = row[j] - f * row[t]
-            w[t] = [x + f * y for x, y in zip(w[t], w[j])]   # W <- (I + f E_{tj}) * W
-    return SmithForm(U=Matrix(u), D=Matrix(a), W=Matrix(w), divisors=divisors,
-                     trust=max(trust, 0))
+    prec = _common_prec(m)
+    u, d, w, divisors, trust = smith_rows(m.field.ctx, _coeff_rows(m), prec)
+    return SmithForm(U=_series_matrix(m.field, prec, u), D=_series_matrix(m.field, prec, d),
+                     W=_series_matrix(m.field, prec, w), divisors=divisors, trust=trust)
 
 
 def series_part(m: Matrix):

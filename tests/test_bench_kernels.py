@@ -42,6 +42,8 @@ def test_bench_kernels_runs(capsys, tmp_path):
             assert f"FieldCtx.{op:<7}{fname}" in out
     assert "Matrix.inverse, GF(7) r=2 N=16" in out
     assert "Matrix.inverse, GF(3^2) r=2 N=24" in out
+    assert "Matrix.inverse, GF(7) r=3 N=16" in out
+    assert "Matrix.inverse, GF(13) r=4 N=8" in out
     assert "echelonize, wild trivialize system (36x96 GF(3^2))" in out
     for line in ("evaluate_in_base, tame Kummer Z/3 GF(7) N=16",
                  "evaluate_in_base, wild Artin-Schreier GF(3^2) N=24",
@@ -85,6 +87,7 @@ def test_bench_kernels_runs(capsys, tmp_path):
                  "FieldCtx.mul GF(13)", "FieldCtx.inv GF(13)", "FieldCtx.add GF(13)",
                  "FieldCtx.mul GF(3^2)", "FieldCtx.inv GF(3^2)", "FieldCtx.add GF(3^2)",
                  "Matrix.inverse GF(7) r=2 N=16", "Matrix.inverse GF(3^2) r=2 N=24",
+                 "Matrix.inverse GF(7) r=3 N=16", "Matrix.inverse GF(13) r=4 N=8",
                  "Laurent Matrix.__mul__ GF(3^2) r=1 N=24",
                  "entrywise Laurent product GF(3^2) r=1 N=24",
                  "Laurent Matrix.__mul__ GF(7) r=2 N=16",

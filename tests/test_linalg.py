@@ -5,9 +5,9 @@ from orbipar import linalg
 from orbipar.errors import NotInvertibleError, StructuralError
 from orbipar.fields import ADD_TABLE_MAX_ORDER, make_field
 from orbipar.kernels import _byte_rows, _slot, mat_mul
-from orbipar.linalg import (LinearSolution, Matrix, echelonize, kernel_by_blocks, kron,
-                            laurent_inverse, null_space, residue_det, residue_search, smith,
-                            solve_linear)
+from orbipar.linalg import (LinearSolution, Matrix, SmithForm, echelonize, kernel_by_blocks,
+                            kron, laurent_inverse, null_space, residue_det, residue_search,
+                            series_part, smith, solve_linear)
 from orbipar.scenario import MAX_PRECISION, MAX_RANK
 from orbipar.prng import SplitMix64
 from orbipar.series import Laurent, Series
@@ -601,3 +601,227 @@ def test_packed_rows_slots_at_the_caps():
     assert _slot(13, 1, 1, 160 + 1) == (2, "H")
     with pytest.raises(StructuralError):
         _slot(65521, 1, 1, 2 ** 33 + 1)
+
+
+# -- the coefficient-row eliminations against the entrywise ones they replaced --
+
+def _ref_inverse(self):
+    """Inverse over k[[s]] (Series entries, unit determinant) by Gauss-Jordan."""
+    if self.kind is Laurent:
+        return _ref_laurent_inverse(self)
+    if self.rows != self.cols:
+        raise StructuralError("inverse of a non-square matrix")
+    n = self.rows
+    prec = self.entries[0][0].prec
+    a = [list(row) for row in self.entries]
+    inv_rows = [list(Matrix.identity(self.field, n, prec).entries[i]) for i in range(n)]
+    for col in range(n):
+        sel = None
+        for i in range(col, n):
+            if a[i][col].coeffs[0] != 0:
+                sel = i
+                break
+        if sel is None:
+            raise NotInvertibleError(
+                "matrix is not invertible over the series ring (non-unit determinant)",
+                valuation=None)
+        a[col], a[sel] = a[sel], a[col]
+        inv_rows[col], inv_rows[sel] = inv_rows[sel], inv_rows[col]
+        piv_inv = a[col][col].inverse()
+        a[col] = [e * piv_inv for e in a[col]]
+        inv_rows[col] = [e * piv_inv for e in inv_rows[col]]
+        for i in range(n):
+            if i != col and not a[i][col].is_zero():
+                f = a[i][col]
+                a[i] = [e - f * g for e, g in zip(a[i], a[col])]
+                inv_rows[i] = [e - f * g for e, g in zip(inv_rows[i], inv_rows[col])]
+    return Matrix(inv_rows)
+
+
+def _ref_smith(m: Matrix) -> SmithForm:
+    """Smith normal form over truncated k[[s]]: m = U * D * W.
+
+    Pivots are chosen by minimal valuation, then lowest row, then lowest
+    column; U and W stay unimodular (their updates are elementary).  Every
+    division by a pivot of valuation v > 0 costs v coefficients of trust,
+    tracked conservatively in the result.
+    """
+    if m.kind is Laurent:
+        raise StructuralError("smith expects Series entries; shift Laurent matrices first")
+    field = m.field
+    prec = m.entries[0][0].prec
+    rows, cols = m.rows, m.cols
+    a = [list(r) for r in m.entries]
+    u = [list(r) for r in Matrix.identity(field, rows, prec).entries]
+    w = [list(r) for r in Matrix.identity(field, cols, prec).entries]
+    trust = prec
+    divisors = []
+    steps = min(rows, cols)
+
+    def shift_down(e, v):
+        return Series(field, prec, e.coeffs[v:] + (0,) * v)
+
+    for t in range(steps):
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                v = a[i][j].valuation()
+                if v is not None and (best is None or v < best[0]):
+                    best = (v, i, j)
+        if best is None:
+            divisors.extend([None] * (steps - t))
+            break
+        v, bi, bj = best
+        if bi != t:
+            a[t], a[bi] = a[bi], a[t]
+            for row in u:                       # U <- U * swap(t, bi)
+                row[t], row[bi] = row[bi], row[t]
+        if bj != t:
+            for row in a:
+                row[t], row[bj] = row[bj], row[t]
+            w[t], w[bj] = w[bj], w[t]           # W <- swap(t, bj) * W
+        unit_inv = shift_down(a[t][t], v).inverse()
+        for i in range(t + 1, rows):
+            e = a[i][t]
+            if e.valuation() is None:
+                continue
+            f = shift_down(e, v) * unit_inv     # e / pivot, exact: val(e) >= v
+            a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+            for row in u:                       # U <- U * (I + f E_{it}): col t += f * col i
+                row[t] = row[t] + f * row[i]
+        divisors.append(v)
+        if v:
+            trust -= v
+        for j in range(t + 1, cols):
+            e = a[t][j]
+            if e.valuation() is None:
+                continue
+            f = shift_down(e, v) * unit_inv
+            for row in a:
+                row[j] = row[j] - f * row[t]
+            w[t] = [x + f * y for x, y in zip(w[t], w[j])]   # W <- (I + f E_{tj}) * W
+    return SmithForm(U=Matrix(u), D=Matrix(a), W=Matrix(w), divisors=divisors,
+                     trust=max(trust, 0))
+
+
+def _ref_laurent_inverse(m: Matrix) -> Matrix:
+    """laurent_inverse on the entrywise Smith form and inverse."""
+    if m.kind is Series:
+        m = m.to_laurent()
+    if m.rows != m.cols:
+        raise StructuralError("inverse of a non-square matrix")
+    ser, shift, p = series_part(m)
+    sf = _ref_smith(ser)
+    if any(dv is None for dv in sf.divisors):
+        raise NotInvertibleError("Laurent matrix is singular to stored precision",
+                                 valuation=None)
+    d_inv = Matrix([[Laurent.from_series(sf.D.entries[i][i]).inverse() if i == j
+                     else Laurent.zero(m.field, p) for j in range(m.rows)]
+                    for i in range(m.rows)])
+    out = _ref_inverse(sf.W).to_laurent() * d_inv * _ref_inverse(sf.U).to_laurent()
+    return out.shift(-shift)
+
+
+def _outcome(fn, m):
+    """fn(m), or the class and message of what it raised."""
+    try:
+        return fn(m)
+    except Exception as exc:        # the two sides must raise alike, whatever it is
+        return type(exc), str(exc)
+
+
+def _windows(m):
+    return [[(e.val_floor, len(e.coeffs)) for e in row] for row in m.entries]
+
+
+def _assert_laurent_inverses_agree(m):
+    got, want = _outcome(laurent_inverse, m), _outcome(_ref_laurent_inverse, m)
+    if isinstance(want, Matrix):
+        assert isinstance(got, Matrix) and _windows(got) == _windows(want)
+        assert got.entries == want.entries
+    else:
+        assert got == want
+
+
+# GF(11^3) is above ADD_TABLE_MAX_ORDER: row_axpy adds digit by digit there
+ELIMINATION_FIELDS = [(2, 1), (7, 1), (13, 1), (3, 2), (2, 4), (11, 3)]
+
+
+def _residue_unimodular(field, r, prec, perm, rng):
+    """A random r x r Series matrix whose residue is row perm[i] of an upper
+    triangular matrix with a nonzero diagonal in row i: unimodular, with a
+    non-unit (0, 0) entry whenever perm[0] != 0."""
+    q = field.order
+    tri = [[1 + rng.randrange(q - 1) if i == j else rng.randrange(q) if j > i else 0
+            for j in range(r)] for i in range(r)]
+    return Matrix([[Series(field, prec, (tri[perm[i]][j],)
+                           + tuple(rng.randrange(q) for _ in range(prec - 1)))
+                    for j in range(r)] for i in range(r)])
+
+
+@st.composite
+def elimination_inputs(draw):
+    """U * diag(s^d_i) * W with U, W unimodular and planted divisors d_i (all
+    zero in about half the draws; d_i = prec plants a zero), then one of:
+    nothing more, a zero row, a non-unit (0, 0) entry (the first pivot
+    needs a swap), the last row or column dropped (not square)."""
+    field = make_field(*draw(st.sampled_from(ELIMINATION_FIELDS)))
+    r, prec = draw(st.integers(1, 5)), draw(st.integers(1, 12))
+    divs = draw(st.one_of(st.just([0] * r),     # unimodular, so invertible
+                          st.lists(st.integers(0, prec), min_size=r, max_size=r)))
+    rng = SplitMix64(draw(st.integers(0, 2 ** 32)))
+    left = _residue_unimodular(field, r, prec, draw(st.permutations(range(r))), rng)
+    right = _residue_unimodular(field, r, prec, draw(st.permutations(range(r))), rng)
+    diag = Matrix([[Series.monomial(field, 1 if i == j else 0, divs[i] if i == j else 0, prec)
+                    for j in range(r)] for i in range(r)])
+    rows = [list(row) for row in (left * diag * right).entries]
+    variant = draw(st.sampled_from(["planted", "zero row", "non-unit first", "not square"]))
+    if variant == "zero row":
+        rows[draw(st.integers(0, r - 1))] = [Series.zero(field, prec)] * r
+    elif variant == "non-unit first":
+        rows[0][0] = Series(field, prec, (0,) + rows[0][0].coeffs[1:])
+    elif variant == "not square" and r > 1:
+        rows = rows[:-1] if draw(st.booleans()) else [row[:-1] for row in rows]
+    return Matrix(rows)
+
+
+@settings(max_examples=250, deadline=None)
+@given(elimination_inputs(), st.data())
+def test_row_eliminations_match_the_entrywise_ones(m, data):
+    """Matrix.inverse and smith (kernels.mat_inverse, kernels.smith_rows)
+    return exactly what the entrywise eliminations returned, or raise as
+    they did; laurent_inverse, which runs both, keeps every entry's window."""
+    assert _outcome(Matrix.inverse, m) == _outcome(_ref_inverse, m)
+    got, want = smith(m), _ref_smith(m)
+    assert (got.U, got.D, got.W, got.divisors, got.trust) == \
+        (want.U, want.D, want.W, want.divisors, want.trust)
+    # a Laurent input: each entry shifted by s^-2 .. s^2, so the windows differ
+    shifted = Matrix([[e.shift(data.draw(st.integers(-2, 2))) for e in row]
+                      for row in m.to_laurent().entries])
+    _assert_laurent_inverses_agree(shifted)
+
+
+def test_laurent_inverse_keeps_the_windows_of_the_artin_schreier_gluing():
+    """The gluing [[1, -1/s], [0, 1]] over GF(9) at N = 6 (det 1) inverts to
+    entries on windows of four coefficients, as it did entry by entry."""
+    f9 = make_field(3, 2)
+    mu = Matrix([[Laurent.exact(f9, 0, [1], 6), Laurent.exact(f9, -1, [f9.neg(1)], 6)],
+                 [Laurent.zero(f9, 6), Laurent.exact(f9, 0, [1], 6)]])
+    _assert_laurent_inverses_agree(mu)
+    assert {w for row in _windows(laurent_inverse(mu)) for w in row} == {(-1, 4)}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_one_precision_error_for_inverse_and_smith(r):
+    """A matrix whose entries differ in precision raises "precision mismatch"
+    from Matrix.inverse and smith before any arithmetic, wherever the odd
+    entry sits."""
+    f7 = make_field(7)
+    for i in range(r):
+        for j in range(r):
+            rows = [[Series.constant(f7, int(a == b), 4) for b in range(r)] for a in range(r)]
+            rows[i][j] = Series.constant(f7, int(i == j), 3)
+            m = Matrix(rows)
+            for op in (Matrix.inverse, smith):
+                with pytest.raises(StructuralError, match="^precision mismatch$"):
+                    op(m)
